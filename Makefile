@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-mp bench bench-json perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke ci
+.PHONY: build test vet race race-mp bench bench-check loc bench-json perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke ci
 
 build:
 	$(GO) build ./...
@@ -14,10 +14,10 @@ test:
 # The race detector pass covers the packages with goroutine fan-out: the
 # tensor kernels' pooled parallel paths, the campaign worker pool, and the
 # serving scheduler with its shared read-only bounds store. race-mp repeats
-# it at GOMAXPROCS=4 — adding internal/model so the mixed-phase fused-forward
-# battery (co-batched prefill+decode with the per-(session×head) attention
-# fan-out on pool workers) runs with real scheduler preemption even on
-# single-core runners.
+# it at GOMAXPROCS=4 — adding internal/model so the mixed-phase battery and
+# the batching-invariance property test (co-batched prefill+decode with the
+# per-(session×head) attention fan-out on pool workers) run with real
+# scheduler preemption even on single-core runners.
 race:
 	$(GO) test -race ./internal/tensor/... ./internal/campaign/... ./internal/serve/... ./internal/wire/... ./internal/router/...
 
@@ -27,6 +27,20 @@ race-mp:
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkGenerate(Unprotected|FT2)' -benchmem .
 	$(GO) test -run XXX -bench BenchmarkDecodeStep -benchmem ./internal/model/
+
+# The repository benchmark under bench/ is its own module (own go.mod), so
+# root `go build ./...` never compiles it: this target is what catches an
+# internal API break there. -o /dev/null because `go build ./...` over a lone
+# main package would otherwise write its binary into bench/.
+bench-check:
+	cd bench && export GOFLAGS=-mod=mod GOWORK=off && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
+
+# Non-test Go line counts of the engine packages (ROADMAP aim 2: the count
+# goes down).
+loc:
+	@for p in model tensor serve core protect; do \
+		printf '%-8s %s\n' $$p $$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
+	done
 
 bench-json:
 	$(GO) run ./cmd/ft2bench -bench-json BENCH_decode.json
@@ -73,4 +87,4 @@ prefix-smoke:
 router-smoke:
 	scripts/router_smoke.sh
 
-ci: vet build test race race-mp perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke
+ci: vet build test bench-check race race-mp perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke

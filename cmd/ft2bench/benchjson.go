@@ -56,8 +56,8 @@ type benchCampaignResult struct {
 // (GOMAXPROCS, batching, concurrency) point: protected generations through
 // the continuous-batching scheduler, verified bit-identical to the serial
 // GenerateInto baseline it is normalized against. Batched rows fuse ready
-// sessions into DecodeStepBatch groups; the batched=false rows force the
-// per-session serial fallback (BatchMax 1) for comparison.
+// sessions into ForwardBatch groups; the batched=false rows cap groups at
+// one session (BatchMax 1) for comparison.
 type benchServeResult struct {
 	GOMAXPROCS         int     `json:"gomaxprocs"`
 	Batched            bool    `json:"batched"`
@@ -261,8 +261,8 @@ func runBenchJSON(path string, seed int64) error {
 
 	// Serving throughput at increasing concurrency, against the serial
 	// baseline of the same requests run one-by-one through GenerateInto on
-	// the same GOMAXPROCS setting. Batched rows fuse sessions into
-	// DecodeStepBatch; one BatchMax=1 row per setting isolates what fusion
+	// the same GOMAXPROCS setting. Batched rows fuse sessions into one
+	// ForwardBatch call; one BatchMax=1 row per setting isolates what fusion
 	// buys over pure time-slicing.
 	for _, procs := range procsSweep {
 		runtime.GOMAXPROCS(procs)
@@ -539,7 +539,7 @@ func benchChaosPareto(seed int64) (*benchChaosResult, error) {
 }
 
 // benchServe measures the serving layer at 1, 4, and 16 concurrent clients
-// running protected generations — batched, plus a BatchMax=1 serial-fallback
+// running protected generations — batched, plus a BatchMax=1 groups-of-one
 // comparison at the highest concurrency — and verifies every served output
 // against the GenerateInto oracle. The server runs its production feature
 // set: mixed-phase fused batching plus the prefix cache (the load repeats a

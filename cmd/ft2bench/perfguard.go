@@ -28,7 +28,7 @@ const (
 	guardMargin  = 0.90
 	guardRetries = 3
 	// serveGuardMargin is the minimum batched-over-serial speedup the
-	// mixed-phase serving gate requires. The serial-fallback configuration
+	// mixed-phase serving gate requires. The groups-of-one configuration
 	// (BatchMax=1, prefix cache still on) measures ~1.3× against the naive
 	// baseline, and the fused path ~1.5-1.7× in steady state, so 1.35 only
 	// passes when fusion genuinely contributes while leaving headroom for

@@ -13,8 +13,8 @@
 //	ft2serve -selftest
 //
 // runs the serving stack against an in-process load generator at 1, 4 and
-// 16 concurrent clients — once with batched decode (sessions fused into
-// DecodeStepBatch groups) and once with the serial fallback (-batch-max 1)
+// 16 concurrent clients — once batched (sessions fused into ForwardBatch
+// groups) and once with groups of one (-batch-max 1)
 // — and exits non-zero unless every served output — protected and bare —
 // is bit-identical to a direct GenerateInto oracle run, correction counters
 // included.
@@ -239,8 +239,8 @@ func runSelfTest(ctx context.Context, cfg serve.Config, sharedFrac float64, shar
 	}
 	srv.Shutdown(ctx)
 
-	// Both scheduling regimes must reproduce the oracle: the fused batched
-	// path (configured BatchMax) and the pure serial fallback (BatchMax 1).
+	// Both group widths must reproduce the oracle: the configured BatchMax
+	// and groups of one (BatchMax 1).
 	for _, batchMax := range []int{cfg.BatchMax, 1} {
 		bcfg := cfg
 		bcfg.BatchMax = batchMax

@@ -23,29 +23,21 @@ type arena struct {
 	ffnA    *tensor.Tensor // fc1 / gate_proj output, rows × ffn
 	ffnB    *tensor.Tensor // up_proj output, rows × ffn
 	ffnOut  *tensor.Tensor // fc2 / down_proj output, rows × hidden
-	last    *tensor.Tensor // final-position residual copy, 1 × hidden
-	final   *tensor.Tensor // final-norm output, 1 × hidden
-	logits  *tensor.Tensor // readout, 1 × vocab
+	last    *tensor.Tensor // emitting items' final-row residual copies, E × hidden
+	final   *tensor.Tensor // final-norm output, E × hidden
+	logits  *tensor.Tensor // readout, E × vocab
 
-	// Batched-decode readout buffers (B × …). Separate from last/final/
-	// logits because the single-row path relies on those keeping their 1-row
-	// shape across calls.
-	lastB   *tensor.Tensor // per-session residual copies, B × hidden
-	finalB  *tensor.Tensor // final-norm output, B × hidden
-	logitsB *tensor.Tensor // readout, B × vocab
-
-	// rowOut/rowIn are reusable one-row tensor headers whose Data is
-	// re-aimed at one batch row at a time when per-session hooks run; see
-	// runBatchHooks.
+	// rowOut/rowIn are reusable tensor headers whose Data is re-aimed at
+	// one item's row range at a time when its hooks run; see runBatchHooks.
 	rowOut *tensor.Tensor
 	rowIn  *tensor.Tensor
 
-	scores    []float32 // attention score row, maxSeq (single-session path)
-	positions []int     // absolute positions for Generate, maxSeq
-	stepTok   [1]int    // single-token slice for decode steps
-	stepPos   [1]int    // single-position slice for decode steps
+	// self is the one-item batch Prefill/PrefillChunk/DecodeStep run over
+	// the active state, selfTok its result slot; see forwardActive.
+	self    [1]BatchItem
+	selfTok [1]int
 
-	// Fused mixed-phase batch layout (ForwardBatch): per-item first fused
+	// Batch layout of the current forward pass: per-item first fused
 	// row, row count, absolute start position, pre-append KV row count for
 	// the current block, and the indices of items emitting a token this
 	// call. Reused across calls.
@@ -70,26 +62,21 @@ type arena struct {
 func newArena(cfg Config) *arena {
 	s, h, f := cfg.MaxSeq, cfg.Hidden, cfg.FFN
 	return &arena{
-		x:         tensor.New(s, h),
-		normed:    tensor.New(s, h),
-		normed2:   tensor.New(s, h),
-		q:         tensor.New(s, h),
-		k:         tensor.New(s, h),
-		v:         tensor.New(s, h),
-		ctx:       tensor.New(s, h),
-		attn:      tensor.New(s, h),
-		ffnA:      tensor.New(s, f),
-		ffnB:      tensor.New(s, f),
-		ffnOut:    tensor.New(s, h),
-		last:      tensor.New(1, h),
-		final:     tensor.New(1, h),
-		logits:    tensor.New(1, cfg.Vocab),
-		lastB:     tensor.New(1, h),
-		finalB:    tensor.New(1, h),
-		logitsB:   tensor.New(1, cfg.Vocab),
-		rowOut:    tensor.New(0, 0),
-		rowIn:     tensor.New(0, 0),
-		scores:    make([]float32, s),
-		positions: make([]int, s),
+		x:       tensor.New(s, h),
+		normed:  tensor.New(s, h),
+		normed2: tensor.New(s, h),
+		q:       tensor.New(s, h),
+		k:       tensor.New(s, h),
+		v:       tensor.New(s, h),
+		ctx:     tensor.New(s, h),
+		attn:    tensor.New(s, h),
+		ffnA:    tensor.New(s, f),
+		ffnB:    tensor.New(s, f),
+		ffnOut:  tensor.New(s, h),
+		last:    tensor.New(1, h),
+		final:   tensor.New(1, h),
+		logits:  tensor.New(1, cfg.Vocab),
+		rowOut:  tensor.New(0, 0),
+		rowIn:   tensor.New(0, 0),
 	}
 }

@@ -41,34 +41,39 @@ func (it *BatchItem) rows() int {
 }
 
 // ForwardBatch advances B independent sessions — any mix of mid-prefill and
-// decoding — in a single fused forward pass: the sessions' rows are stacked
-// into one m=ΣC activation matrix, so every linear layer (attention
-// projections, MLP, LM head) streams its weight matrix exactly once per
-// call regardless of phase. Attention stays per-session over each state's
-// own KV slab, with causal masking inside multi-row prefill ranges, and
-// fans the (session × head) work units out over the resident tensor worker
-// pool when the kernel cost model predicts a win.
+// decoding — in a single forward pass: the sessions' rows are stacked into
+// one m=ΣC activation matrix, so every linear layer (attention projections,
+// MLP, LM head) streams its weight matrix exactly once per call regardless
+// of phase. Attention stays per-session over each state's own KV slab, with
+// causal masking inside multi-row prefill ranges, and fans the (session ×
+// head) work units out over the resident tensor worker pool when the kernel
+// cost model predicts a win.
 //
 // One result is appended to dst per item, in order: the decoded token for a
 // decode row, the first token for a prefill range that completes its
 // prompt, and -1 for a mid-prefill range (more chunks to come). Each item's
-// State advances exactly as DecodeStep / PrefillChunk would advance it.
+// State advances exactly as DecodeStep / PrefillChunk — the one-item case
+// of this pass — advance the active state.
 //
 // Bit identity: every linear output row is an independent Dot(x-row, w-row)
-// with the same FP op order as the single-session kernel, normalization and
+// whose FP op order does not depend on the row count, normalization and
 // readout are computed row-by-row, and attention reads only the session's
 // own KV with the same per-row causal limit — so each session's tokens (and
-// its entire KV/state evolution) are bit-identical to a serial
-// Prefill/DecodeStep sequence no matter how its rows were co-batched. The
-// parallel attention fan-out assigns every (session, head) unit its own
-// scores scratch and a disjoint output slice, so worker count and
-// scheduling order cannot change a bit. The mixed-phase batch equivalence
-// tests and `ft2serve -selftest` assert this.
+// its entire KV/state evolution) are the same bits no matter which rows it
+// was co-batched with, alone included. The parallel attention fan-out
+// assigns every (session, head) unit its own scores scratch and a disjoint
+// output slice, so worker count and scheduling order cannot change a bit.
+// TestSerialGoldenDigest pins the one-item case to numbers recorded from
+// the separate serial pass it replaced; the batching-invariance property
+// test and `ft2serve -selftest` pin every grouping to the one-item case.
 //
 // Per-session hooks ride on BatchItem.Hooks; model-level hooks registered
 // with RegisterHook cannot be attributed to a session and make the call
-// panic. Duplicate States within one call are a caller bug (the same KV
-// slab would be appended twice).
+// panic. Every item is validated before any state is touched: a panic on a
+// bad item (incompatible or unstarted state, decode position at MaxSeq,
+// chunk overrunning its prompt, token outside the vocabulary) leaves all
+// items as they were. Duplicate States within one call are a caller bug
+// (the same KV slab would be appended twice).
 func (m *Model) ForwardBatch(items []BatchItem, dst []int) []int {
 	if len(items) == 0 {
 		panic("model: ForwardBatch with no items")
@@ -77,6 +82,15 @@ func (m *Model) ForwardBatch(items []BatchItem, dst []int) []int {
 		panic("model: ForwardBatch with model-level hooks registered; attach per-session hooks via BatchItem.Hooks")
 	}
 	m.ensureRuntime()
+	return m.forwardBatch(items, dst)
+}
+
+// forwardBatch is the one forward pass: Prefill, PrefillChunk and DecodeStep
+// run it over a single item (forwardActive), ForwardBatch over the caller's.
+func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
+	cfg := m.Cfg
+	sc := m.scratch
+
 	for i := range items {
 		it := &items[i]
 		st := it.State
@@ -89,41 +103,23 @@ func (m *Model) ForwardBatch(items []BatchItem, dst []int) []int {
 				panic(fmt.Sprintf("model: prefill chunk overruns prompt (%d+%d > %d)",
 					st.prefillPos, len(it.Prefill), st.promptLen))
 			}
+			for _, tok := range it.Prefill {
+				m.checkToken(tok)
+			}
 			continue
 		}
 		if !st.Started() {
 			panic("model: ForwardBatch decode item before Prefill or Restore")
 		}
-		st.step++
-		if pos := st.pos(); pos >= m.Cfg.MaxSeq {
-			panic(fmt.Sprintf("model: decode position %d exceeds max seq %d", pos, m.Cfg.MaxSeq))
+		if pos := st.SeqLen(); pos >= cfg.MaxSeq {
+			panic(fmt.Sprintf("model: decode position %d exceeds max seq %d", pos, cfg.MaxSeq))
 		}
+		m.checkToken(it.Tok)
 	}
-	return m.forwardBatch(items, dst)
-}
-
-// DecodeStepBatch advances B decoding sessions by one step each in a single
-// fused forward pass — ForwardBatch restricted to single-row decode items.
-// Kept as the stable decode-only entry point; prefill ranges must go
-// through ForwardBatch.
-func (m *Model) DecodeStepBatch(items []BatchItem, dst []int) []int {
-	for i := range items {
-		if items[i].prefilling() {
-			panic("model: DecodeStepBatch with a prefill item; use ForwardBatch")
-		}
-	}
-	return m.ForwardBatch(items, dst)
-}
-
-// forwardBatch is the fused forward pass over the stacked row ranges;
-// decode items' step counters are already advanced, prefill cursors are
-// advanced here after their rows are computed.
-func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
-	cfg := m.Cfg
-	sc := m.scratch
 
 	// Row-range layout: itemLo[i] is item i's first fused row, itemPos[i]
-	// the absolute sequence position of that row.
+	// the absolute sequence position of that row. Decode items claim their
+	// step here; prefill cursors advance once their rows are computed.
 	sc.itemLo = sc.itemLo[:0]
 	sc.itemRows = sc.itemRows[:0]
 	sc.itemPos = sc.itemPos[:0]
@@ -131,9 +127,10 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 	for i := range items {
 		it := &items[i]
 		r := it.rows()
-		pos := it.State.pos()
-		if it.prefilling() {
-			pos = it.State.prefillPos
+		pos := it.State.prefillPos
+		if !it.prefilling() {
+			it.State.step++
+			pos = it.State.pos()
 		}
 		sc.itemLo = append(sc.itemLo, rows)
 		sc.itemRows = append(sc.itemRows, r)
@@ -196,8 +193,12 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 		return dst
 	}
 
-	// Per-session readout over the emitting rows only.
-	last := sc.lastB.Reuse(len(sc.emitIdx), cfg.Hidden)
+	// Per-session readout over the emitting rows only: stream-norm record,
+	// teacher-prior injection (β·R·t̂ added to the pre-norm state — a sane
+	// stream of norm ≈ R is dominated by it, a corrupted stream whose norm
+	// exploded drowns it and the readout diverges), final norm, and the
+	// tied-embedding projection.
+	last := sc.last.Reuse(len(sc.emitIdx), cfg.Hidden)
 	for e, i := range sc.emitIdx {
 		it := &items[i]
 		row := last.Row(e)
@@ -223,8 +224,8 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 		}
 	}
 
-	final := m.applyNormInto(sc.finalB, m.lnF, last)
-	logits := tensor.MatMulTInto(sc.logitsB.Reuse(len(sc.emitIdx), cfg.Vocab), final, m.embed)
+	final := m.applyNormInto(sc.final, m.lnF, last)
+	logits := tensor.MatMulTInto(sc.logits.Reuse(len(sc.emitIdx), cfg.Vocab), final, m.embed)
 	logits.Scale(cfg.LogitScale)
 	e := 0
 	for i := range items {
@@ -241,7 +242,7 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 }
 
 // lastFedTok is the token occupying the item's final row — it selects the
-// teacher prior at readout, matching what the serial path feeds.
+// teacher prior at readout.
 func (it *BatchItem) lastFedTok() int {
 	if it.prefilling() {
 		return it.Prefill[len(it.Prefill)-1]
@@ -249,29 +250,28 @@ func (it *BatchItem) lastFedTok() int {
 	return it.Tok
 }
 
-// embedRow writes one embedding row (plus the OPT positional embedding)
-// after a vocab check — the shared row-assembly step of both phases.
-func (m *Model) embedRow(row []float32, tok, pos int) {
-	cfg := m.Cfg
-	if tok < 0 || tok >= cfg.Vocab {
-		panic(fmt.Sprintf("model: token %d out of vocab %d", tok, cfg.Vocab))
+// checkToken panics on a token id outside the vocabulary.
+func (m *Model) checkToken(tok int) {
+	if tok < 0 || tok >= m.Cfg.Vocab {
+		panic(fmt.Sprintf("model: token %d out of vocab %d", tok, m.Cfg.Vocab))
 	}
+}
+
+// embedRow writes one embedding row (plus the OPT positional embedding).
+func (m *Model) embedRow(row []float32, tok, pos int) {
 	copy(row, m.embed.Row(tok))
-	if cfg.Family == FamilyOPT {
-		if pos >= cfg.MaxSeq {
-			panic(fmt.Sprintf("model: position %d exceeds max seq %d", pos, cfg.MaxSeq))
-		}
+	if m.Cfg.Family == FamilyOPT {
 		for c, pv := range m.posEmb.Row(pos) {
 			row[c] += pv
 		}
 	}
 }
 
-// applyLinearBatch is applyLinearInto with per-item range hooks.
+// applyLinearBatch computes the layer output into dst (resliced to fit),
+// passes it through the precision gate, and runs each item's hooks on its
+// row range.
 func (m *Model) applyLinearBatch(dst *tensor.Tensor, ref LayerRef, l linear, x *tensor.Tensor, items []BatchItem) *tensor.Tensor {
-	dst.Reuse(x.Rows, l.w.Rows)
-	tensor.LinearInto(dst, x, l.w, l.b)
-	dst.Quantize(m.DType)
+	m.linearInto(dst, l, x)
 	m.runBatchHooks(ref, SiteLinearOut, x, dst, items)
 	return dst
 }
@@ -281,9 +281,8 @@ func (m *Model) applyLinearBatch(dst *tensor.Tensor, ref LayerRef, l linear, x *
 // per-(item × head) scores/softmax/context over that session's own slab —
 // fanned out over the resident worker pool when the cost model predicts a
 // win, inline otherwise; the results are bit-identical either way because
-// every work unit owns its scores scratch and a disjoint output slice. Each
-// row of the result is bit-identical to what the single-session attention
-// produces for that session's position.
+// every work unit owns its scores scratch and a disjoint output slice, and
+// each row depends only on its own session's q row and KV slab.
 func (m *Model) attentionBatch(bIdx int, blk *block, x *tensor.Tensor, items []BatchItem) *tensor.Tensor {
 	cfg := m.Cfg
 	d := cfg.HeadDim()

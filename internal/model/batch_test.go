@@ -18,11 +18,11 @@ func prefillSession(m *Model, prompt []int) (BatchItem, int) {
 	return BatchItem{State: st, Tok: tok}, tok
 }
 
-// TestDecodeStepBatchBitwise pins the fused batched decode to the serial
+// TestForwardBatchDecodeBitwise pins the fused batched decode to the serial
 // oracle: for every family, sessions with different prompt lengths advanced
-// together through DecodeStepBatch must emit exactly the token sequences a
+// together through ForwardBatch must emit exactly the token sequences a
 // fresh replica produces with Generate (prefill + serial DecodeSteps).
-func TestDecodeStepBatchBitwise(t *testing.T) {
+func TestForwardBatchDecodeBitwise(t *testing.T) {
 	const gen = 10
 	prompts := [][]int{
 		{5, 9, 13},
@@ -50,7 +50,7 @@ func TestDecodeStepBatchBitwise(t *testing.T) {
 			}
 			var toks []int
 			for s := 1; s < gen; s++ {
-				toks = m.DecodeStepBatch(items, toks[:0])
+				toks = m.ForwardBatch(items, toks[:0])
 				for i, tok := range toks {
 					got[i] = append(got[i], tok)
 					items[i].Tok = tok
@@ -66,9 +66,9 @@ func TestDecodeStepBatchBitwise(t *testing.T) {
 	}
 }
 
-// TestDecodeStepBatchSingleItem pins the degenerate B=1 batch to DecodeStep
+// TestForwardBatchSingleItem pins the degenerate B=1 batch to DecodeStep
 // on the same replica, including the state evolution (SeqLen/LastToken).
-func TestDecodeStepBatchSingleItem(t *testing.T) {
+func TestForwardBatchSingleItem(t *testing.T) {
 	cfg := smallCfg(FamilyLlama)
 	serial := MustNew(cfg, 3, numerics.FP16)
 	batched := MustNew(cfg, 3, numerics.FP16)
@@ -83,7 +83,7 @@ func TestDecodeStepBatchSingleItem(t *testing.T) {
 	for s := 1; s < 8; s++ {
 		tokS = serial.DecodeStep(tokS)
 		it.Tok = tokB
-		toks = batched.DecodeStepBatch([]BatchItem{it}, toks[:0])
+		toks = batched.ForwardBatch([]BatchItem{it}, toks[:0])
 		tokB = toks[0]
 		if tokS != tokB {
 			t.Fatalf("step %d: serial %d != batched %d", s, tokS, tokB)
@@ -97,11 +97,11 @@ func TestDecodeStepBatchSingleItem(t *testing.T) {
 	}
 }
 
-// TestDecodeStepBatchRowHooks checks per-session hook attribution: a hook
+// TestForwardBatchRowHooks checks per-session hook attribution: a hook
 // attached to one batch item observes one-row tensors with that session's
 // step counter, its mutations corrupt only that session's continuation, and
 // hook-free co-batched sessions still match the serial oracle bitwise.
-func TestDecodeStepBatchRowHooks(t *testing.T) {
+func TestForwardBatchRowHooks(t *testing.T) {
 	const gen = 8
 	cfg := smallCfg(FamilyGPTJ)
 	oracle := MustNew(cfg, 5, numerics.FP16)
@@ -126,7 +126,7 @@ func TestDecodeStepBatchRowHooks(t *testing.T) {
 	got := [][]int{{items[0].Tok}, {items[1].Tok}}
 	var toks []int
 	for s := 1; s < gen; s++ {
-		toks = m.DecodeStepBatch(items, toks[:0])
+		toks = m.ForwardBatch(items, toks[:0])
 		for i, tok := range toks {
 			got[i] = append(got[i], tok)
 			items[i].Tok = tok
@@ -151,17 +151,103 @@ func TestDecodeStepBatchRowHooks(t *testing.T) {
 	}
 }
 
-// TestDecodeStepBatchModelHooksPanic pins the guard: model-level hooks
+// TestForwardBatchModelHooksPanic pins the guard: model-level hooks
 // cannot be attributed to a session, so batched decode must refuse them.
-func TestDecodeStepBatchModelHooksPanic(t *testing.T) {
+func TestForwardBatchModelHooksPanic(t *testing.T) {
 	cfg := smallCfg(FamilyOPT)
 	m := MustNew(cfg, 2, numerics.FP16)
 	it, _ := prefillSession(m, []int{5, 6})
 	m.RegisterHook(func(HookCtx, *tensor.Tensor) {})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("DecodeStepBatch with model-level hooks did not panic")
+			t.Fatal("ForwardBatch with model-level hooks did not panic")
 		}
 	}()
-	m.DecodeStepBatch([]BatchItem{it}, nil)
+	m.ForwardBatch([]BatchItem{it}, nil)
+}
+
+// TestForwardBatchRejectsWithoutMutating pins validate-before-mutate: when
+// any item of a batch is rejected, no item — the valid ones ahead of it
+// included — has its step, sequence length or prefill cursor advanced, and
+// the same items then run cleanly to the tokens of an untouched twin.
+func TestForwardBatchRejectsWithoutMutating(t *testing.T) {
+	cfg := smallCfg(FamilyLlama)
+	other := cfg
+	other.Blocks = 3
+	foreign := MustNew(other, 9, numerics.FP16).NewDecodeState()
+
+	// build returns two valid items — a decoding session and an open chunked
+	// prefill — on a fresh replica.
+	prompt := []int{9, 8, 7, 6, 5}
+	open := func(m *Model, n int) *DecodeState {
+		st := m.NewDecodeState()
+		prev := m.SwapState(st)
+		m.BeginPrefill(n)
+		m.SwapState(prev)
+		return st
+	}
+	build := func() (*Model, []BatchItem) {
+		m := MustNew(cfg, 9, numerics.FP16)
+		dec, _ := prefillSession(m, []int{4, 5, 6})
+		return m, []BatchItem{dec, {State: open(m, len(prompt)), Prefill: prompt[:2]}}
+	}
+	atMaxSeq := func(m *Model) BatchItem {
+		long := make([]int, cfg.MaxSeq)
+		for i := range long {
+			long[i] = 4 + i%50
+		}
+		it, _ := prefillSession(m, long)
+		return it
+	}
+
+	bad := map[string]func(m *Model) BatchItem{
+		"position at MaxSeq": atMaxSeq,
+		"prefill overrun": func(m *Model) BatchItem {
+			return BatchItem{State: open(m, 3), Prefill: []int{4, 5, 6, 7}}
+		},
+		"incompatible state": func(*Model) BatchItem { return BatchItem{State: foreign, Tok: 5} },
+		"token out of vocab": func(m *Model) BatchItem {
+			it, _ := prefillSession(m, []int{11, 12})
+			it.Tok = cfg.Vocab
+			return it
+		},
+		"decode before prefill": func(m *Model) BatchItem {
+			return BatchItem{State: m.NewDecodeState(), Tok: 5}
+		},
+	}
+	type cursor struct{ step, seqLen, prefillPos int }
+	read := func(items []BatchItem) []cursor {
+		var cs []cursor
+		for _, it := range items {
+			cs = append(cs, cursor{it.State.Step(), it.State.SeqLen(), it.State.PrefillPos()})
+		}
+		return cs
+	}
+	for name, mk := range bad {
+		t.Run(name, func(t *testing.T) {
+			m, ok := build()
+			items := append(append([]BatchItem(nil), ok...), mk(m))
+			before := read(items)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("ForwardBatch accepted the bad item")
+					}
+				}()
+				m.ForwardBatch(items, nil)
+			}()
+			if after := read(items); !reflect.DeepEqual(before, after) {
+				t.Fatalf("rejected batch moved a cursor: %v -> %v", before, after)
+			}
+
+			twinM, twin := build()
+			want := twinM.ForwardBatch(twin, nil)
+			if got := m.ForwardBatch(ok, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after the rejection the valid items decode %v, an untouched twin %v", got, want)
+			}
+			if !reflect.DeepEqual(read(ok), read(twin)) {
+				t.Fatalf("cursors after the clean run %v != twin %v", read(ok), read(twin))
+			}
+		})
+	}
 }

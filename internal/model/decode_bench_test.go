@@ -9,7 +9,7 @@ import (
 // BenchmarkDecodeStep measures one steady-state decode step — the unit the
 // paper's runtime overhead numbers are normalized to — on each family's
 // Table 2 sim config. The prompt is prefetched into the KV cache once; every
-// iteration runs a single-token forward pass and then rewinds the cache so
+// iteration runs one DecodeStep and then rewinds the state so
 // the sequence never outgrows MaxSeq.
 func BenchmarkDecodeStep(b *testing.B) {
 	for _, name := range []string{"opt-6.7b-sim", "gptj-6b-sim", "llama2-7b-sim"} {
@@ -20,22 +20,13 @@ func BenchmarkDecodeStep(b *testing.B) {
 			}
 			m := MustNew(cfg, 42, numerics.FP16)
 			prompt := []int{4, 8, 15, 16, 23, 42}
-			m.resetState()
-			positions := m.scratch.positions[:len(prompt)]
-			for i := range positions {
-				positions[i] = i
-			}
-			logits := m.forward(prompt, positions)
-			tok := argmax(logits)
+			tok := m.Prefill(prompt)
 
-			sc := m.scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.st.step = 1
-				sc.stepTok[0] = tok
-				sc.stepPos[0] = len(prompt)
-				m.forward(sc.stepTok[:], sc.stepPos[:])
+				m.DecodeStep(tok)
+				m.st.step = 0
 				for j := range m.st.kv {
 					m.st.kv[j].rows = len(prompt)
 				}

@@ -50,7 +50,7 @@ func TestF16StreamedDecodeBitIdenticalSerial(t *testing.T) {
 	}
 }
 
-// Batched decode, every family: f16-streamed DecodeStepBatch must match the
+// Batched decode, every family: f16-streamed ForwardBatch must match the
 // f32 serial oracle token-for-token.
 func TestF16StreamedDecodeBitIdenticalBatched(t *testing.T) {
 	const gen = 8
@@ -80,7 +80,7 @@ func TestF16StreamedDecodeBitIdenticalBatched(t *testing.T) {
 				}
 				var toks []int
 				for step := 1; step < gen; step++ {
-					toks = m.DecodeStepBatch(items, toks[:0])
+					toks = m.ForwardBatch(items, toks[:0])
 					for i, tok := range toks {
 						got[i] = append(got[i], tok)
 						items[i].Tok = tok

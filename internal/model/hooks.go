@@ -45,12 +45,6 @@ type HookCtx struct {
 // output neuron.
 type Hook func(ctx HookCtx, out *tensor.Tensor)
 
-// hookEntry pairs a hook with a registration handle for removal.
-type hookEntry struct {
-	id int
-	fn Hook
-}
-
 // HookHandle identifies a registered hook for removal.
 type HookHandle int
 
@@ -61,65 +55,47 @@ type HookHandle int
 // paper's fault/protection interleaving.
 func (m *Model) RegisterHook(h Hook) HookHandle {
 	m.nextHookID++
-	m.hooks = append(m.hooks, hookEntry{id: m.nextHookID, fn: h})
-	return HookHandle(m.nextHookID)
+	m.hooks = append(m.hooks, h)
+	m.hookIDs = append(m.hookIDs, m.nextHookID)
+	return m.nextHookID
 }
 
 // RemoveHook unregisters a hook by handle; unknown handles are ignored.
 func (m *Model) RemoveHook(h HookHandle) {
-	for i, e := range m.hooks {
-		if e.id == int(h) {
+	for i, id := range m.hookIDs {
+		if id == h {
 			m.hooks = append(m.hooks[:i], m.hooks[i+1:]...)
+			m.hookIDs = append(m.hookIDs[:i], m.hookIDs[i+1:]...)
 			return
 		}
 	}
 }
 
 // ClearHooks removes every registered hook.
-func (m *Model) ClearHooks() { m.hooks = m.hooks[:0] }
+func (m *Model) ClearHooks() { m.hooks, m.hookIDs = m.hooks[:0], m.hookIDs[:0] }
 
 // HookCount returns the number of registered hooks.
 func (m *Model) HookCount() int { return len(m.hooks) }
 
-func (m *Model) runHooks(ref LayerRef, site Site, in, out *tensor.Tensor) {
-	if len(m.hooks) == 0 {
-		return
-	}
-	ctx := HookCtx{Layer: ref, Site: site, Input: in, Step: m.st.step, FirstToken: m.st.step == 0}
-	for _, e := range m.hooks {
-		e.fn(ctx, out)
-	}
-	// Hooks mutate out through its raw Data (fault injection, clamping);
-	// drop any cached derived state.
-	out.MarkMutated()
-}
-
-// runBatchHooks fires each item's per-session hooks against a view of that
-// item's row range of out (and of in, for redundant-execution protections),
-// so hooks observe exactly the tensor shape — and therefore the flat neuron
-// indexing — they see in single-session decode (1 row) or single-session
-// chunked prefill (C rows). A prefill item's hooks run with FirstToken set,
-// exactly as a model-level hook sees the prefill pass, so FT2 observes
-// bounds over the range instead of clamping it. The views alias reusable
-// headers in the scratch arena and are only valid for the duration of the
-// hook call, like every hook tensor.
+// runBatchHooks is the one hook dispatcher: it fires each item's hooks, in
+// order, against a view of that item's row range of out (and of in, for
+// redundant-execution protections), so a hook observes the same tensor shape
+// — and therefore the same flat neuron indexing — however its session was
+// co-batched: 1 row for a decode step, C rows for a prefill chunk. Model-level
+// hooks arrive here as the hook list of the single item Prefill/PrefillChunk/
+// DecodeStep build. A prefill item's hooks run with FirstToken set, so FT2
+// observes bounds over the range instead of clamping it. The views alias
+// reusable headers in the scratch arena and are only valid for the duration
+// of the hook call, like every hook tensor.
 func (m *Model) runBatchHooks(ref LayerRef, site Site, in, out *tensor.Tensor, items []BatchItem) {
-	any := false
-	for i := range items {
-		if len(items[i].Hooks) > 0 {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
 	sc := m.scratch
+	fired := false
 	for i := range items {
 		it := &items[i]
 		if len(it.Hooks) == 0 {
 			continue
 		}
+		fired = true
 		// Tracked views: a hook that writes its rows (fault injectors do)
 		// marks the view mutated, which propagates to the full batch
 		// tensor so its cached finiteness can never go stale.
@@ -133,5 +109,7 @@ func (m *Model) runBatchHooks(ref LayerRef, site Site, in, out *tensor.Tensor, i
 			h(ctx, sc.rowOut)
 		}
 	}
-	out.MarkMutated()
+	if fired {
+		out.MarkMutated()
+	}
 }

@@ -24,35 +24,21 @@ func TestKVCacheEquivalenceBitwise(t *testing.T) {
 			got := m.Generate(prompt, genTokens)
 
 			// Record the cached-path logits per step by replaying the same
-			// generation with a hookless second pass of forward calls.
-			m.resetState()
-			positions := make([]int, len(prompt))
-			for i := range positions {
-				positions[i] = i
-			}
+			// generation step by step.
 			cachedLogits := make([][]float32, 0, genTokens)
-			logits := m.forward(prompt, positions)
-			cachedLogits = append(cachedLogits, append([]float32(nil), logits...))
-			tok := argmax(logits)
+			tok := m.Prefill(prompt)
+			cachedLogits = append(cachedLogits, append([]float32(nil), m.ReadoutLogits()...))
 			for s := 1; s < genTokens; s++ {
-				m.st.step = s
-				m.scratch.stepTok[0] = tok
-				m.scratch.stepPos[0] = len(prompt) + s - 1
-				logits = m.forward(m.scratch.stepTok[:], m.scratch.stepPos[:])
-				cachedLogits = append(cachedLogits, append([]float32(nil), logits...))
-				tok = argmax(logits)
+				tok = m.DecodeStep(tok)
+				cachedLogits = append(cachedLogits, append([]float32(nil), m.ReadoutLogits()...))
 			}
 
 			// Reference: rebuild every step from scratch as one full-sequence
 			// prefill over prompt + generated prefix, no cache reuse.
 			seq := append([]int(nil), prompt...)
 			for s := 0; s < genTokens; s++ {
-				m.resetState()
-				pos := make([]int, len(seq))
-				for i := range pos {
-					pos[i] = i
-				}
-				ref := m.forward(seq, pos)
+				refTok := m.Prefill(seq)
+				ref := m.ReadoutLogits()
 				for j, rv := range ref {
 					cv := cachedLogits[s][j]
 					if math.Float32bits(rv) != math.Float32bits(cv) {
@@ -60,7 +46,6 @@ func TestKVCacheEquivalenceBitwise(t *testing.T) {
 							f, s, j, cv, math.Float32bits(cv), rv, math.Float32bits(rv))
 					}
 				}
-				refTok := argmax(ref)
 				if refTok != got[s] {
 					t.Fatalf("%v step %d: cached token %d != fresh token %d", f, s, got[s], refTok)
 				}

@@ -109,13 +109,14 @@ func runMixedPhase(t *testing.T, m *model.Model, sessions []*mixedSession, gen i
 	}
 }
 
-// openChunkedPrefill opens a session that will feed its prompt through
-// fused prefill ranges instead of a serial Prefill call.
-func openChunkedPrefill(m *model.Model, s *mixedSession) {
-	s.st = m.NewDecodeState()
-	prev := m.SwapState(s.st)
-	m.BeginPrefill(len(s.prompt))
+// openPrefillState returns a fresh state with a chunked prefill of n prompt
+// tokens open on it, ready to be fed through ForwardBatch prefill ranges.
+func openPrefillState(m *model.Model, n int) *model.DecodeState {
+	st := m.NewDecodeState()
+	prev := m.SwapState(st)
+	m.BeginPrefill(n)
 	m.SwapState(prev)
+	return st
 }
 
 // openDecoding runs the serial prefill (protected when s.ft is set, exactly
@@ -192,7 +193,7 @@ func TestForwardBatchMixedPhaseBitwise(t *testing.T) {
 
 				openDecoding(m, sessions[0])
 				openDecoding(m, sessions[1])
-				openChunkedPrefill(m, sessions[2])
+				sessions[2].st = openPrefillState(m, len(sessions[2].prompt))
 				openDecoding(m, sessions[3])
 
 				runMixedPhase(t, m, sessions, gen)

@@ -54,16 +54,19 @@ type Model struct {
 	// stream whose norm has exploded swamps it under the final
 	// normalization — confident margins for sane states, divergence for
 	// extreme corruption, matching trained-model behaviour under faults.
-	teacher        []int
-	streamNorm     float32
-	lastStreamNorm float32
+	teacher    []int
+	streamNorm float32
 
 	// weightsF16 records that the weight matrices were switched to packed
 	// binary16 storage (see weights.go).
 	weightsF16 bool
 
-	hooks      []hookEntry
-	nextHookID int
+	// hooks are the model-level forward hooks in registration order, with
+	// their removal handles in hookIDs; Prefill/PrefillChunk/DecodeStep hand
+	// them to the forward pass as the hook list of their single item.
+	hooks      []Hook
+	hookIDs    []HookHandle
+	nextHookID HookHandle
 
 	// st is the active generation state (see DecodeState); swapped per
 	// session by the serving scheduler, lazily allocated on first Prefill.
@@ -290,14 +293,7 @@ func (m *Model) linearByRef(ref LayerRef) linear {
 // the freshly computed, precision-gated output — the redundant execution a
 // duplication-in-place protection compares against. It does not run hooks.
 func (m *Model) RecomputeLinear(ref LayerRef, x *tensor.Tensor) *tensor.Tensor {
-	if ref.Block < 0 || ref.Block >= len(m.blocks) {
-		panic(fmt.Sprintf("model: RecomputeLinear block %d out of range", ref.Block))
-	}
-	l := m.linearByRef(ref)
-	if l.w == nil {
-		panic(fmt.Sprintf("model: layer %v not present in family %v", ref, m.Cfg.Family))
-	}
-	return m.recomputeLinear(tensor.New(x.Rows, l.w.Rows), ref, l, x)
+	return m.RecomputeLinearInto(tensor.New(0, 0), ref, x)
 }
 
 // RecomputeLinearInto is RecomputeLinear writing into a caller-owned
@@ -311,22 +307,15 @@ func (m *Model) RecomputeLinearInto(out *tensor.Tensor, ref LayerRef, x *tensor.
 	if l.w == nil {
 		panic(fmt.Sprintf("model: layer %v not present in family %v", ref, m.Cfg.Family))
 	}
-	return m.recomputeLinear(out.Reuse(x.Rows, l.w.Rows), ref, l, x)
+	return m.linearInto(out, l, x)
 }
 
-func (m *Model) recomputeLinear(out *tensor.Tensor, ref LayerRef, l linear, x *tensor.Tensor) *tensor.Tensor {
-	tensor.LinearInto(out, x, l.w, l.b)
-	out.Quantize(m.DType)
-	return out
-}
-
-// applyLinearInto computes the layer output into dst (resliced to fit),
-// passes it through the precision gate, and runs the forward hooks.
-func (m *Model) applyLinearInto(dst *tensor.Tensor, ref LayerRef, l linear, x *tensor.Tensor) *tensor.Tensor {
+// linearInto computes the layer output into dst (resliced to fit) and passes
+// it through the precision gate.
+func (m *Model) linearInto(dst *tensor.Tensor, l linear, x *tensor.Tensor) *tensor.Tensor {
 	dst.Reuse(x.Rows, l.w.Rows)
 	tensor.LinearInto(dst, x, l.w, l.b)
 	dst.Quantize(m.DType)
-	m.runHooks(ref, SiteLinearOut, x, dst)
 	return dst
 }
 
@@ -336,204 +325,6 @@ func (m *Model) applyNormInto(dst *tensor.Tensor, n norm, x *tensor.Tensor) *ten
 		return tensor.RMSNormInto(dst, x, n.gamma, 1e-6)
 	}
 	return tensor.LayerNormInto(dst, x, n.gamma, n.beta, 1e-5)
-}
-
-// attention runs multi-head causal self-attention for the rows of x (the
-// positions processed this pass), appending K/V to the block's slab cache.
-// positions gives the absolute position of each row. The returned tensor
-// aliases the scratch arena and is valid until the next attention call.
-func (m *Model) attention(bIdx int, blk *block, x *tensor.Tensor, positions []int) *tensor.Tensor {
-	cfg := m.Cfg
-	d := cfg.HeadDim()
-	maxSeq := cfg.MaxSeq
-	sc := m.scratch
-
-	k := m.applyLinearInto(sc.k, LayerRef{bIdx, KProj}, blk.kProj, x)
-	q := m.applyLinearInto(sc.q, LayerRef{bIdx, QProj}, blk.qProj, x)
-	v := m.applyLinearInto(sc.v, LayerRef{bIdx, VProj}, blk.vProj, x)
-
-	if cfg.Family != FamilyOPT {
-		// Rotary embeddings per head on q and k, straight on the strided
-		// head slices with precomputed sin/cos factors.
-		for r := 0; r < x.Rows; r++ {
-			pos := positions[r]
-			qrow, krow := q.Row(r), k.Row(r)
-			for h := 0; h < cfg.Heads; h++ {
-				m.rope.Apply(qrow[h*d:(h+1)*d], pos)
-				m.rope.Apply(krow[h*d:(h+1)*d], pos)
-			}
-		}
-	}
-
-	// Append to the KV cache, transposing rows into the head-blocked slabs.
-	cache := &m.st.kv[bIdx]
-	base := cache.rows // absolute position of x's first row
-	for r := 0; r < x.Rows; r++ {
-		krow, vrow := k.Row(r), v.Row(r)
-		for h := 0; h < cfg.Heads; h++ {
-			off := (h*maxSeq + base + r) * d
-			copy(cache.k[off:off+d], krow[h*d:(h+1)*d])
-			copy(cache.v[off:off+d], vrow[h*d:(h+1)*d])
-		}
-	}
-	cache.rows += x.Rows
-
-	// Per-head scaled dot-product attention with causal masking, walking
-	// each head's contiguous K/V run in the slabs.
-	ctxOut := sc.ctx.Reuse(x.Rows, cfg.Hidden)
-	ctxOut.Zero()
-	scale := float32(1 / math.Sqrt(float64(d)))
-	scores := sc.scores[:cache.rows]
-	for h := 0; h < cfg.Heads; h++ {
-		lo := h * d
-		kh := cache.k[h*maxSeq*d:]
-		vh := cache.v[h*maxSeq*d:]
-		for r := 0; r < x.Rows; r++ {
-			qrow := q.Row(r)[lo : lo+d]
-			limit := base + r + 1 // causal: attend to positions <= own
-			tensor.DotStride(scores, qrow, kh, d, limit, scale)
-			maxv := float32(math.Inf(-1))
-			for j := 0; j < limit; j++ {
-				if s := scores[j]; !math.IsNaN(float64(s)) && s > maxv {
-					maxv = s
-				}
-			}
-			var sum float32
-			for j := 0; j < limit; j++ {
-				e := float32(math.Exp(float64(scores[j] - maxv)))
-				scores[j] = e
-				sum += e
-			}
-			orow := ctxOut.Row(r)[lo : lo+d]
-			if sum > 0 {
-				inv := 1 / sum
-				tensor.ScaleSlice(scores[:limit], inv)
-				// The stride kernels are bit-identical to per-position
-				// Dot/Axpy calls (same op order, never fused).
-				tensor.AxpyStride(orow, vh, scores, d, limit)
-			}
-		}
-	}
-	ctxOut.Quantize(m.DType)
-	return m.applyLinearInto(sc.attn, LayerRef{bIdx, OutProj}, blk.outProj, ctxOut)
-}
-
-// mlp runs the family-specific MLP. The returned tensor aliases the scratch
-// arena and is valid until the next mlp call.
-func (m *Model) mlp(bIdx int, blk *block, x *tensor.Tensor) *tensor.Tensor {
-	sc := m.scratch
-	switch m.Cfg.Family {
-	case FamilyOPT, FamilyGPTJ:
-		h := m.applyLinearInto(sc.ffnA, LayerRef{bIdx, FC1}, blk.fc1, x)
-		m.Cfg.Activation.Apply(h)
-		h.Quantize(m.DType)
-		m.runHooks(LayerRef{bIdx, FC1}, SiteActivationOut, nil, h)
-		return m.applyLinearInto(sc.ffnOut, LayerRef{bIdx, FC2}, blk.fc2, h)
-	case FamilyLlama:
-		gate := m.applyLinearInto(sc.ffnA, LayerRef{bIdx, GateProj}, blk.gateProj, x)
-		up := m.applyLinearInto(sc.ffnB, LayerRef{bIdx, UpProj}, blk.upProj, x)
-		m.Cfg.Activation.Apply(gate)
-		tensor.MulInPlace(gate, up)
-		gate.Quantize(m.DType)
-		m.runHooks(LayerRef{bIdx, GateProj}, SiteActivationOut, nil, gate)
-		return m.applyLinearInto(sc.ffnOut, LayerRef{bIdx, DownProj}, blk.downProj, gate)
-	default:
-		panic("model: unknown family")
-	}
-}
-
-// forward processes the rows of tokens (absolute positions given) and
-// returns the logits of the final row.
-func (m *Model) forward(tokens []int, positions []int) []float32 {
-	return m.readout(m.forwardBlocks(tokens, positions), tokens[len(tokens)-1])
-}
-
-// forwardBlocks runs the embedding and decoder-block stack for the rows of
-// tokens (absolute positions given), appending each block's K/V to the slab
-// cache, and returns the residual stream (aliasing the scratch arena). It is
-// the per-chunk body of a prefill: non-final chunks need only the KV side
-// effects, so the readout is split off and run once on the final rows.
-func (m *Model) forwardBlocks(tokens []int, positions []int) *tensor.Tensor {
-	cfg := m.Cfg
-	sc := m.scratch
-	x := sc.x.Reuse(len(tokens), cfg.Hidden)
-	for r, tok := range tokens {
-		if tok < 0 || tok >= cfg.Vocab {
-			panic(fmt.Sprintf("model: token %d out of vocab %d", tok, cfg.Vocab))
-		}
-		copy(x.Row(r), m.embed.Row(tok))
-		if cfg.Family == FamilyOPT {
-			pos := positions[r]
-			if pos >= cfg.MaxSeq {
-				panic(fmt.Sprintf("model: position %d exceeds max seq %d", pos, cfg.MaxSeq))
-			}
-			row := x.Row(r)
-			for c, pv := range m.posEmb.Row(pos) {
-				row[c] += pv
-			}
-		}
-	}
-	x.Quantize(m.DType)
-
-	for bIdx, blk := range m.blocks {
-		switch cfg.Family {
-		case FamilyGPTJ:
-			// Parallel attention+MLP from the same normalized input.
-			normed := m.applyNormInto(sc.normed, blk.ln1, x)
-			attn := m.attention(bIdx, blk, normed, positions)
-			ffn := m.mlp(bIdx, blk, normed)
-			tensor.AddInPlace(x, attn)
-			tensor.AddInPlace(x, ffn)
-		default:
-			normed := m.applyNormInto(sc.normed, blk.ln1, x)
-			attn := m.attention(bIdx, blk, normed, positions)
-			tensor.AddInPlace(x, attn)
-			normed2 := m.applyNormInto(sc.normed2, blk.ln2, x)
-			ffn := m.mlp(bIdx, blk, normed2)
-			tensor.AddInPlace(x, ffn)
-		}
-		x.Quantize(m.DType)
-	}
-	return x
-}
-
-// readout turns the final row of the residual stream x into next-token
-// logits: teacher-prior injection, final norm, and the tied-embedding
-// projection. lastTok is the token occupying that final row (it selects the
-// teacher prior). It also records the stream norm the serving layer exposes.
-func (m *Model) readout(x *tensor.Tensor, lastTok int) []float32 {
-	cfg := m.Cfg
-	sc := m.scratch
-	last := sc.last
-	copy(last.Data, x.Row(x.Rows-1))
-	var ss float64
-	for _, v := range last.Data {
-		ss += float64(v) * float64(v)
-	}
-	m.st.lastStreamNorm = float32(math.Sqrt(ss))
-
-	if cfg.TeacherWeight > 0 && m.streamNorm > 0 {
-		// Inject the next-token prior as a stream component of fixed
-		// reference norm: β·R·t̂ added to the pre-norm state. A sane stream
-		// (‖x‖ ≈ R) is dominated by it; a corrupted stream whose norm has
-		// exploded drowns it, and the readout diverges.
-		emb := m.embed.Row(m.teacher[lastTok])
-		var tn float64
-		for _, v := range emb {
-			tn += float64(v) * float64(v)
-		}
-		if tn > 0 {
-			scale := cfg.TeacherWeight * m.streamNorm / float32(math.Sqrt(tn))
-			for i, v := range emb {
-				last.Data[i] += scale * v
-			}
-		}
-	}
-
-	final := m.applyNormInto(sc.final, m.lnF, last)
-	logits := tensor.MatMulTInto(sc.logits, final, m.embed)
-	logits.Scale(cfg.LogitScale)
-	return logits.Row(0)
 }
 
 // ensureRuntime lazily builds the shared forward-pass machinery (scratch
@@ -646,21 +437,23 @@ func (m *Model) PrefillChunk(tokens []int) (tok int, done bool) {
 	if len(tokens) == 0 {
 		panic("model: empty prefill chunk")
 	}
-	if st.prefillPos+len(tokens) > st.promptLen {
-		panic(fmt.Sprintf("model: prefill chunk overruns prompt (%d+%d > %d)",
-			st.prefillPos, len(tokens), st.promptLen))
-	}
-	positions := m.scratch.positions[:len(tokens)]
-	for i := range positions {
-		positions[i] = st.prefillPos + i
-	}
-	x := m.forwardBlocks(tokens, positions)
-	st.prefillPos += len(tokens)
-	if st.prefillPos < st.promptLen {
+	tok = m.forwardActive(BatchItem{State: st, Prefill: tokens})
+	if tok < 0 {
 		return 0, false
 	}
-	st.lastTok = argmax(m.readout(x, tokens[len(tokens)-1]))
-	return st.lastTok, true
+	return tok, true
+}
+
+// forwardActive runs the forward pass over the active state as a one-item
+// batch carrying the model-level hooks. The item lives in the scratch arena,
+// so a step allocates nothing.
+func (m *Model) forwardActive(it BatchItem) int {
+	sc := m.scratch
+	it.Hooks = m.hooks
+	sc.self[0] = it
+	tok := m.forwardBatch(sc.self[:], sc.selfTok[:0])[0]
+	sc.self[0] = BatchItem{} // do not retain the caller's prompt
+	return tok
 }
 
 // Started reports whether the model holds live generation state — a
@@ -684,16 +477,7 @@ func (m *Model) DecodeStep(tok int) int {
 		}
 		panic("model: DecodeStep before Prefill or Restore")
 	}
-	sc := m.scratch
-	m.st.step++
-	pos := m.st.pos()
-	if pos >= m.Cfg.MaxSeq {
-		panic(fmt.Sprintf("model: decode position %d exceeds max seq %d", pos, m.Cfg.MaxSeq))
-	}
-	sc.stepTok[0] = tok
-	sc.stepPos[0] = pos
-	m.st.lastTok = argmax(m.forward(sc.stepTok[:], sc.stepPos[:]))
-	return m.st.lastTok
+	return m.forwardActive(BatchItem{State: m.st, Tok: tok})
 }
 
 // Generate greedily decodes n tokens after the prompt, invoking forward

@@ -6,8 +6,8 @@ import "fmt"
 // KV slab caches plus the step/prompt counters and the last decoded token.
 // Extracting it from the Model lets one replica serve many concurrent
 // sessions without copying KV state around — the serving scheduler keeps a
-// DecodeState per session and either swaps it in for single-session calls
-// (SwapState) or passes a batch of them to DecodeStepBatch.
+// DecodeState per session and passes them to ForwardBatch, swapping one in
+// (SwapState) only to checkpoint or restore it.
 //
 // A DecodeState belongs to one generation at a time. It may move between
 // replicas of the same (config, seed, dtype) model freely — the weights are

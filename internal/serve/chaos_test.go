@@ -220,3 +220,76 @@ func TestChaosMetricsEndpoint(t *testing.T) {
 		t.Fatal("no suspect sessions recorded")
 	}
 }
+
+// TestChaosVictimStepAllocFree pins the steady-state cost of carrying a
+// chaos victim: the victim's hook list (injector first, controller second)
+// is assembled once per slice into group-owned storage, so a fused decode
+// step with a protected victim in the group allocates nothing. The scheduler
+// is built without its goroutines so the test owns the replica and can drive
+// single steps of the real slice loop.
+func TestChaosVictimStepAllocFree(t *testing.T) {
+	cfg, err := chaosConfig(t, chaos.Config{Seed: 5, Rate: 6}).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := newPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := chaos.NewEngine(*cfg.Chaos, cfg.ModelCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	sch := &scheduler{cfg: cfg, pool: p, mx: newMetrics(), chaos: eng,
+		admit: make(chan *Session, n), ready: make(chan *Session, n), slots: make(chan struct{}, n),
+		sessions: make(map[*Session]struct{}), exports: make(map[string]exportEntry)}
+	prompts := testPrompts(t, n)
+	for i := 0; i < n; i++ {
+		if _, err := sch.submit(context.Background(), Request{MaxTokens: 200, Protected: true, Chaos: true}, prompts(i)); err != nil {
+			t.Fatal(err)
+		}
+		sch.slots <- struct{}{}
+		sch.ready <- <-sch.admit
+	}
+
+	// Slice 1 prefills (mid-prefill sessions are never victims); slice 2
+	// plans activation faults onto the now-decoding sessions.
+	g := &group{}
+	r := sch.runSlice(p.replicas[0], g, <-sch.ready)
+	r = sch.runSlice(r, g, <-sch.ready)
+	victims := 0
+	for i, s := range g.sessions {
+		if s == nil {
+			t.Fatalf("session %d settled early", i)
+		}
+		if g.ctls[i] != nil && len(g.hooks[i]) >= 2 {
+			victims++
+		}
+	}
+	if victims == 0 {
+		t.Fatal("chaos planned no activation fault on a protected session; raise Rate")
+	}
+
+	// Every fusedSlice call re-enqueues its survivors; the test keeps driving
+	// the same group, so it empties the ring instead of gathering from it.
+	drain := func() {
+		for len(sch.ready) > 0 {
+			<-sch.ready
+		}
+	}
+	step := func() {
+		for i := range g.rem {
+			g.rem[i] = 1
+		}
+		if err := sch.fusedSlice(r, g); err != nil {
+			t.Fatal(err)
+		}
+		drain()
+	}
+	drain()
+	step()
+	if avg := testing.AllocsPerRun(20, step); avg != 0 {
+		t.Fatalf("fused decode step with %d chaos victims in the group allocates %.1f objects, want 0", victims, avg)
+	}
+}

@@ -150,7 +150,7 @@ func Oracle(cfg Config, prompt []int, maxTokens int, protected bool) ([]int, Cor
 	} else {
 		f = core.New(m, cfg.FT2Opts)
 	}
-	f.Install()
+	m.RegisterHook(f.Hook())
 	f.Reset()
 	out := m.Generate(prompt, maxTokens)
 	corr := correctionsReport(f.Stats(), f.FirstTokenNaNCount(), f.StatsByKind())

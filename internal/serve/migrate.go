@@ -114,7 +114,6 @@ func (sch *scheduler) adoptGuarded(r *replica, s *Session) (err error) {
 		}
 	}()
 	m := r.m
-	m.ClearHooks()
 	if s.state == nil {
 		s.state = sch.obtainState(r)
 	}

@@ -14,7 +14,6 @@ import (
 // Both round-trip per-session state through the same ForkState, so sessions
 // migrate between replicas identically either way.
 type controller interface {
-	Install()
 	Hook() model.Hook
 	Reset()
 	ResumeFork(core.ForkState)
@@ -26,8 +25,7 @@ type controller interface {
 
 // replica is one model instance plus its per-batch-slot protection
 // controllers. A replica is owned by exactly one scheduler worker; sessions
-// borrow it for a slice at a time — serially (SwapState + Prefill/DecodeStep)
-// or fused into one DecodeStepBatch call.
+// borrow it for a slice at a time as items of its ForwardBatch calls.
 type replica struct {
 	m      *model.Model
 	opts   core.Options
@@ -45,13 +43,12 @@ type replica struct {
 	tainted bool
 
 	// ctls[i] is the controller protecting the session in batch slot i, and
-	// hookSets[i] the prebuilt one-element hook slice handed to
-	// model.BatchItem.Hooks — built once so the per-step batch assembly
-	// allocates nothing. Every controller resumes the session's own fork
-	// state at slice start, so counters stay per-session even though the
-	// controllers are replica-owned.
-	ctls     []controller
-	hookSets [][]model.Hook
+	// hookFns[i] its hook, bound once (Hook() allocates a method value) so
+	// assembling a slice's hook lists allocates nothing. Every controller
+	// resumes the session's own fork state at slice start, so counters stay
+	// per-session even though the controllers are replica-owned.
+	ctls    []controller
+	hookFns []model.Hook
 }
 
 // controller returns the slot's protection controller, growing the set on
@@ -65,14 +62,10 @@ func (r *replica) controller(slot int) controller {
 			c = core.New(r.m, r.opts)
 		}
 		r.ctls = append(r.ctls, c)
-		r.hookSets = append(r.hookSets, []model.Hook{c.Hook()})
+		r.hookFns = append(r.hookFns, c.Hook())
 	}
 	return r.ctls[slot]
 }
-
-// hooks returns the prebuilt hook slice for a slot (controller(slot) must
-// have been called first this slice).
-func (r *replica) hooks(slot int) []model.Hook { return r.hookSets[slot] }
 
 // scrub re-fingerprints the weights and reports whether they still match
 // the build-time checksum — the confirmation step behind a

@@ -21,7 +21,7 @@ import (
 // scheduler implements continuous batching over the replica pool: admitted
 // sessions circulate through a ready ring; each worker repeatedly gathers up
 // to BatchMax ready sessions into a group, advances the whole group one
-// slice on its replica — fused into DecodeStepBatch calls so every weight
+// slice on its replica — through model.ForwardBatch calls, so every weight
 // matrix streams once per step for the whole group — and puts the survivors
 // back. A long generation shares replicas with short ones, a finished
 // session frees its slot immediately, and the next queued request is
@@ -163,10 +163,14 @@ type group struct {
 	sessions []*Session // after admit/weed; nil = settled mid-slice
 	rem      []int      // steps left this slice (chunk or token), parallel to sessions
 	ctls     []controller
-	extras   []model.Hook // per-session chaos injector hook (usually nil)
-	idx      []int        // participant indices of the current step
-	items    []model.BatchItem
-	toks     []int
+	// hooks[i] is session i's BatchItem.Hooks for this slice, assembled once
+	// per slice in the campaign runner's order: chaos injectors first (they
+	// corrupt the raw output), the protection controller last (it sees the
+	// corruption). The inner slices are reused across slices.
+	hooks [][]model.Hook
+	idx   []int // participant indices of the current step
+	items []model.BatchItem
+	toks  []int
 
 	// chaos planning buffers, reused across slices.
 	views   []chaos.SessionView
@@ -195,7 +199,7 @@ func (sch *scheduler) runSlice(r *replica, g *group, first *Session) *replica {
 	// scheduler pass for their submits to reach the admit queue and one for
 	// the dispatch goroutine to move them to the ready ring. Without the
 	// yields the worker races ahead with a singleton group and serves the
-	// whole slice serially while the rest of the burst sits queued; with
+	// whole slice alone while the rest of the burst sits queued; with
 	// them the burst fuses from the first step. A genuinely lone session
 	// pays only two no-op yields — no timer, no added latency.
 	for tries := 0; len(g.pending) < sch.cfg.BatchMax; tries++ {
@@ -218,7 +222,7 @@ func (sch *scheduler) runSlice(r *replica, g *group, first *Session) *replica {
 		runtime.Gosched()
 	}
 
-	g.sessions, g.rem, g.ctls, g.extras = g.sessions[:0], g.rem[:0], g.ctls[:0], g.extras[:0]
+	g.sessions, g.rem, g.ctls = g.sessions[:0], g.rem[:0], g.ctls[:0]
 	for _, s := range g.pending {
 		if err := s.checkCtx(); err != nil {
 			sch.settle(s, err)
@@ -247,12 +251,20 @@ func (sch *scheduler) runSlice(r *replica, g *group, first *Session) *replica {
 				continue
 			}
 		}
+		i := len(g.sessions)
 		g.sessions = append(g.sessions, s)
 		g.rem = append(g.rem, sch.cfg.SliceSteps)
-		g.extras = append(g.extras, nil)
+		if i == len(g.hooks) {
+			g.hooks = append(g.hooks, nil)
+		}
+		g.hooks[i] = g.hooks[i][:0]
 	}
 	if len(g.sessions) == 0 {
 		return sch.postSlice(r)
+	}
+
+	if sch.chaos != nil {
+		sch.applyChaos(r, g)
 	}
 
 	// Reinstate each protected session's counters and first-token bounds on
@@ -270,12 +282,9 @@ func (sch *scheduler) runSlice(r *replica, g *group, first *Session) *replica {
 			} else {
 				f.Reset()
 			}
+			g.hooks[i] = append(g.hooks[i], r.hookFns[i])
 		}
 		g.ctls = append(g.ctls, f)
-	}
-
-	if sch.chaos != nil {
-		sch.applyChaos(r, g)
 	}
 
 	if err := sch.fusedSlice(r, g); err != nil {
@@ -293,11 +302,11 @@ func (sch *scheduler) runSlice(r *replica, g *group, first *Session) *replica {
 
 // applyChaos plans and applies this slice's chaos faults while the worker
 // holds the replica and no kernel is running. KV and weight mutations land
-// right here at the boundary; activation faults become per-victim hooks
-// that fire at their planned step inside the slice. Weight faults are
-// replica-global, so the engine only emits them when every session in the
-// group opted in; the replica is marked tainted and scrubbed in postSlice
-// before it can serve anyone else.
+// right here at the boundary; activation faults become hooks on the victim's
+// hook list (a burst appends several) that fire at their planned step inside
+// the slice. Weight faults are replica-global, so the engine only emits them
+// when every session in the group opted in; the replica is marked tainted and
+// scrubbed in postSlice before it can serve anyone else.
 func (sch *scheduler) applyChaos(r *replica, g *group) {
 	g.views, g.victims = g.views[:0], g.victims[:0]
 	allChaos := true
@@ -328,12 +337,7 @@ func (sch *scheduler) applyChaos(r *replica, g *group) {
 	for _, f := range plan.Activation {
 		i := g.victims[f.Session]
 		s := g.sessions[i]
-		hook := fault.NewInjector(f.Site, dtype).Hook()
-		if prev := g.extras[i]; prev != nil {
-			g.extras[i] = chainHooks(prev, hook)
-		} else {
-			g.extras[i] = hook
-		}
+		g.hooks[i] = append(g.hooks[i], fault.NewInjector(f.Site, dtype).Hook())
 		s.suspect = true
 		sch.chaos.Record(chaos.Event{Kind: chaos.EvInject, Target: fault.TargetActivation.String(),
 			Site: f.Site.String(), Session: s.id, Replica: r.slot, Step: f.Site.Step})
@@ -367,15 +371,6 @@ func (sch *scheduler) applyChaos(r *replica, g *group) {
 		}
 		sch.chaos.Record(chaos.Event{Kind: chaos.EvInject, Target: fault.TargetWeight.String(),
 			Site: site.String(), Replica: r.slot, Step: site.Step})
-	}
-}
-
-// chainHooks composes two hooks in order (burst: several activation faults
-// on one victim in one slice).
-func chainHooks(a, b model.Hook) model.Hook {
-	return func(ctx model.HookCtx, out *tensor.Tensor) {
-		a(ctx, out)
-		b(ctx, out)
 	}
 }
 
@@ -444,7 +439,6 @@ func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
 		}
 	}()
 	m := r.m
-	m.ClearHooks()
 	if s.state == nil {
 		s.state = sch.obtainState(r)
 	}
@@ -532,19 +526,19 @@ func (sch *scheduler) finishPrefill(r *replica, g *group, i, tok int) {
 	}
 }
 
-// fusedSlice is the mixed-phase fused engine loop and its fault boundary:
-// each iteration advances every live session with step budget left — a
-// decoding session by one token, a mid-prefill session by one bounded prompt
-// chunk — through a single model.ForwardBatch call whose stacked rows stream
-// every weight matrix once for the whole group. A prefill chunk consumes one
-// slice step, so a session admitted mid-slice starts decoding in the same
-// group the moment its prompt completes. Serial fallbacks keep the fast
-// paths: a lone decoding session steps via swapped-state DecodeStep, and a
-// decode-only step whose group is below the kernel cost model's fusion
-// crossover (FuseWorthwhile) runs serially per session. Finished and expired
-// sessions settle mid-loop; survivors are re-enqueued to the ready ring. Any
-// panic out of the engine (or a hook) becomes a 500-class error for the
-// whole group instead of crashing the server.
+// fusedSlice is the engine loop and its fault boundary: each iteration
+// advances every live session with step budget left — a decoding session by
+// one token, a mid-prefill session by one bounded prompt chunk — through
+// model.ForwardBatch, whose stacked rows stream every weight matrix once for
+// the whole group. A prefill chunk consumes one slice step, so a session
+// admitted mid-slice starts decoding in the same group the moment its prompt
+// completes. A decode-only step below the kernel cost model's measured fusion
+// crossover (FuseWorthwhile) runs as one-row calls instead of one m-row call:
+// the same code and the same bits, only the kernel shape the cost model found
+// faster. Finished and expired sessions settle mid-loop; survivors are
+// re-enqueued to the ready ring. Any panic out of the engine (or a hook)
+// becomes a 500-class error for the whole group instead of crashing the
+// server.
 func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -554,28 +548,7 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 		}
 	}()
 	m := r.m
-	m.ClearHooks()
 	cm := tensor.CurrentCostModel()
-
-	// serial advances one decoding session via the single-row model path —
-	// bit-identical to its fused row by the ForwardBatch contract.
-	serial := func(i int) {
-		s := g.sessions[i]
-		m.ClearHooks()
-		// A chaos injector hook registers before the protection controller —
-		// faults corrupt the raw output, protection sees the corruption (the
-		// campaign runner's ordering).
-		if g.extras[i] != nil {
-			m.RegisterHook(g.extras[i])
-		}
-		if g.ctls[i] != nil {
-			g.ctls[i].Install()
-		}
-		prev := m.SwapState(s.state)
-		s.lastTok = m.DecodeStep(s.lastTok)
-		m.SwapState(prev)
-		m.ClearHooks()
-	}
 
 	for {
 		// Step boundary: settle sessions whose deadline expired or whose
@@ -603,16 +576,7 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 				continue
 			}
 			if s.started {
-				var hooks []model.Hook
-				switch {
-				case g.extras[i] != nil && g.ctls[i] != nil:
-					hooks = []model.Hook{g.extras[i], g.ctls[i].Hook()}
-				case g.extras[i] != nil:
-					hooks = []model.Hook{g.extras[i]}
-				case g.ctls[i] != nil:
-					hooks = r.hooks(i)
-				}
-				g.items = append(g.items, model.BatchItem{State: s.state, Tok: s.lastTok, Hooks: hooks})
+				g.items = append(g.items, model.BatchItem{State: s.state, Tok: s.lastTok, Hooks: g.hooks[i]})
 				g.idx = append(g.idx, i)
 				rowBudget--
 				decRows++
@@ -626,11 +590,7 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 			if n > rowBudget {
 				n = rowBudget
 			}
-			var hooks []model.Hook
-			if g.ctls[i] != nil {
-				hooks = r.hooks(i)
-			}
-			g.items = append(g.items, model.BatchItem{State: s.state, Prefill: s.prompt[pos : pos+n], Hooks: hooks})
+			g.items = append(g.items, model.BatchItem{State: s.state, Prefill: s.prompt[pos : pos+n], Hooks: g.hooks[i]})
 			g.idx = append(g.idx, i)
 			rowBudget -= n
 			prefRows += n
@@ -643,24 +603,20 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 		}
 
 		t0 := time.Now()
-		fused := false
-		switch {
-		case len(g.idx) == 1 && prefRows == 0:
-			serial(g.idx[0])
-		case prefRows == 0 && !cm.FuseWorthwhile(decRows):
-			// Below the measured fusion crossover a small decode group runs
-			// faster serially (per-row kernels keep their m=1 speed while the
-			// fused slice pays the wider-matrix rate).
-			for _, i := range g.idx {
-				serial(i)
+		if prefRows == 0 && !cm.FuseWorthwhile(decRows) {
+			g.toks = g.toks[:0]
+			for n := range g.items {
+				g.toks = m.ForwardBatch(g.items[n:n+1], g.toks)
 			}
-		default:
+		} else {
 			g.toks = m.ForwardBatch(g.items, g.toks[:0])
-			fused = true
-			sch.mx.fusedForwards.Add(1)
-			sch.mx.fusedPrefillRows.Add(int64(prefRows))
-			sch.mx.fusedDecodeRows.Add(int64(decRows))
-			sch.mx.fusedRows.observe(float64(prefRows + decRows))
+			// The fused-forward metrics describe calls that stacked rows.
+			if rows := prefRows + decRows; rows > 1 {
+				sch.mx.fusedForwards.Add(1)
+				sch.mx.fusedPrefillRows.Add(int64(prefRows))
+				sch.mx.fusedDecodeRows.Add(int64(decRows))
+				sch.mx.fusedRows.observe(float64(rows))
+			}
 		}
 		sch.mx.tokenLat.observe(msSince(t0, time.Now()))
 		sch.mx.batchSize.observe(float64(len(g.idx)))
@@ -691,9 +647,7 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 				}
 				continue
 			}
-			if fused {
-				s.lastTok = g.toks[n]
-			}
+			s.lastTok = g.toks[n]
 			s.emit(s.lastTok)
 			sch.mx.tokensTotal.Add(1)
 			g.rem[i]--
@@ -760,13 +714,12 @@ func (sch *scheduler) obtainState(r *replica) *model.DecodeState {
 
 // replaceReplica swaps in a freshly built replica after a panic or a
 // confirmed weight corruption poisoned the current one; if the rebuild
-// fails the old one is kept with hooks cleared.
+// fails the old one is kept.
 func (sch *scheduler) replaceReplica(r *replica) *replica {
 	if nr, err := sch.pool.rebuild(r.slot); err == nil {
 		sch.mx.rebuilds.Add(1)
 		return nr
 	}
-	r.m.ClearHooks()
 	r.tainted = false
 	return r
 }

@@ -18,9 +18,10 @@
 //     ready ring. Each session owns its KV state (model.DecodeState) and
 //     its FT2 fork state, so moving between replicas is a pointer swap and
 //     a served generation is bit-identical to a standalone GenerateInto
-//     run no matter how it was batched, chunked, or preempted. Groups of
-//     one (and decode-only steps below the kernel cost model's fusion
-//     crossover) fall back to serial DecodeStep — same bits either way.
+//     run no matter how it was batched, chunked, or preempted. A group of
+//     one is a one-item ForwardBatch call; a decode-only step below the
+//     kernel cost model's measured fusion crossover runs as one-row calls
+//     instead of one m-row call — same code, same bits.
 //   - Robustness: per-request deadlines via context, 429 backpressure when
 //     the admission queue is full, 503 while draining, and a per-slice
 //     recover boundary so a request that trips an engine panic is answered
@@ -70,7 +71,8 @@ type Config struct {
 	// BatchMax caps how many ready sessions a worker fuses into one
 	// mixed-phase ForwardBatch group (default MaxSessions — every weight
 	// matrix streamed per step amortizes over the widest group available).
-	// 1 disables fusion: every session steps serially.
+	// It is only a capacity cap: 1 means groups of one, through the same
+	// code.
 	BatchMax int
 	// DefaultDeadline bounds a request that carries no deadline of its own
 	// (default 30s; ≤0 keeps the default — a server must never hold a slot

@@ -101,8 +101,8 @@ func TestServedMatchesOracle(t *testing.T) {
 }
 
 // TestBatchMaxSweep pins the fusion contract across batch widths: the same
-// protected load served with BatchMax 1 (pure serial fallback), 2, and 8
-// produces bit-identical tokens — fusing sessions into DecodeStepBatch
+// protected load served with BatchMax 1 (groups of one), 2, and 8
+// produces bit-identical tokens — fusing sessions into one ForwardBatch call
 // changes throughput, never results — and all match the GenerateInto oracle.
 // The batched runs must also account every step in the batch metrics.
 func TestBatchMaxSweep(t *testing.T) {

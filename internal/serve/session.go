@@ -14,9 +14,9 @@ import (
 
 // Session is one admitted generation request moving through the scheduler.
 // A session owns its generation state (a model.DecodeState holding its KV
-// slabs) plus its FT2 fork state, so it can advance on any replica — swapped
-// in for serial steps or handed to DecodeStepBatch alongside other sessions
-// — with no snapshot copies and bit-identical results. A session is driven
+// slabs) plus its FT2 fork state, so it can advance on any replica — as an
+// item of a model.ForwardBatch call, alone or alongside other sessions —
+// with no snapshot copies and bit-identical results. A session is driven
 // by exactly one worker at a time; clients observe it through Tokens
 // (streaming) and Wait.
 type Session struct {

@@ -226,8 +226,8 @@ const fuseMargin = 1.05
 // FuseWorthwhile reports whether fusing m single-row sessions into one
 // m-row forward call is predicted no slower than m serial calls, judged by
 // the measured serial per-madd cost of m's class against the single-row
-// class. The serving scheduler consults it to route small groups through
-// the serial fallback instead of always fusing — on hosts where the
+// class. The serving scheduler consults it to run a small decode group as m
+// one-row forward calls instead of one m-row call — on hosts where the
 // small-batch kernels lose to m=1 (cache pressure, blocked-kernel setup),
 // this is the measured crossover; elsewhere it always fuses.
 func (cm *CostModel) FuseWorthwhile(m int) bool {
