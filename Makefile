@@ -38,9 +38,10 @@ bench-check:
 # Non-test Go line counts of the engine packages (ROADMAP aim 2: the count
 # goes down).
 loc:
-	@for p in model tensor serve core protect; do \
-		printf '%-8s %s\n' $$p $$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
-	done
+	@total=0; for p in model tensor serve core protect abft chaos campaign; do \
+		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); total=$$((total + n)); \
+		printf '%-8s %s\n' $$p $$n; \
+	done; printf '%-8s %s\n' total $$total
 
 bench-json:
 	$(GO) run ./cmd/ft2bench -bench-json BENCH_decode.json

@@ -427,13 +427,11 @@ func benchChaosPareto(seed int64) (*benchChaosResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case pol.policy != nil:
-			gens[i] = core.NewHybrid(m, core.Defaults(), pol.policy, nil).GenerateInto
-		case pol.method == arch.MethodFT2:
-			gens[i] = core.Attach(m, core.Defaults()).GenerateInto
-		default:
-			gens[i] = m.GenerateInto
+		gens[i] = m.GenerateInto
+		if pol.policy != nil || pol.method == arch.MethodFT2 {
+			f := core.NewHybrid(m, core.Defaults(), pol.policy, nil)
+			f.Install()
+			gens[i] = f.GenerateInto
 		}
 	}
 	buf := make([]int, 0, ds.GenTokens)

@@ -121,6 +121,12 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.ProtectPolicy = pol
+		// Reject a policy derived for another model family here, before the
+		// listener binds and the selftests run.
+		if _, err := cfg.WithDefaults(); err != nil {
+			fmt.Fprintln(os.Stderr, "ft2serve:", err)
+			os.Exit(2)
+		}
 		fmt.Printf("ft2serve: protection policy: %s\n", pol)
 	}
 	if *chaosOn {

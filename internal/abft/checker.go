@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"ft2/internal/model"
+	"ft2/internal/protect"
 	"ft2/internal/tensor"
 )
 
@@ -45,16 +46,7 @@ type RefSums struct {
 // given kinds (all family kinds when none are given) from m's current
 // weights. Capture it at build time, before any fault can land.
 func CaptureRefSums(m *model.Model, kinds ...model.LayerKind) *RefSums {
-	covered := make(map[model.LayerKind]bool, len(kinds))
-	if len(kinds) == 0 {
-		for _, k := range m.Cfg.Family.LayerKinds() {
-			covered[k] = true
-		}
-	} else {
-		for _, k := range kinds {
-			covered[k] = true
-		}
-	}
+	covered := kindSet(m, kinds)
 	rs := &RefSums{sums: make(map[model.LayerRef]refSum)}
 	for _, ref := range m.Cfg.LinearLayers() {
 		if !covered[ref.Kind] {
@@ -97,28 +89,34 @@ func (s *Stats) Add(s2 Stats) {
 // checksums and repairs transient corruption by recomputation. It follows
 // the model's single-owner contract: one checker per replica goroutine.
 type LinearChecker struct {
-	m       *model.Model
 	refs    *RefSums
 	covered [model.NumLayerKinds]bool
 	Stats   Stats
-	scratch *tensor.Tensor
+	// dmr re-executes a flagged layer and replaces the differing elements;
+	// repair is its hook, bound once so a detection allocates nothing.
+	dmr    *protect.DMR
+	repair model.Hook
 }
 
 // NewLinearChecker builds a checker over m using previously captured
 // reference sums (which may be shared across replicas). Only layers both
 // requested in kinds (all when empty) and present in refs are checked.
 func NewLinearChecker(m *model.Model, refs *RefSums, kinds ...model.LayerKind) *LinearChecker {
-	c := &LinearChecker{m: m, refs: refs, scratch: tensor.New(1, 1)}
-	if len(kinds) == 0 {
-		for _, k := range m.Cfg.Family.LayerKinds() {
-			c.covered[k] = true
-		}
-	} else {
-		for _, k := range kinds {
-			c.covered[k] = true
-		}
-	}
+	c := &LinearChecker{refs: refs, covered: kindSet(m, kinds), dmr: protect.NewDMR(m)}
+	c.repair = c.dmr.Hook()
 	return c
+}
+
+// kindSet marks the given kinds, or every kind of m's family when none are
+// given.
+func kindSet(m *model.Model, kinds []model.LayerKind) (set [model.NumLayerKinds]bool) {
+	if len(kinds) == 0 {
+		kinds = m.Cfg.Family.LayerKinds()
+	}
+	for _, k := range kinds {
+		set[k] = true
+	}
+	return set
 }
 
 // DrainStats returns the counts accumulated since the previous drain and
@@ -161,17 +159,10 @@ func (c *LinearChecker) Hook() model.Hook {
 			return
 		}
 		c.Stats.Detected++
-		ref := c.m.RecomputeLinearInto(c.scratch, ctx.Layer, ctx.Input)
-		fixed := int64(0)
-		for i, v := range ref.Data {
-			old := out.Data[i]
-			if v != old && !(math.IsNaN(float64(v)) && math.IsNaN(float64(old))) {
-				out.Data[i] = v
-				fixed++
-			}
-		}
-		if fixed > 0 {
-			c.Stats.Corrected += fixed
+		before := c.dmr.Detected
+		c.repair(ctx, out)
+		if fixed := c.dmr.Detected - before; fixed > 0 {
+			c.Stats.Corrected += int64(fixed)
 			out.MarkMutated()
 		} else {
 			c.Stats.Uncorrectable++

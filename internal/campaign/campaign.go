@@ -83,10 +83,10 @@ type Spec struct {
 	// paper's limitations section; see protect.DMR).
 	UseDMR bool
 	// Policy, when non-nil, replaces the method's protection with the
-	// adaptive per-layer-kind hybrid controller the serving layer runs
-	// (core.Hybrid): FT2 range restriction, ABFT checksum repair, DMR, or a
-	// stacked abft+ft2 per layer kind, with FT2Opts configuring the FT2
-	// tier. Method, UseDMR and CustomCoverage are ignored when set.
+	// adaptive per-layer-kind policy the serving layer runs: FT2 range
+	// restriction, ABFT checksum repair, DMR, or a stacked abft+ft2 per
+	// layer kind, with FT2Opts configuring the FT2 tier. Method, UseDMR and
+	// CustomCoverage are ignored when set.
 	Policy *protect.Policy
 	// Targets routes a fraction of sampled faults to persistent weight
 	// corruption and resident KV-cache flips (see fault.TargetMix); the
@@ -425,13 +425,16 @@ func (s Spec) validate() error {
 	case s.needsOfflineBounds() && s.OfflineBounds == nil:
 		return fmt.Errorf("campaign: method %v requires offline bounds", s.Method)
 	}
+	if _, err := s.Policy.Compile(s.ModelCfg.Family); err != nil {
+		return fmt.Errorf("campaign: %w", err)
+	}
 	return s.ModelCfg.Validate()
 }
 
 func (s Spec) needsOfflineBounds() bool {
 	if s.Policy != nil {
-		// The hybrid controller derives everything it needs online: FT2
-		// bounds from the first token, ABFT reference sums at build time.
+		// A policy derives everything it needs online: FT2 bounds from the
+		// first token, ABFT reference sums at build time.
 		return false
 	}
 	if s.CustomCoverage != nil {
@@ -443,6 +446,45 @@ func (s Spec) needsOfflineBounds() bool {
 	default:
 		return false
 	}
+}
+
+// protection builds the spec's protection controller over replica m, or nil
+// when the spec runs unprotected: every mechanism is the one controller under
+// a different policy.
+func (s Spec) protection(m *model.Model) *core.FT2 {
+	switch {
+	case s.Policy != nil:
+		// refs nil: the replica is pristine here, so the controller captures
+		// its own ABFT reference sums at build time.
+		return core.NewHybrid(m, s.FT2Opts, s.Policy, nil)
+	case s.UseDMR:
+		dup := &protect.Policy{Tiers: make(map[model.LayerKind]protect.Tier)}
+		for _, k := range m.Cfg.Family.LayerKinds() {
+			dup.Tiers[k] = protect.TierDMR
+		}
+		return core.NewHybrid(m, s.FT2Opts, dup, nil)
+	case s.CustomCoverage != nil:
+		return core.NewOffline(m, core.Options{ScaleFactor: 1}, s.CustomCoverage, s.OfflineBounds, true)
+	case s.Method == arch.MethodNone:
+		return nil
+	case s.Method == arch.MethodFT2:
+		return core.New(m, s.FT2Opts)
+	}
+	return offlineMethod(m, s.Method, s.OfflineBounds, protect.ClipToBound)
+}
+
+// offlineMethod builds one of the paper's offline-profiling methods over a
+// statically profiled bounds store. All of them clamp out-of-bound values to
+// the violated bound (the original Ranger behaviour; clip-to-zero is an
+// explicit ablation via mode). MaxiMals additionally applies its own 1.25×
+// bound scaling, the technique FT2's bound scaling is inspired by (Sec.
+// 4.2.1).
+func offlineMethod(m *model.Model, method arch.Method, bounds *protect.Store, mode protect.ClipMode) *core.FT2 {
+	opts := core.Options{ScaleFactor: 1, Mode: mode}
+	if method == arch.MethodMaxiMals {
+		opts.ScaleFactor = 1.25
+	}
+	return core.NewOffline(m, opts, arch.Coverage(method, m.Cfg.Family), bounds, arch.CorrectsNaN(method))
 }
 
 // goldenOutputs computes the fault-free unprotected generation per input.
@@ -543,7 +585,7 @@ func (w *watchdog) hook(hc model.HookCtx, _ *tensor.Tensor) {
 
 // trialRunner owns one model replica plus every piece of per-trial state
 // that survives across trials: the reseedable RNG, sampling plans keyed by
-// prompt length, the single-fault injector, and the protection objects for
+// prompt length, the single-fault injector, and the protection controller for
 // the spec's fixed method. Reusing them keeps the steady-state trial cost
 // at the generate pass itself — the model's scratch arena already makes
 // that pass allocation-free — instead of rebuilding plans, RNG state and
@@ -557,11 +599,8 @@ type trialRunner struct {
 	weight float64             // prefill weight, resolved once
 	plans  map[int]*fault.Plan // keyed by prompt length
 	inj    fault.Injector
-	hy     *core.Hybrid       // non-nil iff spec.Policy is set
-	dmr    *protect.DMR       // non-nil iff spec.UseDMR
-	prot   *protect.Protector // non-nil for bounds-based methods
-	ft2    *core.FT2          // non-nil iff spec.Method is MethodFT2
-	outBuf []int              // reused per-trial output buffer, cap GenTokens
+	ctl    *core.FT2 // the spec's protection; nil when it runs unprotected
+	outBuf []int     // reused per-trial output buffer, cap GenTokens
 	// dirty marks the replica as possibly poisoned (a panic escaped a
 	// trial); the worker replaces the runner before reusing it.
 	dirty bool
@@ -580,29 +619,8 @@ func newTrialRunner(spec Spec, golden [][]int, forks *forkStore) (*trialRunner, 
 		rng:    rand.New(rand.NewSource(1)),
 		weight: spec.prefillWeight(),
 		plans:  make(map[int]*fault.Plan),
+		ctl:    spec.protection(m),
 		outBuf: make([]int, 0, spec.Dataset.GenTokens),
-	}
-	if spec.Policy != nil {
-		// refs nil: the replica is pristine here, so the hybrid captures its
-		// own ABFT reference sums at build time.
-		r.hy = core.NewHybrid(m, spec.FT2Opts, spec.Policy, nil)
-	} else if spec.UseDMR {
-		r.dmr = protect.NewDMR(m)
-	} else if spec.CustomCoverage != nil {
-		r.prot = &protect.Protector{
-			Coverage:   spec.CustomCoverage,
-			BoundsFor:  spec.OfflineBounds.Get,
-			Mode:       protect.ClipToBound,
-			CorrectNaN: true,
-		}
-	} else {
-		switch spec.Method {
-		case arch.MethodNone:
-		case arch.MethodFT2:
-			r.ft2 = core.New(m, spec.FT2Opts)
-		default:
-			r.prot = protect.ForMethod(spec.Method, spec.ModelCfg.Family, spec.OfflineBounds)
-		}
 	}
 	return r, nil
 }
@@ -625,6 +643,20 @@ func (r *trialRunner) runGuarded(ctx context.Context, idx int) (o trialOutcome, 
 		}
 	}()
 	return r.run(ctx, idx)
+}
+
+// arm installs the protection hook for one run on the replica: rearmed for a
+// fresh inference, or resumed from a golden checkpoint's fork state.
+func (r *trialRunner) arm(fork *core.ForkState) {
+	if r.ctl == nil {
+		return
+	}
+	if fork != nil {
+		r.ctl.ResumeFork(*fork)
+	} else {
+		r.ctl.Reset()
+	}
+	r.ctl.Install()
 }
 
 func (r *trialRunner) run(ctx context.Context, idx int) (trialOutcome, *TrialError) {
@@ -696,20 +728,7 @@ func (r *trialRunner) runWithSite(ctx context.Context, idx int, site fault.Site)
 		// checkpoint, the token prefix comes from the recorded fault-free
 		// protected generation, and only steps NextStep.. are re-executed.
 		fi := &r.forks.inputs[inputIdx]
-		switch {
-		case r.hy != nil:
-			r.hy.ResumeFork(core.ForkState{Bounds: fi.ftBounds, FirstTokenNaN: cp.ftNaN, Stats: cp.corr})
-			r.hy.Install()
-		case r.dmr != nil:
-			r.dmr.Detected = cp.corr.OutOfBound
-			m.RegisterHook(r.dmr.Hook())
-		case r.prot != nil:
-			r.prot.Stats = cp.corr
-			m.RegisterHook(r.prot.Hook())
-		case r.ft2 != nil:
-			r.ft2.ResumeFork(core.ForkState{Bounds: fi.ftBounds, FirstTokenNaN: cp.ftNaN, Stats: cp.corr})
-			r.ft2.Install()
-		}
+		r.arm(&core.ForkState{Bounds: fi.ftBounds, FirstTokenNaN: cp.ftNaN, Stats: cp.corr})
 		armWatchdog()
 		out = append(r.outBuf[:0], fi.out[:cp.snap.NextStep()]...)
 		tok := m.Restore(&cp.snap)
@@ -718,40 +737,19 @@ func (r *trialRunner) runWithSite(ctx context.Context, idx int, site fault.Site)
 			out = append(out, tok)
 		}
 	} else {
-		switch {
-		case r.hy != nil:
-			r.hy.Reset()
-			r.hy.Install()
-		case r.dmr != nil:
-			r.dmr.Detected = 0
-			m.RegisterHook(r.dmr.Hook())
-		case r.prot != nil:
-			r.prot.Stats = protect.CorrectionStats{}
-			m.RegisterHook(r.prot.Hook())
-		case r.ft2 != nil:
-			r.ft2.Reset()
-			r.ft2.Install()
-		}
+		r.arm(nil)
 		armWatchdog()
 		out = m.GenerateInto(r.outBuf, input.Prompt, spec.Dataset.GenTokens)
 	}
 
 	var corr protect.CorrectionStats
-	switch {
-	case r.hy != nil:
-		corr = r.hy.Stats()
-		corr.NaN += r.hy.FirstTokenNaNCount()
-		// Fold the exact-correction tiers in as events (detections + DMR
+	if r.ctl != nil {
+		corr = r.ctl.Stats()
+		corr.NaN += r.ctl.FirstTokenNaNCount()
+		// Fold the exact-repair stages in as events (detections + DMR
 		// fixes), keeping the journal's OOB/NaN schema unchanged.
-		hc := r.hy.DrainCounts()
-		corr.OutOfBound += int(hc.ABFT.Detected + hc.DMRFixed)
-	case r.dmr != nil:
-		corr.OutOfBound = r.dmr.Detected
-	case r.prot != nil:
-		corr = r.prot.Stats
-	case r.ft2 != nil:
-		corr = r.ft2.Stats()
-		corr.NaN += r.ft2.FirstTokenNaNCount()
+		ex := r.ctl.DrainCounts()
+		corr.OutOfBound += int(ex.ABFT.Detected + ex.DMRFixed)
 	}
 
 	if !r.inj.Fired {
@@ -784,24 +782,18 @@ func FaultFreeCorrectness(cfg model.Config, seed int64, d numerics.DType,
 		m.ClearHooks()
 		golden := m.Generate(in.Prompt, ds.GenTokens)
 
-		var out []int
-		switch method {
-		case arch.MethodNone:
-			out = golden
-		case arch.MethodFT2:
-			f := core.Attach(m, core.Defaults())
+		out := golden
+		if method != arch.MethodNone {
+			var f *core.FT2
+			if method == arch.MethodFT2 {
+				f = core.New(m, core.Defaults())
+			} else {
+				f = offlineMethod(m, method, bounds, mode)
+			}
+			f.Install()
 			out = f.Generate(in.Prompt, ds.GenTokens)
-			st := f.Stats()
-			corr.OutOfBound += st.OutOfBound
-			corr.NaN += st.NaN
-			f.Detach()
-		default:
-			pr := protect.ForMethod(method, cfg.Family, bounds)
-			pr.Mode = mode
-			m.RegisterHook(pr.Hook())
-			out = m.Generate(in.Prompt, ds.GenTokens)
-			corr.OutOfBound += pr.Stats.OutOfBound
-			corr.NaN += pr.Stats.NaN
+			corr.OutOfBound += f.Stats().OutOfBound
+			corr.NaN += f.Stats().NaN
 			m.ClearHooks()
 		}
 		p.Trials++

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"strings"
 	"testing"
 
 	"ft2/internal/arch"
@@ -10,6 +11,7 @@ import (
 	"ft2/internal/numerics"
 	"ft2/internal/perfmodel"
 	"ft2/internal/protect"
+	"ft2/internal/tensor"
 )
 
 // smallDataset trims generation length so campaign tests stay fast while
@@ -166,6 +168,45 @@ func TestRunValidation(t *testing.T) {
 	spec.OfflineBounds = nil
 	if _, err := Run(spec); err == nil {
 		t.Error("Ranger without bounds must error")
+	}
+	// A policy derived for the Llama family on an OPT model: its entries
+	// would never fire.
+	spec = baseSpec(t, arch.MethodNone)
+	spec.Policy = &protect.Policy{Tiers: map[model.LayerKind]protect.Tier{model.DownProj: protect.TierFT2}}
+	if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "DOWN_PROJ") {
+		t.Errorf("policy for another family: err = %v, want one naming DOWN_PROJ", err)
+	}
+}
+
+// The baselines keep their own configuration through the one controller:
+// MaxiMals clamps at 1.25× the profiled bound and does not correct NaN.
+func TestOfflineMethodConfig(t *testing.T) {
+	cfg, _ := model.ConfigByName("opt-2.7b-sim")
+	m := model.MustNew(cfg, 42, numerics.FP16)
+	ref := model.LayerRef{Block: 0, Kind: model.OutProj}
+	store := protect.NewStore()
+	store.Set(protect.SiteKey{Layer: ref, Site: model.SiteLinearOut}, protect.Bounds{Lo: -4, Hi: 4})
+	nan := float32(0)
+	nan /= nan
+	var seen [2]float32
+	at := func(ctx model.HookCtx) bool {
+		return ctx.Step == 1 && ctx.Layer == ref && ctx.Site == model.SiteLinearOut
+	}
+	m.RegisterHook(func(ctx model.HookCtx, out *tensor.Tensor) {
+		if at(ctx) {
+			out.Data[0], out.Data[1] = 100, nan
+		}
+	})
+	f := offlineMethod(m, arch.MethodMaxiMals, store, protect.ClipToBound)
+	f.Install()
+	m.RegisterHook(func(ctx model.HookCtx, out *tensor.Tensor) {
+		if at(ctx) {
+			copy(seen[:], out.Data)
+		}
+	})
+	f.Generate([]int{4, 5, 6}, 3)
+	if seen[0] != 5 || seen[1] == seen[1] {
+		t.Errorf("MaxiMals left %v, want [5 NaN]", seen)
 	}
 }
 

@@ -32,9 +32,9 @@ import (
 // protection counters accumulated over steps 0..NextStep-1.
 type forkPoint struct {
 	snap model.Snapshot
-	// corr holds the method's correction counters at the checkpoint: the
-	// protector/DMR stats, or FT2's following-token stats (first-token NaN
-	// corrections are tracked separately in ftNaN).
+	// corr holds the clamp's following-token correction counters at the
+	// checkpoint (first-token NaN corrections are tracked separately in
+	// ftNaN).
 	corr  protect.CorrectionStats
 	ftNaN int
 }
@@ -47,9 +47,9 @@ type inputFork struct {
 	// points are the checkpoints in ascending NextStep order, at steps
 	// 1, 1+stride, 1+2·stride, ...
 	points []forkPoint
-	// ftBounds are FT2's raw first-token bounds for this input (nil for
-	// other methods); decode steps only read them, so the store is shared
-	// across worker replicas.
+	// ftBounds are the clamp's raw bounds for this input — the first-token
+	// profile, or a copy of the offline store (nil when unprotected); decode
+	// steps only read them, so the store is shared across worker replicas.
 	ftBounds *protect.Store
 }
 
@@ -123,51 +123,25 @@ func buildForkStore(ctx context.Context, spec Spec) (*forkStore, error) {
 		// Arm the protection exactly as a trial does (minus the injector,
 		// the per-trial hook, and the watchdog — none of which belong in
 		// the fault-free reference run).
-		readCorr := func() (protect.CorrectionStats, int) { return protect.CorrectionStats{}, 0 }
-		switch {
-		case r.hy != nil:
-			// Checkpoints carry the FT2 tier's counters only: the ABFT/DMR
-			// tiers are per-step exact corrections whose counts are drained
-			// per trial, not resumed state.
-			r.hy.Reset()
-			r.hy.Install()
-			readCorr = func() (protect.CorrectionStats, int) {
-				return r.hy.Stats(), r.hy.FirstTokenNaNCount()
-			}
-		case r.dmr != nil:
-			r.dmr.Detected = 0
-			m.RegisterHook(r.dmr.Hook())
-			readCorr = func() (protect.CorrectionStats, int) {
-				return protect.CorrectionStats{OutOfBound: r.dmr.Detected}, 0
-			}
-		case r.prot != nil:
-			r.prot.Stats = protect.CorrectionStats{}
-			m.RegisterHook(r.prot.Hook())
-			readCorr = func() (protect.CorrectionStats, int) { return r.prot.Stats, 0 }
-		case r.ft2 != nil:
-			r.ft2.Reset()
-			r.ft2.Install()
-			readCorr = func() (protect.CorrectionStats, int) {
-				return r.ft2.Stats(), r.ft2.FirstTokenNaNCount()
-			}
-		}
+		r.arm(nil)
 
 		f := inputFork{out: make([]int, 0, n)}
 		tok := m.Prefill(in.Prompt)
 		f.out = append(f.out, tok)
-		switch {
-		case r.ft2 != nil:
+		if r.ctl != nil {
 			// Bounds are complete once the prefill finished; clone them out
 			// of the controller so later inputs' Resets cannot clear them.
-			f.ftBounds = r.ft2.CaptureForkState().Bounds
-		case r.hy != nil:
-			f.ftBounds = r.hy.CaptureForkState().Bounds
+			f.ftBounds = r.ctl.CaptureForkState().Bounds
 		}
 		for s := 1; s < n; s++ {
 			if (s-1)%fs.stride == 0 {
 				var p forkPoint
 				m.Checkpoint(&p.snap)
-				p.corr, p.ftNaN = readCorr()
+				if r.ctl != nil {
+					// The clamp's counters only: the exact-repair stages'
+					// counts are drained per trial, not resumed state.
+					p.corr, p.ftNaN = r.ctl.Stats(), r.ctl.FirstTokenNaNCount()
+				}
 				f.points = append(f.points, p)
 			}
 			tok = m.DecodeStep(tok)

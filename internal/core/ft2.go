@@ -10,11 +10,17 @@
 //
 // No offline profiling, no training data: everything happens inside a single
 // inference.
+//
+// The FT2 type is also the repository's one protection controller: the
+// adaptive tier policies (ABFT, DMR, stacked) and the offline-bounds
+// baselines are other policies compiled into the same per-layer-kind stage
+// table and run by the same hook.
 package core
 
 import (
 	"fmt"
 
+	"ft2/internal/abft"
 	"ft2/internal/arch"
 	"ft2/internal/model"
 	"ft2/internal/protect"
@@ -46,63 +52,152 @@ func Defaults() Options {
 	}
 }
 
-// FT2 is an online protector attached to a model. Use Generate (not the
-// model's) so per-inference bounds reset correctly.
+// FT2 is the protection controller attached to a model: one forward hook
+// that runs, for the layer kind at hand, the stages its policy compiled to —
+// exact repair (ABFT checksum verify-and-repair, or DMR duplicated
+// execution), then the range clamp, then the counters. Recomputation repairs
+// transient faults precisely; the clamp still bounds whatever persistent
+// weight/KV corruption leaves behind. Use Generate (not the model's) so
+// per-inference bounds reset correctly.
 type FT2 struct {
 	m    *model.Model
 	opts Options
-	prof *protect.FirstTokenProfiler
-	// bounds is the store the protection hook consults. It normally points
-	// at the profiler's own store (written during the first token, read
-	// afterwards); a forked continuation swaps in a shared read-only store
-	// captured from an earlier run's prefill — decode steps never write it.
-	bounds *protect.Store
-	stats  protect.CorrectionStats
+	// stages is the policy compiled per layer kind at construction; the hook
+	// indexes it with the kind it fires on.
+	stages [model.NumLayerKinds]stage
+	// learn says where the clamp's bounds come from: each inference's first
+	// token (observed at step 0, enforced afterwards), or — false — a frozen
+	// offline profile enforced from step 0.
+	learn bool
+	// correctNaN makes the clamp map NaN→0 (every method but the Ranger and
+	// MaxiMals baselines, which rely on range checks alone).
+	correctNaN bool
+	// own is the store Reset rearms: the controller's first-token store, or
+	// the offline profile. bounds is the store the hook consults — own, or a
+	// shared read-only store a forked continuation swapped in (decode steps
+	// never write it).
+	own, bounds *protect.Store
+	ftNaN       int // NaNs corrected during the first token
+	stats       protect.CorrectionStats
 	// byKind breaks the following-token corrections down by the layer kind
 	// they fired on — the per-layer-kind protection telemetry the serving
 	// layer exports. Fixed-size array: updating it on the hook hot path
 	// never allocates.
 	byKind [model.NumLayerKinds]protect.CorrectionStats
+	// chk and dmr implement the exact-repair stages and hold their counters;
+	// nil when the policy has no such tier.
+	chk    *abft.LinearChecker
+	dmr    *protect.DMR
 	handle model.HookHandle
-	cover  map[arch.CoveragePoint]bool
 }
 
-// New builds an FT2 controller for the model without registering its hook;
-// callers that interleave FT2 with other hooks (the campaign runner puts
-// the fault injector first) register it with Install. The controller is
-// reusable across inferences — Reset or ResumeFork rearm it.
+// stage is what the hook does at one layer kind.
+type stage struct {
+	// repair is the exact-repair hook (the ABFT checker's or the DMR's), nil
+	// for none.
+	repair model.Hook
+	// clamp marks the hook sites (indexed by model.Site) that are range
+	// restricted.
+	clamp [model.SiteActivationOut + 1]bool
+}
+
+// New builds the controller for the paper's policy — first-token range
+// restriction on the family's critical layer kinds (every kind under
+// opts.ProtectAllLayers) — without registering its hook; callers that
+// interleave it with other hooks (the campaign runner puts the fault
+// injector first) register it with Install. The controller is reusable
+// across inferences — Reset or ResumeFork rearm it.
 func New(m *model.Model, opts Options) *FT2 {
+	kinds := arch.CriticalKinds(m.Cfg.Family)
+	if opts.ProtectAllLayers {
+		kinds = m.Cfg.Family.LayerKinds()
+	}
+	return NewWithKinds(m, opts, kinds...)
+}
+
+// NewWithKinds builds a controller range-restricting exactly the given layer
+// kinds (at their linear-output sites). Coverage is a constructor concern so
+// that Options stays a comparable value type.
+func NewWithKinds(m *model.Model, opts Options, kinds ...model.LayerKind) *FT2 {
+	var tiers [model.NumLayerKinds]protect.Tier
+	for _, k := range kinds {
+		tiers[k] = protect.TierFT2
+	}
+	return build(m, opts, tiers, nil)
+}
+
+// NewHybrid builds the controller for an adaptive per-layer-kind policy:
+// each kind gets the tier its vulnerability profile earned — range
+// restriction, ABFT checksum repair, DMR, a stacked abft+ft2, or nothing. A
+// nil policy is the paper's (New). refs carries the build-time ABFT reference
+// sums; pass nil to capture them from m now (the model must still be
+// pristine). It panics on a policy that does not compile for m's family —
+// callers taking policies from outside check Policy.Compile at startup.
+func NewHybrid(m *model.Model, opts Options, policy *protect.Policy, refs *abft.RefSums) *FT2 {
+	if policy == nil {
+		return New(m, opts)
+	}
+	tiers, err := policy.Compile(m.Cfg.Family)
+	if err != nil {
+		panic(err)
+	}
+	return build(m, opts, tiers, refs)
+}
+
+// NewOffline builds the controller for the offline-profiling baselines
+// (Ranger, MaxiMals, Global Clipper, FT2 with offline bounds, leave-one-out
+// coverage): the sites in cover are range restricted from step 0 against
+// the frozen bounds store, scaled by opts.ScaleFactor and corrected per
+// opts.Mode; nothing is learned online.
+func NewOffline(m *model.Model, opts Options, cover map[arch.CoveragePoint]bool, bounds *protect.Store, correctNaN bool) *FT2 {
+	f := newFT2(m, opts, bounds)
+	f.correctNaN = correctNaN
+	for pt, on := range cover {
+		f.stages[pt.Kind].clamp[pt.Site] = on
+	}
+	return f
+}
+
+func newFT2(m *model.Model, opts Options, own *protect.Store) *FT2 {
 	if opts.ScaleFactor < 1 {
 		panic(fmt.Sprintf("core: scale factor %g < 1 would tighten bounds", opts.ScaleFactor))
 	}
-	f := &FT2{
-		m:     m,
-		opts:  opts,
-		prof:  protect.NewFirstTokenProfiler(),
-		cover: arch.Coverage(arch.MethodFT2, m.Cfg.Family),
-	}
-	f.bounds = f.prof.Store
-	if opts.ProtectAllLayers {
-		f.cover = make(map[arch.CoveragePoint]bool)
-		for _, k := range m.Cfg.Family.LayerKinds() {
-			f.cover[arch.CoveragePoint{Kind: k, Site: model.SiteLinearOut}] = true
+	return &FT2{m: m, opts: opts, own: own, bounds: own}
+}
+
+// build compiles a tier table into the stage table.
+func build(m *model.Model, opts Options, tiers [model.NumLayerKinds]protect.Tier, refs *abft.RefSums) *FT2 {
+	f := newFT2(m, opts, protect.NewStore())
+	f.learn, f.correctNaN = true, true
+	var abftKinds, dmrKinds []model.LayerKind
+	for k, t := range tiers {
+		kind := model.LayerKind(k)
+		f.stages[k].clamp[model.SiteLinearOut] = t == protect.TierFT2 || t == protect.TierABFTFT2
+		switch t {
+		case protect.TierABFT, protect.TierABFTFT2:
+			abftKinds = append(abftKinds, kind)
+		case protect.TierDMR:
+			dmrKinds = append(dmrKinds, kind)
 		}
+	}
+	if len(abftKinds) > 0 {
+		if refs == nil {
+			refs = abft.CaptureRefSums(m, abftKinds...)
+		}
+		f.chk = abft.NewLinearChecker(m, refs, abftKinds...)
+		f.setRepair(f.chk.Hook(), abftKinds)
+	}
+	if len(dmrKinds) > 0 {
+		f.dmr = protect.NewDMR(m, dmrKinds...)
+		f.setRepair(f.dmr.Hook(), dmrKinds)
 	}
 	return f
 }
 
-// NewWithKinds builds an FT2 controller covering exactly the given layer
-// kinds (at their linear-output sites) instead of the family's architectural
-// criticality heuristic — the constructor adaptive policies use to aim the
-// clamp at their FT2-tier kinds. Coverage is a constructor concern so that
-// Options stays a comparable value type.
-func NewWithKinds(m *model.Model, opts Options, kinds ...model.LayerKind) *FT2 {
-	f := New(m, opts)
-	f.cover = make(map[arch.CoveragePoint]bool, len(kinds))
+func (f *FT2) setRepair(h model.Hook, kinds []model.LayerKind) {
 	for _, k := range kinds {
-		f.cover[arch.CoveragePoint{Kind: k, Site: model.SiteLinearOut}] = true
+		f.stages[k].repair = h
 	}
-	return f
 }
 
 // Attach is New followed by Install: it registers FT2's forward hook on the
@@ -127,16 +222,20 @@ func (f *FT2) Hook() model.Hook { return f.hook }
 func (f *FT2) Detach() { f.m.RemoveHook(f.handle) }
 
 // Reset rearms the controller for a fresh full inference: per-inference
-// bounds and correction counters clear, and the hook profiles the next
-// first token into the controller's own store again.
+// bounds and clamp counters clear, and the hook profiles the next first token
+// into the controller's own store again. The exact-repair counters survive —
+// they are lifetime telemetry, collected via DrainCounts.
 func (f *FT2) Reset() {
-	f.prof.Reset()
-	f.bounds = f.prof.Store
+	if f.learn {
+		f.own.Reset()
+	}
+	f.bounds = f.own
+	f.ftNaN = 0
 	f.stats = protect.CorrectionStats{}
 	f.byKind = [model.NumLayerKinds]protect.CorrectionStats{}
 }
 
-// ForkState is the protection-side state FT2 carries across decode steps,
+// ForkState is the protection-side state the clamp carries across decode steps,
 // captured so a forked continuation reproduces a full run bit-for-bit:
 // the bounds recorded from the inference's prefill, the first-token NaN
 // correction count, and the following-token correction counters accumulated
@@ -157,7 +256,7 @@ type ForkState struct {
 func (f *FT2) CaptureForkState() ForkState {
 	return ForkState{
 		Bounds:        f.bounds.Clone(),
-		FirstTokenNaN: f.prof.NaNCorrected,
+		FirstTokenNaN: f.ftNaN,
 		Stats:         f.stats,
 		ByKind:        f.byKind,
 	}
@@ -169,7 +268,7 @@ func (f *FT2) CaptureForkState() ForkState {
 // state may back many concurrent forks.
 func (f *FT2) ResumeFork(st ForkState) {
 	f.bounds = st.Bounds
-	f.prof.NaNCorrected = st.FirstTokenNaN
+	f.ftNaN = st.FirstTokenNaN
 	f.stats = st.Stats
 	f.byKind = st.ByKind
 }
@@ -184,22 +283,42 @@ func (f *FT2) StatsByKind() [model.NumLayerKinds]protect.CorrectionStats { retur
 
 // FirstTokenNaNCount returns NaNs corrected during the last inference's
 // first-token pass.
-func (f *FT2) FirstTokenNaNCount() int { return f.prof.NaNCorrected }
+func (f *FT2) FirstTokenNaNCount() int { return f.ftNaN }
+
+// ExactCounts is the since-last-drain telemetry of the exact-repair stages.
+type ExactCounts struct {
+	ABFT     abft.Stats
+	DMRFixed int64
+}
+
+// DrainCounts returns the exact-repair stages' counters accumulated since
+// the previous drain and resets them. They are not fork state: a repair is
+// complete within its step. The serving scheduler drains once per slice from
+// the replica-owning worker, so no atomics are needed here.
+func (f *FT2) DrainCounts() ExactCounts {
+	var c ExactCounts
+	if f.chk != nil {
+		c.ABFT = f.chk.DrainStats()
+	}
+	if f.dmr != nil {
+		c.DMRFixed = int64(f.dmr.Detected)
+		f.dmr.Detected = 0
+	}
+	return c
+}
 
 // Bounds exposes the raw (unscaled) bounds the hook currently consults:
 // those captured from the last inference's first token, or the fork-state
 // bounds after ResumeFork.
 func (f *FT2) Bounds() *protect.Store { return f.bounds }
 
-// ProtectedSiteCount returns how many concrete layer instances FT2 protects
-// on this model.
+// ProtectedSiteCount returns how many concrete layer instances the clamp
+// covers on this model.
 func (f *FT2) ProtectedSiteCount() int {
 	n := 0
-	for b := 0; b < f.m.Cfg.Blocks; b++ {
-		for _, k := range f.m.Cfg.Family.LayerKinds() {
-			if f.cover[arch.CoveragePoint{Kind: k, Site: model.SiteLinearOut}] {
-				n++
-			}
+	for _, k := range f.m.Cfg.Family.LayerKinds() {
+		if f.stages[k].clamp[model.SiteLinearOut] {
+			n += f.m.Cfg.Blocks
 		}
 	}
 	return n
@@ -220,30 +339,34 @@ func (f *FT2) GenerateInto(dst []int, prompt []int, n int) []int {
 	return f.m.GenerateInto(dst, prompt, n)
 }
 
+// hook runs the kind's stages in correction order: exact repair first,
+// range restriction last (it bounds whatever remains), counting as it goes.
 func (f *FT2) hook(ctx model.HookCtx, out *tensor.Tensor) {
-	if !f.cover[arch.CoveragePoint{Kind: ctx.Layer.Kind, Site: ctx.Site}] {
+	st := &f.stages[ctx.Layer.Kind]
+	if st.repair != nil {
+		st.repair(ctx, out)
+	}
+	if !st.clamp[ctx.Site] {
 		return
 	}
 	key := protect.SiteKey{Layer: ctx.Layer, Site: ctx.Site}
-	if ctx.FirstToken {
+	if ctx.FirstToken && f.learn {
 		if f.opts.FirstTokenNaNCorrection {
-			f.prof.NaNCorrected += protect.CorrectNaNOnly(out.Data)
+			f.ftNaN += protect.CorrectNaNOnly(out.Data)
 		}
 		f.bounds.Observe(key, out)
 		return
 	}
-	b, ok := f.bounds.Get(key)
-	if !ok {
-		// No bounds captured (should not happen in a Generate-driven run);
-		// fall back to NaN-only correction.
-		n := protect.CorrectNaNOnly(out.Data)
-		f.stats.NaN += n
-		f.byKind[ctx.Layer.Kind].NaN += n
-		return
+	var c protect.CorrectionStats
+	if b, ok := f.bounds.Get(key); ok {
+		c = protect.ClampCorrect(out.Data, b.Scale(f.opts.ScaleFactor), f.opts.Mode, f.correctNaN)
+	} else if f.correctNaN {
+		// No bounds for the site (an offline profile that never saw it): NaN
+		// correction is all that can be done.
+		c.NaN = protect.CorrectNaNOnly(out.Data)
 	}
-	st := protect.ClampCorrect(out.Data, b.Scale(f.opts.ScaleFactor), f.opts.Mode, true)
-	f.stats.OutOfBound += st.OutOfBound
-	f.stats.NaN += st.NaN
-	f.byKind[ctx.Layer.Kind].OutOfBound += st.OutOfBound
-	f.byKind[ctx.Layer.Kind].NaN += st.NaN
+	f.stats.OutOfBound += c.OutOfBound
+	f.stats.NaN += c.NaN
+	f.byKind[ctx.Layer.Kind].OutOfBound += c.OutOfBound
+	f.byKind[ctx.Layer.Kind].NaN += c.NaN
 }

@@ -29,24 +29,24 @@ const boundsEntryBytes = 4 + 1 + 1 + 4 + 4
 // the extended slice. A nil Bounds store encodes as zero entries and decodes
 // to an empty store.
 func AppendForkState(dst []byte, st *ForkState) []byte {
-	dst = appendCoreU64(dst, uint64(st.FirstTokenNaN))
-	dst = appendCoreU64(dst, uint64(st.Stats.OutOfBound))
-	dst = appendCoreU64(dst, uint64(st.Stats.NaN))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.FirstTokenNaN))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.Stats.OutOfBound))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.Stats.NaN))
 	dst = append(dst, byte(model.NumLayerKinds))
 	for _, cs := range st.ByKind {
-		dst = appendCoreU64(dst, uint64(cs.OutOfBound))
-		dst = appendCoreU64(dst, uint64(cs.NaN))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(cs.OutOfBound))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(cs.NaN))
 	}
 	var entries []protect.Entry
 	if st.Bounds != nil {
 		entries = st.Bounds.SortedEntries()
 	}
-	dst = appendCoreU32(dst, uint32(len(entries)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(entries)))
 	for _, e := range entries {
-		dst = appendCoreU32(dst, uint32(e.Key.Layer.Block))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Key.Layer.Block))
 		dst = append(dst, byte(e.Key.Layer.Kind), byte(e.Key.Site))
-		dst = appendCoreU32(dst, math.Float32bits(e.Bounds.Lo))
-		dst = appendCoreU32(dst, math.Float32bits(e.Bounds.Hi))
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(e.Bounds.Lo))
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(e.Bounds.Hi))
 	}
 	return dst
 }
@@ -101,13 +101,4 @@ func DecodeForkState(data []byte) (ForkState, int, error) {
 		}, protect.Bounds{Lo: lo, Hi: hi})
 	}
 	return st, off, nil
-}
-
-func appendCoreU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendCoreU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }

@@ -6,10 +6,12 @@ import (
 	"math"
 	"testing"
 
+	"ft2/internal/arch"
 	"ft2/internal/core"
 	"ft2/internal/fault"
 	"ft2/internal/model"
 	"ft2/internal/numerics"
+	"ft2/internal/protect"
 	"ft2/internal/tensor"
 )
 
@@ -125,6 +127,144 @@ func TestSerialGoldenDigest(t *testing.T) {
 		}
 		if got := h.Sum64(); got != c.want {
 			t.Errorf("%s f16=%v mode=%d: digest %#016x, recorded %#016x", c.model, c.f16, c.mode, got, c.want)
+		}
+	}
+}
+
+// goldenPolicies are the tier policies TestPolicyGoldenDigest freezes, built
+// per family: the stacked tier on every critical kind, duplication
+// everywhere, and one of each tier cycled over the family's kinds.
+var goldenPolicies = map[string]func(model.Family) *protect.Policy{
+	"abft+ft2": func(f model.Family) *protect.Policy {
+		p := &protect.Policy{Tiers: map[model.LayerKind]protect.Tier{}}
+		for _, k := range arch.CriticalKinds(f) {
+			p.Tiers[k] = protect.TierABFTFT2
+		}
+		return p
+	},
+	"dmr": func(f model.Family) *protect.Policy {
+		p := &protect.Policy{Tiers: map[model.LayerKind]protect.Tier{}}
+		for _, k := range f.LayerKinds() {
+			p.Tiers[k] = protect.TierDMR
+		}
+		return p
+	},
+	"mixed": func(f model.Family) *protect.Policy {
+		cycle := []protect.Tier{protect.TierNone, protect.TierFT2, protect.TierABFT, protect.TierABFTFT2, protect.TierDMR}
+		p := &protect.Policy{Tiers: map[model.LayerKind]protect.Tier{}}
+		for i, k := range f.LayerKinds() {
+			p.Tiers[k] = cycle[i%len(cycle)]
+		}
+		return p
+	},
+}
+
+// TestPolicyGoldenDigest pins the policy-driven controller to numbers
+// recorded from the Hybrid dispatcher over three separate protection objects
+// (internal/core/hybrid.go) that existed before core.FT2 became the one
+// controller (commit a158a0e): FNV-64a over the emitted tokens, the clamp
+// counters (total and per kind), the exact-tier counters, the fork state's
+// wire bytes and the final step's logits. Faulted cases flip one bit in the block-0 MLP output
+// projection during prefill and one in a V_PROJ output at decode step 3:
+// mantissa bit 9 stays in range (only the exact tiers can see it), exponent
+// bit 14 does not.
+func TestPolicyGoldenDigest(t *testing.T) {
+	if got := kernelProbe(); got != goldenKernelProbe {
+		t.Skipf("kernel probe %#x != recorded %#x: this host's dot kernel sums in a different order than the recording host's", got, uint64(goldenKernelProbe))
+	}
+	const gen = 12
+	prompt := []int{5, 17, 44, 9, 120, 63, 7, 200, 31}
+	cases := []struct {
+		model, policy string
+		bit           int // flipped bit, -1 for the fault-free run
+		want          uint64
+	}{
+		{"opt-6.7b-sim", "abft+ft2", -1, 0x847a885f75e6c554},
+		{"opt-6.7b-sim", "abft+ft2", 9, 0xc75bd08b0d913824},
+		{"opt-6.7b-sim", "abft+ft2", 14, 0x51692334612d3a14},
+		{"opt-6.7b-sim", "dmr", -1, 0x1ed47d2b3c46115e},
+		{"opt-6.7b-sim", "dmr", 9, 0x6f0d958ad59771f8},
+		{"opt-6.7b-sim", "dmr", 14, 0x6f0d958ad59771f8},
+		{"opt-6.7b-sim", "mixed", -1, 0x308fd0e061df95fc},
+		{"opt-6.7b-sim", "mixed", 9, 0x4ebcf0f8654f6630},
+		{"opt-6.7b-sim", "mixed", 14, 0x94203e55dca48115},
+		{"gptj-6b-sim", "abft+ft2", -1, 0x6a667b3980905c9a},
+		{"gptj-6b-sim", "abft+ft2", 9, 0x9d2d896d0af67d9d},
+		{"gptj-6b-sim", "abft+ft2", 14, 0x94ea0d62cfd4145a},
+		{"gptj-6b-sim", "dmr", -1, 0x7bac20d9177d58d7},
+		{"gptj-6b-sim", "dmr", 9, 0x883e5af50e609de5},
+		{"gptj-6b-sim", "dmr", 14, 0x883e5af50e609de5},
+		{"gptj-6b-sim", "mixed", -1, 0x9cdb876c4916e70e},
+		{"gptj-6b-sim", "mixed", 9, 0x16d6a7d316c7d905},
+		{"gptj-6b-sim", "mixed", 14, 0xc976dd1b16c2b85f},
+		{"llama2-7b-sim", "abft+ft2", -1, 0x670f1ca94c86387e},
+		{"llama2-7b-sim", "abft+ft2", 9, 0xfbec3cafb5694071},
+		{"llama2-7b-sim", "abft+ft2", 14, 0x6479750c10d2513e},
+		{"llama2-7b-sim", "dmr", -1, 0xdee0937db0162f9f},
+		{"llama2-7b-sim", "dmr", 9, 0x645fc3c75207c205},
+		{"llama2-7b-sim", "dmr", 14, 0x645fc3c75207c205},
+		{"llama2-7b-sim", "mixed", -1, 0x2a732868c2ceda17},
+		{"llama2-7b-sim", "mixed", 9, 0x330f05342c431424},
+		{"llama2-7b-sim", "mixed", 14, 0x90edadc89d1c30c5},
+	}
+	for _, c := range cases {
+		cfg, err := model.ConfigByName(c.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := model.MustNew(cfg, 42, numerics.FP16)
+		var injs []*fault.Injector
+		if c.bit >= 0 {
+			kinds := cfg.Family.LayerKinds()
+			for _, site := range []fault.Site{
+				{Step: 0, Layer: model.LayerRef{Block: 0, Kind: kinds[len(kinds)-1]}, Elem: 2, Bits: []int{c.bit}},
+				{Step: 3, Layer: model.LayerRef{Block: 1, Kind: model.VProj}, Elem: 5, Bits: []int{c.bit}},
+			} {
+				inj := fault.NewInjector(site, numerics.FP16)
+				m.RegisterHook(inj.Hook())
+				injs = append(injs, inj)
+			}
+		}
+		ctl := core.NewHybrid(m, core.Defaults(), goldenPolicies[c.policy](cfg.Family), nil)
+		ctl.Reset()
+		ctl.Install()
+
+		h := fnv.New64a()
+		var b [8]byte
+		put := func(v int) {
+			binary.LittleEndian.PutUint64(b[:], uint64(v))
+			h.Write(b[:])
+		}
+		tok := m.Prefill(prompt)
+		put(tok)
+		for s := 1; s < gen; s++ {
+			tok = m.DecodeStep(tok)
+			put(tok)
+		}
+		put(ctl.Stats().OutOfBound)
+		put(ctl.Stats().NaN)
+		put(ctl.FirstTokenNaNCount())
+		for _, st := range ctl.StatsByKind() {
+			put(st.OutOfBound)
+			put(st.NaN)
+		}
+		exact := ctl.DrainCounts()
+		put(int(exact.ABFT.Detected))
+		put(int(exact.ABFT.Corrected))
+		put(int(exact.ABFT.Uncorrectable))
+		put(int(exact.DMRFixed))
+		fork := ctl.CaptureForkState()
+		h.Write(core.AppendForkState(nil, &fork))
+		for _, v := range m.ReadoutLogits() {
+			put(int(math.Float32bits(v)))
+		}
+		for _, inj := range injs {
+			if !inj.Fired {
+				t.Errorf("%s %s bit %d: planned fault %v never fired", c.model, c.policy, c.bit, inj.Site)
+			}
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s %s bit %d: digest %#016x, recorded %#016x (exact tiers %+v)", c.model, c.policy, c.bit, got, c.want, exact)
 		}
 	}
 }

@@ -163,17 +163,6 @@ func (s *Store) Clone() *Store {
 	return out
 }
 
-// Scaled returns a copy of the store with every bound scaled by factor.
-func (s *Store) Scaled(factor float32) *Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := NewStore()
-	for k, b := range s.m {
-		out.m[k] = b.Scale(factor)
-	}
-	return out
-}
-
 // MemoryBytes reports the storage footprint of the bounds when held in the
 // model's dtype (2 values per protected layer), the paper's Section 5.2.2
 // memory-overhead accounting.
@@ -214,26 +203,9 @@ func (s *Store) SortedEntries() []Entry {
 
 // String renders the store contents sorted by site for stable output.
 func (s *Store) String() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]SiteKey, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Layer.Block != b.Layer.Block {
-			return a.Layer.Block < b.Layer.Block
-		}
-		if a.Layer.Kind != b.Layer.Kind {
-			return a.Layer.Kind < b.Layer.Kind
-		}
-		return a.Site < b.Site
-	})
 	var sb strings.Builder
-	for _, k := range keys {
-		b := s.m[k]
-		fmt.Fprintf(&sb, "%s/%s: [%g, %g]\n", k.Layer, k.Site, b.Lo, b.Hi)
+	for _, e := range s.SortedEntries() {
+		fmt.Fprintf(&sb, "%s/%s: [%g, %g]\n", e.Key.Layer, e.Key.Site, e.Bounds.Lo, e.Bounds.Hi)
 	}
 	return sb.String()
 }

@@ -19,10 +19,8 @@ import (
 // detected and corrected, regardless of magnitude — at roughly 2× the
 // compute of the covered layers.
 type DMR struct {
-	m *model.Model
-	// Covered selects the layer kinds to duplicate; nil means every linear
-	// layer.
-	Covered map[model.LayerKind]bool
+	m       *model.Model
+	covered [model.NumLayerKinds]bool
 	// Detected counts mismatching values corrected so far.
 	Detected int
 	// scratch receives every redundant execution; it is resized per layer by
@@ -36,22 +34,21 @@ type DMR struct {
 // restricts coverage; pass nothing to duplicate every linear layer.
 func NewDMR(m *model.Model, kinds ...model.LayerKind) *DMR {
 	d := &DMR{m: m, scratch: tensor.New(1, 1)}
-	if len(kinds) > 0 {
-		d.Covered = make(map[model.LayerKind]bool, len(kinds))
-		for _, k := range kinds {
-			d.Covered[k] = true
-		}
+	if len(kinds) == 0 {
+		kinds = model.AllLayerKinds
+	}
+	for _, k := range kinds {
+		d.covered[k] = true
 	}
 	return d
 }
 
-// Hook returns the forward hook performing the redundant execution.
+// Hook returns the forward hook performing the redundant execution: the one
+// recompute-and-replace-differing-elements routine (the ABFT checker's repair
+// step calls it too).
 func (d *DMR) Hook() model.Hook {
 	return func(ctx model.HookCtx, out *tensor.Tensor) {
-		if ctx.Site != model.SiteLinearOut || ctx.Input == nil {
-			return
-		}
-		if d.Covered != nil && !d.Covered[ctx.Layer.Kind] {
+		if ctx.Site != model.SiteLinearOut || ctx.Input == nil || !d.covered[ctx.Layer.Kind] {
 			return
 		}
 		clean := d.m.RecomputeLinearInto(d.scratch, ctx.Layer, ctx.Input)

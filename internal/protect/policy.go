@@ -91,6 +91,34 @@ func (p *Policy) Kinds(tiers ...Tier) []model.LayerKind {
 	return out
 }
 
+// Compile resolves the policy against a model family into the per-layer-kind
+// tier table the protection controller indexes on every hook call. A policy
+// that mentions a kind the family does not have (an OPT-derived policy loaded
+// for a Llama model) is an error naming that kind: its entries would never
+// fire while the family's own kinds stayed at TierNone, silently serving
+// "protected" requests unprotected.
+func (p *Policy) Compile(family model.Family) ([model.NumLayerKinds]Tier, error) {
+	var table [model.NumLayerKinds]Tier
+	if p == nil {
+		return table, nil
+	}
+	var present [model.NumLayerKinds]bool
+	for _, k := range family.LayerKinds() {
+		present[k] = true
+	}
+	for _, k := range model.AllLayerKinds {
+		t, ok := p.Tiers[k]
+		if !ok {
+			continue
+		}
+		if !present[k] {
+			return table, fmt.Errorf("protect: policy assigns %s=%s but the %s family has no %s layer", k, t, family, k)
+		}
+		table[k] = t
+	}
+	return table, nil
+}
+
 // String renders the policy compactly for logs: "K_PROJ=none V_PROJ=ft2 …"
 // over the kinds it mentions, sorted.
 func (p *Policy) String() string {

@@ -2,6 +2,7 @@ package protect
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -106,4 +107,70 @@ func TestDerivePolicy(t *testing.T) {
 	if _, ok := p.Tiers[model.FC1]; ok {
 		t.Error("FC1 is not a Llama kind and must not be assigned")
 	}
+}
+
+func TestPolicyCompile(t *testing.T) {
+	p := &Policy{Tiers: map[model.LayerKind]Tier{
+		model.VProj: TierFT2, model.GateProj: TierNone, model.DownProj: TierABFTFT2,
+	}}
+	table, err := p.Compile(model.FamilyLlama)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range model.AllLayerKinds {
+		if table[k] != p.Tier(k) {
+			t.Errorf("table[%v] = %v, want %v", k, table[k], p.Tier(k))
+		}
+	}
+	// Any mention of a kind the family lacks — even at tier none — marks a
+	// policy derived for a different family.
+	for _, family := range []model.Family{model.FamilyOPT, model.FamilyGPTJ} {
+		if _, err := p.Compile(family); err == nil || !strings.Contains(err.Error(), "GATE_PROJ") {
+			t.Errorf("%v: err = %v, want one naming GATE_PROJ", family, err)
+		}
+	}
+	if table, err := (*Policy)(nil).Compile(model.FamilyOPT); err != nil || table != [model.NumLayerKinds]Tier{} {
+		t.Errorf("nil policy compiled to %v, %v", table, err)
+	}
+}
+
+// FuzzLoadPolicy: arbitrary bytes never panic the policy reader; a policy
+// that loads round-trips SavePolicy → LoadPolicy to an equal value and
+// compiles or errors — never panics — against every family.
+func FuzzLoadPolicy(f *testing.F) {
+	f.Add([]byte(`{"version":1,"entries":[{"kind":"V_PROJ","tier":"abft+ft2"},{"kind":"FC1","tier":"none"}]}`))
+	f.Add([]byte(`{"version":1,"entries":[{"kind":"DOWN_PROJ","tier":"dmr","profile":{"unprotected_sdc":0.3,"ft2_sdc":0.01,"trials":200}}]}`))
+	f.Add([]byte(`{"version":1,"entries":[{"kind":"V_PROJ","tier":"ft2"},{"kind":"V_PROJ","tier":"abft"}]}`))
+	f.Add([]byte(`{"version":2,"entries":[]}`))
+	f.Add([]byte(`{"version":1,"entries":[{"kind":"V_PROJ","tier":7}]}`))
+	f.Add([]byte(`{"version":1,"entries":null}`))
+	f.Add([]byte(`[`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := LoadPolicy(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := SavePolicy(&buf, p, nil); err != nil {
+			t.Fatalf("SavePolicy of a loaded policy: %v", err)
+		}
+		q, err := LoadPolicy(&buf)
+		if err != nil {
+			t.Fatalf("reloading a saved policy: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip changed the policy: %v -> %v", p, q)
+		}
+		for _, family := range []model.Family{model.FamilyOPT, model.FamilyGPTJ, model.FamilyLlama} {
+			table, err := p.Compile(family)
+			if err != nil {
+				continue
+			}
+			for k, tier := range table {
+				if tier != p.Tier(model.LayerKind(k)) {
+					t.Fatalf("%v: table[%v] = %v, policy says %v", family, model.LayerKind(k), tier, p.Tier(model.LayerKind(k)))
+				}
+			}
+		}
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ft2/internal/arch"
 	"ft2/internal/model"
 	"ft2/internal/numerics"
 	"ft2/internal/tensor"
@@ -118,21 +117,6 @@ func TestStoreMemoryBytes(t *testing.T) {
 	}
 	if got := s.MemoryBytes(numerics.FP32); got != 576 {
 		t.Errorf("MemoryBytes FP32 = %d, want 576", got)
-	}
-}
-
-func TestStoreScaledCopies(t *testing.T) {
-	s := NewStore()
-	k := SiteKey{Layer: model.LayerRef{Block: 0, Kind: model.FC2}}
-	s.Set(k, Bounds{-1, 1})
-	sc := s.Scaled(2)
-	b, _ := sc.Get(k)
-	if b != (Bounds{-2, 2}) {
-		t.Errorf("Scaled = %v", b)
-	}
-	orig, _ := s.Get(k)
-	if orig != (Bounds{-1, 1}) {
-		t.Error("Scaled must not mutate the source store")
 	}
 }
 
@@ -274,76 +258,6 @@ func TestOfflineProfileMoreDataWidens(t *testing.T) {
 	bb, _ := big.Get(k)
 	if bb.Lo > bs.Lo || bb.Hi < bs.Hi {
 		t.Errorf("larger corpus must widen bounds: small=%v big=%v", bs, bb)
-	}
-}
-
-func TestProtectorForMethodConfig(t *testing.T) {
-	store := NewStore()
-	p := ForMethod(arch.MethodFT2Offline, model.FamilyOPT, store)
-	if p.Mode != ClipToBound || !p.CorrectNaN {
-		t.Error("FT2-offline protector misconfigured")
-	}
-	r := ForMethod(arch.MethodRanger, model.FamilyOPT, store)
-	if r.Mode != ClipToBound || r.CorrectNaN {
-		t.Error("Ranger protector misconfigured")
-	}
-	// MaxiMals applies its own 1.25x bound scaling.
-	store.Set(SiteKey{Layer: model.LayerRef{Block: 0, Kind: model.OutProj}, Site: model.SiteLinearOut}, Bounds{-4, 4})
-	mm := ForMethod(arch.MethodMaxiMals, model.FamilyOPT, store)
-	if b, ok := mm.BoundsFor(SiteKey{Layer: model.LayerRef{Block: 0, Kind: model.OutProj}, Site: model.SiteLinearOut}); !ok || b != (Bounds{-5, 5}) {
-		t.Errorf("MaxiMals bounds not scaled: %v %v", b, ok)
-	}
-}
-
-func TestProtectorCorrectsInjectedValue(t *testing.T) {
-	m := testModel(t)
-	store := OfflineProfile(m, [][]int{{4, 5, 6, 7}}, 6)
-	prompt := []int{4, 5, 6, 7}
-	clean := m.Generate(prompt, 8)
-
-	// Inject a huge value into a critical layer at step 2.
-	m.RegisterHook(func(ctx model.HookCtx, out *tensor.Tensor) {
-		if ctx.Layer == (model.LayerRef{Block: 1, Kind: model.FC2}) && ctx.Step == 2 && ctx.Site == model.SiteLinearOut {
-			out.Data[0] = 60000
-		}
-	})
-	corrupted := m.Generate(prompt, 8)
-
-	// Now add FT2-offline protection after the injector.
-	p := ForMethod(arch.MethodFT2Offline, m.Cfg.Family, store.Scaled(2))
-	m.RegisterHook(p.Hook())
-	protected := m.Generate(prompt, 8)
-	m.ClearHooks()
-
-	diff := func(a, b []int) bool {
-		for i := range a {
-			if a[i] != b[i] {
-				return true
-			}
-		}
-		return false
-	}
-	if !diff(clean, corrupted) {
-		t.Skip("injected fault was masked without protection on this seed")
-	}
-	if diff(clean, protected) {
-		t.Errorf("protection failed to mask the fault: clean=%v protected=%v", clean, protected)
-	}
-	if p.Stats.OutOfBound == 0 {
-		t.Error("protector should have detected the out-of-bound value")
-	}
-}
-
-func TestProtectedSitesEnumeration(t *testing.T) {
-	m := testModel(t)
-	p := ForMethod(arch.MethodFT2, m.Cfg.Family, NewStore())
-	sites := p.ProtectedSites(m.Cfg)
-	if len(sites) != m.Cfg.Blocks*3 { // OPT: V, OUT, FC2 per block
-		t.Errorf("FT2 protects %d sites on OPT, want %d", len(sites), m.Cfg.Blocks*3)
-	}
-	r := ForMethod(arch.MethodRanger, m.Cfg.Family, NewStore())
-	if got := len(r.ProtectedSites(m.Cfg)); got != m.Cfg.Blocks {
-		t.Errorf("Ranger protects %d sites, want %d", got, m.Cfg.Blocks)
 	}
 }
 

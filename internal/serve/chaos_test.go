@@ -66,6 +66,19 @@ func TestServedWithPolicyMatchesOracle(t *testing.T) {
 	}
 }
 
+// A policy derived for another model family (OPT's FC1/FC2 on a Llama-family
+// model) would leave the family's own MLP kinds unprotected while serving
+// "protected" requests: the server must refuse to start, naming the kind.
+func TestPolicyForWrongFamilyRejected(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.ProtectPolicy = &protect.Policy{Tiers: map[model.LayerKind]protect.Tier{
+		model.VProj: protect.TierFT2, model.FC1: protect.TierFT2, model.FC2: protect.TierABFTFT2,
+	}}
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "FC1") {
+		t.Fatalf("New with an OPT-derived policy on %s: err = %v, want one naming FC1", cfg.Model, err)
+	}
+}
+
 // TestChaosControlSessionsBitIdentical is the blast-radius contract — and,
 // under -race, the chaos/decode synchronization witness: batched sessions
 // decode while the chaos engine mutates weights and KV slabs at slice
@@ -189,6 +202,21 @@ func TestChaosMetricsEndpoint(t *testing.T) {
 	srv := newTestServer(t, cfg)
 	prompts := testPrompts(t, 3)
 
+	// The policy has abft and dmr tiers, so their series exist — as zeros —
+	// before the first detection, not from it.
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{
+		"ft2serve_abft_total{type=\"detected\"} 0\n",
+		"ft2serve_abft_total{type=\"corrected\"} 0\n",
+		"ft2serve_abft_total{type=\"uncorrectable\"} 0\n",
+		"ft2serve_dmr_corrections_total 0\n",
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("idle metrics missing %q", want)
+		}
+	}
+
 	st := srv.RunLoad(context.Background(), LoadSpec{
 		Clients: 4, Requests: 6, MaxTokens: 8,
 		Protected: true, PromptFor: prompts,
@@ -198,10 +226,12 @@ func TestChaosMetricsEndpoint(t *testing.T) {
 		t.Fatalf("%d requests failed: %v", st.Failed, st.Errs)
 	}
 
-	rec := httptest.NewRecorder()
+	rec = httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
+		"ft2serve_abft_total{type=\"detected\"}",
+		"ft2serve_dmr_corrections_total",
 		"ft2serve_chaos_injected_total{target=\"activation\"}",
 		"ft2serve_chaos_injected_total{target=\"weight\"}",
 		"ft2serve_chaos_injected_total{target=\"kv\"}",

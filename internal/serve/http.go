@@ -10,6 +10,7 @@ import (
 	"ft2/internal/data"
 	"ft2/internal/model"
 	"ft2/internal/prefixcache"
+	"ft2/internal/protect"
 	"ft2/internal/wire"
 )
 
@@ -39,6 +40,8 @@ func New(c Config) (*Server, error) {
 		}
 	}
 	mx := newMetrics()
+	mx.abftTier = len(cfg.ProtectPolicy.Kinds(protect.TierABFT, protect.TierABFTFT2)) > 0
+	mx.dmrTier = len(cfg.ProtectPolicy.Kinds(protect.TierDMR)) > 0
 	return &Server{cfg: cfg, sch: newScheduler(cfg, pool, mx, eng), mx: mx}, nil
 }
 

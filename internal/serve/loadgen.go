@@ -142,17 +142,10 @@ func Oracle(cfg Config, prompt []int, maxTokens int, protected bool) ([]int, Cor
 	if !protected {
 		return m.Generate(prompt, maxTokens), Corrections{}, nil
 	}
-	// The oracle must run the exact protection the server applies: the
-	// policy-dispatching hybrid when a policy is loaded, plain FT2 otherwise.
-	var f controller
-	if cfg.ProtectPolicy != nil {
-		f = core.NewHybrid(m, cfg.FT2Opts, cfg.ProtectPolicy, nil)
-	} else {
-		f = core.New(m, cfg.FT2Opts)
-	}
-	m.RegisterHook(f.Hook())
-	f.Reset()
-	out := m.Generate(prompt, maxTokens)
+	// The oracle runs the exact protection the server applies.
+	f := core.NewHybrid(m, cfg.FT2Opts, cfg.ProtectPolicy, nil)
+	f.Install()
+	out := f.Generate(prompt, maxTokens)
 	corr := correctionsReport(f.Stats(), f.FirstTokenNaNCount(), f.StatsByKind())
 	return out, corr, nil
 }

@@ -42,18 +42,20 @@ type metrics struct {
 	statusMu sync.Mutex
 	status   map[int]int64 // HTTP status → requests settled with it
 
-	corrMu        sync.Mutex
-	corrByKind    [model.NumLayerKinds]KindCorrections
-	firstTokenNaN int64
+	// Protection counters: the clamp's, added when a session settles, and
+	// the exact-repair stages', drained per slice. abftTier/dmrTier record
+	// whether the loaded policy has such a tier: its series are exported from
+	// the first scrape on (as zeros) and never otherwise.
+	corrMu            sync.Mutex
+	corrByKind        [model.NumLayerKinds]KindCorrections
+	firstTokenNaN     int64
+	exact             core.ExactCounts
+	abftTier, dmrTier bool
 
-	// Chaos / adaptive-protection telemetry: replica rebuilds (panic or
-	// confirmed weight corruption), sessions a chaos fault targeted, and the
-	// exact-correction tiers' counters drained per slice from the hybrid
-	// controllers.
+	// Chaos telemetry: replica rebuilds (panic or confirmed weight
+	// corruption) and sessions a chaos fault targeted.
 	rebuilds   atomic.Int64
 	sdcSuspect atomic.Int64
-	hybridMu   sync.Mutex
-	hybrid     core.HybridCounts
 
 	// Cluster / durability telemetry: migration checkpoints captured for
 	// /v1/sessions/export, sessions adopted via /v1/sessions/import, and the
@@ -88,13 +90,11 @@ func (m *metrics) incStatus(code int) {
 	m.statusMu.Unlock()
 }
 
-func (m *metrics) addHybrid(c core.HybridCounts) {
-	m.hybridMu.Lock()
-	m.hybrid.ABFT.Detected += c.ABFT.Detected
-	m.hybrid.ABFT.Corrected += c.ABFT.Corrected
-	m.hybrid.ABFT.Uncorrectable += c.ABFT.Uncorrectable
-	m.hybrid.DMRFixed += c.DMRFixed
-	m.hybridMu.Unlock()
+func (m *metrics) addExact(c core.ExactCounts) {
+	m.corrMu.Lock()
+	m.exact.ABFT.Add(c.ABFT)
+	m.exact.DMRFixed += c.DMRFixed
+	m.corrMu.Unlock()
 }
 
 // addCorrections accumulates a settled session's correction counters minus
@@ -227,17 +227,15 @@ func (m *metrics) render(w io.Writer, modelName string, replicas, maxSessions, b
 		}
 	}
 	fmt.Fprintf(w, "ft2serve_ft2_first_token_nan_total %d\n", m.firstTokenNaN)
-	m.corrMu.Unlock()
-
-	m.hybridMu.Lock()
-	hy := m.hybrid
-	m.hybridMu.Unlock()
-	if hy != (core.HybridCounts{}) {
-		fmt.Fprintf(w, "ft2serve_abft_total{type=\"detected\"} %d\n", hy.ABFT.Detected)
-		fmt.Fprintf(w, "ft2serve_abft_total{type=\"corrected\"} %d\n", hy.ABFT.Corrected)
-		fmt.Fprintf(w, "ft2serve_abft_total{type=\"uncorrectable\"} %d\n", hy.ABFT.Uncorrectable)
-		fmt.Fprintf(w, "ft2serve_dmr_corrections_total %d\n", hy.DMRFixed)
+	if m.abftTier {
+		fmt.Fprintf(w, "ft2serve_abft_total{type=\"detected\"} %d\n", m.exact.ABFT.Detected)
+		fmt.Fprintf(w, "ft2serve_abft_total{type=\"corrected\"} %d\n", m.exact.ABFT.Corrected)
+		fmt.Fprintf(w, "ft2serve_abft_total{type=\"uncorrectable\"} %d\n", m.exact.ABFT.Uncorrectable)
 	}
+	if m.dmrTier {
+		fmt.Fprintf(w, "ft2serve_dmr_corrections_total %d\n", m.exact.DMRFixed)
+	}
+	m.corrMu.Unlock()
 	fmt.Fprintf(w, "ft2serve_prefill_chunks_total %d\n", m.prefillChunks.Load())
 	fmt.Fprintf(w, "ft2serve_prefill_tokens_total %d\n", m.prefillTokens.Load())
 	fmt.Fprintf(w, "ft2serve_prompt_tokens_total %d\n", m.promptTokens.Load())

@@ -8,21 +8,6 @@ import (
 	"ft2/internal/protect"
 )
 
-// controller abstracts the per-slot protection controller the scheduler
-// drives: plain FT2 when the server runs the architectural coverage, or the
-// policy-dispatching Hybrid when an adaptive protection policy is loaded.
-// Both round-trip per-session state through the same ForkState, so sessions
-// migrate between replicas identically either way.
-type controller interface {
-	Hook() model.Hook
-	Reset()
-	ResumeFork(core.ForkState)
-	CaptureForkState() core.ForkState
-	Stats() protect.CorrectionStats
-	StatsByKind() [model.NumLayerKinds]protect.CorrectionStats
-	FirstTokenNaNCount() int
-}
-
 // replica is one model instance plus its per-batch-slot protection
 // controllers. A replica is owned by exactly one scheduler worker; sessions
 // borrow it for a slice at a time as items of its ForwardBatch calls.
@@ -47,20 +32,15 @@ type replica struct {
 	// assembling a slice's hook lists allocates nothing. Every controller
 	// resumes the session's own fork state at slice start, so counters stay
 	// per-session even though the controllers are replica-owned.
-	ctls    []controller
+	ctls    []*core.FT2
 	hookFns []model.Hook
 }
 
 // controller returns the slot's protection controller, growing the set on
 // demand.
-func (r *replica) controller(slot int) controller {
+func (r *replica) controller(slot int) *core.FT2 {
 	for len(r.ctls) <= slot {
-		var c controller
-		if r.policy != nil {
-			c = core.NewHybrid(r.m, r.opts, r.policy, r.refs)
-		} else {
-			c = core.New(r.m, r.opts)
-		}
+		c := core.NewHybrid(r.m, r.opts, r.policy, r.refs)
 		r.ctls = append(r.ctls, c)
 		r.hookFns = append(r.hookFns, c.Hook())
 	}

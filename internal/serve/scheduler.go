@@ -162,7 +162,7 @@ type group struct {
 	pending  []*Session // gathered from the ready ring
 	sessions []*Session // after admit/weed; nil = settled mid-slice
 	rem      []int      // steps left this slice (chunk or token), parallel to sessions
-	ctls     []controller
+	ctls     []*core.FT2
 	// hooks[i] is session i's BatchItem.Hooks for this slice, assembled once
 	// per slice in the campaign runner's order: chaos injectors first (they
 	// corrupt the raw output), the protection controller last (it sees the
@@ -274,7 +274,7 @@ func (sch *scheduler) runSlice(r *replica, g *group, first *Session) *replica {
 	// its hooks observe into it and the first chunk boundary captures it onto
 	// the session.
 	for i, s := range g.sessions {
-		var f controller
+		var f *core.FT2
 		if s.req.Protected {
 			f = r.controller(i)
 			if s.ftState.Bounds != nil {
@@ -375,16 +375,24 @@ func (sch *scheduler) applyChaos(r *replica, g *group) {
 }
 
 // postSlice is the detection-and-recovery boundary run after every slice on
-// the owning worker: hybrid controllers drain their exact-correction
-// counters, and a replica under persistent-corruption suspicion — chaos
+// the owning worker: the controllers' exact-repair counters drain into the
+// server metrics, and a replica under persistent-corruption suspicion — chaos
 // marked it tainted, or the ABFT tier recomputed a mismatch that would not
 // repair (the signature of corrupted weights rather than a transient flip)
 // — is scrubbed against its build-time weight checksum and rebuilt from
 // seed when the scrub confirms. Sessions own their KV and fork state, so
 // they survive the rebuild untouched.
 func (sch *scheduler) postSlice(r *replica) *replica {
-	counts := sch.drainHybrid(r)
-	suspicion := r.tainted || counts.ABFT.Uncorrectable > 0
+	var exact core.ExactCounts
+	for _, c := range r.ctls {
+		d := c.DrainCounts()
+		exact.ABFT.Add(d.ABFT)
+		exact.DMRFixed += d.DMRFixed
+	}
+	if exact != (core.ExactCounts{}) {
+		sch.mx.addExact(exact)
+	}
+	suspicion := r.tainted || exact.ABFT.Uncorrectable > 0
 	r.tainted = false
 	if !suspicion {
 		return r
@@ -400,28 +408,6 @@ func (sch *scheduler) postSlice(r *replica) *replica {
 		sch.chaos.Record(chaos.Event{Kind: chaos.EvRebuild, Replica: nr.slot})
 	}
 	return nr
-}
-
-// drainHybrid collects the exact-correction telemetry from every hybrid
-// controller of the replica into the server metrics, returning the totals
-// for suspicion checks. FT2-only controllers have nothing to drain.
-func (sch *scheduler) drainHybrid(r *replica) core.HybridCounts {
-	var total core.HybridCounts
-	for _, c := range r.ctls {
-		h, ok := c.(*core.Hybrid)
-		if !ok {
-			continue
-		}
-		d := h.DrainCounts()
-		total.ABFT.Detected += d.ABFT.Detected
-		total.ABFT.Corrected += d.ABFT.Corrected
-		total.ABFT.Uncorrectable += d.ABFT.Uncorrectable
-		total.DMRFixed += d.DMRFixed
-	}
-	if total != (core.HybridCounts{}) {
-		sch.mx.addHybrid(total)
-	}
-	return total
 }
 
 // openPrefill runs a session's serial admission bookkeeping on its first

@@ -82,9 +82,10 @@ type Config struct {
 	// (zero value: core.Defaults()).
 	FT2Opts core.Options
 	// ProtectPolicy, when set, replaces the architectural FT2 coverage with
-	// an adaptive per-layer-kind tier policy: protected requests run under a
-	// core.Hybrid dispatching each layer kind to the tier the policy assigns
-	// (none / ft2 / abft / dmr / abft+ft2). Nil keeps plain FT2.
+	// an adaptive per-layer-kind tier policy: the protection controller runs
+	// each layer kind through the tier the policy assigns (none / ft2 / abft
+	// / dmr / abft+ft2). Nil keeps plain FT2. A policy naming a layer kind
+	// the model's family lacks is a configuration error.
 	ProtectPolicy *protect.Policy
 	// Chaos enables online chaos engineering: a seeded deterministic fault
 	// stream injected into live sessions that opted in (Request.Chaos) at
@@ -182,6 +183,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if (c.FT2Opts == core.Options{}) {
 		c.FT2Opts = core.Defaults()
+	}
+	if _, err := c.ProtectPolicy.Compile(c.ModelCfg.Family); err != nil {
+		return c, fmt.Errorf("serve: %w", err)
 	}
 	if c.PrefixCacheMB < 0 {
 		c.PrefixCacheMB = 0

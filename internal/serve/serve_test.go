@@ -439,6 +439,12 @@ func TestHTTPEndpoints(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, buf.String())
 		}
 	}
+	// No policy loaded, so no exact-repair tier: its series must not exist.
+	for _, absent := range []string{"ft2serve_abft_total", "ft2serve_dmr_corrections_total"} {
+		if strings.Contains(buf.String(), absent) {
+			t.Fatalf("metrics export %q without an abft/dmr tier", absent)
+		}
+	}
 
 	// Drain flips healthz to 503.
 	srv.BeginDrain()

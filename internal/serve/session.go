@@ -128,7 +128,7 @@ func (s *Session) finishedAfter(tok int) bool {
 
 // syncFT2 captures the controller's correction counters into the session's
 // fork state so they survive the slice (the bounds pointer is already ours).
-func (s *Session) syncFT2(f controller) {
+func (s *Session) syncFT2(f *core.FT2) {
 	if !s.req.Protected || !s.started {
 		return
 	}
