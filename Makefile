@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-mp bench bench-check loc bench-json perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke ci
+.PHONY: build test vet race race-mp bench bench-check loc perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke ci
 
 build:
 	$(GO) build ./...
@@ -35,20 +35,23 @@ bench:
 bench-check:
 	cd bench && export GOFLAGS=-mod=mod GOWORK=off && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
 
-# Non-test Go line counts of the engine packages (ROADMAP aim 2: the count
-# goes down).
+# Non-test Go line counts of the engine packages and their total, then of
+# the experiment drivers and their CLI (ROADMAP aim 2: the counts go down;
+# cmd/ft2bench stays ≤ 600).
 loc:
 	@total=0; for p in model tensor serve core protect abft chaos campaign; do \
 		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); total=$$((total + n)); \
 		printf '%-8s %s\n' $$p $$n; \
-	done; printf '%-8s %s\n' total $$total
+	done; printf '%-8s %s\n' total $$total; \
+	for d in internal/experiments cmd/ft2bench; do \
+		printf '%s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
+	done
 
-bench-json:
-	$(GO) run ./cmd/ft2bench -bench-json BENCH_decode.json
-
-# Performance guard: with the calibrated kernel cost model, P=4
-# single-session decode must not lose to P=1 on any model family and decode
-# must stay allocation-free. Fails the build on regression.
+# Performance guard: three kinds of paired gate, each printed as median ±
+# spread of the per-pair speedups — with the calibrated kernel cost model P=4
+# single-session decode must not lose to P=1 on any model family, warm
+# shared-prefix serving must beat cold, and fused serving must beat serial
+# generation by 1.35×. Fails the build on regression.
 perfguard:
 	$(GO) run ./cmd/ft2bench -perfguard
 

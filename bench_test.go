@@ -66,6 +66,7 @@ func BenchmarkFig16(b *testing.B)  { runDriver(b, "fig16") }
 
 func BenchmarkAblationClipMode(b *testing.B) { runDriver(b, "ablation-clip") }
 func BenchmarkExtensionDMR(b *testing.B)     { runDriver(b, "ext-dmr") }
+func BenchmarkExtensionPareto(b *testing.B)  { runDriver(b, "ext-pareto") }
 func BenchmarkAblationCoverage(b *testing.B) { runDriver(b, "ablation-coverage") }
 
 // Micro-benchmarks of the protection itself: protected vs unprotected
@@ -94,7 +95,8 @@ func BenchmarkGenerateUnprotected(b *testing.B) {
 // BenchmarkCampaignTrial measures end-to-end campaign throughput with
 // golden-checkpoint forking on (the default) and off, on the llama2 family
 // at the paper's 60-token generation length. The trials/s ratio between the
-// two sub-benchmarks is the forking speedup reported in BENCH_decode.json.
+// two sub-benchmarks is the forking speedup; the gated figure is
+// campaign.fork_speedup of `bash bench/run.sh --workload engine_decode --trace 1`.
 func BenchmarkCampaignTrial(b *testing.B) {
 	cfg, err := ft2.ModelByName("llama2-7b-sim")
 	if err != nil {

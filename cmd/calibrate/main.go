@@ -2,7 +2,7 @@
 // simulation constants (logit scale, weight stds, trial counts) so the
 // reproduction's SDC-rate shapes track the paper, and — with -kernels —
 // measuring the tensor kernel cost model on this host and writing it to a
-// JSON file that ft2bench/ft2serve load via -kernel-cal instead of
+// JSON file that ft2serve loads via -kernel-cal instead of
 // re-measuring at startup.
 package main
 

@@ -1,10 +1,13 @@
-// Command ft2bench regenerates the tables and figures of the FT2 paper's
-// evaluation section on the Go reproduction. Each experiment is addressed
-// by its paper id:
+// Command ft2bench is the paper experiments plus the CI perf gates: it
+// regenerates the tables and figures of the FT2 paper's evaluation section
+// on the Go reproduction, each addressed by its paper id, and runs the
+// paired performance gates CI fails on. Throughput and overhead numbers come
+// from the repository benchmark (bench/run.sh), not from here.
 //
 //	ft2bench -exp fig13                # the main comparison
 //	ft2bench -exp all -out results/    # everything, one .txt + .csv per id
 //	ft2bench -list                     # what exists
+//	ft2bench -perfguard                # the CI gates, median ± spread each
 //
 // Sizes default to the Default() parameters; -trials/-inputs/-profile
 // override them (the paper's own scale is 50 inputs × 500 trials per cell).
@@ -21,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"ft2/internal/cliutil"
@@ -39,53 +41,17 @@ func main() {
 	profile := flag.Int("profile", 0, "override profiling-split size")
 	seed := flag.Int64("seed", 42, "base seed")
 	quick := flag.Bool("quick", false, "use the quick (smoke-test) sizes")
-	benchJSON := flag.String("bench-json", "", "measure decode and campaign throughput, write the JSON report to this path, and exit")
-	benchSections := flag.String("sections", "", "with -bench-json: recompute only these comma-separated sections (serve, cluster, chaos, prefix) of an existing report")
-	perfguard := flag.Bool("perfguard", false, "run the CI performance guard (P=4 decode must not lose to P=1; decode must not allocate) and exit")
-	kernelCal := flag.String("kernel-cal", "", "kernel cost-model calibration file (cmd/calibrate -kernels); empty = micro-calibrate at startup of bench modes")
+	perfguard := flag.Bool("perfguard", false, "run the CI performance gates (P=4 decode vs P=1, warm vs cold prefix serving, fused vs serial serving) and exit")
 	cf := cliutil.RegisterCampaign(flag.CommandLine)
 	flag.Parse()
 
-	loadKernelCal := func() {
-		if *kernelCal != "" {
-			if err := tensor.LoadCalibration(*kernelCal); err != nil {
-				fmt.Fprintf(os.Stderr, "ft2bench: %v\n", err)
-				os.Exit(2)
-			}
-			return
-		}
-		tensor.AutoCalibrate()
-	}
-
 	if *perfguard {
-		loadKernelCal()
+		tensor.AutoCalibrate()
 		if err := runPerfGuard(*seed); err != nil {
 			fmt.Fprintf(os.Stderr, "ft2bench: perfguard FAILED: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Println("ft2bench: perfguard passed")
-		return
-	}
-
-	if *benchJSON != "" {
-		loadKernelCal()
-		if *benchSections != "" {
-			var secs []string
-			for _, s := range strings.Split(*benchSections, ",") {
-				if s = strings.TrimSpace(s); s != "" {
-					secs = append(secs, s)
-				}
-			}
-			if err := runBenchSections(*benchJSON, *seed, secs); err != nil {
-				fmt.Fprintf(os.Stderr, "ft2bench: bench-json -sections failed: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		}
-		if err := runBenchJSON(*benchJSON, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "ft2bench: bench-json failed: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 

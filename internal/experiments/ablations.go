@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"time"
 
 	"ft2/internal/arch"
 	"ft2/internal/campaign"
@@ -32,51 +31,43 @@ func AblationClipMode(ctx context.Context, p Params) (*report.Table, error) {
 }
 
 // AblationCoverage compares critical-only protection with all-layer
-// protection: reliability and measured overhead (Sec. 4.1's ~2× overhead
-// argument for the naïve configuration).
+// protection: reliability and measured cost (Sec. 4.1's ~2× overhead
+// argument for the naïve configuration). Cost is a paired time ratio — of
+// each coverage over the bare model, and of all-layer over critical-only
+// directly — so the columns can only invert if the code does.
 func AblationCoverage(ctx context.Context, p Params) (*report.Table, error) {
-	t := report.NewTable("Ablation: protection coverage (llama2-7b-sim, squad-sim, EXP faults)",
-		"Coverage", "SDC %", "±95% CI", "Protected layers", "Hook time ms/gen")
-	for _, all := range []bool{false, true} {
-		res, err := cell(ctx, p, "llama2-7b-sim", "squad-sim", numerics.ExponentBit, arch.MethodFT2,
-			func(s *campaign.Spec) { s.FT2Opts.ProtectAllLayers = all })
+	const modelName = "llama2-7b-sim"
+	t := report.NewTable("Ablation: protection coverage (llama2-7b-sim, squad-sim, EXP faults; time ratios paired)",
+		"Coverage", "SDC %", "±95% CI", "Protected layers",
+		"Time vs unprotected", "± spread", "Time vs critical-only", "± spread")
+	cfg, err := model.ConfigByName(modelName)
+	if err != nil {
+		return nil, err
+	}
+	m, err := model.New(cfg, p.Seed, numerics.FP16)
+	if err != nil {
+		return nil, err
+	}
+	ds := data.SquadSim(1)
+	allOpts := core.Defaults()
+	allOpts.ProtectAllLayers = true
+	critical, all := core.New(m, core.Defaults()), core.New(m, allOpts)
+	for _, c := range []struct {
+		label string
+		f     *core.FT2
+	}{{"critical layers only (FT2)", critical}, {"all linear layers", all}} {
+		res, err := cell(ctx, p, modelName, "squad-sim", numerics.ExponentBit, arch.MethodFT2,
+			func(s *campaign.Spec) { s.FT2Opts.ProtectAllLayers = c.f == all })
 		if err != nil {
 			return partialOnCancel(t, err)
 		}
-		label := "critical layers only (FT2)"
-		if all {
-			label = "all linear layers"
+		vsBare := pairGen(p, genSide(m, ds, c.f), genSide(m, ds, nil))
+		vsCritical := Paired{Ratio: 1}
+		if c.f == all {
+			vsCritical = pairGen(p, genSide(m, ds, all), genSide(m, ds, critical))
 		}
-		layers, ms, err := coverageCost(p, all)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(label, res.SDC.Percent(), res.SDC.CI95()*100, layers, ms)
+		t.AddRow(c.label, res.SDC.Percent(), res.SDC.CI95()*100, c.f.ProtectedSiteCount(),
+			vsBare.Ratio, vsBare.Spread, vsCritical.Ratio, vsCritical.Spread)
 	}
 	return t, nil
-}
-
-// coverageCost measures the per-generation wall-clock of FT2's hook with
-// the given coverage.
-func coverageCost(p Params, all bool) (int, float64, error) {
-	cfg, err := model.ConfigByName("llama2-7b-sim")
-	if err != nil {
-		return 0, 0, err
-	}
-	ds := data.SquadSim(1)
-	m, err := model.New(cfg, p.Seed, numerics.FP16)
-	if err != nil {
-		return 0, 0, err
-	}
-	opts := core.Defaults()
-	opts.ProtectAllLayers = all
-	f := core.Attach(m, opts)
-	defer f.Detach()
-	f.Generate(ds.Inputs[0].Prompt, ds.GenTokens) // warm-up
-	reps := 5
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		f.Generate(ds.Inputs[0].Prompt, ds.GenTokens)
-	}
-	return f.ProtectedSiteCount(), time.Since(start).Seconds() * 1000 / float64(reps), nil
 }

@@ -2,9 +2,35 @@ package experiments
 
 import (
 	"context"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+
+	"ft2/internal/model"
+	"ft2/internal/report"
 )
+
+// checkSpreads asserts that every "± spread" column of tb holds a
+// non-negative number in every row.
+func checkSpreads(t *testing.T, tb *report.Table, want int) {
+	t.Helper()
+	cols := 0
+	for c, h := range tb.Headers {
+		if h != "± spread" {
+			continue
+		}
+		cols++
+		for _, row := range tb.Rows {
+			if v, err := strconv.ParseFloat(row[c], 64); err != nil || v < 0 {
+				t.Errorf("%s: spread cell %q of row %q is not a non-negative number", tb.Title, row[c], row[0])
+			}
+		}
+	}
+	if cols != want {
+		t.Errorf("%s: %d spread columns, want %d", tb.Title, cols, want)
+	}
+}
 
 func tiny() Params {
 	return Params{Trials: 12, Inputs: 2, ProfileInputs: 4, Seed: 42}
@@ -14,7 +40,7 @@ func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
 	want := []string{"table1", "table2", "fig2", "fig3", "fig4", "fig6", "fig7",
 		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-		"fig16", "ablation-clip", "ablation-coverage", "ext-dmr"}
+		"fig16", "ablation-clip", "ablation-coverage", "ext-dmr", "ext-pareto"}
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d drivers, want %d", len(reg), len(want))
 	}
@@ -165,6 +191,7 @@ func TestFig14Quick(t *testing.T) {
 	if len(tb.Rows) != 7 {
 		t.Errorf("Fig 14 rows = %d, want 7 models", len(tb.Rows))
 	}
+	checkSpreads(t, tb, 1)
 }
 
 func TestFig16Quick(t *testing.T) {
@@ -189,6 +216,58 @@ func TestExtensionDMRQuick(t *testing.T) {
 	if tb.Rows[2][1] != "0.000" {
 		t.Errorf("DMR SDC = %s, want 0.000", tb.Rows[2][1])
 	}
+	checkSpreads(t, tb, 1)
+}
+
+// TestExtensionParetoQuick: the five policies must face one fault-site
+// sequence (the sites come from BaseSeed and the trial index alone, so the
+// per-layer-kind trial histogram is identical across policies), and the
+// campaign half of the table must repeat exactly for a seed.
+func TestExtensionParetoQuick(t *testing.T) {
+	p := Quick()
+	cfg, err := model.ConfigByName(paretoModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := func(pol policyRow) map[model.LayerKind]int {
+		res, err := paretoCell(context.Background(), p, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != p.Trials {
+			t.Fatalf("%s: completed %d of %d trials", pol.name, res.Completed, p.Trials)
+		}
+		hist := make(map[model.LayerKind]int)
+		for k, prop := range res.ByKind {
+			hist[k] = prop.Trials
+		}
+		return hist
+	}
+	policies := paretoPolicies(cfg.Family)
+	want := sites(policies[0])
+	for _, pol := range policies[1:] {
+		if got := sites(pol); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s saw fault sites %v, none saw %v", pol.name, got, want)
+		}
+	}
+
+	var sdc [2][]string
+	for run := range sdc {
+		tb, err := ExtensionPareto(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tb.Rows) != len(policies) {
+			t.Fatalf("ext-pareto rows = %d, want %d", len(tb.Rows), len(policies))
+		}
+		checkSpreads(t, tb, 1)
+		for _, row := range tb.Rows {
+			sdc[run] = append(sdc[run], row[2])
+		}
+	}
+	if !reflect.DeepEqual(sdc[0], sdc[1]) {
+		t.Errorf("SDC counts differ between two runs with one seed: %v vs %v", sdc[0], sdc[1])
+	}
 }
 
 func TestAblationsQuick(t *testing.T) {
@@ -206,6 +285,7 @@ func TestAblationsQuick(t *testing.T) {
 	if len(cov.Rows) != 2 {
 		t.Error("coverage ablation must have 2 rows")
 	}
+	checkSpreads(t, cov, 2)
 }
 
 func TestFig6Quick(t *testing.T) {

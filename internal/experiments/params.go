@@ -111,6 +111,7 @@ func Registry() []Driver {
 		{"ablation-clip", "Ablation: clip-to-bound vs clip-to-zero", AblationClipMode},
 		{"ablation-coverage", "Ablation: critical-only vs all-layer protection", AblationCoverage},
 		{"ext-dmr", "Extension: FT2 vs duplication in place (0%-SDC alternative)", ExtensionDMR},
+		{"ext-pareto", "Extension: five protection policies on the SDC-vs-overhead plane", ExtensionPareto},
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"time"
 
 	"ft2/internal/core"
 	"ft2/internal/data"
@@ -74,50 +73,52 @@ func Fig10() *report.Table {
 	return t
 }
 
-// Fig14 measures the wall-clock overhead of FT2 on the Go engine itself:
-// generation with and without the FT2 hook attached, repeated, plus the
-// bounds-store memory footprint (the paper's 288–512 B).
-func Fig14(ctx context.Context, p Params) (*report.Table, error) {
-	t := report.NewTable("Figure 14: measured FT2 time overhead on the Go engine",
-		"Model", "Baseline ms/gen", "FT2 ms/gen", "Overhead %", "Protected layers", "Bounds bytes (fp16)")
-	reps := p.Trials / 10
-	if reps < 3 {
-		reps = 3
+// genSide returns one side of a Pair: a squad-style generation of ds's first
+// prompt on m, bare when f is nil. The protected side installs and removes
+// f's hook inside the call, so both sides of a pair run on one model and
+// stream the same weights from the same addresses.
+func genSide(m *model.Model, ds *data.Dataset, f *core.FT2) func() {
+	buf := make([]int, 0, ds.GenTokens)
+	prompt := ds.Inputs[0].Prompt
+	if f == nil {
+		return func() { m.GenerateInto(buf, prompt, ds.GenTokens) }
 	}
+	return func() {
+		f.Install()
+		f.GenerateInto(buf, prompt, ds.GenTokens)
+		f.Detach()
+	}
+}
+
+// pairGen warms both sides up (scratch arenas, KV slabs, the bounds store)
+// and pairs them. One generation is a few milliseconds and the per-pair
+// ratios of a shared host spread by ~10%, so the pair count follows p.Trials:
+// 300 pairs at the default size put the median's own error near half a
+// percent.
+func pairGen(p Params, a, b func()) Paired {
+	a()
+	b()
+	return Pair(2*max(4, p.Trials), a, b)
+}
+
+// Fig14 measures the wall-clock overhead of FT2 on the Go engine itself:
+// generation with the FT2 hook installed paired against the same generation
+// bare, plus the bounds-store memory footprint (the paper's 288–512 B).
+func Fig14(ctx context.Context, p Params) (*report.Table, error) {
+	t := report.NewTable("Figure 14: measured FT2 time overhead on the Go engine (paired)",
+		"Model", "Overhead %", "± spread", "Protected layers", "Bounds bytes (fp16)")
+	ds := data.SquadSim(1)
 	for _, cfg := range model.Zoo() {
 		if err := ctx.Err(); err != nil {
 			return partialOnCancel(t, err)
 		}
-		ds := data.SquadSim(1)
-		prompt := ds.Inputs[0].Prompt
 		m, err := model.New(cfg, p.Seed, numerics.FP16)
 		if err != nil {
 			return nil, err
 		}
-		// Warm up once, then time.
-		m.Generate(prompt, ds.GenTokens)
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			m.Generate(prompt, ds.GenTokens)
-		}
-		base := time.Since(start)
-
-		f := core.Attach(m, core.Defaults())
-		f.Generate(prompt, ds.GenTokens)
-		start = time.Now()
-		for i := 0; i < reps; i++ {
-			f.Generate(prompt, ds.GenTokens)
-		}
-		prot := time.Since(start)
-		layers := f.ProtectedSiteCount()
-		bytes := f.Bounds().MemoryBytes(numerics.FP16)
-		f.Detach()
-
-		overhead := (prot.Seconds() - base.Seconds()) / base.Seconds() * 100
-		t.AddRow(cfg.Name,
-			base.Seconds()*1000/float64(reps),
-			prot.Seconds()*1000/float64(reps),
-			overhead, layers, bytes)
+		f := core.New(m, core.Defaults())
+		pct, spread := pairGen(p, genSide(m, ds, f), genSide(m, ds, nil)).OverheadPct()
+		t.AddRow(cfg.Name, pct, spread, f.ProtectedSiteCount(), f.Bounds().MemoryBytes(numerics.FP16))
 	}
 	return t, nil
 }

@@ -360,8 +360,9 @@ func (s *Server) PrefixStats() prefixcache.Stats {
 }
 
 // PrefillCounters returns (computed prefill tokens, total prompt tokens,
-// prefill chunks run) — the bench-json prefix section derives the
-// computed-vs-total prefill ratio from deltas of these.
+// prefill chunks run); the selftest and the repository benchmark
+// (serve.prefill_computed_frac) derive the computed-vs-total prefill ratio
+// from deltas of these.
 func (s *Server) PrefillCounters() (prefill, prompt, chunks int64) {
 	return s.mx.prefillTokens.Load(), s.mx.promptTokens.Load(), s.mx.prefillChunks.Load()
 }

@@ -16,7 +16,7 @@ import (
 // small-m, medium-n products whose serial time is comparable to the pool
 // handoff — and it ignores how many CPUs actually back GOMAXPROCS, so a
 // single-core host running at P=4 paid the full handoff for zero
-// parallelism (the BENCH_decode regression in ROADMAP item 3).
+// parallelism (P=4 decode at half the P=1 rate; `ft2bench -perfguard` gates it).
 //
 // Dispatch now consults a CostModel: measured serial throughput per kernel
 // kind and m-class, a measured pool dispatch/chunk overhead, and a measured
