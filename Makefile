@@ -35,13 +35,14 @@ bench:
 bench-check:
 	cd bench && export GOFLAGS=-mod=mod GOWORK=off && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
 
-# Non-test Go line counts of the engine packages and their total, then of
-# the experiment drivers and their CLI (ROADMAP aim 2: the counts go down;
-# cmd/ft2bench stays ≤ 600).
+# Non-test Go line counts of the engine packages (plus assembly lines where a
+# package has *.s files) and their Go total, then of the experiment drivers
+# and their CLI (ROADMAP aim 2: the counts go down; cmd/ft2bench stays ≤ 600).
 loc:
 	@total=0; for p in model tensor serve core protect abft chaos campaign; do \
 		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); total=$$((total + n)); \
-		printf '%-8s %s\n' $$p $$n; \
+		asm=$$(cat internal/$$p/*.s 2>/dev/null | wc -l); \
+		if [ $$asm -gt 0 ]; then printf '%-8s %s + %s asm\n' $$p $$n $$asm; else printf '%-8s %s\n' $$p $$n; fi; \
 	done; printf '%-8s %s\n' total $$total; \
 	for d in internal/experiments cmd/ft2bench; do \
 		printf '%s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \

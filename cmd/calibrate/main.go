@@ -1,9 +1,6 @@
-// Command calibrate is a development harness with two jobs: tuning the
-// simulation constants (logit scale, weight stds, trial counts) so the
-// reproduction's SDC-rate shapes track the paper, and — with -kernels —
-// measuring the tensor kernel cost model on this host and writing it to a
-// JSON file that ft2serve loads via -kernel-cal instead of
-// re-measuring at startup.
+// Command calibrate is a development harness for tuning the simulation
+// constants (logit scale, weight stds, trial counts) so the reproduction's
+// SDC-rate shapes track the paper.
 package main
 
 import (
@@ -19,7 +16,6 @@ import (
 	"ft2/internal/model"
 	"ft2/internal/numerics"
 	"ft2/internal/protect"
-	"ft2/internal/tensor"
 )
 
 func main() {
@@ -30,18 +26,7 @@ func main() {
 	fm := flag.String("fault", "EXP", "fault model: 1-bit, 2-bit, EXP")
 	teacher := flag.Float64("teacher", -1, "override TeacherWeight")
 	profN := flag.Int("profn", 30, "profiling split size")
-	kernels := flag.String("kernels", "", "measure the tensor kernel cost model and write it to this JSON file, then exit")
 	flag.Parse()
-
-	if *kernels != "" {
-		cm := tensor.AutoCalibrate()
-		if err := tensor.SaveCalibration(*kernels); err != nil {
-			panic(err)
-		}
-		fmt.Printf("calibrate: kernel cost model written to %s (workers=%d, eff=%.2f, dispatch=%.0fns)\n",
-			*kernels, cm.MeasuredWorkers, cm.ParallelEff, cm.PoolDispatchNs)
-		return
-	}
 
 	cfg, err := model.ConfigByName(*modelName)
 	if err != nil {

@@ -60,7 +60,6 @@ func main() {
 	prefillChunk := flag.Int("prefill-chunk", 0, "max prompt tokens prefilled per scheduling slice (0 = 64 when the prefix cache is on, else whole prompt in one slice)")
 	sharedFrac := flag.Float64("shared-prefix", 0.9, "shared-prefix fraction of each prompt in the selftest shared-prefix storm")
 	sharedLen := flag.Int("shared-prompt-len", 48, "prompt length (tokens) in the selftest shared-prefix storm")
-	kernelCal := flag.String("kernel-cal", "", "kernel cost-model calibration file (cmd/calibrate -kernels); empty = micro-calibrate at startup")
 	policyPath := flag.String("protect-policy", "", "adaptive per-layer protection policy JSON (cmd/ft2policy); empty = uniform FT2")
 	chaosOn := flag.Bool("chaos", false, "enable the online chaos engine (faults injected into opted-in sessions at slice boundaries)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "chaos fault-stream seed")
@@ -83,14 +82,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ft2serve: unknown -weights %q (want f32 or f16)\n", *weights)
 		os.Exit(2)
 	}
-	if *kernelCal != "" {
-		if err := tensor.LoadCalibration(*kernelCal); err != nil {
-			fmt.Fprintf(os.Stderr, "ft2serve: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		tensor.AutoCalibrate()
-	}
+	tensor.AutoCalibrate()
 	cfg := serve.Config{
 		Model:           *modelName,
 		Seed:            *seed,

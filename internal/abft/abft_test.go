@@ -66,8 +66,10 @@ func TestNaNCorruptionCorrected(t *testing.T) {
 	if !res.Corrected || res.Row != 2 || res.Col != 2 {
 		t.Fatalf("NaN corruption must be located and repaired: %+v", res)
 	}
-	if c.HasNaN() {
-		t.Error("repaired product still contains NaN")
+	for i, v := range c.Data {
+		if math.IsNaN(float64(v)) {
+			t.Errorf("repaired product still contains NaN at %d", i)
+		}
 	}
 }
 

@@ -102,14 +102,14 @@ func TestParamCountMatchesStorage(t *testing.T) {
 		c := smallCfg(f)
 		m := MustNew(c, 1, numerics.FP16)
 		// Count actual stored parameters.
-		n := m.embed.Numel()
+		n := len(m.embed.Data)
 		if m.posEmb != nil {
-			n += m.posEmb.Numel()
+			n += len(m.posEmb.Data)
 		}
 		for _, blk := range m.blocks {
 			for _, l := range []linear{blk.kProj, blk.qProj, blk.vProj, blk.outProj, blk.fc1, blk.fc2, blk.gateProj, blk.upProj, blk.downProj} {
 				if l.w != nil {
-					n += l.w.Numel() + len(l.b)
+					n += len(l.w.Data) + len(l.b)
 				}
 			}
 			n += len(blk.ln1.gamma) + len(blk.ln1.beta) + len(blk.ln2.gamma) + len(blk.ln2.beta)

@@ -258,30 +258,10 @@ func TestChaosMetricsEndpoint(t *testing.T) {
 // is built without its goroutines so the test owns the replica and can drive
 // single steps of the real slice loop.
 func TestChaosVictimStepAllocFree(t *testing.T) {
-	cfg, err := chaosConfig(t, chaos.Config{Seed: 5, Rate: 6}).withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := newPool(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := chaos.NewEngine(*cfg.Chaos, cfg.ModelCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 3
-	sch := &scheduler{cfg: cfg, pool: p, mx: newMetrics(), chaos: eng,
-		admit: make(chan *Session, n), ready: make(chan *Session, n), slots: make(chan struct{}, n),
-		sessions: make(map[*Session]struct{}), exports: make(map[string]exportEntry)}
-	prompts := testPrompts(t, n)
-	for i := 0; i < n; i++ {
-		if _, err := sch.submit(context.Background(), Request{MaxTokens: 200, Protected: true, Chaos: true}, prompts(i)); err != nil {
-			t.Fatal(err)
-		}
-		sch.slots <- struct{}{}
-		sch.ready <- <-sch.admit
-	}
+	sch, _ := bareScheduler(t, chaosConfig(t, chaos.Config{Seed: 5, Rate: 6}), n,
+		Request{MaxTokens: 200, Protected: true, Chaos: true})
+	p := sch.pool
 
 	// Slice 1 prefills (mid-prefill sessions are never victims); slice 2
 	// plans activation faults onto the now-decoding sessions.

@@ -15,7 +15,6 @@ import (
 	"ft2/internal/fault"
 	"ft2/internal/model"
 	"ft2/internal/prefixcache"
-	"ft2/internal/tensor"
 )
 
 // scheduler implements continuous batching over the replica pool: admitted
@@ -518,10 +517,7 @@ func (sch *scheduler) finishPrefill(r *replica, g *group, i, tok int) {
 // model.ForwardBatch, whose stacked rows stream every weight matrix once for
 // the whole group. A prefill chunk consumes one slice step, so a session
 // admitted mid-slice starts decoding in the same group the moment its prompt
-// completes. A decode-only step below the kernel cost model's measured fusion
-// crossover (FuseWorthwhile) runs as one-row calls instead of one m-row call:
-// the same code and the same bits, only the kernel shape the cost model found
-// faster. Finished and expired sessions settle mid-loop; survivors are
+// completes. Finished and expired sessions settle mid-loop; survivors are
 // re-enqueued to the ready ring. Any panic out of the engine (or a hook)
 // becomes a 500-class error for the whole group instead of crashing the
 // server.
@@ -534,7 +530,6 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 		}
 	}()
 	m := r.m
-	cm := tensor.CurrentCostModel()
 
 	for {
 		// Step boundary: settle sessions whose deadline expired or whose
@@ -589,20 +584,13 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 		}
 
 		t0 := time.Now()
-		if prefRows == 0 && !cm.FuseWorthwhile(decRows) {
-			g.toks = g.toks[:0]
-			for n := range g.items {
-				g.toks = m.ForwardBatch(g.items[n:n+1], g.toks)
-			}
-		} else {
-			g.toks = m.ForwardBatch(g.items, g.toks[:0])
-			// The fused-forward metrics describe calls that stacked rows.
-			if rows := prefRows + decRows; rows > 1 {
-				sch.mx.fusedForwards.Add(1)
-				sch.mx.fusedPrefillRows.Add(int64(prefRows))
-				sch.mx.fusedDecodeRows.Add(int64(decRows))
-				sch.mx.fusedRows.observe(float64(rows))
-			}
+		g.toks = m.ForwardBatch(g.items, g.toks[:0])
+		// The fused-forward metrics describe calls that stacked rows.
+		if rows := prefRows + decRows; rows > 1 {
+			sch.mx.fusedForwards.Add(1)
+			sch.mx.fusedPrefillRows.Add(int64(prefRows))
+			sch.mx.fusedDecodeRows.Add(int64(decRows))
+			sch.mx.fusedRows.observe(float64(rows))
 		}
 		sch.mx.tokenLat.observe(msSince(t0, time.Now()))
 		sch.mx.batchSize.observe(float64(len(g.idx)))

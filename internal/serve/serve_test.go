@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"ft2/internal/chaos"
 	"ft2/internal/data"
+	"ft2/internal/tensor"
 )
 
 // testConfig serves the smallest zoo model with one replica and enough
@@ -50,6 +52,40 @@ func testPrompts(t *testing.T, n int) func(int) []int {
 		t.Fatal(err)
 	}
 	return func(i int) []int { return ds.Inputs[i%n].Prompt }
+}
+
+// bareScheduler builds a scheduler without its dispatch and worker
+// goroutines and admits n sessions of req (prompt i from testPrompts)
+// straight onto the ready ring, so a test owns the replica and drives
+// runSlice itself — every session is in one group by construction.
+func bareScheduler(t *testing.T, cfg Config, n int, req Request) (*scheduler, []*Session) {
+	t.Helper()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := newPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := &scheduler{cfg: cfg, pool: p, mx: newMetrics(),
+		admit: make(chan *Session, n), ready: make(chan *Session, n), slots: make(chan struct{}, n),
+		sessions: make(map[*Session]struct{}), exports: make(map[string]exportEntry)}
+	if cfg.Chaos != nil {
+		if sch.chaos, err = chaos.NewEngine(*cfg.Chaos, cfg.ModelCfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prompts := testPrompts(t, n)
+	sessions := make([]*Session, n)
+	for i := range sessions {
+		if sessions[i], err = sch.submit(context.Background(), req, prompts(i)); err != nil {
+			t.Fatal(err)
+		}
+		sch.slots <- struct{}{}
+		sch.ready <- <-sch.admit
+	}
+	return sch, sessions
 }
 
 func equalTokens(a, b []int) bool {
@@ -96,6 +132,46 @@ func TestServedMatchesOracle(t *testing.T) {
 				res.Corrections.FirstTokenNaN != corr.FirstTokenNaN) {
 				t.Fatalf("request %d: corrections %+v != oracle %+v", i, res.Corrections, corr)
 			}
+		}
+	}
+}
+
+// TestFusionIgnoresCostModel pins that a decode group is one ForwardBatch
+// whatever the kernel cost model measured: with the m = 2–3 class at ten
+// times the m = 1 cost per madd — a comparison start-up timing noise can
+// produce, and one that must not pick the kernel shape — two sessions
+// decoding in one group still stack their rows, bit-identical to the oracle.
+func TestFusionIgnoresCostModel(t *testing.T) {
+	prev := tensor.CurrentCostModel()
+	defer tensor.SetCostModel(&prev)
+	cm := tensor.DefaultCostModel()
+	cm.SerialNsPerMadd[1] = 10 * cm.SerialNsPerMadd[0]
+	tensor.SetCostModel(cm)
+
+	cfg := testConfig(t)
+	cfg.BatchMax = 2
+	const maxTokens = 12
+	sch, sessions := bareScheduler(t, cfg, 2, Request{MaxTokens: maxTokens, Protected: true})
+	r, g := sch.pool.replicas[0], &group{}
+	for len(sch.ready) > 0 {
+		r = sch.runSlice(r, g, <-sch.ready)
+	}
+
+	if sch.mx.fusedForwards.Load() == 0 || sch.mx.fusedDecodeRows.Load() == 0 {
+		t.Fatalf("two sessions decoding in one group were not fused: fused_forwards=%d fused_decode_rows=%d",
+			sch.mx.fusedForwards.Load(), sch.mx.fusedDecodeRows.Load())
+	}
+	for i, s := range sessions {
+		res, err := s.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := Oracle(sch.cfg, s.prompt, maxTokens, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalTokens(res.Tokens, want) {
+			t.Fatalf("session %d: served %v != oracle %v", i, res.Tokens, want)
 		}
 	}
 }

@@ -11,11 +11,10 @@ func xgetbvAsm() (eax, edx uint32)
 // single-session vs batched, f32 vs f16-streamed) observe the same
 // arithmetic.
 var (
-	// hasAVX: AVX and OS-enabled YMM state — gates the 8-lane mul/add dot.
-	hasAVX = detectAVX()
-	// hasFMA: AVX2 + FMA3 on top of hasAVX — gates the fused-multiply-add
-	// row kernels used by the MatMulT paths (dotRow / dotRow4).
-	hasFMA = hasAVX && detectFeature1(1<<12) && detectAVX2()
+	// hasFMA: AVX2 + FMA3 with OS-enabled YMM state — gates the
+	// fused-multiply-add kernels of the linear layers (the MatMulT sweeps).
+	// A host with AVX but no FMA runs the SSE baseline.
+	hasFMA = detectAVX() && detectFeature1(1<<12) && detectAVX2()
 	// hasF16C: F16C half-precision conversion on top of hasFMA — gates the
 	// packed-f16 streaming kernels. Tied to hasFMA so the f16 kernels only
 	// ever pair with FMA-tier f32 kernels of identical op order.

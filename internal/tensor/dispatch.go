@@ -1,9 +1,6 @@
 package tensor
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -18,29 +15,19 @@ import (
 // single-core host running at P=4 paid the full handoff for zero
 // parallelism (P=4 decode at half the P=1 rate; `ft2bench -perfguard` gates it).
 //
-// Dispatch now consults a CostModel: measured serial throughput per kernel
-// kind and m-class, a measured pool dispatch/chunk overhead, and a measured
-// parallel efficiency. plan() predicts serial vs pooled time for the
-// concrete (m, k, n, workers) shape and only leaves the serial path when
+// Dispatch now consults a CostModel: measured serial throughput of the one
+// dispatched product (x·Wᵀ, MatMulTInto) per m-class, a measured pool
+// dispatch/chunk overhead, and a measured parallel efficiency. plan()
+// predicts serial vs pooled time for the concrete (m, k, n, workers) shape
+// and only leaves the serial path when
 // the pooled prediction wins by a hysteresis margin — so P>1 can never lose
 // to P=1 by more than mispredicted noise on any shape class. Workers are
 // capped at runtime.NumCPU(): raising GOMAXPROCS past the physical core
 // count adds handoff cost but no bandwidth, so it never changes the plan.
 //
 // The model ships with conservative defaults (serial until a product is
-// clearly large enough), is measured in-process by Calibrate/AutoCalibrate,
-// and round-trips through JSON (cmd/calibrate writes the file, binaries
-// load it via LoadCalibration) so startup does not have to re-measure.
-
-// matKind distinguishes the two product families with different inner
-// loops: MatMul (k-outer accumulate) and MatMulT (row-dot).
-type matKind int
-
-const (
-	kindMatMul matKind = iota
-	kindMatMulT
-	numMatKinds
-)
+// clearly large enough) and is measured in-process by Calibrate/AutoCalibrate
+// at binary start-up (~15 ms).
 
 // m-classes bucket the output-row count: m=1 (single-token decode), small
 // batches, and prefill-sized blocks have very different per-madd costs
@@ -68,19 +55,15 @@ var mClassRep = [numMClasses]int{1, 2, 5, 12, 32}
 // CostModel holds the measured constants the dispatcher predicts with. All
 // times are nanoseconds.
 type CostModel struct {
-	// SerialNsPerMadd[kind][mClass]: serial kernel cost per multiply-add.
-	SerialNsPerMadd [numMatKinds][numMClasses]float64 `json:"serial_ns_per_madd"`
+	// SerialNsPerMadd[mClass]: serial MatMulT cost per multiply-add.
+	SerialNsPerMadd [numMClasses]float64
 	// PoolDispatchNs: fixed cost of waking the pool for one product.
-	PoolDispatchNs float64 `json:"pool_dispatch_ns"`
+	PoolDispatchNs float64
 	// PoolChunkNs: marginal cost per chunk (cursor claim + WaitGroup).
-	PoolChunkNs float64 `json:"pool_chunk_ns"`
+	PoolChunkNs float64
 	// ParallelEff: fraction of linear speedup each extra worker adds
 	// (speedup ≈ 1 + eff·(w-1)).
-	ParallelEff float64 `json:"parallel_eff"`
-	// MeasuredWorkers records the GOMAXPROCS ParallelEff was measured at
-	// (0 = not measured).
-	MeasuredWorkers int  `json:"measured_workers"`
-	Calibrated      bool `json:"calibrated"`
+	ParallelEff float64
 }
 
 // hysteresis: the pooled prediction must beat serial by this factor before
@@ -108,15 +91,12 @@ const (
 // throughput guessed slow (so pooling engages only for clearly large
 // products) and pool overhead guessed high.
 func DefaultCostModel() *CostModel {
-	cm := &CostModel{
-		PoolDispatchNs: 20000,
-		PoolChunkNs:    800,
-		ParallelEff:    0.7,
+	return &CostModel{
+		SerialNsPerMadd: [numMClasses]float64{0.45, 0.35, 0.28, 0.22, 0.18},
+		PoolDispatchNs:  20000,
+		PoolChunkNs:     800,
+		ParallelEff:     0.7,
 	}
-	for kind := matKind(0); kind < numMatKinds; kind++ {
-		cm.SerialNsPerMadd[kind] = [numMClasses]float64{0.45, 0.35, 0.28, 0.22, 0.18}
-	}
-	return cm
 }
 
 var costModelPtr atomic.Pointer[CostModel]
@@ -167,16 +147,15 @@ func SetNumCPUOverride(n int) int {
 
 // plan picks serial vs row-split vs col-split for an m×k×n product under
 // `procs` GOMAXPROCS. It allocates nothing.
-func (cm *CostModel) plan(kind matKind, m, k, n, procs int) plan {
-	work := m * k * n
+func (cm *CostModel) plan(m, k, n, procs int) plan {
 	workers := procs
 	if cpus := effectiveNumCPU(); workers > cpus {
 		workers = cpus
 	}
-	if workers <= 1 || work == 0 {
+	if workers <= 1 {
 		return plan{mode: planSerial}
 	}
-	serialNs := float64(work) * cm.SerialNsPerMadd[kind][mClass(m)]
+	serialNs := float64(m*k*n) * cm.SerialNsPerMadd[mClass(m)]
 	if serialNs <= cm.PoolDispatchNs {
 		// The whole product costs less than waking the pool.
 		return plan{mode: planSerial}
@@ -218,26 +197,6 @@ func chunkFor(grid, workPer, workers int) int {
 	return chunk
 }
 
-// fuseMargin biases FuseWorthwhile toward fusing: a fused group replaces m
-// kernel invocations with one, so even measured per-madd parity favors the
-// fused call once the saved call overhead is counted.
-const fuseMargin = 1.05
-
-// FuseWorthwhile reports whether fusing m single-row sessions into one
-// m-row forward call is predicted no slower than m serial calls, judged by
-// the measured serial per-madd cost of m's class against the single-row
-// class. The serving scheduler consults it to run a small decode group as m
-// one-row forward calls instead of one m-row call — on hosts where the
-// small-batch kernels lose to m=1 (cache pressure, blocked-kernel setup),
-// this is the measured crossover; elsewhere it always fuses.
-func (cm *CostModel) FuseWorthwhile(m int) bool {
-	if m <= 1 {
-		return true
-	}
-	return cm.SerialNsPerMadd[kindMatMulT][mClass(m)] <=
-		cm.SerialNsPerMadd[kindMatMulT][0]*fuseMargin
-}
-
 // AttnHelpers sizes the pool fan-out for a batched attention section of
 // `units` independent (session × head) work units totalling roughly `madds`
 // multiply-adds. Zero means run the section inline — the correct answer
@@ -252,7 +211,7 @@ func (cm *CostModel) AttnHelpers(units, madds int) int {
 	if workers <= 1 || units < 2 {
 		return 0
 	}
-	serialNs := float64(madds) * cm.SerialNsPerMadd[kindMatMulT][0]
+	serialNs := float64(madds) * cm.SerialNsPerMadd[0]
 	if serialNs <= cm.PoolDispatchNs {
 		return 0
 	}
@@ -308,32 +267,37 @@ func timeOp(f func(), minSample time.Duration) float64 {
 	return best
 }
 
-// Calibrate measures the kernel cost model on this host: serial ns/madd for
-// both kernel kinds across the m-classes, the pool handoff overhead, and
-// the parallel efficiency at the current GOMAXPROCS. Takes on the order of
-// tens of milliseconds. The returned model is not installed; call
-// SetCostModel (or AutoCalibrate, which does both).
+// Calibrate measures the kernel cost model on this host: serial MatMulT
+// ns/madd across the m-classes and — when more than one worker is available —
+// the pool handoff overhead and the parallel efficiency at the current
+// GOMAXPROCS. With one worker plan() and AttnHelpers never read the pool
+// constants, so they keep their defaults. Takes on the order of tens of
+// milliseconds. The returned model is not installed; call SetCostModel (or
+// AutoCalibrate, which does both).
 func Calibrate() *CostModel {
 	cm := DefaultCostModel()
 	const k, n = 96, 384 // decode-representative inner/outer widths
 
 	for class, m := range mClassRep {
-		a := New(m, k)
-		bT := New(n, k) // MatMulT operand: n rows of length k
-		b := New(k, n)  // MatMul operand
-		out := New(m, n)
+		a, b, out := New(m, k), New(n, k), New(m, n)
 		a.Fill(0.5)
-		bT.Fill(0.25)
 		b.Fill(0.25)
-		madds := float64(m * k * n)
-		cm.SerialNsPerMadd[kindMatMulT][class] =
-			timeOp(func() { matMulTRows(out, a, bT, 0, m) }, 100*time.Microsecond) / madds
-		cm.SerialNsPerMadd[kindMatMul][class] =
-			timeOp(func() { matMulRows(out, a, b, 0, m, true) }, 100*time.Microsecond) / madds
+		cm.SerialNsPerMadd[class] =
+			timeOp(func() { matMulTRows(out, a, b, 0, m) }, 100*time.Microsecond) / float64(m*k*n)
 	}
 
-	// Pool overhead: run a tiny grid through the pool and subtract the
-	// serial kernel time. Chunked 8 ways so the per-chunk cost registers.
+	workers := runtime.GOMAXPROCS(0)
+	if cpus := effectiveNumCPU(); workers > cpus {
+		workers = cpus
+	}
+	if workers <= 1 {
+		return cm
+	}
+
+	// Pool overhead: run a tiny grid through the pool with one helper
+	// recruited — so the handoff (channel send, wake, WaitGroup) is really
+	// paid — and subtract the serial kernel time. Chunked 8 ways so the
+	// per-chunk cost registers.
 	{
 		m, kk, nn := 4, 64, 64
 		a, b, out := New(m, kk), New(nn, kk), New(m, nn)
@@ -343,7 +307,7 @@ func Calibrate() *CostModel {
 		chunk := (nn + chunks - 1) / chunks
 		serial := timeOp(func() { matMulTRows(out, a, b, 0, m) }, 100*time.Microsecond)
 		pooled := timeOp(func() {
-			runPooled(kernelMatMulTCols, out, a, b, false, nn, chunk, 0)
+			runPooled(kernelMatMulTCols, out, a, b, nn, chunk, 1)
 		}, 100*time.Microsecond)
 		over := pooled - serial
 		if over < 1000 {
@@ -351,7 +315,7 @@ func Calibrate() *CostModel {
 		}
 		cm.PoolChunkNs = over / chunks
 		pooled = timeOp(func() {
-			runPooled(kernelMatMulTCols, out, a, b, false, nn, nn/2, 0)
+			runPooled(kernelMatMulTCols, out, a, b, nn, nn/2, 1)
 		}, 100*time.Microsecond)
 		disp := pooled - serial - 2*cm.PoolChunkNs
 		if disp < 2000 {
@@ -361,15 +325,8 @@ func Calibrate() *CostModel {
 	}
 
 	// Parallel efficiency: a large row-split product at the effective
-	// worker count. On a single-CPU host there is nothing to measure and
-	// ParallelEff is irrelevant (plan() never leaves serial).
-	procs := runtime.GOMAXPROCS(0)
-	workers := procs
-	if cpus := effectiveNumCPU(); workers > cpus {
-		workers = cpus
-	}
-	cm.MeasuredWorkers = workers
-	if workers > 1 {
+	// worker count.
+	{
 		m, kk, nn := 64, 128, 256
 		a, b, out := New(m, kk), New(nn, kk), New(m, nn)
 		a.Fill(0.5)
@@ -377,10 +334,9 @@ func Calibrate() *CostModel {
 		serial := timeOp(func() { matMulTRows(out, a, b, 0, m) }, 200*time.Microsecond)
 		chunk := chunkFor(m, kk*nn, workers)
 		pooled := timeOp(func() {
-			runPooled(kernelMatMulTRows, out, a, b, false, m, chunk, workers-1)
+			runPooled(kernelMatMulTRows, out, a, b, m, chunk, workers-1)
 		}, 200*time.Microsecond)
-		speedup := serial / pooled
-		eff := (speedup - 1) / float64(workers-1)
+		eff := (serial/pooled - 1) / float64(workers-1)
 		if eff < 0.05 {
 			eff = 0.05
 		}
@@ -389,60 +345,9 @@ func Calibrate() *CostModel {
 		}
 		cm.ParallelEff = eff
 	}
-	cm.Calibrated = true
 	return cm
 }
 
 // AutoCalibrate measures and installs the cost model in one step; binaries
 // call it once at startup (after flag parsing, before the hot loops).
-func AutoCalibrate() *CostModel {
-	cm := Calibrate()
-	SetCostModel(cm)
-	return cm
-}
-
-// calibrationFile is the JSON envelope SaveCalibration writes.
-type calibrationFile struct {
-	Version int       `json:"version"`
-	Model   CostModel `json:"model"`
-}
-
-const calibrationVersion = 1
-
-// SaveCalibration writes the installed cost model to path as JSON.
-func SaveCalibration(path string) error {
-	env := calibrationFile{Version: calibrationVersion, Model: CurrentCostModel()}
-	data, err := json.MarshalIndent(env, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadCalibration reads a SaveCalibration file and installs it.
-func LoadCalibration(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var env calibrationFile
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("tensor: parsing calibration %s: %w", path, err)
-	}
-	if env.Version != calibrationVersion {
-		return fmt.Errorf("tensor: calibration %s has version %d, want %d", path, env.Version, calibrationVersion)
-	}
-	m := env.Model
-	if m.PoolDispatchNs <= 0 || m.PoolChunkNs <= 0 || m.ParallelEff <= 0 {
-		return fmt.Errorf("tensor: calibration %s has non-positive constants", path)
-	}
-	for kind := range m.SerialNsPerMadd {
-		for class, v := range m.SerialNsPerMadd[kind] {
-			if v <= 0 {
-				return fmt.Errorf("tensor: calibration %s kind %d class %d non-positive", path, kind, class)
-			}
-		}
-	}
-	SetCostModel(&m)
-	return nil
-}
+func AutoCalibrate() { SetCostModel(Calibrate()) }

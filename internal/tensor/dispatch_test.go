@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"math/rand"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -12,51 +11,28 @@ import (
 
 // ---- kernel identity: every row kernel must agree bit-for-bit ----
 
-// dotRow4 must be bit-identical per row to dotRow: the blocked MatMulT path
-// mixes them freely (groups of 4 plus a remainder), so any divergence would
-// make results depend on row-block alignment.
-func TestDotRow4MatchesDotRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 23, 24, 31, 32, 33, 64, 96, 100, 384} {
-		lda := n + 3 // rows deliberately non-contiguous
-		a := make([]float32, 3*lda+n+1)
-		b := make([]float32, n)
-		for i := range a {
-			a[i] = float32(rng.NormFloat64())
-		}
-		for i := range b {
-			b[i] = float32(rng.NormFloat64())
-		}
-		r0, r1, r2, r3 := dotRow4(a, lda, b)
-		for i, got := range []float32{r0, r1, r2, r3} {
-			want := dotRow(a[i*lda:i*lda+n], b)
-			if math.Float32bits(got) != math.Float32bits(want) {
-				t.Fatalf("n=%d row %d: dotRow4 = %x, dotRow = %x", n, i, math.Float32bits(got), math.Float32bits(want))
-			}
-		}
-	}
-}
-
-// dotRow must propagate NaN wherever Dot would: linear layers carry
-// injected faults through these kernels.
+// The one-element kernel of either tier must propagate NaN: linear layers
+// carry injected faults through these kernels.
 func TestDotRowPropagatesNaN(t *testing.T) {
-	nan := float32(math.NaN())
-	for _, n := range []int{1, 5, 8, 16, 33, 96} {
-		for _, pos := range []int{0, n / 2, n - 1} {
-			a := make([]float32, n)
-			b := make([]float32, n)
-			for i := range a {
-				a[i], b[i] = 1, 2
-			}
-			b[pos] = nan
-			if v := dotRow(a, b); !math.IsNaN(float64(v)) {
-				t.Fatalf("n=%d pos=%d: dotRow = %g, want NaN", n, pos, v)
+	forEachTier(t, func(t *testing.T) {
+		nan := float32(math.NaN())
+		for _, n := range []int{1, 5, 8, 16, 33, 96} {
+			for _, pos := range []int{0, n / 2, n - 1} {
+				a := make([]float32, n)
+				b := make([]float32, n)
+				for i := range a {
+					a[i], b[i] = 1, 2
+				}
+				b[pos] = nan
+				if v := dotRef(a, b); !math.IsNaN(float64(v)) {
+					t.Fatalf("n=%d pos=%d: dot = %g, want NaN", n, pos, v)
+				}
 			}
 		}
-	}
+	})
 }
 
-// The f16 row kernels must be bit-identical to the f32 kernels over the
+// The f16 row kernels must be bit-identical to the f32 kernel over the
 // decoded master copy — VCVTPH2PS is exact, so any divergence is an op
 // order bug.
 func TestDotRowF16MatchesF32(t *testing.T) {
@@ -75,9 +51,9 @@ func TestDotRowF16MatchesF32(t *testing.T) {
 			bf[i] = numerics.F16BitsToF32(hb)
 		}
 		got := dotRowF16(a, bh)
-		want := dotRow(a, bf)
+		want := dotRef(a, bf)
 		if math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("n=%d: dotRowF16 = %x, dotRow = %x", n, math.Float32bits(got), math.Float32bits(want))
+			t.Fatalf("n=%d: dotRowF16 = %x, dotVecFMA = %x", n, math.Float32bits(got), math.Float32bits(want))
 		}
 		lda := n
 		a4 := make([]float32, 4*n)
@@ -96,44 +72,61 @@ func TestDotRowF16MatchesF32(t *testing.T) {
 
 // ---- forced-plan identity: serial, row-split, col-split, f16 ----
 
-// Every dispatch plan must produce bit-identical MatMulT results, including
-// with a packed-f16 operand streaming on and off.
+// Every dispatch plan must produce MatMulT results bit-identical to the
+// tier's one-element kernel, on both tiers, across the row-count classes
+// (single row, a 4-row group plus remainder, the column-tiled ≥8-row form),
+// including with a packed-f16 operand streaming on and off.
 func TestMatMulTPlansBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m, k, n := 6, 96, 40
-	a := New(m, k)
-	b := New(n, k)
-	a.RandNormal(rng, 1)
-	b.RandNormal(rng, 1)
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(9))
+		for _, shape := range [][3]int{{1, 96, 40}, {6, 96, 40}, {13, 33, 70}} {
+			m, k, n := shape[0], shape[1], shape[2]
+			a := New(m, k)
+			b := New(n, k)
+			a.RandNormal(rng, 1)
+			b.RandNormal(rng, 1)
 
-	serial := New(m, n)
-	matMulTRows(serial, a, b, 0, m)
+			ref := New(m, n)
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					ref.Data[i*n+j] = dotRef(a.Row(i), b.Row(j))
+				}
+			}
 
-	rows := New(m, n)
-	runPooled(kernelMatMulTRows, rows, a, b, false, m, 2, 1)
-	if !rows.Equal(serial) {
-		t.Error("row-split MatMulT diverges from serial")
-	}
+			serial := New(m, n)
+			matMulTRows(serial, a, b, 0, m)
+			if !serial.Equal(ref) {
+				t.Errorf("%v: serial MatMulT diverges from the per-element kernel", shape)
+			}
 
-	cols := New(m, n)
-	runPooled(kernelMatMulTCols, cols, a, b, false, n, 7, 1)
-	if !cols.Equal(serial) {
-		t.Error("col-split MatMulT diverges from serial")
-	}
+			rows := New(m, n)
+			runPooled(kernelMatMulTRows, rows, a, b, m, 2, 1)
+			if !rows.Equal(ref) {
+				t.Errorf("%v: row-split MatMulT diverges from the per-element kernel", shape)
+			}
 
-	// f16: packing rounds b, so recompute the serial reference, then check
-	// streamed (shadow read) against unstreamed (master copy read).
-	b.PackF16()
-	f32ref := New(m, n)
-	prev := SetF16Streaming(false)
-	matMulTRows(f32ref, a, b, 0, m)
-	SetF16Streaming(true)
-	f16out := New(m, n)
-	matMulTRows(f16out, a, b, 0, m)
-	SetF16Streaming(prev)
-	if !f16out.Equal(f32ref) {
-		t.Error("f16-streamed MatMulT diverges from f32 over the same rounded weights")
-	}
+			cols := New(m, n)
+			runPooled(kernelMatMulTCols, cols, a, b, n, 7, 1)
+			if !cols.Equal(ref) {
+				t.Errorf("%v: col-split MatMulT diverges from the per-element kernel", shape)
+			}
+
+			// f16: packing rounds b, so recompute the serial reference, then
+			// check streamed (shadow read) against unstreamed (master copy
+			// read).
+			b.PackF16()
+			f32ref := New(m, n)
+			prev := SetF16Streaming(false)
+			matMulTRows(f32ref, a, b, 0, m)
+			SetF16Streaming(true)
+			f16out := New(m, n)
+			matMulTRows(f16out, a, b, 0, m)
+			SetF16Streaming(prev)
+			if !f16out.Equal(f32ref) {
+				t.Errorf("%v: f16-streamed MatMulT diverges from f32 over the same rounded weights", shape)
+			}
+		}
+	})
 }
 
 // ---- plan() behavior ----
@@ -141,19 +134,19 @@ func TestMatMulTPlansBitIdentical(t *testing.T) {
 func TestPlanSerialWhenNoParallelism(t *testing.T) {
 	cm := DefaultCostModel()
 	// One worker: always serial, no matter the shape.
-	if p := cm.plan(kindMatMulT, 64, 512, 512, 1); p.mode != planSerial {
+	if p := cm.plan(64, 512, 512, 1); p.mode != planSerial {
 		t.Error("plan with 1 worker must be serial")
 	}
 	// GOMAXPROCS above the physical core count adds nothing: the plan must
 	// not change past NumCPU (this is the P>1-never-loses-to-P=1 rule on a
 	// host with fewer cores than GOMAXPROCS).
-	pCPU := cm.plan(kindMatMulT, 64, 512, 512, runtime.NumCPU())
-	pOver := cm.plan(kindMatMulT, 64, 512, 512, runtime.NumCPU()*4)
+	pCPU := cm.plan(64, 512, 512, runtime.NumCPU())
+	pOver := cm.plan(64, 512, 512, runtime.NumCPU()*4)
 	if pOver != pCPU {
 		t.Errorf("plan changed past NumCPU: %+v vs %+v", pOver, pCPU)
 	}
 	// Tiny product: serial at any worker count.
-	if p := cm.plan(kindMatMulT, 1, 12, 8, 8); p.mode != planSerial {
+	if p := cm.plan(1, 12, 8, 8); p.mode != planSerial {
 		t.Error("tiny product must stay serial")
 	}
 }
@@ -163,7 +156,7 @@ func TestPlanPooledForLargeProducts(t *testing.T) {
 		t.Skip("single-CPU host: pooled plans are unreachable by design")
 	}
 	cm := DefaultCostModel()
-	p := cm.plan(kindMatMulT, 256, 512, 512, runtime.NumCPU())
+	p := cm.plan(256, 512, 512, runtime.NumCPU())
 	if p.mode == planSerial {
 		t.Error("large product should take a pooled plan on a multi-CPU host")
 	}
@@ -173,14 +166,9 @@ func TestPlanPooledForLargeProducts(t *testing.T) {
 
 func TestCalibrateProducesSaneModel(t *testing.T) {
 	cm := Calibrate()
-	if !cm.Calibrated {
-		t.Fatal("Calibrate did not mark the model calibrated")
-	}
-	for kind := range cm.SerialNsPerMadd {
-		for class, v := range cm.SerialNsPerMadd[kind] {
-			if v <= 0 || v > 1000 {
-				t.Errorf("kind %d class %d: implausible ns/madd %g", kind, class, v)
-			}
+	for class, v := range cm.SerialNsPerMadd {
+		if v <= 0 || v > 1000 {
+			t.Errorf("class %d: implausible ns/madd %g", class, v)
 		}
 	}
 	if cm.PoolDispatchNs <= 0 || cm.PoolChunkNs <= 0 {
@@ -191,27 +179,13 @@ func TestCalibrateProducesSaneModel(t *testing.T) {
 	}
 }
 
-func TestCalibrationSaveLoadRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "kernels.json")
-	orig := CurrentCostModel()
-	defer SetCostModel(&orig)
-
-	cm := DefaultCostModel()
-	cm.PoolDispatchNs = 1234
-	cm.Calibrated = true
-	SetCostModel(cm)
-	if err := SaveCalibration(path); err != nil {
-		t.Fatal(err)
-	}
-	SetCostModel(nil) // back to defaults
-	if err := LoadCalibration(path); err != nil {
-		t.Fatal(err)
-	}
-	got := CurrentCostModel()
-	if got.PoolDispatchNs != 1234 || !got.Calibrated {
-		t.Errorf("round-trip lost fields: %+v", got)
-	}
-	if err := LoadCalibration(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("loading a missing file must fail")
+// Regression: with one worker there is no handoff to measure — Calibrate
+// used to time the pool with zero helpers anyway and report its clamping
+// floors as if measured. The pool constants must stay at their defaults.
+func TestCalibrateOneWorkerKeepsPoolDefaults(t *testing.T) {
+	defer SetNumCPUOverride(SetNumCPUOverride(1))
+	cm, def := Calibrate(), DefaultCostModel()
+	if cm.PoolDispatchNs != def.PoolDispatchNs || cm.PoolChunkNs != def.PoolChunkNs || cm.ParallelEff != def.ParallelEff {
+		t.Errorf("one-worker calibration changed the pool constants: %+v", cm)
 	}
 }

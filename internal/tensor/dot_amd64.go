@@ -2,15 +2,16 @@ package tensor
 
 import "ft2/internal/numerics"
 
-// dotVec (SSE) and dotVecAVX are the vector kernels in dot_amd64.s;
-// dotVecFMA/dotVec4FMA (AVX2+FMA3) and dotVecF16C/dotVec4F16C (F16C) are
-// the row kernels of the blocked MatMulT paths, appended by the cost-model
-// dispatch work.
+// The kernels of dot_amd64.s, two tiers (DESIGN.md §12): the SSE baseline
+// (dotVec, dotStrideVec, axpyVec, axpyStrideVec, scaleVec) and the FMA tier
+// of the linear layers (matMulT1Vec/matMulT4Vec over f32 weights,
+// dotVecF16C/dotVec4F16C over packed-f16 weights, quantizeF16Vec,
+// siluFinishVec). dotVecFMA has no engine caller: it is the one-element
+// definition of the FMA tier's op order, which the tests hold the sweeps and
+// the F16C kernels to bit for bit.
 func dotVec(a, b *float32, n int) float32
-func dotVecAVX(a, b *float32, n int) float32
 func dotVecFMA(a, b *float32, n int) float32
 func dotVecF16C(a *float32, b *uint16, n int) float32
-func dotVec4FMA(a *float32, lda int, b *float32, n int) (r0, r1, r2, r3 float32)
 func dotVec4F16C(a *float32, lda int, b *uint16, n int) (r0, r1, r2, r3 float32)
 func axpyVec(dst, src *float32, w float32, n int)
 func quantizeF16Vec(p *float32, n int)
@@ -39,62 +40,26 @@ func Axpy(dst, src []float32, w float32) {
 	axpyVec(&dst[0], &src[0], w, n)
 }
 
-// Dot computes the dot product of a and b (len(b) >= len(a)) with a SIMD
-// kernel: 8-lane AVX when the host enables it, 4-lane SSE otherwise.
-// Lane-parallel accumulation reorders the float32 sums relative to a
-// sequential loop; all engine paths (prefill and decode) go through this
-// same kernel, so cached and recomputed activations stay bit-identical to
-// each other. Dot deliberately does NOT use the FMA tier: attention scores
-// (head-dim 12 slices) and every other public Dot caller keep the exact
-// multiply-then-add numerics they had before the FMA kernels existed.
+// Dot computes the dot product of a and b (len(b) >= len(a)) with the
+// 4-lane SSE kernel. Lane-parallel accumulation reorders the float32 sums
+// relative to a sequential loop; all engine paths (prefill and decode) go
+// through this same kernel, so cached and recomputed activations stay
+// bit-identical to each other. Dot deliberately does NOT use the FMA tier:
+// attention scores keep exact multiply-then-add numerics on every host, and
+// a host without FMA computes its linear layers element by element with it.
 func Dot(a, b []float32) float32 {
 	n := len(a)
 	if n == 0 {
 		return 0
 	}
 	b = b[:n] // bounds hint: panics early if b is shorter
-	if hasAVX && n >= 16 {
-		return dotVecAVX(&a[0], &b[0], n)
-	}
 	return dotVec(&a[0], &b[0], n)
 }
 
-// dotRow is the row kernel behind the MatMulT (x × wᵀ) paths: the
-// FMA-tier kernel where the host supports it, plain Dot otherwise. The
-// choice is fixed at startup, so every MatMulT path — serial, row-split,
-// col-split, 4-row blocked, f16-streamed — computes each output element
-// with the same FP op order and stays bit-identical to every other.
-func dotRow(a, b []float32) float32 {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	b = b[:n]
-	if hasFMA {
-		return dotVecFMA(&a[0], &b[0], n)
-	}
-	return Dot(a, b)
-}
-
-// dotRow4 computes four dot products of consecutive a-rows (stride lda
-// floats, rows i.e. a[0:n], a[lda:lda+n], ...) against one shared b row,
-// streaming b once instead of four times. Per-row op order is identical to
-// dotRow, so blocking rows in groups of four is invisible in the results.
-func dotRow4(a []float32, lda int, b []float32) (r0, r1, r2, r3 float32) {
-	n := len(b)
-	if hasFMA && n > 0 {
-		_ = a[3*lda+n-1] // one bounds check for all four rows
-		return dotVec4FMA(&a[0], lda, &b[0], n)
-	}
-	return dotRow(a[:n], b),
-		dotRow(a[lda:lda+n], b),
-		dotRow(a[2*lda:2*lda+n], b),
-		dotRow(a[3*lda:3*lda+n], b)
-}
-
-// dotRowF16 is dotRow with b stored as packed binary16. Callers must gate
-// on hasF16C (halfData does); conversion through VCVTPH2PS is exact, so the
-// result is bit-identical to dotRow over the pre-decoded f32 master copy.
+// dotRowF16 is the one-element FMA kernel with b stored as packed binary16.
+// Callers must gate on hasF16C (halfData does); conversion through VCVTPH2PS
+// is exact, so the result is bit-identical to dotVecFMA over the pre-decoded
+// f32 master copy.
 func dotRowF16(a []float32, b []uint16) float32 {
 	n := len(a)
 	if n == 0 {
@@ -111,16 +76,6 @@ func dotRowF16(a []float32, b []uint16) float32 {
 // it replaces; only the call and bounds overhead per position is gone.
 func DotStride(dst, q, k []float32, d, limit int, scale float32) {
 	if limit <= 0 {
-		return
-	}
-	if hasAVX && d >= 16 {
-		// Dot crosses to the 8-lane AVX kernel at n ≥ 16; the stride
-		// kernel carries the SSE body, so wide heads (none in the zoo)
-		// keep the per-position calls to stay bit-identical to Dot.
-		q = q[:d]
-		for j := 0; j < limit; j++ {
-			dst[j] = Dot(q, k[j*d:(j+1)*d]) * scale
-		}
 		return
 	}
 	_ = dst[limit-1]
@@ -169,35 +124,24 @@ func quantizeF16(data []float32) {
 	}
 }
 
-// matMulTSweep4 computes out[r·ldo+j] = dotRow(a[r·lda:], b[j·k:]) for
-// r in 0..3 and j in [0, cols) in one kernel call, the 4-row MatMulT block
-// with the column loop hoisted into assembly. The kernel's per-column body
-// is dotVec4FMA verbatim, so every element is bit-identical to the
-// per-column dotRow4 loop it replaces. Returns false when the FMA tier is
-// absent (caller falls back to the reference loop).
-func matMulTSweep4(out []float32, ldo int, a []float32, lda int, b []float32, k, cols int) bool {
-	if !hasFMA || k == 0 || cols == 0 {
-		return false
-	}
+// matMulTSweep4 computes out[r·ldo+j] = dotVecFMA(a[r·lda:], b[j·k:]) for
+// r in 0..3 and j in [0, cols) in one kernel call — the 4-row MatMulT block
+// of the FMA tier, streaming each b row once for four output rows. Callers
+// gate on hasFMA; k and cols are positive.
+func matMulTSweep4(out []float32, ldo int, a []float32, lda int, b []float32, k, cols int) {
 	_ = a[3*lda+k-1]
 	_ = b[cols*k-1]
 	_ = out[3*ldo+cols-1]
 	matMulT4Vec(&out[0], ldo, &a[0], lda, &b[0], k, cols)
-	return true
 }
 
-// matMulTSweep1 is the single-row variant: out[j] = dotRow(a, b[j·k:]) for
-// j in [0, cols), with the dotVecFMA body inlined per column. Bit-identical
-// to the per-column dotRow loop; false when the FMA tier is absent.
-func matMulTSweep1(out, a, b []float32, k, cols int) bool {
-	if !hasFMA || k == 0 || cols == 0 {
-		return false
-	}
+// matMulTSweep1 is the single-row variant: out[j] = dotVecFMA(a, b[j·k:])
+// for j in [0, cols).
+func matMulTSweep1(out, a, b []float32, k, cols int) {
 	_ = a[k-1]
 	_ = b[cols*k-1]
 	_ = out[cols-1]
 	matMulT1Vec(&out[0], &a[0], &b[0], k, cols)
-	return true
 }
 
 // ScaleSlice multiplies every element of p by s in place. A uniform
@@ -230,7 +174,8 @@ func siluFinish(p []float32, e []float64) bool {
 	return true
 }
 
-// dotRow4F16 is dotRow4 with b stored as packed binary16; hasF16C only.
+// dotRow4F16 is four dotRowF16 products of consecutive a-rows (stride lda
+// floats) against one shared b row, streamed once; hasF16C only.
 func dotRow4F16(a []float32, lda int, b []uint16) (r0, r1, r2, r3 float32) {
 	n := len(b)
 	if n == 0 {

@@ -85,99 +85,18 @@ reduce:
 	MOVSS  X0, ret+24(FP)
 	RET
 
-// func dotVecAVX(a, b *float32, n int) float32
-//
-// AVX 8-lane dot product with four independent Y-register accumulators
-// (32 floats per main-loop iteration). Only reached when cpu_amd64.go has
-// confirmed OS-enabled AVX via CPUID/XGETBV. VMULPS/VADDPS (no FMA) keep
-// the multiply-then-add float32 semantics of the SSE and scalar kernels;
-// only the lane-accumulation order differs.
-TEXT ·dotVecAVX(SB), NOSPLIT, $0-28
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ n+16(FP), CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	MOVQ   CX, BX
-	SHRQ   $5, BX
-	JZ     avxtail8
-
-avxloop32:
-	VMOVUPS (SI), Y4
-	VMULPS  (DI), Y4, Y4
-	VADDPS  Y4, Y0, Y0
-	VMOVUPS 32(SI), Y5
-	VMULPS  32(DI), Y5, Y5
-	VADDPS  Y5, Y1, Y1
-	VMOVUPS 64(SI), Y6
-	VMULPS  64(DI), Y6, Y6
-	VADDPS  Y6, Y2, Y2
-	VMOVUPS 96(SI), Y7
-	VMULPS  96(DI), Y7, Y7
-	VADDPS  Y7, Y3, Y3
-	ADDQ    $128, SI
-	ADDQ    $128, DI
-	DECQ    BX
-	JNZ     avxloop32
-
-avxtail8:
-	MOVQ CX, BX
-	ANDQ $31, BX
-	MOVQ BX, DX
-	SHRQ $3, DX
-	JZ   avxreduce
-
-avxloop8:
-	VMOVUPS (SI), Y4
-	VMULPS  (DI), Y4, Y4
-	VADDPS  Y4, Y0, Y0
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	DECQ    DX
-	JNZ     avxloop8
-
-avxreduce:
-	VADDPS       Y1, Y0, Y0
-	VADDPS       Y3, Y2, Y2
-	VADDPS       Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS       X1, X0, X0
-	VZEROUPPER
-	ANDQ         $7, BX
-	JZ           avxhsum
-
-avxloop1:
-	MOVSS (SI), X4
-	MULSS (DI), X4
-	ADDSS X4, X0
-	ADDQ  $4, SI
-	ADDQ  $4, DI
-	DECQ  BX
-	JNZ   avxloop1
-
-avxhsum:
-	MOVAPS X0, X1
-	SHUFPS $0xEE, X1, X1
-	ADDPS  X1, X0
-	MOVAPS X0, X1
-	SHUFPS $0x55, X1, X1
-	ADDSS  X1, X0
-	MOVSS  X0, ret+24(FP)
-	RET
-
 // func dotVecFMA(a, b *float32, n int) float32
 //
 // AVX2/FMA 8-lane dot product with two independent Y-register accumulators
 // (16 floats per main-loop iteration). Only reached when cpu_amd64.go has
 // confirmed AVX2+FMA3. Fused multiply-add rounds once per lane-step, so the
-// FMA tier is NOT bit-identical to the AVX/SSE tiers — the tier is fixed per
-// process, and every kernel of the tier (this one, dotVec4FMA, and the F16C
-// variants) shares the exact per-row op order: b is loaded (or converted)
-// into a register, a rides as the FMA memory operand, chunk 0 accumulates
-// into Y0/X0 and chunk 1 into Y1, tails drop into Y0/X0. Any path mixing
-// the four kernels therefore produces bit-identical sums.
+// FMA tier is NOT bit-identical to the SSE tier — the tier is fixed per
+// process. This body is the one-element definition of the tier's op order
+// and has no engine caller: the column sweeps (matMulT1Vec, matMulT4Vec) and
+// the F16C kernels inline it per output element and are tested bitwise
+// against it. b is loaded (or converted) into a register, a rides as the
+// FMA memory operand, chunk 0 accumulates into Y0/X0 and chunk 1 into Y1,
+// tails drop into Y0/X0.
 TEXT ·dotVecFMA(SB), NOSPLIT, $0-28
 	MOVQ a+0(FP), SI
 	MOVQ b+8(FP), DI
@@ -301,139 +220,15 @@ hfhsum:
 	MOVSS  X0, ret+24(FP)
 	RET
 
-// func dotVec4FMA(a *float32, lda int, b *float32, n int) (r0, r1, r2, r3 float32)
-//
-// 4-row FMA microkernel: dot products of four consecutive a-rows (stride
-// lda floats) against one shared b row, streaming b once instead of four
-// times — the m=4 panel step of the blocked MatMulT path. Register budget:
-// Y0..Y7 hold two accumulators per row, Y8/Y9 hold the two shared b chunks,
-// a-rows ride as FMA memory operands through R8..R11. Per-row op order is
-// exactly dotVecFMA's, so each r_i is bit-identical to
-// dotVecFMA(&a[i*lda], b, n).
-TEXT ·dotVec4FMA(SB), NOSPLIT, $0-48
-	MOVQ a+0(FP), R8
-	MOVQ lda+8(FP), AX
-	SHLQ $2, AX
-	LEAQ (R8)(AX*1), R9
-	LEAQ (R9)(AX*1), R10
-	LEAQ (R10)(AX*1), R11
-	MOVQ b+16(FP), DI
-	MOVQ n+24(FP), CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	MOVQ   CX, BX
-	SHRQ   $4, BX
-	JZ     q4tail8
-
-q4loop16:
-	VMOVUPS     (DI), Y8
-	VMOVUPS     32(DI), Y9
-	VFMADD231PS (R8), Y8, Y0
-	VFMADD231PS 32(R8), Y9, Y1
-	VFMADD231PS (R9), Y8, Y2
-	VFMADD231PS 32(R9), Y9, Y3
-	VFMADD231PS (R10), Y8, Y4
-	VFMADD231PS 32(R10), Y9, Y5
-	VFMADD231PS (R11), Y8, Y6
-	VFMADD231PS 32(R11), Y9, Y7
-	ADDQ        $64, R8
-	ADDQ        $64, R9
-	ADDQ        $64, R10
-	ADDQ        $64, R11
-	ADDQ        $64, DI
-	DECQ        BX
-	JNZ         q4loop16
-
-q4tail8:
-	MOVQ CX, BX
-	ANDQ $15, BX
-	CMPQ BX, $8
-	JLT  q4reduce
-	VMOVUPS     (DI), Y8
-	VFMADD231PS (R8), Y8, Y0
-	VFMADD231PS (R9), Y8, Y2
-	VFMADD231PS (R10), Y8, Y4
-	VFMADD231PS (R11), Y8, Y6
-	ADDQ        $32, R8
-	ADDQ        $32, R9
-	ADDQ        $32, R10
-	ADDQ        $32, R11
-	ADDQ        $32, DI
-	SUBQ        $8, BX
-
-q4reduce:
-	VADDPS       Y1, Y0, Y0
-	VADDPS       Y3, Y2, Y2
-	VADDPS       Y5, Y4, Y4
-	VADDPS       Y7, Y6, Y6
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS       X1, X0, X0
-	VEXTRACTF128 $1, Y2, X3
-	VADDPS       X3, X2, X2
-	VEXTRACTF128 $1, Y4, X5
-	VADDPS       X5, X4, X4
-	VEXTRACTF128 $1, Y6, X7
-	VADDPS       X7, X6, X6
-	VZEROUPPER
-	TESTQ        BX, BX
-	JZ           q4hsum
-
-q4loop1:
-	VMOVSS      (DI), X8
-	VFMADD231SS (R8), X8, X0
-	VFMADD231SS (R9), X8, X2
-	VFMADD231SS (R10), X8, X4
-	VFMADD231SS (R11), X8, X6
-	ADDQ        $4, R8
-	ADDQ        $4, R9
-	ADDQ        $4, R10
-	ADDQ        $4, R11
-	ADDQ        $4, DI
-	DECQ        BX
-	JNZ         q4loop1
-
-q4hsum:
-	MOVAPS X0, X1
-	SHUFPS $0xEE, X1, X1
-	ADDPS  X1, X0
-	MOVAPS X0, X1
-	SHUFPS $0x55, X1, X1
-	ADDSS  X1, X0
-	MOVSS  X0, r0+32(FP)
-	MOVAPS X2, X1
-	SHUFPS $0xEE, X1, X1
-	ADDPS  X1, X2
-	MOVAPS X2, X1
-	SHUFPS $0x55, X1, X1
-	ADDSS  X1, X2
-	MOVSS  X2, r1+36(FP)
-	MOVAPS X4, X1
-	SHUFPS $0xEE, X1, X1
-	ADDPS  X1, X4
-	MOVAPS X4, X1
-	SHUFPS $0x55, X1, X1
-	ADDSS  X1, X4
-	MOVSS  X4, r2+40(FP)
-	MOVAPS X6, X1
-	SHUFPS $0xEE, X1, X1
-	ADDPS  X1, X6
-	MOVAPS X6, X1
-	SHUFPS $0x55, X1, X1
-	ADDSS  X1, X6
-	MOVSS  X6, r3+44(FP)
-	RET
-
 // func dotVec4F16C(a *float32, lda int, b *uint16, n int) (r0, r1, r2, r3 float32)
 //
-// dotVec4FMA with the shared b row stored as packed binary16 — the blocked
-// MatMulT panel step that streams each weight row once at half the bytes.
-// Identical per-row op order to dotVecFMA/dotVecF16C.
+// Four dotVecF16C products of consecutive a-rows (stride lda floats)
+// against one shared packed-binary16 b row — the blocked MatMulT panel step
+// that streams each weight row once at half the bytes. Y0..Y7 hold two
+// accumulators per row, Y8/Y9 the two converted b chunks, a-rows ride as
+// FMA memory operands through R8..R11. Per-row op order is exactly
+// dotVecFMA's, so each r_i is bit-identical to dotVecFMA over the decoded
+// row.
 TEXT ·dotVec4F16C(SB), NOSPLIT, $0-48
 	MOVQ a+0(FP), R8
 	MOVQ lda+8(FP), AX
@@ -860,8 +655,8 @@ asdone:
 // out[j] = dotVecFMA(a, b[j·k:], k) for j in [0, cols): the single-row
 // MatMulT column sweep with the per-column call hoisted into the kernel.
 // The inner body is dotVecFMA verbatim (same accumulator split, same
-// reduction), so every output element is bit-identical to the per-column
-// call it replaces. b rows are contiguous, so DI walks forward naturally.
+// reduction), so every output element is bit-identical to the one-element
+// kernel. b rows are contiguous, so DI walks forward naturally.
 TEXT ·matMulT1Vec(SB), NOSPLIT, $0-40
 	MOVQ  out+0(FP), R8
 	MOVQ  a+8(FP), R11
@@ -933,12 +728,12 @@ m1done:
 
 // func matMulT4Vec(out *float32, ldo int, a *float32, lda int, b *float32, k, cols int)
 // Four MatMulT output rows over all cols in one call: out[r·ldo+j] =
-// dotVecFMA(a[r·lda:], b[j·k:], k) for r in 0..3, j in [0, cols). The
-// inner body is dotVec4FMA verbatim (two accumulators per row, shared b
-// loads, same reduction and horizontal-sum order), so results are
-// bit-identical to per-column dotRow4 calls; hoisting the column loop
-// removes the per-column call, argument, and bounds overhead that
-// dominates at the zoo's small widths.
+// dotVecFMA(a[r·lda:], b[j·k:], k) for r in 0..3, j in [0, cols). Per
+// row the inner body is dotVecFMA's (two accumulators per row, shared b
+// loads, same reduction and horizontal-sum order), so every element is
+// bit-identical to the one-element kernel; the column loop lives in the
+// kernel because per-column call, argument, and bounds overhead dominates
+// at the zoo's small widths.
 TEXT ·matMulT4Vec(SB), NOSPLIT, $0-56
 	MOVQ  out+0(FP), DX
 	MOVQ  ldo+8(FP), R12

@@ -42,17 +42,6 @@ func Axpy(dst, src []float32, w float32) {
 	}
 }
 
-// dotRow/dotRow4 mirror the amd64 tier wiring with the scalar kernel.
-func dotRow(a, b []float32) float32 { return Dot(a, b) }
-
-func dotRow4(a []float32, lda int, b []float32) (r0, r1, r2, r3 float32) {
-	n := len(b)
-	return dotRow(a[:n], b),
-		dotRow(a[lda:lda+n], b),
-		dotRow(a[2*lda:2*lda+n], b),
-		dotRow(a[3*lda:3*lda+n], b)
-}
-
 // DotStride fills dst[j] = Dot(q, k[j*d:(j+1)*d]) * scale for j in
 // [0, limit) — the reference definition of the amd64 stride kernel.
 func DotStride(dst, q, k []float32, d, limit int, scale float32) {
@@ -83,14 +72,14 @@ func quantizeF16(data []float32) {
 	}
 }
 
-// The column-sweep MatMulT kernels are FMA-tier only; reporting false makes
-// matMulTRows/matMulTCols fall back to their per-column reference loops.
-func matMulTSweep4(out []float32, ldo int, a []float32, lda int, b []float32, k, cols int) bool {
-	return false
+// The column-sweep MatMulT kernels are unreachable without hasFMA:
+// matMulTRows/matMulTCols compute every element with Dot here.
+func matMulTSweep4(out []float32, ldo int, a []float32, lda int, b []float32, k, cols int) {
+	panic("tensor: sweep kernel without FMA tier")
 }
 
-func matMulTSweep1(out, a, b []float32, k, cols int) bool {
-	return false
+func matMulTSweep1(out, a, b []float32, k, cols int) {
+	panic("tensor: sweep kernel without FMA tier")
 }
 
 // ScaleSlice multiplies every element of p by s in place — the scalar

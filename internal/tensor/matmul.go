@@ -6,94 +6,26 @@ import "runtime"
 // carry; finer chunks spend more time on cursor traffic than arithmetic.
 const grainWork = 1 << 13
 
-// MatMul returns a × b (a: m×k, b: k×n). The cost-model dispatcher
-// (dispatch.go) picks serial, row-split, or column-split per shape; the
-// per-element FP op order is identical on every path.
+// MatMul returns a × b (a: m×k, b: k×n) — the plain serial reference
+// product abft.CheckedMatMul checks. The engine never calls it (every linear
+// layer and the readout are x·Wᵀ, MatMulTInto), so it has no dispatch and no
+// sparse shortcut: a zero in a still multiplies, because 0 × NaN and
+// 0 × ±Inf are NaN and must propagate.
 func MatMul(a, b *Tensor) *Tensor {
 	if a.Cols != b.Rows {
 		panic("tensor: MatMul shape mismatch")
 	}
-	out := New(a.Rows, b.Cols)
-	matMulInto(out, a, b)
-	return out
-}
-
-func matMulInto(out, a, b *Tensor) {
-	m, k, n := a.Rows, a.Cols, b.Cols
-	// The zero-skipping fast path in matMulRows is only sound when b is
-	// fully finite: 0 × NaN and 0 × ±Inf are NaN and must propagate, or a
-	// sparse activation row would silently mask an injected fault. The scan
-	// result is cached on b (weights never change after load).
-	skipZeros := b.AllFinite()
-	defer out.MarkMutated()
-	p := currentCostModel().plan(kindMatMul, m, k, n, runtime.GOMAXPROCS(0))
-	switch p.mode {
-	case planRows:
-		runPooled(kernelMatMulRows, out, a, b, skipZeros, m, p.chunk, p.helpers)
-	case planCols:
-		// Few rows, wide product: split the output columns so a small-m
-		// product still uses every core. out must be zeroed before the
-		// accumulating column kernel runs; New and the serial/row paths
-		// overwrite, so only this path clears it here.
-		out.Zero()
-		runPooled(kernelMatMulCols, out, a, b, skipZeros, n, p.chunk, p.helpers)
-	default:
-		matMulRows(out, a, b, 0, m, skipZeros)
-	}
-}
-
-// matMulRows computes rows [lo,hi) of out = a×b with a k-outer loop that
-// streams b row-wise (cache friendly for row-major storage). skipZeros
-// enables the sparse shortcut for zero elements of a; callers must disable
-// it when b contains non-finite values so that 0 × NaN propagates.
-func matMulRows(out, a, b *Tensor, lo, hi int, skipZeros bool) {
 	k, n := a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*k : (i+1)*k]
+	out := New(a.Rows, n)
+	for i := 0; i < a.Rows; i++ {
 		orow := out.Data[i*n : (i+1)*n]
-		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
-			if av == 0 && skipZeros {
-				continue
-			}
-			brow := b.Data[kk*n : (kk+1)*n]
-			for j, bv := range brow {
+		for kk, av := range a.Data[i*k : (i+1)*k] {
+			for j, bv := range b.Data[kk*n : (kk+1)*n] {
 				orow[j] += av * bv
 			}
 		}
 	}
-}
-
-// matMulCols computes columns [lo,hi) of every row of out = a×b. The
-// accumulation per element runs in the same kk-ascending order as
-// matMulRows, so splitting by columns is bit-identical to the serial loop.
-// out must be zeroed over [lo,hi) before the call.
-func matMulCols(out, a, b *Tensor, lo, hi int, skipZeros bool) {
-	m, k, n := a.Rows, a.Cols, b.Cols
-	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
-			if av == 0 && skipZeros {
-				continue
-			}
-			brow := b.Data[kk*n : (kk+1)*n]
-			for j := lo; j < hi; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-}
-
-// allFinite reports whether every element is finite (no NaN, no ±Inf).
-func allFinite(xs []float32) bool {
-	for _, v := range xs {
-		if v-v != 0 { // NaN-NaN and Inf-Inf are NaN; finite-finite is 0
-			return false
-		}
-	}
-	return true
+	return out
 }
 
 // MatMulT returns a × bᵀ (a: m×k, b: n×k). Used for attention scores
@@ -105,9 +37,10 @@ func MatMulT(a, b *Tensor) *Tensor {
 // MatMulTInto computes a × bᵀ into out (a: m×k, b: n×k, out: m×n),
 // overwriting every element of out. It allocates nothing, which keeps the
 // per-token decode step off the garbage collector; out must not alias a
-// or b. Every out element is an independent dotRow(a-row, b-row), so the
-// serial, row-split, column-split, 4-row-blocked, and f16-streamed paths
-// are bit-identical at any worker count.
+// or b. Every out element is an independent dot product of an a-row and a
+// b-row in the op order of the process's tier (dotVecFMA with hasFMA, Dot
+// without), so the serial, row-split, column-split, 4-row-blocked, tiled and
+// f16-streamed paths are bit-identical at any worker count.
 func MatMulTInto(out, a, b *Tensor) *Tensor {
 	if a.Cols != b.Cols {
 		panic("tensor: MatMulT shape mismatch")
@@ -116,12 +49,16 @@ func MatMulTInto(out, a, b *Tensor) *Tensor {
 	if out.Rows != m || out.Cols != n {
 		panic("tensor: MatMulTInto output shape mismatch")
 	}
-	p := currentCostModel().plan(kindMatMulT, m, k, n, runtime.GOMAXPROCS(0))
+	if m == 0 || k == 0 || n == 0 {
+		out.Zero() // empty sums; the kernels assume positive dimensions
+		return out
+	}
+	p := currentCostModel().plan(m, k, n, runtime.GOMAXPROCS(0))
 	switch p.mode {
 	case planRows:
-		runPooled(kernelMatMulTRows, out, a, b, false, m, p.chunk, p.helpers)
+		runPooled(kernelMatMulTRows, out, a, b, m, p.chunk, p.helpers)
 	case planCols:
-		runPooled(kernelMatMulTCols, out, a, b, false, n, p.chunk, p.helpers)
+		runPooled(kernelMatMulTCols, out, a, b, n, p.chunk, p.helpers)
 	default:
 		// The decode hot path (m = 1 or a small batch on a host without
 		// spare cores) lands here every step, free of pool traffic.
@@ -131,67 +68,63 @@ func MatMulTInto(out, a, b *Tensor) *Tensor {
 	return out
 }
 
-// matMulTRows computes rows [lo,hi) of out = a×bᵀ, blocked: rows are taken
-// in groups of four so each weight row of b is streamed once per group
-// instead of once per output row, through the 4-row microkernel when the
-// FMA tier is present. When b carries a streamable packed-f16 shadow the
-// F16C variants read half the bytes; op order per element is identical
-// either way, so blocking and streaming mode are invisible in the results.
+// matMulTRows computes rows [lo,hi) of out = a×bᵀ on the tier in effect:
+// a streamable packed-f16 shadow goes through the F16C per-column kernels
+// (half the weight bytes), f32 weights on an FMA host through the column
+// sweeps, and a host without FMA computes each element with Dot. Both FMA
+// forms take rows in groups of four so each weight row is streamed once per
+// group; op order per element is dotVecFMA's either way, so blocking and
+// streaming mode are invisible in the results.
 func matMulTRows(out, a, b *Tensor, lo, hi int) {
 	k, n := a.Cols, b.Rows
-	bh := b.halfData()
-	i := lo
-	if bh == nil && hi-lo >= 8 && matMulTTiled(out, a, b, lo, hi) {
-		return
-	}
-	if hasFMA && k > 0 {
+	switch bh := b.halfData(); {
+	case bh != nil:
+		i := lo
 		for ; i+4 <= hi; i += 4 {
-			ablk := a.Data[i*k : (i+3)*k+k]
+			ablk := a.Data[i*k : (i+4)*k]
 			o0 := out.Data[i*n : (i+1)*n]
 			o1 := out.Data[(i+1)*n : (i+2)*n]
 			o2 := out.Data[(i+2)*n : (i+3)*n]
 			o3 := out.Data[(i+3)*n : (i+4)*n]
-			if bh != nil {
-				for j := 0; j < n; j++ {
-					o0[j], o1[j], o2[j], o3[j] = dotRow4F16(ablk, k, bh[j*k:(j+1)*k])
-				}
-			} else if !matMulTSweep4(out.Data[i*n:(i+4)*n], n, ablk, k, b.Data, k, n) {
-				for j := 0; j < n; j++ {
-					o0[j], o1[j], o2[j], o3[j] = dotRow4(ablk, k, b.Data[j*k:(j+1)*k])
-				}
+			for j := 0; j < n; j++ {
+				o0[j], o1[j], o2[j], o3[j] = dotRow4F16(ablk, k, bh[j*k:(j+1)*k])
 			}
 		}
-	}
-	for ; i < hi; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		if bh != nil {
+		for ; i < hi; i++ {
+			arow := a.Data[i*k : (i+1)*k]
+			orow := out.Data[i*n : (i+1)*n]
 			for j := 0; j < n; j++ {
 				orow[j] = dotRowF16(arow, bh[j*k:(j+1)*k])
 			}
-		} else if !matMulTSweep1(orow, arow, b.Data[:n*k], k, n) {
+		}
+	case hasFMA:
+		// From 8 rows on, 32 columns of b (≤ ~12-16 KiB at the zoo's
+		// widths: inside L1 with the activation rows) are streamed from the
+		// outer cache once and reused by every row group; below that the
+		// whole width is one block.
+		colBlock := n
+		if hi-lo >= 8 {
+			colBlock = 32
+		}
+		matMulTTiled(out, a, b, lo, hi, colBlock)
+	default:
+		for i := lo; i < hi; i++ {
+			arow := a.Data[i*k : (i+1)*k]
+			orow := out.Data[i*n : (i+1)*n]
 			for j := 0; j < n; j++ {
-				orow[j] = dotRow(arow, b.Data[j*k:(j+1)*k])
+				orow[j] = Dot(arow, b.Data[j*k:(j+1)*k])
 			}
 		}
 	}
 }
 
-// matMulTTiled is matMulTRows with the columns of b tiled so one weight
-// block is streamed from the outer cache once and then reused from L1 by
-// every 4-row group — the shape the fused mixed-phase batch produces
-// (many activation rows against one weight matrix). Each output element is
-// still an independent dotRow of the same two vectors, so tiling changes
-// only the traversal order, never a result bit. Returns false when the FMA
-// sweep kernels are unavailable (the caller runs the untiled loops).
-func matMulTTiled(out, a, b *Tensor, lo, hi int) bool {
+// matMulTTiled is the FMA-tier sweep over rows [lo,hi) with the columns of
+// b taken colBlock at a time — the shape the fused mixed-phase batch
+// produces (many activation rows against one weight matrix). Each output
+// element is still an independent dotVecFMA of the same two vectors, so
+// tiling changes only the traversal order, never a result bit.
+func matMulTTiled(out, a, b *Tensor, lo, hi, colBlock int) {
 	k, n := a.Cols, b.Rows
-	if k == 0 || n == 0 {
-		return false
-	}
-	// 32 columns × k floats ≤ ~12-16 KiB for the zoo's widths: comfortably
-	// inside L1 with the activation rows.
-	const colBlock = 32
 	for j0 := 0; j0 < n; j0 += colBlock {
 		jn := n - j0
 		if jn > colBlock {
@@ -200,35 +133,33 @@ func matMulTTiled(out, a, b *Tensor, lo, hi int) bool {
 		blk := b.Data[j0*k : (j0+jn)*k]
 		i := lo
 		for ; i+4 <= hi; i += 4 {
-			if !matMulTSweep4(out.Data[i*n+j0:], n, a.Data[i*k:(i+4)*k], k, blk, k, jn) {
-				return false
-			}
+			matMulTSweep4(out.Data[i*n+j0:], n, a.Data[i*k:(i+4)*k], k, blk, k, jn)
 		}
 		for ; i < hi; i++ {
-			if !matMulTSweep1(out.Data[i*n+j0:i*n+j0+jn], a.Data[i*k:(i+1)*k], blk, k, jn) {
-				return false
-			}
+			matMulTSweep1(out.Data[i*n+j0:i*n+j0+jn], a.Data[i*k:(i+1)*k], blk, k, jn)
 		}
 	}
-	return true
 }
 
 // matMulTCols computes columns [lo,hi) of every row of out = a×bᵀ — the
 // small-m split that lets a single decode step use every core. Each element
-// is the same dotRow the row kernel makes, so results are bit-identical.
+// is the same dot product the row kernel makes, so results are bit-identical.
 func matMulTCols(out, a, b *Tensor, lo, hi int) {
 	k, n := a.Cols, b.Rows
 	bh := b.halfData()
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		orow := out.Data[i*n : (i+1)*n]
-		if bh != nil {
+		switch {
+		case bh != nil:
 			for j := lo; j < hi; j++ {
 				orow[j] = dotRowF16(arow, bh[j*k:(j+1)*k])
 			}
-		} else if !matMulTSweep1(orow[lo:hi], arow, b.Data[lo*k:hi*k], k, hi-lo) {
+		case hasFMA:
+			matMulTSweep1(orow[lo:hi], arow, b.Data[lo*k:hi*k], k, hi-lo)
+		default:
 			for j := lo; j < hi; j++ {
-				orow[j] = dotRow(arow, b.Data[j*k:(j+1)*k])
+				orow[j] = Dot(arow, b.Data[j*k:(j+1)*k])
 			}
 		}
 	}

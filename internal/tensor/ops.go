@@ -140,51 +140,3 @@ func RMSNormInto(out, x *Tensor, gamma []float32, eps float32) *Tensor {
 	out.MarkMutated()
 	return out
 }
-
-// ArgMaxRow returns the index of the largest element in row r
-// (ties broken toward the lower index; NaNs never win).
-func (t *Tensor) ArgMaxRow(r int) int {
-	row := t.Row(r)
-	best := 0
-	bestV := float32(math.Inf(-1))
-	for i, v := range row {
-		if !math.IsNaN(float64(v)) && v > bestV {
-			bestV = v
-			best = i
-		}
-	}
-	return best
-}
-
-// Concat stacks a on top of b (same column count).
-func Concat(a, b *Tensor) *Tensor {
-	if a.Cols != b.Cols {
-		panic("tensor: Concat column mismatch")
-	}
-	out := New(a.Rows+b.Rows, a.Cols)
-	copy(out.Data, a.Data)
-	copy(out.Data[len(a.Data):], b.Data)
-	return out
-}
-
-// SliceRows returns rows [lo,hi) as a copy.
-func (t *Tensor) SliceRows(lo, hi int) *Tensor {
-	if lo < 0 || hi > t.Rows || lo > hi {
-		panic("tensor: SliceRows out of range")
-	}
-	out := New(hi-lo, t.Cols)
-	copy(out.Data, t.Data[lo*t.Cols:hi*t.Cols])
-	return out
-}
-
-// SliceCols returns columns [lo,hi) of every row as a copy.
-func (t *Tensor) SliceCols(lo, hi int) *Tensor {
-	if lo < 0 || hi > t.Cols || lo > hi {
-		panic("tensor: SliceCols out of range")
-	}
-	out := New(t.Rows, hi-lo)
-	for r := 0; r < t.Rows; r++ {
-		copy(out.Row(r), t.Row(r)[lo:hi])
-	}
-	return out
-}

@@ -12,8 +12,8 @@ import (
 // Data stays the master copy: every value is first rounded through the same
 // binary16 grid the activations pass through (numerics.RoundF16 semantics),
 // so the shadow decodes to Data bit-for-bit and every consumer that reads
-// Data — fault-site addressing, FT2 bound profiling, the zero-skip scan,
-// non-F16C kernels — observes exactly the values the f16 kernels stream.
+// Data — fault-site addressing, FT2 bound profiling, non-F16C kernels —
+// observes exactly the values the f16 kernels stream.
 // The shadow is purely a bandwidth optimization: on F16C hosts the MatMulT
 // row kernels stream half the bytes per weight row; everywhere else the
 // tensor behaves as if PackF16 had only quantized it.
@@ -42,8 +42,7 @@ func SetF16Streaming(on bool) (prev bool) { return f16Stream.Swap(on) }
 func F16StreamingAvailable() bool { return hasF16C }
 
 // PackF16 rounds every element through the binary16 grid (exactly
-// numerics.RoundF16) and builds the packed shadow. Overflow rounds to ±Inf
-// like RoundF16, so the finiteness cache is invalidated along the way.
+// numerics.RoundF16; overflow rounds to ±Inf) and builds the packed shadow.
 func (t *Tensor) PackF16() {
 	n := len(t.Data)
 	if cap(t.half) < n {
@@ -56,22 +55,12 @@ func (t *Tensor) PackF16() {
 		t.half[i] = hb
 		t.Data[i] = numerics.F16BitsToF32(hb)
 	}
-	t.finite.Store(finiteUnknown)
 	t.halfOK.Store(1)
 }
 
 // IsPackedF16 reports whether the tensor currently has a valid packed
 // shadow (packed and not mutated since).
 func (t *Tensor) IsPackedF16() bool { return t.half != nil && t.halfOK.Load() == 1 }
-
-// F16Bits returns the packed shadow bits, or nil when no valid shadow
-// exists. The slice aliases internal storage; callers must not write it.
-func (t *Tensor) F16Bits() []uint16 {
-	if !t.IsPackedF16() {
-		return nil
-	}
-	return t.half
-}
 
 // halfData returns the packed shadow when the kernels may stream it: valid
 // shadow, streaming enabled, and the F16C tier present (which pins the FMA

@@ -51,8 +51,9 @@ func TestPackF16InvalidatedByMutation(t *testing.T) {
 		"Reuse":       func(t *Tensor) { t.Reuse(2, 4) },
 		"MarkMutated": func(t *Tensor) { t.Data[0] = 7; t.MarkMutated() },
 		"Quantize":    func(t *Tensor) { t.Quantize(numerics.FP16) },
-		"RowViewWrite": func(t *Tensor) {
-			v := t.RowView(1)
+		"ViewWrite": func(t *Tensor) {
+			var v Tensor
+			v.BindRowsView(t, 1, 1)
 			v.Data[0] = 42
 			v.MarkMutated()
 		},
@@ -112,54 +113,29 @@ func TestSetF16StreamingGate(t *testing.T) {
 	}
 }
 
-// Satellite audit test: corrupting a weight through a 1-row view must make
-// the parent's cached finiteness rescan fire, so the zero-skip fast path
-// cannot mask the fault.
-func TestViewCorruptionInvalidatesFiniteness(t *testing.T) {
-	w := New(4, 8)
-	w.Fill(0.5)
-	if !w.AllFinite() {
-		t.Fatal("weights should start finite")
-	}
-	v := w.RowView(2)
-	v.Data[3] = float32(math.NaN())
-	v.MarkMutated()
-	if w.AllFinite() {
-		t.Fatal("parent finiteness cache went stale through a view write")
-	}
-	// End-to-end soundness: a sparse activation row against the corrupted
-	// weight must propagate NaN (the zero-skip shortcut must be off).
-	a := New(1, 4)
-	a.Data[0] = 0 // would skip the NaN row if the cache lied
-	wT := New(4, 8)
-	wT.Fill(0.5)
-	vt := wT.RowView(0)
-	vt.Data[2] = float32(math.NaN())
-	vt.MarkMutated()
-	out := MatMul(a, wT)
-	if !math.IsNaN(float64(out.Data[2])) {
-		t.Error("0 × NaN failed to propagate after view corruption")
-	}
-}
-
-// BindRowView must re-aim a scratch header and track the new parent.
-func TestBindRowView(t *testing.T) {
-	parent := New(3, 5)
+// BindRowsView must re-aim a scratch header at a row range, alias the
+// parent's storage, and track the new parent: a write through the view
+// invalidates that parent's packed shadow and no longer the old binding's.
+func TestBindRowsView(t *testing.T) {
+	first, parent := New(2, 5), New(3, 5)
+	first.PackF16()
 	parent.Fill(1)
-	if !parent.AllFinite() {
-		t.Fatal("parent should start finite")
-	}
+	parent.PackF16()
 	var scratch Tensor
-	scratch.BindRowView(parent, 1)
-	if scratch.Rows != 1 || scratch.Cols != 5 {
-		t.Fatalf("bound view shape %dx%d", scratch.Rows, scratch.Cols)
+	scratch.BindRowsView(first, 0, 1)
+	scratch.BindRowsView(parent, 1, 2)
+	if scratch.Rows != 2 || scratch.Cols != 5 || len(scratch.Data) != 10 {
+		t.Fatalf("bound view shape %dx%d len %d", scratch.Rows, scratch.Cols, len(scratch.Data))
 	}
 	scratch.Data[0] = float32(math.Inf(1))
 	scratch.MarkMutated()
-	if parent.AllFinite() {
-		t.Error("parent cache stale after bound-view write")
-	}
 	if parent.Data[5] != float32(math.Inf(1)) {
-		t.Error("bound view does not alias the parent row")
+		t.Error("bound view does not alias the parent rows")
+	}
+	if parent.IsPackedF16() {
+		t.Error("parent shadow still valid after a bound-view write")
+	}
+	if !first.IsPackedF16() {
+		t.Error("re-aimed view still invalidates its old parent")
 	}
 }

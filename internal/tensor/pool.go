@@ -34,9 +34,7 @@ import (
 type kernel uint8
 
 const (
-	kernelMatMulRows kernel = iota
-	kernelMatMulCols
-	kernelMatMulTRows
+	kernelMatMulTRows kernel = iota
 	kernelMatMulTCols
 	// kernelFunc runs a caller-supplied range function instead of a matmul
 	// kernel — the ParallelFor escape hatch the batched attention fan-out
@@ -51,7 +49,6 @@ const jobIdle = int64(1) << 40
 type job struct {
 	kind      kernel
 	out, a, b *Tensor
-	skipZeros bool
 	// fn is the range body of a kernelFunc job. Callers keep the closure
 	// alive across calls (the model arena does), so assigning it here does
 	// not allocate.
@@ -66,10 +63,6 @@ type job struct {
 
 func (j *job) exec(lo, hi int) {
 	switch j.kind {
-	case kernelMatMulRows:
-		matMulRows(j.out, j.a, j.b, lo, hi, j.skipZeros)
-	case kernelMatMulCols:
-		matMulCols(j.out, j.a, j.b, lo, hi, j.skipZeros)
 	case kernelMatMulTRows:
 		matMulTRows(j.out, j.a, j.b, lo, hi)
 	case kernelMatMulTCols:
@@ -144,9 +137,9 @@ func poolHelperCount() int { return int(poolHelpers.Load()) }
 // recruiting up to maxHelpers resident helpers. Steady-state it performs no
 // heap allocation: jobs cycle through the freelist and the kernel arguments
 // travel as struct fields, not closures.
-func runPooled(kind kernel, out, a, b *Tensor, skipZeros bool, n, chunk, maxHelpers int) {
+func runPooled(kind kernel, out, a, b *Tensor, n, chunk, maxHelpers int) {
 	j := acquireJob()
-	j.kind, j.out, j.a, j.b, j.skipZeros = kind, out, a, b, skipZeros
+	j.kind, j.out, j.a, j.b = kind, out, a, b
 	submitJob(j, n, chunk, maxHelpers)
 }
 

@@ -25,7 +25,7 @@ func TestPoolResizesAcrossGOMAXPROCSSweep(t *testing.T) {
 
 	check := func(phase string) {
 		out := New(m, n)
-		runPooled(kernelMatMulTRows, out, a, b, false, m, 3, runtime.GOMAXPROCS(0)-1)
+		runPooled(kernelMatMulTRows, out, a, b, m, 3, runtime.GOMAXPROCS(0)-1)
 		if !out.Equal(want) {
 			t.Fatalf("%s: pooled result diverges from serial", phase)
 		}

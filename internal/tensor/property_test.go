@@ -57,25 +57,27 @@ func TestMatMulDistributive(t *testing.T) {
 
 // Property: Linear with a zero weight matrix returns the bias broadcast.
 func TestLinearZeroWeights(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		x := New(3, 6)
-		x.RandNormal(rng, 2)
-		w := New(4, 6) // zeros
-		bias := []float32{1, -2, 3, -4}
-		out := Linear(x, w, bias)
-		for r := 0; r < 3; r++ {
-			for j, bv := range bias {
-				if out.At(r, j) != bv {
-					return false
+	forEachTier(t, func(t *testing.T) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			x := New(3, 6)
+			x.RandNormal(rng, 2)
+			w := New(4, 6) // zeros
+			bias := []float32{1, -2, 3, -4}
+			out := Linear(x, w, bias)
+			for r := 0; r < 3; r++ {
+				for j, bv := range bias {
+					if out.At(r, j) != bv {
+						return false
+					}
 				}
 			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // Property: softmax is invariant to a constant shift of the row.

@@ -10,40 +10,42 @@ import (
 // per-position Dot calls bit for bit, across head dims, limits, and value
 // classes (normals, NaN, ±Inf lanes).
 func TestDotStrideBitIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	fill := func(p []float32) {
-		for i := range p {
-			switch rng.Intn(20) {
-			case 0:
-				p[i] = float32(math.NaN())
-			case 1:
-				p[i] = float32(math.Inf(1 - 2*rng.Intn(2)))
-			default:
-				p[i] = rng.Float32()*4 - 2
-			}
-		}
-	}
-	for _, d := range []int{1, 3, 8, 12, 16, 24, 33} {
-		for _, limit := range []int{0, 1, 2, 7, 40, 250} {
-			q := make([]float32, d)
-			k := make([]float32, (limit+1)*d)
-			fill(q)
-			fill(k)
-			scale := rng.Float32() + 0.5
-			got := make([]float32, limit+1)
-			want := make([]float32, limit+1)
-			for j := 0; j < limit; j++ {
-				want[j] = Dot(q, k[j*d:(j+1)*d]) * scale
-			}
-			DotStride(got, q, k, d, limit, scale)
-			for j := 0; j < limit; j++ {
-				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-					t.Fatalf("d=%d limit=%d j=%d: got %08x want %08x",
-						d, limit, j, math.Float32bits(got[j]), math.Float32bits(want[j]))
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		fill := func(p []float32) {
+			for i := range p {
+				switch rng.Intn(20) {
+				case 0:
+					p[i] = float32(math.NaN())
+				case 1:
+					p[i] = float32(math.Inf(1 - 2*rng.Intn(2)))
+				default:
+					p[i] = rng.Float32()*4 - 2
 				}
 			}
 		}
-	}
+		for _, d := range []int{1, 3, 8, 12, 16, 24, 33} {
+			for _, limit := range []int{0, 1, 2, 7, 40, 250} {
+				q := make([]float32, d)
+				k := make([]float32, (limit+1)*d)
+				fill(q)
+				fill(k)
+				scale := rng.Float32() + 0.5
+				got := make([]float32, limit+1)
+				want := make([]float32, limit+1)
+				for j := 0; j < limit; j++ {
+					want[j] = Dot(q, k[j*d:(j+1)*d]) * scale
+				}
+				DotStride(got, q, k, d, limit, scale)
+				for j := 0; j < limit; j++ {
+					if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+						t.Fatalf("d=%d limit=%d j=%d: got %08x want %08x",
+							d, limit, j, math.Float32bits(got[j]), math.Float32bits(want[j]))
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestAxpyStrideBitIdentity checks the stride context kernel against the

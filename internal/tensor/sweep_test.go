@@ -31,9 +31,12 @@ func fillPattern(r *rand.Rand, xs []float32) {
 }
 
 // TestMatMulTSweepBitIdentity checks the column-sweep kernels against the
-// per-column dotRow/dotRow4 loops they replace, bitwise, over odd widths
-// and non-finite inputs.
+// FMA tier's one-element kernel, bitwise, over odd widths and non-finite
+// inputs.
 func TestMatMulTSweepBitIdentity(t *testing.T) {
+	if !hasFMA {
+		t.Skip("no FMA tier on this host")
+	}
 	r := rand.New(rand.NewSource(7))
 	for _, k := range []int{1, 3, 7, 8, 12, 15, 16, 17, 31, 64, 96, 97} {
 		for _, cols := range []int{1, 2, 5, 96, 131} {
@@ -43,26 +46,24 @@ func TestMatMulTSweepBitIdentity(t *testing.T) {
 			fillPattern(r, b)
 
 			got1 := make([]float32, cols)
-			if matMulTSweep1(got1, a[:k], b, k, cols) {
-				for j := 0; j < cols; j++ {
-					want := dotRow(a[:k], b[j*k:(j+1)*k])
-					if math.Float32bits(got1[j]) != math.Float32bits(want) {
-						t.Fatalf("sweep1 k=%d cols=%d j=%d: got %x want %x",
-							k, cols, j, math.Float32bits(got1[j]), math.Float32bits(want))
-					}
+			matMulTSweep1(got1, a[:k], b, k, cols)
+			for j := 0; j < cols; j++ {
+				want := dotFMA(a[:k], b[j*k:(j+1)*k])
+				if math.Float32bits(got1[j]) != math.Float32bits(want) {
+					t.Fatalf("sweep1 k=%d cols=%d j=%d: got %x want %x",
+						k, cols, j, math.Float32bits(got1[j]), math.Float32bits(want))
 				}
 			}
 
 			ldo := cols + 3 // non-contiguous output rows exercise the stride
 			got4 := make([]float32, 3*ldo+cols)
-			if matMulTSweep4(got4, ldo, a, k, b, k, cols) {
-				for rr := 0; rr < 4; rr++ {
-					for j := 0; j < cols; j++ {
-						want := dotRow(a[rr*k:(rr+1)*k], b[j*k:(j+1)*k])
-						if math.Float32bits(got4[rr*ldo+j]) != math.Float32bits(want) {
-							t.Fatalf("sweep4 k=%d cols=%d r=%d j=%d: got %x want %x",
-								k, cols, rr, j, math.Float32bits(got4[rr*ldo+j]), math.Float32bits(want))
-						}
+			matMulTSweep4(got4, ldo, a, k, b, k, cols)
+			for rr := 0; rr < 4; rr++ {
+				for j := 0; j < cols; j++ {
+					want := dotFMA(a[rr*k:(rr+1)*k], b[j*k:(j+1)*k])
+					if math.Float32bits(got4[rr*ldo+j]) != math.Float32bits(want) {
+						t.Fatalf("sweep4 k=%d cols=%d r=%d j=%d: got %x want %x",
+							k, cols, rr, j, math.Float32bits(got4[rr*ldo+j]), math.Float32bits(want))
 					}
 				}
 			}

@@ -18,45 +18,31 @@ import (
 	"ft2/internal/numerics"
 )
 
-// finiteness cache states (Tensor.finite).
-const (
-	finiteUnknown uint32 = iota
-	finiteYes
-	finiteNo
-)
-
 // Tensor is a row-major dense matrix of float32 values. Rank is 1 or 2:
 // vectors are represented as 1×n matrices.
 type Tensor struct {
 	Rows, Cols int
 	Data       []float32
 
-	// finite caches the all-elements-finite scan (finiteUnknown/-Yes/-No).
-	// Weight tensors never change after load, so MatMul's zero-skip
-	// soundness check pays its O(k·n) scan once instead of every forward
-	// pass. Mutating methods reset it; code that writes through Data or Row
-	// directly must call MarkMutated. Atomic because replicas share
-	// read-only weight tensors across serving goroutines, and two of them
-	// may fill the cache concurrently.
-	finite atomic.Uint32
-
 	// half is the packed binary16 shadow built by PackF16 (pack.go); halfOK
-	// is 1 while the shadow matches Data and 0 after any mutation.
+	// is 1 while the shadow matches Data and 0 after any mutation. Mutating
+	// methods reset it; code that writes through Data or Row directly must
+	// call MarkMutated. Atomic because replicas share read-only weight
+	// tensors across serving goroutines.
 	half   []uint16
 	halfOK atomic.Uint32
 
-	// base points at the tensor a view was carved from (RowView /
-	// BindRowView). MarkMutated on the view propagates to base, so cached
-	// state on the parent can never go stale through a view write.
+	// base points at the tensor a view was carved from (BindRowsView).
+	// MarkMutated on the view propagates to base, so the parent's shadow can
+	// never go stale through a view write.
 	base *Tensor
 }
 
-// MarkMutated invalidates cached derived state — the finiteness cache and
-// the packed-f16 shadow — after the contents were changed through Data,
-// Row, or any other direct-slice write. The mutating methods on Tensor call
-// it themselves; writes through a tracked view propagate to the parent.
+// MarkMutated invalidates the packed-f16 shadow after the contents were
+// changed through Data, Row, or any other direct-slice write. The mutating
+// methods on Tensor call it themselves; writes through a tracked view
+// propagate to the parent.
 func (t *Tensor) MarkMutated() {
-	t.finite.Store(finiteUnknown)
 	if t.half != nil {
 		t.halfOK.Store(0)
 	}
@@ -65,50 +51,16 @@ func (t *Tensor) MarkMutated() {
 	}
 }
 
-// RowView returns a 1×Cols tensor aliasing row r of t, with mutation
-// tracking: MarkMutated on the view invalidates t's cached state too.
-func (t *Tensor) RowView(r int) *Tensor {
-	return &Tensor{Rows: 1, Cols: t.Cols, Data: t.Row(r), base: t}
-}
-
-// BindRowView re-aims view (typically a reusable scratch header) at row r
-// of t without allocating. Any cached state carried by the old binding is
-// dropped and mutations through the view now invalidate t.
-func (view *Tensor) BindRowView(t *Tensor, r int) *Tensor {
-	view.Rows, view.Cols = 1, t.Cols
-	view.Data = t.Row(r)
-	view.half, view.base = nil, t
-	view.finite.Store(finiteUnknown)
-	return view
-}
-
-// BindRowsView re-aims view at the row range [lo, lo+rows) of t without
-// allocating — the multi-row generalization of BindRowView that the fused
-// mixed-phase forward uses to hand a prefill item's C-row slice to its
-// hooks. Mutations through the view invalidate t.
+// BindRowsView re-aims view (typically a reusable scratch header) at the
+// row range [lo, lo+rows) of t without allocating — how the fused
+// mixed-phase forward hands an item's row slice to its hooks. Any shadow
+// carried by the old binding is dropped and mutations through the view now
+// invalidate t.
 func (view *Tensor) BindRowsView(t *Tensor, lo, rows int) *Tensor {
 	view.Rows, view.Cols = rows, t.Cols
 	view.Data = t.Data[lo*t.Cols : (lo+rows)*t.Cols]
 	view.half, view.base = nil, t
-	view.finite.Store(finiteUnknown)
 	return view
-}
-
-// AllFinite reports whether every element is finite (no NaN, no ±Inf),
-// scanning at most once until the next mutation.
-func (t *Tensor) AllFinite() bool {
-	switch t.finite.Load() {
-	case finiteYes:
-		return true
-	case finiteNo:
-		return false
-	}
-	if allFinite(t.Data) {
-		t.finite.Store(finiteYes)
-		return true
-	}
-	t.finite.Store(finiteNo)
-	return false
 }
 
 // New allocates a zeroed rows×cols tensor.
@@ -127,13 +79,12 @@ func FromSlice(rows, cols int, data []float32) *Tensor {
 	return &Tensor{Rows: rows, Cols: cols, Data: data}
 }
 
-// Clone returns a deep copy (including the cached finiteness state and any
-// packed-f16 shadow). The clone is standalone: it never aliases t and is
-// not a tracked view even when t was one.
+// Clone returns a deep copy (including any packed-f16 shadow). The clone is
+// standalone: it never aliases t and is not a tracked view even when t was
+// one.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.Rows, t.Cols)
 	copy(c.Data, t.Data)
-	c.finite.Store(t.finite.Load())
 	if t.half != nil {
 		c.half = make([]uint16, len(t.half))
 		copy(c.half, t.half)
@@ -153,9 +104,6 @@ func (t *Tensor) Set(r, c int, v float32) {
 
 // Row returns the r-th row as a slice aliasing the tensor's storage.
 func (t *Tensor) Row(r int) []float32 { return t.Data[r*t.Cols : (r+1)*t.Cols] }
-
-// Numel returns the number of elements.
-func (t *Tensor) Numel() int { return len(t.Data) }
 
 // Reuse reshapes t to rows×cols, reusing the backing array when its
 // capacity suffices and reallocating otherwise. The contents are undefined
@@ -177,14 +125,12 @@ func (t *Tensor) Reuse(rows, cols int) *Tensor {
 	return t
 }
 
-// Zero sets every element to 0. It is a mutation like any other (shadow
-// and parent invalidation), but the finiteness answer is known afterwards.
+// Zero sets every element to 0.
 func (t *Tensor) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
 	}
 	t.MarkMutated()
-	t.finite.Store(finiteYes)
 }
 
 // Fill sets every element to v.
@@ -205,24 +151,13 @@ func (t *Tensor) RandNormal(rng *rand.Rand, std float64) {
 
 // Quantize rounds every element through the given dtype's storage format.
 // For FP16 this is the precision gate the paper's FP16 models pass every
-// activation through; for FP32 it is the identity. FP16 rounding maps
-// overflow to ±Inf, so it invalidates the finiteness cache.
+// activation through; for FP32 it is the identity.
 func (t *Tensor) Quantize(d numerics.DType) {
 	if d != numerics.FP16 {
 		return
 	}
 	quantizeF16(t.Data)
 	t.MarkMutated()
-}
-
-// HasNaN reports whether any element is NaN.
-func (t *Tensor) HasNaN() bool {
-	for _, v := range t.Data {
-		if math.IsNaN(float64(v)) {
-			return true
-		}
-	}
-	return false
 }
 
 // MinMax returns the smallest and largest finite elements. NaNs are skipped;

@@ -15,7 +15,7 @@ func almostEqual(a, b, tol float32) bool {
 
 func TestNewAndAccessors(t *testing.T) {
 	m := New(3, 4)
-	if m.Rows != 3 || m.Cols != 4 || m.Numel() != 12 {
+	if m.Rows != 3 || m.Cols != 4 || len(m.Data) != 12 {
 		t.Fatal("New dimensions wrong")
 	}
 	m.Set(2, 3, 7)
@@ -77,42 +77,27 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 }
 
-// Parallel and serial paths must agree exactly: the parallel path splits by
-// rows, and each row's dot products run in the same order either way.
-func TestMatMulParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	// Big enough to trigger the parallel path (m*k*n >= 1<<15).
-	a := New(64, 48)
-	b := New(48, 32)
-	a.RandNormal(rng, 1)
-	b.RandNormal(rng, 1)
-	par := MatMul(a, b)
-	ser := New(64, 32)
-	matMulRows(ser, a, b, 0, 64, true)
-	if !par.Equal(ser) {
-		t.Error("parallel MatMul diverges from serial result")
-	}
-}
-
 func TestMatMulTMatchesExplicitTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := New(7, 9)
-	b := New(4, 9)
-	a.RandNormal(rng, 1)
-	b.RandNormal(rng, 1)
-	bt := New(9, 4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 9; j++ {
-			bt.Set(j, i, b.At(i, j))
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		a := New(7, 9)
+		b := New(4, 9)
+		a.RandNormal(rng, 1)
+		b.RandNormal(rng, 1)
+		bt := New(9, 4)
+		for i := 0; i < 4; i++ {
+			for j := 0; j < 9; j++ {
+				bt.Set(j, i, b.At(i, j))
+			}
 		}
-	}
-	got := MatMulT(a, b)
-	want := MatMul(a, bt)
-	for i := range got.Data {
-		if !almostEqual(got.Data[i], want.Data[i], 1e-4) {
-			t.Fatalf("MatMulT[%d] = %g, want %g", i, got.Data[i], want.Data[i])
+		got := MatMulT(a, b)
+		want := MatMul(a, bt)
+		for i := range got.Data {
+			if !almostEqual(got.Data[i], want.Data[i], 1e-4) {
+				t.Fatalf("MatMulT[%d] = %g, want %g", i, got.Data[i], want.Data[i])
+			}
 		}
-	}
+	})
 }
 
 func TestMatMulShapePanic(t *testing.T) {
@@ -125,23 +110,25 @@ func TestMatMulShapePanic(t *testing.T) {
 }
 
 func TestLinearBias(t *testing.T) {
-	x := FromSlice(1, 2, []float32{1, 2})
-	w := FromSlice(3, 2, []float32{1, 0, 0, 1, 1, 1}) // out=3, in=2
-	out := Linear(x, w, []float32{10, 20, 30})
-	want := []float32{11, 22, 33}
-	for i, v := range want {
-		if out.Data[i] != v {
-			t.Fatalf("Linear[%d] = %g, want %g", i, out.Data[i], v)
+	forEachTier(t, func(t *testing.T) {
+		x := FromSlice(1, 2, []float32{1, 2})
+		w := FromSlice(3, 2, []float32{1, 0, 0, 1, 1, 1}) // out=3, in=2
+		out := Linear(x, w, []float32{10, 20, 30})
+		want := []float32{11, 22, 33}
+		for i, v := range want {
+			if out.Data[i] != v {
+				t.Fatalf("Linear[%d] = %g, want %g", i, out.Data[i], v)
+			}
 		}
-	}
-	// nil bias
-	out2 := Linear(x, w, nil)
-	want2 := []float32{1, 2, 3}
-	for i, v := range want2 {
-		if out2.Data[i] != v {
-			t.Fatalf("Linear no-bias[%d] = %g, want %g", i, out2.Data[i], v)
+		// nil bias
+		out2 := Linear(x, w, nil)
+		want2 := []float32{1, 2, 3}
+		for i, v := range want2 {
+			if out2.Data[i] != v {
+				t.Fatalf("Linear no-bias[%d] = %g, want %g", i, out2.Data[i], v)
+			}
 		}
-	}
+	})
 }
 
 func TestAddAndInPlaceOps(t *testing.T) {
@@ -368,44 +355,6 @@ func TestMinMaxSkipsNaN(t *testing.T) {
 	lo, hi := x.MinMax()
 	if lo != -5 || hi != 3 {
 		t.Errorf("MinMax = (%g,%g), want (-5,3)", lo, hi)
-	}
-}
-
-func TestHasNaN(t *testing.T) {
-	x := FromSlice(1, 2, []float32{1, 2})
-	if x.HasNaN() {
-		t.Error("no NaN expected")
-	}
-	x.Data[1] = float32(math.NaN())
-	if !x.HasNaN() {
-		t.Error("NaN expected")
-	}
-}
-
-func TestArgMaxRow(t *testing.T) {
-	x := FromSlice(2, 4, []float32{1, 9, 2, 9, float32(math.NaN()), -1, -2, -3})
-	if x.ArgMaxRow(0) != 1 {
-		t.Error("ArgMaxRow should break ties low")
-	}
-	if x.ArgMaxRow(1) != 1 {
-		t.Error("ArgMaxRow must skip NaN")
-	}
-}
-
-func TestConcatAndSlices(t *testing.T) {
-	a := FromSlice(1, 2, []float32{1, 2})
-	b := FromSlice(2, 2, []float32{3, 4, 5, 6})
-	c := Concat(a, b)
-	if c.Rows != 3 || c.At(2, 1) != 6 {
-		t.Error("Concat wrong")
-	}
-	s := c.SliceRows(1, 3)
-	if s.Rows != 2 || s.At(0, 0) != 3 {
-		t.Error("SliceRows wrong")
-	}
-	sc := c.SliceCols(1, 2)
-	if sc.Cols != 1 || sc.At(2, 0) != 6 {
-		t.Error("SliceCols wrong")
 	}
 }
 
