@@ -39,11 +39,11 @@ bench-check:
 # package has *.s files) and their Go total, then of the experiment drivers
 # and their CLI (ROADMAP aim 2: the counts go down; cmd/ft2bench stays ≤ 600).
 loc:
-	@total=0; for p in model tensor serve core protect abft chaos campaign; do \
+	@total=0; for p in model tensor serve prefixcache core protect abft chaos campaign; do \
 		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); total=$$((total + n)); \
 		asm=$$(cat internal/$$p/*.s 2>/dev/null | wc -l); \
-		if [ $$asm -gt 0 ]; then printf '%-8s %s + %s asm\n' $$p $$n $$asm; else printf '%-8s %s\n' $$p $$n; fi; \
-	done; printf '%-8s %s\n' total $$total; \
+		if [ $$asm -gt 0 ]; then printf '%-11s %s + %s asm\n' $$p $$n $$asm; else printf '%-11s %s\n' $$p $$n; fi; \
+	done; printf '%-11s %s\n' total $$total; \
 	for d in internal/experiments cmd/ft2bench; do \
 		printf '%s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done

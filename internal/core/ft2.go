@@ -77,8 +77,12 @@ type FT2 struct {
 	// shared read-only store a forked continuation swapped in (decode steps
 	// never write it).
 	own, bounds *protect.Store
-	ftNaN       int // NaNs corrected during the first token
-	stats       protect.CorrectionStats
+	// trail is where the first-token pass records which prompt rows widened
+	// which bounds (protect.Trail): the controller's own after Reset, or the
+	// one a mid-prefill fork state brought along.
+	ownTrail, trail *protect.Trail
+	ftNaN           int // NaNs corrected during the first token
+	stats           protect.CorrectionStats
 	// byKind breaks the following-token corrections down by the layer kind
 	// they fired on — the per-layer-kind protection telemetry the serving
 	// layer exports. Fixed-size array: updating it on the hook hot path
@@ -162,7 +166,9 @@ func newFT2(m *model.Model, opts Options, own *protect.Store) *FT2 {
 	if opts.ScaleFactor < 1 {
 		panic(fmt.Sprintf("core: scale factor %g < 1 would tighten bounds", opts.ScaleFactor))
 	}
-	return &FT2{m: m, opts: opts, own: own, bounds: own}
+	f := &FT2{m: m, opts: opts, own: own, bounds: own, ownTrail: new(protect.Trail)}
+	f.trail = f.ownTrail
+	return f
 }
 
 // build compiles a tier table into the stage table.
@@ -229,7 +235,8 @@ func (f *FT2) Reset() {
 	if f.learn {
 		f.own.Reset()
 	}
-	f.bounds = f.own
+	f.ownTrail.Reset()
+	f.bounds, f.trail = f.own, f.ownTrail
 	f.ftNaN = 0
 	f.stats = protect.CorrectionStats{}
 	f.byKind = [model.NumLayerKinds]protect.CorrectionStats{}
@@ -243,7 +250,12 @@ func (f *FT2) Reset() {
 type ForkState struct {
 	Bounds        *protect.Store
 	FirstTokenNaN int
-	Stats         protect.CorrectionStats
+	// Trail is the row-by-row record behind Bounds and FirstTokenNaN, from
+	// prompt row 0. It lives in memory only — the wire encoding omits it — for
+	// a prefill carried across scheduling slices and for the prefix cache,
+	// which resumes later prompts from it at any depth. Nil when unknown.
+	Trail *protect.Trail
+	Stats protect.CorrectionStats
 	// ByKind carries the per-layer-kind correction breakdown. Callers that
 	// only need the aggregate counters bit-identical (the campaign's golden
 	// checkpoints) may leave it zero; the serving layer round-trips it so a
@@ -251,23 +263,25 @@ type ForkState struct {
 	ByKind [model.NumLayerKinds]protect.CorrectionStats
 }
 
-// CaptureForkState snapshots the controller's state (the bounds are deep
-// copied, so the capture stays valid across later Resets).
+// CaptureForkState snapshots the controller's state: the bounds are deep
+// copied and the trail cloned (protect.Trail.Clone), so the capture stays
+// valid across later Resets.
 func (f *FT2) CaptureForkState() ForkState {
 	return ForkState{
 		Bounds:        f.bounds.Clone(),
 		FirstTokenNaN: f.ftNaN,
+		Trail:         f.trail.Clone(),
 		Stats:         f.stats,
 		ByKind:        f.byKind,
 	}
 }
 
-// ResumeFork installs a captured state for a forked continuation that
-// starts at a decode step ≥ 1. The hook then reads st.Bounds without ever
-// writing it (only the first-token pass writes bounds), so one captured
-// state may back many concurrent forks.
+// ResumeFork installs a captured state for a forked continuation. One that
+// starts at a decode step ≥ 1 reads st.Bounds without ever writing it, so one
+// captured state may back many concurrent forks; a continuation still inside
+// its prefill owns st.Bounds and st.Trail and keeps extending both.
 func (f *FT2) ResumeFork(st ForkState) {
-	f.bounds = st.Bounds
+	f.bounds, f.trail = st.Bounds, st.Trail
 	f.ftNaN = st.FirstTokenNaN
 	f.stats = st.Stats
 	f.byKind = st.ByKind
@@ -351,10 +365,7 @@ func (f *FT2) hook(ctx model.HookCtx, out *tensor.Tensor) {
 	}
 	key := protect.SiteKey{Layer: ctx.Layer, Site: ctx.Site}
 	if ctx.FirstToken && f.learn {
-		if f.opts.FirstTokenNaNCorrection {
-			f.ftNaN += protect.CorrectNaNOnly(out.Data)
-		}
-		f.bounds.Observe(key, out)
+		f.ftNaN += f.bounds.ObserveRows(key, out, ctx.Pos, f.opts.FirstTokenNaNCorrection, f.trail)
 		return
 	}
 	var c protect.CorrectionStats

@@ -92,6 +92,21 @@ func TestFT2BoundsResetPerInference(t *testing.T) {
 	}
 }
 
+// TestProtectedGenerateIntoAllocFree: with a reused destination the protected
+// steady state never touches the allocator — the bounds store clears in place
+// and the bounds trail reuses its backing array across Resets.
+func TestProtectedGenerateIntoAllocFree(t *testing.T) {
+	m := testModel(t, "opt-2.7b-sim")
+	f := Attach(m, Defaults())
+	defer f.Detach()
+	prompt := []int{4, 5, 6, 7, 8, 9, 10, 11}
+	buf := make([]int, 0, 8)
+	f.GenerateInto(buf, prompt, 8) // warm up scratch, bounds map, trail
+	if avg := testing.AllocsPerRun(10, func() { f.GenerateInto(buf, prompt, 8) }); avg != 0 {
+		t.Fatalf("protected GenerateInto allocates %.1f objects/run after warm-up, want 0", avg)
+	}
+}
+
 func TestFT2CorrectsInjectedFault(t *testing.T) {
 	m := testModel(t, "opt-6.7b-sim")
 	prompt := []int{4, 9, 14, 19}

@@ -36,6 +36,10 @@ type HookCtx struct {
 	// FirstToken is true during the prefill pass (Step == 0); FT2 profiles
 	// bounds then and protects afterwards.
 	FirstToken bool
+	// Pos is the absolute sequence position of out's first row: a prefill
+	// chunk's rows are prompt rows Pos, Pos+1, …, which is what lets FT2 key
+	// its first-token bounds by row instead of by chunk.
+	Pos int
 }
 
 // Hook observes — and may mutate in place — the output tensor of a linear
@@ -100,7 +104,7 @@ func (m *Model) runBatchHooks(ref LayerRef, site Site, in, out *tensor.Tensor, i
 		// marks the view mutated, which propagates to the full batch
 		// tensor so its cached finiteness can never go stale.
 		sc.rowOut.BindRowsView(out, sc.itemLo[i], sc.itemRows[i])
-		ctx := HookCtx{Layer: ref, Site: site, Step: it.State.step, FirstToken: it.State.step == 0}
+		ctx := HookCtx{Layer: ref, Site: site, Step: it.State.step, FirstToken: it.State.step == 0, Pos: sc.itemPos[i]}
 		if in != nil {
 			sc.rowIn.BindRowsView(in, sc.itemLo[i], sc.itemRows[i])
 			ctx.Input = sc.rowIn

@@ -6,12 +6,13 @@
 //
 // Structure: a compressed radix tree over token sequences. Each inserted
 // prompt contributes one immutable entry — the rows-prefix Snapshot captured
-// when its prefill completed, plus (for FT2-protected sessions) the
-// first-token bound stores frozen at chunk boundaries. The entry is
-// reachable from every tree node on its path, so two prompts sharing only
-// part of a cached prompt still hit the shared part: lookup walks the tree
-// as far as the query matches and takes the deepest usable candidate,
-// truncated to the matched depth via a zero-copy Snapshot.Prefix view.
+// when its prefill completed, plus (for FT2-protected sessions) the bounds
+// trail of that prefill, which yields the first-token bounds at any row
+// depth. Every tree node points, per kind of session, at one live entry of
+// its subtree that can serve that kind, so two prompts sharing only part of
+// a cached prompt still hit the shared part: lookup walks the tree as far as
+// the query matches and takes the deepest node with such an entry, truncated
+// to the matched depth via a zero-copy Snapshot.Prefix view.
 //
 // Memory is bounded by a byte budget over snapshot KV payloads with LRU
 // eviction. Entries are refcounted while sessions hold them, but eviction
@@ -32,42 +33,47 @@ import (
 	"ft2/internal/protect"
 )
 
-// FTPartial is a frozen FT2 first-token profile covering the first Rows
-// prompt rows: the per-layer bound store and the NaN-correction count
-// accumulated while prefilling them. A protected session resuming a cached
-// prefix of exactly Rows rows clones Bounds, seeds its controller fork
-// state, and continues observing the suffix — ending bit-identical to a
-// cold protected prefill (min/max observation is associative over row
-// partitions and NaN counts are additive).
-type FTPartial struct {
-	Rows   int
-	Bounds *protect.Store
-	NaN    int
-}
+// The two kinds of session an entry can serve. A bare (unprotected) session
+// needs KV a bare model would reproduce — a NaN-corrected protected prefill's
+// KV embeds the corrections — and a protected session needs the trail to
+// rebuild its first-token bounds at the hit depth.
+const (
+	kindBare = iota
+	kindProtected
+	numKinds
+)
 
 // node is one compressed radix-tree node: the edge holds the token run from
-// the parent, depth the total tokens from the root through the edge.
+// the parent.
 type node struct {
 	parent   *node
 	label    int // edge[0], the key in parent.children
 	edge     []int
-	depth    int
 	children map[int]*node
-	entry    *entry
+	own      *entry // the cached prompt ending exactly here, if any
+	// entry[k] is a live entry of this subtree that serves kind k — nil only
+	// when the subtree has none, which is what makes a lookup's deepest
+	// matching node its deepest possible hit.
+	entry [numKinds]*entry
 }
 
 // entry is one cached prompt: its full-prompt KV snapshot plus bookkeeping.
-// snap and ft are immutable once inserted.
+// snap and trail are immutable once inserted.
 type entry struct {
 	snap    *model.Snapshot
-	plen    int         // length of the inserted prompt (== leaf depth)
-	ft      []FTPartial // ascending Rows; empty for unprotected inserts
-	nanFree bool        // prefill saw no NaN corrections ⇒ KV valid for unprotected reuse
+	trail   *protect.Trail // nil for unprotected inserts
+	nanFree bool           // prefill saw no NaN corrections
+	leaf    *node          // the node at the prompt's full depth
 	bytes   int64
 	refs    int
-	nodes   []*node // tree nodes pointing at this entry, for detach
 	elem    *list.Element
-	dead    bool
+}
+
+func (e *entry) serves(kind int) bool {
+	if kind == kindProtected {
+		return e.trail != nil
+	}
+	return e.nanFree
 }
 
 // Stats is a point-in-time counter snapshot.
@@ -99,14 +105,13 @@ func New(budgetBytes int64) *Cache {
 }
 
 // Ref is a session's hold on a cache hit: a prefix view of the entry's
-// snapshot truncated to Rows tokens, plus the matching FT2 partial for
+// snapshot truncated to Rows tokens, plus the entry's bounds trail for
 // protected sessions. Release it once the prefix has been copied into the
 // session's KV slabs.
 type Ref struct {
 	c    *Cache
 	e    *entry
 	rows int
-	ft   *FTPartial
 }
 
 // Rows returns the number of cached prompt rows the hit covers.
@@ -115,9 +120,10 @@ func (r *Ref) Rows() int { return r.rows }
 // Snapshot returns the zero-copy prefix view to feed ResumePrefillPrefix.
 func (r *Ref) Snapshot() *model.Snapshot { return r.e.snap.Prefix(r.rows) }
 
-// FT returns the frozen first-token profile at exactly Rows rows, nil for
-// hits served to unprotected sessions.
-func (r *Ref) FT() *FTPartial { return r.ft }
+// Trail returns the cached prefill's bounds trail (read-only; nil when the
+// entry came from an unprotected session): Trail().At(Rows()) is the
+// first-token profile of exactly the rows the hit covers.
+func (r *Ref) Trail() *protect.Trail { return r.e.trail }
 
 // Release drops the hold. The Ref must not be used afterwards.
 func (r *Ref) Release() {
@@ -140,112 +146,65 @@ func matchLen(a, b []int) int {
 }
 
 // Lookup finds the deepest usable cached prefix of prompt and returns a Ref
-// holding it, or nil on a miss. At most len(prompt)-1 rows are usable (the
-// readout needs the final row's residual stream, which snapshots don't
-// carry). Protected sessions can only resume at a frozen FTPartial depth
-// within the true token match — the profile must cover only rows the query
-// prompt shares — so their hit is the deepest candidate carrying such a
-// partial. A NaN-free partial one row deeper than the usable limit (the
-// whole-prompt profile of an identical cached prompt) is also usable: the
-// suffix pass recomputes and re-observes that final row with bit-identical
-// values, and min/max observation is idempotent. Unprotected sessions
-// require a NaN-free entry (a NaN-corrected prefill's KV embeds the
-// corrections, which a bare model would not reproduce).
+// holding it, or nil on a miss: the longest token prefix prompt shares with
+// any cached prompt that serves this kind of session, capped at
+// len(prompt)-1 rows (the readout needs the final row's residual stream,
+// which snapshots don't carry). Protected and unprotected sessions differ
+// only in which entries serve them.
 func (c *Cache) Lookup(prompt []int, protected bool) *Ref {
 	limit := len(prompt) - 1
 	if limit < 1 {
 		return nil
 	}
+	kind := kindBare
+	if protected {
+		kind = kindProtected
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	type cand struct {
-		e     *entry
-		rows  int // usable hit depth: true match capped at limit
-		match int // true token match depth with the entry's prompt
-	}
-	var cands []cand
+	var best *entry
+	rows := 0
 	cur := c.root
-	depth := 0
-	for depth < len(prompt) { // past limit too: deeper entries still serve capped hits
-		child := cur.children[prompt[depth]]
-		if child == nil {
+	for rows < len(prompt) { // past limit too: deeper entries still serve capped hits
+		child := cur.children[prompt[rows]]
+		if child == nil || child.entry[kind] == nil {
 			break
 		}
-		k := matchLen(child.edge, prompt[depth:])
+		// Everything in child's subtree shares the matched part of its edge,
+		// whether the prompt runs on, diverges or ends there.
+		k := matchLen(child.edge, prompt[rows:])
+		best, rows = child.entry[kind], rows+k
 		if k < len(child.edge) {
-			// Prompt diverges (or ends) mid-edge: everything in child's
-			// subtree still shares prompt[:depth+k].
-			if k > 0 && child.entry != nil && !child.entry.dead {
-				rows := depth + k
-				if rows > limit {
-					rows = limit
-				}
-				cands = append(cands, cand{child.entry, rows, depth + k})
-			}
 			break
-		}
-		depth += k
-		if child.entry != nil && !child.entry.dead {
-			rows := depth
-			if rows > limit {
-				rows = limit
-			}
-			cands = append(cands, cand{child.entry, rows, depth})
 		}
 		cur = child
-	}
-
-	var best *entry
-	bestRows := 0
-	var bestFT *FTPartial
-	for _, cd := range cands { // ascending depth: later wins ties
-		if protected {
-			for i := len(cd.e.ft) - 1; i >= 0; i-- { // descending Rows: deepest usable wins
-				p := &cd.e.ft[i]
-				if p.Rows < 1 || p.Rows > cd.match {
-					continue
-				}
-				rows := p.Rows
-				if rows > limit {
-					if p.NaN != 0 {
-						// Re-observing the overlap row would recount its
-						// NaN corrections; keep scanning for an exact fit.
-						continue
-					}
-					rows = limit
-				}
-				if rows >= bestRows {
-					best, bestRows, bestFT = cd.e, rows, p
-				}
-				break
-			}
-		} else if cd.e.nanFree && cd.rows >= 1 && cd.rows >= bestRows {
-			best, bestRows, bestFT = cd.e, cd.rows, nil
-		}
 	}
 	if best == nil {
 		c.misses++
 		return nil
 	}
+	if rows > limit {
+		rows = limit
+	}
 	best.refs++
 	c.lru.MoveToFront(best.elem)
 	c.hits++
-	c.hitRows += int64(bestRows)
-	return &Ref{c: c, e: best, rows: bestRows, ft: bestFT}
+	c.hitRows += int64(rows)
+	return &Ref{c: c, e: best, rows: rows}
 }
 
 // Insert adds a completed prefill's prompt and its full-prompt snapshot to
 // the cache, reporting whether it was admitted. The cache takes ownership of
-// snap and ft — they must never be mutated afterwards (the scheduler
-// checkpoints into a fresh Snapshot and clones bound stores per insert). ft
-// must be sorted by ascending Rows, with the final element covering the full
-// prompt, for protected reuse to work; empty ft limits the entry to
-// unprotected hits (and only when nanFree). Duplicate prompts refresh LRU
-// recency; a duplicate carrying FT partials upgrades an unprotected-only
-// entry in place.
-func (c *Cache) Insert(prompt []int, snap *model.Snapshot, ft []FTPartial, nanFree bool) bool {
-	if len(prompt) < 2 || snap == nil || snap.Rows() < len(prompt) {
+// snap and trail — they must never be mutated afterwards. trail is the
+// prefill's complete bounds trail from row 0, nil for an unprotected
+// session's insert; nanFree says the prefill corrected no NaN. An entry with
+// neither serves no one and is refused, as is one whose every lookup a cached
+// longer prompt already answers. A duplicate prompt refreshes LRU recency,
+// except that one bringing the trail the cached entry lacks replaces it (an
+// unprotected insert must not permanently block protected reuse).
+func (c *Cache) Insert(prompt []int, snap *model.Snapshot, trail *protect.Trail, nanFree bool) bool {
+	if len(prompt) < 2 || snap == nil || snap.Rows() < len(prompt) || trail == nil && !nanFree {
 		return false
 	}
 	bytes := int64(snap.MemoryBytes())
@@ -265,12 +224,10 @@ func (c *Cache) Insert(prompt []int, snap *model.Snapshot, ft []FTPartial, nanFr
 				parent:   cur,
 				label:    prompt[pos],
 				edge:     append([]int(nil), prompt[pos:]...),
-				depth:    cur.depth + len(prompt) - pos,
 				children: map[int]*node{},
 			}
 			cur.children[child.label] = child
 			cur = child
-			pos = len(prompt)
 			break
 		}
 		k := matchLen(child.edge, prompt[pos:])
@@ -280,65 +237,46 @@ func (c *Cache) Insert(prompt []int, snap *model.Snapshot, ft []FTPartial, nanFr
 				parent:   cur,
 				label:    oldEdge[0],
 				edge:     oldEdge[:k:k],
-				depth:    child.depth - (len(oldEdge) - k),
 				children: map[int]*node{},
-				entry:    child.entry, // subtree entries stay reachable mid-path
-			}
-			if mid.entry != nil {
-				mid.entry.nodes = append(mid.entry.nodes, mid)
+				entry:    child.entry, // same subtree, same entries
 			}
 			cur.children[mid.label] = mid
 			child.edge = oldEdge[k:]
 			child.label = child.edge[0]
 			child.parent = mid
 			mid.children[child.label] = child
-			cur = mid
-			pos += k
-		} else {
-			pos += k
-			cur = child
+			child = mid
 		}
+		pos += k
+		cur = child
 	}
 	leaf := cur
 
-	if old := leaf.entry; old != nil && !old.dead {
-		// The leaf position is already covered by a live entry — the same
-		// prompt, or a longer one passing through. Keep it unless the new
-		// entry adds FT partials it lacks (an unprotected insert must not
-		// permanently block protected reuse of the same prefix).
-		if len(ft) == 0 || len(old.ft) > 0 {
-			c.lru.MoveToFront(old.elem)
-			return false
+	e := &entry{snap: snap, trail: trail, nanFree: nanFree, leaf: leaf, bytes: bytes}
+	old := leaf.own
+	if old != nil && (trail == nil || old.trail != nil) {
+		c.lru.MoveToFront(old.elem)
+		return false
+	}
+	if old == nil {
+		covered := true
+		for kind := range leaf.entry {
+			covered = covered && (leaf.entry[kind] != nil || !e.serves(kind))
 		}
-		if old.plen == len(prompt) {
-			// Exact duplicate: replace outright. Detach without pruning —
-			// the new entry reclaims the very same path nodes below.
-			c.detachLocked(old)
-		} else {
-			// A longer prompt passes through; keep it reachable at its other
-			// nodes but point this one at the new, partial-carrying entry.
-			for i, n := range old.nodes {
-				if n == leaf {
-					old.nodes = append(old.nodes[:i], old.nodes[i+1:]...)
-					break
-				}
-			}
-			leaf.entry = nil
+		if covered {
+			return false // a longer cached prompt answers every lookup e could
 		}
 	}
-
-	e := &entry{snap: snap, plen: len(prompt), ft: ft, nanFree: nanFree, bytes: bytes}
-	// Attach at every path node lacking a live entry so partial matches that
-	// stop mid-path still find this prompt's KV.
+	leaf.own = e
+	if old != nil {
+		c.detachLocked(old) // re-points old's nodes at e, the leaf's new own
+	}
 	for n := leaf; n != c.root; n = n.parent {
-		if n.entry == nil || n.entry.dead {
-			n.entry = e
-			e.nodes = append(e.nodes, n)
+		for kind := range n.entry {
+			if n.entry[kind] == nil && e.serves(kind) {
+				n.entry[kind] = e
+			}
 		}
-	}
-	// reverse so e.nodes runs root→leaf and nodes[len-1] is the leaf
-	for i, j := 0, len(e.nodes)-1; i < j; i, j = i+1, j-1 {
-		e.nodes[i], e.nodes[j] = e.nodes[j], e.nodes[i]
 	}
 	e.elem = c.lru.PushFront(e)
 	c.bytes += bytes
@@ -370,37 +308,45 @@ func (c *Cache) evictLocked(keep *entry) {
 		if victim == nil {
 			return
 		}
-		c.removeLocked(victim)
+		c.detachLocked(victim)
 		c.evictions++
 	}
 }
 
-// detachLocked takes e out of the LRU list, the byte account, and its tree
-// nodes' entry pointers, leaving the nodes themselves in place.
+// detachLocked takes e out of the LRU list, the byte account and the tree.
+// Every node that pointed at e is on the path from its leaf to the root;
+// bottom-up, each is re-pointed at another live entry of its subtree that
+// serves the same kind — the prompt ending at the node itself, or what a
+// child already points at (lowest label, so the choice is deterministic) —
+// and a node left with no entry and no children is pruned. e's buffers stay
+// valid for any session still holding a Ref.
 func (c *Cache) detachLocked(e *entry) {
-	e.dead = true
 	c.lru.Remove(e.elem)
 	c.bytes -= e.bytes
-	for _, n := range e.nodes {
-		if n.entry == e {
-			n.entry = nil
+	if e.leaf.own == e {
+		e.leaf.own = nil
+	}
+	for n := e.leaf; n != c.root; n = n.parent {
+		for kind := range n.entry {
+			if n.entry[kind] != e {
+				continue
+			}
+			n.entry[kind] = nil
+			if n.own != nil && n.own.serves(kind) {
+				n.entry[kind] = n.own
+				continue
+			}
+			lowest := -1
+			for label, ch := range n.children {
+				if ch.entry[kind] != nil && (lowest < 0 || label < lowest) {
+					lowest, n.entry[kind] = label, ch.entry[kind]
+				}
+			}
+		}
+		if n.own == nil && len(n.children) == 0 {
+			delete(n.parent.children, n.label)
 		}
 	}
-}
-
-// removeLocked detaches e from the LRU list and the tree, pruning emptied
-// nodes upward. e's buffers stay valid for any session still holding a Ref.
-func (c *Cache) removeLocked(e *entry) {
-	nodes := e.nodes
-	c.detachLocked(e)
-	for _, n := range nodes {
-		for n != c.root && n.entry == nil && len(n.children) == 0 {
-			p := n.parent
-			delete(p.children, n.label)
-			n = p
-		}
-	}
-	e.nodes = nil
 }
 
 // Stats returns a point-in-time counter snapshot.

@@ -1,6 +1,7 @@
 package prefixcache
 
 import (
+	"math"
 	"testing"
 
 	"ft2/internal/model"
@@ -96,35 +97,39 @@ func TestSharedPrefixPartialHit(t *testing.T) {
 	ref.Release()
 }
 
-func TestProtectedRequiresPartialAtDepth(t *testing.T) {
+// rowTrail builds the trail of a one-site prefill whose row r held the single
+// value vals[r] (NaN rows are corrected and counted).
+func rowTrail(vals ...float32) *protect.Trail {
+	tr := new(protect.Trail)
+	data := append([]float32(nil), vals...)
+	protect.NewStore().ObserveRows(protect.SiteKey{}, tensor.FromSlice(len(vals), 1, data), 0, true, tr)
+	return tr
+}
+
+// TestProtectedHitsAtAnyDepth: a trail-carrying entry serves protected
+// sessions at exactly the depth it serves unprotected ones, and the trail
+// folds to the profile of just the rows the hit covers.
+func TestProtectedHitsAtAnyDepth(t *testing.T) {
 	m := newModel(t)
 	c := New(1 << 20)
 	p := seq(1, 2, 3, 4, 5, 6, 7, 8, 9)
-	ft := []FTPartial{
-		{Rows: 4, Bounds: protect.NewStore(), NaN: 0},
-		{Rows: len(p), Bounds: protect.NewStore(), NaN: 0},
-	}
-	c.Insert(p, makeSnap(m, p), ft, true)
+	c.Insert(p, makeSnap(m, p), rowTrail(1, 2, 3, 4, 5, 6, 7, 8, 9), true)
 
-	// Shares 6 tokens: unprotected resumes at 6, protected only at grain 4.
-	q := seq(1, 2, 3, 4, 5, 6, 60, 61)
-	if ref := c.Lookup(q, false); ref == nil || ref.Rows() != 6 {
-		t.Fatalf("unprotected hit = %v", ref)
-	} else {
-		ref.Release()
-	}
-	ref := c.Lookup(q, true)
-	if ref == nil || ref.Rows() != 4 {
-		t.Fatalf("protected hit = %v", ref)
-	}
-	if ref.FT() == nil || ref.FT().Rows != 4 {
-		t.Fatalf("protected hit FT = %+v", ref.FT())
-	}
-	ref.Release()
-
-	// Shares only 3 tokens — below the shallowest partial: protected misses.
-	if ref := c.Lookup(seq(1, 2, 3, 70, 71), true); ref != nil {
-		t.Fatalf("protected hit below partial grain: %d rows", ref.Rows())
+	for _, q := range [][]int{seq(1, 2, 3, 4, 5, 6, 60, 61), seq(1, 2, 3, 70, 71), seq(1, 80), p} {
+		bare, prot := c.Lookup(q, false), c.Lookup(q, true)
+		want := matchLen(p, q)
+		if want == len(q) {
+			want--
+		}
+		if bare == nil || prot == nil || bare.Rows() != want || prot.Rows() != want {
+			t.Fatalf("%v: bare %v protected %v, want %d rows both", q, bare, prot, want)
+		}
+		store, nan := prot.Trail().At(prot.Rows())
+		if b, _ := store.Get(protect.SiteKey{}); nan != 0 || b != (protect.Bounds{Lo: 1, Hi: float32(want)}) {
+			t.Fatalf("%v: trail at %d rows = %v, %d NaN", q, want, b, nan)
+		}
+		bare.Release()
+		prot.Release()
 	}
 }
 
@@ -132,8 +137,8 @@ func TestNaNTaintedEntryServesOnlyProtected(t *testing.T) {
 	m := newModel(t)
 	c := New(1 << 20)
 	p := seq(1, 2, 3, 4, 5)
-	ft := []FTPartial{{Rows: len(p), Bounds: protect.NewStore(), NaN: 2}}
-	c.Insert(p, makeSnap(m, p), ft, false)
+	nan := float32(math.NaN())
+	c.Insert(p, makeSnap(m, p), rowTrail(1, nan, 3, nan, 5), false)
 
 	if ref := c.Lookup(p, false); ref != nil {
 		t.Fatal("NaN-tainted entry served an unprotected session")
@@ -143,6 +148,15 @@ func TestNaNTaintedEntryServesOnlyProtected(t *testing.T) {
 		t.Fatalf("protected hit = %v", ref)
 	}
 	ref.Release()
+	// The additive count follows the depth: one corrected row below 3.
+	ref = c.Lookup(seq(1, 2, 3, 9), true)
+	if _, n := ref.Trail().At(ref.Rows()); ref.Rows() != 3 || n != 1 {
+		t.Fatalf("hit at %d rows carries %d NaN corrections, want 3 rows, 1", ref.Rows(), n)
+	}
+	ref.Release()
+	if c.Insert(seq(7, 8, 9), makeSnap(m, seq(7, 8, 9)), nil, false) {
+		t.Fatal("admitted an entry that can serve no session")
+	}
 }
 
 func TestDuplicateInsertAndUpgrade(t *testing.T) {
@@ -159,8 +173,7 @@ func TestDuplicateInsertAndUpgrade(t *testing.T) {
 		t.Fatal("protected hit on unprotected-only entry")
 	}
 	// The protected duplicate upgrades the entry in place.
-	ft := []FTPartial{{Rows: len(p), Bounds: protect.NewStore(), NaN: 0}}
-	if !c.Insert(p, makeSnap(m, p), ft, true) {
+	if !c.Insert(p, makeSnap(m, p), new(protect.Trail), true) {
 		t.Fatal("upgrade insert rejected")
 	}
 	ref := c.Lookup(seq(1, 2, 3, 4, 5, 6), true)
@@ -297,4 +310,30 @@ func TestEvictionPrefersUnheldEntries(t *testing.T) {
 		ref.Release()
 	}
 	refA.Release()
+}
+
+// TestEvictionKeepsSharedPrefixReachable: evicting the entry an interior
+// node points at must not hide the live entries left in its subtree — a
+// new-suffix prompt still hits the whole shared prefix.
+func TestEvictionKeepsSharedPrefixReachable(t *testing.T) {
+	m := newModel(t)
+	a, b := seq(1, 2, 3, 4, 10, 11), seq(1, 2, 3, 4, 20, 21)
+	c := New(int64(makeSnap(m, a).MemoryBytes()) * 2) // room for two entries
+	c.Insert(a, makeSnap(m, a), nil, true)
+	c.Insert(b, makeSnap(m, b), nil, true)
+	if ref := c.Lookup(b, false); ref == nil { // touch b: a becomes LRU-most
+		t.Fatal("miss on b")
+	} else {
+		ref.Release()
+	}
+	other := seq(40, 41, 42, 43, 44, 45)
+	c.Insert(other, makeSnap(m, other), nil, true) // evicts a, which the shared node pointed at
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != 2 {
+		t.Fatalf("stats after eviction = %+v", st)
+	}
+	ref := c.Lookup(seq(1, 2, 3, 4, 30, 31), false)
+	if ref == nil || ref.Rows() != 4 {
+		t.Fatalf("new-suffix lookup with b live = %v, want a 4-row hit", ref)
+	}
+	ref.Release()
 }

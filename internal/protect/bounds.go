@@ -7,7 +7,6 @@ package protect
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -98,26 +97,8 @@ func (s *Store) Get(k SiteKey) (Bounds, bool) {
 // Observe widens the stored bounds of a site to cover every finite value in
 // the tensor. NaNs are skipped (they are corrected, not learned).
 func (s *Store) Observe(k SiteKey, t *tensor.Tensor) {
-	var lo, hi float32
-	first := true
-	for _, v := range t.Data {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			continue
-		}
-		if first {
-			lo, hi = v, v
-			first = false
-			continue
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if first {
+	seen, ok, _ := finiteRange(t.Data, false)
+	if !ok {
 		return // nothing finite to learn
 	}
 	s.mu.Lock()
@@ -126,9 +107,9 @@ func (s *Store) Observe(k SiteKey, t *tensor.Tensor) {
 		s.m = make(map[SiteKey]Bounds)
 	}
 	if cur, ok := s.m[k]; ok {
-		s.m[k] = cur.Widen(Bounds{lo, hi})
+		s.m[k] = cur.Widen(seen)
 	} else {
-		s.m[k] = Bounds{lo, hi}
+		s.m[k] = seen
 	}
 }
 

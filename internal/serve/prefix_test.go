@@ -7,6 +7,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"ft2/internal/data"
+	"ft2/internal/model"
 )
 
 // prefixConfig is testConfig plus the prefix cache and a small prefill
@@ -76,6 +79,82 @@ func TestPrefixCacheHitBitIdentical(t *testing.T) {
 					coldPrefill, warmPrefill-coldPrefill)
 			}
 		})
+	}
+}
+
+// TestProtectedHitDepthMatchesBare: first-token bounds are row-granular, so
+// the same request list — six prompts sharing a 43-token system prompt, not a
+// multiple of the 8-row prefill chunk — costs a protected server exactly the
+// cached rows and prefill work it costs an unprotected one: one cold prefill,
+// then five hits at the full shared depth.
+func TestProtectedHitDepthMatchesBare(t *testing.T) {
+	const requests, promptLen, shared = 6, 48, 43
+	for _, protected := range []bool{false, true} {
+		cfg := prefixConfig(t)
+		cfg.PrefillChunk = 8
+		srv := newTestServer(t, cfg)
+		// One client: every request finds its predecessors' entries inserted.
+		spec := SharedPrefixLoad(1, requests, 6, promptLen, 0.9, 11, protected)
+		runSharedPrefix(t, srv, spec, "shared")
+		hitRows := srv.PrefixStats().HitRows
+		prefill, prompt, _ := srv.PrefillCounters()
+		if hitRows != (requests-1)*shared || prefill != prompt-hitRows || prompt != requests*promptLen {
+			t.Fatalf("protected=%v: prefix_hit_rows %d, prefill_tokens %d of %d prompt tokens; want %d hit rows",
+				protected, hitRows, prefill, prompt, (requests-1)*shared)
+		}
+	}
+}
+
+// TestProtectedHitSurvivesColdEntryEviction: a session that resumed from the
+// cache inserts an entry whose bounds trail is complete from row 0, so once
+// the original cold entry is evicted the next new-suffix prompt still hits
+// the whole shared prefix — protected exactly like bare.
+func TestProtectedHitSurvivesColdEntryEviction(t *testing.T) {
+	const promptLen, shared = 40, 36
+	cfg := prefixConfig(t)
+	cfg.PrefixCacheMB = 1
+	cfg.PrefillChunk = 8
+	// A model deep enough that the 1 MiB budget holds two 40-row prompts and
+	// not three.
+	mc, err := model.ConfigByName(cfg.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc.Name, mc.Blocks, mc.Hidden, mc.Heads, mc.FFN, mc.MaxSeq = "prefix-evict-test", 16, 96, 8, 192, 64
+	cfg.ModelCfg = mc
+	if entry := mc.Blocks * 2 * promptLen * mc.Hidden * 4; 2*entry > 1<<20 || 3*entry <= 1<<20 {
+		t.Fatalf("a %d-byte entry does not make the budget hold exactly two", entry)
+	}
+	prompts := data.SharedPrefixPrompts(3, promptLen, 0.9, 23)
+	unrelated := data.SharedPrefixPrompts(1, promptLen+1, 0.9, 99)[0][1:] // no BOS: shares no token
+
+	for _, protected := range []bool{false, true} {
+		srv := newTestServer(t, cfg)
+		run := func(prompt []int) (hitRows int64) {
+			t.Helper()
+			before := srv.PrefixStats().HitRows
+			res := submitAndWait(t, srv, Request{PromptTokens: prompt, MaxTokens: 6, Protected: protected})
+			want, _, err := Oracle(srv.Config(), prompt, 6, protected)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalTokens(res.Tokens, want) {
+				t.Fatalf("protected=%v: served %v != oracle %v", protected, res.Tokens, want)
+			}
+			return srv.PrefixStats().HitRows - before
+		}
+		run(prompts[0]) // cold
+		if got := run(prompts[1]); got != shared {
+			t.Fatalf("protected=%v: second prompt hit %d rows, want %d", protected, got, shared)
+		}
+		run(prompts[1]) // touch: the cold entry is now least recently used
+		run(unrelated)  // and this insert evicts it
+		if st := srv.PrefixStats(); st.Evictions != 1 || st.Entries != 2 {
+			t.Fatalf("protected=%v: cold entry not evicted: %+v", protected, st)
+		}
+		if got := run(prompts[2]); got != shared {
+			t.Fatalf("protected=%v: new-suffix prompt hit %d rows with the cold entry evicted, want %d", protected, got, shared)
+		}
 	}
 }
 

@@ -270,8 +270,8 @@ func (sch *scheduler) runSlice(r *replica, g *group, first *Session) *replica {
 	// its slot's controller; the decode hooks only read the shared bounds
 	// store, so many sessions of one bounds lineage can decode in one batch.
 	// A cold protected prefill (no bounds yet) gets a fresh store instead:
-	// its hooks observe into it and the first chunk boundary captures it onto
-	// the session.
+	// its hooks observe into it and the end of the slice captures it onto the
+	// session.
 	for i, s := range g.sessions {
 		var f *core.FT2
 		if s.req.Protected {
@@ -412,9 +412,9 @@ func (sch *scheduler) postSlice(r *replica) *replica {
 // openPrefill runs a session's serial admission bookkeeping on its first
 // slice, inside its own panic boundary: obtain a KV state, open the chunked
 // prefill, consult the prefix cache, and — on a hit — fork the cached KV
-// prefix (and, for protected sessions, the frozen first-token bounds) so
-// only the unique suffix is computed. No prompt rows are computed here: the
-// fused slice loop feeds the chunks, co-batched with decode rows.
+// prefix (and, for protected sessions, the first-token bounds as of its last
+// row) so only the unique suffix is computed. No prompt rows are computed
+// here: the fused slice loop feeds the chunks, co-batched with decode rows.
 func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -439,12 +439,12 @@ func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
 			m.ResumePrefillPrefix(ref.Snapshot())
 			s.hitRows = ref.Rows()
 			if s.req.Protected {
-				// Seed the fork state from the frozen profile at exactly
-				// hitRows rows; the clone is this session's to extend as it
-				// observes the suffix (runSlice resumes it onto the slot's
-				// controller).
-				p := ref.FT()
-				s.ftState = core.ForkState{Bounds: p.Bounds.Clone(), FirstTokenNaN: p.NaN}
+				// Seed the fork state with the first-token profile of exactly
+				// the hitRows cached rows, and carry their trail records
+				// forward: the session extends both as it observes the suffix,
+				// so the entry it inserts has a complete trail from row 0.
+				s.ftState.Trail = ref.Trail().Prefix(s.hitRows)
+				s.ftState.Bounds, s.ftState.FirstTokenNaN = s.ftState.Trail.At(s.hitRows)
 			}
 			ref.Release()
 		}
@@ -463,9 +463,9 @@ func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
 // Bit-identity: chunked, cache-seeded, co-batched, and single-pass prefills
 // produce identical KV bits and first tokens (model.ForwardBatch /
 // PrefillChunk contract), and the FT2 bounds merge identically — min/max
-// observation is associative over row partitions and the frozen partial
-// covers exactly the restored rows — so a cache-hit session's output matches
-// a cold one and the GenerateInto oracle exactly.
+// observation is associative over row partitions and the bounds trail folds
+// to exactly the restored rows — so a cache-hit session's output matches a
+// cold one and the GenerateInto oracle exactly.
 func (sch *scheduler) finishPrefill(r *replica, g *group, i, tok int) {
 	s := g.sessions[i]
 	m := r.m
@@ -491,21 +491,12 @@ func (sch *scheduler) finishPrefill(r *replica, g *group, i, tok int) {
 		prev := m.SwapState(s.state)
 		m.Checkpoint(snap)
 		m.SwapState(prev)
-		var ft []prefixcache.FTPartial
-		nanFree := true
-		if s.req.Protected {
-			// A NaN-corrected first token wrote corrected values into the KV;
-			// a bare model would not reproduce them, so such entries serve
-			// only protected sessions. The final partial shares the session's
-			// captured store: decode steps never write bounds, and protected
-			// hits clone before observing.
-			nanFree = s.ftState.FirstTokenNaN == 0
-			ft = append(s.partials, prefixcache.FTPartial{
-				Rows: len(s.prompt), Bounds: s.ftState.Bounds, NaN: s.ftState.FirstTokenNaN})
-			s.partials = nil
-		}
-		sch.prefix.Insert(s.prompt, snap, ft, nanFree)
+		// A NaN-corrected first token wrote corrected values into the KV; a
+		// bare model would not reproduce them, so such entries serve only
+		// protected sessions. The trail is nil for an unprotected session.
+		sch.prefix.Insert(s.prompt, snap, s.ftState.Trail, s.ftState.FirstTokenNaN == 0)
 	}
+	s.ftState.Trail = nil // the cache's now, or of no further use: decode never extends it
 	if s.finishedAfter(tok) {
 		sch.finishInGroup(r, g, i, nil)
 	}
@@ -606,19 +597,6 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 					sch.finishPrefill(r, g, i, tok)
 					continue
 				}
-				if f := g.ctls[i]; f != nil {
-					// Freeze the bounds at the chunk boundary: the capture
-					// both carries the session to its next slice and —
-					// cloned, since the next chunk keeps observing into the
-					// captured store — becomes the FTPartial a future
-					// protected hit can resume from.
-					st := f.CaptureForkState()
-					if s.insert {
-						s.partials = append(s.partials, prefixcache.FTPartial{
-							Rows: s.state.PrefillPos(), Bounds: st.Bounds.Clone(), NaN: st.FirstTokenNaN})
-					}
-					s.ftState = st
-				}
 				continue
 			}
 			s.lastTok = g.toks[n]
@@ -645,14 +623,20 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 		}
 	}
 
-	// Survivors: capture their correction counters and put them back on the
+	// Survivors: capture their correction counters — or, mid-prefill, the
+	// first-token bounds and trail observed so far, which the next slice
+	// resumes onto whichever controller it gets — and put them back on the
 	// ring (cap MaxSessions ≥ active sessions: never blocks).
 	for i, s := range g.sessions {
 		if s == nil {
 			continue
 		}
-		if g.ctls[i] != nil {
-			s.syncFT2(g.ctls[i])
+		if f := g.ctls[i]; f != nil {
+			if s.started {
+				s.syncFT2(f)
+			} else {
+				s.ftState = f.CaptureForkState()
+			}
 		}
 		sch.ready <- s
 	}

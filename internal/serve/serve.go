@@ -112,8 +112,10 @@ type Config struct {
 	// prefill before the session yields its replica, so long-prompt
 	// admission cannot stall a decode batch for the whole prompt. 0 keeps
 	// single-pass prefills — unless the prefix cache is on, which defaults
-	// the grain to 64 (cached FT2 partials are frozen at chunk boundaries,
-	// so protected cache hits need a finite grain).
+	// the grain to 64: cache traffic means long shared prompts arriving
+	// beside decoding sessions, and the grain bounds how long one of them
+	// can stall a decode step. It has no bearing on cache hit depth — FT2
+	// bounds resume at any row (DESIGN.md §14).
 	PrefillChunk int
 	// ExportStride enables live-migration checkpoints for sessions that
 	// carry a session_id: every ExportStride emitted tokens (plus once right

@@ -8,7 +8,6 @@ import (
 	"ft2/internal/core"
 	"ft2/internal/data"
 	"ft2/internal/model"
-	"ft2/internal/prefixcache"
 	"ft2/internal/tokenizer"
 )
 
@@ -41,13 +40,11 @@ type Session struct {
 	// Chunked-prefill / prefix-cache progress. prefillStarted flips on the
 	// session's first prefill slice (cache lookup + BeginPrefill); hitRows is
 	// the cached-prefix depth it resumed from; insert marks that the
-	// completed prefill should be offered back to the cache; partials
-	// collects the frozen FT2 first-token profiles at chunk boundaries for
-	// protected inserts.
+	// completed prefill should be offered back to the cache (a protected
+	// session's ftState carries the bounds trail the entry needs).
 	prefillStarted bool
 	hitRows        int
 	insert         bool
-	partials       []prefixcache.FTPartial
 
 	// id identifies the session in the chaos journal; suspect marks that a
 	// chaos fault targeted it (directly, or via weight corruption on its

@@ -34,10 +34,8 @@ echo "== chaos selftest with prefix cache: no corruption through the cache"
     -prefix-cache-mb 32 -prefill-chunk 8 >/dev/null
 
 echo "== start a cache-enabled server on an ephemeral port"
-# Grain 4 keeps mid-prefill FT2 partials in the cache even for short chat
-# prompts — protected sessions can only resume at a partial's depth.
 "$WORK/ft2serve" -model qwen2-1.5b-sim -addr 127.0.0.1:0 \
-    -prefix-cache-mb 32 -prefill-chunk 4 >"$WORK/server.log" 2>&1 &
+    -prefix-cache-mb 32 >"$WORK/server.log" 2>&1 &
 SERVER_PID=$!
 
 BASE=""
