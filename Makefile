@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-mp bench bench-check loc perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke ci
+.PHONY: build test vet vet-generic fuzz-smoke race race-mp bench bench-check loc perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke ci
 
 build:
 	$(GO) build ./...
@@ -8,8 +8,21 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Nothing on an amd64 runner compiles the portable kernels (dot_generic.go and
+# the other !amd64 files); vetting internal/ for arm64 type-checks them.
+vet-generic:
+	GOARCH=arm64 $(GO) vet ./internal/...
+
 test:
 	$(GO) test ./...
+
+# Ten seconds of each fuzz target (their seed corpora already run under plain
+# `go test`). A failing input is written to the package's testdata/.
+fuzz-smoke:
+	$(GO) test ./internal/tensor -run XXX -fuzz FuzzRangeScreen -fuzztime 10s
+	$(GO) test ./internal/prefixcache -run XXX -fuzz FuzzCacheOps -fuzztime 10s
+	$(GO) test ./internal/wire -run XXX -fuzz FuzzDecodeSession -fuzztime 10s
+	$(GO) test ./internal/protect -run XXX -fuzz FuzzLoadPolicy -fuzztime 10s
 
 # The race detector pass covers the packages with goroutine fan-out: the
 # tensor kernels' pooled parallel paths, the campaign worker pool, and the
@@ -92,4 +105,4 @@ prefix-smoke:
 router-smoke:
 	scripts/router_smoke.sh
 
-ci: vet build test bench-check race race-mp perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke
+ci: vet vet-generic build test fuzz-smoke bench-check race race-mp perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke

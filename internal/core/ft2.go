@@ -73,10 +73,16 @@ type FT2 struct {
 	// MaxiMals baselines, which rely on range checks alone).
 	correctNaN bool
 	// own is the store Reset rearms: the controller's first-token store, or
-	// the offline profile. bounds is the store the hook consults — own, or a
-	// shared read-only store a forked continuation swapped in (decode steps
-	// never write it).
+	// the offline profile. bounds is the store in force — own, or a shared
+	// read-only store a forked continuation swapped in (decode steps never
+	// write it). The learn pass observes into it; the clamp reads table.
 	own, bounds *protect.Store
+	// table is bounds already scaled, dense by (block, kind, site) and sized
+	// from the model: a clamp fire costs an index, not a lock, a map hash and
+	// a Scale. Reset, ResumeFork and every learn-pass fire — whatever swaps or
+	// widens bounds — drop tableOK, and the next clamp refills the table first.
+	table   []siteBounds
+	tableOK bool
 	// trail is where the first-token pass records which prompt rows widened
 	// which bounds (protect.Trail): the controller's own after Reset, or the
 	// one a mid-prefill fork state brought along.
@@ -93,6 +99,12 @@ type FT2 struct {
 	chk    *abft.LinearChecker
 	dmr    *protect.DMR
 	handle model.HookHandle
+}
+
+// siteBounds is one table entry; ok is false where bounds holds nothing.
+type siteBounds struct {
+	b  protect.Bounds
+	ok bool
 }
 
 // stage is what the hook does at one layer kind.
@@ -168,6 +180,7 @@ func newFT2(m *model.Model, opts Options, own *protect.Store) *FT2 {
 	}
 	f := &FT2{m: m, opts: opts, own: own, bounds: own, ownTrail: new(protect.Trail)}
 	f.trail = f.ownTrail
+	f.table = make([]siteBounds, m.Cfg.Blocks*model.NumLayerKinds*len(f.stages[0].clamp))
 	return f
 }
 
@@ -236,7 +249,7 @@ func (f *FT2) Reset() {
 		f.own.Reset()
 	}
 	f.ownTrail.Reset()
-	f.bounds, f.trail = f.own, f.ownTrail
+	f.bounds, f.trail, f.tableOK = f.own, f.ownTrail, false
 	f.ftNaN = 0
 	f.stats = protect.CorrectionStats{}
 	f.byKind = [model.NumLayerKinds]protect.CorrectionStats{}
@@ -281,7 +294,7 @@ func (f *FT2) CaptureForkState() ForkState {
 // captured state may back many concurrent forks; a continuation still inside
 // its prefill owns st.Bounds and st.Trail and keeps extending both.
 func (f *FT2) ResumeFork(st ForkState) {
-	f.bounds, f.trail = st.Bounds, st.Trail
+	f.bounds, f.trail, f.tableOK = st.Bounds, st.Trail, false
 	f.ftNaN = st.FirstTokenNaN
 	f.stats = st.Stats
 	f.byKind = st.ByKind
@@ -363,14 +376,18 @@ func (f *FT2) hook(ctx model.HookCtx, out *tensor.Tensor) {
 	if !st.clamp[ctx.Site] {
 		return
 	}
-	key := protect.SiteKey{Layer: ctx.Layer, Site: ctx.Site}
 	if ctx.FirstToken && f.learn {
+		f.tableOK = false
+		key := protect.SiteKey{Layer: ctx.Layer, Site: ctx.Site}
 		f.ftNaN += f.bounds.ObserveRows(key, out, ctx.Pos, f.opts.FirstTokenNaNCorrection, f.trail)
 		return
 	}
+	if !f.tableOK {
+		f.fillTable()
+	}
 	var c protect.CorrectionStats
-	if b, ok := f.bounds.Get(key); ok {
-		c = protect.ClampCorrect(out.Data, b.Scale(f.opts.ScaleFactor), f.opts.Mode, f.correctNaN)
+	if e := &f.table[f.slot(ctx.Layer, ctx.Site)]; e.ok {
+		c = protect.ClampCorrect(out.Data, e.b, f.opts.Mode, f.correctNaN)
 	} else if f.correctNaN {
 		// No bounds for the site (an offline profile that never saw it): NaN
 		// correction is all that can be done.
@@ -380,4 +397,28 @@ func (f *FT2) hook(ctx model.HookCtx, out *tensor.Tensor) {
 	f.stats.NaN += c.NaN
 	f.byKind[ctx.Layer.Kind].OutOfBound += c.OutOfBound
 	f.byKind[ctx.Layer.Kind].NaN += c.NaN
+}
+
+// slot is the table index of a site on this model.
+func (f *FT2) slot(l model.LayerRef, site model.Site) int {
+	return (l.Block*model.NumLayerKinds+int(l.Kind))*len(f.stages[0].clamp) + int(site)
+}
+
+// fillTable rebuilds the table from the store in force, asking it only for
+// the sites the policy clamps: no key a decoded fork state carries sizes it.
+func (f *FT2) fillTable() {
+	for b := 0; b < f.m.Cfg.Blocks; b++ {
+		for k := range f.stages {
+			l := model.LayerRef{Block: b, Kind: model.LayerKind(k)}
+			for site, on := range f.stages[k].clamp {
+				var e siteBounds
+				if on {
+					e.b, e.ok = f.bounds.Get(protect.SiteKey{Layer: l, Site: model.Site(site)})
+					e.b = e.b.Scale(f.opts.ScaleFactor)
+				}
+				f.table[f.slot(l, model.Site(site))] = e
+			}
+		}
+	}
+	f.tableOK = true
 }

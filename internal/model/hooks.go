@@ -102,7 +102,7 @@ func (m *Model) runBatchHooks(ref LayerRef, site Site, in, out *tensor.Tensor, i
 		fired = true
 		// Tracked views: a hook that writes its rows (fault injectors do)
 		// marks the view mutated, which propagates to the full batch
-		// tensor so its cached finiteness can never go stale.
+		// tensor so a packed-f16 shadow of it can never go stale.
 		sc.rowOut.BindRowsView(out, sc.itemLo[i], sc.itemRows[i])
 		ctx := HookCtx{Layer: ref, Site: site, Step: it.State.step, FirstToken: it.State.step == 0, Pos: sc.itemPos[i]}
 		if in != nil {

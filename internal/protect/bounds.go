@@ -1,8 +1,9 @@
 // Package protect implements range-restriction protection for the
 // transformer engine: per-layer activation bounds, the fused
 // clamp+NaN-correction operator (the paper's torch.clamp/nan_to_num fusion),
-// an offline bound profiler (the expensive baseline workflow), and
-// hook-based protectors configured per method coverage.
+// an offline bound profiler (the expensive baseline workflow), the
+// row-granular first-token bounds trail, the DMR stage and the tier policy
+// that core.FT2 compiles into its one hook.
 package protect
 
 import (

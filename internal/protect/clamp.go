@@ -1,6 +1,10 @@
 package protect
 
-import "math"
+import (
+	"math"
+
+	"ft2/internal/tensor"
+)
 
 // ClipMode selects what an out-of-bound value is corrected to. The paper's
 // Take-away #8: generative LLMs have legitimate large activations, so FT2
@@ -39,8 +43,12 @@ func (s CorrectionStats) Total() int { return s.OutOfBound + s.NaN }
 // data in place (the reproduction of the paper's fused torch.clamp +
 // torch.nan_to_num kernel). correctNaN maps NaN→0 (residual branches recover
 // the lost signal); out-of-bound values are corrected per mode. ±Inf counts
-// as out-of-bound. Returns the correction counts.
+// as out-of-bound. Returns the correction counts. The loop is the definition;
+// tensor.RangeScreen first proves the common case, no NaN and nothing outside b.
 func ClampCorrect(data []float32, b Bounds, mode ClipMode, correctNaN bool) CorrectionStats {
+	if lo, hi, clean := tensor.RangeScreen(data); clean && lo >= b.Lo && hi <= b.Hi {
+		return CorrectionStats{}
+	}
 	var st CorrectionStats
 	for i, v := range data {
 		if math.IsNaN(float64(v)) {
@@ -73,6 +81,9 @@ func ClampCorrect(data []float32, b Bounds, mode ClipMode, correctNaN bool) Corr
 // corrected — the protection FT2 applies during first-token generation when
 // no bounds exist yet (Section 4.2.2).
 func CorrectNaNOnly(data []float32) int {
+	if _, _, clean := tensor.RangeScreen(data); clean {
+		return 0
+	}
 	n := 0
 	for i, v := range data {
 		if math.IsNaN(float64(v)) {

@@ -260,15 +260,3 @@ func TestOfflineProfileMoreDataWidens(t *testing.T) {
 		t.Errorf("larger corpus must widen bounds: small=%v big=%v", bs, bb)
 	}
 }
-
-func BenchmarkClampCorrect(b *testing.B) {
-	data := make([]float32, 4096)
-	for i := range data {
-		data[i] = float32(i%7) - 3
-	}
-	bounds := Bounds{-2.5, 2.5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ClampCorrect(data, bounds, ClipToBound, true)
-	}
-}

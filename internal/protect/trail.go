@@ -98,8 +98,14 @@ func (t *Trail) add(r trailRec) {
 // finiteRange returns the range of row's finite values (ok false when there
 // are none). With correctNaN, NaNs are first replaced by 0 in place — counted
 // in nan and then observed like any other 0; otherwise they are skipped, as
-// ±Inf always is (abnormal values are corrected, not learned).
+// ±Inf always is (abnormal values are corrected, not learned). The loop is
+// the definition; tensor.RangeScreen first proves the common case — no NaN,
+// both extrema finite and neither a zero, whose sign the loop takes from the
+// first one seen — in which the loop would return exactly the extrema.
 func finiteRange(row []float32, correctNaN bool) (b Bounds, ok bool, nan int) {
+	if lo, hi, clean := tensor.RangeScreen(row); clean && lo >= -math.MaxFloat32 && hi <= math.MaxFloat32 && lo != 0 && hi != 0 {
+		return Bounds{lo, hi}, true, 0
+	}
 	for i, v := range row {
 		if v != v {
 			if !correctNaN {

@@ -69,9 +69,7 @@ func sameBits(a, b *Store) bool {
 		return false
 	}
 	for i := range ea {
-		if ea[i].Key != eb[i].Key ||
-			math.Float32bits(ea[i].Bounds.Lo) != math.Float32bits(eb[i].Bounds.Lo) ||
-			math.Float32bits(ea[i].Bounds.Hi) != math.Float32bits(eb[i].Bounds.Hi) {
+		if ea[i].Key != eb[i].Key || !sameBounds(ea[i].Bounds, eb[i].Bounds) {
 			return false
 		}
 	}

@@ -3,9 +3,9 @@ package tensor
 import "ft2/internal/numerics"
 
 // The kernels of dot_amd64.s, two tiers (DESIGN.md §12): the SSE baseline
-// (dotVec, dotStrideVec, axpyVec, axpyStrideVec, scaleVec) and the FMA tier
-// of the linear layers (matMulT1Vec/matMulT4Vec over f32 weights,
-// dotVecF16C/dotVec4F16C over packed-f16 weights, quantizeF16Vec,
+// (dotVec, dotStrideVec, axpyVec, axpyStrideVec, scaleVec, rangeScreenVec)
+// and the FMA tier of the linear layers (matMulT1Vec/matMulT4Vec over f32
+// weights, dotVecF16C/dotVec4F16C over packed-f16 weights, quantizeF16Vec,
 // siluFinishVec). dotVecFMA has no engine caller: it is the one-element
 // definition of the FMA tier's op order, which the tests hold the sweeps and
 // the F16C kernels to bit for bit.
@@ -20,6 +20,7 @@ func axpyStrideVec(dst, v, w *float32, d, limit int)
 func matMulT1Vec(out, a, b *float32, k, cols int)
 func matMulT4Vec(out *float32, ldo int, a *float32, lda int, b *float32, k, cols int)
 func scaleVec(p *float32, n int, s float32)
+func rangeScreenVec(p *float32, n int) (lo, hi float32, nan bool)
 
 //go:noescape
 func siluFinishVec(p *float32, e *float64, n int)
@@ -152,6 +153,19 @@ func ScaleSlice(p []float32, s float32) {
 		return
 	}
 	scaleVec(&p[0], len(p), s)
+}
+
+// RangeScreen is the cheap first look FT2's observe and clamp sweeps take at
+// a row: with ok, row holds no NaN and lo/hi are its minimum and maximum
+// (±Inf included; a zero extremum may carry either sign). !ok — a NaN
+// somewhere, an empty row, or a host without the kernel — proves nothing, and
+// the caller runs its scalar sweep.
+func RangeScreen(row []float32) (lo, hi float32, ok bool) {
+	if len(row) == 0 {
+		return 0, 0, false
+	}
+	lo, hi, nan := rangeScreenVec(&row[0], len(row))
+	return lo, hi, !nan
 }
 
 // siluFinish completes SiLU after the scalar exp pass: p[i] =

@@ -922,6 +922,101 @@ scloop1:
 scdone:
 	RET
 
+// func rangeScreenVec(p *float32, n int) (lo, hi float32, nan bool)
+// The range screen behind FT2's observe and clamp sweeps: min and max over
+// p[0:n] (n ≥ 1) and whether any lane was unordered. SSE1 instructions only,
+// so it is the same body on both tiers and needs no CPUID gate. MINPS/MAXPS
+// return their second operand when either is NaN, so a NaN can wash out of
+// lo/hi; CMPPS-unordered over each pair of loaded vectors (true in a lane
+// when either operand is NaN) catches it instead, and lo/hi mean nothing when
+// nan is set. ±0 compare equal: a zero extremum may carry either sign. Two
+// lo (X0, X2) and two hi (X1, X3) accumulators all start at p[0].
+TEXT ·rangeScreenVec(SB), NOSPLIT, $0-25
+	MOVQ   p+0(FP), SI
+	MOVQ   n+8(FP), CX
+	MOVSS  (SI), X0
+	SHUFPS $0x00, X0, X0
+	MOVAPS X0, X1
+	MOVAPS X0, X2
+	MOVAPS X0, X3
+	XORPS  X6, X6
+	MOVQ   CX, BX
+	SHRQ   $4, BX
+	JZ     rstail4
+
+rsloop16:
+	MOVUPS (SI), X4
+	MOVUPS 16(SI), X5
+	MINPS  X4, X0
+	MAXPS  X4, X1
+	MINPS  X5, X2
+	MAXPS  X5, X3
+	CMPPS  X5, X4, $3
+	ORPS   X4, X6
+	MOVUPS 32(SI), X4
+	MOVUPS 48(SI), X5
+	MINPS  X4, X0
+	MAXPS  X4, X1
+	MINPS  X5, X2
+	MAXPS  X5, X3
+	CMPPS  X5, X4, $3
+	ORPS   X4, X6
+	ADDQ   $64, SI
+	DECQ   BX
+	JNZ    rsloop16
+
+rstail4:
+	MOVQ CX, BX
+	ANDQ $15, BX
+	SHRQ $2, BX
+	JZ   rstail1
+
+rsloop4:
+	MOVUPS (SI), X4
+	MINPS  X4, X0
+	MAXPS  X4, X1
+	CMPPS  X4, X4, $3
+	ORPS   X4, X6
+	ADDQ   $16, SI
+	DECQ   BX
+	JNZ    rsloop4
+
+rstail1:
+	ANDQ $3, CX
+	JZ   rsreduce
+
+rsloop1:
+	MOVSS (SI), X4
+	MINSS X4, X0
+	MAXSS X4, X1
+	CMPSS X4, X4, $3
+	ORPS  X4, X6
+	ADDQ  $4, SI
+	DECQ  CX
+	JNZ   rsloop1
+
+rsreduce:
+	MINPS    X2, X0
+	MAXPS    X3, X1
+	MOVAPS   X0, X4
+	SHUFPS   $0xEE, X4, X4
+	MINPS    X4, X0
+	MOVAPS   X0, X4
+	SHUFPS   $0x55, X4, X4
+	MINSS    X4, X0
+	MOVSS    X0, lo+16(FP)
+	MOVAPS   X1, X5
+	SHUFPS   $0xEE, X5, X5
+	MAXPS    X5, X1
+	MOVAPS   X1, X5
+	SHUFPS   $0x55, X5, X5
+	MAXSS    X5, X1
+	MOVSS    X1, hi+20(FP)
+	MOVMSKPS X6, AX
+	TESTL    AX, AX
+	SETNE    nan+24(FP)
+	RET
+
 // func siluFinishVec(p *float32, e *float64, n int)
 // p[i] = float32(float64(p[i]) / (1 + e[i])) — the finishing pass of SiLU
 // after the scalar math.Exp pass filled e. Widening f32→f64 is exact, the

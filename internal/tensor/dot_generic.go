@@ -90,6 +90,10 @@ func ScaleSlice(p []float32, s float32) {
 	}
 }
 
+// RangeScreen reports "no screen": callers run their scalar sweeps. (amd64
+// builds screen a row with the SSE kernel in dot_amd64.s.)
+func RangeScreen(row []float32) (lo, hi float32, ok bool) { return 0, 0, false }
+
 // siluFinish reports false so SiLU runs its scalar finishing loop.
 func siluFinish(p []float32, e []float64) bool { return false }
 
