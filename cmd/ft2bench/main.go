@@ -41,7 +41,7 @@ func main() {
 	profile := flag.Int("profile", 0, "override profiling-split size")
 	seed := flag.Int64("seed", 42, "base seed")
 	quick := flag.Bool("quick", false, "use the quick (smoke-test) sizes")
-	perfguard := flag.Bool("perfguard", false, "run the CI performance gates (P=4 decode vs P=1, warm vs cold prefix serving, fused vs serial serving) and exit")
+	perfguard := flag.Bool("perfguard", false, "run the CI performance gates (P=4 decode vs P=1, warm vs cold prefix serving, serving stack vs serial Generate) and exit")
 	cf := cliutil.RegisterCampaign(flag.CommandLine)
 	flag.Parse()
 

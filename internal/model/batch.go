@@ -377,22 +377,9 @@ func (m *Model) attnUnits(lo, hi int) {
 			qrow := sc.attnQ.Row(rowLo + r)[hd : hd+d]
 			limit := base + r + 1 // causal: attend to positions <= own
 			tensor.DotStride(scores, qrow, kh, d, limit, scale)
-			maxv := float32(math.Inf(-1))
-			for j := 0; j < limit; j++ {
-				if s := scores[j]; !math.IsNaN(float64(s)) && s > maxv {
-					maxv = s
-				}
-			}
-			var sum float32
-			for j := 0; j < limit; j++ {
-				e := float32(math.Exp(float64(scores[j] - maxv)))
-				scores[j] = e
-				sum += e
-			}
 			orow := sc.attnCtx.Row(rowLo + r)[hd : hd+d]
-			if sum > 0 {
-				inv := 1 / sum
-				tensor.ScaleSlice(scores[:limit], inv)
+			if sum := tensor.SoftmaxRow(scores[:limit]); sum > 0 {
+				tensor.ScaleSlice(scores[:limit], 1/sum)
 				tensor.AxpyStride(orow, vh, scores, d, limit)
 			}
 		}

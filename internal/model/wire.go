@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 )
 
 // Wire codec for Snapshot: a flat little-endian layout the internal/wire
@@ -73,6 +74,7 @@ func AppendSnapshot(dst []byte, s *Snapshot) []byte {
 	d := s.headDim
 	heads := s.hidden / d
 	stride := s.srcStride()
+	dst = slices.Grow(dst, s.blocks*2*s.rows*s.hidden*4)
 	for b := 0; b < s.blocks; b++ {
 		for h := 0; h < heads; h++ {
 			dst = appendWireF32s(dst, s.k[b][h*stride*d:h*stride*d+s.rows*d])
@@ -158,17 +160,19 @@ func appendWireU32(dst []byte, v uint32) []byte {
 }
 
 func appendWireF32s(dst []byte, src []float32) []byte {
-	for _, f := range src {
-		dst = appendWireU32(dst, math.Float32bits(f))
+	n := len(dst)
+	dst = slices.Grow(dst, 4*len(src))[:n+4*len(src)]
+	for i, f := range src {
+		binary.LittleEndian.PutUint32(dst[n+4*i:], math.Float32bits(f))
 	}
 	return dst
 }
 
 func decodeWireF32s(data []byte, off, n int) ([]float32, int) {
 	out := make([]float32, n)
+	win := data[off : off+4*n]
 	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(win[4*i:]))
 	}
-	return out, off
+	return out, off + 4*n
 }

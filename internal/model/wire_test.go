@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"ft2/internal/numerics"
@@ -104,5 +105,54 @@ func TestSnapshotWireFullRoundTrip(t *testing.T) {
 	}
 	if dec.ArchFingerprint() != cfg.ArchFingerprint() {
 		t.Fatal("fingerprint mismatch against source config")
+	}
+}
+
+// TestSnapshotWireMatchesPerElementEncoder pins the payload bytes to the
+// per-element encoder the codec started with (four appended bytes per float),
+// appending after existing bytes with and without spare capacity, and the
+// decoder to the same float bits (NaN included) through a re-encode.
+func TestSnapshotWireMatchesPerElementEncoder(t *testing.T) {
+	cfg, err := ConfigByName("llama2-7b-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(cfg, 5, numerics.FP16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok := m.Prefill([]int{2, 7, 1, 8, 2, 8})
+	m.DecodeStep(tok)
+	snap := &Snapshot{}
+	m.Checkpoint(snap)
+	snap.k[0][1] = float32(math.NaN())
+	snap.v[0][2] = float32(math.Inf(-1))
+
+	prefix := []byte("hdr")
+	want := append([]byte(nil), prefix...)
+	want = append(want, AppendSnapshot(nil, snap)[:snapWireHeader]...)
+	d, stride := snap.headDim, snap.srcStride()
+	for b := 0; b < snap.blocks; b++ {
+		for _, kv := range [][]float32{snap.k[b], snap.v[b]} {
+			for h := 0; h < snap.hidden/d; h++ {
+				for _, f := range kv[h*stride*d : h*stride*d+snap.rows*d] {
+					v := math.Float32bits(f)
+					want = append(want, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+				}
+			}
+		}
+	}
+	for _, spare := range []int{0, 7, len(want)} {
+		dst := append(make([]byte, 0, len(prefix)+spare), prefix...)
+		if got := AppendSnapshot(dst, snap); !bytes.Equal(got, want) {
+			t.Fatalf("spare %d: encoding differs from the per-element encoder", spare)
+		}
+	}
+	dec, _, err := DecodeSnapshot(want[len(prefix):])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(AppendSnapshot(nil, dec), want[len(prefix):]) {
+		t.Fatal("decoded snapshot does not re-encode to the same bytes")
 	}
 }

@@ -23,25 +23,34 @@ func GELU(t *Tensor) {
 
 // SiLU applies x·sigmoid(x) in place — the Llama/Qwen gate activation.
 func SiLU(t *Tensor) {
-	// Split loop: a scalar pass fills the exp values (math.Exp must keep its
-	// exact scalar semantics), then the vector kernel finishes x/(1+e) —
-	// per-lane IEEE add/divide/convert, bit-identical to the fused loop.
+	// Split loop: expNeg fills the exp values, then the vector kernel finishes
+	// x/(1+e) — per-lane IEEE add/divide/convert, bit-identical to the fused
+	// loop.
 	data := t.Data
 	var ebuf [256]float64
 	for len(data) > 0 {
-		chunk := data
-		if len(chunk) > len(ebuf) {
-			chunk = chunk[:len(ebuf)]
-		}
-		for i, v := range chunk {
-			ebuf[i] = math.Exp(-float64(v))
-		}
-		if !siluFinish(chunk, ebuf[:len(chunk)]) {
+		chunk := data[:min(len(data), len(ebuf))]
+		e := ebuf[:len(chunk)]
+		expNeg(e, chunk)
+		if !siluFinish(chunk, e) {
 			for i, v := range chunk {
-				chunk[i] = float32(float64(v) / (1 + ebuf[i]))
+				chunk[i] = float32(float64(v) / (1 + e[i]))
 			}
 		}
 		data = data[len(chunk):]
+	}
+}
+
+// expNeg fills e[i] = math.Exp(−float64(x[i])): expSum's split between the
+// packed kernel and the scalar loop, with float64 results.
+func expNeg(e []float64, x []float32) {
+	for i := 0; i < len(x); {
+		if hasFMA && len(x)-i >= 4 {
+			i += expNegVec(&e[i], &x[i], len(x)-i)
+		}
+		for end := min(i+4, len(x)); i < end; i++ {
+			e[i] = math.Exp(-float64(x[i]))
+		}
 	}
 }
 

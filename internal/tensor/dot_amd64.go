@@ -4,11 +4,11 @@ import "ft2/internal/numerics"
 
 // The kernels of dot_amd64.s, two tiers (DESIGN.md §12): the SSE baseline
 // (dotVec, dotStrideVec, axpyVec, axpyStrideVec, scaleVec, rangeScreenVec)
-// and the FMA tier of the linear layers (matMulT1Vec/matMulT4Vec over f32
-// weights, dotVecF16C/dotVec4F16C over packed-f16 weights, quantizeF16Vec,
-// siluFinishVec). dotVecFMA has no engine caller: it is the one-element
-// definition of the FMA tier's op order, which the tests hold the sweeps and
-// the F16C kernels to bit for bit.
+// and the FMA tier — matMulT1Vec/matMulT4Vec over f32 weights,
+// dotVecF16C/dotVec4F16C over packed-f16 weights, quantizeF16Vec,
+// siluFinishVec, and the packed exp behind expSumVec/expNegVec. dotVecFMA has
+// no engine caller: it is the one-element definition of the FMA tier's op
+// order, which the tests hold the sweeps and the F16C kernels to bit for bit.
 func dotVec(a, b *float32, n int) float32
 func dotVecFMA(a, b *float32, n int) float32
 func dotVecF16C(a *float32, b *uint16, n int) float32
@@ -24,6 +24,20 @@ func rangeScreenVec(p *float32, n int) (lo, hi float32, nan bool)
 
 //go:noescape
 func siluFinishVec(p *float32, e *float64, n int)
+
+// The packed exp (math.archExp's FMA path, four lanes wide): both stop
+// before the first group of four that fails the kernel's range screen and
+// return how many elements they finished. hasFMA only; it implies math's own
+// useFMA (AVX + FMA), so kernel and scalar math.Exp run the same arithmetic —
+// except under GODEBUG=cpu.fma=off, which switches math to its non-FMA path
+// and leaves this kernel on: still one function for every engine path, but no
+// longer the golden digests' bits.
+//
+//go:noescape
+func expSumVec(p *float32, n int, maxv, sum float32) (done int, out float32)
+
+//go:noescape
+func expNegVec(dst *float64, src *float32, n int) (done int)
 
 // Axpy accumulates w·src into dst element-wise (dst[i] += w*src[i], over
 // len(dst) elements; len(src) must be at least len(dst)). Each element is an
@@ -168,7 +182,7 @@ func RangeScreen(row []float32) (lo, hi float32, ok bool) {
 	return lo, hi, !nan
 }
 
-// siluFinish completes SiLU after the scalar exp pass: p[i] =
+// siluFinish completes SiLU after the exp pass: p[i] =
 // float32(float64(p[i]) / (1 + e[i])). Widening, add, divide, and
 // narrowing are each single correctly-rounded IEEE operations per lane,
 // so the vector kernel matches the scalar reference bitwise. Returns

@@ -1049,3 +1049,156 @@ sfloop4:
 
 sfdone:
 	RET
+
+// The packed exp: math.archExp's FMA path (Shibata's SIMD method, which the
+// Go runtime runs one lane wide) run four float64 lanes wide. The table holds
+// the two edges of the range screen, then archExp's own literals — LOG2E,
+// LN2U, LN2L, 1/16, the Taylor coefficients 1/8! … 1/3!, 1/2, 1, 2 — and the
+// exponent bias.
+DATA exptab<>+0(SB)/8, $-708.0
+DATA exptab<>+8(SB)/8, $709.0
+DATA exptab<>+16(SB)/8, $1.4426950408889634073599246810018920
+DATA exptab<>+24(SB)/8, $0.69314718055966295651160180568695068359375
+DATA exptab<>+32(SB)/8, $0.28235290563031577122588448175013436025525412068e-12
+DATA exptab<>+40(SB)/8, $0.0625
+DATA exptab<>+48(SB)/8, $2.4801587301587301587e-5
+DATA exptab<>+56(SB)/8, $1.9841269841269841270e-4
+DATA exptab<>+64(SB)/8, $1.3888888888888888889e-3
+DATA exptab<>+72(SB)/8, $8.3333333333333333333e-3
+DATA exptab<>+80(SB)/8, $4.1666666666666666667e-2
+DATA exptab<>+88(SB)/8, $1.6666666666666666667e-1
+DATA exptab<>+96(SB)/8, $0.5
+DATA exptab<>+104(SB)/8, $1.0
+DATA exptab<>+112(SB)/8, $2.0
+DATA exptab<>+120(SB)/8, $0x3FF
+GLOBL exptab<>(SB), RODATA, $128
+
+// EXPCONSTS parks the constants every step multiplies by in Y4–Y13; the rest
+// are broadcast from the table where EXP4 uses them (Y14, X15 stay free for
+// the entry points).
+#define EXPCONSTS \
+	VBROADCASTSD exptab<>+16(SB), Y4  \
+	VBROADCASTSD exptab<>+24(SB), Y5  \
+	VBROADCASTSD exptab<>+32(SB), Y6  \
+	VBROADCASTSD exptab<>+48(SB), Y7  \
+	VBROADCASTSD exptab<>+56(SB), Y8  \
+	VBROADCASTSD exptab<>+64(SB), Y9  \
+	VBROADCASTSD exptab<>+72(SB), Y10 \
+	VBROADCASTSD exptab<>+80(SB), Y11 \
+	VBROADCASTSD exptab<>+104(SB), Y12 \
+	VBROADCASTSD exptab<>+112(SB), Y13
+
+// EXP4 replaces the four float64 x in Y0 by math.Exp(x), or jumps to expstop
+// with Y0 untouched when a lane fails the ordered screen −708 ≤ x ≤ 709 —
+// NaN, ±Inf, archExp's overflow exit and its denormal-result tail (biased
+// exponent ≤ 0, x below −708.7) are all outside, so what is left is the
+// straight line: k = int(x·LOG2E) rounded to nearest even like CVTSD2SL,
+// r = (x − k·LN2U − k·LN2L)/16, the degree-8 Taylor of e^r − 1, four
+// doublings, and one multiply by 2^k built in the exponent field. Each step
+// is the packed form of archExp's scalar instruction with the same operands,
+// so each lane rounds exactly as the scalar does. Clobbers AX, Y1–Y3.
+#define EXP4 \
+	VBROADCASTSD exptab<>+0(SB), Y2  \
+	VCMPPD       $0x1D, Y2, Y0, Y1   \ // x ≥ −708, ordered
+	VBROADCASTSD exptab<>+8(SB), Y2  \
+	VCMPPD       $0x12, Y2, Y0, Y2   \ // x ≤ 709, ordered
+	VANDPD       Y2, Y1, Y1          \
+	VMOVMSKPD    Y1, AX              \
+	CMPL         AX, $15             \
+	JNE          expstop             \
+	VMULPD       Y4, Y0, Y1          \
+	VCVTPD2DQY   Y1, X3              \ // k
+	VCVTDQ2PD    X3, Y1              \
+	VFNMADD231PD Y5, Y1, Y0          \
+	VFNMADD231PD Y6, Y1, Y0          \
+	VBROADCASTSD exptab<>+40(SB), Y2 \
+	VMULPD       Y2, Y0, Y0          \ // r
+	VMOVAPD      Y7, Y1              \
+	VFMADD213PD  Y8, Y0, Y1          \
+	VFMADD213PD  Y9, Y0, Y1          \
+	VFMADD213PD  Y10, Y0, Y1         \
+	VFMADD213PD  Y11, Y0, Y1         \
+	VBROADCASTSD exptab<>+88(SB), Y2 \
+	VFMADD213PD  Y2, Y0, Y1          \
+	VBROADCASTSD exptab<>+96(SB), Y2 \
+	VFMADD213PD  Y2, Y0, Y1          \
+	VFMADD213PD  Y12, Y0, Y1         \
+	VMULPD       Y1, Y0, Y0          \ // e^r − 1
+	VADDPD       Y13, Y0, Y1         \
+	VMULPD       Y1, Y0, Y0          \
+	VADDPD       Y13, Y0, Y1         \
+	VMULPD       Y1, Y0, Y0          \
+	VADDPD       Y13, Y0, Y1         \
+	VMULPD       Y1, Y0, Y0          \
+	VADDPD       Y13, Y0, Y1         \
+	VFMADD213PD  Y12, Y1, Y0         \ // e^(16r)
+	VPBROADCASTD exptab<>+120(SB), X2 \
+	VPADDD       X2, X3, X3          \
+	VPMOVZXDQ    X3, Y3              \
+	VPSLLQ       $52, Y3, Y3         \
+	VMULPD       Y3, Y0, Y0
+
+// func expSumVec(p *float32, n int, maxv, sum float32) (done int, out float32)
+// The exp pass of a softmax row: p[i] = float32(exp(float64(p[i] − maxv)))
+// group of four by group of four, each result added to sum in index order
+// (scalar ADDSS, reading back the lanes just stored). Stops before the first
+// group that fails EXP4's screen or that n no longer covers; done counts the
+// elements finished and out is sum so far.
+TEXT ·expSumVec(SB), NOSPLIT, $0-36
+	MOVQ         p+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSS maxv+16(FP), X14
+	MOVSS        sum+20(FP), X15
+	XORQ         SI, SI
+	SUBQ         $4, CX
+	JLT          expstop
+	EXPCONSTS
+
+esloop:
+	VMOVUPS    (DI)(SI*4), X0
+	VSUBPS     X14, X0, X0
+	VCVTPS2PD  X0, Y0
+	EXP4
+	VCVTPD2PSY Y0, X0
+	VMOVUPS    X0, (DI)(SI*4)
+	VADDSS     (DI)(SI*4), X15, X15
+	VADDSS     4(DI)(SI*4), X15, X15
+	VADDSS     8(DI)(SI*4), X15, X15
+	VADDSS     12(DI)(SI*4), X15, X15
+	ADDQ       $4, SI
+	CMPQ       SI, CX
+	JLE        esloop
+
+expstop:
+	VZEROUPPER
+	MOVQ  SI, done+24(FP)
+	MOVSS X15, out+32(FP)
+	RET
+
+// func expNegVec(dst *float64, src *float32, n int) (done int)
+// SiLU's exp fill: dst[i] = exp(−float64(src[i])), stopping like expSumVec.
+TEXT ·expNegVec(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), BX
+	MOVQ n+16(FP), CX
+	XORQ SI, SI
+	SUBQ $4, CX
+	JLT  expstop
+	EXPCONSTS
+	MOVQ         $0x8000000000000000, AX
+	MOVQ         AX, X14
+	VBROADCASTSD X14, Y14
+
+enloop:
+	VCVTPS2PD (BX)(SI*4), Y0
+	VXORPD    Y14, Y0, Y0
+	EXP4
+	VMOVUPD   Y0, (DI)(SI*8)
+	ADDQ      $4, SI
+	CMPQ      SI, CX
+	JLE       enloop
+
+expstop:
+	VZEROUPPER
+	MOVQ SI, done+24(FP)
+	RET

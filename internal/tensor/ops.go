@@ -42,29 +42,60 @@ func (t *Tensor) Scale(s float32) {
 	t.MarkMutated()
 }
 
-// SoftmaxRows applies a numerically stable softmax to each row in place.
-// NaN inputs propagate to the whole row (as in real attention kernels).
-func SoftmaxRows(t *Tensor) {
-	for r := 0; r < t.Rows; r++ {
-		row := t.Row(r)
-		maxv := float32(math.Inf(-1))
-		for _, v := range row {
-			if v > maxv {
-				maxv = v
+// SoftmaxRow is the one softmax in the tree — attention's (row, head) scores,
+// SoftmaxRows and the benchmark's tensor.softmax_ns all run it. It replaces
+// row[j] by float32(exp(float64(row[j] − max))) in place and returns their
+// float32 sum accumulated in index order; the caller normalises, under its own
+// rule for a zero or NaN sum.
+func SoftmaxRow(row []float32) float32 {
+	_, maxv, ok := RangeScreen(row)
+	if !ok {
+		// A NaN in the row (or no screen kernel): the maximum over the other
+		// scores, −Inf when there are none — s > maxv is false for a NaN s.
+		// Either route may return a zero maximum of either sign, harmlessly:
+		// s − (±0) differs at most in the sign of a zero, and exp(±0) = 1.
+		maxv = float32(math.Inf(-1))
+		for _, s := range row {
+			if s > maxv {
+				maxv = s
 			}
 		}
-		var sum float32
-		for i, v := range row {
-			e := float32(math.Exp(float64(v - maxv)))
+	}
+	return expSum(row, maxv)
+}
+
+// expSum is SoftmaxRow's exp pass. The scalar loop is the definition; on the
+// FMA tier the packed kernel (expSumVec, archExp's own instruction sequence
+// four lanes wide) takes every group of four inside its range screen and
+// leaves the group that stopped it, and the tail, to the loop — so every
+// element is what math.Exp returns on this host, on every tier.
+func expSum(row []float32, maxv float32) (sum float32) {
+	for i := 0; i < len(row); {
+		if hasFMA && len(row)-i >= 4 {
+			var done int
+			done, sum = expSumVec(&row[i], len(row)-i, maxv, sum)
+			i += done
+		}
+		for end := min(i+4, len(row)); i < end; i++ {
+			e := float32(math.Exp(float64(row[i] - maxv)))
 			row[i] = e
 			sum += e
 		}
-		if sum == 0 {
-			continue
-		}
-		inv := 1 / sum
-		for i := range row {
-			row[i] *= inv
+	}
+	return sum
+}
+
+// SoftmaxRows applies a numerically stable softmax to each row in place.
+// NaN inputs propagate to the whole row (as in real attention kernels): only
+// an exactly zero sum leaves a row unnormalised. The engine's attention is
+// stricter — it normalises and accumulates context only when sum > 0, so a
+// NaN sum leaves that context row zero — and the campaigns' SDC counts depend
+// on that guard.
+func SoftmaxRows(t *Tensor) {
+	for r := 0; r < t.Rows; r++ {
+		row := t.Row(r)
+		if sum := SoftmaxRow(row); sum != 0 {
+			ScaleSlice(row, 1/sum)
 		}
 	}
 	t.MarkMutated()

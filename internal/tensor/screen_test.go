@@ -103,11 +103,11 @@ func TestRangeScreenMatchesScalar(t *testing.T) {
 	}
 }
 
-// FuzzRangeScreen decodes the input as little-endian float32s; the rows with
-// specials planted at their ends are its seed corpus (the every-position sweep
-// would leave a 10 s fuzz run no time to mutate), so plain `go test` runs
-// them too.
-func FuzzRangeScreen(f *testing.F) {
+// fuzzRows fuzzes check over rows decoded from the input as little-endian
+// float32s; the rows with specials planted at their ends are the seed corpus
+// (the every-position sweep would leave a 10 s fuzz run no time to mutate), so
+// plain `go test` runs them too.
+func fuzzRows(f *testing.F, check func(t *testing.T, row []float32)) {
 	forEachScreenRow(true, func(row []float32) {
 		b := make([]byte, 0, 4*len(row))
 		for _, v := range row {
@@ -120,6 +120,8 @@ func FuzzRangeScreen(f *testing.F) {
 		for i := range row {
 			row[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 		}
-		checkScreen(t, row)
+		check(t, row)
 	})
 }
+
+func FuzzRangeScreen(f *testing.F) { fuzzRows(f, checkScreen) }

@@ -8,13 +8,17 @@ import "testing"
 // The tier is process-wide: tests using this must not run in parallel.
 func forEachTier(t *testing.T, f func(t *testing.T)) {
 	t.Run("host", f)
-	if !hasFMA {
-		return
+	if hasFMA {
+		onSSETier(func() { t.Run("sse", f) })
 	}
+}
+
+// onSSETier runs f with hasFMA and hasF16C switched off.
+func onSSETier(f func()) {
 	fma, f16c := hasFMA, hasF16C
 	hasFMA, hasF16C = false, false
 	defer func() { hasFMA, hasF16C = fma, f16c }()
-	t.Run("sse", f)
+	f()
 }
 
 // dotFMA is the one-element FMA kernel, set by dot_amd64_test.go; nil on
