@@ -35,7 +35,7 @@ func main() {
 	trials := flag.Int("trials", 300, "fault injections")
 	inputs := flag.Int("inputs", 5, "evaluation inputs")
 	profileN := flag.Int("profile", 40, "profiling-split size (offline methods)")
-	dtypeName := flag.String("dtype", "fp16", "activation dtype: fp16, fp32")
+	dtype := cliutil.RegisterDType(flag.CommandLine)
 	window := flag.String("window", "all", "injection window: all, first-token, following")
 	seed := flag.Int64("seed", 42, "base seed")
 	cf := cliutil.RegisterCampaign(flag.CommandLine)
@@ -65,13 +65,9 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	dtype := numerics.FP16
-	if *dtypeName == "fp32" {
-		dtype = numerics.FP32
-	}
 
 	spec := campaign.Spec{
-		ModelCfg: cfg, ModelSeed: *seed, DType: dtype,
+		ModelCfg: cfg, ModelSeed: *seed, DType: *dtype,
 		Fault: fm, Method: method, FT2Opts: core.Defaults(),
 		Dataset: ds, Trials: *trials, BaseSeed: *seed + 1000,
 	}
@@ -86,7 +82,7 @@ func main() {
 	}
 	switch method {
 	case arch.MethodRanger, arch.MethodMaxiMals, arch.MethodGlobalClipper, arch.MethodFT2Offline:
-		m, err := model.New(cfg, *seed, dtype)
+		m, err := model.New(cfg, *seed, *dtype)
 		if err != nil {
 			die(err)
 		}
@@ -112,7 +108,7 @@ func main() {
 	}
 
 	fmt.Printf("model=%s dataset=%s fault=%s method=%s dtype=%s window=%s (%.1fs)\n",
-		cfg.Name, ds.Name, fm, method, dtype, *window, time.Since(start).Seconds())
+		cfg.Name, ds.Name, fm, method, *dtype, *window, time.Since(start).Seconds())
 	fmt.Printf("SDC rate: %s\n", res.SDC)
 	fmt.Printf("corrections: %d out-of-bound, %d NaN\n", res.Corrections.OutOfBound, res.Corrections.NaN)
 	fmt.Println("per-layer-kind SDC:")

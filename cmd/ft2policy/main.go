@@ -37,7 +37,7 @@ func main() {
 	trials := flag.Int("trials", 300, "fault injections per campaign (two campaigns run)")
 	mixWeight := flag.Float64("mix-weight", 0.2, "fraction of faults landing in persistent weight corruption")
 	mixKV := flag.Float64("mix-kv", 0.2, "fraction of faults landing in resident KV-cache state")
-	dtypeName := flag.String("dtype", "fp16", "activation dtype: fp16, fp32")
+	dtype := cliutil.RegisterDType(flag.CommandLine)
 	seed := flag.Int64("seed", 42, "base seed")
 	out := flag.String("o", "policy.json", "output policy path (- for stdout)")
 	base := cliutil.RegisterBase(flag.CommandLine)
@@ -67,13 +67,9 @@ func main() {
 	default:
 		die(fmt.Errorf("unknown fault model %q", *faultName))
 	}
-	dtype := numerics.FP16
-	if *dtypeName == "fp32" {
-		dtype = numerics.FP32
-	}
 
 	spec := campaign.Spec{
-		ModelCfg: cfg, ModelSeed: *seed, DType: dtype,
+		ModelCfg: cfg, ModelSeed: *seed, DType: *dtype,
 		Fault: fm, FT2Opts: core.Defaults(),
 		Dataset: ds, Trials: *trials, BaseSeed: *seed + 1000,
 		Targets: fault.TargetMix{Weight: *mixWeight, KV: *mixKV},

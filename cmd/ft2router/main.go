@@ -12,15 +12,10 @@
 // if the worker driving a session dies mid-generation the router resumes
 // the session on a survivor from its last exported checkpoint (or from the
 // prompt when no checkpoint exists yet) and the client's stream continues
-// bit-identically — the migration is invisible.
-//
-//	ft2router -selftest -worker-bin ./bin/ft2serve
-//
-// spawns a 3-worker cluster as real OS processes, drives mixed load through
-// the router while SIGKILLing a random worker every -kill-every (respawning
-// it after), and exits non-zero unless every session completed with output
-// bit-identical to the single-process GenerateInto oracle and at least one
-// live migration happened.
+// bit-identically — the migration is invisible. internal/router's
+// TestKillStormReadmission holds that under a kill storm in process;
+// TestRealProcessCluster here holds it for this binary, two real ft2serve
+// workers and a SIGKILL.
 package main
 
 import (
@@ -45,38 +40,11 @@ func main() {
 	probeTimeout := flag.Duration("probe-timeout", 0, "one health probe's timeout (0 = probe interval)")
 	fetchEvery := flag.Int("fetch-every", 8, "relayed tokens between checkpoint fetches per session (0 = no checkpoints; failed sessions replay from the prompt)")
 	vnodes := flag.Int("vnodes", 64, "consistent-hash ring points per worker")
-	selftest := flag.Bool("selftest", false, "run the kill-a-worker cluster self-test and exit")
-	workerBin := flag.String("worker-bin", "", "selftest: path to the ft2serve binary to spawn workers from")
-	workerN := flag.Int("worker-n", 3, "selftest: workers in the spawned cluster")
-	killEvery := flag.Duration("kill-every", 1200*time.Millisecond, "selftest: period between SIGKILLs of a random worker")
-	throttle := flag.Duration("throttle", 10*time.Millisecond, "selftest: worker decode throttle (keeps sessions long enough to kill mid-flight)")
-	exportStride := flag.Int("export-stride", 4, "selftest: worker checkpoint capture stride")
-	modelName := flag.String("model", "qwen2-1.5b-sim", "selftest: zoo model the workers serve")
-	seed := flag.Int64("seed", 42, "selftest: worker weight seed")
-	maxTokens := flag.Int("max-tokens", 32, "selftest: tokens per generation")
-	requests := flag.Int("requests", 24, "selftest: total generations to drive")
-	clients := flag.Int("clients", 6, "selftest: concurrent clients")
 	base := cliutil.RegisterBase(flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := base.Context()
 	defer stop()
-
-	if *selftest {
-		os.Exit(runSelfTest(ctx, selfTestOpts{
-			workerBin:    *workerBin,
-			workerN:      *workerN,
-			model:        *modelName,
-			seed:         *seed,
-			killEvery:    *killEvery,
-			throttle:     *throttle,
-			exportStride: *exportStride,
-			fetchEvery:   *fetchEvery,
-			maxTokens:    *maxTokens,
-			requests:     *requests,
-			clients:      *clients,
-		}))
-	}
 
 	urls := splitWorkers(*workers)
 	if len(urls) == 0 {

@@ -1,8 +1,10 @@
-// Package cliutil factors the flag surface and signal plumbing shared by
-// the ft2 command-line tools (ft2bench, ft2inject, ft2serve): the run-level
-// -timeout deadline with SIGINT/SIGTERM cancellation, and the resumable
-// campaign's -trial-timeout/-journal/-resume/-no-fork/-checkpoint-stride
-// quintet with its journal lifecycle and interrupt notices.
+// Package cliutil factors the flag surface and signal plumbing the five ft2
+// command-line tools share: the run-level -timeout deadline with
+// SIGINT/SIGTERM cancellation (ft2serve, ft2router, ft2policy; ft2bench and
+// ft2inject through the campaign set), the resumable campaign's
+// -trial-timeout/-journal/-resume/-no-fork/-checkpoint-stride quintet with
+// its journal lifecycle and interrupt notices (ft2bench, ft2inject), and the
+// -dtype flag (ft2serve, ft2inject, ft2policy).
 package cliutil
 
 import (
@@ -17,6 +19,7 @@ import (
 
 	"ft2/internal/campaign"
 	"ft2/internal/experiments"
+	"ft2/internal/numerics"
 )
 
 // Base holds the flags every ft2 binary shares.
@@ -51,6 +54,30 @@ func (b *Base) Context() (context.Context, context.CancelFunc) {
 	}
 	tctx, cancel := context.WithTimeout(ctx, b.Timeout)
 	return tctx, func() { cancel(); stop() }
+}
+
+// dtypeValue is -dtype's flag.Value: Set accepts exactly the names
+// numerics.DType prints, so an unknown name is the flag package's usage
+// error (exit 2 under flag.ExitOnError) instead of a silent fp16.
+type dtypeValue numerics.DType
+
+func (d *dtypeValue) String() string { return numerics.DType(*d).String() }
+
+func (d *dtypeValue) Set(name string) error {
+	for _, known := range []numerics.DType{numerics.FP16, numerics.FP32} {
+		if name == known.String() {
+			*d = dtypeValue(known)
+			return nil
+		}
+	}
+	return fmt.Errorf("want %v or %v", numerics.FP16, numerics.FP32)
+}
+
+// RegisterDType registers -dtype (default fp16) on fs.
+func RegisterDType(fs *flag.FlagSet) *numerics.DType {
+	d := new(numerics.DType)
+	fs.Var((*dtypeValue)(d), "dtype", "activation dtype: fp16, fp32")
+	return d
 }
 
 // Interrupted reports whether err is the cancellation family — a signal or

@@ -8,12 +8,13 @@ import (
 	"ft2/internal/report"
 )
 
-// Table1 renders the layer criticality and protection-coverage matrix.
-// Both architecture families are merged into one table (the paper lists
-// the union of layer kinds).
+// Table1 renders the layer criticality and protection-coverage matrix, with
+// the operation that follows each kind — the heuristic's input: critical iff
+// "none". Both architecture families are merged into one table (the paper
+// lists the union of layer kinds).
 func Table1() *report.Table {
 	t := report.NewTable("Table 1: layer criticality and protection coverage",
-		"Layer", "Critical", "Ranger", "MaxiMals", "Global Clipper", "FT2")
+		"Layer", "Critical", "Followed by", "Ranger", "MaxiMals", "Global Clipper", "FT2")
 	methods := []arch.Method{arch.MethodRanger, arch.MethodMaxiMals, arch.MethodGlobalClipper, arch.MethodFT2}
 	kinds := []model.LayerKind{
 		model.KProj, model.QProj, model.VProj, model.OutProj,
@@ -35,7 +36,7 @@ func Table1() *report.Table {
 		if arch.IsCritical(fam, k) {
 			crit = "Y"
 		}
-		row := []interface{}{k.String(), crit}
+		row := []interface{}{k.String(), crit, arch.NextOp(fam, k).String()}
 		for _, m := range methods {
 			cov := arch.Coverage(m, fam)
 			mark := ""

@@ -65,7 +65,7 @@ func (it *BatchItem) rows() int {
 // output slice, so worker count and scheduling order cannot change a bit.
 // TestSerialGoldenDigest pins the one-item case to numbers recorded from
 // the separate serial pass it replaced; the batching-invariance property
-// test and `ft2serve -selftest` pin every grouping to the one-item case.
+// test and serve's TestServedMatchesOracle pin every grouping to that case.
 //
 // Per-session hooks ride on BatchItem.Hooks; model-level hooks registered
 // with RegisterHook cannot be attributed to a session and make the call

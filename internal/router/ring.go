@@ -11,7 +11,7 @@ import (
 // pure function of the session id and the worker set: every router replica,
 // and every restart of this one, maps the same id to the same worker. When
 // the preferred worker is dead the ring yields its clockwise successors, so
-// failover order is deterministic too — that is what makes the selftest's
+// failover order is deterministic too — that is what makes the kill storm's
 // "kill a worker, outputs stay bit-identical" check meaningful.
 type hashRing struct {
 	points  []ringPoint // sorted by hash

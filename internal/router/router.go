@@ -216,7 +216,7 @@ func (rt *Router) pickWorker(sessionID string) *worker {
 }
 
 // Stats is a point-in-time snapshot of the router's counters, consumed by
-// the selftest and the cluster benchmark.
+// the tests and the cluster benchmark.
 type Stats struct {
 	Workers             int
 	Healthy             int

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,14 +33,36 @@ func workerConfig(t *testing.T) serve.Config {
 // simulated: once killed it aborts in-flight streams and refuses every
 // request, exactly what the router sees when a real process is SIGKILLed.
 type killableWorker struct {
-	srv  *serve.Server
-	ts   *httptest.Server
-	dead atomic.Bool
+	srv   *serve.Server // the live incarnation; revive replaces it
+	inner atomic.Value  // srv.Handler(), read by the request goroutines
+	ts    *httptest.Server
+	dead  atomic.Bool
 }
 
 func (k *killableWorker) kill() {
 	k.dead.Store(true)
 	k.ts.CloseClientConnections() // snap in-flight streams mid-token
+}
+
+// revive is the respawn after a kill: a fresh serve.Server — no session, no
+// checkpoint, no cache — at the same URL, the name the ring knows it by.
+func (k *killableWorker) revive(t *testing.T) {
+	t.Helper()
+	k.shutdown()
+	srv, err := serve.New(k.srv.Config())
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	k.srv = srv
+	k.inner.Store(srv.Handler())
+	k.dead.Store(false)
+}
+
+func (k *killableWorker) shutdown() {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	k.srv.Shutdown(ctx)
 }
 
 func newKillableWorker(t *testing.T, cfg serve.Config) *killableWorker {
@@ -48,20 +72,17 @@ func newKillableWorker(t *testing.T, cfg serve.Config) *killableWorker {
 		t.Fatal(err)
 	}
 	k := &killableWorker{srv: srv}
-	inner := srv.Handler()
+	k.inner.Store(srv.Handler())
 	k.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if k.dead.Load() {
 			panic(http.ErrAbortHandler) // connection reset, like a dead process
 		}
-		inner.ServeHTTP(w, r)
+		k.inner.Load().(http.Handler).ServeHTTP(w, r)
 	}))
 	t.Cleanup(func() {
-		k.dead.Store(true)
-		k.ts.CloseClientConnections()
+		k.kill()
 		k.ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
+		k.shutdown()
 	})
 	return k
 }
@@ -319,6 +340,125 @@ func TestMigrationCheckpointResume(t *testing.T) {
 	}
 	if len(st.MigrationLatenciesM) < 1 {
 		t.Fatal("no migration latency observed")
+	}
+}
+
+// serving returns the worker driving session id right now — the one holding
+// a checkpoint of it (nil between a kill and the next worker's first capture).
+func (c *testCluster) serving(id string) *worker {
+	for _, w := range c.rt.workers {
+		resp, err := http.Get(w.url + "/v1/sessions/export?id=" + id)
+		if err != nil {
+			continue
+		}
+		resp.Body.Close()
+		if resp.StatusCode == 200 {
+			return w
+		}
+	}
+	return nil
+}
+
+// TestKillStormReadmission is the cluster property under a kill storm: six
+// clients drive 24 protected sessions, streamed and plain alternating, over
+// three workers, and the client that has read token 10 of every other stream
+// kills the worker serving it and revives it empty at the same URL — the
+// test is the client, so a kill lands mid-generation with no timer. Every
+// session must equal the oracle (tokens, stream, out-of-bound corrections),
+// none may fail, and every revived worker must take a new session.
+func TestKillStormReadmission(t *testing.T) {
+	const requests, clients, maxTokens, killAt = 24, 6, 32, 10
+	cfg := workerConfig(t)
+	cfg.ExportStride, cfg.StepDelay = 2, 2*time.Millisecond
+	c := newTestCluster(t, 3, cfg, Config{FetchStride: 3})
+	ds, err := data.ByName("squad-sim", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantCorr := make([][]int, len(ds.Inputs)), make([]serve.Corrections, len(ds.Inputs))
+	for i, in := range ds.Inputs {
+		want[i], wantCorr[i] = oracleRun(t, cfg, in.Prompt, maxTokens)
+	}
+
+	var storm sync.Mutex // one kill at a time: a session always has a survivor to move to
+	killed := map[*worker]bool{}
+	// session runs request i through the router as session id and holds its
+	// stream and result to the oracle; atToken runs after each streamed token.
+	session := func(i int, id string, atToken func(n int)) {
+		in, stream := i%len(want), i%2 == 0
+		body, _ := json.Marshal(serve.Request{
+			PromptTokens: ds.Inputs[in].Prompt, MaxTokens: maxTokens, Protected: true, Stream: stream, SessionID: id,
+		})
+		resp, err := http.Post(c.front.URL+"/v1/generate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Errorf("session %s: %v", id, err)
+			return
+		}
+		defer resp.Body.Close()
+		dec := json.NewDecoder(resp.Body)
+		res := new(serve.Result)
+		if !stream {
+			err = dec.Decode(res)
+		}
+		for n := 0; stream && err == nil; n++ {
+			var l streamLine
+			if err = dec.Decode(&l); err == nil && l.Done {
+				res = l.Result
+				break
+			}
+			if err == nil && *l.Token != want[in][n] {
+				err = fmt.Errorf("streamed token %d is %d, oracle %d", n, *l.Token, want[in][n])
+			}
+			atToken(n + 1)
+		}
+		if err != nil || res == nil || !equalInts(res.Tokens, want[in]) || res.Corrections.OutOfBound != wantCorr[in].OutOfBound {
+			t.Errorf("session %s (status %d): %v\n got %+v\nwant %v, %d out-of-bound", id, resp.StatusCode, err, res, want[in], wantCorr[in].OutOfBound)
+		}
+	}
+	var wg sync.WaitGroup
+	for first := 0; first < clients; first++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := first; i < requests; i += clients {
+				id := fmt.Sprintf("storm-%d", i)
+				session(i, id, func(n int) {
+					if n != killAt || i%4 != 0 {
+						return
+					}
+					storm.Lock()
+					defer storm.Unlock()
+					if w := c.serving(id); w != nil {
+						c.harness(w).kill()
+						c.harness(w).revive(t)
+						killed[w] = true
+					}
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	if st := c.rt.Stats(); len(killed) == 0 || st.Migrations < 1 || st.Failures != 0 || st.Sessions != requests {
+		t.Fatalf("%d workers killed, stats %+v: want a kill, a migration, no failure", len(killed), st)
+	}
+
+	// Re-admission: a revived worker turns healthy at its old URL and prefills the next session it owns.
+	for w := range killed {
+		for deadline := time.Now().Add(5 * time.Second); !w.healthy.Load() && time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+		}
+		id := "readmit-0"
+		for n := 1; c.rt.pickWorker(id) != w; n++ {
+			if id = fmt.Sprintf("readmit-%d", n); n == 1000 {
+				t.Fatalf("revived worker %s is never picked (healthy=%v)", w.url, w.healthy.Load())
+			}
+		}
+		_, before, _ := c.harness(w).srv.PrefillCounters()
+		session(1, id, nil) // request 1 is plain: no streamed token, atToken unused
+		if _, after, _ := c.harness(w).srv.PrefillCounters(); after-before != int64(len(ds.Inputs[1].Prompt)) {
+			t.Fatalf("revived worker %s prefilled %d prompt tokens for a session it owns, want %d",
+				w.url, after-before, len(ds.Inputs[1].Prompt))
+		}
 	}
 }
 

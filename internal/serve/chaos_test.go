@@ -85,47 +85,65 @@ func TestPolicyForWrongFamilyRejected(t *testing.T) {
 // boundaries, and every session that did NOT opt in must still match the
 // oracle bit for bit. Victim traffic shares the same groups the whole time.
 func TestChaosControlSessionsBitIdentical(t *testing.T) {
-	cfg := chaosConfig(t, chaos.Config{
-		Seed: 11, Rate: 1.5, Burst: 2,
-		Mix: fault.TargetMix{Weight: 0.3, KV: 0.3},
-	})
-	cfg.Replicas = 2
-	cfg.BatchMax = 4
-	srv := newTestServer(t, cfg)
-	prompts := testPrompts(t, 6)
-	const requests, maxTokens = 16, 12
+	for _, regime := range []struct {
+		name string
+		with func(*Config)
+	}{
+		{"uniform", func(*Config) {}},
+		// A prefix shared through the cache must never carry a victim's
+		// corruption into a control session that forks it.
+		{"prefix-cache", func(c *Config) { c.PrefixCacheMB, c.PrefillChunk = 8, 4 }},
+		// Hybrid controllers (abft, dmr tiers) parked and resumed under fire.
+		{"policy", func(c *Config) { c.ProtectPolicy = testPolicy() }},
+	} {
+		t.Run(regime.name, func(t *testing.T) {
+			cfg := chaosConfig(t, chaos.Config{
+				Seed: 11, Rate: 1.5, Burst: 2,
+				Mix: fault.TargetMix{Weight: 0.3, KV: 0.3},
+			})
+			cfg.Replicas = 2
+			cfg.BatchMax = 4
+			regime.with(&cfg)
+			srv := newTestServer(t, cfg)
+			prompts := testPrompts(t, 6)
+			const requests, maxTokens = 16, 12
 
-	victim := func(i int) bool { return i%2 == 1 }
-	st := srv.RunLoad(context.Background(), LoadSpec{
-		Clients: 8, Requests: requests, MaxTokens: maxTokens,
-		Protected: true, PromptFor: prompts, ChaosFor: victim,
-	})
-	if st.Failed > 0 {
-		t.Fatalf("%d requests failed: %v", st.Failed, st.Errs)
-	}
-	for i, res := range st.Results {
-		if victim(i) {
-			continue // victims may legitimately diverge — that's the point
-		}
-		want, _, err := Oracle(srv.Config(), prompts(i), maxTokens, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalTokens(res.Tokens, want) {
-			t.Fatalf("control request %d diverged under chaos: %v != %v", i, res.Tokens, want)
-		}
-	}
-	if srv.Chaos().Counters().Injected() == 0 {
-		t.Fatal("chaos engine never injected — the control assertion is vacuous")
-	}
-	// Weight faults may appear whenever a slice group happened to be
-	// all-victims; control integrity above is the invariant that matters —
-	// the scrub cleans the replica before any control session can batch
-	// onto it. Every journaled injection must name a session or replica.
-	for _, ev := range srv.Chaos().Events() {
-		if ev.Kind == chaos.EvInject && ev.Target != "weight" && ev.Session == 0 {
-			t.Fatalf("session-scoped injection without a session id: %+v", ev)
-		}
+			victim := func(i int) bool { return i%2 == 1 }
+			st := srv.RunLoad(context.Background(), LoadSpec{
+				Clients: 8, Requests: requests, MaxTokens: maxTokens,
+				Protected: true, PromptFor: prompts, ChaosFor: victim,
+			})
+			if st.Failed > 0 {
+				t.Fatalf("%d requests failed: %v", st.Failed, st.Errs)
+			}
+			for i, res := range st.Results {
+				if victim(i) {
+					continue // victims may legitimately diverge — that's the point
+				}
+				want, _, err := Oracle(srv.Config(), prompts(i), maxTokens, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !equalTokens(res.Tokens, want) {
+					t.Fatalf("control request %d diverged under chaos: %v != %v", i, res.Tokens, want)
+				}
+			}
+			if srv.Chaos().Counters().Injected() == 0 {
+				t.Fatal("chaos engine never injected — the control assertion is vacuous")
+			}
+			if cfg.PrefixCacheMB > 0 && srv.PrefixStats().Hits == 0 {
+				t.Fatal("no session forked a cached prefix — the cache row is vacuous")
+			}
+			// Weight faults may appear whenever a slice group happened to be
+			// all-victims; control integrity above is the invariant that matters —
+			// the scrub cleans the replica before any control session can batch
+			// onto it. Every journaled injection must name a session or replica.
+			for _, ev := range srv.Chaos().Events() {
+				if ev.Kind == chaos.EvInject && ev.Target != "weight" && ev.Session == 0 {
+					t.Fatalf("session-scoped injection without a session id: %+v", ev)
+				}
+			}
+		})
 	}
 }
 
@@ -189,8 +207,8 @@ func TestChaosWeightCorruptionRebuildsReplica(t *testing.T) {
 	if int64(kinds[chaos.EvInject]) != c.Injected() {
 		t.Fatalf("journal has %d injects, counters say %d", kinds[chaos.EvInject], c.Injected())
 	}
-	if kinds[chaos.EvScrubDetect] == 0 || kinds[chaos.EvRebuild] == 0 {
-		t.Fatalf("journal missing recovery chain: %v", kinds)
+	if kinds[chaos.EvScrubDetect] == 0 || kinds[chaos.EvRebuild] != kinds[chaos.EvScrubDetect] {
+		t.Fatalf("journal missing recovery chain, or a confirmed corruption without its rebuild: %v", kinds)
 	}
 }
 

@@ -46,14 +46,14 @@ func New(c Config) (*Server, error) {
 }
 
 // Chaos returns the server's chaos engine (nil when chaos is off) — the
-// self-test and smoke harnesses read its journal and counters through it.
+// chaos tests read its journal and counters through it.
 func (s *Server) Chaos() *chaos.Engine { return s.sch.chaos }
 
 // Config returns the effective (default-resolved) configuration.
 func (s *Server) Config() Config { return s.cfg }
 
 // Submit validates a request and admits it to the scheduler — the
-// programmatic entry the HTTP handler, the self-test load generator, and
+// programmatic entry the HTTP handler, the RunLoad load generator, and
 // the benchmarks share. The ctx bounds the whole request (client
 // disconnect); the request's own deadline is layered on top.
 func (s *Server) Submit(ctx context.Context, req Request) (*Session, error) {
@@ -350,7 +350,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // PrefixStats returns the prefix cache's counters, or zero stats when the
-// cache is off — the selftest and benchmarks assert hit/insert behaviour
+// cache is off — the tests and benchmarks assert hit/insert behaviour
 // through it.
 func (s *Server) PrefixStats() prefixcache.Stats {
 	if s.sch.prefix == nil {
@@ -360,7 +360,7 @@ func (s *Server) PrefixStats() prefixcache.Stats {
 }
 
 // PrefillCounters returns (computed prefill tokens, total prompt tokens,
-// prefill chunks run); the selftest and the repository benchmark
+// prefill chunks run); the prefix tests and the repository benchmark
 // (serve.prefill_computed_frac) derive the computed-vs-total prefill ratio
 // from deltas of these.
 func (s *Server) PrefillCounters() (prefill, prompt, chunks int64) {

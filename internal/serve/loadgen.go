@@ -15,7 +15,7 @@ import (
 // LoadSpec describes a closed-loop load run against a Server: Clients
 // concurrent clients issue Requests total generations, each client
 // submitting its next request as soon as the previous one settles. The
-// self-test and the serve benchmark both run through here so they measure
+// oracle tests and the serve benchmark both run through here so they measure
 // the same path the HTTP handler uses.
 type LoadSpec struct {
 	Clients   int
@@ -116,7 +116,7 @@ func (s *Server) RunLoad(ctx context.Context, spec LoadSpec) LoadStats {
 // system prompt (data.SharedPrefixPrompts), issued by clients concurrent
 // clients. Reusing the same (seed, promptLen, sharedFrac, requests) across
 // two runs replays the identical prompt set — the warm-vs-cold comparison
-// the prefix-cache bench and selftest are built on.
+// the prefix-cache bench and TestPrefixCacheHitBitIdentical are built on.
 func SharedPrefixLoad(clients, requests, maxTokens, promptLen int, sharedFrac float64, seed int64, protected bool) LoadSpec {
 	prompts := data.SharedPrefixPrompts(requests, promptLen, sharedFrac, seed)
 	return LoadSpec{

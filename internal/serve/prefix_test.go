@@ -208,6 +208,7 @@ func TestPrefixMetricsExposed(t *testing.T) {
 		"ft2serve_prefix_hits",
 		"ft2serve_prefix_misses",
 		"ft2serve_prefix_evictions",
+		"ft2serve_prefix_entries",
 		"ft2serve_prefill_chunks_total",
 		"ft2serve_prefill_tokens_total",
 		"ft2serve_prompt_tokens_total",

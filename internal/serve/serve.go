@@ -94,7 +94,7 @@ type Config struct {
 	Chaos *chaos.Config
 	// WeightsF16 stores every replica's weight matrices as packed binary16
 	// (model.EnableF16Weights): half the streamed bytes per decode step on
-	// F16C hosts, bit-identical outputs per the oracle selftest. All
+	// F16C hosts, bit-identical outputs (TestServedMatchesOracleWithF16Weights). All
 	// replicas and the Oracle share the storage mode, so served tokens are
 	// comparable either way.
 	WeightsF16 bool
@@ -133,7 +133,7 @@ type Config struct {
 
 // WithDefaults resolves the configuration exactly as New does — the
 // harnesses that drive Oracle against a config without building a Server
-// (the router selftest, the cluster bench) use it to get the effective
+// (the router tests, the cluster bench) use it to get the effective
 // FT2Opts and model config.
 func (c Config) WithDefaults() (Config, error) { return c.withDefaults() }
 

@@ -111,26 +111,31 @@ func TestServedMatchesOracle(t *testing.T) {
 	prompts := testPrompts(t, 6)
 	const maxTokens = 20
 
-	for _, protected := range []bool{true, false} {
-		st := srv.RunLoad(context.Background(), LoadSpec{
-			Clients: 8, Requests: 12, MaxTokens: maxTokens,
-			Protected: protected, PromptFor: prompts,
-		})
-		if st.Failed > 0 {
-			t.Fatalf("protected=%v: %d requests failed: %v", protected, st.Failed, st.Errs)
-		}
-		for i, res := range st.Results {
-			want, corr, err := Oracle(srv.Config(), prompts(i), maxTokens, protected)
-			if err != nil {
-				t.Fatal(err)
+	// 8 clients over 12 requests, then the 1 / 4 / 16-client grid at two
+	// requests per client: one client never shares a slice, sixteen overflow
+	// the eight session slots into the admission queue.
+	for _, load := range [][2]int{{8, 12}, {1, 2}, {4, 8}, {16, 32}} {
+		for _, protected := range []bool{true, false} {
+			st := srv.RunLoad(context.Background(), LoadSpec{
+				Clients: load[0], Requests: load[1], MaxTokens: maxTokens,
+				Protected: protected, PromptFor: prompts,
+			})
+			if st.Failed > 0 {
+				t.Fatalf("clients=%d protected=%v: %d requests failed: %v", load[0], protected, st.Failed, st.Errs)
 			}
-			if !equalTokens(res.Tokens, want) {
-				t.Fatalf("protected=%v request %d: served %v != oracle %v", protected, i, res.Tokens, want)
-			}
-			if protected && (res.Corrections.OutOfBound != corr.OutOfBound ||
-				res.Corrections.NaN != corr.NaN ||
-				res.Corrections.FirstTokenNaN != corr.FirstTokenNaN) {
-				t.Fatalf("request %d: corrections %+v != oracle %+v", i, res.Corrections, corr)
+			for i, res := range st.Results {
+				want, corr, err := Oracle(srv.Config(), prompts(i), maxTokens, protected)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !equalTokens(res.Tokens, want) {
+					t.Fatalf("clients=%d protected=%v request %d: served %v != oracle %v", load[0], protected, i, res.Tokens, want)
+				}
+				if protected && (res.Corrections.OutOfBound != corr.OutOfBound ||
+					res.Corrections.NaN != corr.NaN ||
+					res.Corrections.FirstTokenNaN != corr.FirstTokenNaN) {
+					t.Fatalf("clients=%d request %d: corrections %+v != oracle %+v", load[0], i, res.Corrections, corr)
+				}
 			}
 		}
 	}
