@@ -62,15 +62,17 @@ bench-check:
 	cd bench && export GOFLAGS=-mod=mod GOWORK=off && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
 
 # Non-test Go line counts of the engine packages (plus assembly lines where a
-# package has *.s files) and their Go total, then of the experiment drivers
-# and their CLI (ROADMAP aim 2: the counts go down; cmd/ft2bench stays ≤ 600),
-# then all of cmd/ and the shell under scripts/.
+# package has *.s files) and their Go total, then of the one file ROADMAP
+# tracks by name (the scheduler), of the experiment drivers and their CLI
+# (ROADMAP aim 2: the counts go down; cmd/ft2bench stays ≤ 600), then all of
+# cmd/ and the shell under scripts/.
 loc:
 	@total=0; for p in model tensor serve prefixcache core protect abft chaos campaign; do \
 		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); total=$$((total + n)); \
 		asm=$$(cat internal/$$p/*.s 2>/dev/null | wc -l); \
 		if [ $$asm -gt 0 ]; then printf '%-11s %s + %s asm\n' $$p $$n $$asm; else printf '%-11s %s\n' $$p $$n; fi; \
 	done; printf '%-11s %s\n' total $$total; \
+	printf 'internal/serve/scheduler.go %s\n' $$(wc -l < internal/serve/scheduler.go); \
 	for d in internal/experiments cmd/ft2bench; do \
 		printf '%s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done; \

@@ -40,10 +40,14 @@ type heldRef struct {
 // refused, replaced and evicted by the documented rules; the byte account is
 // the sum of the live entries; and every refcount returns to zero.
 //
+// Depth must answer what the next Lookup's Rows will and leave no trace: the
+// counters are compared around it, and since the model's LRU order is not
+// touched, a Depth that moved an entry shows at the next eviction.
+//
 // Each op is a header byte — bits 0-1: 0,1 insert, 2 lookup, 3 release the
 // oldest held ref; bits 2-3: insert flavour (bare, trail, NaN-tainted trail,
-// serves-no-one) or bit 2 lookup protected; bits 4-6: prompt length — then
-// that many token bytes.
+// serves-no-one) or bit 2 lookup protected, bit 3 Depth only; bits 4-6:
+// prompt length — then that many token bytes.
 func FuzzCacheOps(f *testing.F) {
 	const maxLen = 7
 	m := model.MustNew(testCfg(), 7, numerics.FP16)
@@ -58,6 +62,11 @@ func FuzzCacheOps(f *testing.F) {
 	f.Add([]byte{
 		0x60, 0, 1, 2, 3, 0, 0, 0x60, 0, 1, 2, 3, 1, 1, 0x62, 0, 1, 2, 3, 1, 1,
 		0x60, 3, 3, 3, 3, 3, 3, 0x62, 0, 1, 2, 3, 2, 2,
+	})
+	// Depth between a touch and an eviction: it must not save the first prompt.
+	f.Add([]byte{
+		0x60, 0, 1, 2, 3, 0, 0, 0x60, 0, 1, 2, 3, 1, 1, 0x6a, 0, 1, 2, 3, 0, 0,
+		0x60, 3, 3, 3, 3, 3, 3, 0x6e, 0, 1, 2, 3, 0, 0, 0x62, 0, 1, 2, 3, 0, 0,
 	})
 	// Mixed flavours on one path: a trail upgrade, a tainted entry, a covered
 	// shorter prompt, protected and bare lookups, releases.
@@ -150,10 +159,17 @@ func FuzzCacheOps(f *testing.F) {
 				want := 0
 				for _, l := range live {
 					if l.serves(protected) {
-						want = max(want, matchLen(l.prompt, prompt))
+						want = max(want, MatchLen(l.prompt, prompt))
 					}
 				}
-				want = min(want, n-1)
+				want = max(min(want, n-1), 0)
+				before := c.Stats()
+				if got := c.Depth(prompt, protected); got != want || c.Stats() != before {
+					t.Fatalf("Depth(%v, %v) = %d, model says %d; stats %+v -> %+v", prompt, protected, got, want, before, c.Stats())
+				}
+				if (h>>3)%2 == 1 {
+					break // Depth only: nothing held, nothing touched
+				}
 				ref := c.Lookup(prompt, protected)
 				if ref == nil {
 					if want >= 1 {
@@ -165,7 +181,7 @@ func FuzzCacheOps(f *testing.F) {
 					t.Fatalf("Lookup(%v, %v) = %d rows, model says %d", prompt, protected, ref.Rows(), want)
 				}
 				i := slices.IndexFunc(live, func(l *livePrompt) bool { return l.e == ref.e })
-				if i < 0 || !live[i].serves(protected) || matchLen(live[i].prompt, prompt) < want {
+				if i < 0 || !live[i].serves(protected) || MatchLen(live[i].prompt, prompt) < want {
 					t.Fatalf("Lookup(%v, %v) returned an entry that is evicted, ineligible or too short", prompt, protected)
 				}
 				if protected && ref.Trail() == nil {

@@ -132,8 +132,8 @@ func (r *Ref) Release() {
 	r.c.mu.Unlock()
 }
 
-// matchLen returns the length of the common prefix of a and b.
-func matchLen(a, b []int) int {
+// MatchLen returns the length of the common prefix of a and b.
+func MatchLen(a, b []int) int {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)
@@ -145,47 +145,56 @@ func matchLen(a, b []int) int {
 	return i
 }
 
-// Lookup finds the deepest usable cached prefix of prompt and returns a Ref
-// holding it, or nil on a miss: the longest token prefix prompt shares with
-// any cached prompt that serves this kind of session, capped at
-// len(prompt)-1 rows (the readout needs the final row's residual stream,
-// which snapshots don't carry). Protected and unprotected sessions differ
-// only in which entries serve them.
-func (c *Cache) Lookup(prompt []int, protected bool) *Ref {
-	limit := len(prompt) - 1
-	if limit < 1 {
-		return nil
-	}
+// deepestLocked walks the tree as far as prompt matches and returns the entry
+// a session of this kind would be served from and at how many rows: the
+// longest token prefix prompt shares with any cached prompt that serves the
+// kind, capped at len(prompt)-1 rows (the readout needs the final row's
+// residual stream, which snapshots don't carry). (nil, 0) is a miss.
+func (c *Cache) deepestLocked(prompt []int, protected bool) (best *entry, rows int) {
 	kind := kindBare
 	if protected {
 		kind = kindProtected
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	var best *entry
-	rows := 0
 	cur := c.root
-	for rows < len(prompt) { // past limit too: deeper entries still serve capped hits
+	for rows < len(prompt) { // past the cap too: deeper entries still serve capped hits
 		child := cur.children[prompt[rows]]
 		if child == nil || child.entry[kind] == nil {
 			break
 		}
 		// Everything in child's subtree shares the matched part of its edge,
 		// whether the prompt runs on, diverges or ends there.
-		k := matchLen(child.edge, prompt[rows:])
+		k := MatchLen(child.edge, prompt[rows:])
 		best, rows = child.entry[kind], rows+k
 		if k < len(child.edge) {
 			break
 		}
 		cur = child
 	}
+	return best, max(min(rows, len(prompt)-1), 0)
+}
+
+// Depth returns the rows a Lookup of prompt would hit right now (0 on a
+// miss) and leaves no trace: no counter, no hold, no LRU move.
+func (c *Cache) Depth(prompt []int, protected bool) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, rows := c.deepestLocked(prompt, protected)
+	return rows
+}
+
+// Lookup finds the deepest usable cached prefix of prompt and returns a Ref
+// holding it, or nil on a miss. Protected and unprotected sessions differ
+// only in which entries serve them.
+func (c *Cache) Lookup(prompt []int, protected bool) *Ref {
+	if len(prompt) < 2 {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	best, rows := c.deepestLocked(prompt, protected)
 	if best == nil {
 		c.misses++
 		return nil
-	}
-	if rows > limit {
-		rows = limit
 	}
 	best.refs++
 	c.lru.MoveToFront(best.elem)
@@ -230,7 +239,7 @@ func (c *Cache) Insert(prompt []int, snap *model.Snapshot, trail *protect.Trail,
 			cur = child
 			break
 		}
-		k := matchLen(child.edge, prompt[pos:])
+		k := MatchLen(child.edge, prompt[pos:])
 		if k < len(child.edge) {
 			oldEdge := child.edge
 			mid := &node{

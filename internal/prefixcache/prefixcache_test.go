@@ -117,7 +117,7 @@ func TestProtectedHitsAtAnyDepth(t *testing.T) {
 
 	for _, q := range [][]int{seq(1, 2, 3, 4, 5, 6, 60, 61), seq(1, 2, 3, 70, 71), seq(1, 80), p} {
 		bare, prot := c.Lookup(q, false), c.Lookup(q, true)
-		want := matchLen(p, q)
+		want := MatchLen(p, q)
 		if want == len(q) {
 			want--
 		}

@@ -91,7 +91,9 @@ func TestChaosControlSessionsBitIdentical(t *testing.T) {
 	}{
 		{"uniform", func(*Config) {}},
 		// A prefix shared through the cache must never carry a victim's
-		// corruption into a control session that forks it.
+		// corruption into a control session that forks it: victims alone
+		// insert entries first (and are corrupted after), then controls with
+		// the same prompts fork them.
 		{"prefix-cache", func(c *Config) { c.PrefixCacheMB, c.PrefillChunk = 8, 4 }},
 		// Hybrid controllers (abft, dmr tiers) parked and resumed under fire.
 		{"policy", func(c *Config) { c.ProtectPolicy = testPolicy() }},
@@ -105,8 +107,28 @@ func TestChaosControlSessionsBitIdentical(t *testing.T) {
 			cfg.BatchMax = 4
 			regime.with(&cfg)
 			srv := newTestServer(t, cfg)
-			prompts := testPrompts(t, 6)
-			const requests, maxTokens = 16, 12
+			// Five prompts against the victims' parity: every prompt is asked
+			// by victims and by controls.
+			const nPrompts, requests, maxTokens = 5, 16, 12
+			prompts := testPrompts(t, nPrompts)
+
+			// byVictim[p]: the cache holds prompt p whole, inserted by a victim.
+			var byVictim [nPrompts]bool
+			if cfg.PrefixCacheMB > 0 {
+				st := srv.RunLoad(context.Background(), LoadSpec{
+					Clients: 2, Requests: nPrompts, MaxTokens: maxTokens,
+					Protected: true, PromptFor: prompts, ChaosFor: func(int) bool { return true },
+				})
+				if st.Failed > 0 {
+					t.Fatalf("%d victim requests failed: %v", st.Failed, st.Errs)
+				}
+				for p := range byVictim {
+					byVictim[p] = srv.sch.prefix.Depth(prompts(p), true) == len(prompts(p))-1
+				}
+				if byVictim == [nPrompts]bool{} {
+					t.Fatal("no victim inserted its prompt — the cache row is vacuous")
+				}
+			}
 
 			victim := func(i int) bool { return i%2 == 1 }
 			st := srv.RunLoad(context.Background(), LoadSpec{
@@ -116,6 +138,7 @@ func TestChaosControlSessionsBitIdentical(t *testing.T) {
 			if st.Failed > 0 {
 				t.Fatalf("%d requests failed: %v", st.Failed, st.Errs)
 			}
+			forkedVictimEntry := 0
 			for i, res := range st.Results {
 				if victim(i) {
 					continue // victims may legitimately diverge — that's the point
@@ -127,12 +150,15 @@ func TestChaosControlSessionsBitIdentical(t *testing.T) {
 				if !equalTokens(res.Tokens, want) {
 					t.Fatalf("control request %d diverged under chaos: %v != %v", i, res.Tokens, want)
 				}
+				if byVictim[i%nPrompts] && res.CachedPromptRows == len(prompts(i))-1 {
+					forkedVictimEntry++
+				}
 			}
 			if srv.Chaos().Counters().Injected() == 0 {
 				t.Fatal("chaos engine never injected — the control assertion is vacuous")
 			}
-			if cfg.PrefixCacheMB > 0 && srv.PrefixStats().Hits == 0 {
-				t.Fatal("no session forked a cached prefix — the cache row is vacuous")
+			if ps := srv.PrefixStats(); cfg.PrefixCacheMB > 0 && (forkedVictimEntry == 0 || ps.Evictions > 0) {
+				t.Fatalf("no control session forked an entry a victim inserted (%d evictions) — the cache row is vacuous", ps.Evictions)
 			}
 			// Weight faults may appear whenever a slice group happened to be
 			// all-victims; control integrity above is the invariant that matters —

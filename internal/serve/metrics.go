@@ -29,6 +29,7 @@ type metrics struct {
 	prefillChunks atomic.Int64
 	prefillTokens atomic.Int64
 	promptTokens  atomic.Int64
+	coalesced     atomic.Int64 // sessions that parked behind an in-flight prefill
 
 	// Fused-slice shape counters: how many mixed-phase ForwardBatch calls
 	// ran, and how many of their stacked activation rows were prompt-chunk
@@ -239,6 +240,7 @@ func (m *metrics) render(w io.Writer, modelName string, replicas, maxSessions, b
 	fmt.Fprintf(w, "ft2serve_prefill_chunks_total %d\n", m.prefillChunks.Load())
 	fmt.Fprintf(w, "ft2serve_prefill_tokens_total %d\n", m.prefillTokens.Load())
 	fmt.Fprintf(w, "ft2serve_prompt_tokens_total %d\n", m.promptTokens.Load())
+	fmt.Fprintf(w, "ft2serve_prefill_coalesced_total %d\n", m.coalesced.Load())
 	if prefixS != nil {
 		fmt.Fprintf(w, "ft2serve_prefix_hits %d\n", prefixS.Hits)
 		fmt.Fprintf(w, "ft2serve_prefix_misses %d\n", prefixS.Misses)

@@ -212,6 +212,7 @@ func TestPrefixMetricsExposed(t *testing.T) {
 		"ft2serve_prefill_chunks_total",
 		"ft2serve_prefill_tokens_total",
 		"ft2serve_prompt_tokens_total",
+		"ft2serve_prefill_coalesced_total",
 	} {
 		if !strings.Contains(body, name) {
 			t.Fatalf("metrics missing %s:\n%s", name, body)

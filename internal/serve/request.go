@@ -99,10 +99,14 @@ type Result struct {
 	Text        string      `json:"text"`
 	Protected   bool        `json:"protected"`
 	Corrections Corrections `json:"corrections"`
-	// QueueMS is the time spent between admission and the first slice;
+	// QueueMS is the time spent between admission and the first slice —
+	// including time parked behind an in-flight prefill of the same prefix;
 	// GenMS covers prefill + decode (including time parked between slices).
 	QueueMS float64 `json:"queue_ms"`
 	GenMS   float64 `json:"gen_ms"`
+	// CachedPromptRows is how many prompt rows the session forked from the
+	// prefix cache instead of computing (0: cold, or the cache is off).
+	CachedPromptRows int `json:"cached_prompt_rows"`
 }
 
 // apiError is a client-visible failure with an HTTP status. The serve

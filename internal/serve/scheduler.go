@@ -6,6 +6,7 @@ import (
 	"log"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,6 +27,10 @@ import (
 // session frees its slot immediately, and the next queued request is
 // admitted mid-flight. Sessions own their KV state (model.DecodeState), so
 // moving between replicas costs a pointer swap, not a snapshot copy.
+//
+// With the prefix cache on, a prefill that is still in flight is visible to
+// the sessions about to start the same one: they park behind it (leaders,
+// followOrLead, release) instead of recomputing rows its entry will serve.
 type scheduler struct {
 	cfg    Config
 	pool   *pool
@@ -51,6 +56,11 @@ type scheduler struct {
 	// checkpoint is only useful while the generation is in flight.
 	exportMu sync.Mutex
 	exports  map[string]exportEntry
+
+	// leaders are the sessions whose in-flight prefill will offer a prefix-
+	// cache entry; leadMu guards the list and every Session.followers.
+	leadMu  sync.Mutex
+	leaders []*Session
 
 	inflight       sync.WaitGroup // admitted sessions not yet finished
 	workers        sync.WaitGroup
@@ -242,6 +252,9 @@ func (sch *scheduler) runSlice(r *replica, g *group, first *Session) *replica {
 			// First slice: open the prefill (state, cache lookup, admission
 			// metrics). The prompt rows themselves are fed by the fused
 			// slice loop below, co-batched with the decoding sessions.
+			if sch.prefix != nil && sch.followOrLead(s) {
+				continue // parked: its leader's release puts it back on the ring
+			}
 			if err := sch.openPrefill(r, s); err != nil {
 				sch.settle(s, err)
 				if errStatus(err) == 500 {
@@ -409,12 +422,70 @@ func (sch *scheduler) postSlice(r *replica) *replica {
 	return nr
 }
 
+// followOrLead is the one decision a session takes before its prefill opens,
+// atomically under leadMu: when an in-flight prefill (a leader) will put in
+// the cache at least PrefillChunk more rows of s's prompt than the cache
+// serves right now, s parks behind it — off the ring, slot kept, no goroutine,
+// no timer — until release re-enqueues it to be opened normally, and hit.
+// Otherwise s proceeds, as a leader itself when it will compute rows and
+// offer an entry. A protected session needs the trail, so it follows only a
+// protected leader; a session that did not opt into chaos never follows one
+// that did; and a session waits once behind a leader that delivers, so there
+// is no chain: parked sessions are never leaders.
+func (sch *scheduler) followOrLead(s *Session) bool {
+	sch.leadMu.Lock()
+	defer sch.leadMu.Unlock()
+	depth := sch.prefix.Depth(s.prompt, s.req.Protected)
+	var lead *Session
+	if !s.waited {
+		need := depth + sch.cfg.PrefillChunk // rows of s's prompt a leader must cover
+		for _, l := range sch.leaders {
+			if s.req.Protected && !l.req.Protected || l.req.Chaos && !s.req.Chaos {
+				continue
+			}
+			if n := min(prefixcache.MatchLen(l.prompt, s.prompt), len(s.prompt)-1); n >= need {
+				lead, need = l, n+1 // the deepest one
+			}
+		}
+	}
+	if lead != nil {
+		s.waited = true
+		lead.followers = append(lead.followers, s)
+		sch.mx.coalesced.Add(1)
+		return true
+	}
+	if depth < len(s.prompt)-1 {
+		sch.leaders = append(sch.leaders, s)
+	}
+	return false
+}
+
+// release ends s's time as a leader — its prefill finished, or it settled —
+// and puts the sessions parked behind it back on the ring (cap MaxSessions ≥
+// slots held: never blocks). When s delivered no entry (cancelled, expired,
+// panicked, suspect) the followers may wait once more: the first one
+// reopened leads and the rest follow it instead of all recomputing.
+func (sch *scheduler) release(s *Session, delivered bool) {
+	sch.leadMu.Lock()
+	if i := slices.Index(sch.leaders, s); i >= 0 {
+		sch.leaders = slices.Delete(sch.leaders, i, i+1)
+	}
+	followers := s.followers
+	s.followers = nil
+	sch.leadMu.Unlock()
+	for _, f := range followers {
+		f.waited = delivered
+		sch.ready <- f
+	}
+}
+
 // openPrefill runs a session's serial admission bookkeeping on its first
-// slice, inside its own panic boundary: obtain a KV state, open the chunked
-// prefill, consult the prefix cache, and — on a hit — fork the cached KV
-// prefix (and, for protected sessions, the first-token bounds as of its last
-// row) so only the unique suffix is computed. No prompt rows are computed
-// here: the fused slice loop feeds the chunks, co-batched with decode rows.
+// slice, once followOrLead let it through, inside its own panic boundary:
+// obtain a KV state, open the chunked prefill, consult the prefix cache, and
+// — on a hit — fork the cached KV prefix (and, for protected sessions, the
+// first-token bounds as of its last row) so only the unique suffix is
+// computed. No prompt rows are computed here: the fused slice loop feeds the
+// chunks, co-batched with decode rows.
 func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -458,7 +529,8 @@ func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
 // finishPrefill completes a session's prefill bookkeeping right after the
 // fused step that computed its final prompt chunk returned the first token:
 // emit, freeze the first-token bounds, seed the migration checkpoint, and
-// offer the full-prompt snapshot back to the prefix cache.
+// offer the full-prompt snapshot back to the prefix cache, then release the
+// sessions parked behind this prefill — after the Insert, so they hit.
 //
 // Bit-identity: chunked, cache-seeded, co-batched, and single-pass prefills
 // produce identical KV bits and first tokens (model.ForwardBatch /
@@ -486,7 +558,9 @@ func (sch *scheduler) finishPrefill(r *replica, g *group, i, tok int) {
 		sch.captureExport(r, s)
 		s.lastExport = 1
 	}
-	if sch.prefix != nil && s.insert {
+	// A suspect session's rows may have been computed on corrupted weights:
+	// it never inserts, and the sessions parked behind it compute their own.
+	if sch.prefix != nil && s.insert && !s.suspect {
 		snap := &model.Snapshot{}
 		prev := m.SwapState(s.state)
 		m.Checkpoint(snap)
@@ -496,6 +570,7 @@ func (sch *scheduler) finishPrefill(r *replica, g *group, i, tok int) {
 		// protected sessions. The trail is nil for an unprotected session.
 		sch.prefix.Insert(s.prompt, snap, s.ftState.Trail, s.ftState.FirstTokenNaN == 0)
 	}
+	sch.release(s, !s.suspect)
 	s.ftState.Trail = nil // the cache's now, or of no further use: decode never extends it
 	if s.finishedAfter(tok) {
 		sch.finishInGroup(r, g, i, nil)
@@ -692,6 +767,7 @@ func (sch *scheduler) settle(s *Session, err error) {
 	s.cancel()
 	close(s.tokens)
 	close(s.done)
+	sch.release(s, false) // a no-op unless s was a leader that never finished its prefill
 
 	sch.sessionsMu.Lock()
 	delete(sch.sessions, s)

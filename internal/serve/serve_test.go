@@ -14,6 +14,7 @@ import (
 
 	"ft2/internal/chaos"
 	"ft2/internal/data"
+	"ft2/internal/prefixcache"
 	"ft2/internal/tensor"
 )
 
@@ -60,6 +61,19 @@ func testPrompts(t *testing.T, n int) func(int) []int {
 // runSlice itself — every session is in one group by construction.
 func bareScheduler(t *testing.T, cfg Config, n int, req Request) (*scheduler, []*Session) {
 	t.Helper()
+	prompts := testPrompts(t, n)
+	reqs := make([]Request, n)
+	for i := range reqs {
+		reqs[i] = req
+		reqs[i].PromptTokens = prompts(i)
+	}
+	return bareSchedulerOf(t, cfg, reqs)
+}
+
+// bareSchedulerOf is bareScheduler over explicit requests, each carrying its
+// prompt as PromptTokens; the ring holds them in order.
+func bareSchedulerOf(t *testing.T, cfg Config, reqs []Request) (*scheduler, []*Session) {
+	t.Helper()
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +82,7 @@ func bareScheduler(t *testing.T, cfg Config, n int, req Request) (*scheduler, []
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := len(reqs)
 	sch := &scheduler{cfg: cfg, pool: p, mx: newMetrics(),
 		admit: make(chan *Session, n), ready: make(chan *Session, n), slots: make(chan struct{}, n),
 		sessions: make(map[*Session]struct{}), exports: make(map[string]exportEntry)}
@@ -76,10 +91,12 @@ func bareScheduler(t *testing.T, cfg Config, n int, req Request) (*scheduler, []
 			t.Fatal(err)
 		}
 	}
-	prompts := testPrompts(t, n)
+	if cfg.PrefixCacheMB > 0 {
+		sch.prefix = prefixcache.New(int64(cfg.PrefixCacheMB) << 20)
+	}
 	sessions := make([]*Session, n)
-	for i := range sessions {
-		if sessions[i], err = sch.submit(context.Background(), req, prompts(i)); err != nil {
+	for i, req := range reqs {
+		if sessions[i], err = sch.submit(context.Background(), req, req.PromptTokens); err != nil {
 			t.Fatal(err)
 		}
 		sch.slots <- struct{}{}

@@ -46,6 +46,12 @@ type Session struct {
 	hitRows        int
 	insert         bool
 
+	// Coalescing (scheduler.followOrLead): waited says the session has spent
+	// its one wait behind an in-flight prefill of its prefix; followers are
+	// the sessions parked behind this one (guarded by scheduler.leadMu).
+	waited    bool
+	followers []*Session
+
 	// id identifies the session in the chaos journal; suspect marks that a
 	// chaos fault targeted it (directly, or via weight corruption on its
 	// group), so its output may silently diverge from the oracle.
@@ -137,12 +143,13 @@ func (s *Session) syncFT2(f *core.FT2) {
 // session off every replica).
 func (s *Session) finalize(modelName string) {
 	s.res = Result{
-		Model:     modelName,
-		Tokens:    s.out,
-		Text:      data.Vocab().Decode(s.out),
-		Protected: s.req.Protected,
-		QueueMS:   msSince(s.admitted, s.startAt),
-		GenMS:     msSince(s.startAt, time.Now()),
+		Model:            modelName,
+		Tokens:           s.out,
+		Text:             data.Vocab().Decode(s.out),
+		Protected:        s.req.Protected,
+		QueueMS:          msSince(s.admitted, s.startAt),
+		GenMS:            msSince(s.startAt, time.Now()),
+		CachedPromptRows: s.hitRows,
 	}
 	if !s.started {
 		// Never scheduled (deadline expired in the queue): no generation
