@@ -26,6 +26,7 @@ test:
 fuzz-smoke:
 	$(GO) test ./internal/tensor -run XXX -fuzz FuzzRangeScreen -fuzztime 10s
 	$(GO) test ./internal/tensor -run XXX -fuzz FuzzSoftmaxRow -fuzztime 10s
+	$(GO) test ./internal/tensor -run XXX -fuzz FuzzStrideSweeps -fuzztime 10s
 	$(GO) test ./internal/prefixcache -run XXX -fuzz FuzzCacheOps -fuzztime 10s
 	$(GO) test ./internal/wire -run XXX -fuzz FuzzDecodeSession -fuzztime 10s
 	$(GO) test ./internal/protect -run XXX -fuzz FuzzLoadPolicy -fuzztime 10s
@@ -53,6 +54,7 @@ race-mp:
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkGenerate(Unprotected|FT2)' -benchmem .
 	$(GO) test -run XXX -bench BenchmarkDecodeStep -benchmem ./internal/model/
+	$(GO) test -run XXX -bench BenchmarkAttnHead ./internal/tensor/
 
 # The repository benchmark under bench/ is its own module (own go.mod), so
 # root `go build ./...` never compiles it: this target is what catches an

@@ -3,17 +3,17 @@ package tensor
 import "ft2/internal/numerics"
 
 // The kernels of dot_amd64.s, two tiers (DESIGN.md §12): the SSE baseline
-// (dotVec, dotStrideVec, axpyVec, axpyStrideVec, scaleVec, rangeScreenVec)
-// and the FMA tier — matMulT1Vec/matMulT4Vec over f32 weights,
-// dotVecF16C/dotVec4F16C over packed-f16 weights, quantizeF16Vec,
-// siluFinishVec, and the packed exp behind expSumVec/expNegVec. dotVecFMA has
-// no engine caller: it is the one-element definition of the FMA tier's op
-// order, which the tests hold the sweeps and the F16C kernels to bit for bit.
+// (dotVec, dotStrideVec, axpyStrideVec, scaleVec, rangeScreenVec — one body
+// each on both tiers, no CPUID gate) and the FMA tier — matMulT1Vec/matMulT4Vec
+// over f32 weights, dotVecF16C/dotVec4F16C over packed-f16 weights,
+// quantizeF16Vec, siluFinishVec, and the packed exp behind expSumVec/expNegVec.
+// dotVecFMA has no engine caller: it is the one-element definition of the FMA
+// tier's op order, which the tests hold the sweeps and the F16C kernels to bit
+// for bit.
 func dotVec(a, b *float32, n int) float32
 func dotVecFMA(a, b *float32, n int) float32
 func dotVecF16C(a *float32, b *uint16, n int) float32
 func dotVec4F16C(a *float32, lda int, b *uint16, n int) (r0, r1, r2, r3 float32)
-func axpyVec(dst, src *float32, w float32, n int)
 func quantizeF16Vec(p *float32, n int)
 func dotStrideVec(dst, q, k *float32, d, limit int, scale float32)
 func axpyStrideVec(dst, v, w *float32, d, limit int)
@@ -38,22 +38,6 @@ func expSumVec(p *float32, n int, maxv, sum float32) (done int, out float32)
 
 //go:noescape
 func expNegVec(dst *float64, src *float32, n int) (done int)
-
-// Axpy accumulates w·src into dst element-wise (dst[i] += w*src[i], over
-// len(dst) elements; len(src) must be at least len(dst)). Each element is an
-// independent multiply-then-add, and the SSE kernel performs exactly that op
-// pair per lane — never an FMA — so the result is bit-identical to the scalar
-// loop on every input, including NaN and ±Inf. The attention context
-// accumulation is built on this kernel in both the single-session and the
-// batched path.
-func Axpy(dst, src []float32, w float32) {
-	n := len(dst)
-	if n == 0 {
-		return
-	}
-	src = src[:n] // bounds hint: panics early if src is shorter
-	axpyVec(&dst[0], &src[0], w, n)
-}
 
 // Dot computes the dot product of a and b (len(b) >= len(a)) with the
 // 4-lane SSE kernel. Lane-parallel accumulation reorders the float32 sums
@@ -86,9 +70,10 @@ func dotRowF16(a []float32, b []uint16) float32 {
 
 // DotStride fills dst[j] = Dot(q, k[j*d:(j+1)*d]) * scale for j in
 // [0, limit) — the attention score sweep of one (row, head) against a
-// contiguous per-head K slab. The kernel's inner body is the Dot kernel
-// verbatim, so every score is bit-identical to the per-position Dot call
-// it replaces; only the call and bounds overhead per position is gone.
+// contiguous per-head K slab — value for value what the per-position Dot
+// calls return, NaN payloads and zero signs included. At the head dimensions
+// 4, 8, 12 and 16 the kernel keeps q in registers and scores four positions
+// per reduction; elsewhere it runs the Dot body once per position.
 func DotStride(dst, q, k []float32, d, limit int, scale float32) {
 	if limit <= 0 {
 		return
@@ -101,11 +86,11 @@ func DotStride(dst, q, k []float32, d, limit int, scale float32) {
 
 // AxpyStride accumulates dst += w[j]·v[j*d:(j+1)*d] for j in [0, limit),
 // skipping exact-zero weights — the attention context accumulation of one
-// (row, head) over a contiguous per-head V slab. Per element it is the
-// same multiply-then-add (never FMA) as Axpy, in the same j order, so the
-// result is bit-identical to the per-position Axpy loop it replaces. NaN
-// weights are not skipped (0·Inf and NaN propagation match the scalar
-// guard `if w[j] == 0`).
+// (row, head) over a contiguous per-head V slab. The kernel holds dst in
+// registers across the positions, but per element it is the scalar loop's
+// multiply-then-add (never FMA) in the same j order, so the result is
+// bit-identical to `dst[i] += w[j]*v[j*d+i]`. NaN weights are not skipped
+// (0·Inf and NaN propagation match the scalar guard `if w[j] == 0`).
 func AxpyStride(dst, v, w []float32, d, limit int) {
 	if limit <= 0 {
 		return

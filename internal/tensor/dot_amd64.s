@@ -350,76 +350,6 @@ h4hsum:
 	MOVSS  X6, r3+44(FP)
 	RET
 
-// func axpyVec(dst, src *float32, w float32, n int)
-//
-// SSE scaled accumulate: dst[i] += w·src[i]. Each element is one MULPS
-// lane followed by one ADDPS lane — multiply then add, never fused — so
-// every element's result is bit-identical to the scalar Go loop. The
-// attention context accumulation depends on that: vectorizing it must not
-// change a single activation bit. NaN and ±Inf propagate lane-wise exactly
-// as in scalar IEEE arithmetic.
-TEXT ·axpyVec(SB), NOSPLIT, $0-32
-	MOVQ   dst+0(FP), SI
-	MOVQ   src+8(FP), DI
-	MOVSS  w+16(FP), X0
-	MOVQ   n+24(FP), CX
-	SHUFPS $0, X0, X0
-	MOVQ   CX, BX
-	SHRQ   $3, BX
-	JZ     axtail4
-
-axloop8:
-	MOVUPS (DI), X1
-	MULPS  X0, X1
-	MOVUPS (SI), X2
-	ADDPS  X1, X2
-	MOVUPS X2, (SI)
-	MOVUPS 16(DI), X3
-	MULPS  X0, X3
-	MOVUPS 16(SI), X4
-	ADDPS  X3, X4
-	MOVUPS X4, 16(SI)
-	ADDQ   $32, SI
-	ADDQ   $32, DI
-	DECQ   BX
-	JNZ    axloop8
-
-axtail4:
-	MOVQ CX, BX
-	ANDQ $7, BX
-	MOVQ BX, DX
-	SHRQ $2, DX
-	JZ   axtail1
-
-axloop4:
-	MOVUPS (DI), X1
-	MULPS  X0, X1
-	MOVUPS (SI), X2
-	ADDPS  X1, X2
-	MOVUPS X2, (SI)
-	ADDQ   $16, SI
-	ADDQ   $16, DI
-	DECQ   DX
-	JNZ    axloop4
-
-axtail1:
-	ANDQ $3, BX
-	JZ   axdone
-
-axloop1:
-	MOVSS (DI), X1
-	MULSS X0, X1
-	MOVSS (SI), X2
-	ADDSS X1, X2
-	MOVSS X2, (SI)
-	ADDQ  $4, SI
-	ADDQ  $4, DI
-	DECQ  BX
-	JNZ   axloop1
-
-axdone:
-	RET
-
 // func quantizeF16Vec(p *float32, n int)
 // In-place float32 → binary16 → float32 round trip over n floats (n a
 // positive multiple of 8) via F16C: VCVTPS2PH with imm8=0 forces
@@ -458,20 +388,159 @@ qzdone:
 	VZEROUPPER
 	RET
 
+// DSFIRST opens accumulator acc with the first four lanes of the position at
+// off(DI): acc = q·k + 0. dotVec's first add is 0 + q·k; the two differ in
+// nothing (a −0 product becomes +0 either way, a NaN product keeps its
+// payload). DSMORE adds the next four lanes, acc += q·k. Both multiply with
+// q as the destination operand, as dotVec does, so when q and k hold NaNs in
+// the same lane it is q's payload that survives. MOVUPS because a slab row is
+// only 4-byte aligned. Clobber X4, X5.
+#define DSFIRST(off, q, acc) \
+	MOVUPS off(DI), X4 \
+	MOVAPS q, acc      \
+	MULPS  X4, acc     \
+	ADDPS  X12, acc
+
+#define DSMORE(off, q, acc) \
+	MOVUPS off(DI), X4 \
+	MOVAPS q, X5       \
+	MULPS  X4, X5      \
+	ADDPS  X5, acc
+
+// DSPOS16 is one position at d = 16, dotVec's (c0+c1)+(c2+c3): X7 takes the
+// second pair of chunks.
+#define DSPOS16(o0, o1, o2, o3, acc) \
+	DSFIRST(o0, X8, acc) \
+	DSMORE(o1, X9, acc)  \
+	DSFIRST(o2, X10, X7) \
+	DSMORE(o3, X11, X7)  \
+	ADDPS X7, acc
+
+// DSSTORE4 reduces the accumulators X0–X3 of four consecutive positions
+// transposed — dotVec's (l0+l2)+(l1+l3) for all four at once, each add with
+// dotVec's first operand first — scales them and stores four scores.
+#define DSSTORE4 \
+	MOVAPS  X0, X4        \
+	MOVLHPS X1, X4        \ // a0 a1 b0 b1
+	MOVHLPS X0, X1        \ // a2 a3 b2 b3
+	ADDPS   X1, X4        \
+	MOVAPS  X2, X5        \
+	MOVLHPS X3, X5        \ // c0 c1 d0 d1
+	MOVHLPS X2, X3        \ // c2 c3 d2 d3
+	ADDPS   X3, X5        \
+	MOVAPS  X4, X6        \
+	SHUFPS  $0x88, X5, X4 \ // l0+l2 of a b c d
+	SHUFPS  $0xDD, X5, X6 \ // l1+l3 of a b c d
+	ADDPS   X6, X4        \
+	MULPS   X13, X4       \
+	MOVUPS  X4, (R8)      \
+	ADDQ    $16, R8       \
+	SUBQ    $4, R10
+
 // func dotStrideVec(dst, q, k *float32, d, limit int, scale float32)
-// dst[j] = dotVec(q, k[j·d:], d) · scale for j in [0, limit). The inner
-// body is instruction-for-instruction the dotVec kernel (same accumulator
-// split, same reduction order, zero registers included), so each output is
-// bit-identical to a standalone Dot call; hoisting the loop just removes
-// the per-position call and bounds overhead of attention scoring. k rows
-// are contiguous, so DI walks forward d floats per position naturally.
+// dst[j] = dotVec(q, k[j·d:], d) · scale for j in [0, limit), value for value
+// (NaN payloads and zero signs included). For the head dimensions 4, 8, 12
+// and 16 q stays in X8–X11 for the whole call and four positions run per
+// iteration, one accumulator each: up to d = 12 dotVec sums every chunk into
+// its accumulator 0 and its reduction adds three zero registers, which change
+// nothing; at d = 16 it puts one chunk in each of four accumulators and
+// reduces (c0+c1)+(c2+c3), kept here with X7 as the second pair (only the
+// first chunk of a pair needs the + 0: a sum that starts from one is never
+// −0). The last limit mod 4 positions and every other d take dsrow, which is
+// the dotVec body instruction for instruction. k rows are contiguous, so DI
+// walks forward d floats per position.
 TEXT ·dotStrideVec(SB), NOSPLIT, $0-44
-	MOVQ  dst+0(FP), R8
-	MOVQ  q+8(FP), R11
-	MOVQ  k+16(FP), DI
-	MOVQ  d+24(FP), R9
-	MOVQ  limit+32(FP), R10
-	MOVSS scale+40(FP), X8
+	MOVQ   dst+0(FP), R8
+	MOVQ   q+8(FP), R11
+	MOVQ   k+16(FP), DI
+	MOVQ   d+24(FP), R9
+	MOVQ   limit+32(FP), R10
+	MOVSS  scale+40(FP), X13
+	SHUFPS $0, X13, X13
+	XORPS  X12, X12
+	CMPQ   R10, $4
+	JLT    dstail
+	CMPQ   R9, $12
+	JEQ    ds12
+	CMPQ   R9, $8
+	JEQ    ds8
+	CMPQ   R9, $16
+	JEQ    ds16
+	CMPQ   R9, $4
+	JNE    dstail
+	MOVUPS (R11), X8
+
+ds4loop:
+	DSFIRST(0, X8, X0)
+	DSFIRST(16, X8, X1)
+	DSFIRST(32, X8, X2)
+	DSFIRST(48, X8, X3)
+	ADDQ $64, DI
+	DSSTORE4
+	CMPQ R10, $4
+	JGE  ds4loop
+	JMP  dstail
+
+ds8:
+	MOVUPS (R11), X8
+	MOVUPS 16(R11), X9
+
+ds8loop:
+	DSFIRST(0, X8, X0)
+	DSMORE(16, X9, X0)
+	DSFIRST(32, X8, X1)
+	DSMORE(48, X9, X1)
+	DSFIRST(64, X8, X2)
+	DSMORE(80, X9, X2)
+	DSFIRST(96, X8, X3)
+	DSMORE(112, X9, X3)
+	ADDQ $128, DI
+	DSSTORE4
+	CMPQ R10, $4
+	JGE  ds8loop
+	JMP  dstail
+
+ds12:
+	MOVUPS (R11), X8
+	MOVUPS 16(R11), X9
+	MOVUPS 32(R11), X10
+
+ds12loop:
+	DSFIRST(0, X8, X0)
+	DSMORE(16, X9, X0)
+	DSMORE(32, X10, X0)
+	DSFIRST(48, X8, X1)
+	DSMORE(64, X9, X1)
+	DSMORE(80, X10, X1)
+	DSFIRST(96, X8, X2)
+	DSMORE(112, X9, X2)
+	DSMORE(128, X10, X2)
+	DSFIRST(144, X8, X3)
+	DSMORE(160, X9, X3)
+	DSMORE(176, X10, X3)
+	ADDQ $192, DI
+	DSSTORE4
+	CMPQ R10, $4
+	JGE  ds12loop
+	JMP  dstail
+
+ds16:
+	MOVUPS (R11), X8
+	MOVUPS 16(R11), X9
+	MOVUPS 32(R11), X10
+	MOVUPS 48(R11), X11
+
+ds16loop:
+	DSPOS16(0, 16, 32, 48, X0)
+	DSPOS16(64, 80, 96, 112, X1)
+	DSPOS16(128, 144, 160, 176, X2)
+	DSPOS16(192, 208, 224, 240, X3)
+	ADDQ $256, DI
+	DSSTORE4
+	CMPQ R10, $4
+	JGE  ds16loop
+
+dstail:
 	TESTQ R10, R10
 	JZ    dsdone
 
@@ -549,7 +618,7 @@ dsreduce:
 	MOVAPS X0, X1
 	SHUFPS $0x55, X1, X1
 	ADDSS  X1, X0
-	MULSS  X8, X0
+	MULSS  X13, X0
 	MOVSS  X0, (R8)
 	ADDQ   $4, R8
 	DECQ   R10
@@ -558,17 +627,55 @@ dsreduce:
 dsdone:
 	RET
 
+// ASWEIGHT reads the next weight and jumps to skip when it is an exact zero
+// of either sign (bit test on the sign-stripped word — a NaN weight is NOT
+// skipped, matching the Go guard `if w[j] == 0`), else broadcasts it into X0.
+// ASCOL is four columns of one position: acc += v·w, one MULPS with v as the
+// destination operand then one ADDPS with acc as the destination, never fused
+// — per element exactly the scalar dst[i] += w*v[i].
+#define ASWEIGHT(skip) \
+	MOVL   (R8), AX        \
+	ADDQ   $4, R8          \
+	TESTL  $0x7FFFFFFF, AX \
+	JZ     skip            \
+	MOVSS  -4(R8), X0      \
+	SHUFPS $0, X0, X0
+
+#define ASCOL(off, acc) \
+	MOVUPS off(DI), X1 \
+	MULPS  X0, X1      \
+	ADDPS  X1, acc
+
+// ASROWS starts a column block's walk over the positions, ASNEXT steps it to
+// the next position (loop) and ASDONE moves on by n columns.
+#define ASROWS \
+	MOVQ R13, DI \
+	MOVQ SI, R8  \
+	MOVQ R10, CX
+
+#define ASNEXT(loop) \
+	ADDQ R12, DI \
+	DECQ CX      \
+	JNZ  loop
+
+#define ASDONE(n) \
+	ADDQ $(4*n), R11 \
+	ADDQ $(4*n), R13 \
+	SUBQ $n, R9      \
+	JMP  ascols
+
 // func axpyStrideVec(dst, v, w *float32, d, limit int)
-// dst += w[j]·v[j·d:j·d+d] for j in [0, limit), skipping exact-zero
-// weights (bit test on sign-stripped word — NaN weights are NOT skipped,
-// matching the Go guard `if wgt == 0`). The inner body is the axpyVec
-// kernel verbatim — one MULPS then one ADDPS per lane, never fused — so
-// the accumulated context row is bit-identical to a per-position Axpy
-// loop, including NaN/±Inf propagation.
+// dst += w[j]·v[j·d:j·d+d] for j in [0, limit), skipping exact-zero weights.
+// An output element depends on no other, so the d columns go in blocks of 16,
+// then 12, 8 or 4, then single ones, and a block holds its slice of dst in
+// X4–X7 across all positions — loaded once, stored once, with no store for
+// the next position's load to wait on. Each element still sees the same
+// multiply-then-add per position in the same j order as the scalar loop, so
+// the row is bit-identical to it, NaN/±Inf propagation included.
 TEXT ·axpyStrideVec(SB), NOSPLIT, $0-40
 	MOVQ  dst+0(FP), R11
-	MOVQ  v+8(FP), DI
-	MOVQ  w+16(FP), R8
+	MOVQ  v+8(FP), R13
+	MOVQ  w+16(FP), SI
 	MOVQ  d+24(FP), R9
 	MOVQ  limit+32(FP), R10
 	MOVQ  R9, R12
@@ -576,80 +683,105 @@ TEXT ·axpyStrideVec(SB), NOSPLIT, $0-40
 	TESTQ R10, R10
 	JZ    asdone
 
-asrow:
-	MOVL  (R8), AX
-	ADDQ  $4, R8
-	TESTL $0x7FFFFFFF, AX
-	JZ    asskip
-	MOVSS  -4(R8), X0
-	SHUFPS $0, X0, X0
-	MOVQ   R11, SI
-	MOVQ   R9, CX
-	MOVQ   CX, BX
-	SHRQ   $3, BX
-	JZ     astail4
-
-asloop8:
-	MOVUPS (DI), X1
-	MULPS  X0, X1
-	MOVUPS (SI), X2
-	ADDPS  X1, X2
-	MOVUPS X2, (SI)
-	MOVUPS 16(DI), X3
-	MULPS  X0, X3
-	MOVUPS 16(SI), X4
-	ADDPS  X3, X4
-	MOVUPS X4, 16(SI)
-	ADDQ   $32, SI
-	ADDQ   $32, DI
-	DECQ   BX
-	JNZ    asloop8
-
-astail4:
-	MOVQ CX, BX
-	ANDQ $7, BX
-	MOVQ BX, DX
-	SHRQ $2, DX
-	JZ   astail1
-
-asloop4:
-	MOVUPS (DI), X1
-	MULPS  X0, X1
-	MOVUPS (SI), X2
-	ADDPS  X1, X2
-	MOVUPS X2, (SI)
-	ADDQ   $16, SI
-	ADDQ   $16, DI
-	DECQ   DX
-	JNZ    asloop4
-
-astail1:
-	ANDQ $3, BX
-	JZ   asnext
-
-asloop1:
-	MOVSS (DI), X1
-	MULSS X0, X1
-	MOVSS (SI), X2
-	ADDSS X1, X2
-	MOVSS X2, (SI)
-	ADDQ  $4, SI
-	ADDQ  $4, DI
-	DECQ  BX
-	JNZ   asloop1
-
-asnext:
-	DECQ R10
-	JNZ  asrow
-	RET
-
-asskip:
-	ADDQ R12, DI
-	DECQ R10
-	JNZ  asrow
+ascols:
+	CMPQ  R9, $16
+	JGE   as16
+	CMPQ  R9, $12
+	JGE   as12
+	CMPQ  R9, $8
+	JGE   as8
+	CMPQ  R9, $4
+	JGE   as4
+	TESTQ R9, R9
+	JNZ   as1
 
 asdone:
 	RET
+
+as16:
+	MOVUPS (R11), X4
+	MOVUPS 16(R11), X5
+	MOVUPS 32(R11), X6
+	MOVUPS 48(R11), X7
+	ASROWS
+
+as16row:
+	ASWEIGHT(as16skip)
+	ASCOL(0, X4)
+	ASCOL(16, X5)
+	ASCOL(32, X6)
+	ASCOL(48, X7)
+
+as16skip:
+	ASNEXT(as16row)
+	MOVUPS X4, (R11)
+	MOVUPS X5, 16(R11)
+	MOVUPS X6, 32(R11)
+	MOVUPS X7, 48(R11)
+	ASDONE(16)
+
+as12:
+	MOVUPS (R11), X4
+	MOVUPS 16(R11), X5
+	MOVUPS 32(R11), X6
+	ASROWS
+
+as12row:
+	ASWEIGHT(as12skip)
+	ASCOL(0, X4)
+	ASCOL(16, X5)
+	ASCOL(32, X6)
+
+as12skip:
+	ASNEXT(as12row)
+	MOVUPS X4, (R11)
+	MOVUPS X5, 16(R11)
+	MOVUPS X6, 32(R11)
+	ASDONE(12)
+
+as8:
+	MOVUPS (R11), X4
+	MOVUPS 16(R11), X5
+	ASROWS
+
+as8row:
+	ASWEIGHT(as8skip)
+	ASCOL(0, X4)
+	ASCOL(16, X5)
+
+as8skip:
+	ASNEXT(as8row)
+	MOVUPS X4, (R11)
+	MOVUPS X5, 16(R11)
+	ASDONE(8)
+
+as4:
+	MOVUPS (R11), X4
+	ASROWS
+
+as4row:
+	ASWEIGHT(as4skip)
+	ASCOL(0, X4)
+
+as4skip:
+	ASNEXT(as4row)
+	MOVUPS X4, (R11)
+	ASDONE(4)
+
+as1:
+	MOVSS (R11), X4
+	ASROWS
+
+as1row:
+	ASWEIGHT(as1skip)
+	MOVSS (DI), X1
+	MULSS X0, X1
+	ADDSS X1, X4
+
+as1skip:
+	ASNEXT(as1row)
+	MOVSS X4, (R11)
+	ASDONE(1)
 
 // func matMulT1Vec(out, a, b *float32, k, cols int)
 // out[j] = dotVecFMA(a, b[j·k:], k) for j in [0, cols): the single-row

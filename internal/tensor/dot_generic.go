@@ -32,16 +32,6 @@ func Dot(a, b []float32) float32 {
 	return s0 + s1 + s2 + s3
 }
 
-// Axpy accumulates w·src into dst element-wise. The amd64 build carries an
-// SSE kernel with identical per-element multiply-then-add semantics; the
-// scalar loop is the reference definition.
-func Axpy(dst, src []float32, w float32) {
-	src = src[:len(dst)]
-	for i := range dst {
-		dst[i] += w * src[i]
-	}
-}
-
 // DotStride fills dst[j] = Dot(q, k[j*d:(j+1)*d]) * scale for j in
 // [0, limit) — the reference definition of the amd64 stride kernel.
 func DotStride(dst, q, k []float32, d, limit int, scale float32) {
@@ -53,14 +43,18 @@ func DotStride(dst, q, k []float32, d, limit int, scale float32) {
 
 // AxpyStride accumulates dst += w[j]·v[j*d:(j+1)*d] for j in [0, limit),
 // skipping exact-zero weights — the reference definition of the amd64
-// stride kernel.
+// stride kernel: one multiply then one add per element, in j order.
 func AxpyStride(dst, v, w []float32, d, limit int) {
 	dst = dst[:d]
 	for j := 0; j < limit; j++ {
-		if w[j] == 0 {
+		wj := w[j]
+		if wj == 0 {
 			continue
 		}
-		Axpy(dst, v[j*d:(j+1)*d], w[j])
+		src := v[j*d : (j+1)*d]
+		for i := range dst {
+			dst[i] += float32(wj * src[i]) // the conversion forbids fusing into an FMA
+		}
 	}
 }
 
