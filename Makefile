@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-generic fuzz-smoke race race-mp bench bench-check loc perfguard smoke ci
+.PHONY: build test test-386 vet vet-generic fuzz-smoke race race-mp bench bench-check loc perfguard smoke ci
 
 build:
 	$(GO) build ./...
@@ -31,25 +31,28 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -run XXX -fuzz FuzzDecodeSession -fuzztime 10s
 	$(GO) test ./internal/protect -run XXX -fuzz FuzzLoadPolicy -fuzztime 10s
 
-# The race detector pass covers the packages with goroutine fan-out: the
-# tensor kernels' pooled parallel paths, the campaign worker pool, and the
-# serving scheduler with its shared read-only bounds store. race-mp repeats
-# it at GOMAXPROCS=4 — adding internal/model so the mixed-phase battery and
-# the batching-invariance property test (co-batched prefill+decode with the
-# per-(session×head) attention fan-out on pool workers) run with real
-# scheduler preemption even on single-core runners. -short only drops the
-# packed exp's every-float32 sweep (TestExpVecMatchesMathExp keeps its sampled
-# form): single-buffer arithmetic the detector slows tenfold and cannot fault,
-# and plain `make test` runs it in full. race-mp over internal/serve and
-# internal/router is also what the former serve-smoke-mp target was for:
-# batched decode, the kill storm and the HTTP surface at GOMAXPROCS=4.
+# The race detector pass covers the packages whose code starts goroutines —
+# the campaign worker pool, the serving scheduler with its shared read-only
+# bounds store, and the cluster router — plus internal/wire. The engine
+# (internal/model, internal/tensor) runs on its caller's goroutine
+# (TestForwardPassStartsNoGoroutine), so there is nothing in it to race.
+# race-mp repeats the pass at GOMAXPROCS=4, so batched decode, the kill storm
+# and the HTTP surface run with real scheduler preemption even on
+# single-core runners.
 # -count=1 there because the test cache does not key on GOMAXPROCS: without
 # it race-mp replays race's results for every package the two share.
 race:
-	$(GO) test -race -short ./internal/tensor/... ./internal/campaign/... ./internal/serve/... ./internal/wire/... ./internal/router/...
+	$(GO) test -race -short ./internal/campaign/... ./internal/serve/... ./internal/wire/... ./internal/router/...
 
 race-mp:
-	GOMAXPROCS=4 $(GO) test -race -short -count=1 ./internal/tensor/... ./internal/model/... ./internal/campaign/... ./internal/serve/... ./internal/wire/... ./internal/router/...
+	GOMAXPROCS=4 $(GO) test -race -short -count=1 ./internal/campaign/... ./internal/serve/... ./internal/wire/... ./internal/router/...
+
+# The portable (non-amd64) kernels are the definition the amd64 tiers are
+# held to; a 386 build runs them (dot_generic.go is !amd64), so this leg is
+# the one that executes the portable Dot loop under matMulTRows. -short skips
+# the real-process cluster test and the long experiment runs.
+test-386:
+	GOARCH=386 $(GO) test -short ./...
 
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkGenerate(Unprotected|FT2)' -benchmem .
@@ -72,7 +75,7 @@ loc:
 	@total=0; for p in model tensor serve prefixcache core protect abft chaos campaign; do \
 		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); total=$$((total + n)); \
 		asm=$$(cat internal/$$p/*.s 2>/dev/null | wc -l); \
-		if [ $$asm -gt 0 ]; then printf '%-11s %s + %s asm\n' $$p $$n $$asm; else printf '%-11s %s\n' $$p $$n; fi; \
+		if [ $$asm -gt 0 ]; then printf '%-11s %s + %s asm = %s\n' $$p $$n $$asm $$((n + asm)); else printf '%-11s %s\n' $$p $$n; fi; \
 	done; printf '%-11s %s\n' total $$total; \
 	printf 'internal/serve/scheduler.go %s\n' $$(wc -l < internal/serve/scheduler.go); \
 	for d in internal/experiments cmd/ft2bench; do \
@@ -80,11 +83,10 @@ loc:
 	done; \
 	printf 'cmd %s\nscripts %s\n' $$(ls cmd/*/*.go | grep -v _test.go | xargs cat | wc -l) $$(cat scripts/* | wc -l)
 
-# Performance guard: three kinds of paired gate, each printed as median ±
-# spread of the per-pair speedups — with the calibrated kernel cost model P=4
-# single-session decode must not lose to P=1 on any model family, warm
-# shared-prefix serving must beat cold, and the serving stack must beat one
-# serial Generate per request by 1.35×. Fails the build on regression.
+# Performance guard: two paired gates, each printed as median ± spread of the
+# per-pair speedups — warm shared-prefix serving must beat cold, and the
+# serving stack must beat one serial Generate per request by 1.35×. Fails the
+# build on regression.
 perfguard:
 	$(GO) run ./cmd/ft2bench -perfguard
 
@@ -93,4 +95,4 @@ perfguard:
 smoke:
 	scripts/campaign_smoke.sh
 
-ci: vet vet-generic build test fuzz-smoke bench-check race race-mp perfguard smoke
+ci: vet vet-generic build test test-386 fuzz-smoke bench-check race race-mp perfguard smoke

@@ -29,7 +29,6 @@ import (
 	"ft2/internal/cliutil"
 	"ft2/internal/experiments"
 	"ft2/internal/report"
-	"ft2/internal/tensor"
 )
 
 func main() {
@@ -41,12 +40,11 @@ func main() {
 	profile := flag.Int("profile", 0, "override profiling-split size")
 	seed := flag.Int64("seed", 42, "base seed")
 	quick := flag.Bool("quick", false, "use the quick (smoke-test) sizes")
-	perfguard := flag.Bool("perfguard", false, "run the CI performance gates (P=4 decode vs P=1, warm vs cold prefix serving, serving stack vs serial Generate) and exit")
+	perfguard := flag.Bool("perfguard", false, "run the CI performance gates (warm vs cold prefix serving, serving stack vs serial Generate) and exit")
 	cf := cliutil.RegisterCampaign(flag.CommandLine)
 	flag.Parse()
 
 	if *perfguard {
-		tensor.AutoCalibrate()
 		if err := runPerfGuard(*seed); err != nil {
 			fmt.Fprintf(os.Stderr, "ft2bench: perfguard FAILED: %v\n", err)
 			os.Exit(1)

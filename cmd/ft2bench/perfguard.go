@@ -9,7 +9,6 @@ import (
 	"ft2/internal/data"
 	"ft2/internal/experiments"
 	"ft2/internal/model"
-	"ft2/internal/numerics"
 	"ft2/internal/serve"
 )
 
@@ -25,8 +24,8 @@ type gate struct {
 }
 
 // The thresholds are loose on purpose — a gate fails on a lost mechanism, not
-// on noise: the static-threshold dispatch bug cost P=4 30-50%; a prefix cache
-// that stops helping loses the ~90% of prefill rows it skips (measured 4×);
+// on noise: a prefix cache that stops helping loses the ~90% of prefill rows
+// it skips (measured 4×);
 // the serving stack (continuous batching, fused groups, prefix cache, two
 // replicas' worth of cores) measures 2.7-3.1× one protected Generate per
 // request on the 2-vCPU reference host, and still 2.3-2.4× with BatchMax: 1 —
@@ -34,16 +33,12 @@ type gate struct {
 // for that. Whether decode allocates is asserted by the internal/model and
 // internal/serve tests, not here.
 var gates = []gate{
-	decodeGate("opt-6.7b-sim"),
-	decodeGate("gptj-6b-sim"),
-	decodeGate("llama2-7b-sim"),
 	{"prefix-cache: warm vs cold", 1.0, 8, buildPrefixGate},
 	{"serve: stack vs Generate", 1.35, 8, buildServeGate},
 }
 
 // runPerfGuard evaluates every gate and fails on the first whose median
-// ratio is below its threshold. The caller installs the kernel cost model
-// first.
+// ratio is below its threshold.
 func runPerfGuard(seed int64) error {
 	ambient := runtime.GOMAXPROCS(0)
 	for _, g := range gates {
@@ -68,31 +63,6 @@ func runPerfGuard(seed int64) error {
 		}
 	}
 	return nil
-}
-
-// decodeGate: with the calibrated cost model, P=4 single-session decode must
-// not lose to P=1 (the dispatch regression the cost model eliminated). The
-// prompt is fixed and short, so the gate has no dataset dependency.
-func decodeGate(name string) gate {
-	return gate{name + ": P=4 vs P=1", 0.90, 200, func(seed int64, _ func(error)) (a, b func(), done func(), err error) {
-		cfg, err := model.ConfigByName(name)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		m, err := model.New(cfg, seed, numerics.FP16)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		prompt, buf := []int{4, 8, 15, 16, 23, 42}, make([]int, 0, 32)
-		at := func(procs int) func() {
-			return func() {
-				runtime.GOMAXPROCS(procs)
-				m.GenerateInto(buf, prompt, 32)
-			}
-		}
-		at(4)() // warm scratch arenas, KV slabs and the pool's helpers
-		return at(1), at(4), func() {}, nil
-	}}
 }
 
 // buildPrefixGate: serving a shared-prefix client storm warm (cache on,

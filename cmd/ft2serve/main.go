@@ -29,7 +29,6 @@ import (
 	"ft2/internal/fault"
 	"ft2/internal/protect"
 	"ft2/internal/serve"
-	"ft2/internal/tensor"
 )
 
 func main() {
@@ -65,7 +64,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ft2serve: unknown -weights %q (want f32 or f16)\n", *weights)
 		os.Exit(2)
 	}
-	tensor.AutoCalibrate()
 	cfg := serve.Config{
 		Model:           *modelName,
 		Seed:            *seed,

@@ -47,16 +47,8 @@ type arena struct {
 	itemBase []int
 	emitIdx  []int
 
-	// Parallel-attention fan-out state: the per-(item × head) scores
-	// scratch slab (maxSeq floats per unit, grown on demand), the operands
-	// the unit body reads, and the persistent closure handed to
-	// tensor.ParallelFor so steady-state fan-out allocates nothing.
+	// attnScores is one (row, head) attention score row, MaxSeq floats.
 	attnScores []float32
-	attnItems  []BatchItem
-	attnQ      *tensor.Tensor
-	attnCtx    *tensor.Tensor
-	attnBlk    int
-	attnFn     func(lo, hi int)
 }
 
 func newArena(cfg Config) *arena {
@@ -78,5 +70,7 @@ func newArena(cfg Config) *arena {
 		logits:  tensor.New(1, cfg.Vocab),
 		rowOut:  tensor.New(0, 0),
 		rowIn:   tensor.New(0, 0),
+
+		attnScores: make([]float32, s),
 	}
 }

@@ -45,9 +45,7 @@ func (it *BatchItem) rows() int {
 // one m=ΣC activation matrix, so every linear layer (attention projections,
 // MLP, LM head) streams its weight matrix exactly once per call regardless
 // of phase. Attention stays per-session over each state's own KV slab, with
-// causal masking inside multi-row prefill ranges, and fans the (session ×
-// head) work units out over the resident tensor worker pool when the kernel
-// cost model predicts a win.
+// causal masking inside multi-row prefill ranges.
 //
 // One result is appended to dst per item, in order: the decoded token for a
 // decode row, the first token for a prefill range that completes its
@@ -60,12 +58,10 @@ func (it *BatchItem) rows() int {
 // readout are computed row-by-row, and attention reads only the session's
 // own KV with the same per-row causal limit — so each session's tokens (and
 // its entire KV/state evolution) are the same bits no matter which rows it
-// was co-batched with, alone included. The parallel attention fan-out
-// assigns every (session, head) unit its own scores scratch and a disjoint
-// output slice, so worker count and scheduling order cannot change a bit.
-// TestSerialGoldenDigest pins the one-item case to numbers recorded from
-// the separate serial pass it replaced; the batching-invariance property
-// test and serve's TestServedMatchesOracle pin every grouping to that case.
+// was co-batched with, alone included. TestSerialGoldenDigest pins the
+// one-item case to numbers recorded from the separate serial pass it
+// replaced; the batching-invariance property test and serve's
+// TestServedMatchesOracle pin every grouping to that case.
 //
 // Per-session hooks ride on BatchItem.Hooks; model-level hooks registered
 // with RegisterHook cannot be attributed to a session and make the call
@@ -278,10 +274,7 @@ func (m *Model) applyLinearBatch(dst *tensor.Tensor, ref LayerRef, l linear, x *
 
 // attentionBatch runs each item's row range of causal self-attention:
 // shared batched K/Q/V projections, then per-item rope and KV append, and
-// per-(item × head) scores/softmax/context over that session's own slab —
-// fanned out over the resident worker pool when the cost model predicts a
-// win, inline otherwise; the results are bit-identical either way because
-// every work unit owns its scores scratch and a disjoint output slice, and
+// per-(item × head) scores/softmax/context over that session's own slab;
 // each row depends only on its own session's q row and KV slab.
 func (m *Model) attentionBatch(bIdx int, blk *block, x *tensor.Tensor, items []BatchItem) *tensor.Tensor {
 	cfg := m.Cfg
@@ -308,10 +301,8 @@ func (m *Model) attentionBatch(bIdx int, blk *block, x *tensor.Tensor, items []B
 
 	// Append each item's new K/V rows to its own head-blocked slabs,
 	// recording the pre-append row count: row r of the range attends
-	// causally to positions [0, base+r].  madds estimates the score+context
-	// work for the fan-out decision.
+	// causally to positions [0, base+r].
 	sc.itemBase = sc.itemBase[:0]
-	madds := 0
 	for i := range items {
 		cache := &items[i].State.kv[bIdx]
 		base := cache.rows
@@ -327,60 +318,42 @@ func (m *Model) attentionBatch(bIdx int, blk *block, x *tensor.Tensor, items []B
 		}
 		cache.rows += rows
 		sc.itemBase = append(sc.itemBase, base)
-		madds += 2 * d * cfg.Heads * (rows*base + rows*(rows+1)/2)
 	}
 
 	ctxOut := sc.ctx.Reuse(x.Rows, cfg.Hidden)
 	ctxOut.Zero()
-
-	units := len(items) * cfg.Heads
-	if need := units * maxSeq; cap(sc.attnScores) < need {
-		sc.attnScores = make([]float32, need)
-	}
-	sc.attnItems, sc.attnQ, sc.attnCtx, sc.attnBlk = items, q, ctxOut, bIdx
-	if sc.attnFn == nil {
-		sc.attnFn = m.attnUnits
-	}
-	cm := tensor.CurrentCostModel()
-	helpers := cm.AttnHelpers(units, madds)
-	tensor.ParallelFor(units, 1, helpers, sc.attnFn)
-	sc.attnItems = nil
-
+	m.attnUnits(items, bIdx, q, ctxOut)
 	ctxOut.Quantize(m.DType)
 	return m.applyLinearBatch(sc.attn, LayerRef{bIdx, OutProj}, blk.outProj, ctxOut, items)
 }
 
-// attnUnits executes the attention work units [lo, hi) of the current
-// fan-out: unit u = item u/Heads, head u%Heads. Each unit reads its
-// session's own K/V slab and q rows, scores into its private slice of the
-// per-unit scratch slab, and writes only its item's rows of its head's
-// output columns — disjoint from every other unit, so any parallel
-// interleaving produces identical bits.
-func (m *Model) attnUnits(lo, hi int) {
+// attnUnits runs every (item × head) unit of block bIdx's attention
+// reduction: the unit reads its session's own K/V slab and q rows, scores
+// into the arena's one MaxSeq-row scratch, and accumulates into its item's
+// rows of its head's columns of ctxOut, which the caller zeroed.
+func (m *Model) attnUnits(items []BatchItem, bIdx int, q, ctxOut *tensor.Tensor) {
 	cfg := m.Cfg
 	sc := m.scratch
 	d := cfg.HeadDim()
 	maxSeq := cfg.MaxSeq
 	scale := float32(1 / math.Sqrt(float64(d)))
-	for u := lo; u < hi; u++ {
-		i, h := u/cfg.Heads, u%cfg.Heads
-		it := &sc.attnItems[i]
-		cache := &it.State.kv[sc.attnBlk]
-		base := sc.itemBase[i]
-		rows := sc.itemRows[i]
-		rowLo := sc.itemLo[i]
-		hd := h * d
-		kh := cache.k[h*maxSeq*d:]
-		vh := cache.v[h*maxSeq*d:]
-		scores := sc.attnScores[u*maxSeq : (u+1)*maxSeq]
-		for r := 0; r < rows; r++ {
-			qrow := sc.attnQ.Row(rowLo + r)[hd : hd+d]
-			limit := base + r + 1 // causal: attend to positions <= own
-			tensor.DotStride(scores, qrow, kh, d, limit, scale)
-			orow := sc.attnCtx.Row(rowLo + r)[hd : hd+d]
-			if sum := tensor.SoftmaxRow(scores[:limit]); sum > 0 {
-				tensor.ScaleSlice(scores[:limit], 1/sum)
-				tensor.AxpyStride(orow, vh, scores, d, limit)
+	scores := sc.attnScores
+	for i := range items {
+		cache := &items[i].State.kv[bIdx]
+		base, rows, rowLo := sc.itemBase[i], sc.itemRows[i], sc.itemLo[i]
+		for h := 0; h < cfg.Heads; h++ {
+			hd := h * d
+			kh := cache.k[h*maxSeq*d:]
+			vh := cache.v[h*maxSeq*d:]
+			for r := 0; r < rows; r++ {
+				qrow := q.Row(rowLo + r)[hd : hd+d]
+				limit := base + r + 1 // causal: attend to positions <= own
+				tensor.DotStride(scores, qrow, kh, d, limit, scale)
+				orow := ctxOut.Row(rowLo + r)[hd : hd+d]
+				if sum := tensor.SoftmaxRow(scores[:limit]); sum > 0 {
+					tensor.ScaleSlice(scores[:limit], 1/sum)
+					tensor.AxpyStride(orow, vh, scores, d, limit)
+				}
 			}
 		}
 	}

@@ -142,78 +142,95 @@ func openDecoding(m *model.Model, s *mixedSession) {
 // chaos-corrupted neighbor, and a session prefilling its prompt in chunks
 // co-batched with the decode rows — every uncorrupted session must emit
 // exactly the tokens a fresh serial replica produces, and the corrupted
-// neighbor must not leak into any of them. The same schedule repeats with
-// the attention fan-out forced onto pool workers (SetNumCPUOverride +
-// GOMAXPROCS), which must not change a bit; run it under -race to check the
-// per-(session×head) disjointness claim.
+// neighbor must not leak into any of them.
 func TestForwardBatchMixedPhaseBitwise(t *testing.T) {
 	const gen = 8
 	for _, fam := range []model.Family{model.FamilyOPT, model.FamilyGPTJ, model.FamilyLlama} {
-		for _, workers := range []int{1, 4} {
-			name := fam.String() + "/serial-attn"
-			if workers > 1 {
-				name = fam.String() + "/fanout-attn"
+		t.Run(fam.String()+"/serial-attn", func(t *testing.T) {
+			cfg := mixedCfg(fam)
+			m := model.MustNew(cfg, 17, numerics.FP16)
+
+			sessions := []*mixedSession{
+				{prompt: []int{5, 9, 13}},                             // protected decoder
+				{prompt: []int{7, 11}},                                // clean decoder
+				{prompt: []int{4, 6, 8, 10, 12, 14, 16, 18, 3, 2, 1}}, // chunked prefill, co-batched
+				{prompt: []int{20, 21, 22, 23, 24}, corrupt: true},    // chaos neighbor
 			}
-			t.Run(name, func(t *testing.T) {
-				if workers > 1 {
-					prevP := runtime.GOMAXPROCS(workers)
-					prevC := tensor.SetNumCPUOverride(workers)
-					defer func() {
-						runtime.GOMAXPROCS(prevP)
-						tensor.SetNumCPUOverride(prevC)
-					}()
-				}
-				cfg := mixedCfg(fam)
-				m := model.MustNew(cfg, 17, numerics.FP16)
+			sessions[0].ft = core.Attach(m, core.Defaults())
+			sessions[2].chunk = 3
 
-				sessions := []*mixedSession{
-					{prompt: []int{5, 9, 13}},                             // protected decoder
-					{prompt: []int{7, 11}},                                // clean decoder
-					{prompt: []int{4, 6, 8, 10, 12, 14, 16, 18, 3, 2, 1}}, // chunked prefill, co-batched
-					{prompt: []int{20, 21, 22, 23, 24}, corrupt: true},    // chaos neighbor
+			// Serial oracles on fresh replicas: protected sessions against a
+			// protected serial Generate, clean ones against the bare model.
+			want := make([][]int, len(sessions))
+			for i, s := range sessions {
+				if s.corrupt {
+					continue
 				}
-				sessions[0].ft = core.Attach(m, core.Defaults())
-				sessions[2].chunk = 3
+				om := model.MustNew(cfg, 17, numerics.FP16)
+				if i == 0 {
+					want[i] = core.Attach(om, core.Defaults()).Generate(s.prompt, gen)
+				} else {
+					want[i] = om.Generate(s.prompt, gen)
+				}
+			}
 
-				// Serial oracles on fresh replicas: protected sessions
-				// against a protected serial Generate, clean ones against
-				// the bare model.
-				want := make([][]int, len(sessions))
-				for i, s := range sessions {
-					if s.corrupt {
-						continue
+			openDecoding(m, sessions[0])
+			openDecoding(m, sessions[1])
+			sessions[2].st = openPrefillState(m, len(sessions[2].prompt))
+			openDecoding(m, sessions[3])
+
+			runMixedPhase(t, m, sessions, gen)
+
+			for i, s := range sessions {
+				if s.corrupt {
+					if s.fired == 0 {
+						t.Fatal("corruption hook never fired")
 					}
-					om := model.MustNew(cfg, 17, numerics.FP16)
-					if i == 0 {
-						want[i] = core.Attach(om, core.Defaults()).Generate(s.prompt, gen)
-					} else {
-						want[i] = om.Generate(s.prompt, gen)
-					}
+					continue
 				}
-
-				openDecoding(m, sessions[0])
-				openDecoding(m, sessions[1])
-				sessions[2].st = openPrefillState(m, len(sessions[2].prompt))
-				openDecoding(m, sessions[3])
-
-				runMixedPhase(t, m, sessions, gen)
-
-				for i, s := range sessions {
-					if s.corrupt {
-						if s.fired == 0 {
-							t.Fatal("corruption hook never fired")
-						}
-						continue
-					}
-					if !reflect.DeepEqual(s.got, want[i]) {
-						t.Errorf("session %d: fused %v != serial oracle %v", i, s.got, want[i])
-					}
+				if !reflect.DeepEqual(s.got, want[i]) {
+					t.Errorf("session %d: fused %v != serial oracle %v", i, s.got, want[i])
 				}
-				if len(sessions[2].got) != gen {
-					t.Fatalf("chunked-prefill session emitted %d tokens, want %d", len(sessions[2].got), gen)
-				}
-			})
-		}
+			}
+			if len(sessions[2].got) != gen {
+				t.Fatalf("chunked-prefill session emitted %d tokens, want %d", len(sessions[2].got), gen)
+			}
+		})
+	}
+}
+
+// TestForwardPassStartsNoGoroutine: the forward pass runs on its caller's
+// goroutine. At GOMAXPROCS=4 a 64-row prefill chunk co-batched with decode
+// rows on a zoo model — the largest products and the most attention units a
+// serving step makes — leaves runtime.NumGoroutine() where it was.
+func TestForwardPassStartsNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg, err := model.ConfigByName("llama2-7b-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := model.MustNew(cfg, 29, numerics.FP16)
+	decoders := []*mixedSession{{prompt: []int{5, 9, 13}}, {prompt: []int{7, 11}}}
+	for _, s := range decoders {
+		openDecoding(m, s)
+	}
+	prompt := make([]int, 64)
+	for i := range prompt {
+		prompt[i] = (3 + 7*i) % cfg.Vocab
+	}
+	items := []model.BatchItem{
+		{State: openPrefillState(m, len(prompt)), Prefill: prompt},
+		{State: decoders[0].st, Tok: decoders[0].lastTok},
+		{State: decoders[1].st, Tok: decoders[1].lastTok},
+	}
+
+	before := runtime.NumGoroutine()
+	toks := m.ForwardBatch(items, nil)
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("ForwardBatch left %d goroutines, had %d before the call", after, before)
+	}
+	if len(toks) != len(items) || toks[0] < 0 {
+		t.Fatalf("ForwardBatch returned %v, want a first token for the completed 64-row prompt", toks)
 	}
 }
 

@@ -34,8 +34,8 @@ type metrics struct {
 	// Fused-slice shape counters: how many mixed-phase ForwardBatch calls
 	// ran, and how many of their stacked activation rows were prompt-chunk
 	// rows vs decode rows — the observable measure of how well prefill work
-	// amortizes over the decode batches it rides with. Serial-fallback steps
-	// (lone sessions, below-crossover groups) do not count here.
+	// amortizes over the decode batches it rides with. One-row calls (a lone
+	// decoding session) do not count here.
 	fusedForwards    atomic.Int64
 	fusedPrefillRows atomic.Int64
 	fusedDecodeRows  atomic.Int64

@@ -5,10 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"ft2/internal/arch"
-	"ft2/internal/campaign"
 	"ft2/internal/core"
-	"ft2/internal/data"
 	"ft2/internal/model"
 	"ft2/internal/numerics"
 )
@@ -85,87 +82,6 @@ func TestSharedBoundsStoreConcurrent(t *testing.T) {
 	for i := range sequential {
 		if !equalTokens(concurrent[i], sequential[i]) {
 			t.Fatalf("goroutine %d: concurrent %v != sequential %v", i, concurrent[i], sequential[i])
-		}
-	}
-}
-
-// TestWorkerPoolStressRace hammers the persistent matmul worker pool in
-// internal/tensor from its two heaviest concurrent clients at once: a fault
-// injection campaign (many trial workers, each running prefill passes large
-// enough to take the pooled row-split path) and a batched serving load
-// (whose fused logit products take the pooled path whenever two or more
-// sessions share a step). The pool's job recycling and chunk handoff are
-// lock-free; under -race this fails on any unsynchronized reuse, and the
-// served outputs must still match the sequential reference bit for bit.
-func TestWorkerPoolStressRace(t *testing.T) {
-	cfg := Config{
-		Model:       "qwen2-1.5b-sim",
-		Seed:        7,
-		Replicas:    2,
-		MaxSessions: 8,
-		SliceSteps:  2,
-		BatchMax:    4,
-	}
-	prompts := testPrompts(t, 4)
-	const requests, maxTokens = 8, 10
-
-	serveLoad := func(clients int) [][]int {
-		srv := newTestServer(t, cfg)
-		st := srv.RunLoad(context.Background(), LoadSpec{
-			Clients: clients, Requests: requests, MaxTokens: maxTokens,
-			Protected: true, PromptFor: prompts,
-		})
-		if st.Failed > 0 {
-			t.Fatalf("clients=%d: %v", clients, st.Errs)
-		}
-		out := make([][]int, requests)
-		for i, r := range st.Results {
-			out[i] = r.Tokens
-		}
-		return out
-	}
-	sequential := serveLoad(1)
-
-	mcfg, err := model.ConfigByName("qwen2-1.5b-sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := data.SquadSim(4)
-	ds.GenTokens = 12
-	ds.AnswerLo, ds.AnswerHi = 6, 9
-	spec := campaign.Spec{
-		ModelCfg:  mcfg,
-		ModelSeed: 7,
-		DType:     numerics.FP16,
-		Fault:     numerics.ExponentBit,
-		Method:    arch.MethodFT2,
-		FT2Opts:   core.Defaults(),
-		Dataset:   ds,
-		Trials:    24,
-		BaseSeed:  3,
-		Workers:   4,
-	}
-
-	var wg sync.WaitGroup
-	var campErr error
-	var campRes campaign.Result
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		campRes, campErr = campaign.Run(spec)
-	}()
-	concurrent := serveLoad(8)
-	wg.Wait()
-
-	if campErr != nil {
-		t.Fatalf("campaign under shared pool load: %v", campErr)
-	}
-	if campRes.Failed > 0 {
-		t.Fatalf("campaign trials failed under shared pool load: %v", campRes.ErrorSummaries())
-	}
-	for i := range sequential {
-		if !equalTokens(concurrent[i], sequential[i]) {
-			t.Fatalf("request %d: concurrent %v != sequential %v", i, concurrent[i], sequential[i])
 		}
 	}
 }

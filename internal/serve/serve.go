@@ -19,9 +19,7 @@
 //     its FT2 fork state, so moving between replicas is a pointer swap and
 //     a served generation is bit-identical to a standalone GenerateInto
 //     run no matter how it was batched, chunked, or preempted. A group of
-//     one is a one-item ForwardBatch call; a decode-only step below the
-//     kernel cost model's measured fusion crossover runs as one-row calls
-//     instead of one m-row call — same code, same bits.
+//     one is a one-item ForwardBatch call — same code, same bits.
 //   - Robustness: per-request deadlines via context, 429 backpressure when
 //     the admission queue is full, 503 while draining, and a per-slice
 //     recover boundary so a request that trips an engine panic is answered

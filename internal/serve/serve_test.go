@@ -15,7 +15,6 @@ import (
 	"ft2/internal/chaos"
 	"ft2/internal/data"
 	"ft2/internal/prefixcache"
-	"ft2/internal/tensor"
 )
 
 // testConfig serves the smallest zoo model with one replica and enough
@@ -158,18 +157,10 @@ func TestServedMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestFusionIgnoresCostModel pins that a decode group is one ForwardBatch
-// whatever the kernel cost model measured: with the m = 2–3 class at ten
-// times the m = 1 cost per madd — a comparison start-up timing noise can
-// produce, and one that must not pick the kernel shape — two sessions
-// decoding in one group still stack their rows, bit-identical to the oracle.
-func TestFusionIgnoresCostModel(t *testing.T) {
-	prev := tensor.CurrentCostModel()
-	defer tensor.SetCostModel(&prev)
-	cm := tensor.DefaultCostModel()
-	cm.SerialNsPerMadd[1] = 10 * cm.SerialNsPerMadd[0]
-	tensor.SetCostModel(cm)
-
+// TestDecodeGroupIsOneForwardBatch pins that two sessions decoding in one
+// group stack their rows into one ForwardBatch call, bit-identical to the
+// oracle.
+func TestDecodeGroupIsOneForwardBatch(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.BatchMax = 2
 	const maxTokens = 12

@@ -1,5 +1,10 @@
 package tensor
 
+import (
+	"os"
+	"strings"
+)
+
 // cpuidAsm and xgetbvAsm are in cpu_amd64.s.
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
@@ -7,19 +12,47 @@ func xgetbvAsm() (eax, edx uint32)
 // Kernel tiers, detected once at startup. SSE2 is part of the amd64
 // baseline; everything above it needs a runtime gate. The tier in effect
 // fixes the floating-point op order of every kernel for the lifetime of the
-// process, so all paths that must agree bit-for-bit (serial vs pooled,
+// process, so all paths that must agree bit-for-bit (1-row vs 4-row blocks,
 // single-session vs batched, f32 vs f16-streamed) observe the same
 // arithmetic.
 var (
 	// hasFMA: AVX2 + FMA3 with OS-enabled YMM state — gates the
 	// fused-multiply-add kernels of the linear layers (the MatMulT sweeps).
-	// A host with AVX but no FMA runs the SSE baseline.
-	hasFMA = detectAVX() && detectFeature1(1<<12) && detectAVX2()
+	// A host with AVX but no FMA runs the SSE baseline, and so does a
+	// process whose GODEBUG switches math off its FMA path.
+	hasFMA = detectAVX() && detectFeature1(1<<12) && detectAVX2() &&
+		godebugKeepsMathFMA(os.Getenv("GODEBUG"))
 	// hasF16C: F16C half-precision conversion on top of hasFMA — gates the
 	// packed-f16 streaming kernels. Tied to hasFMA so the f16 kernels only
 	// ever pair with FMA-tier f32 kernels of identical op order.
 	hasF16C = hasFMA && detectFeature1(1<<29)
 )
+
+// godebugKeepsMathFMA reports whether a GODEBUG value leaves math.Exp on its
+// FMA path (math's useFMA = cpu.X86.HasAVX && cpu.X86.HasFMA). The runtime
+// applies the cpu.<feature>=on|off fields left to right, so the last
+// cpu.avx, cpu.fma or cpu.all field decides each flag; "on" cannot enable
+// what the CPU lacks, and the CPUID checks above already cover that. The
+// packed exp copies math's FMA path, so it may run only where math does.
+func godebugKeepsMathFMA(godebug string) bool {
+	avx, fma := true, true
+	for _, field := range strings.Split(godebug, ",") {
+		key, val, _ := strings.Cut(field, "=")
+		if val != "on" && val != "off" {
+			continue
+		}
+		on := val == "on"
+		switch key {
+		case "cpu.all":
+			avx, fma = on, on
+		case "cpu.avx":
+			avx = on
+		case "cpu.fma":
+			fma = on
+		}
+	}
+	return avx && fma
+}
 
 func detectAVX() bool {
 	maxID, _, _, _ := cpuidAsm(0, 0)

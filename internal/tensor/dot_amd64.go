@@ -28,10 +28,9 @@ func siluFinishVec(p *float32, e *float64, n int)
 // The packed exp (math.archExp's FMA path, four lanes wide): both stop
 // before the first group of four that fails the kernel's range screen and
 // return how many elements they finished. hasFMA only; it implies math's own
-// useFMA (AVX + FMA), so kernel and scalar math.Exp run the same arithmetic —
-// except under GODEBUG=cpu.fma=off, which switches math to its non-FMA path
-// and leaves this kernel on: still one function for every engine path, but no
-// longer the golden digests' bits.
+// useFMA (AVX + FMA), also under a GODEBUG that turns cpu.fma, cpu.avx or
+// cpu.all off (hasFMA is off there too), so kernel and scalar math.Exp run
+// the same arithmetic.
 //
 //go:noescape
 func expSumVec(p *float32, n int, maxv, sum float32) (done int, out float32)

@@ -67,7 +67,7 @@ func quantizeF16(data []float32) {
 }
 
 // The column-sweep MatMulT kernels are unreachable without hasFMA:
-// matMulTRows/matMulTCols compute every element with Dot here.
+// matMulTRows computes every element with Dot here.
 func matMulTSweep4(out []float32, ldo int, a []float32, lda int, b []float32, k, cols int) {
 	panic("tensor: sweep kernel without FMA tier")
 }

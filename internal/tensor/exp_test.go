@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
 	"sync"
 	"testing"
 )
@@ -112,6 +114,19 @@ func TestExpVecMatchesMathExp(t *testing.T) {
 		}
 		sweepExp(t, stride)
 	})
+}
+
+// TestExpVecMatchesMathExpWithoutMathFMA re-runs TestExpVecMatchesMathExp in
+// a child process under each GODEBUG setting that moves math.Exp off its FMA
+// path: the packed exp must step aside with it.
+func TestExpVecMatchesMathExpWithoutMathFMA(t *testing.T) {
+	for _, godebug := range []string{"cpu.fma=off", "cpu.avx=off", "cpu.all=off"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestExpVecMatchesMathExp$", "-test.short", "-test.count=1")
+		cmd.Env = append(os.Environ(), "GODEBUG="+godebug)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Errorf("GODEBUG=%s: %v\n%s", godebug, err, out)
+		}
+	}
 }
 
 // sweepExp checks every stride-th float32 bit pattern of both signs up to

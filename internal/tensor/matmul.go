@@ -1,16 +1,10 @@
 package tensor
 
-import "runtime"
-
-// grainWork is the minimum number of multiply-adds a parallel chunk should
-// carry; finer chunks spend more time on cursor traffic than arithmetic.
-const grainWork = 1 << 13
-
 // MatMul returns a × b (a: m×k, b: k×n) — the plain serial reference
 // product abft.CheckedMatMul checks. The engine never calls it (every linear
-// layer and the readout are x·Wᵀ, MatMulTInto), so it has no dispatch and no
-// sparse shortcut: a zero in a still multiplies, because 0 × NaN and
-// 0 × ±Inf are NaN and must propagate.
+// layer and the readout are x·Wᵀ, MatMulTInto), so it has no sparse
+// shortcut: a zero in a still multiplies, because 0 × NaN and 0 × ±Inf are
+// NaN and must propagate.
 func MatMul(a, b *Tensor) *Tensor {
 	if a.Cols != b.Rows {
 		panic("tensor: MatMul shape mismatch")
@@ -39,8 +33,9 @@ func MatMulT(a, b *Tensor) *Tensor {
 // per-token decode step off the garbage collector; out must not alias a
 // or b. Every out element is an independent dot product of an a-row and a
 // b-row in the op order of the process's tier (dotVecFMA with hasFMA, Dot
-// without), so the serial, row-split, column-split, 4-row-blocked, tiled and
-// f16-streamed paths are bit-identical at any worker count.
+// without), so the 1-row, 4-row-blocked, tiled and f16-streamed forms are
+// bit-identical. It runs on the calling goroutine: the engine's parallelism
+// is one model replica per core, not a split product (DESIGN.md §12).
 func MatMulTInto(out, a, b *Tensor) *Tensor {
 	if a.Cols != b.Cols {
 		panic("tensor: MatMulT shape mismatch")
@@ -53,17 +48,7 @@ func MatMulTInto(out, a, b *Tensor) *Tensor {
 		out.Zero() // empty sums; the kernels assume positive dimensions
 		return out
 	}
-	p := currentCostModel().plan(m, k, n, runtime.GOMAXPROCS(0))
-	switch p.mode {
-	case planRows:
-		runPooled(kernelMatMulTRows, out, a, b, m, p.chunk, p.helpers)
-	case planCols:
-		runPooled(kernelMatMulTCols, out, a, b, n, p.chunk, p.helpers)
-	default:
-		// The decode hot path (m = 1 or a small batch on a host without
-		// spare cores) lands here every step, free of pool traffic.
-		matMulTRows(out, a, b, 0, m)
-	}
+	matMulTRows(out, a, b, 0, m)
 	out.MarkMutated()
 	return out
 }
@@ -141,30 +126,6 @@ func matMulTTiled(out, a, b *Tensor, lo, hi, colBlock int) {
 	}
 }
 
-// matMulTCols computes columns [lo,hi) of every row of out = a×bᵀ — the
-// small-m split that lets a single decode step use every core. Each element
-// is the same dot product the row kernel makes, so results are bit-identical.
-func matMulTCols(out, a, b *Tensor, lo, hi int) {
-	k, n := a.Cols, b.Rows
-	bh := b.halfData()
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		switch {
-		case bh != nil:
-			for j := lo; j < hi; j++ {
-				orow[j] = dotRowF16(arow, bh[j*k:(j+1)*k])
-			}
-		case hasFMA:
-			matMulTSweep1(orow[lo:hi], arow, b.Data[lo*k:hi*k], k, hi-lo)
-		default:
-			for j := lo; j < hi; j++ {
-				orow[j] = Dot(arow, b.Data[j*k:(j+1)*k])
-			}
-		}
-	}
-}
-
 // Linear computes x × wᵀ + bias, the canonical nn.Linear forward pass
 // (w: out×in stored row-major like PyTorch, bias: len out or nil).
 func Linear(x, w *Tensor, bias []float32) *Tensor {
@@ -188,3 +149,15 @@ func LinearInto(out, x, w *Tensor, bias []float32) *Tensor {
 	}
 	return out
 }
+
+// CostModel, DefaultCostModel and SetCostModel are what is left of the
+// kernel cost model that once chose between serial and pooled products:
+// every product is serial now, so they plan nothing and SetCostModel does
+// nothing. bench/main.go still calls SetCostModel(DefaultCostModel()), and
+// bench/ changes only in ROADMAP item 7a, which deletes these three names
+// together with that call.
+type CostModel struct{}
+
+func DefaultCostModel() *CostModel { return &CostModel{} }
+
+func SetCostModel(*CostModel) {}

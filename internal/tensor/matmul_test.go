@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"ft2/internal/numerics"
@@ -70,11 +69,11 @@ func TestDotRowF16MatchesF32(t *testing.T) {
 	}
 }
 
-// ---- forced-plan identity: serial, row-split, col-split, f16 ----
+// ---- MatMulT identity: serial kernel ≡ per-element reference, f16 ----
 
-// Every dispatch plan must produce MatMulT results bit-identical to the
-// tier's one-element kernel, on both tiers, across the row-count classes
-// (single row, a 4-row group plus remainder, the column-tiled ≥8-row form),
+// The one MatMulT traversal must produce results bit-identical to the tier's
+// one-element kernel, on both tiers, across the row-count classes (single
+// row, a 4-row group plus remainder, the column-tiled ≥8-row form),
 // including with a packed-f16 operand streaming on and off.
 func TestMatMulTPlansBitIdentical(t *testing.T) {
 	forEachTier(t, func(t *testing.T) {
@@ -99,18 +98,6 @@ func TestMatMulTPlansBitIdentical(t *testing.T) {
 				t.Errorf("%v: serial MatMulT diverges from the per-element kernel", shape)
 			}
 
-			rows := New(m, n)
-			runPooled(kernelMatMulTRows, rows, a, b, m, 2, 1)
-			if !rows.Equal(ref) {
-				t.Errorf("%v: row-split MatMulT diverges from the per-element kernel", shape)
-			}
-
-			cols := New(m, n)
-			runPooled(kernelMatMulTCols, cols, a, b, n, 7, 1)
-			if !cols.Equal(ref) {
-				t.Errorf("%v: col-split MatMulT diverges from the per-element kernel", shape)
-			}
-
 			// f16: packing rounds b, so recompute the serial reference, then
 			// check streamed (shadow read) against unstreamed (master copy
 			// read).
@@ -127,65 +114,4 @@ func TestMatMulTPlansBitIdentical(t *testing.T) {
 			}
 		}
 	})
-}
-
-// ---- plan() behavior ----
-
-func TestPlanSerialWhenNoParallelism(t *testing.T) {
-	cm := DefaultCostModel()
-	// One worker: always serial, no matter the shape.
-	if p := cm.plan(64, 512, 512, 1); p.mode != planSerial {
-		t.Error("plan with 1 worker must be serial")
-	}
-	// GOMAXPROCS above the physical core count adds nothing: the plan must
-	// not change past NumCPU (this is the P>1-never-loses-to-P=1 rule on a
-	// host with fewer cores than GOMAXPROCS).
-	pCPU := cm.plan(64, 512, 512, runtime.NumCPU())
-	pOver := cm.plan(64, 512, 512, runtime.NumCPU()*4)
-	if pOver != pCPU {
-		t.Errorf("plan changed past NumCPU: %+v vs %+v", pOver, pCPU)
-	}
-	// Tiny product: serial at any worker count.
-	if p := cm.plan(1, 12, 8, 8); p.mode != planSerial {
-		t.Error("tiny product must stay serial")
-	}
-}
-
-func TestPlanPooledForLargeProducts(t *testing.T) {
-	if runtime.NumCPU() < 2 {
-		t.Skip("single-CPU host: pooled plans are unreachable by design")
-	}
-	cm := DefaultCostModel()
-	p := cm.plan(256, 512, 512, runtime.NumCPU())
-	if p.mode == planSerial {
-		t.Error("large product should take a pooled plan on a multi-CPU host")
-	}
-}
-
-// ---- calibration ----
-
-func TestCalibrateProducesSaneModel(t *testing.T) {
-	cm := Calibrate()
-	for class, v := range cm.SerialNsPerMadd {
-		if v <= 0 || v > 1000 {
-			t.Errorf("class %d: implausible ns/madd %g", class, v)
-		}
-	}
-	if cm.PoolDispatchNs <= 0 || cm.PoolChunkNs <= 0 {
-		t.Error("pool overheads must be positive")
-	}
-	if cm.ParallelEff <= 0 || cm.ParallelEff > 1 {
-		t.Errorf("parallel efficiency %g out of range", cm.ParallelEff)
-	}
-}
-
-// Regression: with one worker there is no handoff to measure — Calibrate
-// used to time the pool with zero helpers anyway and report its clamping
-// floors as if measured. The pool constants must stay at their defaults.
-func TestCalibrateOneWorkerKeepsPoolDefaults(t *testing.T) {
-	defer SetNumCPUOverride(SetNumCPUOverride(1))
-	cm, def := Calibrate(), DefaultCostModel()
-	if cm.PoolDispatchNs != def.PoolDispatchNs || cm.PoolChunkNs != def.PoolChunkNs || cm.ParallelEff != def.ParallelEff {
-		t.Errorf("one-worker calibration changed the pool constants: %+v", cm)
-	}
 }
