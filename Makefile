@@ -30,6 +30,7 @@ fuzz-smoke:
 	$(GO) test ./internal/prefixcache -run XXX -fuzz FuzzCacheOps -fuzztime 10s
 	$(GO) test ./internal/wire -run XXX -fuzz FuzzDecodeSession -fuzztime 10s
 	$(GO) test ./internal/protect -run XXX -fuzz FuzzLoadPolicy -fuzztime 10s
+	$(GO) test ./internal/protect -run XXX -fuzz FuzzObserveBareMatchesProtected -fuzztime 10s
 
 # The race detector pass covers the packages whose code starts goroutines —
 # the campaign worker pool, the serving scheduler with its shared read-only

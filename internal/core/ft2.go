@@ -237,6 +237,16 @@ func (f *FT2) Install() { f.handle = f.m.RegisterHook(f.hook) }
 // every controller shares the same read-only bounds store.
 func (f *FT2) Hook() model.Hook { return f.hook }
 
+// ObserveHook returns the controller's observe-only hook, for an unprotected
+// session whose prefill will offer a prefix-cache entry: on first-token rows
+// it runs the learn pass at the policy's clamp sites — bounds and trail as the
+// protected hook records them from NaN-free rows — and nothing else. It has no
+// repair stage, corrects no NaN and clamps nothing, so every value stays the
+// unprotected one. The NaNs it saw are counted in FirstTokenNaNCount: a
+// non-zero count says the trail is not what a protected prefill of these rows
+// would have recorded.
+func (f *FT2) ObserveHook() model.Hook { return f.observe }
+
 // Detach removes FT2's hook from the model.
 func (f *FT2) Detach() { f.m.RemoveHook(f.handle) }
 
@@ -397,6 +407,14 @@ func (f *FT2) hook(ctx model.HookCtx, out *tensor.Tensor) {
 	f.stats.NaN += c.NaN
 	f.byKind[ctx.Layer.Kind].OutOfBound += c.OutOfBound
 	f.byKind[ctx.Layer.Kind].NaN += c.NaN
+}
+
+func (f *FT2) observe(ctx model.HookCtx, out *tensor.Tensor) {
+	if !ctx.FirstToken || !f.learn || !f.stages[ctx.Layer.Kind].clamp[ctx.Site] {
+		return
+	}
+	f.tableOK = false
+	f.ftNaN += f.bounds.ObserveRowsOnly(protect.SiteKey{Layer: ctx.Layer, Site: ctx.Site}, out, ctx.Pos, f.trail)
 }
 
 // slot is the table index of a site on this model.

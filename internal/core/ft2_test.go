@@ -175,6 +175,60 @@ func TestFT2CorrectsNaNDuringFirstToken(t *testing.T) {
 	}
 }
 
+// TestObserveHookRecordsProtectedTrail: under a policy with repair tiers, the
+// observe-only hook leaves an unprotected generation's tokens as they are and
+// ends its prefill with the bounds and trail the protecting hook records from
+// the same rows; a NaN planted at a clamp site stays in place and is counted.
+func TestObserveHookRecordsProtectedTrail(t *testing.T) {
+	cfg, err := model.ConfigByName("qwen2-1.5b-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := &protect.Policy{Tiers: map[model.LayerKind]protect.Tier{
+		model.VProj: protect.TierABFTFT2, model.OutProj: protect.TierFT2, model.QProj: protect.TierDMR,
+	}}
+	prompt := []int{4, 9, 14, 19, 24, 29, 34, 39}
+	nan := float32(0)
+	nan /= nan
+	run := func(hook func(*FT2) model.Hook, plantNaN bool) ([]int, *FT2) {
+		m := model.MustNew(cfg, 11, numerics.FP16)
+		if plantNaN {
+			m.RegisterHook(func(ctx model.HookCtx, out *tensor.Tensor) {
+				if ctx.FirstToken && ctx.Layer == (model.LayerRef{Block: 1, Kind: model.VProj}) && ctx.Site == model.SiteLinearOut {
+					out.Data[5] = nan
+				}
+			})
+		}
+		f := NewHybrid(m, Defaults(), policy, nil)
+		f.Reset()
+		if hook != nil {
+			m.RegisterHook(hook(f))
+		}
+		return m.Generate(prompt, 8), f
+	}
+
+	bare, _ := run(nil, false)
+	observed, obs := run((*FT2).ObserveHook, false)
+	_, prot := run((*FT2).Hook, false)
+	if !slices.Equal(observed, bare) || obs.FirstTokenNaNCount() != 0 {
+		t.Fatalf("observed generation %v (%d NaNs seen), unhooked %v", observed, obs.FirstTokenNaNCount(), bare)
+	}
+	ot, pt := obs.CaptureForkState().Trail, prot.CaptureForkState().Trail
+	for d := 0; d <= len(prompt); d++ {
+		os, on := ot.At(d)
+		ps, pn := pt.At(d)
+		if os.String() != ps.String() || on != pn || d == len(prompt) && os.Len() != prot.ProtectedSiteCount() {
+			t.Fatalf("trail at %d rows: observed %d NaN\n%s protected %d NaN\n%s", d, on, os, pn, ps)
+		}
+	}
+
+	bareNaN, _ := run(nil, true)
+	observedNaN, obs := run((*FT2).ObserveHook, true)
+	if !slices.Equal(observedNaN, bareNaN) || obs.FirstTokenNaNCount() == 0 {
+		t.Fatalf("with a planted NaN: observed %v (%d NaNs seen), unhooked %v", observedNaN, obs.FirstTokenNaNCount(), bareNaN)
+	}
+}
+
 func TestFT2AllLayerCoverage(t *testing.T) {
 	m := testModel(t, "opt-2.7b-sim")
 	opts := Defaults()

@@ -75,6 +75,9 @@ func FuzzCacheOps(f *testing.F) {
 		0x66, 0, 1, 2, 3, 2, 0, 0x62, 0, 1, 2, 3, 2, 0, 0x03, 0x70, 1, 1, 1, 1, 1, 1, 1, 0x03,
 	})
 
+	// A NaN-tainted trail entry replaced by a clean one: bare lookups hit.
+	f.Add([]byte{0x48, 0, 1, 2, 3, 0x44, 0, 1, 2, 3, 0x52, 0, 1, 2, 3, 1, 0x40, 0, 1, 2, 3})
+
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		c := New(budget)
 		var live []*livePrompt // front = most recently used
@@ -111,7 +114,7 @@ func FuzzCacheOps(f *testing.F) {
 				if want {
 					same := slices.IndexFunc(live, func(l *livePrompt) bool { return slices.Equal(l.prompt, prompt) })
 					switch {
-					case same >= 0 && (!nu.trail || live[same].trail):
+					case same >= 0 && (!nu.trail || live[same].trail) && (!nu.nanFree || live[same].nanFree):
 						touch(live[same])
 						want = false
 					case same >= 0:

@@ -6,13 +6,14 @@
 //
 // Structure: a compressed radix tree over token sequences. Each inserted
 // prompt contributes one immutable entry — the rows-prefix Snapshot captured
-// when its prefill completed, plus (for FT2-protected sessions) the bounds
-// trail of that prefill, which yields the first-token bounds at any row
-// depth. Every tree node points, per kind of session, at one live entry of
-// its subtree that can serve that kind, so two prompts sharing only part of
-// a cached prompt still hit the shared part: lookup walks the tree as far as
-// the query matches and takes the deepest node with such an entry, truncated
-// to the matched depth via a zero-copy Snapshot.Prefix view.
+// when its prefill completed, plus the FT2 bounds trail of that prefill
+// (recorded by protected and unprotected prefills alike), which yields the
+// first-token bounds at any row depth. Every tree node points, per kind of
+// session, at one live entry of its subtree that can serve that kind, so two
+// prompts sharing only part of a cached prompt still hit the shared part:
+// lookup walks the tree as far as the query matches and takes the deepest
+// node with such an entry, truncated to the matched depth via a zero-copy
+// Snapshot.Prefix view.
 //
 // Memory is bounded by a byte budget over snapshot KV payloads with LRU
 // eviction. Entries are refcounted while sessions hold them, but eviction
@@ -61,7 +62,7 @@ type node struct {
 // snap and trail are immutable once inserted.
 type entry struct {
 	snap    *model.Snapshot
-	trail   *protect.Trail // nil for unprotected inserts
+	trail   *protect.Trail // nil when the prefill recorded none a protected session can use
 	nanFree bool           // prefill saw no NaN corrections
 	leaf    *node          // the node at the prompt's full depth
 	bytes   int64
@@ -121,8 +122,9 @@ func (r *Ref) Rows() int { return r.rows }
 func (r *Ref) Snapshot() *model.Snapshot { return r.e.snap.Prefix(r.rows) }
 
 // Trail returns the cached prefill's bounds trail (read-only; nil when the
-// entry came from an unprotected session): Trail().At(Rows()) is the
-// first-token profile of exactly the rows the hit covers.
+// entry carries none — an unprotected prefill that saw a NaN at a clamp site):
+// Trail().At(Rows()) is the first-token profile of exactly the rows the hit
+// covers.
 func (r *Ref) Trail() *protect.Trail { return r.e.trail }
 
 // Release drops the hold. The Ref must not be used afterwards.
@@ -206,12 +208,13 @@ func (c *Cache) Lookup(prompt []int, protected bool) *Ref {
 // Insert adds a completed prefill's prompt and its full-prompt snapshot to
 // the cache, reporting whether it was admitted. The cache takes ownership of
 // snap and trail — they must never be mutated afterwards. trail is the
-// prefill's complete bounds trail from row 0, nil for an unprotected
-// session's insert; nanFree says the prefill corrected no NaN. An entry with
-// neither serves no one and is refused, as is one whose every lookup a cached
-// longer prompt already answers. A duplicate prompt refreshes LRU recency,
-// except that one bringing the trail the cached entry lacks replaces it (an
-// unprotected insert must not permanently block protected reuse).
+// prefill's complete bounds trail from row 0, nil when it has none a
+// protected session can use; nanFree says the KV is what an unprotected
+// prefill computes (no NaN corrected). An entry with neither serves no one and
+// is refused, as is one whose every lookup a cached longer prompt already
+// answers. A duplicate prompt refreshes LRU recency, except that one serving
+// a kind of session the cached entry does not replaces it: an entry that
+// serves one kind must not permanently block the other's reuse.
 func (c *Cache) Insert(prompt []int, snap *model.Snapshot, trail *protect.Trail, nanFree bool) bool {
 	if len(prompt) < 2 || snap == nil || snap.Rows() < len(prompt) || trail == nil && !nanFree {
 		return false
@@ -263,11 +266,16 @@ func (c *Cache) Insert(prompt []int, snap *model.Snapshot, trail *protect.Trail,
 
 	e := &entry{snap: snap, trail: trail, nanFree: nanFree, leaf: leaf, bytes: bytes}
 	old := leaf.own
-	if old != nil && (trail == nil || old.trail != nil) {
-		c.lru.MoveToFront(old.elem)
-		return false
-	}
-	if old == nil {
+	if old != nil {
+		adds := false
+		for kind := range numKinds {
+			adds = adds || e.serves(kind) && !old.serves(kind)
+		}
+		if !adds {
+			c.lru.MoveToFront(old.elem)
+			return false
+		}
+	} else {
 		covered := true
 		for kind := range leaf.entry {
 			covered = covered && (leaf.entry[kind] != nil || !e.serves(kind))

@@ -188,6 +188,45 @@ func TestDuplicateInsertAndUpgrade(t *testing.T) {
 	}
 }
 
+// TestDuplicateServingNewKindReplaces: a duplicate replaces the cached entry
+// whenever it serves a kind of session the cached one does not — here an
+// unprotected prefill's clean trail-carrying entry over a NaN-corrected
+// protected one, which served protected sessions only — and is refused when
+// it adds nothing.
+func TestDuplicateServingNewKindReplaces(t *testing.T) {
+	m := newModel(t)
+	c := New(1 << 20)
+	p := seq(1, 2, 3, 4, 5)
+	nan := float32(math.NaN())
+	if !c.Insert(p, makeSnap(m, p), rowTrail(1, nan, 3, 4, 5), false) {
+		t.Fatal("NaN-corrected protected insert rejected")
+	}
+	if !c.Insert(p, makeSnap(m, p), rowTrail(1, 2, 3, 4, 5), true) {
+		t.Fatal("a duplicate that serves unprotected sessions was refused")
+	}
+	for _, protected := range []bool{false, true} {
+		ref := c.Lookup(seq(1, 2, 3, 4, 5, 6), protected)
+		if ref == nil || ref.Rows() != len(p) {
+			t.Fatalf("protected=%v: hit = %v after the replacement", protected, ref)
+		}
+		if _, n := ref.Trail().At(ref.Rows()); n != 0 {
+			t.Fatalf("protected=%v: hit carries %d NaN corrections, want the clean trail's 0", protected, n)
+		}
+		ref.Release()
+	}
+	for _, dup := range []struct {
+		trail   *protect.Trail
+		nanFree bool
+	}{{nil, true}, {rowTrail(1, nan, 3, 4, 5), false}, {rowTrail(1, 2, 3, 4, 5), true}} {
+		if c.Insert(p, makeSnap(m, p), dup.trail, dup.nanFree) {
+			t.Fatalf("duplicate (trail %v, nanFree %v) replaced an entry that serves both kinds", dup.trail != nil, dup.nanFree)
+		}
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Insertions != 2 {
+		t.Fatalf("stats = %+v, want one entry after two insertions", st)
+	}
+}
+
 func TestInsertRejections(t *testing.T) {
 	m := newModel(t)
 	c := New(1 << 20)

@@ -11,8 +11,9 @@ import (
 )
 
 // The three references below are the scalar sweeps as they stood before
-// tensor.RangeScreen went in front of them, kept so the screened functions
-// can be held to them bit for bit.
+// tensor.RangeScreen went in front of them (finiteRangeRef now counting the
+// NaNs it skips too), kept so the screened functions can be held to them bit
+// for bit.
 
 func clampCorrectRef(data []float32, b Bounds, mode ClipMode, correctNaN bool) CorrectionStats {
 	var st CorrectionStats
@@ -57,11 +58,11 @@ func correctNaNOnlyRef(data []float32) int {
 func finiteRangeRef(row []float32, correctNaN bool) (b Bounds, ok bool, nan int) {
 	for i, v := range row {
 		if v != v {
+			nan++
 			if !correctNaN {
 				continue
 			}
 			row[i], v = 0, 0
-			nan++
 		} else if v > math.MaxFloat32 || v < -math.MaxFloat32 {
 			continue
 		}

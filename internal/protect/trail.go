@@ -96,23 +96,24 @@ func (t *Trail) add(r trailRec) {
 }
 
 // finiteRange returns the range of row's finite values (ok false when there
-// are none). With correctNaN, NaNs are first replaced by 0 in place — counted
-// in nan and then observed like any other 0; otherwise they are skipped, as
-// ±Inf always is (abnormal values are corrected, not learned). The loop is
-// the definition; tensor.RangeScreen first proves the common case — no NaN,
-// both extrema finite and neither a zero, whose sign the loop takes from the
-// first one seen — in which the loop would return exactly the extrema.
+// are none) and the number of NaNs in it. With correctNaN, NaNs are first
+// replaced by 0 in place and then observed like any other 0; otherwise they
+// are skipped, as ±Inf always is (abnormal values are corrected, not learned).
+// The loop is the definition; tensor.RangeScreen first proves the common case
+// — no NaN, both extrema finite and neither a zero, whose sign the loop takes
+// from the first one seen — in which the loop would return exactly the
+// extrema.
 func finiteRange(row []float32, correctNaN bool) (b Bounds, ok bool, nan int) {
 	if lo, hi, clean := tensor.RangeScreen(row); clean && lo >= -math.MaxFloat32 && hi <= math.MaxFloat32 && lo != 0 && hi != 0 {
 		return Bounds{lo, hi}, true, 0
 	}
 	for i, v := range row {
 		if v != v {
+			nan++
 			if !correctNaN {
 				continue
 			}
 			row[i], v = 0, 0
-			nan++
 		} else if v > math.MaxFloat32 || v < -math.MaxFloat32 {
 			continue
 		}
@@ -135,14 +136,32 @@ func finiteRange(row []float32, correctNaN bool) (b Bounds, ok bool, nan int) {
 // the number of NaNs corrected. The result is the bounds a single Observe of
 // the whole tensor leaves, bit for bit.
 func (s *Store) ObserveRows(k SiteKey, out *tensor.Tensor, pos int, correctNaN bool, tr *Trail) (nan int) {
+	if nan = s.observeRows(k, out, pos, correctNaN, tr); !correctNaN {
+		return 0 // skipped, not corrected
+	}
+	return nan
+}
+
+// ObserveRowsOnly is the learn pass that changes nothing: ObserveRows without
+// the correction, returning the NaNs it saw and skipped. On NaN-free rows it
+// leaves the store and tr exactly as ObserveRows(correctNaN=true) does, so an
+// unprotected prefill that saw no NaN records the trail a protected prefill of
+// the same rows would have.
+func (s *Store) ObserveRowsOnly(k SiteKey, out *tensor.Tensor, pos int, tr *Trail) (seen int) {
+	return s.observeRows(k, out, pos, false, tr)
+}
+
+// observeRows is both learn passes: it returns the NaNs in out, and records
+// one trail entry per row whose NaNs it corrected.
+func (s *Store) observeRows(k SiteKey, out *tensor.Tensor, pos int, correctNaN bool, tr *Trail) (nan int) {
 	cur, have := s.Get(k)
 	changed := false
 	for r := 0; r < out.Rows; r++ {
 		b, ok, n := finiteRange(out.Row(r), correctNaN)
-		if n > 0 {
-			nan += n
+		if n > 0 && correctNaN {
 			tr.add(trailRec{row: pos + r, nan: n})
 		}
+		nan += n
 		if !ok || have && b.Lo >= cur.Lo && b.Hi <= cur.Hi {
 			continue
 		}

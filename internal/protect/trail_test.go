@@ -1,6 +1,7 @@
 package protect
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -116,4 +117,71 @@ func TestTrailCloneSurvivesAppendAndReset(t *testing.T) {
 	if at, _ := grown.At(100); at.m[k] != (Bounds{0, 4}) {
 		t.Fatalf("clone of a clone saw its source's append: %v", at.m[k])
 	}
+}
+
+// FuzzObserveBareMatchesProtected: the observe-only learn pass over a tensor
+// decoded from the input (first byte: columns; second: how rows are split into
+// chunks; then little-endian float32s) never writes a value and returns every
+// NaN it saw. On NaN-free rows it leaves the store and the trail bit-identical
+// to ObserveRows(correctNaN=true) over the same rows in one piece — so an
+// unprotected prefill that saw no NaN offers the trail a protected one would.
+func FuzzObserveBareMatchesProtected(f *testing.F) {
+	nan, inf := math.Float32bits(float32(math.NaN())), math.Float32bits(float32(math.Inf(1)))
+	for _, seed := range [][]uint32{
+		{0x3f800000, 0xbf800000, 0x40000000, 0x80000000, 0, 0x3e800000},
+		{0x3f800000, inf, 0xc0400000, 0x7f7fffff, 0xff7fffff, 1},
+		{0x3f800000, nan, 0x40000000, 0x80000000, 0xbf000000, nan},
+	} {
+		for _, cols := range []byte{1, 2, 3} {
+			b := []byte{cols, byte(len(seed))}
+			for _, v := range seed {
+				b = binary.LittleEndian.AppendUint32(b, v)
+			}
+			f.Add(b)
+		}
+	}
+	k := SiteKey{Layer: model.LayerRef{Block: 2, Kind: model.DownProj}, Site: model.SiteLinearOut}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 2 {
+			return
+		}
+		cols := 1 + int(b[0])%8
+		rng := rand.New(rand.NewSource(int64(b[1])))
+		vals := make([]float32, (len(b)-2)/4/cols*cols)
+		wantSeen := 0
+		for i := range vals {
+			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[2+4*i:]))
+			if vals[i] != vals[i] {
+				wantSeen++
+			}
+		}
+		rows := len(vals) / cols
+
+		work := append([]float32(nil), vals...)
+		got, gotTr, seen := NewStore(), new(Trail), 0
+		for pos := 0; pos < rows; {
+			n := 1 + rng.Intn(rows-pos)
+			seen += got.ObserveRowsOnly(k, tensor.FromSlice(n, cols, work[pos*cols:(pos+n)*cols]), pos, gotTr)
+			pos += n
+		}
+		if seen != wantSeen || !sameRow(work, vals) {
+			t.Fatalf("observe-only saw %d NaNs of %d, or wrote a value: %v -> %v", seen, wantSeen, vals, work)
+		}
+		if wantSeen > 0 {
+			return
+		}
+
+		want, wantTr := NewStore(), new(Trail)
+		if n := want.ObserveRows(k, tensor.FromSlice(rows, cols, append([]float32(nil), vals...)), 0, true, wantTr); n != 0 {
+			t.Fatalf("ObserveRows corrected %d NaNs in NaN-free rows", n)
+		}
+		if !sameBits(got, want) || len(gotTr.recs) != len(wantTr.recs) {
+			t.Fatalf("observe-only store %v (%d records), protected %v (%d records)", got, len(gotTr.recs), want, len(wantTr.recs))
+		}
+		for i, r := range gotTr.recs {
+			if w := wantTr.recs[i]; r.row != w.row || r.key != w.key || r.nan != w.nan || !sameBounds(r.b, w.b) {
+				t.Fatalf("trail record %d: observe-only %+v, protected %+v", i, r, w)
+			}
+		}
+	})
 }

@@ -286,32 +286,59 @@ func TestHerdLeaderCancelled(t *testing.T) {
 // TestHerdLeaderEntryUnusable: a leader may finish and still leave nothing a
 // follower can fork. A protected leader whose first token corrected a NaN
 // inserts an entry that serves protected sessions only: its bare followers
-// wake, miss and compute for themselves. A leader that turned suspect
-// mid-prefill inserts nothing at all: its followers are released to elect a
-// leader of their own. Slower both times, never wrong.
+// wake, miss and compute for themselves. A bare leader whose prefill saw a
+// NaN at a clamp site inserts an entry without a trail: its protected
+// followers do the same. A leader that turned suspect mid-prefill inserts
+// nothing at all: its followers are released to elect a leader of their own.
+// Slower every time, never wrong.
 func TestHerdLeaderEntryUnusable(t *testing.T) {
 	memo := oracleMemo{}
-	t.Run("first-token-nan", func(t *testing.T) {
-		reqs := herdRequests(t, Request{MaxTokens: 6})
-		reqs[0].Protected = true
+	// unusable runs a herd whose leader alone is (or is not) protected and
+	// sees a NaN in row 0 of block 0's V_PROJ output — a clamp site — during
+	// its prefill, and checks that every follower computed its own prefix.
+	unusable := func(t *testing.T, leaderProtected bool) (herdRun, *scheduler, []int) {
+		reqs := herdRequests(t, Request{MaxTokens: 6, Protected: !leaderProtected})
+		reqs[0].Protected = leaderProtected
 		sch, sessions := bareSchedulerOf(t, herdConfig(t), reqs)
 		r := sch.pool.replicas[0]
-		r.controller(0) // the leader is alone in its group: slot 0 protects it
-		protectHook := r.hookFns[0]
-		r.hookFns[0] = func(ctx model.HookCtx, out *tensor.Tensor) {
-			if ctx.FirstToken && ctx.Pos == 0 && ctx.Layer == (model.LayerRef{Kind: model.VProj}) {
+		r.controller(0) // the leader is alone in its group: slot 0 hooks it
+		hook := &r.hookFns[0]
+		if !leaderProtected {
+			hook = &r.obsFns[0]
+		}
+		inner, leader := *hook, sessions[0]
+		*hook = func(ctx model.HookCtx, out *tensor.Tensor) {
+			if !leader.started && ctx.FirstToken && ctx.Pos == 0 && ctx.Layer == (model.LayerRef{Kind: model.VProj}) {
 				out.Data[0] = float32(math.NaN())
 			}
-			protectHook(ctx, out)
+			inner(ctx, out)
 		}
 		driveBare(sch, r)
 		run := collect(sch, sessions)
-		if run.errs[0] != nil || run.results[0].Corrections.FirstTokenNaN == 0 {
-			t.Fatalf("leader corrected no first-token NaN (%v): its entry would serve bare sessions", run.errs[0])
+		if run.errs[0] != nil {
+			t.Fatalf("leader failed: %v", run.errs[0])
 		}
 		memo.check(t, run, reqs, herdFollowers...)
 		if d := resumedAt(run, herdFollowers...); d[0] != herdN-1 || run.coalesced != herdN-1 {
-			t.Fatalf("bare followers of a NaN-corrected prefill: %d parked, cached_prompt_rows by depth = %v", run.coalesced, d)
+			t.Fatalf("followers of an entry they cannot use: %d parked, cached_prompt_rows by depth = %v", run.coalesced, d)
+		}
+		return run, sch, reqs[0].PromptTokens
+	}
+
+	t.Run("first-token-nan", func(t *testing.T) {
+		run, _, _ := unusable(t, true)
+		if run.results[0].Corrections.FirstTokenNaN == 0 {
+			t.Fatal("leader corrected no first-token NaN: its entry would serve bare sessions")
+		}
+	})
+
+	t.Run("bare-saw-nan", func(t *testing.T) {
+		_, sch, leader := unusable(t, false)
+		// The followers' own entries give protected sessions the shared rows
+		// back; the leader's prompt, which bare sessions hit in full, is not
+		// one of them.
+		if bare, prot := sch.prefix.Depth(leader, false), sch.prefix.Depth(leader, true); bare != herdLen-1 || prot != herdShared {
+			t.Fatalf("leader's prompt hits %d rows bare and %d protected, want %d and %d", bare, prot, herdLen-1, herdShared)
 		}
 	})
 
@@ -337,11 +364,11 @@ func TestHerdLeaderEntryUnusable(t *testing.T) {
 	})
 }
 
-// TestHerdNeverFollowsWrongLeader: a protected session needs the bounds trail
-// a bare prefill does not record, and a control session must never wait on —
-// or fork — a chaos victim's prefill. In both cases the second session leads
-// a herd of its own (2 × 176 + 6 × 16 rows, six parked); the other way round
-// everyone follows the first (176 + 7 × 16, seven parked).
+// TestHerdNeverFollowsWrongLeader: a control session must never wait on — or
+// fork — a chaos victim's prefill, so the second session leads a herd of its
+// own (2 × 176 + 6 × 16 rows, six parked); the other way round everyone
+// follows the first (176 + 7 × 16, seven parked). Bare and protected sessions
+// follow each other both ways: a bare prefill records the bounds trail too.
 func TestHerdNeverFollowsWrongLeader(t *testing.T) {
 	memo := oracleMemo{}
 	for _, tc := range []struct {
@@ -349,7 +376,7 @@ func TestHerdNeverFollowsWrongLeader(t *testing.T) {
 		first, rest Request
 		follows     bool
 	}{
-		{"protected-behind-bare", Request{}, Request{Protected: true}, false},
+		{"protected-behind-bare", Request{}, Request{Protected: true}, true},
 		{"bare-behind-protected", Request{Protected: true}, Request{}, true},
 		{"control-behind-chaos", Request{Chaos: true}, Request{}, false},
 		{"chaos-behind-control", Request{}, Request{Chaos: true}, true},

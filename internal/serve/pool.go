@@ -28,12 +28,14 @@ type replica struct {
 	tainted bool
 
 	// ctls[i] is the controller protecting the session in batch slot i, and
-	// hookFns[i] its hook, bound once (Hook() allocates a method value) so
-	// assembling a slice's hook lists allocates nothing. Every controller
-	// resumes the session's own fork state at slice start, so counters stay
-	// per-session even though the controllers are replica-owned.
+	// hookFns[i] and obsFns[i] its hook and observe-only hook, bound once (a
+	// method value allocates) so assembling a slice's hook lists allocates
+	// nothing. Every controller resumes the session's own fork state at slice
+	// start, so counters stay per-session even though the controllers are
+	// replica-owned.
 	ctls    []*core.FT2
 	hookFns []model.Hook
+	obsFns  []model.Hook
 }
 
 // controller returns the slot's protection controller, growing the set on
@@ -43,6 +45,7 @@ func (r *replica) controller(slot int) *core.FT2 {
 		c := core.NewHybrid(r.m, r.opts, r.policy, r.refs)
 		r.ctls = append(r.ctls, c)
 		r.hookFns = append(r.hookFns, c.Hook())
+		r.obsFns = append(r.obsFns, c.ObserveHook())
 	}
 	return r.ctls[slot]
 }

@@ -10,6 +10,7 @@ import (
 
 	"ft2/internal/data"
 	"ft2/internal/model"
+	"ft2/internal/protect"
 )
 
 // prefixConfig is testConfig plus the prefix cache and a small prefill
@@ -49,26 +50,40 @@ func runSharedPrefix(t *testing.T, srv *Server, spec LoadSpec, label string) Loa
 
 // TestPrefixCacheHitBitIdentical is the tentpole contract: a second (warm)
 // pass over the same shared-prefix prompt set must serve from the cache —
-// hits recorded, fewer prompt rows computed — and still produce tokens
-// bit-identical to the GenerateInto oracle, protected and not.
+// every lookup a hit, fewer prompt rows computed — and still produce tokens
+// bit-identical to the GenerateInto oracle, protected and not, and protected
+// after bare: a protected session resumes the bounds trail an unprotected
+// prefill recorded, here under a policy whose checksum repair runs before the
+// clamp.
 func TestPrefixCacheHitBitIdentical(t *testing.T) {
-	for _, protected := range []bool{false, true} {
-		label := map[bool]string{false: "bare", true: "protected"}[protected]
-		t.Run(label, func(t *testing.T) {
-			srv := newTestServer(t, prefixConfig(t))
-			spec := SharedPrefixLoad(4, 8, 10, 48, 0.9, 42, protected)
+	stacked := &protect.Policy{Tiers: map[model.LayerKind]protect.Tier{
+		model.VProj: protect.TierABFTFT2, model.OutProj: protect.TierFT2, model.DownProj: protect.TierABFTFT2,
+	}}
+	for _, tc := range []struct {
+		name       string
+		policy     *protect.Policy
+		cold, warm bool // protected
+	}{
+		{"bare", nil, false, false},
+		{"protected", nil, true, true},
+		{"bare-then-protected/abft+ft2", stacked, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := prefixConfig(t)
+			cfg.ProtectPolicy = tc.policy
+			srv := newTestServer(t, cfg)
 
-			runSharedPrefix(t, srv, spec, "cold")
+			runSharedPrefix(t, srv, SharedPrefixLoad(4, 8, 10, 48, 0.9, 42, tc.cold), "cold")
 			cold := srv.PrefixStats()
 			if cold.Insertions == 0 {
 				t.Fatalf("cold pass inserted nothing: %+v", cold)
 			}
 			coldPrefill, coldPrompt, _ := srv.PrefillCounters()
 
-			runSharedPrefix(t, srv, spec, "warm")
+			runSharedPrefix(t, srv, SharedPrefixLoad(4, 8, 10, 48, 0.9, 42, tc.warm), "warm")
 			warm := srv.PrefixStats()
-			if warm.Hits <= cold.Hits {
-				t.Fatalf("warm pass recorded no hits: cold %+v warm %+v", cold, warm)
+			if warm.Hits <= cold.Hits || warm.Misses != cold.Misses {
+				t.Fatalf("warm pass missed: cold %+v warm %+v", cold, warm)
 			}
 			warmPrefill, warmPrompt, _ := srv.PrefillCounters()
 			if warmPrompt-coldPrompt != coldPrompt {
@@ -155,6 +170,55 @@ func TestProtectedHitSurvivesColdEntryEviction(t *testing.T) {
 		if got := run(prompts[2]); got != shared {
 			t.Fatalf("protected=%v: new-suffix prompt hit %d rows with the cold entry evicted, want %d", protected, got, shared)
 		}
+	}
+}
+
+// TestProtectedComputesBareRows counts what the bounds trail on every entry
+// buys: on a cache too small for the prompt list (sixteen 176-token prompts
+// sharing a system prompt, 2.75 MiB of KV against 1 MiB, the shape of bench/'s
+// serve_shared_prefix), two bare passes bring the cache to its steady cycle;
+// then bare and protected passes alternate, and each protected pass computes
+// exactly the prompt rows the bare pass before it did — protected sessions
+// resume what bare ones cached, and the other way round — and answers what
+// the oracle answers.
+func TestProtectedComputesBareRows(t *testing.T) {
+	const prompts = 16
+	cfg := testConfig(t)
+	cfg.PrefixCacheMB, cfg.PrefillChunk = 1, 64
+	list := data.SharedPrefixPrompts(prompts, herdLen, (herdShared+0.5)/herdLen, 5)
+	pass := func(protected bool) []Request {
+		reqs := make([]Request, prompts)
+		for i, p := range list {
+			reqs[i] = Request{PromptTokens: p, MaxTokens: 6, Protected: protected}
+		}
+		return reqs
+	}
+	sch, sessions := bareSchedulerOf(t, cfg, pass(false))
+	r := sch.pool.replicas[0]
+	memo := oracleMemo{}
+	var bareRows int64
+	for round := -2; round < 4; round++ { // two bare warm-up passes, then alternate
+		protected := round%2 == 1
+		reqs := pass(protected)
+		before := sch.mx.prefillTokens.Load()
+		if round > -2 {
+			sessions = admitBare(t, sch, reqs)
+		}
+		r = driveBare(sch, r)
+		run := collect(sch, sessions)
+		if round < 0 {
+			continue
+		}
+		memo.check(t, run, reqs)
+		rows := run.prefill - before
+		if !protected {
+			bareRows = rows
+		} else if rows != bareRows {
+			t.Fatalf("round %d: the protected pass computed %d prompt rows, the bare pass before it %d", round, rows, bareRows)
+		}
+	}
+	if st := sch.prefix.Stats(); st.Evictions == 0 {
+		t.Fatalf("the list fits the cache (%+v): nothing to test", st)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"ft2/internal/fault"
 	"ft2/internal/model"
 	"ft2/internal/prefixcache"
+	"ft2/internal/protect"
 )
 
 // scheduler implements continuous batching over the replica pool: admitted
@@ -284,17 +285,23 @@ func (sch *scheduler) runSlice(r *replica, g *group, first *Session) *replica {
 	// store, so many sessions of one bounds lineage can decode in one batch.
 	// A cold protected prefill (no bounds yet) gets a fresh store instead:
 	// its hooks observe into it and the end of the slice captures it onto the
-	// session.
+	// session. An unprotected prefill recording its entry's trail (observe)
+	// is resumed the same way onto the slot's observe-only hook, which writes
+	// no value.
 	for i, s := range g.sessions {
 		var f *core.FT2
-		if s.req.Protected {
+		if s.req.Protected || s.observe {
 			f = r.controller(i)
 			if s.ftState.Bounds != nil {
 				f.ResumeFork(s.ftState)
 			} else {
 				f.Reset()
 			}
-			g.hooks[i] = append(g.hooks[i], r.hookFns[i])
+			h := r.hookFns[i]
+			if s.observe {
+				h = r.obsFns[i]
+			}
+			g.hooks[i] = append(g.hooks[i], h)
 		}
 		g.ctls = append(g.ctls, f)
 	}
@@ -428,10 +435,10 @@ func (sch *scheduler) postSlice(r *replica) *replica {
 // serves right now, s parks behind it — off the ring, slot kept, no goroutine,
 // no timer — until release re-enqueues it to be opened normally, and hit.
 // Otherwise s proceeds, as a leader itself when it will compute rows and
-// offer an entry. A protected session needs the trail, so it follows only a
-// protected leader; a session that did not opt into chaos never follows one
-// that did; and a session waits once behind a leader that delivers, so there
-// is no chain: parked sessions are never leaders.
+// offer an entry. Every leader records the bounds trail, so protected and
+// unprotected sessions follow each other; a session that did not opt into
+// chaos never follows one that did; and a session waits once behind a leader
+// that delivers, so there is no chain: parked sessions are never leaders.
 func (sch *scheduler) followOrLead(s *Session) bool {
 	sch.leadMu.Lock()
 	defer sch.leadMu.Unlock()
@@ -440,7 +447,7 @@ func (sch *scheduler) followOrLead(s *Session) bool {
 	if !s.waited {
 		need := depth + sch.cfg.PrefillChunk // rows of s's prompt a leader must cover
 		for _, l := range sch.leaders {
-			if s.req.Protected && !l.req.Protected || l.req.Chaos && !s.req.Chaos {
+			if l.req.Chaos && !s.req.Chaos {
 				continue
 			}
 			if n := min(prefixcache.MatchLen(l.prompt, s.prompt), len(s.prompt)-1); n >= need {
@@ -482,8 +489,8 @@ func (sch *scheduler) release(s *Session, delivered bool) {
 // openPrefill runs a session's serial admission bookkeeping on its first
 // slice, once followOrLead let it through, inside its own panic boundary:
 // obtain a KV state, open the chunked prefill, consult the prefix cache, and
-// — on a hit — fork the cached KV prefix (and, for protected sessions, the
-// first-token bounds as of its last row) so only the unique suffix is
+// — on a hit — fork the cached KV prefix (and the first-token bounds as of its
+// last row, when the entry carries a trail) so only the unique suffix is
 // computed. No prompt rows are computed here: the fused slice loop feeds the
 // chunks, co-batched with decode rows.
 func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
@@ -506,22 +513,25 @@ func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
 	sch.mx.promptTokens.Add(int64(len(s.prompt)))
 	m.BeginPrefill(len(s.prompt))
 	if sch.prefix != nil {
+		var trail *protect.Trail // the hit entry's: immutable, so valid past Release
 		if ref := sch.prefix.Lookup(s.prompt, s.req.Protected); ref != nil {
 			m.ResumePrefillPrefix(ref.Snapshot())
-			s.hitRows = ref.Rows()
-			if s.req.Protected {
-				// Seed the fork state with the first-token profile of exactly
-				// the hitRows cached rows, and carry their trail records
-				// forward: the session extends both as it observes the suffix,
-				// so the entry it inserts has a complete trail from row 0.
-				s.ftState.Trail = ref.Trail().Prefix(s.hitRows)
-				s.ftState.Bounds, s.ftState.FirstTokenNaN = s.ftState.Trail.At(s.hitRows)
-			}
+			s.hitRows, trail = ref.Rows(), ref.Trail()
 			ref.Release()
 		}
 		// Offer the finished prefill back unless the cache already covers
 		// this prompt as deeply as a lookup could use it.
 		s.insert = s.hitRows < len(s.prompt)-1
+		s.observe = s.insert && !s.req.Protected && (s.hitRows == 0 || trail != nil)
+		if trail != nil && (s.req.Protected || s.observe) { // always, for a protected hit
+			// Seed the fork state with the first-token profile of exactly the
+			// hitRows cached rows, and carry their trail records forward: the
+			// session extends both as it observes the suffix — protected, or
+			// through the observe-only hook — so the entry it inserts has a
+			// complete trail from row 0.
+			s.ftState.Trail = trail.Prefix(s.hitRows)
+			s.ftState.Bounds, s.ftState.FirstTokenNaN = s.ftState.Trail.At(s.hitRows)
+		}
 	}
 	return nil
 }
@@ -567,11 +577,24 @@ func (sch *scheduler) finishPrefill(r *replica, g *group, i, tok int) {
 		m.SwapState(prev)
 		// A NaN-corrected first token wrote corrected values into the KV; a
 		// bare model would not reproduce them, so such entries serve only
-		// protected sessions. The trail is nil for an unprotected session.
-		sch.prefix.Insert(s.prompt, snap, s.ftState.Trail, s.ftState.FirstTokenNaN == 0)
+		// protected sessions. An unprotected prefill's KV is always bare, and
+		// its trail is a protected prefill's only if the observe pass saw no
+		// NaN — a protected one would have corrected it.
+		trail, nanFree := s.ftState.Trail, s.ftState.FirstTokenNaN == 0
+		if !s.req.Protected && !nanFree {
+			trail, nanFree = nil, true
+		}
+		sch.prefix.Insert(s.prompt, snap, trail, nanFree)
 	}
 	sch.release(s, !s.suspect)
 	s.ftState.Trail = nil // the cache's now, or of no further use: decode never extends it
+	if s.observe {
+		// The trail was all the observe pass was for: the session decodes
+		// bare from here, in this slice too. Its hook went on last, after any
+		// chaos hook.
+		s.observe, s.ftState, g.ctls[i] = false, core.ForkState{}, nil
+		g.hooks[i] = g.hooks[i][:len(g.hooks[i])-1]
+	}
 	if s.finishedAfter(tok) {
 		sch.finishInGroup(r, g, i, nil)
 	}

@@ -93,15 +93,23 @@ func bareSchedulerOf(t *testing.T, cfg Config, reqs []Request) (*scheduler, []*S
 	if cfg.PrefixCacheMB > 0 {
 		sch.prefix = prefixcache.New(int64(cfg.PrefixCacheMB) << 20)
 	}
-	sessions := make([]*Session, n)
+	return sch, admitBare(t, sch, reqs)
+}
+
+// admitBare puts reqs on a bareScheduler's ring in order; at most as many
+// sessions as the scheduler was built for may be unsettled at once.
+func admitBare(t *testing.T, sch *scheduler, reqs []Request) []*Session {
+	t.Helper()
+	sessions := make([]*Session, len(reqs))
 	for i, req := range reqs {
+		var err error
 		if sessions[i], err = sch.submit(context.Background(), req, req.PromptTokens); err != nil {
 			t.Fatal(err)
 		}
 		sch.slots <- struct{}{}
 		sch.ready <- <-sch.admit
 	}
-	return sch, sessions
+	return sessions
 }
 
 func equalTokens(a, b []int) bool {

@@ -40,11 +40,16 @@ type Session struct {
 	// Chunked-prefill / prefix-cache progress. prefillStarted flips on the
 	// session's first prefill slice (cache lookup + BeginPrefill); hitRows is
 	// the cached-prefix depth it resumed from; insert marks that the
-	// completed prefill should be offered back to the cache (a protected
-	// session's ftState carries the bounds trail the entry needs).
+	// completed prefill should be offered back to the cache, with the bounds
+	// trail ftState carries. observe marks an unprotected session that records
+	// that trail through its slot's observe-only hook: one inserting an entry
+	// whose trail is complete from row 0 (a cold prefill, or a hit on an entry
+	// that carries one). Its ftState is the trail's and nothing else's, and
+	// its FirstTokenNaN counts the NaNs the observe pass saw.
 	prefillStarted bool
 	hitRows        int
 	insert         bool
+	observe        bool
 
 	// Coalescing (scheduler.followOrLead): waited says the session has spent
 	// its one wait behind an in-flight prefill of its prefix; followers are
