@@ -58,7 +58,7 @@ test-386:
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkGenerate(Unprotected|FT2)' -benchmem .
 	$(GO) test -run XXX -bench BenchmarkDecodeStep -benchmem ./internal/model/
-	$(GO) test -run XXX -bench BenchmarkAttnHead ./internal/tensor/
+	$(GO) test -run XXX -bench 'Benchmark(AttnHead|GELU)' ./internal/tensor/
 
 # The repository benchmark under bench/ is its own module (own go.mod), so
 # root `go build ./...` never compiles it: this target is what catches an

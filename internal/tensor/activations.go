@@ -9,16 +9,31 @@ func ReLU(t *Tensor) {
 			t.Data[i] = 0
 		}
 	}
+	t.MarkMutated()
 }
 
 // GELU applies the tanh-approximated Gaussian error linear unit in place —
-// GPT-J's MLP activation.
+// GPT-J's MLP activation. On the FMA tier geluVec runs gelu four lanes wide,
+// bit for bit; it hands a group holding a NaN or ±Inf, and the tail, to the
+// scalar loop.
 func GELU(t *Tensor) {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	for i, v := range t.Data {
-		x := float64(v)
-		t.Data[i] = float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
+	data := t.Data
+	for i := 0; i < len(data); {
+		if hasFMA && len(data)-i >= 4 {
+			i += geluVec(&data[i], len(data)-i)
+		}
+		for end := min(i+4, len(data)); i < end; i++ {
+			data[i] = gelu(data[i])
+		}
 	}
+	t.MarkMutated()
+}
+
+// gelu is GELU of one element, the definition geluVec repeats per lane.
+func gelu(v float32) float32 {
+	const c = 0.7978845608028654 // sqrt(2/pi)
+	x := float64(v)
+	return float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
 }
 
 // SiLU applies x·sigmoid(x) in place — the Llama/Qwen gate activation.
@@ -39,6 +54,7 @@ func SiLU(t *Tensor) {
 		}
 		data = data[len(chunk):]
 	}
+	t.MarkMutated()
 }
 
 // expNeg fills e[i] = math.Exp(−float64(x[i])): expSum's split between the
@@ -99,14 +115,14 @@ func (a ActivationKind) Apply(t *Tensor) {
 	default:
 		panic("tensor: unknown activation")
 	}
-	t.MarkMutated()
 }
 
 // RopeTable caches the sin/cos factors of rotary position embeddings for
 // every (position, frequency) pair, so the decode hot path rotates with two
 // table lookups instead of a math.Pow and math.Sincos per pair. The factors
-// are kept in float64 and the rotation applied in float64 exactly as in
-// RotaryEmbed, so table-driven and direct application are bit-identical.
+// are kept in float64 and the rotation applied in float64 exactly as the
+// direct computation does (rotaryEmbedRef in the tests), so table-driven and
+// direct application are bit-identical.
 type RopeTable struct {
 	half     int
 	sin, cos []float64 // indexed pos*half + i
@@ -142,30 +158,4 @@ func (rt *RopeTable) Apply(row []float32, pos int) {
 		row[2*i] = float32(a*cos - b*sin)
 		row[2*i+1] = float32(a*sin + b*cos)
 	}
-}
-
-// RotaryEmbed applies rotary position embeddings (RoPE) in place to a
-// row-major [seq × dim] tensor whose rows are per-position head vectors
-// laid out as interleaved (even, odd) pairs over rotDim dimensions.
-// positions gives the absolute position of each row.
-func RotaryEmbed(t *Tensor, positions []int, rotDim int, base float64) {
-	if rotDim > t.Cols {
-		panic("tensor: RotaryEmbed rotDim exceeds width")
-	}
-	if len(positions) != t.Rows {
-		panic("tensor: RotaryEmbed positions length mismatch")
-	}
-	half := rotDim / 2
-	for r := 0; r < t.Rows; r++ {
-		row := t.Row(r)
-		pos := float64(positions[r])
-		for i := 0; i < half; i++ {
-			theta := pos / math.Pow(base, 2*float64(i)/float64(rotDim))
-			sin, cos := math.Sincos(theta)
-			a, b := float64(row[2*i]), float64(row[2*i+1])
-			row[2*i] = float32(a*cos - b*sin)
-			row[2*i+1] = float32(a*sin + b*cos)
-		}
-	}
-	t.MarkMutated()
 }

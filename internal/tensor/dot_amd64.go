@@ -6,10 +6,10 @@ import "ft2/internal/numerics"
 // (dotVec, dotStrideVec, axpyStrideVec, scaleVec, rangeScreenVec — one body
 // each on both tiers, no CPUID gate) and the FMA tier — matMulT1Vec/matMulT4Vec
 // over f32 weights, dotVecF16C/dotVec4F16C over packed-f16 weights,
-// quantizeF16Vec, siluFinishVec, and the packed exp behind expSumVec/expNegVec.
-// dotVecFMA has no engine caller: it is the one-element definition of the FMA
-// tier's op order, which the tests hold the sweeps and the F16C kernels to bit
-// for bit.
+// quantizeF16Vec, siluFinishVec, geluVec, and the packed exp behind
+// expSumVec/expNegVec/geluVec. dotVecFMA has no engine caller: it is the
+// one-element definition of the FMA tier's op order, which the tests hold the
+// sweeps and the F16C kernels to bit for bit.
 func dotVec(a, b *float32, n int) float32
 func dotVecFMA(a, b *float32, n int) float32
 func dotVecF16C(a *float32, b *uint16, n int) float32
@@ -25,18 +25,21 @@ func rangeScreenVec(p *float32, n int) (lo, hi float32, nan bool)
 //go:noescape
 func siluFinishVec(p *float32, e *float64, n int)
 
-// The packed exp (math.archExp's FMA path, four lanes wide): both stop
-// before the first group of four that fails the kernel's range screen and
-// return how many elements they finished. hasFMA only; it implies math's own
-// useFMA (AVX + FMA), also under a GODEBUG that turns cpu.fma, cpu.avx or
-// cpu.all off (hasFMA is off there too), so kernel and scalar math.Exp run
-// the same arithmetic.
+// The packed exp (math.archExp's FMA path, four lanes wide) and the GELU
+// built on it: each stops before the first group of four that fails its
+// screen and returns how many elements it finished. hasFMA only; it implies
+// math's own useFMA (AVX + FMA), also under a GODEBUG that turns cpu.fma,
+// cpu.avx or cpu.all off (hasFMA is off there too), so kernel and scalar
+// math.Exp (and math.Tanh on it) run the same arithmetic.
 //
 //go:noescape
 func expSumVec(p *float32, n int, maxv, sum float32) (done int, out float32)
 
 //go:noescape
 func expNegVec(dst *float64, src *float32, n int) (done int)
+
+//go:noescape
+func geluVec(p *float32, n int) (done int)
 
 // Dot computes the dot product of a and b (len(b) >= len(a)) with the
 // 4-lane SSE kernel. Lane-parallel accumulation reorders the float32 sums

@@ -1334,3 +1334,113 @@ expstop:
 	VZEROUPPER
 	MOVQ SI, done+24(FP)
 	RET
+
+// GELU's constants: the cubic's 0.044715 and √(2/π), math.tanh's rational
+// coefficients P0–P2 and Q0–Q2 and its two branch edges (0.625 and
+// MAXLOG/2), the clip that keeps EXP4's screen open, 0.5, the float64 sign
+// bit, and the float32 exponent field.
+DATA gelutab<>+0(SB)/8, $0.044715
+DATA gelutab<>+8(SB)/8, $0.7978845608028654
+DATA gelutab<>+16(SB)/8, $-9.64399179425052238628e-1
+DATA gelutab<>+24(SB)/8, $-9.92877231001918586564e1
+DATA gelutab<>+32(SB)/8, $-1.61468768441708447952e3
+DATA gelutab<>+40(SB)/8, $1.12811678491632931402e2
+DATA gelutab<>+48(SB)/8, $2.23548839060100448583e3
+DATA gelutab<>+56(SB)/8, $4.84406305325125486048e3
+DATA gelutab<>+64(SB)/8, $0.625
+DATA gelutab<>+72(SB)/8, $44.014845965556527147994
+DATA gelutab<>+80(SB)/8, $90.0
+DATA gelutab<>+88(SB)/8, $0.5
+DATA gelutab<>+96(SB)/8, $0x8000000000000000
+DATA gelutab<>+104(SB)/4, $0x7F800000
+GLOBL gelutab<>(SB), RODATA, $108
+
+// func geluVec(p *float32, n int) (done int)
+// GELU in place, p[i] = float32((0.5·x)·(1 + tanh(u))) with x = float64(p[i])
+// and u = c·(x + ((0.044715·x)·x)·x), group of four by group of four: each
+// step is the packed form of the scalar loop's IEEE operation with the same
+// operands, never fused. tanh is math.tanh with all three branches computed
+// and one picked per lane — u + ((u·s)·P(s))/Q(s), s = u·u, below |u| =
+// 0.625; 1 − 2/(exp(2|u|) + 1) with u's sign from there; ±1 above MAXLOG/2 —
+// and EXP4 is fed min(2|u|, 90), so its screen never trips. Stops like
+// expSumVec before the first group holding a NaN or ±Inf (every finite
+// float32 keeps u and the result finite) or that n no longer covers. x stays
+// in Y14 and u in Y15; the polynomial waits out EXP4 in the frame.
+TEXT ·geluVec(SB), NOSPLIT, $32-24
+	MOVQ p+0(FP), DI
+	MOVQ n+8(FP), CX
+	XORQ SI, SI
+	SUBQ $4, CX
+	JLT  expstop
+	EXPCONSTS
+
+glloop:
+	VBROADCASTSS gelutab<>+104(SB), X1
+	VANDPS       (DI)(SI*4), X1, X2
+	VPCMPEQD     X1, X2, X2          // exponent all ones: NaN or ±Inf
+	VMOVMSKPS    X2, AX
+	TESTL        AX, AX
+	JNZ          expstop
+	VCVTPS2PD    (DI)(SI*4), Y14     // x
+	VBROADCASTSD gelutab<>+0(SB), Y1
+	VMULPD       Y14, Y1, Y1
+	VMULPD       Y14, Y1, Y1
+	VMULPD       Y14, Y1, Y1
+	VADDPD       Y1, Y14, Y1
+	VBROADCASTSD gelutab<>+8(SB), Y2
+	VMULPD       Y1, Y2, Y15         // u
+	VMULPD       Y15, Y15, Y0        // s
+	VBROADCASTSD gelutab<>+16(SB), Y1
+	VMULPD       Y0, Y1, Y1
+	VBROADCASTSD gelutab<>+24(SB), Y2
+	VADDPD       Y2, Y1, Y1
+	VMULPD       Y0, Y1, Y1
+	VBROADCASTSD gelutab<>+32(SB), Y2
+	VADDPD       Y2, Y1, Y1          // P(s)
+	VMULPD       Y0, Y15, Y2
+	VMULPD       Y1, Y2, Y1          // (u·s)·P(s)
+	VBROADCASTSD gelutab<>+40(SB), Y2
+	VADDPD       Y2, Y0, Y2
+	VMULPD       Y0, Y2, Y2
+	VBROADCASTSD gelutab<>+48(SB), Y3
+	VADDPD       Y3, Y2, Y2
+	VMULPD       Y0, Y2, Y2
+	VBROADCASTSD gelutab<>+56(SB), Y3
+	VADDPD       Y3, Y2, Y2          // Q(s)
+	VDIVPD       Y2, Y1, Y1
+	VADDPD       Y1, Y15, Y1
+	VMOVUPD      Y1, (SP)            // the |u| < 0.625 branch
+	VBROADCASTSD gelutab<>+96(SB), Y3
+	VANDNPD      Y15, Y3, Y0         // |u|
+	VMULPD       Y13, Y0, Y0         // 2|u|
+	VBROADCASTSD gelutab<>+80(SB), Y2
+	VMINPD       Y2, Y0, Y0
+	EXP4
+	VADDPD       Y12, Y0, Y0
+	VDIVPD       Y0, Y13, Y0
+	VSUBPD       Y0, Y12, Y0         // 1 − 2/(exp(2|u|) + 1)
+	VBROADCASTSD gelutab<>+96(SB), Y3
+	VANDPD       Y3, Y15, Y1         // u's sign
+	VANDNPD      Y15, Y3, Y2         // |u|
+	VXORPD       Y1, Y0, Y0
+	VORPD        Y12, Y1, Y1         // ±1
+	VBROADCASTSD gelutab<>+64(SB), Y3
+	VCMPPD       $0x11, Y3, Y2, Y3   // |u| < 0.625, ordered
+	VBLENDVPD    Y3, (SP), Y0, Y0
+	VBROADCASTSD gelutab<>+72(SB), Y3
+	VCMPPD       $0x1E, Y3, Y2, Y3   // |u| > MAXLOG/2, ordered
+	VBLENDVPD    Y3, Y1, Y0, Y0      // tanh(u)
+	VADDPD       Y12, Y0, Y0
+	VBROADCASTSD gelutab<>+88(SB), Y1
+	VMULPD       Y14, Y1, Y1
+	VMULPD       Y0, Y1, Y0
+	VCVTPD2PSY   Y0, X0
+	VMOVUPS      X0, (DI)(SI*4)
+	ADDQ         $4, SI
+	CMPQ         SI, CX
+	JLE          glloop
+
+expstop:
+	VZEROUPPER
+	MOVQ SI, done+16(FP)
+	RET

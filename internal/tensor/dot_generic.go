@@ -91,13 +91,17 @@ func RangeScreen(row []float32) (lo, hi float32, ok bool) { return 0, 0, false }
 // siluFinish reports false so SiLU runs its scalar finishing loop.
 func siluFinish(p []float32, e []float64) bool { return false }
 
-// The packed exp is unreachable without hasFMA: SoftmaxRow and SiLU run
-// their scalar math.Exp loops.
+// The packed exp is unreachable without hasFMA: SoftmaxRow, SiLU and GELU
+// run their scalar loops.
 func expSumVec(p *float32, n int, maxv, sum float32) (done int, out float32) {
 	panic("tensor: packed exp without FMA tier")
 }
 
 func expNegVec(dst *float64, src *float32, n int) (done int) {
+	panic("tensor: packed exp without FMA tier")
+}
+
+func geluVec(p *float32, n int) (done int) {
 	panic("tensor: packed exp without FMA tier")
 }
 

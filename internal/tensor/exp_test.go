@@ -108,20 +108,27 @@ func TestExpVecMatchesMathExp(t *testing.T) {
 				t.FailNow()
 			}
 		}
-		stride := uint32(9973)
+		stride := uint64(9973)
 		if !testing.Short() && hasFMA {
 			stride = 1
 		}
-		sweepExp(t, stride)
+		top := uint64(math.Float32bits(expEdge))
+		for _, sign := range []uint64{0, 1 << 31} {
+			sweepBits(t, sign, sign|top, stride, 4096, func(n int) func([]float32) {
+				s := newExpScratch(n)
+				return func(xs []float32) { s.check(t, xs) }
+			})
+		}
 	})
 }
 
-// TestExpVecMatchesMathExpWithoutMathFMA re-runs TestExpVecMatchesMathExp in
-// a child process under each GODEBUG setting that moves math.Exp off its FMA
-// path: the packed exp must step aside with it.
+// TestExpVecMatchesMathExpWithoutMathFMA re-runs TestExpVecMatchesMathExp and
+// TestGELUMatchesScalar in a child process under each GODEBUG setting that
+// moves math.Exp off its FMA path: the packed exp, and GELU on it, must step
+// aside with it.
 func TestExpVecMatchesMathExpWithoutMathFMA(t *testing.T) {
 	for _, godebug := range []string{"cpu.fma=off", "cpu.avx=off", "cpu.all=off"} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestExpVecMatchesMathExp$", "-test.short", "-test.count=1")
+		cmd := exec.Command(os.Args[0], "-test.run=^(TestExpVecMatchesMathExp|TestGELUMatchesScalar)$", "-test.short", "-test.count=1")
 		cmd.Env = append(os.Environ(), "GODEBUG="+godebug)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Errorf("GODEBUG=%s: %v\n%s", godebug, err, out)
@@ -129,36 +136,145 @@ func TestExpVecMatchesMathExpWithoutMathFMA(t *testing.T) {
 	}
 }
 
-// sweepExp checks every stride-th float32 bit pattern of both signs up to
-// ±expEdge, in blocks of consecutive samples split over four goroutines.
-func sweepExp(t *testing.T, stride uint32) {
-	const block = 4096
-	top := math.Float32bits(expEdge)
-	blocks := make(chan uint32)
+// sweepBits hands every stride-th float32 bit pattern in [lo, hi] to a check,
+// in blocks of up to block consecutive samples split over four goroutines;
+// each goroutine gets its own check from newCheck(block). A check reports a
+// mismatch with t.Errorf, after which no more blocks are handed out.
+func sweepBits(t *testing.T, lo, hi, stride uint64, block int, newCheck func(n int) func(xs []float32)) {
+	blocks := make(chan uint64)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			xs, s := make([]float32, 0, block), newExpScratch(block)
-			for lo := range blocks { // keeps draining after a failure so the sender never blocks
-				for _, sign := range []uint32{0, 1 << 31} {
-					xs = xs[:0]
-					for b := lo; b <= top && len(xs) < block; b += stride {
-						xs = append(xs, math.Float32frombits(sign|b))
-					}
-					if t.Failed() || !s.check(t, xs) {
-						break
-					}
+			xs, check := make([]float32, 0, block), newCheck(block)
+			for start := range blocks { // keeps draining after a failure so the sender never blocks
+				xs = xs[:0]
+				for b := start; b <= hi && len(xs) < block; b += stride {
+					xs = append(xs, math.Float32frombits(uint32(b)))
+				}
+				if !t.Failed() {
+					check(xs)
 				}
 			}
 		}()
 	}
-	for lo := uint32(0); lo <= top && !t.Failed(); lo += block * stride {
-		blocks <- lo
+	for start := lo; start <= hi && !t.Failed(); start += uint64(block) * stride {
+		blocks <- start
 	}
 	close(blocks)
 	wg.Wait()
+}
+
+// geluRef is GELU's loop before geluVec existed, kept verbatim as the
+// definition the kernel is held to.
+func geluRef(t *Tensor) {
+	const c = 0.7978845608028654 // sqrt(2/pi)
+	for i, v := range t.Data {
+		x := float64(v)
+		t.Data[i] = float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
+	}
+}
+
+// geluEdge is the least positive float32 x whose u = c·(x + 0.044715·x³)
+// reaches edge, one of math.tanh's branch edges.
+func geluEdge(edge float64) float32 {
+	u := func(b uint32) float64 {
+		x := float64(math.Float32frombits(b))
+		return 0.7978845608028654 * (x + 0.044715*x*x*x)
+	}
+	lo, hi := uint32(0), math.Float32bits(100)
+	for lo < hi {
+		if m := lo + (hi-lo)/2; u(m) >= edge {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return math.Float32frombits(lo)
+}
+
+// geluSpecials are the inputs geluVec must hand to the scalar loop or sit
+// next to: NaNs with payloads, infinities, zeros, denormals, ±MaxFloat32, and
+// the x on either side of u's branch edges 0.625 and MAXLOG/2, ± 1 ulp, of
+// both signs.
+var geluSpecials = func() []float32 {
+	s := []float32{
+		math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00001),
+		math.Float32frombits(0x7f800001), math.Float32frombits(0x7fc12345),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		0, float32(math.Copysign(0, -1)),
+		math.Float32frombits(1), math.Float32frombits(0x80000001),
+		math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff),
+		math.MaxFloat32, -math.MaxFloat32,
+	}
+	for _, edge := range []float64{0.625, 0.5 * 8.8029691931113054295988e+01} {
+		x := geluEdge(edge)
+		below := math.Nextafter32(x, 0)
+		for _, v := range []float32{math.Nextafter32(below, 0), below, x, math.Nextafter32(x, 100)} {
+			s = append(s, v, -v)
+		}
+	}
+	return s
+}()
+
+// checkGELU holds GELU to geluRef on xs, bit for bit, with got and want as
+// scratch of at least len(xs). It reports the first mismatch with t.Errorf
+// and returns false, so the sweep's worker goroutines can use it too.
+func checkGELU(t *testing.T, xs, got, want []float32) bool {
+	got, want = got[:len(xs)], want[:len(xs)]
+	copy(got, xs)
+	copy(want, xs)
+	GELU(FromSlice(1, len(xs), got))
+	geluRef(FromSlice(1, len(xs), want))
+	for i := range xs {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Errorf("GELU: len %d i=%d x=%v (%#x): got %#x want %#x", len(xs), i, xs[i],
+				math.Float32bits(xs[i]), math.Float32bits(got[i]), math.Float32bits(want[i]))
+			return false
+		}
+	}
+	return true
+}
+
+// TestGELUMatchesScalar compares GELU with geluRef. Always: every special at
+// every position of every length 1–9 among activation-sized neighbours, and
+// a strided sample of float32 bit patterns. Without -short, on the FMA tier:
+// every float32 bit pattern — on the SSE tier both sides are the same scalar
+// loop, so the sample is all it runs.
+func TestGELUMatchesScalar(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(35))
+		got, want := make([]float32, 9), make([]float32, 9)
+		for n := 1; n <= 9; n++ {
+			xs := make([]float32, n)
+			for i := range xs {
+				xs[i] = float32(r.NormFloat64() * 4)
+			}
+			ok := checkGELU(t, xs, got, want)
+			for i := range xs {
+				keep := xs[i]
+				for _, special := range geluSpecials {
+					xs[i] = special
+					ok = ok && checkGELU(t, xs, got, want)
+				}
+				xs[i] = keep
+			}
+			if !ok {
+				t.FailNow()
+			}
+		}
+		stride := uint64(9973)
+		if !testing.Short() && hasFMA {
+			stride = 1
+		}
+		// Blocks of an odd length: a pattern's lane in the kernel's groups
+		// moves from block to block, and every block ends in a scalar tail.
+		sweepBits(t, 0, math.MaxUint32, stride, 4095, func(n int) func([]float32) {
+			got, want := make([]float32, n), make([]float32, n)
+			return func(xs []float32) { checkGELU(t, xs, got, want) }
+		})
+	})
 }
 
 // softmaxRowRef is the loop attention ran before SoftmaxRow existed, kept
@@ -275,5 +391,19 @@ func BenchmarkSiLU(b *testing.B) {
 	benchTiers(b, width, func() {
 		copy(x.Data, src)
 		SiLU(x)
+	})
+}
+
+// BenchmarkGELU times GPT-J's MLP activation at its FFN width.
+func BenchmarkGELU(b *testing.B) {
+	const width = 384
+	r := rand.New(rand.NewSource(36))
+	src, x := make([]float32, width), New(1, width)
+	for i := range src {
+		src[i] = float32(r.NormFloat64())
+	}
+	benchTiers(b, width, func() {
+		copy(x.Data, src)
+		GELU(x)
 	})
 }

@@ -148,7 +148,7 @@ func TestReuse(t *testing.T) {
 	}
 }
 
-// RopeTable.Apply must be bit-identical to RotaryEmbed — the table is a pure
+// RopeTable.Apply must be bit-identical to rotaryEmbedRef — the table is a pure
 // caching layer over the same float64 rotation.
 func TestRopeTableMatchesRotaryEmbed(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
@@ -157,7 +157,7 @@ func TestRopeTableMatchesRotaryEmbed(t *testing.T) {
 	for pos := 0; pos < maxPos; pos += 5 {
 		direct := randTensor(rng, 1, dim)
 		viaTable := direct.Clone()
-		RotaryEmbed(direct, []int{pos}, dim, 10000)
+		rotaryEmbedRef(direct, []int{pos}, dim, 10000)
 		rt.Apply(viaTable.Row(0), pos)
 		for i := range direct.Data {
 			if math.Float32bits(direct.Data[i]) != math.Float32bits(viaTable.Data[i]) {
@@ -165,4 +165,31 @@ func TestRopeTableMatchesRotaryEmbed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rotaryEmbedRef applies rotary position embeddings (RoPE) in place to a
+// row-major [seq × dim] tensor whose rows are per-position head vectors
+// laid out as interleaved (even, odd) pairs over rotDim dimensions.
+// positions gives the absolute position of each row. It is the direct
+// computation RopeTable caches, kept as the definition the table is held to.
+func rotaryEmbedRef(t *Tensor, positions []int, rotDim int, base float64) {
+	if rotDim > t.Cols {
+		panic("tensor: rotaryEmbedRef rotDim exceeds width")
+	}
+	if len(positions) != t.Rows {
+		panic("tensor: rotaryEmbedRef positions length mismatch")
+	}
+	half := rotDim / 2
+	for r := 0; r < t.Rows; r++ {
+		row := t.Row(r)
+		pos := float64(positions[r])
+		for i := 0; i < half; i++ {
+			theta := pos / math.Pow(base, 2*float64(i)/float64(rotDim))
+			sin, cos := math.Sincos(theta)
+			a, b := float64(row[2*i]), float64(row[2*i+1])
+			row[2*i] = float32(a*cos - b*sin)
+			row[2*i+1] = float32(a*sin + b*cos)
+		}
+	}
+	t.MarkMutated()
 }

@@ -51,6 +51,9 @@ func TestPackF16InvalidatedByMutation(t *testing.T) {
 		"Reuse":       func(t *Tensor) { t.Reuse(2, 4) },
 		"MarkMutated": func(t *Tensor) { t.Data[0] = 7; t.MarkMutated() },
 		"Quantize":    func(t *Tensor) { t.Quantize(numerics.FP16) },
+		"ReLU":        ReLU,
+		"GELU":        GELU,
+		"SiLU":        SiLU,
 		"ViewWrite": func(t *Tensor) {
 			var v Tensor
 			v.BindRowsView(t, 1, 1)

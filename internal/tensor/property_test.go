@@ -158,7 +158,7 @@ func TestRMSNormOneHot(t *testing.T) {
 	}
 }
 
-// Property: RotaryEmbed of the same vector at two positions preserves the
+// Property: rotaryEmbedRef of the same vector at two positions preserves the
 // pairwise dot product structure (relative position property): the dot of
 // q@p1 with k@p2 depends only on p1-p2.
 func TestRotaryRelativeProperty(t *testing.T) {
@@ -171,7 +171,7 @@ func TestRotaryRelativeProperty(t *testing.T) {
 
 	rot := func(v *Tensor, pos int) *Tensor {
 		c := v.Clone()
-		RotaryEmbed(c, []int{pos}, dim, 10000)
+		rotaryEmbedRef(c, []int{pos}, dim, 10000)
 		return c
 	}
 	dotAt := func(p1, p2 int) float64 {

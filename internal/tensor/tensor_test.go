@@ -304,7 +304,7 @@ func TestActivationKindString(t *testing.T) {
 func TestRotaryEmbedPositionZeroIsIdentity(t *testing.T) {
 	x := FromSlice(1, 4, []float32{1, 2, 3, 4})
 	orig := x.Clone()
-	RotaryEmbed(x, []int{0}, 4, 10000)
+	rotaryEmbedRef(x, []int{0}, 4, 10000)
 	for i := range x.Data {
 		if !almostEqual(x.Data[i], orig.Data[i], 1e-6) {
 			t.Fatalf("RoPE at position 0 should be identity, got %v", x.Data)
@@ -320,7 +320,7 @@ func TestRotaryEmbedPreservesNorm(t *testing.T) {
 	for _, v := range x.Data {
 		before += float64(v) * float64(v)
 	}
-	RotaryEmbed(x, []int{5, 9, 100}, 8, 10000)
+	rotaryEmbedRef(x, []int{5, 9, 100}, 8, 10000)
 	var after float64
 	for _, v := range x.Data {
 		after += float64(v) * float64(v)
