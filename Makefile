@@ -27,6 +27,7 @@ fuzz-smoke:
 	$(GO) test ./internal/tensor -run XXX -fuzz FuzzRangeScreen -fuzztime 10s
 	$(GO) test ./internal/tensor -run XXX -fuzz FuzzSoftmaxRow -fuzztime 10s
 	$(GO) test ./internal/tensor -run XXX -fuzz FuzzStrideSweeps -fuzztime 10s
+	$(GO) test ./internal/tensor -run XXX -fuzz FuzzMatMulT -fuzztime 10s
 	$(GO) test ./internal/prefixcache -run XXX -fuzz FuzzCacheOps -fuzztime 10s
 	$(GO) test ./internal/wire -run XXX -fuzz FuzzDecodeSession -fuzztime 10s
 	$(GO) test ./internal/protect -run XXX -fuzz FuzzLoadPolicy -fuzztime 10s
@@ -58,7 +59,7 @@ test-386:
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkGenerate(Unprotected|FT2)' -benchmem .
 	$(GO) test -run XXX -bench BenchmarkDecodeStep -benchmem ./internal/model/
-	$(GO) test -run XXX -bench 'Benchmark(AttnHead|GELU)' ./internal/tensor/
+	$(GO) test -run XXX -bench 'Benchmark(AttnHead|GELU|DecodeLinears|ReLU)' ./internal/tensor/
 
 # The repository benchmark under bench/ is its own module (own go.mod), so
 # root `go build ./...` never compiles it: this target is what catches an

@@ -60,6 +60,7 @@ func checkGolden(t *testing.T, results []goldenResult) {
 		}
 		t.Fatalf("kernel probe %#016x has no recorded table; record it in goldenProbes and these digests, in case order, as its column:\n%s", probe, b.String())
 	}
+	t.Logf("golden column %d", tier)
 	for _, r := range results {
 		if w := r.want[tier]; r.got != w {
 			t.Errorf("%s: digest %#016x, recorded %#016x (tier %d)", r.name, r.got, w, tier)
@@ -67,17 +68,27 @@ func checkGolden(t *testing.T, results []goldenResult) {
 	}
 }
 
-// TestGoldenDigestsWithoutMathFMA re-runs both golden tests in a child
-// process under GODEBUG=cpu.fma=off, which drops an FMA host to the SSE tier
-// and math.Exp off its FMA path, so one machine checks two of the tables.
+// TestGoldenDigestsWithoutMathFMA re-runs both golden tests in child
+// processes: under GODEBUG=cpu.fma=off, which drops an FMA host to the SSE
+// tier and math.Exp off its FMA path, so one machine checks two of the
+// tables; and under GODEBUG=cpu.avx512f=off, which leaves an AVX-512 host on
+// the FMA tier with the YMM m=1 sweep and must read the FMA column.
 func TestGoldenDigestsWithoutMathFMA(t *testing.T) {
 	if tier, _ := goldenTier(); tier != 0 {
 		t.Skip("not on the FMA tier: the child would re-run this host's own table")
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^Test(Serial|Policy)GoldenDigest$", "-test.count=1")
-	cmd.Env = append(os.Environ(), "GODEBUG=cpu.fma=off")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Errorf("GODEBUG=cpu.fma=off: %v\n%s", err, out)
+	for _, child := range []struct {
+		godebug string
+		column  int
+	}{{"cpu.fma=off", 1}, {"cpu.avx512f=off", 0}} {
+		cmd := exec.Command(os.Args[0], "-test.run=^Test(Serial|Policy)GoldenDigest$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), "GODEBUG="+child.godebug)
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Errorf("GODEBUG=%s: %v\n%s", child.godebug, err, out)
+		} else if want := fmt.Sprintf("golden column %d\n", child.column); !strings.Contains(string(out), want) {
+			t.Errorf("GODEBUG=%s: the child did not read column %d\n%s", child.godebug, child.column, out)
+		}
 	}
 }
 

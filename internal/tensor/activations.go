@@ -2,13 +2,10 @@ package tensor
 
 import "math"
 
-// ReLU applies max(0, x) in place — OPT's MLP activation.
+// ReLU applies max(0, x) in place — OPT's MLP activation. A negative value
+// becomes +0; −0 and NaN stay as they are.
 func ReLU(t *Tensor) {
-	for i, v := range t.Data {
-		if v < 0 {
-			t.Data[i] = 0
-		}
-	}
+	relu(t.Data)
 	t.MarkMutated()
 }
 

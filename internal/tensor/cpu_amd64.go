@@ -26,32 +26,33 @@ var (
 	// packed-f16 streaming kernels. Tied to hasFMA so the f16 kernels only
 	// ever pair with FMA-tier f32 kernels of identical op order.
 	hasF16C = hasFMA && detectFeature1(1<<29)
+	// hasAVX512: AVX-512F with OS-enabled opmask and ZMM state on top of
+	// hasFMA — gates matMulT1x4Vec512. It is not a tier of its own: the
+	// kernel keeps dotVecFMA's op order, so only the speed of the m=1 sweep
+	// depends on it. GODEBUG cpu.avx512f=off (or cpu.all=off) turns it off.
+	hasAVX512 = hasFMA && detectAVX512F() && godebugCPUOn(os.Getenv("GODEBUG"), "avx512f")
 )
 
-// godebugKeepsMathFMA reports whether a GODEBUG value leaves math.Exp on its
-// FMA path (math's useFMA = cpu.X86.HasAVX && cpu.X86.HasFMA). The runtime
-// applies the cpu.<feature>=on|off fields left to right, so the last
-// cpu.avx, cpu.fma or cpu.all field decides each flag; "on" cannot enable
-// what the CPU lacks, and the CPUID checks above already cover that. The
-// packed exp copies math's FMA path, so it may run only where math does.
-func godebugKeepsMathFMA(godebug string) bool {
-	avx, fma := true, true
+// godebugCPUOn reports whether a GODEBUG value leaves the runtime's
+// cpu.<feature> flag on. The runtime applies the cpu.<feature>=on|off fields
+// left to right, so the last cpu.<feature> or cpu.all field decides; "on"
+// cannot enable what the CPU lacks, and the CPUID checks cover that.
+func godebugCPUOn(godebug, feature string) bool {
+	on := true
 	for _, field := range strings.Split(godebug, ",") {
 		key, val, _ := strings.Cut(field, "=")
-		if val != "on" && val != "off" {
-			continue
-		}
-		on := val == "on"
-		switch key {
-		case "cpu.all":
-			avx, fma = on, on
-		case "cpu.avx":
-			avx = on
-		case "cpu.fma":
-			fma = on
+		if (key == "cpu.all" || key == "cpu."+feature) && (val == "on" || val == "off") {
+			on = val == "on"
 		}
 	}
-	return avx && fma
+	return on
+}
+
+// godebugKeepsMathFMA reports whether a GODEBUG value leaves math.Exp on its
+// FMA path (math's useFMA = cpu.X86.HasAVX && cpu.X86.HasFMA). The packed
+// exp copies math's FMA path, so it may run only where math does.
+func godebugKeepsMathFMA(godebug string) bool {
+	return godebugCPUOn(godebug, "avx") && godebugCPUOn(godebug, "fma")
 }
 
 func detectAVX() bool {
@@ -88,4 +89,17 @@ func detectAVX2() bool {
 	}
 	_, ebx, _, _ := cpuidAsm(7, 0)
 	return ebx&(1<<5) != 0
+}
+
+// detectAVX512F tests CPUID leaf-7 EBX bit 16 and that the OS saves the
+// XMM, YMM, opmask and both halves of the ZMM state (XCR0 bits 1, 2, 5, 6,
+// 7). Callers have already checked OSXSAVE through detectAVX.
+func detectAVX512F() bool {
+	maxID, _, _, _ := cpuidAsm(0, 0)
+	if maxID < 7 {
+		return false
+	}
+	_, ebx, _, _ := cpuidAsm(7, 0)
+	lo, _ := xgetbvAsm()
+	return ebx&(1<<16) != 0 && lo&0xE6 == 0xE6
 }

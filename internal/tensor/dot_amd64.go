@@ -3,11 +3,13 @@ package tensor
 import "ft2/internal/numerics"
 
 // The kernels of dot_amd64.s, two tiers (DESIGN.md §12): the SSE baseline
-// (dotVec, dotStrideVec, axpyStrideVec, scaleVec, rangeScreenVec — one body
-// each on both tiers, no CPUID gate) and the FMA tier — matMulT1Vec/matMulT4Vec
-// over f32 weights, dotVecF16C/dotVec4F16C over packed-f16 weights,
-// quantizeF16Vec, siluFinishVec, geluVec, and the packed exp behind
-// expSumVec/expNegVec/geluVec. dotVecFMA has no engine caller: it is the
+// (dotVec, dotStrideVec, axpyStrideVec, scaleVec, reluVec, rangeScreenVec —
+// one body each on both tiers, no CPUID gate) and the FMA tier —
+// matMulT1Vec/matMulT4Vec over f32 weights, dotVecF16C/dotVec4F16C over
+// packed-f16 weights, quantizeF16Vec, siluFinishVec, geluVec, and the packed
+// exp behind expSumVec/expNegVec/geluVec. On AVX-512F hosts the FMA tier's
+// m=1 sweep takes four columns per pass through matMulT1x4Vec512, with the
+// tier's op order unchanged. dotVecFMA has no engine caller: it is the
 // one-element definition of the FMA tier's op order, which the tests hold the
 // sweeps and the F16C kernels to bit for bit.
 func dotVec(a, b *float32, n int) float32
@@ -18,8 +20,10 @@ func quantizeF16Vec(p *float32, n int)
 func dotStrideVec(dst, q, k *float32, d, limit int, scale float32)
 func axpyStrideVec(dst, v, w *float32, d, limit int)
 func matMulT1Vec(out, a, b *float32, k, cols int)
+func matMulT1x4Vec512(out, a, b *float32, k, cols int)
 func matMulT4Vec(out *float32, ldo int, a *float32, lda int, b *float32, k, cols int)
 func scaleVec(p *float32, n int, s float32)
+func reluVec(p *float32, n int)
 func rangeScreenVec(p *float32, n int) (lo, hi float32, nan bool)
 
 //go:noescape
@@ -138,12 +142,22 @@ func matMulTSweep4(out []float32, ldo int, a []float32, lda int, b []float32, k,
 }
 
 // matMulTSweep1 is the single-row variant: out[j] = dotVecFMA(a, b[j·k:])
-// for j in [0, cols).
+// for j in [0, cols). On AVX-512F hosts whole groups of four columns take
+// matMulT1x4Vec512, one ZMM accumulator per column, and the cols mod 4 left
+// over take matMulT1Vec.
 func matMulTSweep1(out, a, b []float32, k, cols int) {
 	_ = a[k-1]
 	_ = b[cols*k-1]
 	_ = out[cols-1]
-	matMulT1Vec(&out[0], &a[0], &b[0], k, cols)
+	j := 0
+	if hasAVX512 {
+		if j = cols &^ 3; j > 0 {
+			matMulT1x4Vec512(&out[0], &a[0], &b[0], k, j)
+		}
+	}
+	if j < cols {
+		matMulT1Vec(&out[j], &a[0], &b[j*k], k, cols-j)
+	}
 }
 
 // ScaleSlice multiplies every element of p by s in place. A uniform
@@ -154,6 +168,17 @@ func ScaleSlice(p []float32, s float32) {
 		return
 	}
 	scaleVec(&p[0], len(p), s)
+}
+
+// relu sets every element of p below zero to +0 in place. reluVec's MAXPS
+// keeps −0 and every NaN bit for bit, as the scalar loop does, and takes no
+// branch on the values (the loop's mispredicts about half the time on an
+// activation row).
+func relu(p []float32) {
+	if len(p) == 0 {
+		return
+	}
+	reluVec(&p[0], len(p))
 }
 
 // RangeScreen is the cheap first look FT2's observe and clamp sweeps take at

@@ -858,6 +858,134 @@ m1hsum:
 m1done:
 	RET
 
+// Q4FMA is one column's FMA of a chunk, dotVecFMA's operand roles: b loaded
+// into the register, a the memory operand, so when both are NaN in one lane
+// the same payload survives. The width is the suffix of the registers: Z for
+// both of dotVecFMA's 8-lane chunks at once, Y for its k mod 16 ≥ 8 tail,
+// X (with SS) for a single lane.
+#define Q4FMA(mov, fma, row, breg, acc) \
+	mov (row), breg \
+	fma (SI), breg, acc
+
+// func matMulT1x4Vec512(out, a, b *float32, k, cols int)
+// matMulT1Vec four columns per pass over a (cols a positive multiple of 4):
+// out[j] = dotVecFMA(a, b[j·k:], k), bit for bit. Column c keeps one ZMM
+// accumulator Zc: lanes 0–7 are dotVecFMA's accumulator 0 (chunks 0, 2, 4,
+// …), lanes 8–15 its accumulator 1 (chunks 1, 3, …), so one 64-byte FMA per
+// column does what dotVecFMA's two 32-byte ones do. Accumulator 1 leaves
+// for Y8–Y11 (VEXTRACTF64X4, AVX512F) before the 8-lane tail, whose VEX FMA
+// zeroes bits 256–511; then acc0 + acc1, acc0 first, and the 128-bit fold.
+// The accumulators stay in Z0–Z15, so that reduction is VEX-encoded and
+// VZEROUPPER clears it. The scalar tail goes into lane 0 as in dotVecFMA,
+// and the four columns are reduced together, (l0+l2)+(l1+l3) with the
+// first operand first (DSSTORE4's shuffle), into one 16-byte store. hasAVX512
+// only.
+TEXT ·matMulT1x4Vec512(SB), NOSPLIT, $0-40
+	MOVQ out+0(FP), R8
+	MOVQ a+8(FP), R11
+	MOVQ b+16(FP), DI
+	MOVQ k+24(FP), CX
+	MOVQ cols+32(FP), R14
+	MOVQ CX, R12
+	SHLQ $2, R12
+	SHRQ $2, R14
+
+q4col:
+	MOVQ   R11, SI
+	LEAQ   (DI)(R12*1), R9
+	LEAQ   (R9)(R12*1), R10
+	LEAQ   (R10)(R12*1), R13
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	MOVQ   CX, BX
+	SHRQ   $4, BX
+	JZ     q4tail8
+
+q4loop16:
+	Q4FMA(VMOVUPS, VFMADD231PS, DI, Z4, Z0)
+	Q4FMA(VMOVUPS, VFMADD231PS, R9, Z5, Z1)
+	Q4FMA(VMOVUPS, VFMADD231PS, R10, Z6, Z2)
+	Q4FMA(VMOVUPS, VFMADD231PS, R13, Z7, Z3)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	ADDQ $64, R9
+	ADDQ $64, R10
+	ADDQ $64, R13
+	DECQ BX
+	JNZ  q4loop16
+
+q4tail8:
+	VEXTRACTF64X4 $1, Z0, Y8
+	VEXTRACTF64X4 $1, Z1, Y9
+	VEXTRACTF64X4 $1, Z2, Y10
+	VEXTRACTF64X4 $1, Z3, Y11
+	MOVQ          CX, BX
+	ANDQ          $15, BX
+	CMPQ          BX, $8
+	JLT           q4reduce
+	Q4FMA(VMOVUPS, VFMADD231PS, DI, Y4, Y0)
+	Q4FMA(VMOVUPS, VFMADD231PS, R9, Y5, Y1)
+	Q4FMA(VMOVUPS, VFMADD231PS, R10, Y6, Y2)
+	Q4FMA(VMOVUPS, VFMADD231PS, R13, Y7, Y3)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R13
+	SUBQ $8, BX
+
+q4reduce:
+	VADDPS       Y8, Y0, Y0
+	VADDPS       Y9, Y1, Y1
+	VADDPS       Y10, Y2, Y2
+	VADDPS       Y11, Y3, Y3
+	VEXTRACTF128 $1, Y0, X8
+	VADDPS       X8, X0, X0
+	VEXTRACTF128 $1, Y1, X9
+	VADDPS       X9, X1, X1
+	VEXTRACTF128 $1, Y2, X10
+	VADDPS       X10, X2, X2
+	VEXTRACTF128 $1, Y3, X11
+	VADDPS       X11, X3, X3
+	VZEROUPPER
+	TESTQ        BX, BX
+	JZ           q4hsum
+
+q4loop1:
+	Q4FMA(VMOVSS, VFMADD231SS, DI, X4, X0)
+	Q4FMA(VMOVSS, VFMADD231SS, R9, X5, X1)
+	Q4FMA(VMOVSS, VFMADD231SS, R10, X6, X2)
+	Q4FMA(VMOVSS, VFMADD231SS, R13, X7, X3)
+	ADDQ $4, SI
+	ADDQ $4, DI
+	ADDQ $4, R9
+	ADDQ $4, R10
+	ADDQ $4, R13
+	DECQ BX
+	JNZ  q4loop1
+
+q4hsum:
+	MOVAPS  X0, X4
+	MOVLHPS X1, X4        // a0 a1 b0 b1
+	MOVHLPS X0, X1        // a2 a3 b2 b3
+	ADDPS   X1, X4
+	MOVAPS  X2, X5
+	MOVLHPS X3, X5        // c0 c1 d0 d1
+	MOVHLPS X2, X3        // c2 c3 d2 d3
+	ADDPS   X3, X5
+	MOVAPS  X4, X6
+	SHUFPS  $0x88, X5, X4 // l0+l2 of a b c d
+	SHUFPS  $0xDD, X5, X6 // l1+l3 of a b c d
+	ADDPS   X6, X4
+	MOVUPS  X4, (R8)
+	ADDQ    $16, R8
+	MOVQ    R13, DI
+	DECQ    R14
+	JNZ     q4col
+	RET
+
 // func matMulT4Vec(out *float32, ldo int, a *float32, lda int, b *float32, k, cols int)
 // Four MatMulT output rows over all cols in one call: out[r·ldo+j] =
 // dotVecFMA(a[r·lda:], b[j·k:], k) for r in 0..3, j in [0, cols). Per
@@ -1052,6 +1180,58 @@ scloop1:
 	JNZ   scloop1
 
 scdone:
+	RET
+
+// func reluVec(p *float32, n int)
+// p[i] = 0 > p[i] ? 0 : p[i]: MAXPS with +0 in the destination and p[i] as
+// the source, which returns its source unless the destination is greater —
+// so −0, and every NaN with its payload and signalling bit, come back as
+// they went in, exactly the scalar `if v < 0 { v = 0 }`, without a branch
+// on the value. SSE1 only, one body on both tiers.
+TEXT ·reluVec(SB), NOSPLIT, $0-16
+	MOVQ  p+0(FP), DI
+	MOVQ  n+8(FP), CX
+	XORPS X0, X0
+	MOVQ  CX, BX
+	SHRQ  $3, BX
+	JZ    rltail4
+
+rlloop8:
+	MOVUPS (DI), X1
+	MOVUPS 16(DI), X2
+	MOVAPS X0, X3
+	MOVAPS X0, X4
+	MAXPS  X1, X3
+	MAXPS  X2, X4
+	MOVUPS X3, (DI)
+	MOVUPS X4, 16(DI)
+	ADDQ   $32, DI
+	DECQ   BX
+	JNZ    rlloop8
+
+rltail4:
+	TESTQ $4, CX
+	JZ    rltail1
+	MOVUPS (DI), X1
+	MOVAPS X0, X3
+	MAXPS  X1, X3
+	MOVUPS X3, (DI)
+	ADDQ   $16, DI
+
+rltail1:
+	ANDQ $3, CX
+	JZ   rldone
+
+rlloop1:
+	MOVSS  (DI), X1
+	MOVAPS X0, X3
+	MAXSS  X1, X3
+	MOVSS  X3, (DI)
+	ADDQ   $4, DI
+	DECQ   CX
+	JNZ    rlloop1
+
+rldone:
 	RET
 
 // func rangeScreenVec(p *float32, n int) (lo, hi float32, nan bool)

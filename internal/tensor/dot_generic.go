@@ -8,8 +8,9 @@ import "ft2/internal/numerics"
 // no packed-f16 streaming (halfData gates on hasF16C, so the f32 master copy
 // is always used — bit-identical by construction).
 var (
-	hasFMA  = false
-	hasF16C = false
+	hasFMA    = false
+	hasF16C   = false
+	hasAVX512 = false
 )
 
 // Dot is a 4-way unrolled dot product; with independent accumulators the
@@ -81,6 +82,16 @@ func matMulTSweep1(out, a, b []float32, k, cols int) {
 func ScaleSlice(p []float32, s float32) {
 	for i := range p {
 		p[i] *= s
+	}
+}
+
+// relu sets every element of p below zero to +0 in place — the scalar
+// reference of the amd64 vector kernel.
+func relu(p []float32) {
+	for i, v := range p {
+		if v < 0 {
+			p[i] = 0
+		}
 	}
 }
 

@@ -84,8 +84,8 @@ func (s *expScratch) check(t *testing.T, xs []float32) bool {
 // running toolchain. Always: every special at every position of every length
 // 1–9 (each lane, with and without a tail) among in-range neighbours, and a
 // strided sample of float32 bit patterns. Without -short, on the FMA tier:
-// every float32 bit pattern in [−709, 709] — on the SSE tier both sides are
-// the same scalar loop, so the sample is all it runs.
+// every float32 bit pattern in [−709, 709] (once, sweepsAllFloats) — on the
+// SSE tier both sides are the same scalar loop, so the sample is all it runs.
 func TestExpVecMatchesMathExp(t *testing.T) {
 	forEachTier(t, func(t *testing.T) {
 		r := rand.New(rand.NewSource(31))
@@ -109,7 +109,7 @@ func TestExpVecMatchesMathExp(t *testing.T) {
 			}
 		}
 		stride := uint64(9973)
-		if !testing.Short() && hasFMA {
+		if sweepsAllFloats() {
 			stride = 1
 		}
 		top := uint64(math.Float32bits(expEdge))
@@ -240,8 +240,8 @@ func checkGELU(t *testing.T, xs, got, want []float32) bool {
 // TestGELUMatchesScalar compares GELU with geluRef. Always: every special at
 // every position of every length 1–9 among activation-sized neighbours, and
 // a strided sample of float32 bit patterns. Without -short, on the FMA tier:
-// every float32 bit pattern — on the SSE tier both sides are the same scalar
-// loop, so the sample is all it runs.
+// every float32 bit pattern (once, sweepsAllFloats) — on the SSE tier both
+// sides are the same scalar loop, so the sample is all it runs.
 func TestGELUMatchesScalar(t *testing.T) {
 	forEachTier(t, func(t *testing.T) {
 		r := rand.New(rand.NewSource(35))
@@ -265,7 +265,7 @@ func TestGELUMatchesScalar(t *testing.T) {
 			}
 		}
 		stride := uint64(9973)
-		if !testing.Short() && hasFMA {
+		if sweepsAllFloats() {
 			stride = 1
 		}
 		// Blocks of an odd length: a pattern's lane in the kernel's groups
@@ -344,20 +344,19 @@ func TestSoftmaxRowMatchesScalar(t *testing.T) {
 
 func FuzzSoftmaxRow(f *testing.F) { fuzzRows(f, checkSoftmaxRow) }
 
-// benchTiers runs fn as "kernel" on the host tier and, on an FMA host, again
-// as "scalar" with the tier switched off, reporting ns per element for each.
+// benchTiers runs fn as a sub-benchmark on every leg of tierLegs, reporting
+// ns per element for each; the packed exp and GELU have no SSE body, so their
+// "sse" leg is the scalar loop.
 func benchTiers(b *testing.B, elems int, fn func()) {
-	run := func(name string) {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				fn()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems), "ns/elem")
+	for _, leg := range tierLegs() {
+		leg.run(func() {
+			b.Run(leg.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					fn()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems), "ns/elem")
+			})
 		})
-	}
-	run("kernel")
-	if hasFMA {
-		onSSETier(func() { run("scalar") })
 	}
 }
 

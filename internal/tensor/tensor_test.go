@@ -370,15 +370,55 @@ func BenchmarkMatMul128(b *testing.B) {
 	}
 }
 
-func BenchmarkMatMulT128(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := New(128, 128)
-	y := New(128, 128)
-	x.RandNormal(rng, 1)
-	y.RandNormal(rng, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulT(x, y)
+// BenchmarkDecodeLinears times the linear layers of one m=1 decode step at
+// the zoo's shapes (n×k): per block Q, K, V and OUT (96×96) and the MLP —
+// FC1 384×96 and FC2 96×384 on OPT and GPT-J, GATE and UP 264×96 and DOWN
+// 96×264 on Llama — three blocks, then the 384×96 readout; every matrix
+// distinct. "one-model" repeats OPT's 19 (1.47 MB, L2-resident: the
+// engine_decode regime), "three-models" rotates OPT's, GPT-J's and Llama's
+// (4.4 MB, streamed from L3). ns/elem is per weight.
+func BenchmarkDecodeLinears(b *testing.B) {
+	rng := rand.New(rand.NewSource(39))
+	in, out := map[int]*Tensor{}, map[int]*Tensor{}
+	model := func(mlp ...[2]int) (ws []*Tensor, elems int) {
+		var shapes [][2]int
+		for blk := 0; blk < 3; blk++ {
+			shapes = append(append(shapes, [2]int{96, 96}, [2]int{96, 96}, [2]int{96, 96}, [2]int{96, 96}), mlp...)
+		}
+		for _, s := range append(shapes, [2]int{384, 96}) {
+			w := New(s[0], s[1])
+			w.RandNormal(rng, 1)
+			ws, elems = append(ws, w), elems+len(w.Data)
+			if in[s[1]] == nil {
+				in[s[1]] = New(1, s[1])
+				in[s[1]].RandNormal(rng, 1)
+			}
+			if out[s[0]] == nil {
+				out[s[0]] = New(1, s[0])
+			}
+		}
+		return ws, elems
+	}
+	opt, optElems := model([2]int{384, 96}, [2]int{96, 384})
+	gptj, gptjElems := model([2]int{384, 96}, [2]int{96, 384})
+	llama, llamaElems := model([2]int{264, 96}, [2]int{264, 96}, [2]int{96, 264})
+	for _, c := range []struct {
+		name   string
+		models [][]*Tensor
+		elems  int // weights per step, averaged over the rotation
+	}{
+		{"one-model", [][]*Tensor{opt}, optElems},
+		{"three-models", [][]*Tensor{opt, gptj, llama}, (optElems + gptjElems + llamaElems) / 3},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			step := 0
+			benchTiers(b, c.elems, func() {
+				for _, w := range c.models[step%len(c.models)] {
+					MatMulTInto(out[w.Rows], in[w.Cols], w)
+				}
+				step++
+			})
+		})
 	}
 }
 

@@ -2,23 +2,52 @@ package tensor
 
 import "testing"
 
-// forEachTier runs f on the host's kernel tier and, where that is the FMA
-// tier, once more with hasFMA and hasF16C switched off — the SSE tier a host
-// without FMA runs — so one machine exercises both amd64 summation orders.
-// The tier is process-wide: tests using this must not run in parallel.
-func forEachTier(t *testing.T, f func(t *testing.T)) {
-	t.Run("host", f)
-	if hasFMA {
-		onSSETier(func() { t.Run("sse", f) })
-	}
+// tierLeg is one setting of the kernel gates a host can run.
+type tierLeg struct {
+	name              string
+	fma, f16c, avx512 bool
 }
 
-// onSSETier runs f with hasFMA and hasF16C switched off.
-func onSSETier(f func()) {
-	fma, f16c := hasFMA, hasF16C
-	hasFMA, hasF16C = false, false
-	defer func() { hasFMA, hasF16C = fma, f16c }()
+// tierLegs are the legs this host can run, its own first: on an AVX-512 host
+// the FMA tier again with the ZMM sweep off ("fma-ymm", what an FMA host
+// without AVX-512F runs), and on an FMA host the SSE tier a host without FMA
+// runs ("sse") — so one machine executes every amd64 body and both summation
+// orders.
+func tierLegs() []tierLeg {
+	legs := []tierLeg{{"host", hasFMA, hasF16C, hasAVX512}}
+	if hasAVX512 {
+		legs = append(legs, tierLeg{"fma-ymm", true, hasF16C, false})
+	}
+	if hasFMA {
+		legs = append(legs, tierLeg{"sse", false, false, false})
+	}
+	return legs
+}
+
+// hostAVX512 is the host's own hasAVX512, whatever leg is in effect.
+var hostAVX512 = hasAVX512
+
+// sweepsAllFloats reports whether an exhaustive kernel check sweeps every
+// float32 on the leg in effect: without -short, on the FMA tier, and on one
+// leg only — fma-ymm runs the same packed exp and GELU as host.
+func sweepsAllFloats() bool {
+	return !testing.Short() && hasFMA && hasAVX512 == hostAVX512
+}
+
+// run calls f with the gates set to the leg's and restores them after. The
+// gates are process-wide: callers must not run in parallel.
+func (l tierLeg) run(f func()) {
+	fma, f16c, avx512 := hasFMA, hasF16C, hasAVX512
+	hasFMA, hasF16C, hasAVX512 = l.fma, l.f16c, l.avx512
+	defer func() { hasFMA, hasF16C, hasAVX512 = fma, f16c, avx512 }()
 	f()
+}
+
+// forEachTier runs f as a subtest on every leg of tierLegs.
+func forEachTier(t *testing.T, f func(t *testing.T)) {
+	for _, leg := range tierLegs() {
+		leg.run(func() { t.Run(leg.name, f) })
+	}
 }
 
 // dotFMA is the one-element FMA kernel, set by dot_amd64_test.go; nil on
