@@ -44,7 +44,7 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "default per-request deadline (0 = 30s)")
 	grace := flag.Duration("grace", 30*time.Second, "drain grace period on shutdown before in-flight requests are failed")
 	throttle := flag.Duration("throttle", 0, "artificial pause before every decode step (demos/smoke tests)")
-	weights := flag.String("weights", "f32", "weight storage: f32, or f16 (packed binary16, halves streamed bytes on F16C hosts)")
+	weights := flag.String("weights", "f32", "weight precision: f32, or f16 (every weight matrix rounded onto the binary16 grid)")
 	prefixMB := flag.Int("prefix-cache-mb", 0, "radix prefix-cache byte budget in MiB (0 = off); cached prompt-prefix KV is forked into sessions sharing a prefix")
 	prefillChunk := flag.Int("prefill-chunk", 0, "max prompt tokens prefilled per scheduling slice (0 = 64 when the prefix cache is on, else whole prompt in one slice)")
 	policyPath := flag.String("protect-policy", "", "adaptive per-layer protection policy JSON (cmd/ft2policy); empty = uniform FT2")

@@ -163,7 +163,6 @@ func (c *LinearChecker) Hook() model.Hook {
 		c.repair(ctx, out)
 		if fixed := c.dmr.Detected - before; fixed > 0 {
 			c.Stats.Corrected += int64(fixed)
-			out.MarkMutated()
 		} else {
 			c.Stats.Uncorrectable++
 		}

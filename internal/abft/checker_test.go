@@ -114,7 +114,6 @@ func TestLinearCheckerFlagsWeightCorruption(t *testing.T) {
 
 	w := m.Weight(ref)
 	w.Data[best] += 32 // row 0, channel best
-	w.MarkMutated()
 
 	chk := NewLinearChecker(m, refs)
 	m.RegisterHook(chk.Hook())

@@ -304,7 +304,6 @@ func (inj *Injector) Revert() {
 	}
 	w := inj.M.Weight(inj.Site.Layer)
 	w.Data[inj.Site.Elem] = inj.Original
-	w.MarkMutated()
 	inj.reverted = true
 }
 
@@ -377,7 +376,6 @@ func (inj *Injector) fireWeight() {
 	inj.Original = w.Data[inj.Site.Elem]
 	inj.Corrupted = numerics.CorruptValue(inj.Original, inj.DType, inj.Site.Bits)
 	w.Data[inj.Site.Elem] = inj.Corrupted
-	w.MarkMutated()
 }
 
 // fireKV flips the planned KV-cache element of the model's active

@@ -3,6 +3,7 @@ package fault
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ft2/internal/model"
@@ -421,6 +422,31 @@ func TestInjectorWeightChecksumRoundTrip(t *testing.T) {
 	inj.Revert()
 	if m.WeightChecksum() != before {
 		t.Error("checksum not restored by Revert")
+	}
+}
+
+// On a model with f16 weights a weight fault fired and then reverted must
+// leave nothing behind: the next generation is the fault-free one again.
+func TestInjectorWeightRevertOnF16Weights(t *testing.T) {
+	m := model.MustNew(testCfg(t), 7, numerics.FP16)
+	m.EnableF16Weights()
+	prompt := []int{4, 5, 6}
+	clean := m.Generate(prompt, 12)
+	site := Site{Target: TargetWeight, Step: 0, Layer: model.LayerRef{Block: 1, Kind: model.FC1}, Elem: 9, Bits: []int{14}}
+	inj := NewInjector(site, numerics.FP16)
+	inj.M = m
+	h := m.RegisterHook(inj.Hook())
+	faulted := m.Generate(prompt, 12)
+	m.RemoveHook(h)
+	if !inj.Fired {
+		t.Fatal("never fired")
+	}
+	if slices.Equal(faulted, clean) {
+		t.Fatal("the weight fault did not change the generation; pick a site that does")
+	}
+	inj.Revert()
+	if got := m.Generate(prompt, 12); !slices.Equal(got, clean) {
+		t.Errorf("after Revert: %v, fault-free %v", got, clean)
 	}
 }
 

@@ -10,8 +10,7 @@ import (
 // Raw-state accessors for the fault-injection and chaos subsystems. They
 // expose the weight matrices and KV slabs for controlled mutation — callers
 // own the synchronization (the chaos engine only mutates at scheduler slice
-// boundaries, when no kernel is running on the replica) and must call
-// MarkMutated on any tensor whose Data they write directly.
+// boundaries, when no kernel is running on the replica).
 
 // Weight returns the weight matrix of the referenced linear layer (out×in,
 // PyTorch layout). It panics when the layer is absent from the family or the
@@ -76,19 +75,4 @@ func (m *Model) WeightChecksum() uint64 {
 		}
 	}
 	return sum
-}
-
-// WeightsFinite reports whether every streamed weight element is finite — the
-// cheap first-line scrub for suspected persistent corruption (an exponent
-// flip usually lands in Inf/NaN territory).
-func (m *Model) WeightsFinite() bool {
-	for _, w := range m.weightTensors() {
-		for _, v := range w.Data {
-			f := float64(v)
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				return false
-			}
-		}
-	}
-	return true
 }

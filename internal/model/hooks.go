@@ -93,16 +93,11 @@ func (m *Model) HookCount() int { return len(m.hooks) }
 // of the hook call, like every hook tensor.
 func (m *Model) runBatchHooks(ref LayerRef, site Site, in, out *tensor.Tensor, items []BatchItem) {
 	sc := m.scratch
-	fired := false
 	for i := range items {
 		it := &items[i]
 		if len(it.Hooks) == 0 {
 			continue
 		}
-		fired = true
-		// Tracked views: a hook that writes its rows (fault injectors do)
-		// marks the view mutated, which propagates to the full batch
-		// tensor so a packed-f16 shadow of it can never go stale.
 		sc.rowOut.BindRowsView(out, sc.itemLo[i], sc.itemRows[i])
 		ctx := HookCtx{Layer: ref, Site: site, Step: it.State.step, FirstToken: it.State.step == 0, Pos: sc.itemPos[i]}
 		if in != nil {
@@ -112,8 +107,5 @@ func (m *Model) runBatchHooks(ref LayerRef, site Site, in, out *tensor.Tensor, i
 		for _, h := range it.Hooks {
 			h(ctx, sc.rowOut)
 		}
-	}
-	if fired {
-		out.MarkMutated()
 	}
 }

@@ -57,8 +57,8 @@ type Model struct {
 	teacher    []int
 	streamNorm float32
 
-	// weightsF16 records that the weight matrices were switched to packed
-	// binary16 storage (see weights.go).
+	// weightsF16 records that the weight matrices were rounded onto the
+	// binary16 grid (see weights.go).
 	weightsF16 bool
 
 	// hooks are the model-level forward hooks in registration order, with

@@ -1,22 +1,21 @@
 package model
 
-import "ft2/internal/tensor"
+import (
+	"ft2/internal/numerics"
+	"ft2/internal/tensor"
+)
 
-// Packed-f16 weight storage. EnableF16Weights rounds every weight matrix
-// through the binary16 grid — the same numerics.RoundF16 gate the
-// activations pass through — and builds packed shadows that the MatMulT
-// kernels stream at half the bytes on F16C hosts (tensor/pack.go). Decode
-// of the shadow matches the rounded f32 master bit-for-bit, so fault-site
-// addressing, profiled FT2 bounds, and every downstream consumer observe
-// one set of weight values regardless of storage mode or host.
+// f16 weights are a rounding. EnableF16Weights rounds every weight matrix
+// onto the binary16 grid — the same numerics.RoundF16 gate the activations
+// pass through — and keeps it in float32: the kernels multiply exactly the
+// values an FP16 model stores, and fault-site addressing, profiled FT2
+// bounds and every other consumer of Data see those same values. There is
+// no packed binary16 copy: streaming one measured slower than the rounded
+// float32 on every shape (DESIGN.md §12).
 
-// weightsF16 on the Model records that EnableF16Weights ran (serve exposes
-// it per replica; benches report it per row).
-
-// EnableF16Weights switches the model's weight matrices (token embedding,
-// learned positions, and every linear) to packed binary16 storage. Biases
-// and norm parameters stay float32 — they are O(width) per layer, and the
-// paper's bandwidth model only counts the streamed matrices.
+// EnableF16Weights rounds the model's weight matrices (token embedding,
+// learned positions, and every linear) onto the binary16 grid. Biases and
+// norm parameters stay float32 — they are O(width) per layer.
 //
 // Rounding the weights changes the model: it is a different (quantized)
 // parameterization, so the sane-stream-norm teacher calibration is re-run
@@ -32,7 +31,7 @@ func (m *Model) EnableF16Weights() {
 		panic("model: EnableF16Weights after hooks were registered")
 	}
 	for _, w := range m.weightTensors() {
-		w.PackF16()
+		w.Quantize(numerics.FP16)
 	}
 	m.weightsF16 = true
 	m.calibrateStreamNorm()
@@ -41,7 +40,7 @@ func (m *Model) EnableF16Weights() {
 // WeightsF16 reports whether EnableF16Weights has run.
 func (m *Model) WeightsF16() bool { return m.weightsF16 }
 
-// weightTensors enumerates every streamed weight matrix.
+// weightTensors enumerates every weight matrix.
 func (m *Model) weightTensors() []*tensor.Tensor {
 	ws := []*tensor.Tensor{m.embed}
 	if m.posEmb != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"ft2/internal/model"
@@ -184,10 +185,11 @@ func LoadPolicy(r io.Reader) (*Policy, error) {
 	}
 	p := &Policy{Tiers: make(map[model.LayerKind]Tier, len(f.Entries))}
 	for _, e := range f.Entries {
-		kind, err := parseLayerKind(e.Kind)
-		if err != nil {
-			return nil, err
+		i := slices.IndexFunc(model.AllLayerKinds, func(k model.LayerKind) bool { return k.String() == e.Kind })
+		if i < 0 {
+			return nil, fmt.Errorf("protect: unknown layer kind %q", e.Kind)
 		}
+		kind := model.AllLayerKinds[i]
 		tier, err := ParseTier(e.Tier)
 		if err != nil {
 			return nil, err

@@ -2,17 +2,13 @@ package protect
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-
-	"ft2/internal/model"
 )
 
-// boundsFile is the on-disk JSON schema of a bounds store. Offline
-// profiling is expensive (Figure 4: up to hundreds of GPU-hours on the
-// reference hardware), so persisting the result is part of the baseline
-// workflow this package reproduces.
+// boundsFile is the JSON schema Save writes a bounds store in. Its one
+// reader is a hash: the campaign journal fingerprints a run's offline bounds
+// by their Save output.
 type boundsFile struct {
 	Version int           `json:"version"`
 	Entries []boundsEntry `json:"entries"`
@@ -55,56 +51,4 @@ func (s *Store) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(boundsFile{Version: boundsFileVersion, Entries: entries})
-}
-
-// LoadStore reads a store previously written by Save. Unknown layer kinds
-// or sites are an error: bounds protect specific hook points, and silently
-// dropping one would weaken coverage.
-func LoadStore(r io.Reader) (*Store, error) {
-	var f boundsFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("protect: decoding bounds: %w", err)
-	}
-	if f.Version != boundsFileVersion {
-		return nil, fmt.Errorf("protect: unsupported bounds file version %d", f.Version)
-	}
-	s := NewStore()
-	for _, e := range f.Entries {
-		kind, err := parseLayerKind(e.Kind)
-		if err != nil {
-			return nil, err
-		}
-		site, err := parseSite(e.Site)
-		if err != nil {
-			return nil, err
-		}
-		if e.Lo > e.Hi {
-			return nil, fmt.Errorf("protect: inverted bounds [%g,%g] for %s/%s", e.Lo, e.Hi, e.Kind, e.Site)
-		}
-		s.Set(SiteKey{
-			Layer: model.LayerRef{Block: e.Block, Kind: kind},
-			Site:  site,
-		}, Bounds{Lo: e.Lo, Hi: e.Hi})
-	}
-	return s, nil
-}
-
-func parseLayerKind(s string) (model.LayerKind, error) {
-	for _, k := range model.AllLayerKinds {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("protect: unknown layer kind %q", s)
-}
-
-func parseSite(s string) (model.Site, error) {
-	switch s {
-	case model.SiteLinearOut.String():
-		return model.SiteLinearOut, nil
-	case model.SiteActivationOut.String():
-		return model.SiteActivationOut, nil
-	default:
-		return 0, fmt.Errorf("protect: unknown site %q", s)
-	}
 }

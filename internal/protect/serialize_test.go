@@ -2,72 +2,10 @@ package protect
 
 import (
 	"bytes"
-	"math/rand"
-	"strings"
 	"testing"
-	"testing/quick"
 
 	"ft2/internal/model"
 )
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	s := NewStore()
-	s.Set(SiteKey{Layer: model.LayerRef{Block: 0, Kind: model.VProj}, Site: model.SiteLinearOut}, Bounds{-1.5, 2.25})
-	s.Set(SiteKey{Layer: model.LayerRef{Block: 3, Kind: model.DownProj}, Site: model.SiteLinearOut}, Bounds{-8, 8})
-	s.Set(SiteKey{Layer: model.LayerRef{Block: 1, Kind: model.FC1}, Site: model.SiteActivationOut}, Bounds{0, 4})
-
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadStore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != s.Len() {
-		t.Fatalf("loaded %d entries, want %d", loaded.Len(), s.Len())
-	}
-	for _, k := range []SiteKey{
-		{Layer: model.LayerRef{Block: 0, Kind: model.VProj}, Site: model.SiteLinearOut},
-		{Layer: model.LayerRef{Block: 3, Kind: model.DownProj}, Site: model.SiteLinearOut},
-		{Layer: model.LayerRef{Block: 1, Kind: model.FC1}, Site: model.SiteActivationOut},
-	} {
-		want, _ := s.Get(k)
-		got, ok := loaded.Get(k)
-		if !ok || got != want {
-			t.Errorf("%v: got %v ok=%v, want %v", k, got, ok, want)
-		}
-	}
-}
-
-// Property: round-tripping a randomly populated store preserves every bound
-// exactly (float32 values survive JSON).
-func TestSaveLoadProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := NewStore()
-		for i := 0; i < int(n%24); i++ {
-			lo := float32(rng.NormFloat64() * 10)
-			hi := lo + float32(rng.Float64()*20)
-			s.Set(SiteKey{
-				Layer: model.LayerRef{Block: rng.Intn(8), Kind: model.AllLayerKinds[rng.Intn(len(model.AllLayerKinds))]},
-				Site:  model.Site(rng.Intn(2)),
-			}, Bounds{lo, hi})
-		}
-		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
-			return false
-		}
-		loaded, err := LoadStore(&buf)
-		if err != nil {
-			return false
-		}
-		return loaded.Len() == s.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestSaveDeterministicOrder(t *testing.T) {
 	build := func(order []model.LayerKind) string {
@@ -85,27 +23,5 @@ func TestSaveDeterministicOrder(t *testing.T) {
 	b := build([]model.LayerKind{model.KProj, model.VProj, model.FC2})
 	if a != b {
 		t.Error("Save output must be insertion-order independent")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"not json":     "{",
-		"bad version":  `{"version": 99, "entries": []}`,
-		"unknown kind": `{"version": 1, "entries": [{"block":0,"kind":"BOGUS","site":"linear_out","lo":0,"hi":1}]}`,
-		"unknown site": `{"version": 1, "entries": [{"block":0,"kind":"V_PROJ","site":"bogus","lo":0,"hi":1}]}`,
-		"inverted":     `{"version": 1, "entries": [{"block":0,"kind":"V_PROJ","site":"linear_out","lo":5,"hi":1}]}`,
-	}
-	for name, in := range cases {
-		if _, err := LoadStore(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: LoadStore must reject it", name)
-		}
-	}
-}
-
-func TestLoadEmpty(t *testing.T) {
-	s, err := LoadStore(strings.NewReader(`{"version":1,"entries":[]}`))
-	if err != nil || s.Len() != 0 {
-		t.Errorf("empty file must load to empty store: %v", err)
 	}
 }

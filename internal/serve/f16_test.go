@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// Serving with packed-f16 weight storage must still match the GenerateInto
-// oracle bit-for-bit: the oracle model is built with the same WeightsF16
-// flag, and streaming the packed shadows is invisible to results by the
-// tensor-layer contract.
+// Serving with f16 weights must still match the GenerateInto oracle
+// bit-for-bit: the oracle model is built with the same WeightsF16 flag, so
+// both sides multiply by the same binary16-rounded weights.
 func TestServedMatchesOracleWithF16Weights(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.WeightsF16 = true

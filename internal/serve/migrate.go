@@ -99,7 +99,7 @@ func (sch *scheduler) encodeSessionState(r *replica, s *Session) ([]byte, error)
 	return wire.EncodeSession(s.exportSnap, fk)
 }
 
-// adoptGuarded is the adoption counterpart of prefillGuarded: the session's
+// adoptGuarded is the adoption counterpart of openPrefill: the session's
 // first slice restores its snapshot into (recycled) state, installs the
 // fork state and the correction base, and leaves the session decode-ready.
 // The snapshot was validated at the serve boundary (DecodeSessionFor +

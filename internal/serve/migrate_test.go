@@ -273,6 +273,48 @@ func TestImportValidation(t *testing.T) {
 	}
 }
 
+// TestHugeDeadlineRejected: a deadline_ms whose nanoseconds overflow
+// time.Duration answers 400 on both admission endpoints. Converted as is,
+// 2^62 ms wraps to a 0 s deadline (504 without running) and other values to
+// arbitrary durations.
+func TestHugeDeadlineRejected(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.SpillDir = t.TempDir()
+	srv := newTestServer(t, cfg)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(path, body string) int {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	toks := testPrompts(t, 1)(0)
+	prompt, _ := json.Marshal(toks)
+	submitAndWait(t, srv, Request{PromptTokens: toks, MaxTokens: 4, SessionID: "parked"})
+	blob, err := readSpill(cfg.SpillDir, "parked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot, _ := json.Marshal(blob)
+	for _, ms := range []string{"4611686018427387904", "9223372036855", "9223372036854775807"} {
+		gen := `{"prompt_tokens":` + string(prompt) + `,"max_tokens":4,"deadline_ms":` + ms + `}`
+		if code := post("/v1/generate", gen); code != http.StatusBadRequest {
+			t.Errorf("generate deadline_ms %s: %d, want 400", ms, code)
+		}
+		imp := `{"session_id":"imp","max_tokens_total":8,"deadline_ms":` + ms + `,"snapshot":` + string(snapshot) + `}`
+		if code := post("/v1/sessions/import", imp); code != http.StatusBadRequest {
+			t.Errorf("import deadline_ms %s: %d, want 400", ms, code)
+		}
+	}
+	if code := post("/v1/generate", `{"prompt_tokens":`+string(prompt)+`,"max_tokens":4,"deadline_ms":60000}`); code != http.StatusOK {
+		t.Fatalf("generate with a one-minute deadline: %d, want 200", code)
+	}
+}
+
 // TestStartupGate checks the liveness/readiness split during the build
 // window: /healthz 503s, /livez 200s, and after Ready everything passes
 // through to the real handler.

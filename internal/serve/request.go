@@ -3,7 +3,9 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"time"
 
 	"ft2/internal/data"
 	"ft2/internal/model"
@@ -143,6 +145,23 @@ func errStatus(err error) int {
 		return ae.Status
 	}
 	return http.StatusInternalServerError
+}
+
+// maxDeadlineMS is the largest deadline_ms a time.Duration can hold.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
+// deadline returns the request's own deadline, or def when it sets none
+// (DeadlineMS ≤ 0). A deadline_ms past maxDeadlineMS is a 400: converted to
+// nanoseconds it would wrap to an arbitrary, often zero or negative,
+// duration.
+func (r *Request) deadline(def time.Duration) (time.Duration, error) {
+	if r.DeadlineMS <= 0 {
+		return def, nil
+	}
+	if int64(r.DeadlineMS) > maxDeadlineMS {
+		return 0, badRequest("deadline_ms %d exceeds %d", r.DeadlineMS, maxDeadlineMS)
+	}
+	return time.Duration(r.DeadlineMS) * time.Millisecond, nil
 }
 
 // resolvePrompt validates the request against the served model and returns

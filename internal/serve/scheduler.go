@@ -95,9 +95,9 @@ func newScheduler(cfg Config, pool *pool, mx *metrics, eng *chaos.Engine) *sched
 	return sch
 }
 
-// submit validates nothing (the Server did); it only admits. The returned
-// session is already circulating. Fails fast with ErrQueueFull or
-// ErrDraining.
+// submit admits a request the Server validated; only its deadline is checked
+// here, in admitSession, which every entry shares. The returned session is
+// already circulating. Fails fast with ErrQueueFull or ErrDraining.
 func (sch *scheduler) submit(ctx context.Context, req Request, prompt []int) (*Session, error) {
 	return sch.admitSession(ctx, req, prompt, nil, nil, adoptNone)
 }
@@ -111,9 +111,9 @@ func (sch *scheduler) submitAdopted(ctx context.Context, req Request, snap *mode
 }
 
 func (sch *scheduler) admitSession(ctx context.Context, req Request, prompt []int, snap *model.Snapshot, fk *core.ForkState, kind adoptKind) (*Session, error) {
-	deadline := sch.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
+	deadline, err := req.deadline(sch.cfg.DefaultDeadline)
+	if err != nil {
+		return nil, err
 	}
 	sctx, cancel := context.WithTimeout(ctx, deadline)
 	s := &Session{

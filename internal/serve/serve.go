@@ -90,11 +90,10 @@ type Config struct {
 	// scheduler slice boundaries, with detection, scrubbing, and replica
 	// rebuild wired into the slice loop. Nil disables chaos entirely.
 	Chaos *chaos.Config
-	// WeightsF16 stores every replica's weight matrices as packed binary16
-	// (model.EnableF16Weights): half the streamed bytes per decode step on
-	// F16C hosts, bit-identical outputs (TestServedMatchesOracleWithF16Weights). All
-	// replicas and the Oracle share the storage mode, so served tokens are
-	// comparable either way.
+	// WeightsF16 rounds every replica's weight matrices onto the binary16
+	// grid (model.EnableF16Weights), the paper's FP16 models' weights. All
+	// replicas and the Oracle share the setting, so served tokens stay
+	// bit-identical to it either way (TestServedMatchesOracleWithF16Weights).
 	WeightsF16 bool
 	// StepDelay inserts an artificial pause before every decode step — a
 	// throttle for demos and smoke tests that need generations slow enough

@@ -6,7 +6,6 @@ import "math"
 // becomes +0; −0 and NaN stay as they are.
 func ReLU(t *Tensor) {
 	relu(t.Data)
-	t.MarkMutated()
 }
 
 // GELU applies the tanh-approximated Gaussian error linear unit in place —
@@ -23,7 +22,6 @@ func GELU(t *Tensor) {
 			data[i] = gelu(data[i])
 		}
 	}
-	t.MarkMutated()
 }
 
 // gelu is GELU of one element, the definition geluVec repeats per lane.
@@ -51,7 +49,6 @@ func SiLU(t *Tensor) {
 		}
 		data = data[len(chunk):]
 	}
-	t.MarkMutated()
 }
 
 // expNeg fills e[i] = math.Exp(−float64(x[i])): expSum's split between the

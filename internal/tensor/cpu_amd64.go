@@ -13,8 +13,7 @@ func xgetbvAsm() (eax, edx uint32)
 // baseline; everything above it needs a runtime gate. The tier in effect
 // fixes the floating-point op order of every kernel for the lifetime of the
 // process, so all paths that must agree bit-for-bit (1-row vs 4-row blocks,
-// single-session vs batched, f32 vs f16-streamed) observe the same
-// arithmetic.
+// single-session vs batched) observe the same arithmetic.
 var (
 	// hasFMA: AVX2 + FMA3 with OS-enabled YMM state — gates the
 	// fused-multiply-add kernels of the linear layers (the MatMulT sweeps).
@@ -22,9 +21,9 @@ var (
 	// process whose GODEBUG switches math off its FMA path.
 	hasFMA = detectAVX() && detectFeature1(1<<12) && detectAVX2() &&
 		godebugKeepsMathFMA(os.Getenv("GODEBUG"))
-	// hasF16C: F16C half-precision conversion on top of hasFMA — gates the
-	// packed-f16 streaming kernels. Tied to hasFMA so the f16 kernels only
-	// ever pair with FMA-tier f32 kernels of identical op order.
+	// hasF16C: F16C half-precision conversion on top of hasFMA — gates
+	// quantizeF16Vec, the binary16 round trip. Tied to hasFMA so one GODEBUG
+	// field drops a process to the SSE baseline whole.
 	hasF16C = hasFMA && detectFeature1(1<<29)
 	// hasAVX512: AVX-512F with OS-enabled opmask and ZMM state on top of
 	// hasFMA — gates matMulT1x4Vec512. It is not a tier of its own: the

@@ -5,17 +5,14 @@ import "ft2/internal/numerics"
 // The kernels of dot_amd64.s, two tiers (DESIGN.md §12): the SSE baseline
 // (dotVec, dotStrideVec, axpyStrideVec, scaleVec, reluVec, rangeScreenVec —
 // one body each on both tiers, no CPUID gate) and the FMA tier —
-// matMulT1Vec/matMulT4Vec over f32 weights, dotVecF16C/dotVec4F16C over
-// packed-f16 weights, quantizeF16Vec, siluFinishVec, geluVec, and the packed
-// exp behind expSumVec/expNegVec/geluVec. On AVX-512F hosts the FMA tier's
-// m=1 sweep takes four columns per pass through matMulT1x4Vec512, with the
-// tier's op order unchanged. dotVecFMA has no engine caller: it is the
+// matMulT1Vec/matMulT4Vec, quantizeF16Vec, siluFinishVec, geluVec, and the
+// packed exp behind expSumVec/expNegVec/geluVec. On AVX-512F hosts the FMA
+// tier's m=1 sweep takes four columns per pass through matMulT1x4Vec512, with
+// the tier's op order unchanged. dotVecFMA has no engine caller: it is the
 // one-element definition of the FMA tier's op order, which the tests hold the
-// sweeps and the F16C kernels to bit for bit.
+// sweeps to bit for bit.
 func dotVec(a, b *float32, n int) float32
 func dotVecFMA(a, b *float32, n int) float32
-func dotVecF16C(a *float32, b *uint16, n int) float32
-func dotVec4F16C(a *float32, lda int, b *uint16, n int) (r0, r1, r2, r3 float32)
 func quantizeF16Vec(p *float32, n int)
 func dotStrideVec(dst, q, k *float32, d, limit int, scale float32)
 func axpyStrideVec(dst, v, w *float32, d, limit int)
@@ -59,19 +56,6 @@ func Dot(a, b []float32) float32 {
 	}
 	b = b[:n] // bounds hint: panics early if b is shorter
 	return dotVec(&a[0], &b[0], n)
-}
-
-// dotRowF16 is the one-element FMA kernel with b stored as packed binary16.
-// Callers must gate on hasF16C (halfData does); conversion through VCVTPH2PS
-// is exact, so the result is bit-identical to dotVecFMA over the pre-decoded
-// f32 master copy.
-func dotRowF16(a []float32, b []uint16) float32 {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	b = b[:n]
-	return dotVecF16C(&a[0], &b[0], n)
 }
 
 // DotStride fills dst[j] = Dot(q, k[j*d:(j+1)*d]) * scale for j in
@@ -212,15 +196,4 @@ func siluFinish(p []float32, e []float64) bool {
 		p[i] = float32(float64(p[i]) / (1 + e[i]))
 	}
 	return true
-}
-
-// dotRow4F16 is four dotRowF16 products of consecutive a-rows (stride lda
-// floats) against one shared b row, streamed once; hasF16C only.
-func dotRow4F16(a []float32, lda int, b []uint16) (r0, r1, r2, r3 float32) {
-	n := len(b)
-	if n == 0 {
-		return 0, 0, 0, 0
-	}
-	_ = a[3*lda+n-1]
-	return dotVec4F16C(&a[0], lda, &b[0], n)
 }

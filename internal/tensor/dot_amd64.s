@@ -92,11 +92,11 @@ reduce:
 // confirmed AVX2+FMA3. Fused multiply-add rounds once per lane-step, so the
 // FMA tier is NOT bit-identical to the SSE tier — the tier is fixed per
 // process. This body is the one-element definition of the tier's op order
-// and has no engine caller: the column sweeps (matMulT1Vec, matMulT4Vec) and
-// the F16C kernels inline it per output element and are tested bitwise
-// against it. b is loaded (or converted) into a register, a rides as the
-// FMA memory operand, chunk 0 accumulates into Y0/X0 and chunk 1 into Y1,
-// tails drop into Y0/X0.
+// and has no engine caller: the column sweeps (matMulT1Vec, matMulT4Vec,
+// matMulT1x4Vec512) inline it per output element and are tested bitwise
+// against it. b is loaded into a register, a rides as the FMA memory
+// operand, chunk 0 accumulates into Y0/X0 and chunk 1 into Y1, tails drop
+// into Y0/X0.
 TEXT ·dotVecFMA(SB), NOSPLIT, $0-28
 	MOVQ a+0(FP), SI
 	MOVQ b+8(FP), DI
@@ -152,202 +152,6 @@ fmahsum:
 	SHUFPS $0x55, X1, X1
 	ADDSS  X1, X0
 	MOVSS  X0, ret+24(FP)
-	RET
-
-// func dotVecF16C(a *float32, b *uint16, n int) float32
-//
-// dotVecFMA with the b operand stored as packed IEEE binary16: each 8-lane
-// chunk converts through VCVTPH2PS (exact — every binary16 value is a
-// binary32 value) before the identical FMA sequence, so the result is
-// bit-for-bit the value dotVecFMA computes over the pre-decoded f32 copy.
-// Only reached when cpu_amd64.go has confirmed F16C (which implies FMA).
-TEXT ·dotVecF16C(SB), NOSPLIT, $0-28
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ n+16(FP), CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	MOVQ   CX, BX
-	SHRQ   $4, BX
-	JZ     hftail8
-
-hfloop16:
-	VCVTPH2PS   (DI), Y2
-	VFMADD231PS (SI), Y2, Y0
-	VCVTPH2PS   16(DI), Y3
-	VFMADD231PS 32(SI), Y3, Y1
-	ADDQ        $64, SI
-	ADDQ        $32, DI
-	DECQ        BX
-	JNZ         hfloop16
-
-hftail8:
-	MOVQ CX, BX
-	ANDQ $15, BX
-	CMPQ BX, $8
-	JLT  hfreduce
-	VCVTPH2PS   (DI), Y2
-	VFMADD231PS (SI), Y2, Y0
-	ADDQ        $32, SI
-	ADDQ        $16, DI
-	SUBQ        $8, BX
-
-hfreduce:
-	VADDPS       Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS       X1, X0, X0
-	VZEROUPPER
-	TESTQ        BX, BX
-	JZ           hfhsum
-
-hfloop1:
-	MOVWLZX     (DI), DX
-	MOVL        DX, X2
-	VCVTPH2PS   X2, X2
-	VFMADD231SS (SI), X2, X0
-	ADDQ        $4, SI
-	ADDQ        $2, DI
-	DECQ        BX
-	JNZ         hfloop1
-
-hfhsum:
-	MOVAPS X0, X1
-	SHUFPS $0xEE, X1, X1
-	ADDPS  X1, X0
-	MOVAPS X0, X1
-	SHUFPS $0x55, X1, X1
-	ADDSS  X1, X0
-	MOVSS  X0, ret+24(FP)
-	RET
-
-// func dotVec4F16C(a *float32, lda int, b *uint16, n int) (r0, r1, r2, r3 float32)
-//
-// Four dotVecF16C products of consecutive a-rows (stride lda floats)
-// against one shared packed-binary16 b row — the blocked MatMulT panel step
-// that streams each weight row once at half the bytes. Y0..Y7 hold two
-// accumulators per row, Y8/Y9 the two converted b chunks, a-rows ride as
-// FMA memory operands through R8..R11. Per-row op order is exactly
-// dotVecFMA's, so each r_i is bit-identical to dotVecFMA over the decoded
-// row.
-TEXT ·dotVec4F16C(SB), NOSPLIT, $0-48
-	MOVQ a+0(FP), R8
-	MOVQ lda+8(FP), AX
-	SHLQ $2, AX
-	LEAQ (R8)(AX*1), R9
-	LEAQ (R9)(AX*1), R10
-	LEAQ (R10)(AX*1), R11
-	MOVQ b+16(FP), DI
-	MOVQ n+24(FP), CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	MOVQ   CX, BX
-	SHRQ   $4, BX
-	JZ     h4tail8
-
-h4loop16:
-	VCVTPH2PS   (DI), Y8
-	VCVTPH2PS   16(DI), Y9
-	VFMADD231PS (R8), Y8, Y0
-	VFMADD231PS 32(R8), Y9, Y1
-	VFMADD231PS (R9), Y8, Y2
-	VFMADD231PS 32(R9), Y9, Y3
-	VFMADD231PS (R10), Y8, Y4
-	VFMADD231PS 32(R10), Y9, Y5
-	VFMADD231PS (R11), Y8, Y6
-	VFMADD231PS 32(R11), Y9, Y7
-	ADDQ        $64, R8
-	ADDQ        $64, R9
-	ADDQ        $64, R10
-	ADDQ        $64, R11
-	ADDQ        $32, DI
-	DECQ        BX
-	JNZ         h4loop16
-
-h4tail8:
-	MOVQ CX, BX
-	ANDQ $15, BX
-	CMPQ BX, $8
-	JLT  h4reduce
-	VCVTPH2PS   (DI), Y8
-	VFMADD231PS (R8), Y8, Y0
-	VFMADD231PS (R9), Y8, Y2
-	VFMADD231PS (R10), Y8, Y4
-	VFMADD231PS (R11), Y8, Y6
-	ADDQ        $32, R8
-	ADDQ        $32, R9
-	ADDQ        $32, R10
-	ADDQ        $32, R11
-	ADDQ        $16, DI
-	SUBQ        $8, BX
-
-h4reduce:
-	VADDPS       Y1, Y0, Y0
-	VADDPS       Y3, Y2, Y2
-	VADDPS       Y5, Y4, Y4
-	VADDPS       Y7, Y6, Y6
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS       X1, X0, X0
-	VEXTRACTF128 $1, Y2, X3
-	VADDPS       X3, X2, X2
-	VEXTRACTF128 $1, Y4, X5
-	VADDPS       X5, X4, X4
-	VEXTRACTF128 $1, Y6, X7
-	VADDPS       X7, X6, X6
-	VZEROUPPER
-	TESTQ        BX, BX
-	JZ           h4hsum
-
-h4loop1:
-	MOVWLZX     (DI), DX
-	MOVL        DX, X8
-	VCVTPH2PS   X8, X8
-	VFMADD231SS (R8), X8, X0
-	VFMADD231SS (R9), X8, X2
-	VFMADD231SS (R10), X8, X4
-	VFMADD231SS (R11), X8, X6
-	ADDQ        $4, R8
-	ADDQ        $4, R9
-	ADDQ        $4, R10
-	ADDQ        $4, R11
-	ADDQ        $2, DI
-	DECQ        BX
-	JNZ         h4loop1
-
-h4hsum:
-	MOVAPS X0, X1
-	SHUFPS $0xEE, X1, X1
-	ADDPS  X1, X0
-	MOVAPS X0, X1
-	SHUFPS $0x55, X1, X1
-	ADDSS  X1, X0
-	MOVSS  X0, r0+32(FP)
-	MOVAPS X2, X1
-	SHUFPS $0xEE, X1, X1
-	ADDPS  X1, X2
-	MOVAPS X2, X1
-	SHUFPS $0x55, X1, X1
-	ADDSS  X1, X2
-	MOVSS  X2, r1+36(FP)
-	MOVAPS X4, X1
-	SHUFPS $0xEE, X1, X1
-	ADDPS  X1, X4
-	MOVAPS X4, X1
-	SHUFPS $0x55, X1, X1
-	ADDSS  X1, X4
-	MOVSS  X4, r2+40(FP)
-	MOVAPS X6, X1
-	SHUFPS $0xEE, X1, X1
-	ADDPS  X1, X6
-	MOVAPS X6, X1
-	SHUFPS $0x55, X1, X1
-	ADDSS  X1, X6
-	MOVSS  X6, r3+44(FP)
 	RET
 
 // func quantizeF16Vec(p *float32, n int)

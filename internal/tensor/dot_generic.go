@@ -4,9 +4,7 @@ package tensor
 
 import "ft2/internal/numerics"
 
-// Non-amd64 hosts have no SIMD kernels: one scalar tier for everything, and
-// no packed-f16 streaming (halfData gates on hasF16C, so the f32 master copy
-// is always used — bit-identical by construction).
+// Non-amd64 hosts have no SIMD kernels: one scalar tier for everything.
 var (
 	hasFMA    = false
 	hasF16C   = false
@@ -114,14 +112,4 @@ func expNegVec(dst *float64, src *float32, n int) (done int) {
 
 func geluVec(p *float32, n int) (done int) {
 	panic("tensor: packed exp without FMA tier")
-}
-
-// The f16 kernels are unreachable without hasF16C; halfData never hands out
-// a packed view here.
-func dotRowF16(a []float32, b []uint16) float32 {
-	panic("tensor: f16 kernel without F16C tier")
-}
-
-func dotRow4F16(a []float32, lda int, b []uint16) (r0, r1, r2, r3 float32) {
-	panic("tensor: f16 kernel without F16C tier")
 }

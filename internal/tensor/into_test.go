@@ -191,5 +191,4 @@ func rotaryEmbedRef(t *Tensor, positions []int, rotDim int, base float64) {
 			row[2*i+1] = float32(a*sin + b*cos)
 		}
 	}
-	t.MarkMutated()
 }

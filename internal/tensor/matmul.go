@@ -49,40 +49,17 @@ func MatMulTInto(out, a, b *Tensor) *Tensor {
 		return out
 	}
 	matMulTRows(out, a, b, 0, m)
-	out.MarkMutated()
 	return out
 }
 
 // matMulTRows computes rows [lo,hi) of out = a×bᵀ on the tier in effect:
-// a streamable packed-f16 shadow goes through the F16C per-column kernels
-// (half the weight bytes), f32 weights on an FMA host through the column
-// sweeps, and a host without FMA computes each element with Dot. Both FMA
-// forms take rows in groups of four so each weight row is streamed once per
-// group; op order per element is dotVecFMA's either way, so blocking and
-// streaming mode are invisible in the results.
+// an FMA host through the column sweeps, which take rows in groups of four
+// so each weight row is streamed once per group, and a host without FMA
+// element by element with Dot. Op order per element is the tier's either
+// way, so blocking is invisible in the results.
 func matMulTRows(out, a, b *Tensor, lo, hi int) {
 	k, n := a.Cols, b.Rows
-	switch bh := b.halfData(); {
-	case bh != nil:
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			ablk := a.Data[i*k : (i+4)*k]
-			o0 := out.Data[i*n : (i+1)*n]
-			o1 := out.Data[(i+1)*n : (i+2)*n]
-			o2 := out.Data[(i+2)*n : (i+3)*n]
-			o3 := out.Data[(i+3)*n : (i+4)*n]
-			for j := 0; j < n; j++ {
-				o0[j], o1[j], o2[j], o3[j] = dotRow4F16(ablk, k, bh[j*k:(j+1)*k])
-			}
-		}
-		for ; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			orow := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] = dotRowF16(arow, bh[j*k:(j+1)*k])
-			}
-		}
-	case hasFMA:
+	if hasFMA {
 		// From 8 rows on, 32 columns of b (≤ ~12-16 KiB at the zoo's
 		// widths: inside L1 with the activation rows) are streamed from the
 		// outer cache once and reused by every row group; below that the
@@ -92,13 +69,13 @@ func matMulTRows(out, a, b *Tensor, lo, hi int) {
 			colBlock = 32
 		}
 		matMulTTiled(out, a, b, lo, hi, colBlock)
-	default:
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			orow := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] = Dot(arow, b.Data[j*k:(j+1)*k])
-			}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		orow := out.Data[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			orow[j] = Dot(arow, b.Data[j*k:(j+1)*k])
 		}
 	}
 }

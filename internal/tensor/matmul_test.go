@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"ft2/internal/numerics"
 )
 
 // ---- kernel identity: every row kernel must agree bit-for-bit ----
@@ -33,45 +31,7 @@ func TestDotRowPropagatesNaN(t *testing.T) {
 	})
 }
 
-// The f16 row kernels must be bit-identical to the f32 kernel over the
-// decoded master copy — VCVTPH2PS is exact, so any divergence is an op
-// order bug.
-func TestDotRowF16MatchesF32(t *testing.T) {
-	if !hasF16C {
-		t.Skip("no F16C tier on this host")
-	}
-	rng := rand.New(rand.NewSource(8))
-	for _, n := range []int{1, 2, 7, 8, 9, 16, 17, 24, 33, 96, 264, 384} {
-		a := make([]float32, n)
-		bf := make([]float32, n)
-		bh := make([]uint16, n)
-		for i := range a {
-			a[i] = float32(rng.NormFloat64())
-			hb := numerics.F32ToF16Bits(float32(rng.NormFloat64()))
-			bh[i] = hb
-			bf[i] = numerics.F16BitsToF32(hb)
-		}
-		got := dotRowF16(a, bh)
-		want := dotRef(a, bf)
-		if math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("n=%d: dotRowF16 = %x, dotVecFMA = %x", n, math.Float32bits(got), math.Float32bits(want))
-		}
-		lda := n
-		a4 := make([]float32, 4*n)
-		for i := range a4 {
-			a4[i] = float32(rng.NormFloat64())
-		}
-		r0, r1, r2, r3 := dotRow4F16(a4, lda, bh)
-		for i, g := range []float32{r0, r1, r2, r3} {
-			w := dotRowF16(a4[i*lda:i*lda+n], bh)
-			if math.Float32bits(g) != math.Float32bits(w) {
-				t.Fatalf("n=%d row %d: dotRow4F16 = %x, dotRowF16 = %x", n, i, math.Float32bits(g), math.Float32bits(w))
-			}
-		}
-	}
-}
-
-// ---- MatMulT identity: serial kernel ≡ per-element reference, f16 ----
+// ---- MatMulT identity: serial kernel ≡ per-element reference ----
 
 // checkMatMulT holds MatMulTInto(a, b) to dotRef per element, bit for bit,
 // on the tier in effect.
@@ -128,8 +88,7 @@ func plantSpecials(r *rand.Rand, a, b []float32, k int) {
 // one-element kernel on every tier leg, NaN payloads and zero signs included:
 // every row-count class (one row, 4-row groups plus remainders, the
 // column-tiled form from 8 rows), every k tail of the 16-float loop and every
-// column remainder of the four-column ZMM sweep, with specials planted; then
-// with a packed-f16 operand streaming on and off.
+// column remainder of the four-column ZMM sweep, with specials planted.
 func TestMatMulTPlansBitIdentical(t *testing.T) {
 	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33, 95, 96, 97, 264, 384}
 	forEachTier(t, func(t *testing.T) {
@@ -141,22 +100,6 @@ func TestMatMulTPlansBitIdentical(t *testing.T) {
 					a, b := New(m, k), New(n, k)
 					plantSpecials(rng, a.Data, b.Data, k)
 					checkMatMulT(t, what, a, b)
-
-					// f16: packing rounds b, so check streamed (shadow read)
-					// against unstreamed (master copy read) over the same
-					// rounded weights.
-					b.PackF16()
-					prev := SetF16Streaming(false)
-					f32ref := MatMulTInto(New(m, n), a, b)
-					SetF16Streaming(true)
-					f16out := MatMulTInto(New(m, n), a, b)
-					SetF16Streaming(prev)
-					for i, w := range f32ref.Data {
-						if g := f16out.Data[i]; !sameBits(g, w) {
-							t.Fatalf("%s i=%d: f16-streamed %08x, f32 over the same rounded weights %08x",
-								what, i, math.Float32bits(g), math.Float32bits(w))
-						}
-					}
 				}
 			}
 		}

@@ -22,7 +22,6 @@ func AddInPlace(a, b *Tensor) {
 	for i, v := range b.Data {
 		a.Data[i] += v
 	}
-	a.MarkMutated()
 }
 
 // MulInPlace multiplies a by b element-wise (a *= b).
@@ -33,13 +32,11 @@ func MulInPlace(a, b *Tensor) {
 	for i, v := range b.Data {
 		a.Data[i] *= v
 	}
-	a.MarkMutated()
 }
 
 // Scale multiplies every element by s in place.
 func (t *Tensor) Scale(s float32) {
 	ScaleSlice(t.Data, s)
-	t.MarkMutated()
 }
 
 // SoftmaxRow is the one softmax in the tree — attention's (row, head) scores,
@@ -98,7 +95,6 @@ func SoftmaxRows(t *Tensor) {
 			ScaleSlice(row, 1/sum)
 		}
 	}
-	t.MarkMutated()
 }
 
 // LayerNorm normalizes each row to zero mean / unit variance then applies
@@ -136,7 +132,6 @@ func LayerNormInto(out, x *Tensor, gamma, beta []float32, eps float32) *Tensor {
 			orow[i] = (v-mean)*inv*gamma[i] + beta[i]
 		}
 	}
-	out.MarkMutated()
 	return out
 }
 
@@ -168,6 +163,5 @@ func RMSNormInto(out, x *Tensor, gamma []float32, eps float32) *Tensor {
 			orow[i] = v * inv * gamma[i]
 		}
 	}
-	out.MarkMutated()
 	return out
 }

@@ -71,3 +71,26 @@ func TestQuantizeF16VecBitIdentity(t *testing.T) {
 		}
 	}
 }
+
+// Property: PackF16 must leave Data exactly at numerics.RoundF16 of the
+// original values — f16 weight storage is that rounding and nothing else, so
+// fault-site addressing and FT2 bounds see the values the kernels multiply.
+func TestPackF16RoundTripsExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	vals := []float32{
+		0, float32(math.Copysign(0, -1)), 1, -1, 65504, -65504, 65520, 1e9, -1e9,
+		5.9604645e-08, 6.1e-05, 1e-30, float32(math.Inf(1)), float32(math.Inf(-1)),
+	}
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, float32(rng.NormFloat64()*math.Pow(10, float64(rng.Intn(9)-4))))
+	}
+	orig := make([]float32, len(vals))
+	copy(orig, vals)
+	tt := FromSlice(1, len(vals), vals)
+	tt.PackF16()
+	for i, v := range orig {
+		if got, want := tt.Data[i], numerics.RoundF16(v); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("elem %d (%g): Data = %x, RoundF16 = %x", i, v, math.Float32bits(got), math.Float32bits(want))
+		}
+	}
+}

@@ -1,5 +1,5 @@
 // Package tensor provides the dense numeric kernels of the FT2 reproduction:
-// row-major float32 matrices with parallel blocked matrix multiplication,
+// row-major float32 matrices with serial blocked matrix multiplication,
 // the normalization and activation functions used by the transformer engine,
 // and a binary16 precision gate that mirrors FP16 storage on GPUs.
 //
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"ft2/internal/numerics"
 )
@@ -23,43 +22,15 @@ import (
 type Tensor struct {
 	Rows, Cols int
 	Data       []float32
-
-	// half is the packed binary16 shadow built by PackF16 (pack.go); halfOK
-	// is 1 while the shadow matches Data and 0 after any mutation. Mutating
-	// methods reset it; code that writes through Data or Row directly must
-	// call MarkMutated. Atomic because replicas share read-only weight
-	// tensors across serving goroutines.
-	half   []uint16
-	halfOK atomic.Uint32
-
-	// base points at the tensor a view was carved from (BindRowsView).
-	// MarkMutated on the view propagates to base, so the parent's shadow can
-	// never go stale through a view write.
-	base *Tensor
-}
-
-// MarkMutated invalidates the packed-f16 shadow after the contents were
-// changed through Data, Row, or any other direct-slice write. The mutating
-// methods on Tensor call it themselves; writes through a tracked view
-// propagate to the parent.
-func (t *Tensor) MarkMutated() {
-	if t.half != nil {
-		t.halfOK.Store(0)
-	}
-	if t.base != nil {
-		t.base.MarkMutated()
-	}
 }
 
 // BindRowsView re-aims view (typically a reusable scratch header) at the
 // row range [lo, lo+rows) of t without allocating — how the fused
-// mixed-phase forward hands an item's row slice to its hooks. Any shadow
-// carried by the old binding is dropped and mutations through the view now
-// invalidate t.
+// mixed-phase forward hands an item's row slice to its hooks. The view
+// aliases t's storage.
 func (view *Tensor) BindRowsView(t *Tensor, lo, rows int) *Tensor {
 	view.Rows, view.Cols = rows, t.Cols
 	view.Data = t.Data[lo*t.Cols : (lo+rows)*t.Cols]
-	view.half, view.base = nil, t
 	return view
 }
 
@@ -79,17 +50,10 @@ func FromSlice(rows, cols int, data []float32) *Tensor {
 	return &Tensor{Rows: rows, Cols: cols, Data: data}
 }
 
-// Clone returns a deep copy (including any packed-f16 shadow). The clone is
-// standalone: it never aliases t and is not a tracked view even when t was
-// one.
+// Clone returns a deep copy that never aliases t.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.Rows, t.Cols)
 	copy(c.Data, t.Data)
-	if t.half != nil {
-		c.half = make([]uint16, len(t.half))
-		copy(c.half, t.half)
-		c.halfOK.Store(t.halfOK.Load())
-	}
 	return c
 }
 
@@ -97,10 +61,7 @@ func (t *Tensor) Clone() *Tensor {
 func (t *Tensor) At(r, c int) float32 { return t.Data[r*t.Cols+c] }
 
 // Set stores v at (r, c).
-func (t *Tensor) Set(r, c int, v float32) {
-	t.Data[r*t.Cols+c] = v
-	t.MarkMutated()
-}
+func (t *Tensor) Set(r, c int, v float32) { t.Data[r*t.Cols+c] = v }
 
 // Row returns the r-th row as a slice aliasing the tensor's storage.
 func (t *Tensor) Row(r int) []float32 { return t.Data[r*t.Cols : (r+1)*t.Cols] }
@@ -121,7 +82,6 @@ func (t *Tensor) Reuse(rows, cols int) *Tensor {
 		t.Data = t.Data[:n]
 	}
 	t.Rows, t.Cols = rows, cols
-	t.MarkMutated()
 	return t
 }
 
@@ -130,7 +90,6 @@ func (t *Tensor) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
 	}
-	t.MarkMutated()
 }
 
 // Fill sets every element to v.
@@ -138,7 +97,6 @@ func (t *Tensor) Fill(v float32) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
-	t.MarkMutated()
 }
 
 // RandNormal fills the tensor with N(0, std²) draws from rng.
@@ -146,19 +104,31 @@ func (t *Tensor) RandNormal(rng *rand.Rand, std float64) {
 	for i := range t.Data {
 		t.Data[i] = float32(rng.NormFloat64() * std)
 	}
-	t.MarkMutated()
 }
 
 // Quantize rounds every element through the given dtype's storage format.
 // For FP16 this is the precision gate the paper's FP16 models pass every
-// activation through; for FP32 it is the identity.
+// activation through, and the whole of f16 weight storage
+// (model.EnableF16Weights); for FP32 it is the identity.
 func (t *Tensor) Quantize(d numerics.DType) {
 	if d != numerics.FP16 {
 		return
 	}
 	quantizeF16(t.Data)
-	t.MarkMutated()
 }
+
+// PackF16, F16StreamingAvailable and MarkMutated are what is left of the
+// packed-f16 weight shadow, which streaming measured slower than the rounded
+// f32 copy (DESIGN.md §12): PackF16 is Quantize(FP16), F16StreamingAvailable
+// reports the F16C round-trip kernel, and MarkMutated does nothing.
+// bench/layers.go and bench/main.go still call them, and bench/ changes only
+// in ROADMAP item 7a, which deletes these three names together with those
+// calls.
+func (t *Tensor) PackF16() { t.Quantize(numerics.FP16) }
+
+func F16StreamingAvailable() bool { return hasF16C }
+
+func (t *Tensor) MarkMutated() {}
 
 // MinMax returns the smallest and largest finite elements. NaNs are skipped;
 // if every element is NaN it returns (0, 0).

@@ -36,6 +36,25 @@ func TestFromSlicePanicsOnBadLength(t *testing.T) {
 	FromSlice(2, 3, []float32{1, 2})
 }
 
+// BindRowsView must re-aim a scratch header at a row range and alias the
+// parent's storage; a second binding replaces the first.
+func TestBindRowsView(t *testing.T) {
+	first, parent := New(2, 5), New(3, 5)
+	var scratch Tensor
+	scratch.BindRowsView(first, 0, 1)
+	scratch.BindRowsView(parent, 1, 2)
+	if scratch.Rows != 2 || scratch.Cols != 5 || len(scratch.Data) != 10 {
+		t.Fatalf("bound view shape %dx%d len %d", scratch.Rows, scratch.Cols, len(scratch.Data))
+	}
+	scratch.Data[0] = float32(math.Inf(1))
+	if parent.Data[5] != float32(math.Inf(1)) {
+		t.Error("bound view does not alias the parent rows")
+	}
+	if first.Data[0] != 0 {
+		t.Error("re-aimed view still writes its old parent")
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	a := New(2, 2)
 	a.Fill(1)
