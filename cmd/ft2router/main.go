@@ -41,6 +41,7 @@ func main() {
 	fetchEvery := flag.Int("fetch-every", 8, "relayed tokens between checkpoint fetches per session (0 = no checkpoints; failed sessions replay from the prompt)")
 	vnodes := flag.Int("vnodes", 64, "consistent-hash ring points per worker")
 	base := cliutil.RegisterBase(flag.CommandLine)
+	prof := cliutil.RegisterPprof(flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := base.Context()
@@ -71,7 +72,7 @@ func main() {
 	}
 	fmt.Printf("ft2router: fronting %d workers — listening on http://%s\n", len(urls), ln.Addr())
 
-	hs := &http.Server{Handler: rt.Handler()}
+	hs := &http.Server{Handler: prof.Handler(rt.Handler())}
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- hs.Serve(ln) }()
 

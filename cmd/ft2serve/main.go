@@ -6,12 +6,14 @@
 //	    -d '{"text":"what city hosts the museum","max_tokens":32,"protected":true}'
 //
 // Endpoints: POST /v1/generate (single JSON or NDJSON streaming),
-// GET /v1/models, GET /healthz, GET /metrics. SIGINT/SIGTERM (or -timeout)
-// drain gracefully: admission stops — new requests get 503 — in-flight
-// generations finish within -grace, then the process exits 0. That served
-// outputs equal the GenerateInto oracle bit for bit is asserted by the tests
-// of internal/serve; the flags and signals of this file by
-// TestRealProcessCluster in cmd/ft2router.
+// GET /v1/models, GET /healthz, GET /metrics, and with -pprof
+// /debug/pprof/. SIGINT/SIGTERM (or -timeout) drain gracefully: admission
+// stops — new requests get 503 — in-flight generations finish within
+// -grace, then the process exits 0. That served outputs equal the
+// GenerateInto oracle bit for bit is asserted by the tests of
+// internal/serve; the flags and signals of this file by
+// TestRealProcessCluster in cmd/ft2router, and -pprof by cliutil's
+// TestPprofFlag.
 package main
 
 import (
@@ -58,6 +60,7 @@ func main() {
 	exportStride := flag.Int("export-stride", 0, "capture a live-migration checkpoint every N emitted tokens for sessions with a session_id, served by GET /v1/sessions/export (0 = off)")
 	spillDir := flag.String("spill-dir", "", "durable session parking: finished sessions with a session_id are written here and can be resumed with {\"resume\":true} after a restart (empty = off)")
 	base := cliutil.RegisterBase(flag.CommandLine)
+	prof := cliutil.RegisterPprof(flag.CommandLine)
 	flag.Parse()
 
 	if *weights != "f32" && *weights != "f16" {
@@ -126,7 +129,7 @@ func main() {
 		os.Exit(1)
 	}
 	gate := serve.NewStartupGate()
-	hs := &http.Server{Handler: gate}
+	hs := &http.Server{Handler: prof.Handler(gate)}
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- hs.Serve(ln) }()
 	fmt.Printf("ft2serve: bound http://%s — building %s replicas (not ready yet)\n", ln.Addr(), *modelName)

@@ -3,8 +3,9 @@
 // SIGINT/SIGTERM cancellation (ft2serve, ft2router, ft2policy; ft2bench and
 // ft2inject through the campaign set), the resumable campaign's
 // -trial-timeout/-journal/-resume/-no-fork/-checkpoint-stride quintet with
-// its journal lifecycle and interrupt notices (ft2bench, ft2inject), and the
-// -dtype flag (ft2serve, ft2inject, ft2policy).
+// its journal lifecycle and interrupt notices (ft2bench, ft2inject), the
+// -dtype flag (ft2serve, ft2inject, ft2policy), and the -pprof flag of the two
+// HTTP servers (ft2serve, ft2router).
 package cliutil
 
 import (
@@ -12,6 +13,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -78,6 +81,33 @@ func RegisterDType(fs *flag.FlagSet) *numerics.DType {
 	d := new(numerics.DType)
 	fs.Var((*dtypeValue)(d), "dtype", "activation dtype: fp16, fp32")
 	return d
+}
+
+// Pprof is the -pprof flag: net/http/pprof's profiles on the server's own
+// listener, off by default.
+type Pprof struct{ on bool }
+
+// RegisterPprof registers -pprof on fs.
+func RegisterPprof(fs *flag.FlagSet) *Pprof {
+	p := &Pprof{}
+	fs.BoolVar(&p.on, "pprof", false, "serve net/http/pprof's profiles under /debug/pprof/")
+	return p
+}
+
+// Handler returns h, behind a mux that serves net/http/pprof under
+// /debug/pprof/ when -pprof is set.
+func (p *Pprof) Handler(h http.Handler) http.Handler {
+	if !p.on {
+		return h
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/", h)
+	return mux
 }
 
 // Interrupted reports whether err is the cancellation family — a signal or

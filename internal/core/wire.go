@@ -25,6 +25,16 @@ import (
 
 const boundsEntryBytes = 4 + 1 + 1 + 4 + 4
 
+// WireSize returns the length of the fork state's wire encoding, the bytes
+// AppendForkState appends (while the Bounds store does not change).
+func (st *ForkState) WireSize() int {
+	n := 0
+	if st.Bounds != nil {
+		n = st.Bounds.Len()
+	}
+	return 8 + 8 + 8 + 1 + model.NumLayerKinds*16 + 4 + n*boundsEntryBytes
+}
+
 // AppendForkState appends the fork state's wire encoding to dst and returns
 // the extended slice. A nil Bounds store encodes as zero entries and decodes
 // to an empty store.

@@ -12,7 +12,9 @@ import "fmt"
 //
 // Snapshots are deep copies: they stay valid after the source model moves
 // on, and one snapshot can be restored concurrently into many worker
-// replicas (Restore only reads it).
+// replicas (Restore only reads it). There are two exceptions, both read-only
+// views that share buffers instead: Prefix shares its parent's, and View
+// shares a live DecodeState's KV slabs.
 type Snapshot struct {
 	// identity of the capturing model, checked on Restore
 	family                          Family
@@ -136,6 +138,35 @@ func (s *Snapshot) Prefix(rows int) *Snapshot {
 		rows:   rows,
 		stride: s.srcStride(),
 		k:      s.k, v: s.v,
+	}
+}
+
+// View fills into with a read-only, no-copy view of st's generation state:
+// the bookkeeping Checkpoint would capture, with k/v aliasing st's KV slabs
+// at stride MaxSeq. It encodes (AppendSnapshot) to the bytes of a Checkpoint
+// copy and restores like one, but stays valid only until st next changes —
+// the migration export encodes it on the owning worker between steps.
+// into's per-block slice headers are reused across calls.
+func (m *Model) View(st *DecodeState, into *Snapshot) {
+	m.checkCompatible(st)
+	if !st.Started() {
+		panic("model: View before Prefill")
+	}
+	cfg := m.Cfg
+	*into = Snapshot{
+		family: cfg.Family,
+		blocks: cfg.Blocks, hidden: cfg.Hidden, maxSeq: cfg.MaxSeq, headDim: cfg.HeadDim(),
+		nextStep:       st.step + 1,
+		lastTok:        st.lastTok,
+		promptLen:      st.promptLen,
+		rows:           st.kv[0].rows,
+		stride:         cfg.MaxSeq,
+		lastStreamNorm: st.lastStreamNorm,
+		k:              into.k[:0], v: into.v[:0],
+	}
+	for b := range st.kv {
+		into.k = append(into.k, st.kv[b].k)
+		into.v = append(into.v, st.kv[b].v)
 	}
 }
 

@@ -54,6 +54,12 @@ func archFingerprint(family Family, blocks, hidden, maxSeq, headDim int) uint64 
 	return h.Sum64()
 }
 
+// WireSize returns the length of the snapshot's wire encoding, the bytes
+// AppendSnapshot appends.
+func (s *Snapshot) WireSize() int {
+	return snapWireHeader + s.blocks*2*s.rows*s.hidden*4
+}
+
 // AppendSnapshot appends the snapshot's wire encoding to dst and returns the
 // extended slice. Empty snapshots (never captured) encode to a header the
 // decoder rejects; callers that need an error should check Rows() first.
@@ -74,7 +80,7 @@ func AppendSnapshot(dst []byte, s *Snapshot) []byte {
 	d := s.headDim
 	heads := s.hidden / d
 	stride := s.srcStride()
-	dst = slices.Grow(dst, s.blocks*2*s.rows*s.hidden*4)
+	dst = slices.Grow(dst, s.WireSize()-snapWireHeader)
 	for b := 0; b < s.blocks; b++ {
 		for h := 0; h < heads; h++ {
 			dst = appendWireF32s(dst, s.k[b][h*stride*d:h*stride*d+s.rows*d])

@@ -156,3 +156,60 @@ func TestSnapshotWireMatchesPerElementEncoder(t *testing.T) {
 		t.Fatal("decoded snapshot does not re-encode to the same bytes")
 	}
 }
+
+// TestViewEncodesLikeCheckpoint holds a View of the live state — KV slabs at
+// stride MaxSeq, no copy — to a Checkpoint copy at every row count from 1 to
+// MaxSeq (the view's own stride): the same wire bytes, and a Restore from
+// either continues the generation identically.
+func TestViewEncodesLikeCheckpoint(t *testing.T) {
+	cfg, err := ConfigByName("qwen2-1.5b-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(cfg, 7, numerics.FP16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view, snap Snapshot
+	tok := m.Prefill([]int{42})
+	for rows := 1; ; rows++ {
+		m.View(m.State(), &view)
+		m.Checkpoint(&snap)
+		if view.Rows() != rows || view.stride != cfg.MaxSeq {
+			t.Fatalf("view rows %d stride %d, want %d and %d", view.Rows(), view.stride, rows, cfg.MaxSeq)
+		}
+		if !bytes.Equal(AppendSnapshot(nil, &view), AppendSnapshot(nil, &snap)) {
+			t.Fatalf("%d rows: view encodes differently from a Checkpoint copy", rows)
+		}
+		if rows == cfg.MaxSeq {
+			break
+		}
+		tok = m.DecodeStep(tok)
+	}
+
+	// Restore from a mid-sequence view and from a copy: same continuation.
+	m2, err := New(cfg, 7, numerics.FP16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok = m2.Prefill([]int{5, 6, 7})
+	for i := 0; i < 70; i++ {
+		tok = m2.DecodeStep(tok)
+	}
+	m2.View(m2.State(), &view)
+	m2.Checkpoint(&snap)
+	for _, src := range []*Snapshot{&view, &snap} {
+		m3, err := New(cfg, 7, numerics.FP16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := m3.Restore(src), src.LastToken()
+		for i := 0; i < 4; i++ {
+			a, b = m3.DecodeStep(a), m2.DecodeStep(b)
+			if a != b {
+				t.Fatalf("restored continuation diverged at step %d", i)
+			}
+		}
+		m2.Restore(&snap) // rewind the reference for the next source
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ft2/internal/data"
+	"ft2/internal/model"
 	"ft2/internal/serve"
 )
 
@@ -121,9 +122,12 @@ func (rt *Router) driveSession(w http.ResponseWriter, r *http.Request, req serve
 		if resp.StatusCode != http.StatusOK {
 			body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 			resp.Body.Close()
-			if resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusTooManyRequests {
-				// Draining or full: not dead, but not taking this session.
-				// Nudge it out of rotation (the prober re-adds it) and move on.
+			// Draining or full: not dead, but not taking this session. On a
+			// failover, a 409 (the session id is still live there — the
+			// stream broke, the worker has not settled it yet) is the same.
+			// Nudge it out of rotation (the prober re-adds it) and move on.
+			if resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusTooManyRequests ||
+				resp.StatusCode == http.StatusConflict && attempt > 0 {
 				rt.markDead(wk)
 				continue
 			}
@@ -333,9 +337,23 @@ func composeResult(res *serve.Result, received []int) serve.Result {
 	return out
 }
 
+// maxCheckpointBytes bounds a fetched checkpoint blob, and so the buffer a
+// worker's Content-Length can make the router allocate: four times the K/V
+// rows of the largest zoo model at full context, which leaves room for the
+// envelope's token list, fork state and header.
+var maxCheckpointBytes = func() int64 {
+	kv := 0
+	for _, c := range model.Zoo() {
+		kv = max(kv, c.Blocks*2*c.MaxSeq*c.Hidden*4)
+	}
+	return 4 * int64(kv)
+}()
+
 // fetchCheckpoint pulls the session's latest export from the worker
-// currently driving it. Failures (including 404 before the first capture)
-// just keep the previous checkpoint.
+// currently driving it, into one buffer of the Content-Length the worker
+// declares. Failures (including 404 before the first capture, a missing or
+// oversized Content-Length, and a body shorter than declared) just keep the
+// previous checkpoint.
 func (rt *Router) fetchCheckpoint(wk *worker, sessionID string) ([]byte, int, bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -353,8 +371,12 @@ func (rt *Router) fetchCheckpoint(wk *worker, sessionID string) ([]byte, int, bo
 		io.Copy(io.Discard, resp.Body)
 		return nil, 0, false
 	}
-	blob, err := io.ReadAll(resp.Body)
-	if err != nil {
+	n := resp.ContentLength
+	if n < 0 || n > maxCheckpointBytes {
+		return nil, 0, false
+	}
+	blob := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, blob); err != nil {
 		return nil, 0, false
 	}
 	toks, err := strconv.Atoi(resp.Header.Get("X-FT2-Checkpoint-Tokens"))

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -624,5 +625,135 @@ func TestRouterMetricsAndHealth(t *testing.T) {
 	}
 	if code, _ := get("/healthz"); code != 503 {
 		t.Fatalf("dead cluster healthz %d, want 503", code)
+	}
+}
+
+// TestShortCheckpointBodyKeepsPrevious: a worker whose export declares more
+// bytes in Content-Length than it sends (a lie, or a connection cut
+// mid-body) must not replace the router's previous checkpoint with a
+// truncated blob — the short read is a failed fetch like any other. So is
+// an export sent without a Content-Length at all.
+func TestShortCheckpointBodyKeepsPrevious(t *testing.T) {
+	good := bytes.Repeat([]byte{0xab}, 4096)
+	var exports atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/sessions/export" {
+			return // /healthz: 200
+		}
+		n := exports.Add(1)
+		w.Header().Set("X-FT2-Checkpoint-Tokens", strconv.Itoa(int(3*n)))
+		switch n {
+		case 1:
+			w.Header().Set("Content-Length", strconv.Itoa(len(good)))
+			w.Write(good)
+		case 2: // declares 4096 bytes and sends 100
+			w.Header().Set("Content-Length", strconv.Itoa(len(good)))
+			w.Write(good[:100])
+		default: // a whole blob, chunked: no Content-Length
+			w.(http.Flusher).Flush()
+			w.Write(good)
+		}
+	}))
+	defer ts.Close()
+	rt, err := New(Config{Workers: []string{ts.URL}, FetchStride: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	var stream bytes.Buffer
+	for i := 0; i < 9; i++ {
+		fmt.Fprintf(&stream, "{\"token\":%d}\n", i)
+	}
+	stream.WriteString("{\"done\":true,\"result\":{}}\n")
+	var (
+		received []int
+		ckpt     []byte
+		ckptToks int
+		written  bool
+		migr     time.Time
+	)
+	rec := httptest.NewRecorder()
+	out, why := rt.relayStream(rec, httptest.NewRequest(http.MethodPost, "/v1/generate", nil), &stream, relayState{
+		req: serve.Request{SessionID: "s"}, worker: rt.workers[0],
+		received: &received, ckpt: &ckpt, ckptToks: &ckptToks, written: &written, migrStart: &migr,
+		enc: json.NewEncoder(rec), beginStream: func() {},
+	})
+	if out != relayFinished {
+		t.Fatalf("relay ended %v: %s", out, why)
+	}
+	if n := exports.Load(); n != 3 {
+		t.Fatalf("%d checkpoint fetches for 9 tokens at stride 3, want 3", n)
+	}
+	if !bytes.Equal(ckpt, good) || ckptToks != 3 {
+		t.Fatalf("checkpoint now %d bytes covering %d tokens; want the first, whole one (%d bytes, 3 tokens)",
+			len(ckpt), ckptToks, len(good))
+	}
+	if n := rt.Stats().CheckpointFetches; n != 1 {
+		t.Fatalf("%d fetches counted, want 1 (the short and the unsized one failed)", n)
+	}
+}
+
+// TestFailover409MovesOn: a worker answering 409 to a failover attempt —
+// the session id is still live there, because it has not yet noticed the
+// stream broke — is skipped like a draining one, instead of failing a
+// session the next worker can finish.
+func TestFailover409MovesOn(t *testing.T) {
+	const n = 8
+	stream := func(w http.ResponseWriter, upto int) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		for i := 0; i < upto; i++ {
+			fmt.Fprintf(w, "{\"token\":%d}\n", i)
+		}
+		w.(http.Flusher).Flush()
+	}
+	var genA, conflicts atomic.Int64
+	a := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/generate" {
+			return
+		}
+		if genA.Add(1) == 1 {
+			stream(w, 3)
+			panic(http.ErrAbortHandler) // dies mid-stream
+		}
+		stream(w, n)
+		fmt.Fprintln(w, `{"done":true,"result":{}}`)
+	}))
+	defer a.Close()
+	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz":
+			if conflicts.Load() > 0 {
+				w.WriteHeader(http.StatusServiceUnavailable) // out of rotation once it refused
+			}
+		case "/v1/generate":
+			conflicts.Add(1)
+			w.WriteHeader(http.StatusConflict)
+		}
+	}))
+	defer b.Close()
+	rt, err := New(Config{Workers: []string{a.URL, b.URL}, ProbeInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for rt.healthyCount() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	id := "s0"
+	for i := 1; rt.pickWorker(id) != rt.workers[0]; i++ {
+		id = fmt.Sprint("s", i)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	body, _ := json.Marshal(serve.Request{PromptTokens: []int{1}, MaxTokens: n, Stream: true, SessionID: id})
+	resp, err := http.Post(front.URL+"/v1/generate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	toks, _ := readClientStream(t, resp.Body)
+	if len(toks) != n || conflicts.Load() != 1 || rt.Stats().Failures != 0 {
+		t.Fatalf("streamed %v after %d conflicts, stats %+v; want %d tokens past one 409", toks, conflicts.Load(), rt.Stats(), n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"ft2/internal/chaos"
 	"ft2/internal/data"
@@ -274,7 +275,8 @@ func (s *Server) handleSessionExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-FT2-Checkpoint-Tokens", fmt.Sprint(e.tokens))
+	w.Header().Set("Content-Length", strconv.Itoa(len(e.blob)))
+	w.Header().Set("X-FT2-Checkpoint-Tokens", strconv.Itoa(e.tokens))
 	w.Write(e.blob)
 }
 

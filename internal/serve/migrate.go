@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log"
+	"net/http"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -27,6 +28,8 @@ import (
 
 // exportEntry is one session's latest migration checkpoint: the encoded
 // wire blob and how many tokens it covers (Snapshot.NextStep at capture).
+// A session holds its id's entry from admission to settle; blob is nil until
+// the first capture.
 type exportEntry struct {
 	blob   []byte
 	tokens int
@@ -37,19 +40,45 @@ func (sch *scheduler) exporting(s *Session) bool {
 	return sch.cfg.ExportStride > 0 && s.req.SessionID != ""
 }
 
+// claimExport reserves the session's id in the export store at admission.
+// Two sessions with one id would share one checkpoint slot — the first to
+// settle deleting the other's, a failover importing the other's state — so a
+// second admitted or live session with the id is refused with 409.
+func (sch *scheduler) claimExport(s *Session) error {
+	if !sch.exporting(s) {
+		return nil
+	}
+	sch.exportMu.Lock()
+	defer sch.exportMu.Unlock()
+	if _, taken := sch.exports[s.req.SessionID]; taken {
+		return &apiError{Status: http.StatusConflict,
+			Msg: fmt.Sprintf("serve: session %q is already admitted on this worker", s.req.SessionID)}
+	}
+	sch.exports[s.req.SessionID] = exportEntry{}
+	return nil
+}
+
+// dropExport frees the session's id and its checkpoint.
+func (sch *scheduler) dropExport(s *Session) {
+	if sch.exporting(s) {
+		sch.exportMu.Lock()
+		delete(sch.exports, s.req.SessionID)
+		sch.exportMu.Unlock()
+	}
+}
+
 // exportFor returns the latest checkpoint for a session id.
 func (sch *scheduler) exportFor(id string) (exportEntry, bool) {
 	sch.exportMu.Lock()
 	e, ok := sch.exports[id]
 	sch.exportMu.Unlock()
-	return e, ok
+	return e, ok && e.blob != nil
 }
 
-// captureExport checkpoints the session's current state (KV rows + resume
+// captureExport encodes the session's current state (KV rows + resume
 // point, plus the fork state for protected sessions) into the export store.
-// Called by the owning worker between steps; the replica's resident state is
-// preserved around the capture, so it is safe both mid-batch and while the
-// session's state is already swapped in (prefill completion).
+// Called by the owning worker between steps, mid-batch or right after the
+// prefill completed.
 func (sch *scheduler) captureExport(r *replica, s *Session) {
 	blob, err := sch.encodeSessionState(r, s)
 	if err != nil {
@@ -57,7 +86,7 @@ func (sch *scheduler) captureExport(r *replica, s *Session) {
 		return
 	}
 	sch.exportMu.Lock()
-	sch.exports[s.req.SessionID] = exportEntry{blob: blob, tokens: s.exportSnap.NextStep()}
+	sch.exports[s.req.SessionID] = exportEntry{blob: blob, tokens: s.state.Step() + 1}
 	sch.exportMu.Unlock()
 	sch.mx.ckptExports.Add(1)
 }
@@ -82,21 +111,17 @@ func (sch *scheduler) maybeSpill(r *replica, s *Session) {
 	sch.mx.sessSpilled.Add(1)
 }
 
-// encodeSessionState checkpoints s on replica r and encodes it (with the
-// protected fork state) into a wire blob, reusing s.exportSnap's buffers.
+// encodeSessionState encodes s's live state (with the protected fork state)
+// into a wire blob straight from its KV slabs, through a model.View: the blob
+// is the only allocation. The owning worker calls it between steps, so the
+// view cannot change under the encoder.
 func (sch *scheduler) encodeSessionState(r *replica, s *Session) ([]byte, error) {
-	if s.exportSnap == nil {
-		s.exportSnap = &model.Snapshot{}
-	}
-	m := r.m
-	prev := m.SwapState(s.state)
-	m.Checkpoint(s.exportSnap)
-	m.SwapState(prev)
+	r.m.View(s.state, &r.view)
 	var fk *core.ForkState
 	if s.req.Protected {
 		fk = &s.ftState
 	}
-	return wire.EncodeSession(s.exportSnap, fk)
+	return wire.EncodeSession(&r.view, fk)
 }
 
 // adoptGuarded is the adoption counterpart of openPrefill: the session's

@@ -4,13 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"ft2/internal/core"
+	"ft2/internal/model"
+	"ft2/internal/wire"
 )
 
 // submitAndWait runs one request to completion against srv.
@@ -354,4 +360,249 @@ func TestStartupGate(t *testing.T) {
 	if code := get("/livez"); code != 200 {
 		t.Fatalf("draining /livez: %d, want 200 (liveness)", code)
 	}
+}
+
+// TestExportViewMatchesCheckpoint holds every export capture — encoded from a
+// model.View of the live KV slabs — to the envelope of a Checkpoint copy of
+// the same state, byte for byte and token count for token count: bare and
+// protected sessions, at 1 row, at 64 rows and past them, resumed from the
+// prefix cache, and adopted from another session's blob.
+func TestExportViewMatchesCheckpoint(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.ExportStride = 1 // every emitted token is a stride boundary…
+	cfg.SliceSteps = 1   // …and is checked before the next one
+	cfg.PrefixCacheMB = 8
+	cfg.PrefillChunk = 8 // the second long prompt parks behind the first and hits
+	long := testPrompts(t, 1)(0)
+	if len(long) > 64 {
+		t.Fatalf("prompt of %d tokens: the sweep must start below 64 rows", len(long))
+	}
+	var reqs []Request
+	for _, protected := range []bool{false, true} {
+		reqs = append(reqs,
+			Request{PromptTokens: long[:1], MaxTokens: 4, Protected: protected, SessionID: fmt.Sprint("one-", protected)},
+			Request{PromptTokens: long, MaxTokens: 72 - len(long), Protected: protected, SessionID: fmt.Sprint("long-", protected)})
+	}
+	sch, sessions := bareSchedulerOf(t, cfg, reqs)
+	r, g := sch.pool.replicas[0], &group{}
+
+	type seen struct {
+		protected bool
+		rows      int
+	}
+	covered := map[seen]bool{}
+	var hit, adopted bool
+	var foreign []byte // a protected capture past 64 rows, adopted below
+	check := func() {
+		for _, s := range sessions {
+			if !s.started || s.state == nil {
+				continue
+			}
+			e, ok := sch.exportFor(s.req.SessionID)
+			if !ok {
+				t.Fatalf("session %s decoding with no checkpoint", s.req.SessionID)
+			}
+			snap := &model.Snapshot{}
+			prev := r.m.SwapState(s.state)
+			r.m.Checkpoint(snap)
+			r.m.SwapState(prev)
+			var fk *core.ForkState
+			if s.req.Protected {
+				fk = &s.ftState
+			}
+			want, err := wire.EncodeSession(snap, fk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(e.blob, want) || e.tokens != snap.NextStep() {
+				t.Fatalf("session %s at %d rows: view-encoded export (%d bytes, %d tokens) != Checkpoint copy (%d bytes, %d tokens)",
+					s.req.SessionID, snap.Rows(), len(e.blob), e.tokens, len(want), snap.NextStep())
+			}
+			covered[seen{s.req.Protected, snap.Rows()}] = true
+			hit = hit || s.hitRows > 0
+			adopted = adopted || s.adoptKind == adoptImport
+			if s.req.Protected && snap.Rows() > 64 && foreign == nil {
+				foreign = e.blob
+			}
+		}
+	}
+	drive := func() {
+		for len(sch.ready) > 0 {
+			r = sch.runSlice(r, g, <-sch.ready)
+			check()
+		}
+	}
+	drive()
+
+	snap, fk, err := wire.DecodeSessionFor(foreign, sch.cfg.ModelCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sch.submitAdopted(context.Background(),
+		Request{SessionID: "adopted", MaxTokens: 6, Protected: true}, snap, fk, adoptImport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch.slots <- struct{}{}
+	sch.ready <- <-sch.admit
+	sessions = append(sessions, s)
+	drive()
+
+	for _, protected := range []bool{false, true} {
+		for _, rows := range []int{1, 64, 65} {
+			if !covered[seen{protected, rows}] {
+				t.Errorf("no capture compared at %d rows (protected=%v)", rows, protected)
+			}
+		}
+	}
+	if !hit || !adopted {
+		t.Errorf("captures compared: prefix-cache hit %v, adopted %v; want both", hit, adopted)
+	}
+}
+
+// TestExportCaptureAllocatesOnlyTheBlob pins a capture's cost: encoding a
+// view of the live slabs allocates the envelope and nothing payload-sized
+// besides — one allocation for a bare session; for a protected one the
+// bounds entries' sort adds a few small ones.
+func TestExportCaptureAllocatesOnlyTheBlob(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.ExportStride = 8
+	prompt := testPrompts(t, 1)(0)
+	sch, sessions := bareSchedulerOf(t, cfg, []Request{
+		{PromptTokens: prompt, MaxTokens: 40, SessionID: "bare"},
+		{PromptTokens: prompt, MaxTokens: 40, Protected: true, SessionID: "protected"},
+	})
+	r, g := sch.pool.replicas[0], &group{}
+	for i := 0; i < 4; i++ {
+		r = sch.runSlice(r, g, <-sch.ready)
+	}
+	for _, s := range sessions {
+		if !s.started || s.state == nil {
+			t.Fatalf("session %s not decoding", s.req.SessionID)
+		}
+		sch.captureExport(r, s)
+		e, _ := sch.exportFor(s.req.SessionID)
+		allocs := testing.AllocsPerRun(20, func() { sch.captureExport(r, s) })
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		const n = 20
+		for i := 0; i < n; i++ {
+			sch.captureExport(r, s)
+		}
+		runtime.ReadMemStats(&m1)
+		perCapture := float64(m1.TotalAlloc-m0.TotalAlloc) / n
+		if !s.req.Protected && allocs != 1 {
+			t.Errorf("bare capture allocates %.1f objects, want 1 (the blob)", allocs)
+		}
+		if perCapture > 1.25*float64(len(e.blob)) {
+			t.Errorf("%s capture allocates %.0f bytes for a %d-byte blob", s.req.SessionID, perCapture, len(e.blob))
+		}
+	}
+}
+
+// BenchmarkExportCapture times one migration capture of a decoding
+// llama2-7b-sim session at 64 KV rows, bare and protected: the work a
+// worker does between two decode steps every -export-stride tokens.
+// -benchmem gives its allocation.
+func BenchmarkExportCapture(b *testing.B) {
+	for _, protected := range []bool{false, true} {
+		b.Run(fmt.Sprint("protected=", protected), func(b *testing.B) {
+			cfg := Config{Model: "llama2-7b-sim", Seed: 7, Replicas: 1, SliceSteps: 1, ExportStride: 1 << 20}
+			sch, sessions := bareSchedulerOf(b, cfg, []Request{
+				{PromptTokens: testPrompts(b, 1)(0), MaxTokens: 100, Protected: protected, SessionID: "s"},
+			})
+			r, g, s := sch.pool.replicas[0], &group{}, sessions[0]
+			for rows := 0; rows < 64; _, _, rows = s.state.KVSlabs(0) {
+				r = sch.runSlice(r, g, <-sch.ready)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sch.captureExport(r, s)
+			}
+		})
+	}
+}
+
+// TestDuplicateSessionIDRefused: with export on, a session id names one
+// checkpoint slot, so a second session with an id already admitted — here
+// still queued behind a blocker — is refused with 409 on both admission
+// endpoints instead of sharing (and later deleting or leaking) the first
+// one's checkpoint. Once the first settles the id is free again.
+func TestDuplicateSessionIDRefused(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.ExportStride = 2
+	cfg.MaxSessions = 1
+	cfg.StepDelay = 2 * time.Millisecond
+	cfg.SpillDir = t.TempDir()
+	srv := newTestServer(t, cfg)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	prompt := testPrompts(t, 1)(0)
+	submitAndWait(t, srv, Request{PromptTokens: prompt, MaxTokens: 4, SessionID: "parked"})
+	blob, err := readSpill(cfg.SpillDir, "parked")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	blocker, err := srv.Submit(ctx, Request{PromptTokens: prompt, MaxTokens: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := srv.Submit(ctx, Request{PromptTokens: prompt, MaxTokens: 4, SessionID: "dup"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path string, body any) int {
+		b, _ := json.Marshal(body)
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	gen := Request{PromptTokens: prompt, MaxTokens: 4, SessionID: "dup"}
+	if code := post("/v1/generate", gen); code != http.StatusConflict {
+		t.Errorf("second /v1/generate with a queued session's id: %d, want 409", code)
+	}
+	imp := ImportRequest{SessionID: "dup", MaxTokensTotal: 8, Snapshot: blob}
+	if code := post("/v1/sessions/import", imp); code != http.StatusConflict {
+		t.Errorf("/v1/sessions/import with a queued session's id: %d, want 409", code)
+	}
+	for _, s := range []*Session{blocker, first} {
+		if _, err := s.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if code := post("/v1/generate", gen); code != http.StatusOK {
+		t.Errorf("/v1/generate with a settled session's id: %d, want 200", code)
+	}
+}
+
+// TestSettledSessionCollected: once a session settled and the server is
+// idle, nothing in the scheduler keeps it reachable — a worker's reused
+// group slices used to hold it until a later slice overwrote the slot.
+func TestSettledSessionCollected(t *testing.T) {
+	srv := newTestServer(t, testConfig(t))
+	sess, err := srv.Submit(context.Background(), Request{PromptTokens: testPrompts(t, 1)(0), MaxTokens: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(sess, func(*Session) { close(collected) })
+	sess = nil
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a settled session is still reachable with the server idle")
 }

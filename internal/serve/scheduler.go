@@ -53,8 +53,9 @@ type scheduler struct {
 
 	// Migration checkpoints: latest wire-format blob per session id, written
 	// by the owning worker at the export stride and served by
-	// /v1/sessions/export. Entries die with their session's settle — a live
-	// checkpoint is only useful while the generation is in flight.
+	// /v1/sessions/export. An entry lives from its session's admission
+	// (claimExport: one session per id) to its settle — a live checkpoint is
+	// only useful while the generation is in flight.
 	exportMu sync.Mutex
 	exports  map[string]exportEntry
 
@@ -137,6 +138,11 @@ func (sch *scheduler) admitSession(ctx context.Context, req Request, prompt []in
 		cancel()
 		return nil, ErrDraining
 	}
+	if err := sch.claimExport(s); err != nil {
+		sch.mu.RUnlock()
+		cancel()
+		return nil, err
+	}
 	sch.inflight.Add(1)
 	select {
 	case sch.admit <- s:
@@ -144,6 +150,7 @@ func (sch *scheduler) admitSession(ctx context.Context, req Request, prompt []in
 	default:
 		sch.mu.RUnlock()
 		sch.inflight.Done()
+		sch.dropExport(s)
 		cancel()
 		return nil, ErrQueueFull
 	}
@@ -194,6 +201,9 @@ func (sch *scheduler) worker(idx int) {
 	g := &group{}
 	for s := range sch.ready {
 		r = sch.runSlice(r, g, s)
+		// Stale slots would keep settled sessions reachable until overwritten.
+		clear(g.pending)
+		clear(g.sessions)
 	}
 }
 
@@ -788,6 +798,7 @@ func (sch *scheduler) settle(s *Session, err error) {
 	}
 	s.finalize(sch.cfg.Model)
 	s.cancel()
+	sch.dropExport(s) // before the client sees the end, so it may reuse the id at once
 	close(s.tokens)
 	close(s.done)
 	sch.release(s, false) // a no-op unless s was a leader that never finished its prefill
@@ -795,12 +806,6 @@ func (sch *scheduler) settle(s *Session, err error) {
 	sch.sessionsMu.Lock()
 	delete(sch.sessions, s)
 	sch.sessionsMu.Unlock()
-
-	if sch.exporting(s) {
-		sch.exportMu.Lock()
-		delete(sch.exports, s.req.SessionID)
-		sch.exportMu.Unlock()
-	}
 
 	status := 200
 	if s.err != nil {

@@ -45,7 +45,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return srv
 }
 
-func testPrompts(t *testing.T, n int) func(int) []int {
+func testPrompts(t testing.TB, n int) func(int) []int {
 	t.Helper()
 	ds, err := data.ByName("squad-sim", n)
 	if err != nil {
@@ -71,7 +71,7 @@ func bareScheduler(t *testing.T, cfg Config, n int, req Request) (*scheduler, []
 
 // bareSchedulerOf is bareScheduler over explicit requests, each carrying its
 // prompt as PromptTokens; the ring holds them in order.
-func bareSchedulerOf(t *testing.T, cfg Config, reqs []Request) (*scheduler, []*Session) {
+func bareSchedulerOf(t testing.TB, cfg Config, reqs []Request) (*scheduler, []*Session) {
 	t.Helper()
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -98,7 +98,7 @@ func bareSchedulerOf(t *testing.T, cfg Config, reqs []Request) (*scheduler, []*S
 
 // admitBare puts reqs on a bareScheduler's ring in order; at most as many
 // sessions as the scheduler was built for may be unsettled at once.
-func admitBare(t *testing.T, sch *scheduler, reqs []Request) []*Session {
+func admitBare(t testing.TB, sch *scheduler, reqs []Request) []*Session {
 	t.Helper()
 	sessions := make([]*Session, len(reqs))
 	for i, req := range reqs {

@@ -68,14 +68,12 @@ type Session struct {
 	// protected, adoptFT) into its state and decodes from there. corrBase
 	// holds the correction counters the state arrived with, so server-level
 	// metrics only accumulate this process's delta while the response stays
-	// cumulative. lastExport and exportSnap drive the checkpoint-export
-	// stride; exportSnap is reused across captures.
+	// cumulative. lastExport drives the checkpoint-export stride.
 	adoptSnap  *model.Snapshot
 	adoptFT    *core.ForkState
 	adoptKind  adoptKind
 	corrBase   core.ForkState
 	lastExport int
-	exportSnap *model.Snapshot
 }
 
 // adoptKind distinguishes how an adopted session's state arrived, for the

@@ -65,26 +65,29 @@ type Header struct {
 // EncodeSession serializes a captured snapshot (and, when fk is non-nil,
 // the protected session's FT2 fork state) into a self-describing envelope.
 // The encoding is canonical: the same state always yields the same bytes.
+// The envelope is written in place into one buffer sized up front, so
+// encoding a model.View of a live session allocates exactly the blob.
 func EncodeSession(snap *model.Snapshot, fk *core.ForkState) ([]byte, error) {
 	if snap == nil || snap.Rows() == 0 {
 		return nil, fmt.Errorf("%w: empty snapshot", ErrMalformed)
 	}
 	var flags uint16
-	payload := model.AppendSnapshot(nil, snap)
+	size := headerSize + snap.WireSize() + trailerSize
 	if fk != nil {
 		flags |= flagForkState
-		payload = core.AppendForkState(payload, fk)
+		size += fk.WireSize()
 	}
-	buf := make([]byte, headerSize, headerSize+len(payload)+trailerSize)
+	buf := make([]byte, headerSize, size)
 	binary.LittleEndian.PutUint32(buf[0:], Magic)
 	binary.LittleEndian.PutUint16(buf[4:], Version)
 	binary.LittleEndian.PutUint16(buf[6:], flags)
 	binary.LittleEndian.PutUint64(buf[8:], snap.ArchFingerprint())
-	binary.LittleEndian.PutUint64(buf[16:], uint64(len(payload)))
-	buf = append(buf, payload...)
-	var crc [trailerSize]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf))
-	return append(buf, crc[:]...), nil
+	buf = model.AppendSnapshot(buf, snap)
+	if fk != nil {
+		buf = core.AppendForkState(buf, fk)
+	}
+	binary.LittleEndian.PutUint64(buf[16:], uint64(len(buf)-headerSize))
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
 }
 
 // Inspect parses and validates the envelope header without decoding the

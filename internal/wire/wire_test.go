@@ -259,12 +259,19 @@ func TestInspect(t *testing.T) {
 // FuzzDecodeSession is the never-panic property: any byte soup must come
 // back as an error or a valid session, no panics, no unbounded allocation.
 func FuzzDecodeSession(f *testing.F) {
-	cfg, _, snap, fk := captureSessionF(f)
+	cfg, m, snap, fk := captureSessionF(f)
 	blob, err := EncodeSession(snap, &fk)
 	if err != nil {
 		f.Fatal(err)
 	}
+	var view model.Snapshot // the live slabs, as a worker's export encodes them
+	m.View(m.State(), &view)
+	viewBlob, err := EncodeSession(&view, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(blob)
+	f.Add(viewBlob)
 	f.Add(blob[:len(blob)/2])
 	f.Add([]byte{})
 	f.Add(blob[:28])
