@@ -32,6 +32,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -run XXX -fuzz FuzzDecodeSession -fuzztime 10s
 	$(GO) test ./internal/protect -run XXX -fuzz FuzzLoadPolicy -fuzztime 10s
 	$(GO) test ./internal/protect -run XXX -fuzz FuzzObserveBareMatchesProtected -fuzztime 10s
+	$(GO) test ./internal/router -run XXX -fuzz FuzzRelayStream -fuzztime 10s
 
 # The race detector pass covers the packages whose code starts goroutines —
 # the campaign worker pool, the serving scheduler with its shared read-only
@@ -60,6 +61,7 @@ bench:
 	$(GO) test -run XXX -bench 'BenchmarkGenerate(Unprotected|FT2)' -benchmem .
 	$(GO) test -run XXX -bench BenchmarkDecodeStep -benchmem ./internal/model/
 	$(GO) test -run XXX -bench 'Benchmark(AttnHead|GELU|DecodeLinears|ReLU)' ./internal/tensor/
+	$(GO) test -run XXX -bench BenchmarkStreamRelay ./internal/router/
 
 # The repository benchmark under bench/ is its own module (own go.mod), so
 # root `go build ./...` never compiles it: this target is what catches an

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -23,8 +24,11 @@ import (
 //   - Every session streams from its worker (NDJSON, one token per line),
 //     whatever the client asked for; the router re-materializes a plain JSON
 //     response for non-streaming clients.
-//   - Every FetchStride relayed tokens the router pulls the session's latest
-//     checkpoint (GET /v1/sessions/export) from the worker driving it.
+//   - Every FetchStride relayed tokens, once the relay has caught up with
+//     the stream, the router pulls the session's latest checkpoint (GET
+//     /v1/sessions/export) from the worker driving it. It keeps the one
+//     before too: a checkpoint can cover tokens the client has not been
+//     sent when the stream breaks, and cannot resume the session then.
 //   - When the stream breaks, the router picks the next healthy worker in
 //     ring order and resumes: from the checkpoint via POST
 //     /v1/sessions/import when it has one (replaying only the tokens between
@@ -68,45 +72,50 @@ func (rt *Router) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	rt.driveSession(w, r, req)
 }
 
+// session is one client generation as the router drives it across workers.
+type session struct {
+	w         http.ResponseWriter
+	req       serve.Request // as the client sent it: Stream is the client's
+	received  []int         // tokens relayed to the client so far
+	ckpt      []byte        // latest checkpoint blob (nil until first fetch)
+	ckptToks  int           // tokens the checkpoint covers
+	prev      []byte        // the checkpoint before it
+	prevToks  int           // tokens that one covers
+	written   bool          // client headers committed
+	migrStart time.Time
+}
+
+// beginStream commits a streaming client's headers before its first line.
+func (s *session) beginStream() {
+	if s.req.Stream && !s.written {
+		s.w.Header().Set("Content-Type", "application/x-ndjson")
+		s.w.WriteHeader(http.StatusOK)
+		s.written = true
+	}
+}
+
+// fail ends a session there is nothing left to try for. Before the first
+// byte this is a clean HTTP error; mid-stream all we can do is a terminal
+// error line.
+func (rt *Router) fail(s *session, status int, msg string) {
+	rt.failures.Add(1)
+	if !s.written {
+		writeJSONError(s.w, status, msg)
+		return
+	}
+	json.NewEncoder(s.w).Encode(map[string]interface{}{"done": true, "error": msg})
+}
+
 // driveSession relays one generation to completion, failing over between
 // workers as they die.
 func (rt *Router) driveSession(w http.ResponseWriter, r *http.Request, req serve.Request) {
-	clientStream := req.Stream
-	upstream := req
-	upstream.Stream = true
-
-	var (
-		received   []int  // tokens relayed to the client so far
-		ckpt       []byte // latest checkpoint blob (nil until first fetch)
-		ckptToks   int    // tokens the checkpoint covers
-		written    bool   // client headers committed
-		migrStart  time.Time
-		enc        = json.NewEncoder(w)
-		flusher, _ = w.(http.Flusher)
-	)
-	beginStream := func() {
-		if clientStream && !written {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			written = true
-		}
-	}
-	// failSession: nothing left to try. Before the first byte this is a
-	// clean HTTP error; mid-stream all we can do is a terminal error line.
-	failSession := func(status int, msg string) {
-		rt.failures.Add(1)
-		if !written {
-			writeJSONError(w, status, msg)
-			return
-		}
-		enc.Encode(map[string]interface{}{"done": true, "error": msg})
-	}
+	s := &session{w: w, req: req}
 
 	maxAttempts := 3*len(rt.workers) + 4
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		wk := rt.pickWorkerWait(r.Context(), req.SessionID)
 		if wk == nil {
-			failSession(http.StatusServiceUnavailable, "router: no healthy workers")
+			rt.fail(s, http.StatusServiceUnavailable, "router: no healthy workers")
 			return
 		}
 
@@ -114,7 +123,7 @@ func (rt *Router) driveSession(w http.ResponseWriter, r *http.Request, req serve
 		// ahead of the prompt and behind the budget; otherwise replay from
 		// scratch. Both paths re-produce the tokens we already relayed
 		// (`skip` of them), which we verify rather than forward.
-		resp, skip, viaCkpt, err := rt.openStream(r.Context(), wk, &upstream, req, received, ckpt, ckptToks)
+		resp, skip, err := rt.openStream(r.Context(), wk, s)
 		if err != nil {
 			rt.markDead(wk)
 			continue
@@ -133,54 +142,57 @@ func (rt *Router) driveSession(w http.ResponseWriter, r *http.Request, req serve
 			}
 			// A real rejection (bad request, too long, …): the client's
 			// problem, not a worker fault — pass it through verbatim.
-			if !written {
+			if !s.written {
 				w.Header().Set("Content-Type", "application/json")
 				w.WriteHeader(resp.StatusCode)
 				w.Write(body)
 			} else {
-				failSession(resp.StatusCode, string(bytes.TrimSpace(body)))
+				rt.fail(s, resp.StatusCode, string(bytes.TrimSpace(body)))
 			}
 			return
 		}
-		if viaCkpt {
-			rt.ckptMigr.Add(1)
-		}
 
-		done, why := rt.relayStream(w, r, resp.Body, relayState{
-			req: req, worker: wk, clientStream: clientStream,
-			received: &received, ckpt: &ckpt, ckptToks: &ckptToks,
-			skip: skip, written: &written, migrStart: &migrStart,
-			enc: enc, flusher: flusher, beginStream: beginStream,
-		})
+		done, why := rt.relayStream(s, wk, resp.Body, skip)
 		resp.Body.Close()
 		switch done {
 		case relayFinished:
 			return
 		case relayFatal:
-			failSession(http.StatusInternalServerError, why)
+			rt.fail(s, http.StatusInternalServerError, why)
 			return
 		case relayBroken:
 			// Worker died (or the connection did): fail over.
 			rt.markDead(wk)
 			rt.migrations.Add(1)
-			migrStart = time.Now()
+			s.migrStart = time.Now()
 		}
 	}
-	failSession(http.StatusServiceUnavailable, "router: session failed on every worker")
+	rt.fail(s, http.StatusServiceUnavailable, "router: session failed on every worker")
 }
 
 // openStream starts (or resumes) the session on wk and returns the live
 // NDJSON stream plus how many leading tokens are replays to verify-and-skip.
-func (rt *Router) openStream(ctx context.Context, wk *worker, upstream *serve.Request, req serve.Request, received []int, ckpt []byte, ckptToks int) (resp *http.Response, skip int, viaCkpt bool, err error) {
+func (rt *Router) openStream(ctx context.Context, wk *worker, s *session) (*http.Response, int, error) {
+	// A checkpoint fetched while the worker ran ahead of the relay may
+	// cover tokens the client was never sent; the one before it resumes.
+	if s.ckptToks > len(s.received) {
+		s.ckpt, s.ckptToks = s.prev, s.prevToks
+	}
 	// Resume requests are driven by the worker's own spill files, which the
 	// router cannot snapshot; they fail over by re-resuming from the parked
 	// state (deterministic, so skip-verification still holds).
-	useCkpt := ckpt != nil && ckptToks > 0 && len(received) >= ckptToks &&
-		!req.Resume && req.MaxTokens-ckptToks >= 1
-	if useCkpt {
-		resp, err = rt.postImport(ctx, wk, req, ckpt)
+	if s.ckpt != nil && s.ckptToks > 0 && len(s.received) >= s.ckptToks &&
+		!s.req.Resume && s.req.MaxTokens-s.ckptToks >= 1 {
+		resp, err := rt.post(ctx, wk, "/v1/sessions/import", serve.ImportRequest{
+			SessionID:      s.req.SessionID,
+			MaxTokensTotal: s.req.MaxTokens,
+			StopAtEOS:      s.req.StopAtEOS,
+			DeadlineMS:     s.req.DeadlineMS,
+			Snapshot:       s.ckpt,
+		})
 		if err == nil && resp.StatusCode == http.StatusOK {
-			return resp, len(received) - ckptToks, true, nil
+			rt.ckptMigr.Add(1)
+			return resp, len(s.received) - s.ckptToks, nil
 		}
 		// Import refused (e.g. checkpoint already covers the budget, or the
 		// worker predates the endpoint): fall back to a fresh replay.
@@ -189,34 +201,19 @@ func (rt *Router) openStream(ctx context.Context, wk *worker, upstream *serve.Re
 			resp.Body.Close()
 		}
 	}
-	body, merr := json.Marshal(upstream)
-	if merr != nil {
-		return nil, 0, false, merr
-	}
-	hreq, herr := http.NewRequestWithContext(ctx, http.MethodPost, wk.url+"/v1/generate", bytes.NewReader(body))
-	if herr != nil {
-		return nil, 0, false, herr
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err = rt.cfg.Client.Do(hreq)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return resp, len(received), false, nil
+	upstream := s.req
+	upstream.Stream = true
+	resp, err := rt.post(ctx, wk, "/v1/generate", upstream)
+	return resp, len(s.received), err
 }
 
-func (rt *Router) postImport(ctx context.Context, wk *worker, req serve.Request, ckpt []byte) (*http.Response, error) {
-	body, err := json.Marshal(serve.ImportRequest{
-		SessionID:      req.SessionID,
-		MaxTokensTotal: req.MaxTokens,
-		StopAtEOS:      req.StopAtEOS,
-		DeadlineMS:     req.DeadlineMS,
-		Snapshot:       ckpt,
-	})
+// post sends v to one of wk's endpoints as a JSON body.
+func (rt *Router) post(ctx context.Context, wk *worker, path string, v any) (*http.Response, error) {
+	body, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, wk.url+"/v1/sessions/import", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, wk.url+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -232,91 +229,92 @@ const (
 	relayFatal                        // unrecoverable (bit divergence)
 )
 
-type relayState struct {
-	req          serve.Request
-	worker       *worker
-	clientStream bool
-	received     *[]int
-	ckpt         *[]byte
-	ckptToks     *int
-	skip         int
-	written      *bool
-	migrStart    *time.Time
-	enc          *json.Encoder
-	flusher      http.Flusher
-	beginStream  func()
-}
-
-// relayStream pumps one worker stream: verifies replayed tokens, forwards
-// fresh ones, fetches checkpoints on stride, and rewrites the terminal
-// result to cover the whole session (a migrated worker only saw a suffix).
-func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, body io.Reader, st relayState) (relayOutcome, string) {
-	dec := json.NewDecoder(body)
+// relayStream pumps one worker stream: verifies the first skip tokens as
+// replays, forwards fresh ones, fetches checkpoints on stride, and rewrites
+// the terminal result to cover the whole session (a migrated worker only
+// saw a suffix). A token line that is byte for byte the worker's line for
+// its id is forwarded as read; any other line is decoded. The relay acts
+// only once it has caught up — nothing read but not yet relayed: then it
+// flushes to the client and, when one is due, fetches a checkpoint.
+func (rt *Router) relayStream(s *session, wk *worker, body io.Reader, skip int) (relayOutcome, string) {
+	br := bufio.NewReader(body)
 	sinceFetch := 0
 	for {
-		var line streamLine
-		if err := dec.Decode(&line); err != nil {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull { // a terminal line longer than the buffer
+			head := bytes.Clone(line) // the reader's buffer, which the next read overwrites
+			rest, rerr := br.ReadBytes('\n')
+			line, err = append(head, rest...), rerr
+		}
+		if len(line) == 0 {
 			return relayBroken, err.Error()
 		}
-		if line.Done {
-			if line.Error != "" {
+		tok, verbatim := serve.TokenOf(line)
+		var sl streamLine
+		if !verbatim {
+			if err := json.Unmarshal(line, &sl); err != nil {
+				return relayBroken, err.Error()
+			}
+			switch {
+			case sl.Done && sl.Error != "":
 				// The worker itself failed the request (deadline, cancel):
 				// that is a session-level verdict, not a worker death.
-				rt.failures.Add(1)
-				if !*st.written {
-					writeJSONError(w, http.StatusInternalServerError, line.Error)
-				} else {
-					st.enc.Encode(map[string]interface{}{"done": true, "error": line.Error})
-				}
+				rt.fail(s, http.StatusInternalServerError, sl.Error)
 				return relayFinished, ""
+			case sl.Done:
+				// Not flushed: the handler's return sends this line with the
+				// stream's end, so a client that stops reading at it still
+				// leaves a connection it can reuse.
+				var v any = composeResult(sl.Result, s.received)
+				if s.req.Stream {
+					s.beginStream()
+					v = map[string]interface{}{"done": true, "result": v}
+				} else {
+					s.w.Header().Set("Content-Type", "application/json")
+				}
+				json.NewEncoder(s.w).Encode(v)
+				return relayFinished, ""
+			case sl.Token == nil:
+				return relayBroken, "stream line without token"
 			}
-			res := composeResult(line.Result, *st.received)
-			if st.clientStream {
-				st.beginStream()
-				st.enc.Encode(map[string]interface{}{"done": true, "result": res})
-			} else {
-				w.Header().Set("Content-Type", "application/json")
-				st.enc.Encode(res)
-			}
-			if st.flusher != nil {
-				st.flusher.Flush()
-			}
-			*st.written = true
-			return relayFinished, ""
+			tok = *sl.Token
 		}
-		if line.Token == nil {
-			return relayBroken, "stream line without token"
-		}
-		tok := *line.Token
-		if st.skip > 0 {
+		if skip > 0 {
 			// Replay window: the new worker re-emits tokens we already
 			// relayed. They must match bit-for-bit.
-			idx := len(*st.received) - st.skip
-			if (*st.received)[idx] != tok {
+			idx := len(s.received) - skip
+			if s.received[idx] != tok {
 				log.Printf("router: session %q diverged on replay at token %d: relayed %d, got %d",
-					st.req.SessionID, idx, (*st.received)[idx], tok)
+					s.req.SessionID, idx, s.received[idx], tok)
 				return relayFatal, fmt.Sprintf(
-					"router: replay diverged at token %d (had %d, worker produced %d)", idx, (*st.received)[idx], tok)
+					"router: replay diverged at token %d (had %d, worker produced %d)", idx, s.received[idx], tok)
 			}
-			st.skip--
+			skip--
 			continue
 		}
-		*st.received = append(*st.received, tok)
-		if !st.migrStart.IsZero() {
-			rt.observeMigration(float64(time.Since(*st.migrStart)) / float64(time.Millisecond))
-			*st.migrStart = time.Time{}
+		s.received = append(s.received, tok)
+		if !s.migrStart.IsZero() {
+			rt.observeMigration(float64(time.Since(s.migrStart)) / float64(time.Millisecond))
+			s.migrStart = time.Time{}
 		}
-		if st.clientStream {
-			st.beginStream()
-			st.enc.Encode(map[string]interface{}{"token": tok, "word": line.Word})
-			if st.flusher != nil {
-				st.flusher.Flush()
+		if s.req.Stream {
+			s.beginStream()
+			if verbatim {
+				s.w.Write(line)
+			} else {
+				json.NewEncoder(s.w).Encode(map[string]interface{}{"token": tok, "word": sl.Word})
 			}
 		}
 		sinceFetch++
-		if rt.cfg.FetchStride > 0 && sinceFetch >= rt.cfg.FetchStride && !st.req.Resume {
-			if blob, toks, ok := rt.fetchCheckpoint(st.worker, st.req.SessionID); ok && toks > *st.ckptToks {
-				*st.ckpt, *st.ckptToks = blob, toks
+		if br.Buffered() > 0 {
+			continue
+		}
+		if f, ok := s.w.(http.Flusher); ok && s.req.Stream {
+			f.Flush()
+		}
+		if rt.cfg.FetchStride > 0 && sinceFetch >= rt.cfg.FetchStride && !s.req.Resume {
+			if blob, toks, ok := rt.fetchCheckpoint(wk, s.req.SessionID); ok && toks > s.ckptToks {
+				s.prev, s.prevToks, s.ckpt, s.ckptToks = s.ckpt, s.ckptToks, blob, toks
 			}
 			sinceFetch = 0
 		}

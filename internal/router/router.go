@@ -36,7 +36,8 @@ type Config struct {
 	ProbeTimeout time.Duration
 
 	// FetchStride is how many relayed tokens between checkpoint fetches
-	// (GET /v1/sessions/export) for a session, 0 disabling fetching (failed
+	// (GET /v1/sessions/export) for a session — a due fetch waits until
+	// the relay has caught up with the stream — 0 disabling fetching (failed
 	// sessions then restart from the prompt on a survivor — still
 	// bit-identical, just more replay). It should be ≥ the workers'
 	// -export-stride; fetching more often than workers capture only

@@ -661,24 +661,14 @@ func TestShortCheckpointBodyKeepsPrevious(t *testing.T) {
 	}
 	defer rt.Close()
 
-	var stream bytes.Buffer
+	var stream lineReader
 	for i := 0; i < 9; i++ {
-		fmt.Fprintf(&stream, "{\"token\":%d}\n", i)
+		stream = append(stream, fmt.Appendf(nil, "{\"token\":%d}\n", i))
 	}
-	stream.WriteString("{\"done\":true,\"result\":{}}\n")
-	var (
-		received []int
-		ckpt     []byte
-		ckptToks int
-		written  bool
-		migr     time.Time
-	)
-	rec := httptest.NewRecorder()
-	out, why := rt.relayStream(rec, httptest.NewRequest(http.MethodPost, "/v1/generate", nil), &stream, relayState{
-		req: serve.Request{SessionID: "s"}, worker: rt.workers[0],
-		received: &received, ckpt: &ckpt, ckptToks: &ckptToks, written: &written, migrStart: &migr,
-		enc: json.NewEncoder(rec), beginStream: func() {},
-	})
+	stream = append(stream, []byte("{\"done\":true,\"result\":{}}\n"))
+	s := &session{w: httptest.NewRecorder(), req: serve.Request{SessionID: "s"}}
+	out, why := rt.relayStream(s, rt.workers[0], &stream, 0)
+	ckpt, ckptToks := s.ckpt, s.ckptToks
 	if out != relayFinished {
 		t.Fatalf("relay ended %v: %s", out, why)
 	}
@@ -691,6 +681,104 @@ func TestShortCheckpointBodyKeepsPrevious(t *testing.T) {
 	}
 	if n := rt.Stats().CheckpointFetches; n != 1 {
 		t.Fatalf("%d fetches counted, want 1 (the short and the unsized one failed)", n)
+	}
+}
+
+// TestAheadCheckpointKeepsOlder: a worker whose export runs ahead of its
+// stream (a checkpoint of 9 tokens when the router has relayed 6) and then
+// dies must be resumed from the older checkpoint the router already held —
+// an ahead one cannot resume a session whose client has not seen its tokens
+// yet, so holding only it would replay the session from the prompt.
+func TestAheadCheckpointKeepsOlder(t *testing.T) {
+	const n = 12
+	older, ahead := []byte("older checkpoint"), []byte("ahead checkpoint")
+	var (
+		dead          atomic.Bool
+		exports, genB atomic.Int64
+		imported      atomic.Value
+		exported      = make(chan struct{}, 2)
+	)
+	stream := func(w http.ResponseWriter, from, to int) {
+		for i := from; i < to; i++ {
+			w.Write(testLines[10+i])
+			w.(http.Flusher).Flush()
+		}
+	}
+	a := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz":
+			if dead.Load() {
+				w.WriteHeader(http.StatusServiceUnavailable)
+			}
+		case "/v1/sessions/export":
+			blob, toks := older, 3
+			if exports.Add(1) > 1 {
+				blob, toks = ahead, 9
+			}
+			w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
+			w.Header().Set("X-FT2-Checkpoint-Tokens", strconv.Itoa(toks))
+			w.Write(blob)
+			exported <- struct{}{}
+		case "/v1/generate":
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			for from := 0; from < 6; from += 3 {
+				stream(w, from, from+3)
+				select { // the router fetches once it has relayed three tokens
+				case <-exported:
+				case <-time.After(5 * time.Second):
+				}
+			}
+			dead.Store(true)
+			panic(http.ErrAbortHandler)
+		}
+	}))
+	defer a.Close()
+	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/sessions/import":
+			var ir serve.ImportRequest
+			json.NewDecoder(r.Body).Decode(&ir)
+			imported.Store(ir.Snapshot)
+			stream(w, 3, n)
+		case "/v1/generate":
+			genB.Add(1)
+			stream(w, 0, n)
+		default:
+			return
+		}
+		fmt.Fprintln(w, `{"done":true,"result":{}}`)
+	}))
+	defer b.Close()
+	rt, err := New(Config{Workers: []string{a.URL, b.URL}, FetchStride: 3, ProbeInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for rt.healthyCount() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	id := "s0"
+	for i := 1; rt.pickWorker(id) != rt.workers[0]; i++ {
+		id = fmt.Sprint("s", i)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	body, _ := json.Marshal(serve.Request{PromptTokens: []int{1}, MaxTokens: n, Stream: true, SessionID: id})
+	resp, err := http.Post(front.URL+"/v1/generate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	toks, _ := readClientStream(t, resp.Body)
+	for i, tok := range toks {
+		if tok != 10+i {
+			t.Fatalf("client stream %v, want %d tokens from 10 on", toks, n)
+		}
+	}
+	got, _ := imported.Load().([]byte)
+	if st := rt.Stats(); len(toks) != n || !bytes.Equal(got, older) || genB.Load() != 0 || st.CheckpointResumes != 1 {
+		t.Fatalf("%d tokens; imported %q, %d prompt replays, stats %+v: want a resume from %q",
+			len(toks), got, genB.Load(), st, older)
 	}
 }
 

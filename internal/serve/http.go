@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"ft2/internal/chaos"
 	"ft2/internal/data"
@@ -19,9 +21,10 @@ import (
 // scheduler + HTTP surface. Build one with New, mount Handler on an
 // http.Server, and call Shutdown (or BeginDrain + Shutdown) to drain.
 type Server struct {
-	cfg Config
-	sch *scheduler
-	mx  *metrics
+	cfg   Config
+	sch   *scheduler
+	mx    *metrics
+	lines func() [][]byte // stream line of every token id, built on first stream
 }
 
 // New builds a Server from the config (defaults resolved; see Config).
@@ -43,7 +46,61 @@ func New(c Config) (*Server, error) {
 	mx := newMetrics()
 	mx.abftTier = len(cfg.ProtectPolicy.Kinds(protect.TierABFT, protect.TierABFTFT2)) > 0
 	mx.dmrTier = len(cfg.ProtectPolicy.Kinds(protect.TierDMR)) > 0
-	return &Server{cfg: cfg, sch: newScheduler(cfg, pool, mx, eng), mx: mx}, nil
+	lines := sync.OnceValue(func() [][]byte { return linesFor(cfg.ModelCfg.Vocab) })
+	return &Server{cfg: cfg, sch: newScheduler(cfg, pool, mx, eng), mx: mx, lines: lines}, nil
+}
+
+// TokenLines returns the NDJSON stream line of every token id below n —
+// what encoding/json makes of {"token": id, "word": word}, newline
+// included — so a stream writes each token as one copy.
+func TokenLines(n int) [][]byte {
+	vocab := data.Vocab()
+	lines := make([][]byte, n)
+	for tok := range lines {
+		var b bytes.Buffer
+		json.NewEncoder(&b).Encode(map[string]interface{}{"token": tok, "word": vocab.Word(tok)})
+		lines[tok] = b.Bytes()
+	}
+	return lines
+}
+
+// zooLines returns the stream lines of every id a zoo model can emit,
+// built on first use: a process that never streams does not hold them.
+var zooLines = sync.OnceValue(func() [][]byte {
+	n := 0
+	for _, c := range model.Zoo() {
+		n = max(n, c.Vocab)
+	}
+	return TokenLines(n)
+})
+
+// linesFor returns the stream lines of a vocabulary of n ids: a prefix of
+// the zoo's when that covers them.
+func linesFor(n int) [][]byte {
+	if zoo := zooLines(); n <= len(zoo) {
+		return zoo[:n]
+	}
+	return TokenLines(n)
+}
+
+var tokenPrefix = []byte(`{"token":`)
+
+// TokenOf returns the id of a line that is byte for byte the stream line a
+// zoo model's Server writes for that id, and false for any other line — so
+// a relay can forward such a line as read instead of decoding it.
+func TokenOf(line []byte) (int, bool) {
+	digits, ok := bytes.CutPrefix(line, tokenPrefix)
+	if !ok {
+		return 0, false
+	}
+	tok, n := 0, 0
+	for ; n < len(digits) && n < 6 && '0' <= digits[n] && digits[n] <= '9'; n++ {
+		tok = 10*tok + int(digits[n]-'0')
+	}
+	if zoo := zooLines(); n == 0 || tok >= len(zoo) || !bytes.Equal(line, zoo[tok]) {
+		return 0, false
+	}
+	return tok, true
 }
 
 // Chaos returns the server's chaos engine (nil when chaos is off) — the
@@ -184,27 +241,31 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamResponse writes one NDJSON line per token as it is decoded, then a
-// terminal line carrying the full Result (or the error).
+// terminal line carrying the full Result (or the error). Every token
+// already waiting when one arrives goes out with it in a single flush. The
+// terminal line is not flushed: the handler's return sends it with the
+// stream's end, so a client that stops reading at it can reuse the
+// connection.
 func (s *Server) streamResponse(w http.ResponseWriter, r *http.Request, sess *Session) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	vocab := data.Vocab()
-	for tok := range sess.Tokens() {
-		enc.Encode(map[string]interface{}{"token": tok, "word": vocab.Word(tok)})
+	lines, toks := s.lines(), sess.Tokens()
+	for tok := range toks {
+		w.Write(lines[tok])
+		for n := len(toks); n > 0; n-- { // this goroutine is the only receiver
+			w.Write(lines[<-toks])
+		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
+	enc := json.NewEncoder(w)
 	res, err := sess.Wait(r.Context())
 	if err != nil {
 		enc.Encode(map[string]interface{}{"done": true, "error": err.Error()})
 	} else {
 		enc.Encode(map[string]interface{}{"done": true, "result": res})
-	}
-	if flusher != nil {
-		flusher.Flush()
 	}
 }
 

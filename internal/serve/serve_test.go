@@ -15,6 +15,7 @@ import (
 	"ft2/internal/chaos"
 	"ft2/internal/data"
 	"ft2/internal/prefixcache"
+	"ft2/internal/tokenizer"
 )
 
 // testConfig serves the smallest zoo model with one replica and enough
@@ -550,6 +551,37 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("healthz while draining: %v %d, want 503", err, resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestTokenLinesMatchEncoder: the stream table, built once per Server and
+// covering its vocabulary, holds for every id a zoo model can emit the bytes
+// json.Encoder makes of the token's map — the HTML-escaped <…> specials
+// included — so the stream's bytes are what they were when every line was
+// encoded as it went out.
+func TestTokenLinesMatchEncoder(t *testing.T) {
+	srv, err := New(testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	lines, vocabSize := srv.lines(), srv.Config().ModelCfg.Vocab
+	if len(lines) != vocabSize {
+		t.Fatalf("%d stream lines for a vocabulary of %d", len(lines), vocabSize)
+	}
+	if &lines[0] != &srv.lines()[0] {
+		t.Fatal("a second stream rebuilt the Server's table")
+	}
+	vocab := data.Vocab()
+	for tok, line := range zooLines() {
+		var want bytes.Buffer
+		json.NewEncoder(&want).Encode(map[string]interface{}{"token": tok, "word": vocab.Word(tok)})
+		if !bytes.Equal(line, want.Bytes()) {
+			t.Fatalf("token %d: table line %q, encoder %q", tok, line, want.Bytes())
+		}
+	}
+	if got, want := string(lines[tokenizer.EOS]), `{"token":2,"word":"\u003ceos\u003e"}`+"\n"; got != want {
+		t.Fatalf("EOS line %q, want %q", got, want)
+	}
 }
 
 // TestConcurrentLoadAcrossReplicas runs a protected load over several
