@@ -275,12 +275,12 @@ func TestFT2ScaleFactorWidensEffectiveBounds(t *testing.T) {
 		f.Generate(prompt, 24)
 		return f.Stats().Total()
 	}
-	// Fault-free corrections can only decrease as the scale grows.
+	// Fault-free corrections fall as the scale grows; unscaled bounds clip some.
 	c1 := corrections(1)
 	c2 := corrections(2)
 	c4 := corrections(4)
-	if c2 > c1 || c4 > c2 {
-		t.Errorf("corrections must be monotone in scale: %d, %d, %d", c1, c2, c4)
+	if c1 == 0 || c2 > c1 || c4 > c2 {
+		t.Errorf("corrections must be positive at scale 1 and monotone in scale: %d, %d, %d", c1, c2, c4)
 	}
 }
 

@@ -190,7 +190,7 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 	}
 
 	// Per-session readout over the emitting rows only: stream-norm record,
-	// teacher-prior injection (β·R·t̂ added to the pre-norm state — a sane
+	// teacher-prior injection (γ·R·t̂ added to the pre-norm state — a sane
 	// stream of norm ≈ R is dominated by it, a corrupted stream whose norm
 	// exploded drowns it and the readout diverges), final norm, and the
 	// tied-embedding projection.

@@ -23,14 +23,16 @@ type Config struct {
 	AttnBias   bool // QKV/out bias (OPT: yes, Qwen: QKV only in the real model; simplified to all)
 	// LogitScale multiplies the raw logits (cosmetic for greedy decoding).
 	LogitScale float32
-	// TeacherWeight γ adds a deterministic next-token prior to the logits,
-	// standing in for a trained model's low per-token entropy: random-weight
-	// models have near-tie logit gaps, so any perturbation flips tokens,
-	// which a 7B trained model's confident margins do not allow. With γ, a
-	// hidden-state distortion flips a token only when its induced logit
-	// deviation exceeds γ — small in-bound corruptions stay masked, extreme
-	// out-of-bound values and NaN do not, reproducing the paper's
-	// fault-magnitude separation at small scale (see DESIGN.md §5).
+	// TeacherWeight γ adds a deterministic next-token prior to the residual
+	// stream before the final norm, at γ× the calibrated sane stream norm
+	// (γ = 4 on every zoo model). It stands in for a trained model's low
+	// per-token entropy: random-weight models have near-tie logit gaps, so
+	// any perturbation flips tokens, which a 7B trained model's confident
+	// margins do not allow. A sane stream is dominated by the prior, so
+	// small in-bound corruptions stay masked, while extreme out-of-bound
+	// values blow the stream norm up and drown it and NaN poisons it,
+	// reproducing the paper's fault-magnitude separation at small scale
+	// (see DESIGN.md §5).
 	TeacherWeight float32
 
 	// Real-model metadata for Table 2 and the perf model.

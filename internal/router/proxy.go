@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -16,6 +17,7 @@ import (
 	"ft2/internal/data"
 	"ft2/internal/model"
 	"ft2/internal/serve"
+	"ft2/internal/wire"
 )
 
 // This file is the proxy's session driver — the migration loop that makes a
@@ -57,10 +59,14 @@ func (rt *Router) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req serve.Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxGenerateBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSONError(w, status, fmt.Sprintf("invalid request body: %v", err))
 		return
 	}
 	if req.SessionID == "" {
@@ -336,15 +342,13 @@ func composeResult(res *serve.Result, received []int) serve.Result {
 }
 
 // maxCheckpointBytes bounds a fetched checkpoint blob, and so the buffer a
-// worker's Content-Length can make the router allocate: four times the K/V
-// rows of the largest zoo model at full context, which leaves room for the
-// envelope's token list, fork state and header.
-var maxCheckpointBytes = func() int64 {
-	kv := 0
+// worker's Content-Length can make the router allocate: the largest
+// session envelope of any zoo model.
+var maxCheckpointBytes = func() (n int64) {
 	for _, c := range model.Zoo() {
-		kv = max(kv, c.Blocks*2*c.MaxSeq*c.Hidden*4)
+		n = max(n, wire.MaxSessionBytes(c))
 	}
-	return 4 * int64(kv)
+	return n
 }()
 
 // fetchCheckpoint pulls the session's latest export from the worker

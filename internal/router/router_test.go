@@ -556,8 +556,8 @@ func TestRoutesAroundDrainingWorker(t *testing.T) {
 	}
 }
 
-// TestClientErrorsPassThrough checks a worker's 4xx verdict reaches the
-// client untouched instead of triggering failover.
+// TestClientErrorsPassThrough: a worker's 4xx verdict reaches the client
+// untouched, without failover; an oversized body is the router's own 413.
 func TestClientErrorsPassThrough(t *testing.T) {
 	cfg := workerConfig(t)
 	c := newTestCluster(t, 2, cfg, Config{})
@@ -576,6 +576,12 @@ func TestClientErrorsPassThrough(t *testing.T) {
 	}
 	if st := c.rt.Stats(); st.Migrations != 0 {
 		t.Fatalf("4xx caused failover: %+v", st)
+	}
+	rec := httptest.NewRecorder()
+	huge := `{"x":"` + strings.Repeat("A", serve.MaxGenerateBody) + `"}` // read in full: a 400 (unknown field)
+	c.rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/generate", strings.NewReader(huge)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", rec.Code)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -208,16 +209,38 @@ func (s *Server) writeError(w http.ResponseWriter, err error, record bool) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
+// MaxGenerateBody bounds a /v1/generate body. A legitimate one is a few KB
+// at MaxSeq 256.
+const MaxGenerateBody = 1 << 20
+
+// maxImportBody bounds a /v1/sessions/import body: the largest session
+// envelope of the served model, ×4/3 for its base64 encoding in the JSON.
+func maxImportBody(cfg model.Config) int64 { return wire.MaxSessionBytes(cfg) * 4 / 3 }
+
+// decodeBody decodes r's JSON body into v, unknown fields rejected, reading
+// at most limit bytes: a longer body is a 413, a malformed one a 400.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, what string) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if errors.As(err, new(*http.MaxBytesError)) {
+		return &apiError{Status: http.StatusRequestEntityTooLarge,
+			Msg: fmt.Sprintf("%s body exceeds %d bytes", what, limit)}
+	}
+	if err != nil {
+		return badRequest("invalid %s body: %v", what, err)
+	}
+	return nil
+}
+
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var req Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, badRequest("invalid request body: %v", err), true)
+	if err := decodeBody(w, r, MaxGenerateBody, &req, "request"); err != nil {
+		s.writeError(w, err, true)
 		return
 	}
 
@@ -360,10 +383,8 @@ func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ir ImportRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ir); err != nil {
-		s.writeError(w, badRequest("invalid import body: %v", err), true)
+	if err := decodeBody(w, r, maxImportBody(s.cfg.ModelCfg), &ir, "import"); err != nil {
+		s.writeError(w, err, true)
 		return
 	}
 	if ir.SessionID == "" {

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"time"
 
 	"ft2/internal/core"
@@ -131,13 +130,7 @@ func (sch *scheduler) encodeSessionState(r *replica, s *Session) ([]byte, error)
 // validateAdoptable), so Restore's panic paths are unreachable; the recover
 // keeps an engine surprise inside the 500 boundary regardless.
 func (sch *scheduler) adoptGuarded(r *replica, s *Session) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			log.Printf("serve: panic in session adoption: %v\n%s", p, debug.Stack())
-			err = &apiError{Status: 500,
-				Msg: fmt.Sprintf("serve: internal error: %v", p)}
-		}
-	}()
+	defer recoverAs500(&err, "in session adoption")
 	m := r.m
 	if s.state == nil {
 		s.state = sch.obtainState(r)

@@ -3,8 +3,10 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"log"
 	"math"
 	"net/http"
+	"runtime/debug"
 	"time"
 
 	"ft2/internal/data"
@@ -145,6 +147,17 @@ func errStatus(err error) int {
 		return ae.Status
 	}
 	return http.StatusInternalServerError
+}
+
+// recoverAs500 is the engine's panic boundary, deferred by every scheduler
+// entry into it (openPrefill, adoptGuarded, fusedSlice): a panic out of the
+// engine or a hook is logged with its stack and becomes a 500 for the
+// sessions involved instead of crashing the server.
+func recoverAs500(err *error, where string) {
+	if p := recover(); p != nil {
+		log.Printf("serve: panic %s: %v\n%s", where, p, debug.Stack())
+		*err = &apiError{Status: 500, Msg: fmt.Sprintf("serve: internal error: %v", p)}
+	}
 }
 
 // maxDeadlineMS is the largest deadline_ms a time.Duration can hold.

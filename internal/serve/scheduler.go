@@ -2,10 +2,7 @@ package serve
 
 import (
 	"context"
-	"fmt"
-	"log"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -504,13 +501,7 @@ func (sch *scheduler) release(s *Session, delivered bool) {
 // computed. No prompt rows are computed here: the fused slice loop feeds the
 // chunks, co-batched with decode rows.
 func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			log.Printf("serve: panic opening prefill: %v\n%s", p, debug.Stack())
-			err = &apiError{Status: 500,
-				Msg: fmt.Sprintf("serve: internal error: %v", p)}
-		}
-	}()
+	defer recoverAs500(&err, "opening prefill")
 	m := r.m
 	if s.state == nil {
 		s.state = sch.obtainState(r)
@@ -621,13 +612,7 @@ func (sch *scheduler) finishPrefill(r *replica, g *group, i, tok int) {
 // becomes a 500-class error for the whole group instead of crashing the
 // server.
 func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			log.Printf("serve: panic in session slice: %v\n%s", p, debug.Stack())
-			err = &apiError{Status: 500,
-				Msg: fmt.Sprintf("serve: internal error: %v", p)}
-		}
-	}()
+	defer recoverAs500(&err, "in session slice")
 	m := r.m
 
 	for {

@@ -8,12 +8,14 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"ft2/internal/chaos"
 	"ft2/internal/data"
+	"ft2/internal/model"
 	"ft2/internal/prefixcache"
 	"ft2/internal/tokenizer"
 )
@@ -367,6 +369,67 @@ func TestRequestValidation(t *testing.T) {
 	if _, err := s.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkBodyLimit posts path a body one JSON string longer than limit: the
+// answer is a 413, and the worker still serves a generate after it.
+func checkBodyLimit(t *testing.T, srv *Server, path, field string, limit int64) {
+	post := func(path, body string) int {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec.Code
+	}
+	if code := post(path, `{"`+field+`":"`+strings.Repeat("A", int(limit))+`"}`); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%s body over %d bytes: %d, want 413", path, limit, code)
+	}
+	if code := post("/v1/generate", `{"prompt_tokens":[4,5,6],"max_tokens":4}`); code != http.StatusOK {
+		t.Fatalf("generate after a 413: %d, want 200", code)
+	}
+}
+
+func TestGenerateBodyLimit(t *testing.T) {
+	checkBodyLimit(t, newTestServer(t, testConfig(t)), "/v1/generate", "text", MaxGenerateBody)
+}
+
+func TestImportBodyLimit(t *testing.T) {
+	srv := newTestServer(t, testConfig(t))
+	checkBodyLimit(t, srv, "/v1/sessions/import", "snapshot", maxImportBody(srv.Config().ModelCfg))
+}
+
+// FuzzGenerateRequest runs arbitrary /v1/generate bodies through the
+// handler's decoder and Submit's validation: nothing panics, and a request
+// that passes meets the engine's preconditions.
+func FuzzGenerateRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"text":"what city hosts the museum","max_tokens":8,"protected":true}`,
+		`{"prompt_tokens":[4,17,42],"max_tokens":252,"deadline_ms":60000}`,
+		`{"dataset":"squad-sim","input":3,"max_tokens":8,"stream":true}`,
+		`{"prompt_tokens":[4],"max_tokens":9223372036854775807}`,
+		`{"prompt_tokens":[4],"max_tokens":1,"deadline_ms":9223372036855}`,
+	} {
+		f.Add([]byte(body))
+	}
+	cfg, err := model.ConfigByName("qwen2-1.5b-sim")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req Request
+		r := httptest.NewRequest(http.MethodPost, "/v1/generate", bytes.NewReader(body))
+		if decodeBody(httptest.NewRecorder(), r, MaxGenerateBody, &req, "request") != nil {
+			return
+		}
+		prompt, err := req.resolvePrompt(cfg)
+		d, derr := req.deadline(time.Minute)
+		if err != nil || derr != nil {
+			return
+		}
+		outside := slices.ContainsFunc(prompt, func(tok int) bool { return tok < 0 || tok >= cfg.Vocab })
+		if outside || req.MaxTokens < 1 || req.MaxTokens > cfg.MaxSeq-len(prompt) || d <= 0 {
+			t.Fatalf("accepted prompt %v + max_tokens %d (vocab %d, MaxSeq %d), deadline %v",
+				prompt, req.MaxTokens, cfg.Vocab, cfg.MaxSeq, d)
+		}
+	})
 }
 
 // TestDeadline checks a request whose deadline expires mid-generation

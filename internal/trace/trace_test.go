@@ -8,6 +8,7 @@ import (
 	"ft2/internal/core"
 	"ft2/internal/model"
 	"ft2/internal/numerics"
+	"ft2/internal/protect"
 	"ft2/internal/tensor"
 )
 
@@ -143,6 +144,17 @@ func TestProtectionLimitsPropagation(t *testing.T) {
 	if maxRel(protected, 1) >= maxRel(unprotected, 1) {
 		t.Errorf("FT2 did not reduce downstream corruption: %g vs %g",
 			maxRel(protected, 1), maxRel(unprotected, 1))
+	}
+	// DMR after the injector recomputes the layer: nothing deviates.
+	duplicated, err := Run(m, prompt, 6, func() {
+		inject()
+		m.RegisterHook(protect.NewDMR(m).Hook())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := Affected(duplicated, 1e-3); len(a) != 0 {
+		t.Errorf("DMR left %d deviating sites, first %+v", len(a), a[0])
 	}
 }
 

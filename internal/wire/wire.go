@@ -54,6 +54,13 @@ var (
 	ErrMalformed    = errors.New("wire: malformed session payload")
 )
 
+// MaxSessionBytes bounds the envelope of any session of cfg, and so what a
+// receiver reads before decoding one: four times the model's K/V rows at
+// full context, which leaves room for the token list, fork state and header.
+func MaxSessionBytes(cfg model.Config) int64 {
+	return 4 * int64(cfg.Blocks) * 2 * int64(cfg.MaxSeq) * int64(cfg.Hidden) * 4
+}
+
 // Header is the parsed envelope prefix Inspect returns.
 type Header struct {
 	Version     int
