@@ -34,6 +34,7 @@ fuzz-smoke:
 	$(GO) test ./internal/protect -run XXX -fuzz FuzzObserveBareMatchesProtected -fuzztime 10s
 	$(GO) test ./internal/router -run XXX -fuzz FuzzRelayStream -fuzztime 10s
 	$(GO) test ./internal/serve -run XXX -fuzz FuzzGenerateRequest -fuzztime 10s
+	$(GO) test ./internal/serve -run XXX -fuzz FuzzImportRequest -fuzztime 10s
 
 # The race detector pass covers the packages whose code starts goroutines —
 # the campaign worker pool, the serving scheduler with its shared read-only

@@ -57,7 +57,7 @@ func main() {
 	chaosWeight := flag.Float64("chaos-weight", 0.2, "fraction of chaos faults corrupting replica weights persistently")
 	chaosKV := flag.Float64("chaos-kv", 0.2, "fraction of chaos faults flipping resident KV-cache bits")
 	chaosJournal := flag.String("chaos-journal", "", "append every chaos injection/recovery event as JSONL to this path")
-	exportStride := flag.Int("export-stride", 0, "capture a live-migration checkpoint every N emitted tokens for sessions with a session_id, served by GET /v1/sessions/export (0 = off)")
+	exportStride := flag.Int("export-stride", 0, "mark a live-migration checkpoint every N emitted tokens for sessions with a session_id, encoded when fetched from GET /v1/sessions/export (0 = off)")
 	spillDir := flag.String("spill-dir", "", "durable session parking: finished sessions with a session_id are written here and can be resumed with {\"resume\":true} after a restart (empty = off)")
 	base := cliutil.RegisterBase(flag.CommandLine)
 	prof := cliutil.RegisterPprof(flag.CommandLine)

@@ -144,15 +144,27 @@ func (s *Snapshot) Prefix(rows int) *Snapshot {
 // View fills into with a read-only, no-copy view of st's generation state:
 // the bookkeeping Checkpoint would capture, with k/v aliasing st's KV slabs
 // at stride MaxSeq. It encodes (AppendSnapshot) to the bytes of a Checkpoint
-// copy and restores like one, but stays valid only until st next changes —
-// the migration export encodes it on the owning worker between steps.
-// into's per-block slice headers are reused across calls.
+// copy and restores like one. A decode step only appends rows, so the view
+// stays valid until st is reset, restored or has a row rewritten: the
+// migration export encodes a view taken at a stride boundary on another
+// goroutine while the session decodes on. into's per-block slice headers
+// are reused across calls, and a second view of the same st rewrites only
+// the bookkeeping, never those headers, so a copy of an earlier view of st
+// is read without racing the next View.
 func (m *Model) View(st *DecodeState, into *Snapshot) {
 	m.checkCompatible(st)
 	if !st.Started() {
 		panic("model: View before Prefill")
 	}
 	cfg := m.Cfg
+	k, v := into.k, into.v
+	if len(k) != len(st.kv) || &k[0][0] != &st.kv[0].k[0] {
+		k, v = k[:0], v[:0]
+		for b := range st.kv {
+			k = append(k, st.kv[b].k)
+			v = append(v, st.kv[b].v)
+		}
+	}
 	*into = Snapshot{
 		family: cfg.Family,
 		blocks: cfg.Blocks, hidden: cfg.Hidden, maxSeq: cfg.MaxSeq, headDim: cfg.HeadDim(),
@@ -162,11 +174,7 @@ func (m *Model) View(st *DecodeState, into *Snapshot) {
 		rows:           st.kv[0].rows,
 		stride:         cfg.MaxSeq,
 		lastStreamNorm: st.lastStreamNorm,
-		k:              into.k[:0], v: into.v[:0],
-	}
-	for b := range st.kv {
-		into.k = append(into.k, st.kv[b].k)
-		into.v = append(into.v, st.kv[b].v)
+		k:              k, v: v,
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"time"
@@ -360,7 +361,7 @@ func (rt *Router) fetchCheckpoint(wk *worker, sessionID string) ([]byte, int, bo
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		wk.url+"/v1/sessions/export?id="+sessionID, nil)
+		wk.url+"/v1/sessions/export?"+url.Values{"id": {sessionID}}.Encode(), nil)
 	if err != nil {
 		return nil, 0, false
 	}

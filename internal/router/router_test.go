@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -344,11 +345,84 @@ func TestMigrationCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestSessionIDsEscapedInExportURL puts sessions whose ids differ only in
+// characters a query string gives meaning to — "victim" and "victim&x=1",
+// "a b" and "a+b", "x" and "x#y", "100%" and "100%25" — and a non-ASCII one
+// on one worker, and kills it mid-stream. Every session must resume on the
+// survivor from its own checkpoint and end equal to its oracle. An id put in
+// the export URL unescaped fetches another session's checkpoint, which the
+// failover imports, or none at all.
+func TestSessionIDsEscapedInExportURL(t *testing.T) {
+	const maxTokens, killAt = 96, 12
+	ids := []string{"victim", "victim&x=1", "a b", "a+b", "x", "x#y", "100%", "100%25", "naïve-会话"}
+	cfg := workerConfig(t)
+	cfg.ExportStride, cfg.StepDelay, cfg.MaxSessions = 2, 5*time.Millisecond, 2*len(ids)
+	c := newTestCluster(t, 2, cfg, Config{FetchStride: 3, ProbeTimeout: time.Second})
+	ds, err := data.ByName("squad-sim", len(ids))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]int, len(ids))
+	for i := range ids {
+		want[i], _ = oracleRun(t, cfg, ds.Inputs[i].Prompt, maxTokens)
+	}
+
+	// Every session opens on the owner while the spare is down.
+	owner, spare := c.rt.workers[0], c.rt.workers[1]
+	c.harness(spare).kill()
+	for deadline := time.Now().Add(5 * time.Second); spare.healthy.Load() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	decs := make([]*json.Decoder, len(ids))
+	got := make([][]int, len(ids))
+	for i, id := range ids {
+		body, _ := json.Marshal(serve.Request{
+			PromptTokens: ds.Inputs[i].Prompt, MaxTokens: maxTokens, Protected: true, Stream: true, SessionID: id,
+		})
+		resp, err := http.Post(c.front.URL+"/v1/generate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		decs[i] = json.NewDecoder(resp.Body)
+	}
+	read := func(i, n int) {
+		for len(got[i]) < n {
+			var l streamLine
+			if err := decs[i].Decode(&l); err != nil || l.Done {
+				t.Fatalf("session %q: stream ended after %d tokens: %v %s", ids[i], len(got[i]), err, l.Error)
+			}
+			got[i] = append(got[i], *l.Token)
+		}
+	}
+	for i := range ids {
+		read(i, killAt)
+	}
+	c.harness(spare).revive(t)
+	for deadline := time.Now().Add(5 * time.Second); !spare.healthy.Load() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	c.harness(owner).kill()
+	for i, id := range ids {
+		read(i, maxTokens)
+		var l streamLine
+		if err := decs[i].Decode(&l); err != nil || !l.Done || l.Error != "" {
+			t.Fatalf("session %q: no clean terminal line: %v %s", id, err, l.Error)
+		}
+		if !equalInts(got[i], want[i]) || !equalInts(l.Result.Tokens, want[i]) {
+			t.Errorf("session %q diverged:\n got %v\nwant %v", id, got[i], want[i])
+		}
+	}
+	if st := c.rt.Stats(); st.CheckpointResumes != int64(len(ids)) || st.Failures != 0 {
+		t.Fatalf("stats %+v: want each of %d sessions resumed from its checkpoint", st, len(ids))
+	}
+}
+
 // serving returns the worker driving session id right now — the one holding
 // a checkpoint of it (nil between a kill and the next worker's first capture).
 func (c *testCluster) serving(id string) *worker {
 	for _, w := range c.rt.workers {
-		resp, err := http.Get(w.url + "/v1/sessions/export?id=" + id)
+		resp, err := http.Get(w.url + "/v1/sessions/export?" + url.Values{"id": {id}}.Encode())
 		if err != nil {
 			continue
 		}

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"ft2/internal/chaos"
+	"ft2/internal/core"
 	"ft2/internal/data"
 	"ft2/internal/model"
 	"ft2/internal/prefixcache"
@@ -336,9 +337,11 @@ func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSessionExport serves the latest migration checkpoint of a live
-// session as a wire-format blob; X-FT2-Checkpoint-Tokens carries how many
-// tokens it covers. 404 when export is disabled, the session is unknown, or
-// it already settled (its checkpoint dies with it).
+// session as a wire-format blob, encoding its latest mark on this goroutine
+// the first time it is asked for; X-FT2-Checkpoint-Tokens carries how many
+// tokens it covers. 404 when export is disabled, the session is unknown, has
+// no mark yet, or already settled (its checkpoint dies with it); 500 when the
+// mark does not encode.
 func (s *Server) handleSessionExport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -353,15 +356,15 @@ func (s *Server) handleSessionExport(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest("missing id parameter"), false)
 		return
 	}
-	e, ok := s.sch.exportFor(id)
-	if !ok {
-		s.writeError(w, &apiError{Status: 404, Msg: fmt.Sprintf("serve: no checkpoint for session %q", id)}, false)
+	blob, tokens, err := s.sch.exportFor(id)
+	if err != nil {
+		s.writeError(w, err, false)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(e.blob)))
-	w.Header().Set("X-FT2-Checkpoint-Tokens", strconv.Itoa(e.tokens))
-	w.Write(e.blob)
+	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
+	w.Header().Set("X-FT2-Checkpoint-Tokens", strconv.Itoa(tokens))
+	w.Write(blob)
 }
 
 // ImportRequest is the POST /v1/sessions/import body: a wire-format blob
@@ -382,32 +385,10 @@ func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var ir ImportRequest
-	if err := decodeBody(w, r, maxImportBody(s.cfg.ModelCfg), &ir, "import"); err != nil {
-		s.writeError(w, err, true)
-		return
-	}
-	if ir.SessionID == "" {
-		s.writeError(w, badRequest("import requires session_id"), true)
-		return
-	}
-	snap, fk, err := wire.DecodeSessionFor(ir.Snapshot, s.cfg.ModelCfg)
+	req, snap, fk, err := decodeImport(w, r, s.cfg.ModelCfg)
 	if err != nil {
-		s.writeError(w, badRequest("snapshot rejected: %v", err), true)
-		return
-	}
-	remaining := ir.MaxTokensTotal - snap.NextStep()
-	if err := validateAdoptable(snap, s.cfg.ModelCfg, remaining); err != nil {
 		s.writeError(w, err, true)
 		return
-	}
-	req := Request{
-		SessionID:  ir.SessionID,
-		MaxTokens:  remaining,
-		Protected:  fk != nil,
-		Stream:     true,
-		StopAtEOS:  ir.StopAtEOS,
-		DeadlineMS: ir.DeadlineMS,
 	}
 	sess, err := s.sch.submitAdopted(r.Context(), req, snap, fk, adoptImport)
 	if err != nil {
@@ -415,6 +396,36 @@ func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.streamResponse(w, r, sess)
+}
+
+// decodeImport reads an import body for a worker serving cfg — at most
+// maxImportBody bytes of JSON, an envelope DecodeSessionFor accepts, a
+// snapshot validateAdoptable can resume with the tokens left — and returns
+// the streamed request, snapshot and fork state the session adopts.
+func decodeImport(w http.ResponseWriter, r *http.Request, cfg model.Config) (Request, *model.Snapshot, *core.ForkState, error) {
+	var ir ImportRequest
+	if err := decodeBody(w, r, maxImportBody(cfg), &ir, "import"); err != nil {
+		return Request{}, nil, nil, err
+	}
+	if ir.SessionID == "" {
+		return Request{}, nil, nil, badRequest("import requires session_id")
+	}
+	snap, fk, err := wire.DecodeSessionFor(ir.Snapshot, cfg)
+	if err != nil {
+		return Request{}, nil, nil, badRequest("snapshot rejected: %v", err)
+	}
+	remaining := ir.MaxTokensTotal - snap.NextStep()
+	if err := validateAdoptable(snap, cfg, remaining); err != nil {
+		return Request{}, nil, nil, err
+	}
+	return Request{
+		SessionID:  ir.SessionID,
+		MaxTokens:  remaining,
+		Protected:  fk != nil,
+		Stream:     true,
+		StopAtEOS:  ir.StopAtEOS,
+		DeadlineMS: ir.DeadlineMS,
+	}, snap, fk, nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -58,10 +58,12 @@ type metrics struct {
 	rebuilds   atomic.Int64
 	sdcSuspect atomic.Int64
 
-	// Cluster / durability telemetry: migration checkpoints captured for
-	// /v1/sessions/export, sessions adopted via /v1/sessions/import, and the
-	// spill-dir parking pair (spilled at settle, restored on Resume).
+	// Cluster / durability telemetry: migration checkpoints marked for
+	// /v1/sessions/export and the marks it encoded, sessions adopted via
+	// /v1/sessions/import, and the spill-dir parking pair (spilled at
+	// settle, restored on Resume).
 	ckptExports  atomic.Int64
+	ckptEncodes  atomic.Int64
 	sessImported atomic.Int64
 	sessSpilled  atomic.Int64
 	sessRestored atomic.Int64
@@ -252,6 +254,7 @@ func (m *metrics) render(w io.Writer, modelName string, replicas, maxSessions, b
 		fmt.Fprintf(w, "ft2serve_prefix_budget_bytes %d\n", prefixS.Budget)
 	}
 	fmt.Fprintf(w, "ft2serve_checkpoint_exports_total %d\n", m.ckptExports.Load())
+	fmt.Fprintf(w, "ft2serve_checkpoint_encodes_total %d\n", m.ckptEncodes.Load())
 	fmt.Fprintf(w, "ft2serve_sessions_imported_total %d\n", m.sessImported.Load())
 	fmt.Fprintf(w, "ft2serve_sessions_spilled_total %d\n", m.sessSpilled.Load())
 	fmt.Fprintf(w, "ft2serve_sessions_restored_total %d\n", m.sessRestored.Load())

@@ -6,16 +6,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"ft2/internal/chaos"
 	"ft2/internal/core"
+	"ft2/internal/fault"
 	"ft2/internal/model"
+	"ft2/internal/numerics"
 	"ft2/internal/wire"
 )
 
@@ -279,6 +284,64 @@ func TestImportValidation(t *testing.T) {
 	}
 }
 
+// FuzzImportRequest feeds arbitrary /v1/sessions/import bodies through the
+// handler's checks — decodeBody under the maxImportBody cap, DecodeSessionFor
+// and validateAdoptable (decodeImport). Nothing may panic, and a body they
+// accept must meet Restore's preconditions and leave the tokens it asks for
+// room in the KV cache: the adopted session's first slice restores it.
+func FuzzImportRequest(f *testing.F) {
+	cfg, err := model.ConfigByName("qwen2-1.5b-sim")
+	if err != nil {
+		f.Fatal(err)
+	}
+	m, err := model.New(cfg, 7, numerics.FP16)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ft := core.New(m, core.Defaults())
+	ft.Reset()
+	ft.Install()
+	tok := m.Prefill([]int{4, 17, 42})
+	fk := ft.CaptureForkState()
+	for i := 0; i < 5; i++ {
+		tok = m.DecodeStep(tok)
+	}
+	var snap model.Snapshot
+	m.Checkpoint(&snap)
+	for _, fork := range []*core.ForkState{nil, &fk} {
+		blob, err := wire.EncodeSession(&snap, fork)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, total := range []int{16, snap.NextStep(), cfg.MaxSeq, math.MinInt} {
+			body, _ := json.Marshal(ImportRequest{SessionID: "s", MaxTokensTotal: total, DeadlineMS: 1000, Snapshot: blob})
+			f.Add(body)
+		}
+		body, _ := json.Marshal(ImportRequest{SessionID: "s", MaxTokensTotal: 16, Snapshot: blob[:len(blob)/2]})
+		f.Add(body)
+	}
+	f.Add([]byte(`{"session_id":"s","max_tokens_total":8,"snapshot":"RlQyVw=="}`))
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/sessions/import", bytes.NewReader(body))
+		req, snap, fk, err := decodeImport(httptest.NewRecorder(), r, cfg)
+		if err != nil {
+			if st := errStatus(err); st != http.StatusBadRequest && st != http.StatusRequestEntityTooLarge {
+				t.Fatalf("rejected with %d: %v", st, err)
+			}
+			return
+		}
+		if err := snap.Compatible(cfg); err != nil || snap.NextStep() < 1 || req.Protected != (fk != nil) ||
+			req.MaxTokens < 1 || snap.Rows()+req.MaxTokens > cfg.MaxSeq {
+			t.Fatalf("accepted a snapshot of %d rows at step %d for %d more tokens (MaxSeq %d): %v",
+				snap.Rows(), snap.NextStep(), req.MaxTokens, cfg.MaxSeq, err)
+		}
+		if got := m.Restore(snap); got != snap.LastToken() || got < 0 || got >= cfg.Vocab {
+			t.Fatalf("restored resume token %d (snapshot %d, vocab %d)", got, snap.LastToken(), cfg.Vocab)
+		}
+	})
+}
+
 // TestHugeDeadlineRejected: a deadline_ms whose nanoseconds overflow
 // time.Duration answers 400 on both admission endpoints. Converted as is,
 // 2^62 ms wraps to a 0 s deadline (504 without running) and other values to
@@ -398,9 +461,9 @@ func TestExportViewMatchesCheckpoint(t *testing.T) {
 			if !s.started || s.state == nil {
 				continue
 			}
-			e, ok := sch.exportFor(s.req.SessionID)
-			if !ok {
-				t.Fatalf("session %s decoding with no checkpoint", s.req.SessionID)
+			blob, tokens, err := sch.exportFor(s.req.SessionID)
+			if err != nil {
+				t.Fatalf("session %s decoding with no checkpoint: %v", s.req.SessionID, err)
 			}
 			snap := &model.Snapshot{}
 			prev := r.m.SwapState(s.state)
@@ -414,15 +477,15 @@ func TestExportViewMatchesCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(e.blob, want) || e.tokens != snap.NextStep() {
+			if !bytes.Equal(blob, want) || tokens != snap.NextStep() {
 				t.Fatalf("session %s at %d rows: view-encoded export (%d bytes, %d tokens) != Checkpoint copy (%d bytes, %d tokens)",
-					s.req.SessionID, snap.Rows(), len(e.blob), e.tokens, len(want), snap.NextStep())
+					s.req.SessionID, snap.Rows(), len(blob), tokens, len(want), snap.NextStep())
 			}
 			covered[seen{s.req.Protected, snap.Rows()}] = true
 			hit = hit || s.hitRows > 0
 			adopted = adopted || s.adoptKind == adoptImport
 			if s.req.Protected && snap.Rows() > 64 && foreign == nil {
-				foreign = e.blob
+				foreign = blob
 			}
 		}
 	}
@@ -460,10 +523,186 @@ func TestExportViewMatchesCheckpoint(t *testing.T) {
 	}
 }
 
-// TestExportCaptureAllocatesOnlyTheBlob pins a capture's cost: encoding a
-// view of the live slabs allocates the envelope and nothing payload-sized
-// besides — one allocation for a bare session; for a protected one the
-// bounds entries' sort adds a few small ones.
+// TestExportFetchDuringDecodeSettleRecycle polls /v1/sessions/export from
+// several goroutines while sessions decode, settle and hand their KV states
+// to the sessions admitted after them, so fetches encode marks concurrently
+// with decode steps, settles and recycling. Every 200 must decode for the
+// served model with X-FT2-Checkpoint-Tokens equal to its NextStep; the blobs
+// of one prompt at one token count must be byte-identical across rounds;
+// and each, imported into a second server, must continue to the oracle.
+func TestExportFetchDuringDecodeSettleRecycle(t *testing.T) {
+	const rounds, perRound, pollers, maxTokens = 3, 4, 3, 16
+	cfg := testConfig(t)
+	cfg.Replicas = 2
+	cfg.MaxSessions = perRound // each round runs on the states the last one recycled
+	cfg.ExportStride = 2
+	cfg.StepDelay = time.Millisecond
+	srv := newTestServer(t, cfg)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	prompts := testPrompts(t, perRound)
+	protected := func(i int) bool { return i%2 == 1 }
+	oracle := make([][]int, perRound)
+	for i := range oracle {
+		var err error
+		if oracle[i], _, err = Oracle(srv.Config(), prompts(i), maxTokens, protected(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := func(round, i int) string { return fmt.Sprintf("s%d-r%d", i, round) }
+	modelCfg := srv.Config().ModelCfg
+
+	type mark struct{ prompt, tokens int }
+	var mu sync.Mutex
+	blobs := map[mark][]byte{}
+	fetched := 0
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	stopPollers := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopPollers()
+	for p := 0; p < pollers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := p; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				round, i := n/perRound%rounds, n%perRound
+				resp, err := http.Get(ts.URL + "/v1/sessions/export?id=" + id(round, i))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				blob, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusNotFound {
+					continue
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("export of %s: %d %s", id(round, i), resp.StatusCode, blob)
+					return
+				}
+				snap, fk, err := wire.DecodeSessionFor(blob, modelCfg)
+				if err != nil {
+					t.Errorf("export of %s: %v", id(round, i), err)
+					return
+				}
+				tokens, _ := strconv.Atoi(resp.Header.Get("X-FT2-Checkpoint-Tokens"))
+				if tokens != snap.NextStep() || (fk != nil) != protected(i) {
+					t.Errorf("export of %s: header says %d tokens, snapshot %d; fork state %v", id(round, i), tokens, snap.NextStep(), fk != nil)
+					return
+				}
+				mu.Lock()
+				fetched++
+				if prev, ok := blobs[mark{i, tokens}]; ok && !bytes.Equal(prev, blob) {
+					t.Errorf("prompt %d at %d tokens: blobs differ across sessions", i, tokens)
+				}
+				blobs[mark{i, tokens}] = blob
+				mu.Unlock()
+			}
+		}()
+	}
+	for round := 0; round < rounds; round++ {
+		sessions := make([]*Session, perRound)
+		for i := range sessions {
+			var err error
+			sessions[i], err = srv.Submit(context.Background(), Request{
+				PromptTokens: prompts(i), MaxTokens: maxTokens, Protected: protected(i), SessionID: id(round, i),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, s := range sessions {
+			res, err := s.Wait(context.Background())
+			if err != nil || !equalTokens(res.Tokens, oracle[i]) {
+				t.Fatalf("round %d session %d: %v, tokens %v, oracle %v", round, i, err, res.Tokens, oracle[i])
+			}
+		}
+	}
+	stopPollers()
+	if fetched == 0 {
+		t.Fatal("no export fetch found a live checkpoint")
+	}
+
+	dst := newTestServer(t, srv.Config())
+	ts2 := httptest.NewServer(dst.Handler())
+	defer ts2.Close()
+	for m, blob := range blobs {
+		ib, _ := json.Marshal(ImportRequest{SessionID: fmt.Sprint("import-", m.prompt, "-", m.tokens), MaxTokensTotal: maxTokens, Snapshot: blob})
+		resp, err := http.Post(ts2.URL+"/v1/sessions/import", "application/json", bytes.NewReader(ib))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			msg, _ := io.ReadAll(resp.Body)
+			t.Fatalf("import of prompt %d at %d tokens: %d %s", m.prompt, m.tokens, resp.StatusCode, msg)
+		}
+		suffix, _, ierr := readStream(t, resp.Body)
+		resp.Body.Close()
+		if ierr != "" || !equalTokens(suffix, oracle[m.prompt][m.tokens:]) {
+			t.Fatalf("prompt %d imported at %d tokens continued to %v (%s), oracle %v",
+				m.prompt, m.tokens, suffix, ierr, oracle[m.prompt][m.tokens:])
+		}
+	}
+	t.Logf("%d fetches, %d distinct checkpoints imported", fetched, len(blobs))
+}
+
+// TestExportPredatesChaosKVFault: a chaos KV fault that lands after a mark
+// and before anyone fetched it rewrites rows the mark covers, so the worker
+// encodes the mark first. The fetch afterwards must return, byte for byte,
+// the encoding of the state at the mark taken before the fault.
+func TestExportPredatesChaosKVFault(t *testing.T) {
+	cfg := chaosConfig(t, chaos.Config{Seed: 5, Rate: 1, Mix: fault.TargetMix{KV: 1}})
+	cfg.ExportStride = 4
+	cfg.SliceSteps = 1
+	sch, sessions := bareSchedulerOf(t, cfg, []Request{{
+		PromptTokens: testPrompts(t, 1)(0), MaxTokens: 32, Protected: true, Chaos: true, SessionID: "kv",
+	}})
+	r, g, s := sch.pool.replicas[0], &group{}, sessions[0]
+	faults := 0
+	for marks := 0; marks < 3; {
+		r = sch.runSlice(r, g, <-sch.ready)
+		if !s.started || s.lastExport != s.state.Step()+1 {
+			continue
+		}
+		// Just marked, not yet fetched: the next slice opens with a KV fault.
+		marks++
+		want, err := sch.encodeSessionState(r, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		injected := sch.chaos.Counters().InjectedKV
+		r = sch.runSlice(r, g, <-sch.ready)
+		if sch.chaos.Counters().InjectedKV == injected {
+			continue
+		}
+		faults++
+		if s.lastExport == s.state.Step()+1 {
+			t.Fatal("a second mark before the fetch: the stride is too short for this test")
+		}
+		blob, tokens, err := sch.exportFor("kv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, want) || tokens != s.lastExport {
+			t.Fatalf("fetch after a KV fault: %d bytes covering %d tokens, differ from the %d-byte encoding at the mark (%d tokens)",
+				len(blob), tokens, len(want), s.lastExport)
+		}
+	}
+	if faults == 0 {
+		t.Fatal("no KV fault landed between a mark and its fetch")
+	}
+}
+
+// TestExportCaptureAllocatesOnlyTheBlob pins what checkpoint export costs
+// and where: a capture on the decoding worker only records a mark and
+// allocates nothing; the fetch that encodes the mark allocates the envelope
+// and nothing payload-sized besides — one allocation for a bare session, and
+// for a protected one the bounds entries' sort adds a few small ones.
 func TestExportCaptureAllocatesOnlyTheBlob(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.ExportStride = 8
@@ -480,44 +719,66 @@ func TestExportCaptureAllocatesOnlyTheBlob(t *testing.T) {
 		if !s.started || s.state == nil {
 			t.Fatalf("session %s not decoding", s.req.SessionID)
 		}
-		sch.captureExport(r, s)
-		e, _ := sch.exportFor(s.req.SessionID)
-		allocs := testing.AllocsPerRun(20, func() { sch.captureExport(r, s) })
+		id := s.req.SessionID
+		if allocs := testing.AllocsPerRun(20, func() { sch.captureExport(r, s) }); allocs != 0 {
+			t.Errorf("%s capture allocates %.1f objects, want 0", id, allocs)
+		}
+		blob, _, err := sch.exportFor(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fetch := func() {
+			sch.captureExport(r, s) // a new mark, so the fetch encodes again
+			if _, _, err := sch.exportFor(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, fetch)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		const n = 20
 		for i := 0; i < n; i++ {
-			sch.captureExport(r, s)
+			fetch()
 		}
 		runtime.ReadMemStats(&m1)
-		perCapture := float64(m1.TotalAlloc-m0.TotalAlloc) / n
+		perFetch := float64(m1.TotalAlloc-m0.TotalAlloc) / n
 		if !s.req.Protected && allocs != 1 {
-			t.Errorf("bare capture allocates %.1f objects, want 1 (the blob)", allocs)
+			t.Errorf("bare fetch allocates %.1f objects, want 1 (the blob)", allocs)
 		}
-		if perCapture > 1.25*float64(len(e.blob)) {
-			t.Errorf("%s capture allocates %.0f bytes for a %d-byte blob", s.req.SessionID, perCapture, len(e.blob))
+		if perFetch > 1.25*float64(len(blob)) {
+			t.Errorf("%s fetch allocates %.0f bytes for a %d-byte blob", id, perFetch, len(blob))
+		}
+		again := testing.AllocsPerRun(20, func() { sch.exportFor(id) })
+		if again != 0 {
+			t.Errorf("%s fetch of an encoded mark allocates %.1f objects, want 0", id, again)
 		}
 	}
 }
 
-// BenchmarkExportCapture times one migration capture of a decoding
-// llama2-7b-sim session at 64 KV rows, bare and protected: the work a
-// worker does between two decode steps every -export-stride tokens.
-// -benchmem gives its allocation.
+// BenchmarkExportCapture times checkpoint export of a decoding
+// llama2-7b-sim session at 64 KV rows, bare and protected: capture, the
+// mark the worker records between two decode steps every -export-stride
+// tokens, and fetch, a mark and the encoding /v1/sessions/export then does
+// on its own goroutine. -benchmem gives their allocations.
 func BenchmarkExportCapture(b *testing.B) {
 	for _, protected := range []bool{false, true} {
-		b.Run(fmt.Sprint("protected=", protected), func(b *testing.B) {
-			cfg := Config{Model: "llama2-7b-sim", Seed: 7, Replicas: 1, SliceSteps: 1, ExportStride: 1 << 20}
-			sch, sessions := bareSchedulerOf(b, cfg, []Request{
-				{PromptTokens: testPrompts(b, 1)(0), MaxTokens: 100, Protected: protected, SessionID: "s"},
-			})
-			r, g, s := sch.pool.replicas[0], &group{}, sessions[0]
-			for rows := 0; rows < 64; _, _, rows = s.state.KVSlabs(0) {
-				r = sch.runSlice(r, g, <-sch.ready)
-			}
-			b.ResetTimer()
+		cfg := Config{Model: "llama2-7b-sim", Seed: 7, Replicas: 1, SliceSteps: 1, ExportStride: 1 << 20}
+		sch, sessions := bareSchedulerOf(b, cfg, []Request{
+			{PromptTokens: testPrompts(b, 1)(0), MaxTokens: 100, Protected: protected, SessionID: "s"},
+		})
+		r, g, s := sch.pool.replicas[0], &group{}, sessions[0]
+		for rows := 0; rows < 64; _, _, rows = s.state.KVSlabs(0) {
+			r = sch.runSlice(r, g, <-sch.ready)
+		}
+		b.Run(fmt.Sprint("capture/protected=", protected), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sch.captureExport(r, s)
+			}
+		})
+		b.Run(fmt.Sprint("fetch/protected=", protected), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sch.captureExport(r, s)
+				sch.exportFor("s")
 			}
 		})
 	}

@@ -48,13 +48,13 @@ type scheduler struct {
 	sessions   map[*Session]struct{} // admitted, not yet finished
 	sessionsMu sync.Mutex
 
-	// Migration checkpoints: latest wire-format blob per session id, written
-	// by the owning worker at the export stride and served by
-	// /v1/sessions/export. An entry lives from its session's admission
-	// (claimExport: one session per id) to its settle — a live checkpoint is
-	// only useful while the generation is in flight.
+	// Migration checkpoints: one export slot per session id, marked by the
+	// owning worker at the export stride and encoded by /v1/sessions/export.
+	// A slot lives from its session's admission (claimExport: one session
+	// per id) to its settle — a live checkpoint is only useful while the
+	// generation is in flight.
 	exportMu sync.Mutex
-	exports  map[string]exportEntry
+	exports  map[string]*exportSlot
 
 	// leaders are the sessions whose in-flight prefill will offer a prefix-
 	// cache entry; leadMu guards the list and every Session.followers.
@@ -79,7 +79,7 @@ func newScheduler(cfg Config, pool *pool, mx *metrics, eng *chaos.Engine) *sched
 		slots:          make(chan struct{}, cfg.MaxSessions),
 		states:         make(chan *model.DecodeState, cfg.MaxSessions),
 		sessions:       make(map[*Session]struct{}),
-		exports:        make(map[string]exportEntry),
+		exports:        make(map[string]*exportSlot),
 		dispatcherDone: make(chan struct{}),
 	}
 	if cfg.PrefixCacheMB > 0 {
@@ -374,9 +374,11 @@ func (sch *scheduler) applyChaos(r *replica, g *group) {
 		s := g.sessions[i]
 		inj := fault.NewInjector(f.Site, dtype)
 		inj.M = r.m
-		prev := r.m.SwapState(s.state)
-		inj.Fire()
-		r.m.SwapState(prev)
+		sch.rewriteRows(s, func() {
+			prev := r.m.SwapState(s.state)
+			inj.Fire()
+			r.m.SwapState(prev)
+		})
 		s.suspect = true
 		sch.chaos.Record(chaos.Event{Kind: chaos.EvInject, Target: fault.TargetKVCache.String(),
 			Site: f.Site.String(), Session: s.id, Replica: r.slot, Step: f.Site.Step})
@@ -562,10 +564,10 @@ func (sch *scheduler) finishPrefill(r *replica, g *group, i, tok int) {
 		// clear them.
 		s.ftState = f.CaptureForkState()
 	}
-	if sch.exporting(s) && !s.finishedAfter(tok) {
-		// Seed the migration checkpoint right after the first token, so a
-		// router that loses this worker early in the generation can already
-		// migrate instead of replaying the whole prefill.
+	if s.export != nil && !s.finishedAfter(tok) {
+		// Mark the first migration checkpoint right after the first token,
+		// so a router that loses this worker early in the generation can
+		// already migrate instead of replaying the whole prefill.
 		sch.captureExport(r, s)
 		s.lastExport = 1
 	}
@@ -700,8 +702,8 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 				sch.finishInGroup(r, g, i, nil)
 				continue
 			}
-			if sch.exporting(s) {
-				// The checkpoint covering the token just emitted is captured
+			if s.export != nil {
+				// The mark covering the token just emitted is recorded
 				// before the next step can emit another (same goroutine), so
 				// a router that has seen token k can always fetch a
 				// checkpoint within one stride of k.
@@ -783,7 +785,9 @@ func (sch *scheduler) settle(s *Session, err error) {
 	}
 	s.finalize(sch.cfg.Model)
 	s.cancel()
-	sch.dropExport(s) // before the client sees the end, so it may reuse the id at once
+	// Before the client sees the end, so it may reuse the id at once, and
+	// before the state is recycled: no encoder reads the next session's rows.
+	sch.dropExport(s)
 	close(s.tokens)
 	close(s.done)
 	sch.release(s, false) // a no-op unless s was a leader that never finished its prefill

@@ -116,9 +116,11 @@ type Config struct {
 	PrefillChunk int
 	// ExportStride enables live-migration checkpoints for sessions that
 	// carry a session_id: every ExportStride emitted tokens (plus once right
-	// after the first token) the scheduler captures the session's state into
-	// a wire-format blob served by GET /v1/sessions/export, so a router can
-	// restore the session elsewhere if this worker dies. 0 disables export.
+	// after the first token) the scheduler marks the session's state — its
+	// KV rows so far and resume point, nothing copied or encoded — and GET
+	// /v1/sessions/export encodes the latest mark into a wire-format blob
+	// when asked, so a router can restore the session elsewhere if this
+	// worker dies. 0 disables export.
 	ExportStride int
 	// SpillDir enables durable session parking: a successfully finished
 	// session that carried a session_id has its final state written to

@@ -87,7 +87,7 @@ func bareSchedulerOf(t testing.TB, cfg Config, reqs []Request) (*scheduler, []*S
 	n := len(reqs)
 	sch := &scheduler{cfg: cfg, pool: p, mx: newMetrics(),
 		admit: make(chan *Session, n), ready: make(chan *Session, n), slots: make(chan struct{}, n),
-		sessions: make(map[*Session]struct{}), exports: make(map[string]exportEntry)}
+		sessions: make(map[*Session]struct{}), exports: make(map[string]*exportSlot)}
 	if cfg.Chaos != nil {
 		if sch.chaos, err = chaos.NewEngine(*cfg.Chaos, cfg.ModelCfg); err != nil {
 			t.Fatal(err)

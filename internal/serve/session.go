@@ -68,12 +68,14 @@ type Session struct {
 	// protected, adoptFT) into its state and decodes from there. corrBase
 	// holds the correction counters the state arrived with, so server-level
 	// metrics only accumulate this process's delta while the response stays
-	// cumulative. lastExport drives the checkpoint-export stride.
+	// cumulative. lastExport drives the checkpoint-export stride, export is
+	// the session's checkpoint slot (nil when it exports none).
 	adoptSnap  *model.Snapshot
 	adoptFT    *core.ForkState
 	adoptKind  adoptKind
 	corrBase   core.ForkState
 	lastExport int
+	export     *exportSlot
 }
 
 // adoptKind distinguishes how an adopted session's state arrived, for the
