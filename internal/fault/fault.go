@@ -390,7 +390,7 @@ func (inj *Injector) fireKV() {
 		panic("fault: kv target with no live generation state")
 	}
 	cfg := inj.M.Cfg
-	slabK, slabV, rows := st.KVSlabs(inj.Site.Layer.Block)
+	slabK, slabV, rows, pitch := st.KVSlabs(inj.Site.Layer.Block)
 	slab := slabK
 	if inj.Site.Layer.Kind == model.VProj {
 		slab = slabV
@@ -401,7 +401,7 @@ func (inj *Injector) fireKV() {
 			pos, rows, inj.Site))
 	}
 	hd := cfg.HeadDim()
-	off := (col/hd*cfg.MaxSeq+pos)*hd + col%hd
+	off := (col/hd*pitch+pos)*hd + col%hd
 	inj.Fired = true
 	inj.Original = slab[off]
 	inj.Corrupted = numerics.CorruptValue(inj.Original, inj.DType, inj.Site.Bits)

@@ -467,12 +467,12 @@ func TestInjectorKVFires(t *testing.T) {
 	if !inj.Fired {
 		t.Fatal("kv injector never fired")
 	}
-	_, v, rows := m.State().KVSlabs(1)
+	_, v, rows, pitch := m.State().KVSlabs(1)
 	if rows != promptLen+4-1 {
 		t.Fatalf("unexpected resident rows %d", rows)
 	}
 	hd := cfg.HeadDim()
-	off := (col/hd*cfg.MaxSeq+pos)*hd + col%hd
+	off := (col/hd*pitch+pos)*hd + col%hd
 	bothNaN := math.IsNaN(float64(v[off])) && math.IsNaN(float64(inj.Corrupted))
 	if v[off] != inj.Corrupted && !bothNaN {
 		t.Errorf("slab holds %g, injector wrote %g", v[off], inj.Corrupted)

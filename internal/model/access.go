@@ -49,12 +49,13 @@ func (st *DecodeState) Step() int { return st.step }
 func (st *DecodeState) PromptLen() int { return st.promptLen }
 
 // KVSlabs exposes one block's raw key/value slabs plus the number of
-// positions filled. The layout is head-blocked: element (head h, position p,
-// channel c) lives at (h*maxSeq+p)*headDim + c. Callers mutating the slabs
-// must do so only while no forward pass is running on the owning model.
-func (st *DecodeState) KVSlabs(block int) (k, v []float32, rows int) {
+// positions filled and the pitch, the positions per head the slabs hold. The
+// layout is head-blocked: element (head h, position p, channel c) lives at
+// (h*pitch+p)*headDim + c. Callers mutating the slabs must do so only while
+// no forward pass is running on the owning model.
+func (st *DecodeState) KVSlabs(block int) (k, v []float32, rows, pitch int) {
 	c := &st.kv[block]
-	return c.k, c.v, c.rows
+	return c.k, c.v, c.rows, st.pitch
 }
 
 // WeightChecksum returns a deterministic FNV-1a style hash over the raw bits

@@ -3,9 +3,10 @@ package model
 import "ft2/internal/tensor"
 
 // arena holds the per-model scratch buffers the forward pass reuses across
-// steps, so a decode step performs zero heap allocations. Every buffer is
-// sized at construction for the worst case (a MaxSeq-row prefill pass) and
-// resliced per pass via Tensor.Reuse.
+// steps, so a decode step performs zero heap allocations. Every activation
+// buffer starts empty and grows through Tensor.Reuse to the largest pass the
+// model has run; buffers never shrink, so a pass no larger than an earlier
+// one allocates nothing.
 //
 // Ownership: the arena belongs to exactly one Model, and a Model is
 // documented single-goroutine (campaigns clone one model per worker), so no
@@ -52,25 +53,24 @@ type arena struct {
 }
 
 func newArena(cfg Config) *arena {
-	s, h, f := cfg.MaxSeq, cfg.Hidden, cfg.FFN
 	return &arena{
-		x:       tensor.New(s, h),
-		normed:  tensor.New(s, h),
-		normed2: tensor.New(s, h),
-		q:       tensor.New(s, h),
-		k:       tensor.New(s, h),
-		v:       tensor.New(s, h),
-		ctx:     tensor.New(s, h),
-		attn:    tensor.New(s, h),
-		ffnA:    tensor.New(s, f),
-		ffnB:    tensor.New(s, f),
-		ffnOut:  tensor.New(s, h),
-		last:    tensor.New(1, h),
-		final:   tensor.New(1, h),
-		logits:  tensor.New(1, cfg.Vocab),
+		x:       tensor.New(0, 0),
+		normed:  tensor.New(0, 0),
+		normed2: tensor.New(0, 0),
+		q:       tensor.New(0, 0),
+		k:       tensor.New(0, 0),
+		v:       tensor.New(0, 0),
+		ctx:     tensor.New(0, 0),
+		attn:    tensor.New(0, 0),
+		ffnA:    tensor.New(0, 0),
+		ffnB:    tensor.New(0, 0),
+		ffnOut:  tensor.New(0, 0),
+		last:    tensor.New(0, 0),
+		final:   tensor.New(0, 0),
+		logits:  tensor.New(0, 0),
 		rowOut:  tensor.New(0, 0),
 		rowIn:   tensor.New(0, 0),
 
-		attnScores: make([]float32, s),
+		attnScores: make([]float32, cfg.MaxSeq),
 	}
 }

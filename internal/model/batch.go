@@ -69,7 +69,10 @@ func (it *BatchItem) rows() int {
 // bad item (incompatible or unstarted state, decode position at MaxSeq,
 // chunk overrunning its prompt, token outside the vocabulary) leaves all
 // items as they were. Duplicate States within one call are a caller bug
-// (the same KV slab would be appended twice).
+// (the same KV slab would be appended twice). A state whose slabs the call's
+// rows would overrun grows them to MaxSeq first (DecodeState.Reserve); that,
+// and the arena growing to a pass larger than any before, are the only
+// allocations a pass makes.
 func (m *Model) ForwardBatch(items []BatchItem, dst []int) []int {
 	if len(items) == 0 {
 		panic("model: ForwardBatch with no items")
@@ -123,10 +126,14 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 	for i := range items {
 		it := &items[i]
 		r := it.rows()
-		pos := it.State.prefillPos
+		st := it.State
+		pos := st.prefillPos
 		if !it.prefilling() {
-			it.State.step++
-			pos = it.State.pos()
+			st.step++
+			pos = st.pos()
+		}
+		if pos+r > st.pitch {
+			st.repitch(st.maxSeq) // a row past the horizon: grow once, to the limit
 		}
 		sc.itemLo = append(sc.itemLo, rows)
 		sc.itemRows = append(sc.itemRows, r)
@@ -279,7 +286,6 @@ func (m *Model) applyLinearBatch(dst *tensor.Tensor, ref LayerRef, l linear, x *
 func (m *Model) attentionBatch(bIdx int, blk *block, x *tensor.Tensor, items []BatchItem) *tensor.Tensor {
 	cfg := m.Cfg
 	d := cfg.HeadDim()
-	maxSeq := cfg.MaxSeq
 	sc := m.scratch
 
 	k := m.applyLinearBatch(sc.k, LayerRef{bIdx, KProj}, blk.kProj, x, items)
@@ -304,14 +310,15 @@ func (m *Model) attentionBatch(bIdx int, blk *block, x *tensor.Tensor, items []B
 	// causally to positions [0, base+r].
 	sc.itemBase = sc.itemBase[:0]
 	for i := range items {
-		cache := &items[i].State.kv[bIdx]
+		st := items[i].State
+		cache := &st.kv[bIdx]
 		base := cache.rows
 		rows := sc.itemRows[i]
 		lo := sc.itemLo[i]
 		for r := 0; r < rows; r++ {
 			krow, vrow := k.Row(lo+r), v.Row(lo+r)
 			for h := 0; h < cfg.Heads; h++ {
-				off := (h*maxSeq + base + r) * d
+				off := (h*st.pitch + base + r) * d
 				copy(cache.k[off:off+d], krow[h*d:(h+1)*d])
 				copy(cache.v[off:off+d], vrow[h*d:(h+1)*d])
 			}
@@ -335,16 +342,16 @@ func (m *Model) attnUnits(items []BatchItem, bIdx int, q, ctxOut *tensor.Tensor)
 	cfg := m.Cfg
 	sc := m.scratch
 	d := cfg.HeadDim()
-	maxSeq := cfg.MaxSeq
 	scale := float32(1 / math.Sqrt(float64(d)))
 	scores := sc.attnScores
 	for i := range items {
-		cache := &items[i].State.kv[bIdx]
+		st := items[i].State
+		cache := &st.kv[bIdx]
 		base, rows, rowLo := sc.itemBase[i], sc.itemRows[i], sc.itemLo[i]
 		for h := 0; h < cfg.Heads; h++ {
 			hd := h * d
-			kh := cache.k[h*maxSeq*d:]
-			vh := cache.v[h*maxSeq*d:]
+			kh := cache.k[h*st.pitch*d:]
+			vh := cache.v[h*st.pitch*d:]
 			for r := 0; r < rows; r++ {
 				qrow := q.Row(rowLo + r)[hd : hd+d]
 				limit := base + r + 1 // causal: attend to positions <= own

@@ -66,12 +66,14 @@ func randomLanes(rng *rand.Rand, vocab int) []lane {
 	return lanes
 }
 
-// instantiate gives every lane of a world its own state and, for the
-// protected ones (chosen by the same coin in both worlds), its own FT2.
-func instantiate(m *model.Model, lanes []lane, protected []bool) []lane {
+// instantiate gives every lane of a world its own state, reserved to
+// reserve[i] rows, and, for the protected ones (chosen by the same coin in
+// both worlds), its own FT2.
+func instantiate(m *model.Model, lanes []lane, protected []bool, reserve []int) []lane {
 	w := append([]lane(nil), lanes...)
 	for i := range w {
 		w[i].st = openPrefillState(m, len(w[i].prompt))
+		w[i].st.Reserve(reserve[i])
 		if protected[i] {
 			w[i].ft = core.New(m, core.Defaults())
 			w[i].hooks = []model.Hook{w[i].ft.Hook()}
@@ -84,11 +86,7 @@ func instantiate(m *model.Model, lanes []lane, protected []bool) []lane {
 // leaves behind: its Checkpoint (step, last token, every KV row) and, when
 // protected, its FT2 bounds store and correction counters.
 func leaveBytes(m *model.Model, l *lane) []byte {
-	var snap model.Snapshot
-	prev := m.SwapState(l.st)
-	m.Checkpoint(&snap)
-	m.SwapState(prev)
-	out := model.AppendSnapshot(nil, &snap)
+	out := checkpointBytes(m, l)
 	if l.ft != nil {
 		fk := l.ft.CaptureForkState()
 		out = core.AppendForkState(out, &fk)
@@ -96,11 +94,31 @@ func leaveBytes(m *model.Model, l *lane) []byte {
 	return out
 }
 
-// TestForwardBatchBatchingInvariance explores batching mechanically: a
-// seeded random schedule is run once with every step's live sessions fused
-// into one N-item ForwardBatch call and once as N one-item calls. Both must
-// agree on every token at every step, on every state cursor, and — when a
-// session leaves — on every KV bit and every FT2 bound and counter.
+// checkpointBytes encodes a Checkpoint copy of the lane's state.
+func checkpointBytes(m *model.Model, l *lane) []byte {
+	var snap model.Snapshot
+	prev := m.SwapState(l.st)
+	m.Checkpoint(&snap)
+	m.SwapState(prev)
+	return model.AppendSnapshot(nil, &snap)
+}
+
+// viewBytes encodes a View of the lane's live slabs, at their pitch.
+func viewBytes(m *model.Model, l *lane) []byte {
+	var view model.Snapshot
+	m.View(l.st, &view)
+	return model.AppendSnapshot(nil, &view)
+}
+
+// TestForwardBatchBatchingInvariance explores batching and KV layout
+// mechanically: a seeded random schedule is run once with every step's live
+// sessions fused into one N-item ForwardBatch call, each session's slabs
+// reserved to nothing, to its exact horizon or to one row short of it (which
+// grows them mid-decode), and once as N one-item calls on slabs at MaxSeq
+// pitch. Both must agree on every token at every step, on every state
+// cursor, and — when a session leaves — on every KV bit and every FT2 bound
+// and counter, and a View of the fused session's slabs must encode to the
+// bytes of the one-item session's Checkpoint.
 func TestForwardBatchBatchingInvariance(t *testing.T) {
 	const seeds = 200
 	for _, f := range []model.Family{model.FamilyOPT, model.FamilyGPTJ, model.FamilyLlama} {
@@ -115,7 +133,13 @@ func TestForwardBatchBatchingInvariance(t *testing.T) {
 				for i := range protected {
 					protected[i] = rng.Intn(2) == 0
 				}
-				a, b := instantiate(fused, lanes, protected), instantiate(alone, lanes, protected)
+				horizon, full := make([]int, len(lanes)), make([]int, len(lanes))
+				for i, l := range lanes {
+					rows := len(l.prompt) + l.gen - 1 // the last token is never fed
+					horizon[i] = []int{0, rows, rows - 1}[rng.Intn(3)]
+					full[i] = cfg.MaxSeq
+				}
+				a, b := instantiate(fused, lanes, protected, horizon), instantiate(alone, lanes, protected, full)
 
 				var itemsA, itemsB []model.BatchItem
 				var live, toksA, toksB []int
@@ -149,8 +173,12 @@ func TestForwardBatchBatchingInvariance(t *testing.T) {
 						if a[i].emitted == a[i].gen {
 							left--
 							if !bytes.Equal(leaveBytes(fused, &a[i]), leaveBytes(alone, &b[i])) {
-								t.Fatalf("seed %d step %d session %d (protected=%v): KV / FT2 state differs between fused and alone",
-									seed, step, i, protected[i])
+								t.Fatalf("seed %d step %d session %d (protected=%v, reserved %d): KV / FT2 state differs between fused and alone",
+									seed, step, i, protected[i], horizon[i])
+							}
+							if !bytes.Equal(viewBytes(fused, &a[i]), checkpointBytes(alone, &b[i])) {
+								t.Fatalf("seed %d step %d session %d (reserved %d): View encodes unlike the MaxSeq-pitch Checkpoint",
+									seed, step, i, horizon[i])
 							}
 						}
 					}

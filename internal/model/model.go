@@ -79,11 +79,11 @@ type Model struct {
 }
 
 // kvCache stores one block's accumulated key/value state in two contiguous
-// slabs preallocated to Heads×MaxSeq×HeadDim (= MaxSeq×Hidden) floats. The
-// layout is head-blocked — element (head h, position p, channel c) lives at
-// (h*MaxSeq+p)*HeadDim+c — so the attention inner loop streams one head's
-// keys/values as a single contiguous run instead of hopping between
-// per-position heap rows.
+// slabs of Heads×pitch×HeadDim floats, pitch being its DecodeState's (see
+// Reserve). The layout is head-blocked — element (head h, position p,
+// channel c) lives at (h*pitch+p)*HeadDim+c — so the attention inner loop
+// streams one head's keys/values as a single contiguous run instead of
+// hopping between per-position heap rows.
 type kvCache struct {
 	k, v []float32
 	rows int // positions filled so far
@@ -340,9 +340,9 @@ func (m *Model) ensureRuntime() {
 }
 
 // resetState clears the active generation state for a fresh generation,
-// lazily building the state, slab cache, and scratch arena on first use. The
-// slabs are preallocated once to MaxSeq capacity and only their fill
-// counters reset, so repeated generations never touch the allocator.
+// lazily building the state and scratch arena on first use. Only the fill
+// counters reset — the slabs keep their pitch — so repeated generations no
+// longer than an earlier one never touch the allocator.
 func (m *Model) resetState() {
 	m.ensureRuntime()
 	if m.st == nil {
@@ -381,6 +381,7 @@ func (m *Model) BeginPrefill(n int) {
 		panic(fmt.Sprintf("model: prompt %d exceeds max seq %d", n, m.Cfg.MaxSeq))
 	}
 	m.resetState()
+	m.st.Reserve(n)
 	m.st.promptLen = n
 }
 
@@ -409,15 +410,7 @@ func (m *Model) ResumePrefillPrefix(s *Snapshot) {
 	if s.rows == 0 {
 		return
 	}
-	d := s.headDim
-	stride := s.srcStride()
-	for b := range st.kv {
-		for h := 0; h < cfg.Heads; h++ {
-			copy(st.kv[b].k[h*cfg.MaxSeq*d:], s.k[b][h*stride*d:h*stride*d+s.rows*d])
-			copy(st.kv[b].v[h*cfg.MaxSeq*d:], s.v[b][h*stride*d:h*stride*d+s.rows*d])
-		}
-		st.kv[b].rows = s.rows
-	}
+	st.loadRows(s)
 	st.prefillPos = s.rows
 }
 
@@ -493,11 +486,15 @@ func (m *Model) Generate(prompt []int, n int) []int {
 // its capacity is short). With a caller-reused dst of capacity ≥ n the
 // steady-state generation performs zero heap allocations; the returned slice
 // aliases dst and is valid until the caller's next GenerateInto with it.
+// The state's KV slabs are reserved to the generation's horizon,
+// len(prompt)+n rows, before the prefill.
 func (m *Model) GenerateInto(dst []int, prompt []int, n int) []int {
 	if len(prompt)+n > m.Cfg.MaxSeq {
 		panic(fmt.Sprintf("model: prompt %d + generate %d exceeds max seq %d", len(prompt), n, m.Cfg.MaxSeq))
 	}
 	dst = dst[:0]
+	m.resetState()
+	m.st.Reserve(len(prompt) + n)
 	tok := m.Prefill(prompt)
 	dst = append(dst, tok)
 	for s := 1; s < n; s++ {

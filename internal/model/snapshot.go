@@ -4,7 +4,7 @@ import "fmt"
 
 // Snapshot is a restorable copy of a model's mid-generation state: the
 // rows-prefix of every block's KV slabs (stored compactly, head-blocked at
-// the filled row count instead of MaxSeq), the step counter, and the
+// the filled row count instead of the state's pitch), the step counter, and the
 // last-token state. A snapshot captured between two decode steps lets any
 // replica of the same (config, seed, dtype) model resume the generation at
 // exactly that point — the checkpoint/fork primitive the campaign engine
@@ -30,8 +30,9 @@ type Snapshot struct {
 	// stride is the per-head row pitch of the k/v buffers — the row count of
 	// the snapshot they were captured into. A snapshot fresh from Checkpoint
 	// has stride == rows; a Prefix view shares the parent's buffers with a
-	// smaller rows, so readers must walk head h at offset h*stride*headDim
-	// and take only the first rows rows of each run.
+	// smaller rows, and a View the live slabs at the state's pitch, so
+	// readers must walk head h at offset h*stride*headDim and take only the
+	// first rows rows of each run.
 	stride int
 }
 
@@ -102,11 +103,11 @@ func (m *Model) Checkpoint(into *Snapshot) {
 		}
 		dk, dv := into.k[b][:span], into.v[b][:span]
 		into.k[b], into.v[b] = dk, dv
-		// Compact each head's contiguous run: slab offset h*MaxSeq*d,
+		// Compact each head's contiguous run: slab offset h*pitch*d,
 		// snapshot offset h*rows*d.
 		for h := 0; h < cfg.Heads; h++ {
-			copy(dk[h*rows*d:(h+1)*rows*d], st.kv[b].k[h*cfg.MaxSeq*d:])
-			copy(dv[h*rows*d:(h+1)*rows*d], st.kv[b].v[h*cfg.MaxSeq*d:])
+			copy(dk[h*rows*d:(h+1)*rows*d], st.kv[b].k[h*st.pitch*d:])
+			copy(dv[h*rows*d:(h+1)*rows*d], st.kv[b].v[h*st.pitch*d:])
 		}
 	}
 }
@@ -143,14 +144,16 @@ func (s *Snapshot) Prefix(rows int) *Snapshot {
 
 // View fills into with a read-only, no-copy view of st's generation state:
 // the bookkeeping Checkpoint would capture, with k/v aliasing st's KV slabs
-// at stride MaxSeq. It encodes (AppendSnapshot) to the bytes of a Checkpoint
-// copy and restores like one. A decode step only appends rows, so the view
-// stays valid until st is reset, restored or has a row rewritten: the
-// migration export encodes a view taken at a stride boundary on another
-// goroutine while the session decodes on. into's per-block slice headers
-// are reused across calls, and a second view of the same st rewrites only
-// the bookkeeping, never those headers, so a copy of an earlier view of st
-// is read without racing the next View.
+// at stride st's pitch. It encodes (AppendSnapshot) to the bytes of a
+// Checkpoint copy and restores like one. A decode step only appends rows —
+// and a step that grows the pitch copies them into new slabs, leaving the old
+// ones untouched — so the view stays valid until st is reset, restored or
+// has a row rewritten: the migration export encodes a view taken at a stride
+// boundary on another goroutine while the session decodes on. into's
+// per-block slice headers are reused while st's slabs stay put, and a second
+// view of the same slabs rewrites only the bookkeeping, never those headers;
+// once the slabs moved, View builds new headers. Either way a copy of an
+// earlier view of st is read without racing the next View.
 func (m *Model) View(st *DecodeState, into *Snapshot) {
 	m.checkCompatible(st)
 	if !st.Started() {
@@ -159,10 +162,9 @@ func (m *Model) View(st *DecodeState, into *Snapshot) {
 	cfg := m.Cfg
 	k, v := into.k, into.v
 	if len(k) != len(st.kv) || &k[0][0] != &st.kv[0].k[0] {
-		k, v = k[:0], v[:0]
+		k, v = make([][]float32, len(st.kv)), make([][]float32, len(st.kv))
 		for b := range st.kv {
-			k = append(k, st.kv[b].k)
-			v = append(v, st.kv[b].v)
+			k[b], v[b] = st.kv[b].k, st.kv[b].v
 		}
 	}
 	*into = Snapshot{
@@ -172,14 +174,15 @@ func (m *Model) View(st *DecodeState, into *Snapshot) {
 		lastTok:        st.lastTok,
 		promptLen:      st.promptLen,
 		rows:           st.kv[0].rows,
-		stride:         cfg.MaxSeq,
+		stride:         st.pitch,
 		lastStreamNorm: st.lastStreamNorm,
 		k:              k, v: v,
 	}
 }
 
 // Restore loads the snapshot into the model — a handful of copies into the
-// preallocated KV slabs — and returns the token to feed the next DecodeStep.
+// KV slabs, which it grows to the snapshot's rows if they are shorter — and
+// returns the token to feed the next DecodeStep.
 // The model must have the same architecture the snapshot was captured from;
 // registered hooks are left untouched. After Restore the model's state is
 // bit-identical to the capturing model's at Checkpoint time, so a greedy
@@ -198,19 +201,25 @@ func (m *Model) Restore(s *Snapshot) int {
 	}
 	m.resetState()
 	st := m.st
+	st.Reserve(s.rows)
 	st.step = s.nextStep - 1
 	st.lastTok = s.lastTok
 	st.promptLen = s.promptLen
 	st.prefillPos = s.promptLen
 	st.lastStreamNorm = s.lastStreamNorm
-	d := s.headDim
-	stride := s.srcStride()
+	st.loadRows(s)
+	return s.lastTok
+}
+
+// loadRows copies the snapshot's KV rows into st's slabs, which must hold
+// them, and sets st's fill counters to match.
+func (st *DecodeState) loadRows(s *Snapshot) {
+	d, stride := s.headDim, s.srcStride()
 	for b := range st.kv {
-		for h := 0; h < cfg.Heads; h++ {
-			copy(st.kv[b].k[h*cfg.MaxSeq*d:], s.k[b][h*stride*d:h*stride*d+s.rows*d])
-			copy(st.kv[b].v[h*cfg.MaxSeq*d:], s.v[b][h*stride*d:h*stride*d+s.rows*d])
+		for h := 0; h < st.heads; h++ {
+			copy(st.kv[b].k[h*st.pitch*d:], s.k[b][h*stride*d:h*stride*d+s.rows*d])
+			copy(st.kv[b].v[h*st.pitch*d:], s.v[b][h*stride*d:h*stride*d+s.rows*d])
 		}
 		st.kv[b].rows = s.rows
 	}
-	return s.lastTok
 }

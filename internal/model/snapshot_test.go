@@ -197,9 +197,46 @@ func TestGenerateIntoAllocFree(t *testing.T) {
 
 	avg := testing.AllocsPerRun(10, func() {
 		m.GenerateInto(buf, prompt, 8)
+		m.GenerateInto(buf, prompt[:2], 3) // a shorter horizon fits the pitch
 	})
 	if avg != 0 {
 		t.Fatalf("GenerateInto allocates %.1f objects/run after warm-up, want 0", avg)
+	}
+	if _, _, _, pitch := m.State().KVSlabs(0); pitch != len(prompt)+8 {
+		t.Fatalf("pitch %d after horizons of %d and 5 rows, want the longer", pitch, len(prompt)+8)
+	}
+}
+
+// TestDecodeGrowsUnreservedStateOnce pins the one allocation a decode step
+// may make: a state reserved only for its prompt grows to MaxSeq at its
+// first decode step — one buffer for every block's slabs — and never again.
+func TestDecodeGrowsUnreservedStateOnce(t *testing.T) {
+	cfg := smallCfg(FamilyLlama)
+	m := MustNew(cfg, 3, numerics.FP16)
+	prompt := []int{1, 2, 3, 4}
+	const runs = 10
+	states, toks := make([]*DecodeState, runs+1), make([]int, runs+1) // AllocsPerRun runs once more to warm up
+	for i := range states {
+		states[i] = m.NewDecodeState()
+		m.SwapState(states[i])
+		toks[i] = m.Prefill(prompt)
+	}
+	next := 0
+	step := func() {
+		m.SwapState(states[next%len(states)])
+		toks[next%len(states)] = m.DecodeStep(toks[next%len(states)])
+		next++
+	}
+	if avg := testing.AllocsPerRun(runs, step); avg != 1 {
+		t.Fatalf("first decode step past a %d-row reservation allocates %.1f objects, want 1", len(prompt), avg)
+	}
+	for _, st := range states {
+		if _, _, _, pitch := st.KVSlabs(0); pitch != cfg.MaxSeq {
+			t.Fatalf("grown pitch %d, want MaxSeq %d", pitch, cfg.MaxSeq)
+		}
+	}
+	if avg := testing.AllocsPerRun(3*runs, step); avg != 0 {
+		t.Fatalf("decode steps after the growth allocate %.1f objects, want 0", avg)
 	}
 }
 

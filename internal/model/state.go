@@ -16,7 +16,13 @@ import "fmt"
 // without the copy).
 type DecodeState struct {
 	// identity of the allocating model's architecture, checked on swap
-	blocks, slab int
+	blocks, heads, headDim, maxSeq int
+
+	// pitch is the number of positions per head the KV slabs hold: element
+	// (head h, position p, channel c) of a block lives at (h*pitch+p)*headDim
+	// + c. It starts at 0, grows by Reserve or when a forward pass writes a
+	// row past it, and never shrinks, so a recycled state keeps its slabs.
+	pitch int
 
 	step           int
 	promptLen      int
@@ -32,21 +38,53 @@ type DecodeState struct {
 	prefillPos int
 }
 
-// NewDecodeState allocates a fresh, empty generation state sized for m's
-// architecture (Blocks × 2 slabs of MaxSeq×Hidden floats).
+// NewDecodeState returns a fresh, empty generation state for m's
+// architecture. It holds no KV slabs yet: the opener that starts a
+// generation on it (BeginPrefill, Restore) reserves the rows it writes, and
+// an owner that knows the generation's horizon reserves that first.
 func (m *Model) NewDecodeState() *DecodeState {
 	cfg := m.Cfg
-	slab := cfg.MaxSeq * cfg.Hidden
-	st := &DecodeState{blocks: cfg.Blocks, slab: slab}
-	st.kv = make([]kvCache, cfg.Blocks)
-	for i := range st.kv {
-		st.kv[i].k = make([]float32, slab)
-		st.kv[i].v = make([]float32, slab)
+	return &DecodeState{
+		blocks: cfg.Blocks, heads: cfg.Heads, headDim: cfg.HeadDim(), maxSeq: cfg.MaxSeq,
+		kv: make([]kvCache, cfg.Blocks),
 	}
-	return st
 }
 
-// Reset clears the state back to not-started without freeing the slabs.
+// Reserve makes the KV slabs hold at least rows positions per head — the
+// generation's horizon, prompt plus tokens to decode — so no forward pass up
+// to it allocates. A row written past the pitch grows it straight to
+// MaxSeq instead, once. Reserving no more than the pitch is a no-op; rows
+// above MaxSeq panic.
+func (st *DecodeState) Reserve(rows int) {
+	if rows > st.maxSeq {
+		panic(fmt.Sprintf("model: Reserve(%d) exceeds max seq %d", rows, st.maxSeq))
+	}
+	if rows > st.pitch {
+		st.repitch(rows)
+	}
+}
+
+// repitch moves the slabs of every block into one fresh buffer at the given
+// pitch, copying each head's filled rows. The old slabs are left as they
+// were: a View taken before the move still reads them, and no forward pass
+// writes them again.
+func (st *DecodeState) repitch(pitch int) {
+	d, span := st.headDim, st.heads*pitch*st.headDim
+	buf := make([]float32, 2*len(st.kv)*span)
+	for b := range st.kv {
+		c := &st.kv[b]
+		k := buf[2*b*span : (2*b+1)*span : (2*b+1)*span]
+		v := buf[(2*b+1)*span : (2*b+2)*span : (2*b+2)*span]
+		for h := 0; h < st.heads; h++ {
+			copy(k[h*pitch*d:], c.k[h*st.pitch*d:h*st.pitch*d+c.rows*d])
+			copy(v[h*pitch*d:], c.v[h*st.pitch*d:h*st.pitch*d+c.rows*d])
+		}
+		c.k, c.v = k, v
+	}
+	st.pitch = pitch
+}
+
+// Reset clears the state back to not-started, keeping the slabs and pitch.
 func (st *DecodeState) Reset() {
 	for i := range st.kv {
 		st.kv[i].rows = 0
@@ -101,9 +139,10 @@ func (st *DecodeState) pos() int { return st.promptLen + st.step - 1 }
 // checkCompatible panics when the state was allocated for a different
 // architecture than m's.
 func (m *Model) checkCompatible(st *DecodeState) {
-	if st.blocks != m.Cfg.Blocks || st.slab != m.Cfg.MaxSeq*m.Cfg.Hidden {
-		panic(fmt.Sprintf("model: DecodeState of a %d-block/%d-slab model used with %s",
-			st.blocks, st.slab, m.Cfg.Name))
+	cfg := m.Cfg
+	if st.blocks != cfg.Blocks || st.heads != cfg.Heads || st.headDim != cfg.HeadDim() || st.maxSeq != cfg.MaxSeq {
+		panic(fmt.Sprintf("model: DecodeState of a %d-block/%d×%d-head/%d-seq model used with %s",
+			st.blocks, st.heads, st.headDim, st.maxSeq, cfg.Name))
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 //
 // Rounding the weights changes the model: it is a different (quantized)
 // parameterization, so the sane-stream-norm teacher calibration is re-run
-// against the rounded weights and any existing generation state is reset.
+// against the rounded weights and any existing generation state is detached.
 // Call it right after New, before sessions, hooks, or snapshots exist;
 // it panics if hooks are registered (the calibration probe would fire
 // them). Idempotent.
@@ -64,7 +64,8 @@ func (m *Model) weightTensors() []*tensor.Tensor {
 // probe sequence and installs it as the teacher injection scale. The
 // teacher must be disabled during the probe (streamNorm = 0 sends forward
 // down the plain readout path); New calls this with streamNorm still zero,
-// EnableF16Weights re-runs it against the rounded weights.
+// EnableF16Weights re-runs it against the rounded weights. The probe's state
+// is detached afterwards: a serving replica never decodes with it again.
 func (m *Model) calibrateStreamNorm() {
 	const firstRealToken = 4
 	m.streamNorm = 0
@@ -74,5 +75,5 @@ func (m *Model) calibrateStreamNorm() {
 	}
 	m.Generate(probe, 4)
 	m.streamNorm = m.st.lastStreamNorm
-	m.resetState()
+	m.SwapState(nil)
 }

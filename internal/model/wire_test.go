@@ -158,9 +158,12 @@ func TestSnapshotWireMatchesPerElementEncoder(t *testing.T) {
 }
 
 // TestViewEncodesLikeCheckpoint holds a View of the live state — KV slabs at
-// stride MaxSeq, no copy — to a Checkpoint copy at every row count from 1 to
-// MaxSeq (the view's own stride): the same wire bytes, and a Restore from
-// either continues the generation identically.
+// stride the state's pitch, no copy — to a Checkpoint copy at every row count
+// from 1 to MaxSeq: the same wire bytes, and a Restore from either continues
+// the generation identically. The prefill reserves its one row, so the view
+// is taken at pitch 1 and, past the first decode step's growth, at MaxSeq;
+// the views at MaxSeq leave the pitch-1 view, still reading the old slabs,
+// encoding as it did.
 func TestViewEncodesLikeCheckpoint(t *testing.T) {
 	cfg, err := ConfigByName("qwen2-1.5b-sim")
 	if err != nil {
@@ -170,13 +173,23 @@ func TestViewEncodesLikeCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var view, snap Snapshot
+	var view, snap, first Snapshot
+	var firstBytes []byte
 	tok := m.Prefill([]int{42})
 	for rows := 1; ; rows++ {
 		m.View(m.State(), &view)
 		m.Checkpoint(&snap)
-		if view.Rows() != rows || view.stride != cfg.MaxSeq {
-			t.Fatalf("view rows %d stride %d, want %d and %d", view.Rows(), view.stride, rows, cfg.MaxSeq)
+		if rows == 1 {
+			first, firstBytes = view, AppendSnapshot(nil, &view) // shares view's headers
+		} else if !bytes.Equal(AppendSnapshot(nil, &first), firstBytes) {
+			t.Fatalf("%d rows: a View after the slabs grew rewrote an earlier view's headers", rows)
+		}
+		pitch := cfg.MaxSeq
+		if rows == 1 {
+			pitch = 1
+		}
+		if view.Rows() != rows || view.stride != pitch {
+			t.Fatalf("view rows %d stride %d, want %d and %d", view.Rows(), view.stride, rows, pitch)
 		}
 		if !bytes.Equal(AppendSnapshot(nil, &view), AppendSnapshot(nil, &snap)) {
 			t.Fatalf("%d rows: view encodes differently from a Checkpoint copy", rows)

@@ -62,6 +62,11 @@ type metrics struct {
 	// /v1/sessions/export and the marks it encoded, sessions adopted via
 	// /v1/sessions/import, and the spill-dir parking pair (spilled at
 	// settle, restored on Resume).
+	// KV memory: the slabs held by live sessions and the recycled-state
+	// pool (reserved) against the rows live sessions have written (filled).
+	kvReserved atomic.Int64
+	kvFilled   atomic.Int64
+
 	ckptExports  atomic.Int64
 	ckptEncodes  atomic.Int64
 	sessImported atomic.Int64
@@ -253,6 +258,8 @@ func (m *metrics) render(w io.Writer, modelName string, replicas, maxSessions, b
 		fmt.Fprintf(w, "ft2serve_prefix_bytes %d\n", prefixS.Bytes)
 		fmt.Fprintf(w, "ft2serve_prefix_budget_bytes %d\n", prefixS.Budget)
 	}
+	fmt.Fprintf(w, "ft2serve_kv_reserved_bytes %d\n", m.kvReserved.Load())
+	fmt.Fprintf(w, "ft2serve_kv_filled_bytes %d\n", m.kvFilled.Load())
 	fmt.Fprintf(w, "ft2serve_checkpoint_exports_total %d\n", m.ckptExports.Load())
 	fmt.Fprintf(w, "ft2serve_checkpoint_encodes_total %d\n", m.ckptEncodes.Load())
 	fmt.Fprintf(w, "ft2serve_sessions_imported_total %d\n", m.sessImported.Load())

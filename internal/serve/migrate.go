@@ -218,9 +218,7 @@ func (sch *scheduler) encodeSessionState(r *replica, s *Session) ([]byte, error)
 func (sch *scheduler) adoptGuarded(r *replica, s *Session) (err error) {
 	defer recoverAs500(&err, "in session adoption")
 	m := r.m
-	if s.state == nil {
-		s.state = sch.obtainState(r)
-	}
+	sch.holdState(r, s, s.adoptSnap.Rows()+s.req.MaxTokens)
 	prev := m.SwapState(s.state)
 	m.Restore(s.adoptSnap)
 	m.SwapState(prev)

@@ -698,6 +698,140 @@ func TestExportPredatesChaosKVFault(t *testing.T) {
 	}
 }
 
+// TestExportMarkSurvivesSlabGrowth: a session whose horizon was
+// under-declared grows its KV slabs mid-decode, after a mark and before
+// anyone fetched it. The mark still reads the old slabs, which no step
+// writes again, so the fetch must return, byte for byte, the encoding of the
+// state at the mark. Fetches then race the decode steps, and the next mark's
+// View, to the end of the generation, which must still be the oracle's.
+func TestExportMarkSurvivesSlabGrowth(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.ExportStride = 4
+	cfg.SliceSteps = 1
+	prompt := testPrompts(t, 1)(0)
+	const maxTokens = 32
+	for _, protected := range []bool{false, true} {
+		sch, sessions := bareSchedulerOf(t, cfg, []Request{{
+			PromptTokens: prompt, MaxTokens: maxTokens, Protected: protected, SessionID: "grow",
+		}})
+		// Reserved to the prompt plus two rows: the third decode step, between
+		// the marks at tokens 1 and 5, grows the slabs to MaxSeq.
+		sch.horizonShort = maxTokens - 2
+		oracle, _, err := Oracle(sch.cfg, prompt, maxTokens, protected)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, g, s := sch.pool.replicas[0], &group{}, sessions[0]
+		var want []byte
+		marked := 0
+		for grown := false; !grown; {
+			r = sch.runSlice(r, g, <-sch.ready)
+			if !s.started {
+				continue
+			}
+			if _, _, _, pitch := s.state.KVSlabs(0); pitch == sch.cfg.ModelCfg.MaxSeq {
+				grown = true
+				if want == nil || s.lastExport != marked {
+					t.Fatalf("protected=%v: the slabs grew at step %d, not between two marks", protected, s.state.Step())
+				}
+				blob, tokens, err := sch.exportFor("grow")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(blob, want) || tokens != marked {
+					t.Fatalf("protected=%v: fetch after the slabs grew: %d bytes covering %d tokens, differ from the %d-byte encoding at the mark (%d tokens)",
+						protected, len(blob), tokens, len(want), marked)
+				}
+			} else if s.lastExport == s.state.Step()+1 { // just marked, not yet fetched
+				if want, err = sch.encodeSessionState(r, s); err != nil {
+					t.Fatal(err)
+				}
+				marked = s.lastExport
+			}
+		}
+
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					sch.exportFor("grow") // 404 once settled
+				}
+			}
+		}()
+		for len(sch.ready) > 0 {
+			r = sch.runSlice(r, g, <-sch.ready)
+		}
+		close(stop)
+		wg.Wait()
+		res, err := s.Wait(context.Background())
+		if err != nil || !equalTokens(res.Tokens, oracle) {
+			t.Fatalf("protected=%v: grown session: %v, tokens %v, oracle %v", protected, err, res.Tokens, oracle)
+		}
+	}
+}
+
+// TestRecycledStateKeepsItsSlabs: a session admitted onto a recycled state
+// whose pitch covers its horizon decodes on the slabs as they are — taking
+// the state allocates nothing — and the KV gauges follow the state from the
+// first session to the pool, to the second session and back.
+func TestRecycledStateKeepsItsSlabs(t *testing.T) {
+	cfg := testConfig(t)
+	prompts := testPrompts(t, 2)
+	sch, first := bareSchedulerOf(t, cfg, []Request{{PromptTokens: prompts(0), MaxTokens: 24}})
+	sch.states = make(chan *model.DecodeState, 1)
+	r, g := sch.pool.replicas[0], &group{}
+	drive := func() {
+		for len(sch.ready) > 0 {
+			r = sch.runSlice(r, g, <-sch.ready)
+		}
+	}
+	gauges := func() (reserved, filled int64) { return sch.mx.kvReserved.Load(), sch.mx.kvFilled.Load() }
+
+	r = sch.runSlice(r, g, <-sch.ready)
+	_, _, rows, pitch := first[0].state.KVSlabs(0)
+	if horizon := len(prompts(0)) + 24; pitch != horizon {
+		t.Fatalf("first session's pitch %d, want its horizon %d", pitch, horizon)
+	}
+	if res, fil := gauges(); res != int64(pitch)*sch.kvRowBytes || fil != int64(rows)*sch.kvRowBytes {
+		t.Fatalf("live session of %d rows at pitch %d: gauges reserved %d filled %d", rows, pitch, res, fil)
+	}
+	drive()
+	recycled := <-sch.states
+	sch.states <- recycled
+	slab, _, _, _ := recycled.KVSlabs(0)
+	if res, fil := gauges(); res != int64(pitch)*sch.kvRowBytes || fil != 0 {
+		t.Fatalf("state recycled at pitch %d: gauges reserved %d filled %d", pitch, res, fil)
+	}
+
+	probe := &Session{}
+	shorter := len(prompts(1)) + 8
+	if shorter > pitch {
+		t.Fatalf("second horizon %d exceeds the recycled pitch %d", shorter, pitch)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		sch.holdState(r, probe, shorter)
+		sch.states <- probe.state
+	}); allocs != 0 {
+		t.Fatalf("taking a recycled state for a covered horizon allocates %.1f objects, want 0", allocs)
+	}
+
+	second := admitBare(t, sch, []Request{{PromptTokens: prompts(1), MaxTokens: 8}})[0]
+	r = sch.runSlice(r, g, <-sch.ready)
+	if k, _, _, p := second.state.KVSlabs(0); &k[0] != &slab[0] || p != pitch {
+		t.Fatalf("second session on a new slab (pitch %d, recycled %d)", p, pitch)
+	}
+	drive()
+	if res, fil := gauges(); res != int64(pitch)*sch.kvRowBytes || fil != 0 {
+		t.Fatalf("after the second session: gauges reserved %d filled %d, want %d and 0", res, fil, int64(pitch)*sch.kvRowBytes)
+	}
+}
+
 // TestExportCaptureAllocatesOnlyTheBlob pins what checkpoint export costs
 // and where: a capture on the decoding worker only records a mark and
 // allocates nothing; the fetch that encodes the mark allocates the envelope
@@ -767,7 +901,7 @@ func BenchmarkExportCapture(b *testing.B) {
 			{PromptTokens: testPrompts(b, 1)(0), MaxTokens: 100, Protected: protected, SessionID: "s"},
 		})
 		r, g, s := sch.pool.replicas[0], &group{}, sessions[0]
-		for rows := 0; rows < 64; _, _, rows = s.state.KVSlabs(0) {
+		for rows := 0; rows < 64; _, _, rows, _ = s.state.KVSlabs(0) {
 			r = sch.runSlice(r, g, <-sch.ready)
 		}
 		b.Run(fmt.Sprint("capture/protected=", protected), func(b *testing.B) {

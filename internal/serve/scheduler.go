@@ -45,6 +45,13 @@ type scheduler struct {
 	slots    chan struct{}           // active-session semaphore, cap MaxSessions
 	states   chan *model.DecodeState // recycled session KV states
 
+	// kvRowBytes is what one KV position costs a state: keys and values,
+	// every block. horizonShort under-declares every session's horizon by
+	// that many rows, so tests can make a slab grow mid-decode; it is 0 in
+	// service.
+	kvRowBytes   int64
+	horizonShort int
+
 	sessions   map[*Session]struct{} // admitted, not yet finished
 	sessionsMu sync.Mutex
 
@@ -78,6 +85,7 @@ func newScheduler(cfg Config, pool *pool, mx *metrics, eng *chaos.Engine) *sched
 		ready:          make(chan *Session, cfg.MaxSessions),
 		slots:          make(chan struct{}, cfg.MaxSessions),
 		states:         make(chan *model.DecodeState, cfg.MaxSessions),
+		kvRowBytes:     int64(2 * cfg.ModelCfg.Blocks * cfg.ModelCfg.Hidden * 4),
 		sessions:       make(map[*Session]struct{}),
 		exports:        make(map[string]*exportSlot),
 		dispatcherDone: make(chan struct{}),
@@ -348,7 +356,7 @@ func (sch *scheduler) applyChaos(r *replica, g *group) {
 			// count toward the weight-fault opt-in gate above.
 			continue
 		}
-		_, _, rows := s.state.KVSlabs(0)
+		_, _, rows, _ := s.state.KVSlabs(0)
 		g.views = append(g.views, chaos.SessionView{
 			ID: s.id, Step: s.state.Step(), Budget: g.rem[i], Rows: rows,
 		})
@@ -505,9 +513,7 @@ func (sch *scheduler) release(s *Session, delivered bool) {
 func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
 	defer recoverAs500(&err, "opening prefill")
 	m := r.m
-	if s.state == nil {
-		s.state = sch.obtainState(r)
-	}
+	sch.holdState(r, s, len(s.prompt)+s.req.MaxTokens)
 	prev := m.SwapState(s.state)
 	defer m.SwapState(prev)
 	s.prefillStarted = true
@@ -733,6 +739,7 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 				s.ftState = f.CaptureForkState()
 			}
 		}
+		sch.accountKV(s)
 		sch.ready <- s
 	}
 	return nil
@@ -753,16 +760,33 @@ func (sch *scheduler) finishInGroup(r *replica, g *group, i int, err error) {
 	sch.settle(s, err)
 }
 
-// obtainState recycles a finished session's KV state or allocates a fresh
-// one. States are architecture-identical across replicas, so any worker may
-// reuse any state.
-func (sch *scheduler) obtainState(r *replica) *model.DecodeState {
+// holdState gives s a KV state reserved to its horizon — rows positions, the
+// most its generation writes: a finished session's recycled state when the
+// pool has one, a fresh one otherwise. States are architecture-identical
+// across replicas, so any worker may reuse any state, and a recycled state
+// whose pitch covers rows allocates nothing.
+func (sch *scheduler) holdState(r *replica, s *Session, rows int) {
 	select {
 	case st := <-sch.states:
-		return st
+		s.state = st
+		_, _, _, s.kvPitch = st.KVSlabs(0) // the pool's reserved bytes move with it
 	default:
-		return r.m.NewDecodeState()
+		s.state = r.m.NewDecodeState()
 	}
+	s.state.Reset() // a growth copies no stale rows, and filled starts at 0
+	s.state.Reserve(rows - sch.horizonShort)
+	sch.accountKV(s)
+}
+
+// accountKV brings the KV gauges up to date with s's state: its pitch (grown
+// since last accounted by a reservation or a row past it) against reserved,
+// its rows against filled.
+func (sch *scheduler) accountKV(s *Session) {
+	_, _, rows, pitch := s.state.KVSlabs(0)
+	rb := sch.kvRowBytes
+	sch.mx.kvReserved.Add(int64(pitch-s.kvPitch) * rb)
+	sch.mx.kvFilled.Add(int64(rows-s.kvRows) * rb)
+	s.kvPitch, s.kvRows = pitch, rows
 }
 
 // replaceReplica swaps in a freshly built replica after a panic or a
@@ -809,11 +833,16 @@ func (sch *scheduler) settle(s *Session, err error) {
 		sch.mx.sdcSuspect.Add(1)
 	}
 	if st := s.state; st != nil {
-		s.state = nil
+		// Recycled, the state's rows are no longer filled but its slabs stay
+		// reserved in the pool; dropped, they are neither.
+		sch.accountKV(s)
+		sch.mx.kvFilled.Add(-int64(s.kvRows) * sch.kvRowBytes)
 		select {
 		case sch.states <- st:
 		default:
+			sch.mx.kvReserved.Add(-int64(s.kvPitch) * sch.kvRowBytes)
 		}
+		s.state, s.kvPitch, s.kvRows = nil, 0, 0
 	}
 	sch.inflight.Done()
 	<-sch.slots

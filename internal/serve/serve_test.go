@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -87,7 +88,8 @@ func bareSchedulerOf(t testing.TB, cfg Config, reqs []Request) (*scheduler, []*S
 	n := len(reqs)
 	sch := &scheduler{cfg: cfg, pool: p, mx: newMetrics(),
 		admit: make(chan *Session, n), ready: make(chan *Session, n), slots: make(chan struct{}, n),
-		sessions: make(map[*Session]struct{}), exports: make(map[string]*exportSlot)}
+		kvRowBytes: int64(2 * cfg.ModelCfg.Blocks * cfg.ModelCfg.Hidden * 4),
+		sessions:   make(map[*Session]struct{}), exports: make(map[string]*exportSlot)}
 	if cfg.Chaos != nil {
 		if sch.chaos, err = chaos.NewEngine(*cfg.Chaos, cfg.ModelCfg); err != nil {
 			t.Fatal(err)
@@ -507,6 +509,24 @@ func TestHTTPEndpoints(t *testing.T) {
 		}
 		return resp
 	}
+	// kvGauges scrapes the KV memory gauges: reserved and filled bytes.
+	kvGauges := func() (reserved, filled int64) {
+		t.Helper()
+		resp, err := http.Get(hs.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			fmt.Sscanf(sc.Text(), "ft2serve_kv_reserved_bytes %d", &reserved)
+			fmt.Sscanf(sc.Text(), "ft2serve_kv_filled_bytes %d", &filled)
+		}
+		return reserved, filled
+	}
+	if reserved, filled := kvGauges(); reserved != 0 || filled != 0 {
+		t.Fatalf("idle fresh server: KV reserved %d, filled %d bytes; want 0 and 0", reserved, filled)
+	}
 
 	// Single-document generate, text prompt, protected.
 	resp := post(`{"text":"what city hosts the museum","max_tokens":8,"protected":true}`)
@@ -599,6 +619,11 @@ func TestHTTPEndpoints(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, buf.String())
 		}
+	}
+	// Both sessions settled: their states sit in the recycled pool, reserved
+	// but holding no live rows.
+	if reserved, filled := kvGauges(); reserved <= 0 || reserved < filled {
+		t.Fatalf("after traffic: KV reserved %d, filled %d bytes; want reserved > 0 and ≥ filled", reserved, filled)
 	}
 	// No policy loaded, so no exact-repair tier: its series must not exist.
 	for _, absent := range []string{"ft2serve_abft_total", "ft2serve_dmr_corrections_total"} {

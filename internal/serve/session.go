@@ -37,6 +37,10 @@ type Session struct {
 	admitted time.Time
 	startAt  time.Time // first slice began (queue latency endpoint)
 
+	// kvPitch and kvRows are state's pitch and filled rows as last added to
+	// the server's KV gauges (scheduler.accountKV).
+	kvPitch, kvRows int
+
 	// Chunked-prefill / prefix-cache progress. prefillStarted flips on the
 	// session's first prefill slice (cache lookup + BeginPrefill); hitRows is
 	// the cached-prefix depth it resumed from; insert marks that the
