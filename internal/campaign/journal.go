@@ -118,8 +118,9 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 }
 
 // load indexes the "ok" entries of an existing journal. Lines that fail to
-// parse (e.g. a torn write from a crash) are skipped, not fatal: losing one
-// checkpoint only costs re-running that trial.
+// parse (e.g. a torn write from a crash), and lines no campaign writes — a
+// layer kind outside the model's or a negative correction count — are
+// skipped, not fatal: losing one checkpoint only costs re-running that trial.
 func (j *Journal) load(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -128,7 +129,8 @@ func (j *Journal) load(r io.Reader) error {
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			continue
 		}
-		if e.Type != "ok" || e.FP == "" || e.Trial < 0 {
+		if e.Type != "ok" || e.FP == "" || e.Trial < 0 ||
+			e.Kind < 0 || e.Kind >= model.NumLayerKinds || e.OOB < 0 || e.NaN < 0 {
 			continue
 		}
 		m := j.index[e.FP]

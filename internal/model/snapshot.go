@@ -12,9 +12,10 @@ import "fmt"
 //
 // Snapshots are deep copies: they stay valid after the source model moves
 // on, and one snapshot can be restored concurrently into many worker
-// replicas (Restore only reads it). There are two exceptions, both read-only
-// views that share buffers instead: Prefix shares its parent's, and View
-// shares a live DecodeState's KV slabs.
+// replicas (Restore only reads it). There are three exceptions, which share
+// buffers instead: Prefix and View are read-only views of a parent's buffers
+// and of a live DecodeState's KV slabs, and Share reads its first rows from a
+// base snapshot and owns only the rest.
 type Snapshot struct {
 	// identity of the capturing model, checked on Restore
 	family                          Family
@@ -34,6 +35,12 @@ type Snapshot struct {
 	// readers must walk head h at offset h*stride*headDim and take only the
 	// first rows rows of each run.
 	stride int
+
+	// Rows [0,shared) are base's (Share); k/v hold rows [shared,rows), so
+	// row r of head h sits at h*stride*headDim + (r-shared)*headDim. base is
+	// immutable and may itself read from a base.
+	base   *Snapshot
+	shared int
 }
 
 // NextStep returns the generation step a restored model executes next; the
@@ -47,11 +54,11 @@ func (s *Snapshot) LastToken() int { return s.lastTok }
 // Rows returns the number of KV rows the snapshot holds per block.
 func (s *Snapshot) Rows() int { return s.rows }
 
-// MemoryBytes returns the heap footprint of the snapshot's KV payload:
-// Blocks × 2 × rows × Hidden float32s. The bookkeeping fields are a few
-// dozen bytes on top.
+// MemoryBytes returns the heap footprint of the snapshot's own KV payload:
+// Blocks × 2 × rows × Hidden float32s, less the rows a shared snapshot reads
+// from its base. The bookkeeping fields are a few dozen bytes on top.
 func (s *Snapshot) MemoryBytes() int {
-	return s.blocks * 2 * s.rows * s.hidden * 4
+	return s.blocks * 2 * (s.rows - s.shared) * s.hidden * 4
 }
 
 // Compatible reports whether the snapshot can be restored into a model of
@@ -90,6 +97,7 @@ func (m *Model) Checkpoint(into *Snapshot) {
 	into.rows = rows
 	into.stride = rows
 	into.lastStreamNorm = st.lastStreamNorm
+	into.base, into.shared = nil, 0
 
 	if len(into.k) != cfg.Blocks {
 		into.k = make([][]float32, cfg.Blocks)
@@ -133,12 +141,72 @@ func (s *Snapshot) Prefix(rows int) *Snapshot {
 	if rows < 0 || rows > s.rows {
 		panic(fmt.Sprintf("model: Snapshot.Prefix(%d) outside [0,%d]", rows, s.rows))
 	}
+	if s.base != nil && rows <= s.shared {
+		return s.base.Prefix(rows)
+	}
 	return &Snapshot{
 		family: s.family, blocks: s.blocks, hidden: s.hidden,
 		maxSeq: s.maxSeq, headDim: s.headDim,
 		rows:   rows,
 		stride: s.srcStride(),
 		k:      s.k, v: s.v,
+		base: s.base, shared: s.shared,
+	}
+}
+
+// Share returns a copy of s whose first k rows are read from base instead of
+// held: its own buffers hold only rows [k, Rows()), so it encodes, restores
+// and seeds a prefill exactly as s does while MemoryBytes counts only what it
+// owns. base must hold s's rows [0,k) bit for bit — the caller guarantees it,
+// as bare KV rows are a pure function of the token prefix — and, like a
+// Prefix parent, stay immutable while the result lives. s is not modified.
+func (s *Snapshot) Share(base *Snapshot, k int) *Snapshot {
+	if k < 0 || k > s.rows || k > base.rows {
+		panic(fmt.Sprintf("model: Snapshot.Share(%d) outside [0,min(%d,%d)]", k, s.rows, base.rows))
+	}
+	if base.family != s.family || base.blocks != s.blocks || base.hidden != s.hidden || base.maxSeq != s.maxSeq || base.headDim != s.headDim {
+		panic("model: Snapshot.Share with a base of another architecture")
+	}
+	out := *s
+	own := s.rows - k
+	out.base, out.shared, out.stride = base, k, own
+	out.k, out.v = make([][]float32, s.blocks), make([][]float32, s.blocks)
+	span := own * s.hidden
+	buf := make([]float32, 2*s.blocks*span)
+	d := s.headDim
+	for b := range out.k {
+		out.k[b], buf = buf[:span:span], buf[span:]
+		out.v[b], buf = buf[:span:span], buf[span:]
+		for h := 0; h < s.hidden/d; h++ {
+			s.copyRows(out.k[b][h*own*d:], false, b, h, k, s.rows)
+			s.copyRows(out.v[b][h*own*d:], true, b, h, k, s.rows)
+		}
+	}
+	return &out
+}
+
+// ownRows returns head h's rows [lo,hi) of block b's k (v when v) buffer;
+// they must lie in [shared, rows).
+func (s *Snapshot) ownRows(v bool, b, h, lo, hi int) []float32 {
+	buf := s.k[b]
+	if v {
+		buf = s.v[b]
+	}
+	d := s.headDim
+	off := h*s.srcStride()*d - s.shared*d
+	return buf[off+lo*d : off+hi*d]
+}
+
+// copyRows copies head h's rows [lo,hi) of block b's k (v when v) into dst,
+// the base's share first.
+func (s *Snapshot) copyRows(dst []float32, v bool, b, h, lo, hi int) {
+	if lo < s.shared {
+		n := min(hi, s.shared)
+		s.base.copyRows(dst, v, b, h, lo, n)
+		dst, lo = dst[(n-lo)*s.headDim:], n
+	}
+	if lo < hi {
+		copy(dst, s.ownRows(v, b, h, lo, hi))
 	}
 }
 
@@ -214,11 +282,11 @@ func (m *Model) Restore(s *Snapshot) int {
 // loadRows copies the snapshot's KV rows into st's slabs, which must hold
 // them, and sets st's fill counters to match.
 func (st *DecodeState) loadRows(s *Snapshot) {
-	d, stride := s.headDim, s.srcStride()
+	d := s.headDim
 	for b := range st.kv {
 		for h := 0; h < st.heads; h++ {
-			copy(st.kv[b].k[h*st.pitch*d:], s.k[b][h*stride*d:h*stride*d+s.rows*d])
-			copy(st.kv[b].v[h*st.pitch*d:], s.v[b][h*stride*d:h*stride*d+s.rows*d])
+			s.copyRows(st.kv[b].k[h*st.pitch*d:], false, b, h, 0, s.rows)
+			s.copyRows(st.kv[b].v[h*st.pitch*d:], true, b, h, 0, s.rows)
 		}
 		st.kv[b].rows = s.rows
 	}

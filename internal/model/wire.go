@@ -23,8 +23,8 @@ import (
 //
 // KV rows are written packed at rows (head-blocked: head h's run starts at
 // h*rows*headDim), regardless of the source snapshot's stride, so encoding a
-// Prefix view compacts it — the decoded snapshot owns its buffers and has
-// stride == rows.
+// Prefix view compacts it and a Share'd snapshot writes its base's rows in
+// place — the decoded snapshot owns its buffers and has stride == rows.
 
 // snapWireHeader is the fixed bookkeeping prefix: 10 u32 fields.
 const snapWireHeader = 10 * 4
@@ -77,17 +77,28 @@ func AppendSnapshot(dst []byte, s *Snapshot) []byte {
 	if s.rows == 0 {
 		return dst
 	}
-	d := s.headDim
-	heads := s.hidden / d
-	stride := s.srcStride()
+	heads := s.hidden / s.headDim
 	dst = slices.Grow(dst, s.WireSize()-snapWireHeader)
 	for b := 0; b < s.blocks; b++ {
 		for h := 0; h < heads; h++ {
-			dst = appendWireF32s(dst, s.k[b][h*stride*d:h*stride*d+s.rows*d])
+			dst = s.appendRows(dst, false, b, h, 0, s.rows)
 		}
 		for h := 0; h < heads; h++ {
-			dst = appendWireF32s(dst, s.v[b][h*stride*d:h*stride*d+s.rows*d])
+			dst = s.appendRows(dst, true, b, h, 0, s.rows)
 		}
+	}
+	return dst
+}
+
+// appendRows is copyRows onto the wire: head h's rows [lo,hi) of block b's k
+// (v when v), the base's share first.
+func (s *Snapshot) appendRows(dst []byte, v bool, b, h, lo, hi int) []byte {
+	if lo < s.shared {
+		n := min(hi, s.shared)
+		dst, lo = s.base.appendRows(dst, v, b, h, lo, n), n
+	}
+	if lo < hi {
+		dst = appendWireF32s(dst, s.ownRows(v, b, h, lo, hi))
 	}
 	return dst
 }

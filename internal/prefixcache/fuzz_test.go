@@ -16,6 +16,11 @@ type livePrompt struct {
 	nanFree bool
 	refs    int
 	e       *entry // the cache's entry, to follow which one a lookup picked
+
+	base    *livePrompt // the prompt whose rows [0,shared) this one reads
+	shared  int
+	readers int  // charged prompts whose base this is
+	live    bool // in the tree; a detached prompt stays charged while read
 }
 
 func (l *livePrompt) serves(protected bool) bool {
@@ -34,11 +39,19 @@ type heldRef struct {
 
 // FuzzCacheOps drives a byte-coded sequence of Insert / Lookup / Release over
 // a 4-token alphabet, under a budget of twelve KV rows so evictions are
-// constant, against a naive model: a slice of live prompts in LRU order.
-// A lookup must hit exactly the longest common prefix with any live prompt
-// that serves its kind of session (capped at len-1); inserts are admitted,
-// refused, replaced and evicted by the documented rules; the byte account is
-// the sum of the live entries; and every refcount returns to zero.
+// constant, against a naive model: a slice of live prompts in LRU order and
+// the set of charged ones. A lookup must hit exactly the longest common prefix
+// with any live prompt that serves its kind of session (capped at len-1);
+// inserts are admitted, refused, replaced and evicted by the documented
+// rules; and every refcount returns to zero.
+//
+// The byte account charges each prompt only the rows past its base: a
+// nanFree newcomer reads the rows it shares with the nanFree live prompt of
+// the longest common prefix k when k is at least the n-k rows it keeps (the
+// cache names which such prompt; the model checks the choice). A prompt with
+// readers is never a victim, a detached one stays charged while it has
+// readers, and a newcomer whose rows and its bases' exceed the budget is
+// refused. A NaN-tainted newcomer always stays whole.
 //
 // Depth must answer what the next Lookup's Rows will and leave no trace: the
 // counters are compared around it, and since the model's LRU order is not
@@ -47,7 +60,8 @@ type heldRef struct {
 // Each op is a header byte — bits 0-1: 0,1 insert, 2 lookup, 3 release the
 // oldest held ref; bits 2-3: insert flavour (bare, trail, NaN-tainted trail,
 // serves-no-one) or bit 2 lookup protected, bit 3 Depth only; bits 4-6:
-// prompt length — then that many token bytes.
+// prompt length; bit 7: an insert's prompt extends the most recently used
+// live prompt (cut to seven tokens) — then that many token bytes.
 func FuzzCacheOps(f *testing.F) {
 	const maxLen = 7
 	m := model.MustNew(testCfg(), 7, numerics.FP16)
@@ -56,9 +70,16 @@ func FuzzCacheOps(f *testing.F) {
 		snaps[n] = makeSnap(m, make([]int, n))
 	}
 	budget := int64(snaps[6].MemoryBytes()) * 2
+	rowBytes := int64(snaps[1].MemoryBytes())
 
-	// TestEvictionKeepsSharedPrefixReachable: two prompts sharing four tokens,
+	// TestEvictionKeepsSharedPrefixReachable: two prompts sharing two tokens,
 	// the second touched, an unrelated third evicting the first.
+	f.Add([]byte{
+		0x60, 0, 1, 0, 0, 0, 0, 0x60, 0, 1, 1, 1, 1, 1, 0x62, 0, 1, 1, 1, 1, 1,
+		0x60, 3, 3, 3, 3, 3, 3, 0x62, 0, 1, 2, 2, 2, 2,
+	})
+	// The same with four shared tokens: the second reads them from the first,
+	// so the third evicts the second (leaf-first).
 	f.Add([]byte{
 		0x60, 0, 1, 2, 3, 0, 0, 0x60, 0, 1, 2, 3, 1, 1, 0x62, 0, 1, 2, 3, 1, 1,
 		0x60, 3, 3, 3, 3, 3, 3, 0x62, 0, 1, 2, 3, 2, 2,
@@ -77,20 +98,50 @@ func FuzzCacheOps(f *testing.F) {
 
 	// A NaN-tainted trail entry replaced by a clean one: bare lookups hit.
 	f.Add([]byte{0x48, 0, 1, 2, 3, 0x44, 0, 1, 2, 3, 0x52, 0, 1, 2, 3, 1, 0x40, 0, 1, 2, 3})
+	// Shares: a clean prompt under a cached one, a NaN-tainted one under it
+	// (whole), a duplicate with a trail replacing its own base (detached,
+	// still charged), then evictions that must go leaf-first.
+	f.Add([]byte{
+		0x40, 0, 1, 2, 3, 0xa0, 1, 1, 0xa8, 2, 2, 0x44, 0, 1, 2, 3,
+		0x62, 0, 1, 2, 3, 1, 0x70, 3, 3, 3, 3, 3, 3, 3, 0x03, 0x70, 2, 2, 2, 2, 2, 2, 2,
+	})
+	// A chain: each prompt extends the last by one clean token.
+	f.Add([]byte{0x20, 0, 1, 0x90, 2, 0x90, 3, 0x90, 0, 0x90, 1, 0x90, 2, 0x70, 3, 3, 3, 3, 3, 3, 3})
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		c := New(budget)
-		var live []*livePrompt // front = most recently used
+		var live []*livePrompt    // front = most recently used
+		var charged []*livePrompt // live, and detached ones still read
 		var all []*entry
 		var held []heldRef
 		touch := func(l *livePrompt) {
 			live = slices.Insert(slices.DeleteFunc(live, func(x *livePrompt) bool { return x == l }), 0, l)
 		}
+		own := func(l *livePrompt) int64 { return rowBytes * int64(len(l.prompt)-l.shared) }
 		sum := func() (n int64) {
-			for _, l := range live {
-				n += l.e.bytes
+			for _, l := range charged {
+				n += own(l)
 			}
 			return n
+		}
+		// detach takes l out of the tree, and off the account unless read;
+		// an uncharged prompt releases its base.
+		detach := func(l *livePrompt) {
+			live = slices.DeleteFunc(live, func(x *livePrompt) bool { return x == l })
+			l.live = false
+			for l != nil && !l.live && l.readers == 0 {
+				charged = slices.DeleteFunc(charged, func(x *livePrompt) bool { return x == l })
+				if l = l.base; l != nil {
+					l.readers--
+				}
+			}
+		}
+		of := func(e *entry) *livePrompt {
+			i := slices.IndexFunc(charged, func(l *livePrompt) bool { return l.e == e })
+			if i < 0 {
+				t.Fatalf("the cache names an entry the model does not charge")
+			}
+			return charged[i]
 		}
 
 		for len(ops) > 0 {
@@ -104,13 +155,46 @@ func FuzzCacheOps(f *testing.F) {
 
 			switch op := h % 4; op {
 			case 0, 1: // insert
+				if h&0x80 != 0 && len(live) > 0 {
+					prompt = append(slices.Clone(live[0].prompt), prompt...)[:min(len(live[0].prompt)+n, maxLen)]
+					n = len(prompt)
+				}
 				flavour := (h >> 2) % 4
-				nu := &livePrompt{prompt: prompt, trail: flavour == 1 || flavour == 2, nanFree: flavour <= 1}
+				nu := &livePrompt{prompt: prompt, trail: flavour == 1 || flavour == 2, nanFree: flavour <= 1, live: true}
 				var trail *protect.Trail
 				if nu.trail {
 					trail = new(protect.Trail)
 				}
 				want := n >= 2 && (nu.trail || nu.nanFree)
+				var base, replaced *livePrompt
+				if want {
+					k := 0
+					for _, l := range live {
+						if nu.nanFree && l.nanFree {
+							k = max(k, MatchLen(l.prompt, prompt))
+						}
+					}
+					c.mu.Lock()
+					be, bk := c.shareBaseLocked(prompt, n, nu.nanFree)
+					c.mu.Unlock()
+					if k >= n-k {
+						if be == nil {
+							t.Fatalf("Insert(%v) would not share %d rows", prompt, k)
+						}
+						base, nu.shared = of(be), bk
+						if bk != k || !base.nanFree || MatchLen(base.prompt, prompt) < k || base.base != nil && base.shared >= k {
+							t.Fatalf("Insert(%v) would read %d rows from %v (shares %d, its base %d); model says %d rows of a nanFree prompt",
+								prompt, bk, base.prompt, MatchLen(base.prompt, prompt), base.shared, k)
+						}
+					} else if be != nil {
+						t.Fatalf("Insert(%v) would share %d rows, model says stay whole (k = %d)", prompt, bk, k)
+					}
+					pinned := own(nu)
+					for b := base; b != nil; b = b.base {
+						pinned += own(b)
+					}
+					want = pinned <= budget
+				}
 				if want {
 					same := slices.IndexFunc(live, func(l *livePrompt) bool { return slices.Equal(l.prompt, prompt) })
 					switch {
@@ -118,7 +202,7 @@ func FuzzCacheOps(f *testing.F) {
 						touch(live[same])
 						want = false
 					case same >= 0:
-						live = slices.Delete(live, same, same+1)
+						replaced = live[same]
 					default:
 						covered := true
 						for _, protected := range []bool{false, true} {
@@ -138,10 +222,27 @@ func FuzzCacheOps(f *testing.F) {
 				if want {
 					nu.e = c.lru.Front().Value.(*entry)
 					all = append(all, nu.e)
+					if base != nil {
+						base.readers++
+						if nu.e.base != base.e {
+							t.Fatalf("Insert(%v) read from another entry than it named", prompt)
+						}
+					}
+					nu.base = base
+					if replaced != nil {
+						detach(replaced) // after nu took its hold: replaced may be its base
+					}
+					if !nu.nanFree && (nu.e.base != nil || nu.e.bytes != rowBytes*int64(n)) {
+						t.Fatalf("NaN-tainted Insert(%v) shares %d rows", prompt, nu.e.shared)
+					}
 					live = slices.Insert(live, 0, nu)
-					for sum() > budget { // evictLocked's rule: LRU-most unheld, else LRU-most
+					charged = append(charged, nu)
+					for sum() > budget { // evictLocked's rule: LRU-most unheld unread, else LRU-most unread
 						victim := -1
 						for i := len(live) - 1; i > 0; i-- { // live[0] is the new entry
+							if live[i].readers > 0 {
+								continue
+							}
 							if victim < 0 {
 								victim = i
 							}
@@ -151,9 +252,9 @@ func FuzzCacheOps(f *testing.F) {
 							}
 						}
 						if victim < 0 {
-							break
+							t.Fatalf("model over budget with no victim")
 						}
-						live = slices.Delete(live, victim, victim+1)
+						detach(live[victim])
 					}
 				}
 
@@ -206,6 +307,11 @@ func FuzzCacheOps(f *testing.F) {
 			st := c.Stats()
 			if st.Bytes != sum() || st.Entries != len(live) || st.Bytes > st.Budget {
 				t.Fatalf("stats %+v, model holds %d entries / %d bytes", st, len(live), sum())
+			}
+			for _, l := range charged {
+				if l.e.bytes != own(l) {
+					t.Fatalf("%v is charged %d bytes, model says %d", l.prompt, l.e.bytes, own(l))
+				}
 			}
 		}
 

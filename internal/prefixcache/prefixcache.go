@@ -15,11 +15,24 @@
 // node with such an entry, truncated to the matched depth via a zero-copy
 // Snapshot.Prefix view.
 //
-// Memory is bounded by a byte budget over snapshot KV payloads with LRU
-// eviction. Entries are refcounted while sessions hold them, but eviction
-// never blocks on holders and holders never dangle: snapshots are immutable
-// and garbage-collected, so evicting an in-use entry merely detaches it from
-// the tree — the holding session keeps its view alive through the Ref (the
+// A cached prompt holds only the KV rows no cached prompt it extends already
+// holds: Insert stores an unprotected-clean (nanFree) newcomer as a
+// Snapshot.Share of the nanFree entry sharing its longest token prefix — its
+// base — when that at least halves the rows it owns. Bare KV rows are a pure
+// function of the token prefix, so the base's rows are the newcomer's; a
+// NaN-corrected prefill's are not, and it stays whole. Sixteen prompts behind
+// one system prompt hold that prompt once.
+//
+// Memory is bounded by a byte budget over the KV rows entries own, each row
+// charged once, with LRU eviction. Eviction is leaf-first: an entry another
+// charged entry reads from is never a victim, and one detached while it has
+// readers (a duplicate prompt replacing it) stays charged until its last
+// reader goes. A newcomer whose own rows and its bases' do not fit the budget
+// is refused, so Bytes never exceeds Budget. Entries are refcounted while
+// sessions hold them, but eviction never blocks on holders and holders never
+// dangle: snapshots are immutable and garbage-collected, so evicting an
+// in-use entry merely detaches it from the tree — the holding session keeps
+// its view, and the bases it reads, alive through the Ref (the
 // "copy-on-evict" guarantee comes for free from immutability; no bytes are
 // ever copied or freed under a reader).
 //
@@ -65,9 +78,13 @@ type entry struct {
 	trail   *protect.Trail // nil when the prefill recorded none a protected session can use
 	nanFree bool           // prefill saw no NaN corrections
 	leaf    *node          // the node at the prompt's full depth
-	bytes   int64
+	bytes   int64          // the KV rows snap owns: those past base's share
 	refs    int
-	elem    *list.Element
+	elem    *list.Element // nil once detached from the tree
+
+	base    *entry // snap reads rows [0,shared) from base.snap; nil when whole
+	shared  int
+	readers int // charged entries whose base this is
 }
 
 func (e *entry) serves(kind int) bool {
@@ -81,8 +98,8 @@ func (e *entry) serves(kind int) bool {
 type Stats struct {
 	Hits, Misses, Insertions, Evictions int64
 	HitRows                             int64 // total KV rows served from cache
-	Entries                             int
-	Bytes, Budget                       int64
+	Entries                             int   // prompts in the tree
+	Bytes, Budget                       int64 // Bytes: KV rows charged, each row once
 }
 
 // Cache is the radix prefix cache. The zero value is unusable; call New.
@@ -147,16 +164,23 @@ func MatchLen(a, b []int) int {
 	return i
 }
 
-// deepestLocked walks the tree as far as prompt matches and returns the entry
-// a session of this kind would be served from and at how many rows: the
-// longest token prefix prompt shares with any cached prompt that serves the
-// kind, capped at len(prompt)-1 rows (the readout needs the final row's
-// residual stream, which snapshots don't carry). (nil, 0) is a miss.
-func (c *Cache) deepestLocked(prompt []int, protected bool) (best *entry, rows int) {
+// hitLocked returns the entry a session would be served from and at how many
+// rows: deepestLocked's, capped at len(prompt)-1 rows (the readout needs the
+// final row's residual stream, which snapshots don't carry). (nil, 0) is a
+// miss.
+func (c *Cache) hitLocked(prompt []int, protected bool) (*entry, int) {
 	kind := kindBare
 	if protected {
 		kind = kindProtected
 	}
+	best, rows := c.deepestLocked(prompt, kind)
+	return best, max(min(rows, len(prompt)-1), 0)
+}
+
+// deepestLocked walks the tree as far as prompt matches and returns a live
+// entry serving the kind that shares the longest token prefix with prompt,
+// and that prefix's length.
+func (c *Cache) deepestLocked(prompt []int, kind int) (best *entry, rows int) {
 	cur := c.root
 	for rows < len(prompt) { // past the cap too: deeper entries still serve capped hits
 		child := cur.children[prompt[rows]]
@@ -172,7 +196,7 @@ func (c *Cache) deepestLocked(prompt []int, protected bool) (best *entry, rows i
 		}
 		cur = child
 	}
-	return best, max(min(rows, len(prompt)-1), 0)
+	return best, rows
 }
 
 // Depth returns the rows a Lookup of prompt would hit right now (0 on a
@@ -180,7 +204,7 @@ func (c *Cache) deepestLocked(prompt []int, protected bool) (best *entry, rows i
 func (c *Cache) Depth(prompt []int, protected bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, rows := c.deepestLocked(prompt, protected)
+	_, rows := c.hitLocked(prompt, protected)
 	return rows
 }
 
@@ -193,7 +217,7 @@ func (c *Cache) Lookup(prompt []int, protected bool) *Ref {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	best, rows := c.deepestLocked(prompt, protected)
+	best, rows := c.hitLocked(prompt, protected)
 	if best == nil {
 		c.misses++
 		return nil
@@ -207,24 +231,33 @@ func (c *Cache) Lookup(prompt []int, protected bool) *Ref {
 
 // Insert adds a completed prefill's prompt and its full-prompt snapshot to
 // the cache, reporting whether it was admitted. The cache takes ownership of
-// snap and trail — they must never be mutated afterwards. trail is the
+// snap and trail — they must never be mutated afterwards — and keeps snap, or
+// a Share of it when a cached prompt holds its first rows. trail is the
 // prefill's complete bounds trail from row 0, nil when it has none a
 // protected session can use; nanFree says the KV is what an unprotected
 // prefill computes (no NaN corrected). An entry with neither serves no one and
 // is refused, as is one whose every lookup a cached longer prompt already
 // answers. A duplicate prompt refreshes LRU recency, except that one serving
 // a kind of session the cached entry does not replaces it: an entry that
-// serves one kind must not permanently block the other's reuse.
+// serves one kind must not permanently block the other's reuse. An entry
+// whose own rows and its bases' exceed the budget is refused.
 func (c *Cache) Insert(prompt []int, snap *model.Snapshot, trail *protect.Trail, nanFree bool) bool {
 	if len(prompt) < 2 || snap == nil || snap.Rows() < len(prompt) || trail == nil && !nanFree {
 		return false
 	}
-	bytes := int64(snap.MemoryBytes())
-	if bytes > c.budget {
-		return false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+
+	rows := snap.Rows()
+	base, shared := c.shareBaseLocked(prompt, rows, nanFree)
+	bytes := int64(snap.MemoryBytes()) / int64(rows) * int64(rows-shared)
+	pinned := bytes
+	for b := base; b != nil; b = b.base {
+		pinned += b.bytes
+	}
+	if pinned > c.budget {
+		return false
+	}
 
 	// Walk/create the path, splitting edges at divergence.
 	cur := c.root
@@ -284,6 +317,10 @@ func (c *Cache) Insert(prompt []int, snap *model.Snapshot, trail *protect.Trail,
 			return false // a longer cached prompt answers every lookup e could
 		}
 	}
+	if base != nil {
+		e.snap, e.base, e.shared = snap.Share(base.snap, shared), base, shared
+		base.readers++
+	}
 	leaf.own = e
 	if old != nil {
 		c.detachLocked(old) // re-points old's nodes at e, the leaf's new own
@@ -302,16 +339,38 @@ func (c *Cache) Insert(prompt []int, snap *model.Snapshot, trail *protect.Trail,
 	return true
 }
 
-// evictLocked evicts LRU entries until the budget holds, never touching
-// keep. Unreferenced entries go first; if every other entry is held by a
-// session the LRU-most held one is detached anyway — safe, because holders
-// reach the buffers through their Ref, not the tree.
+// shareBaseLocked returns the entry a newcomer of rows KV rows would read
+// its first k from, or (nil, 0) when it stays whole: the nanFree entry that
+// shares the longest token prefix with prompt, if the newcomer is nanFree too
+// and k is at least the rows it keeps. Rows the base itself reads from its
+// own base are read from there directly.
+func (c *Cache) shareBaseLocked(prompt []int, rows int, nanFree bool) (base *entry, k int) {
+	if !nanFree {
+		return nil, 0
+	}
+	base, k = c.deepestLocked(prompt, kindBare)
+	if base == nil || k < rows-k {
+		return nil, 0
+	}
+	for base.base != nil && k <= base.shared {
+		base = base.base
+	}
+	return base, k
+}
+
+// evictLocked evicts LRU entries until the budget holds, never touching keep
+// or an entry another one reads from (leaf-first). Unreferenced entries go
+// first; if every other candidate is held by a session the LRU-most held one
+// is detached anyway — safe, because holders reach the buffers through their
+// Ref, not the tree. Insert has checked that what keep pins fits, and every
+// other entry becomes a candidate once its readers are gone, so the loop
+// reaches the budget.
 func (c *Cache) evictLocked(keep *entry) {
 	for c.bytes > c.budget {
 		var victim *entry
 		for el := c.lru.Back(); el != nil; el = el.Prev() {
 			e := el.Value.(*entry)
-			if e == keep {
+			if e == keep || e.readers > 0 {
 				continue
 			}
 			if victim == nil {
@@ -330,16 +389,20 @@ func (c *Cache) evictLocked(keep *entry) {
 	}
 }
 
-// detachLocked takes e out of the LRU list, the byte account and the tree.
-// Every node that pointed at e is on the path from its leaf to the root;
-// bottom-up, each is re-pointed at another live entry of its subtree that
-// serves the same kind — the prompt ending at the node itself, or what a
-// child already points at (lowest label, so the choice is deterministic) —
-// and a node left with no entry and no children is pruned. e's buffers stay
-// valid for any session still holding a Ref.
+// detachLocked takes e out of the LRU list and the tree, and off the byte
+// account unless entries still read from it. Every node that pointed at e is
+// on the path from its leaf to the root; bottom-up, each is re-pointed at
+// another live entry of its subtree that serves the same kind — the prompt
+// ending at the node itself, or what a child already points at (lowest
+// label, so the choice is deterministic) — and a node left with no entry and
+// no children is pruned. e's buffers stay valid for any session still
+// holding a Ref.
 func (c *Cache) detachLocked(e *entry) {
 	c.lru.Remove(e.elem)
-	c.bytes -= e.bytes
+	e.elem = nil
+	if e.readers == 0 {
+		c.unchargeLocked(e)
+	}
 	if e.leaf.own == e {
 		e.leaf.own = nil
 	}
@@ -363,6 +426,23 @@ func (c *Cache) detachLocked(e *entry) {
 		if n.own == nil && len(n.children) == 0 {
 			delete(n.parent.children, n.label)
 		}
+	}
+}
+
+// unchargeLocked takes a detached, unread entry off the byte account, and
+// with it its hold on its base, which goes too once that is detached and
+// unread.
+func (c *Cache) unchargeLocked(e *entry) {
+	for {
+		c.bytes -= e.bytes
+		b := e.base
+		if b == nil {
+			return
+		}
+		if b.readers--; b.readers > 0 || b.elem != nil {
+			return
+		}
+		e = b
 	}
 }
 

@@ -1,6 +1,7 @@
 package prefixcache
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -353,10 +354,12 @@ func TestEvictionPrefersUnheldEntries(t *testing.T) {
 
 // TestEvictionKeepsSharedPrefixReachable: evicting the entry an interior
 // node points at must not hide the live entries left in its subtree — a
-// new-suffix prompt still hits the whole shared prefix.
+// new-suffix prompt still hits the whole shared prefix. The prompts share
+// under half their rows, so each holds them whole and neither reads the
+// other.
 func TestEvictionKeepsSharedPrefixReachable(t *testing.T) {
 	m := newModel(t)
-	a, b := seq(1, 2, 3, 4, 10, 11), seq(1, 2, 3, 4, 20, 21)
+	a, b := seq(1, 2, 10, 11, 12, 13), seq(1, 2, 20, 21, 22, 23)
 	c := New(int64(makeSnap(m, a).MemoryBytes()) * 2) // room for two entries
 	c.Insert(a, makeSnap(m, a), nil, true)
 	c.Insert(b, makeSnap(m, b), nil, true)
@@ -370,9 +373,64 @@ func TestEvictionKeepsSharedPrefixReachable(t *testing.T) {
 	if st := c.Stats(); st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("stats after eviction = %+v", st)
 	}
-	ref := c.Lookup(seq(1, 2, 3, 4, 30, 31), false)
-	if ref == nil || ref.Rows() != 4 {
-		t.Fatalf("new-suffix lookup with b live = %v, want a 4-row hit", ref)
+	ref := c.Lookup(seq(1, 2, 30, 31), false)
+	if ref == nil || ref.Rows() != 2 {
+		t.Fatalf("new-suffix lookup with b live = %v, want a 2-row hit", ref)
 	}
 	ref.Release()
+}
+
+// TestSharedEntriesServeColdRows: entries built by a cold, a chunked and a
+// cache-resumed prefill share their common system prompt — each later one
+// holds only its suffix — and every lookup's rows are bit for bit those a
+// cold prefill of the query computes.
+func TestSharedEntriesServeColdRows(t *testing.T) {
+	m := newModel(t)
+	sys := seq(1, 2, 3, 4, 5, 6, 7, 8)
+	p := func(suffix ...int) []int { return append(append([]int(nil), sys...), suffix...) }
+	rowBytes := int64(makeSnap(m, seq(1)).MemoryBytes())
+	c := New(1 << 20)
+
+	cold := p(20, 21, 22)
+	c.Insert(cold, makeSnap(m, cold), nil, true)
+
+	chunked := p(30, 31, 32, 33)
+	m.BeginPrefill(len(chunked))
+	for pos := 0; pos < len(chunked); pos += 3 {
+		m.PrefillChunk(chunked[pos:min(pos+3, len(chunked))])
+	}
+	snap := &model.Snapshot{}
+	m.Checkpoint(snap)
+	c.Insert(chunked, snap, nil, true)
+
+	// Resumed from the chunked entry's rows, and extending it: a base that
+	// itself reads from a base.
+	resumed := p(30, 31, 32, 33, 40, 41)
+	ref := c.Lookup(resumed, false)
+	if ref == nil || ref.Rows() != len(chunked) {
+		t.Fatalf("lookup of the resumed prompt = %v, want %d rows", ref, len(chunked))
+	}
+	m.BeginPrefill(len(resumed))
+	m.ResumePrefillPrefix(ref.Snapshot())
+	m.PrefillChunk(resumed[ref.Rows():])
+	ref.Release()
+	snap = &model.Snapshot{}
+	m.Checkpoint(snap)
+	c.Insert(resumed, snap, nil, true)
+
+	st := c.Stats()
+	if want := rowBytes * int64(len(cold)+4+2); st.Bytes != want || st.Entries != 3 {
+		t.Fatalf("stats %+v, want 3 entries holding %d bytes: the system prompt once", st, want)
+	}
+	for _, q := range [][]int{cold, chunked, resumed, p(30, 31, 50), p(30, 31, 32, 33, 40, 41, 42), p(60), seq(1, 2, 3, 9)} {
+		ref := c.Lookup(q, false)
+		if ref == nil {
+			t.Fatalf("%v: miss", q)
+		}
+		want := makeSnap(m, q).Prefix(ref.Rows())
+		if !bytes.Equal(model.AppendSnapshot(nil, ref.Snapshot()), model.AppendSnapshot(nil, want)) {
+			t.Fatalf("%v: the %d cached rows differ from a cold prefill's", q, ref.Rows())
+		}
+		ref.Release()
+	}
 }

@@ -537,9 +537,29 @@ func TestKillStormReadmission(t *testing.T) {
 	}
 }
 
+// tokensGenerated reads a worker's ft2serve_tokens_generated_total from its
+// /metrics, -1 when it cannot.
+func tokensGenerated(k *killableWorker) int64 {
+	resp, err := http.Get(k.ts.URL + "/metrics")
+	if err != nil {
+		return -1
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "ft2serve_tokens_generated_total "); ok {
+			n, _ := strconv.ParseInt(v, 10, 64)
+			return n
+		}
+	}
+	return -1
+}
+
 // TestFreshFailover kills a worker with checkpoint fetching disabled: the
 // router must replay the whole session on the survivor — slower, but still
-// bit-identical.
+// bit-identical. The kill fires on the owner's own progress — six tokens
+// decoded, read from its /metrics — not on the client's reads, which can
+// trail a flushed burst until the stream has already ended.
 func TestFreshFailover(t *testing.T) {
 	const maxTokens = 24
 	cfg := workerConfig(t)
@@ -547,6 +567,21 @@ func TestFreshFailover(t *testing.T) {
 	c := newTestCluster(t, 2, cfg, Config{}) // FetchStride 0: no checkpoints
 	prompt := testPrompt(t)
 	want, _ := oracleRun(t, cfg, prompt, maxTokens)
+
+	owner := c.harness(c.rt.pickWorker("fresh"))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel() // stops the watcher when the test returns early
+	killedAt := make(chan int64, 1)
+	go func() {
+		n := int64(-1)
+		for ; ctx.Err() == nil; time.Sleep(time.Millisecond) {
+			if n = tokensGenerated(owner); n >= 6 {
+				owner.kill()
+				break
+			}
+		}
+		killedAt <- n
+	}()
 
 	body, _ := json.Marshal(serve.Request{
 		PromptTokens: prompt, MaxTokens: maxTokens, Protected: true, Stream: true, SessionID: "fresh",
@@ -556,10 +591,8 @@ func TestFreshFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	owner := c.rt.pickWorker("fresh")
 	dec := json.NewDecoder(resp.Body)
 	var toks []int
-	killed := false
 	for {
 		var l streamLine
 		if err := dec.Decode(&l); err != nil {
@@ -572,13 +605,12 @@ func TestFreshFailover(t *testing.T) {
 			break
 		}
 		toks = append(toks, *l.Token)
-		if len(toks) == 6 && !killed {
-			killed = true
-			c.harness(owner).kill()
-		}
 	}
 	if !equalInts(toks, want) {
 		t.Fatalf("fresh failover diverged:\n got %v\nwant %v", toks, want)
+	}
+	if n := <-killedAt; n < 6 || n >= maxTokens {
+		t.Fatalf("the owner was killed at %d of %d decoded tokens", n, maxTokens)
 	}
 	st := c.rt.Stats()
 	if st.Migrations < 1 || st.CheckpointResumes != 0 {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -123,9 +124,12 @@ func TestProtectedHitDepthMatchesBare(t *testing.T) {
 // TestProtectedHitSurvivesColdEntryEviction: a session that resumed from the
 // cache inserts an entry whose bounds trail is complete from row 0, so once
 // the original cold entry is evicted the next new-suffix prompt still hits
-// the whole shared prefix — protected exactly like bare.
+// the whole shared prefix — protected exactly like bare. The prompts share
+// under half their rows, so every entry holds its rows whole: a later entry
+// that read its shared rows from the cold one would pin it (leaf-first
+// eviction).
 func TestProtectedHitSurvivesColdEntryEviction(t *testing.T) {
-	const promptLen, shared = 40, 36
+	const promptLen, shared = 40, 16
 	cfg := prefixConfig(t)
 	cfg.PrefixCacheMB = 1
 	cfg.PrefillChunk = 8
@@ -140,7 +144,7 @@ func TestProtectedHitSurvivesColdEntryEviction(t *testing.T) {
 	if entry := mc.Blocks * 2 * promptLen * mc.Hidden * 4; 2*entry > 1<<20 || 3*entry <= 1<<20 {
 		t.Fatalf("a %d-byte entry does not make the budget hold exactly two", entry)
 	}
-	prompts := data.SharedPrefixPrompts(3, promptLen, 0.9, 23)
+	prompts := data.SharedPrefixPrompts(3, promptLen, 0.4, 23)
 	unrelated := data.SharedPrefixPrompts(1, promptLen+1, 0.9, 99)[0][1:] // no BOS: shares no token
 
 	for _, protected := range []bool{false, true} {
@@ -174,18 +178,33 @@ func TestProtectedHitSurvivesColdEntryEviction(t *testing.T) {
 }
 
 // TestProtectedComputesBareRows counts what the bounds trail on every entry
-// buys: on a cache too small for the prompt list (sixteen 176-token prompts
-// sharing a system prompt, 2.75 MiB of KV against 1 MiB, the shape of bench/'s
-// serve_shared_prefix), two bare passes bring the cache to its steady cycle;
+// buys: on a cache too small for the prompt list (sixty-four 176-token
+// prompts sharing a 160-token system prompt, the shape of bench/'s
+// serve_shared_prefix: the system prompt once and 64 suffixes are 1.16 MiB of
+// KV against 1 MiB), two bare passes bring the cache to its steady cycle;
 // then bare and protected passes alternate, and each protected pass computes
 // exactly the prompt rows the bare pass before it did — protected sessions
 // resume what bare ones cached, and the other way round — and answers what
-// the oracle answers.
+// the oracle answers. The first sixteen prompts alone fit: one pass evicts
+// nothing and the cache holds each distinct prompt row once.
 func TestProtectedComputesBareRows(t *testing.T) {
-	const prompts = 16
+	const prompts = 64
 	cfg := testConfig(t)
 	cfg.PrefixCacheMB, cfg.PrefillChunk = 1, 64
 	list := data.SharedPrefixPrompts(prompts, herdLen, (herdShared+0.5)/herdLen, 5)
+
+	sixteen := make([]Request, 16)
+	for i := range sixteen {
+		sixteen[i] = Request{PromptTokens: list[i], MaxTokens: 6}
+	}
+	sch, sessions := bareSchedulerOf(t, cfg, sixteen)
+	driveBare(sch, sch.pool.replicas[0])
+	collect(sch, sessions)
+	mc := sch.pool.replicas[0].m.Cfg
+	if st, want := sch.prefix.Stats(), int64(distinctPrefixes(list[:16])*mc.Blocks*2*mc.Hidden*4); st.Evictions != 0 || st.Bytes != want {
+		t.Fatalf("sixteen prompts: %+v, want no eviction and %d bytes: the system prompt once plus each suffix", st, want)
+	}
+
 	pass := func(protected bool) []Request {
 		reqs := make([]Request, prompts)
 		for i, p := range list {
@@ -193,7 +212,7 @@ func TestProtectedComputesBareRows(t *testing.T) {
 		}
 		return reqs
 	}
-	sch, sessions := bareSchedulerOf(t, cfg, pass(false))
+	sch, sessions = bareSchedulerOf(t, cfg, pass(false))
 	r := sch.pool.replicas[0]
 	memo := oracleMemo{}
 	var bareRows int64
@@ -220,6 +239,18 @@ func TestProtectedComputesBareRows(t *testing.T) {
 	if st := sch.prefix.Stats(); st.Evictions == 0 {
 		t.Fatalf("the list fits the cache (%+v): nothing to test", st)
 	}
+}
+
+// distinctPrefixes counts the distinct non-empty token prefixes of prompts:
+// the rows a cache holding each shared row once stores for them.
+func distinctPrefixes(prompts [][]int) int {
+	seen := map[string]bool{}
+	for _, p := range prompts {
+		for n := 1; n <= len(p); n++ {
+			seen[fmt.Sprint(p[:n])] = true
+		}
+	}
+	return len(seen)
 }
 
 // TestChunkedPrefillBitIdentical pins chunked prefill alone (cache off):
