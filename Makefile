@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-386 vet vet-generic fuzz-smoke race race-mp bench bench-check loc perfguard smoke ci
+.PHONY: build test test-386 vet vet-generic fuzz-smoke race race-mp soak bench bench-check loc perfguard smoke ci
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,12 @@ race:
 
 race-mp:
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 ./internal/campaign/... ./internal/serve/... ./internal/wire/... ./internal/router/...
+
+# Ten minutes of mixed serving traffic (internal/serve/soak_test.go, build
+# tag soak): the goroutine count, the live heap and the reserved KV bytes,
+# sampled between load rounds, must stay flat. Not part of ci.
+soak:
+	$(GO) test -tags soak -run TestSoak -count=1 -timeout 20m -v ./internal/serve
 
 # The portable (non-amd64) kernels are the definition the amd64 tiers are
 # held to; a 386 build runs them (dot_generic.go is !amd64), so this leg is

@@ -49,7 +49,7 @@ func New(c Config) (*Server, error) {
 	mx.abftTier = len(cfg.ProtectPolicy.Kinds(protect.TierABFT, protect.TierABFTFT2)) > 0
 	mx.dmrTier = len(cfg.ProtectPolicy.Kinds(protect.TierDMR)) > 0
 	lines := sync.OnceValue(func() [][]byte { return linesFor(cfg.ModelCfg.Vocab) })
-	return &Server{cfg: cfg, sch: newScheduler(cfg, pool, mx, eng), mx: mx, lines: lines}, nil
+	return &Server{cfg: cfg, sch: newScheduler(cfg, pool, mx, eng).start(), mx: mx, lines: lines}, nil
 }
 
 // TokenLines returns the NDJSON stream line of every token id below n —

@@ -458,7 +458,7 @@ func TestExportViewMatchesCheckpoint(t *testing.T) {
 	var foreign []byte // a protected capture past 64 rows, adopted below
 	check := func() {
 		for _, s := range sessions {
-			if !s.started || s.state == nil {
+			if !s.started || s.kv.st == nil {
 				continue
 			}
 			blob, tokens, err := sch.exportFor(s.req.SessionID)
@@ -466,7 +466,7 @@ func TestExportViewMatchesCheckpoint(t *testing.T) {
 				t.Fatalf("session %s decoding with no checkpoint: %v", s.req.SessionID, err)
 			}
 			snap := &model.Snapshot{}
-			prev := r.m.SwapState(s.state)
+			prev := r.m.SwapState(s.kv.st)
 			r.m.Checkpoint(snap)
 			r.m.SwapState(prev)
 			var fk *core.ForkState
@@ -651,6 +651,19 @@ func TestExportFetchDuringDecodeSettleRecycle(t *testing.T) {
 	t.Logf("%d fetches, %d distinct checkpoints imported", fetched, len(blobs))
 }
 
+// encodeLive encodes s's live state — with its fork state when protected —
+// from a fresh model.View of its KV slabs: the reference a fetched mark is
+// held to. The caller owns the session between steps.
+func encodeLive(r *replica, s *Session) ([]byte, error) {
+	var view model.Snapshot
+	r.m.View(s.kv.st, &view)
+	var fk *core.ForkState
+	if s.req.Protected {
+		fk = &s.ftState
+	}
+	return wire.EncodeSession(&view, fk)
+}
+
 // TestExportPredatesChaosKVFault: a chaos KV fault that lands after a mark
 // and before anyone fetched it rewrites rows the mark covers, so the worker
 // encodes the mark first. The fetch afterwards must return, byte for byte,
@@ -666,12 +679,12 @@ func TestExportPredatesChaosKVFault(t *testing.T) {
 	faults := 0
 	for marks := 0; marks < 3; {
 		r = sch.runSlice(r, g, <-sch.ready)
-		if !s.started || s.lastExport != s.state.Step()+1 {
+		if !s.started || s.lastExport != s.kv.st.Step()+1 {
 			continue
 		}
 		// Just marked, not yet fetched: the next slice opens with a KV fault.
 		marks++
-		want, err := sch.encodeSessionState(r, s)
+		want, err := encodeLive(r, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -681,7 +694,7 @@ func TestExportPredatesChaosKVFault(t *testing.T) {
 			continue
 		}
 		faults++
-		if s.lastExport == s.state.Step()+1 {
+		if s.lastExport == s.kv.st.Step()+1 {
 			t.Fatal("a second mark before the fetch: the stride is too short for this test")
 		}
 		blob, tokens, err := sch.exportFor("kv")
@@ -729,10 +742,10 @@ func TestExportMarkSurvivesSlabGrowth(t *testing.T) {
 			if !s.started {
 				continue
 			}
-			if _, _, _, pitch := s.state.KVSlabs(0); pitch == sch.cfg.ModelCfg.MaxSeq {
+			if _, _, _, pitch := s.kv.st.KVSlabs(0); pitch == sch.cfg.ModelCfg.MaxSeq {
 				grown = true
 				if want == nil || s.lastExport != marked {
-					t.Fatalf("protected=%v: the slabs grew at step %d, not between two marks", protected, s.state.Step())
+					t.Fatalf("protected=%v: the slabs grew at step %d, not between two marks", protected, s.kv.st.Step())
 				}
 				blob, tokens, err := sch.exportFor("grow")
 				if err != nil {
@@ -742,8 +755,8 @@ func TestExportMarkSurvivesSlabGrowth(t *testing.T) {
 					t.Fatalf("protected=%v: fetch after the slabs grew: %d bytes covering %d tokens, differ from the %d-byte encoding at the mark (%d tokens)",
 						protected, len(blob), tokens, len(want), marked)
 				}
-			} else if s.lastExport == s.state.Step()+1 { // just marked, not yet fetched
-				if want, err = sch.encodeSessionState(r, s); err != nil {
+			} else if s.lastExport == s.kv.st.Step()+1 { // just marked, not yet fetched
+				if want, err = encodeLive(r, s); err != nil {
 					t.Fatal(err)
 				}
 				marked = s.lastExport
@@ -794,7 +807,7 @@ func TestRecycledStateKeepsItsSlabs(t *testing.T) {
 	gauges := func() (reserved, filled int64) { return sch.mx.kvReserved.Load(), sch.mx.kvFilled.Load() }
 
 	r = sch.runSlice(r, g, <-sch.ready)
-	_, _, rows, pitch := first[0].state.KVSlabs(0)
+	_, _, rows, pitch := first[0].kv.st.KVSlabs(0)
 	if horizon := len(prompts(0)) + 24; pitch != horizon {
 		t.Fatalf("first session's pitch %d, want its horizon %d", pitch, horizon)
 	}
@@ -815,15 +828,15 @@ func TestRecycledStateKeepsItsSlabs(t *testing.T) {
 		t.Fatalf("second horizon %d exceeds the recycled pitch %d", shorter, pitch)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		sch.holdState(r, probe, shorter)
-		sch.states <- probe.state
+		probe.kv.obtain(sch, r.m, shorter)
+		sch.states <- probe.kv.st
 	}); allocs != 0 {
 		t.Fatalf("taking a recycled state for a covered horizon allocates %.1f objects, want 0", allocs)
 	}
 
 	second := admitBare(t, sch, []Request{{PromptTokens: prompts(1), MaxTokens: 8}})[0]
 	r = sch.runSlice(r, g, <-sch.ready)
-	if k, _, _, p := second.state.KVSlabs(0); &k[0] != &slab[0] || p != pitch {
+	if k, _, _, p := second.kv.st.KVSlabs(0); &k[0] != &slab[0] || p != pitch {
 		t.Fatalf("second session on a new slab (pitch %d, recycled %d)", p, pitch)
 	}
 	drive()
@@ -850,11 +863,11 @@ func TestExportCaptureAllocatesOnlyTheBlob(t *testing.T) {
 		r = sch.runSlice(r, g, <-sch.ready)
 	}
 	for _, s := range sessions {
-		if !s.started || s.state == nil {
+		if !s.started || s.kv.st == nil {
 			t.Fatalf("session %s not decoding", s.req.SessionID)
 		}
 		id := s.req.SessionID
-		if allocs := testing.AllocsPerRun(20, func() { sch.captureExport(r, s) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { s.kv.mark(sch, r.m, &s.ftState) }); allocs != 0 {
 			t.Errorf("%s capture allocates %.1f objects, want 0", id, allocs)
 		}
 		blob, _, err := sch.exportFor(id)
@@ -862,7 +875,7 @@ func TestExportCaptureAllocatesOnlyTheBlob(t *testing.T) {
 			t.Fatal(err)
 		}
 		fetch := func() {
-			sch.captureExport(r, s) // a new mark, so the fetch encodes again
+			s.kv.mark(sch, r.m, &s.ftState) // a new mark, so the fetch encodes again
 			if _, _, err := sch.exportFor(id); err != nil {
 				t.Fatal(err)
 			}
@@ -901,17 +914,17 @@ func BenchmarkExportCapture(b *testing.B) {
 			{PromptTokens: testPrompts(b, 1)(0), MaxTokens: 100, Protected: protected, SessionID: "s"},
 		})
 		r, g, s := sch.pool.replicas[0], &group{}, sessions[0]
-		for rows := 0; rows < 64; _, _, rows, _ = s.state.KVSlabs(0) {
+		for rows := 0; rows < 64; _, _, rows, _ = s.kv.st.KVSlabs(0) {
 			r = sch.runSlice(r, g, <-sch.ready)
 		}
 		b.Run(fmt.Sprint("capture/protected=", protected), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sch.captureExport(r, s)
+				s.kv.mark(sch, r.m, &s.ftState)
 			}
 		})
 		b.Run(fmt.Sprint("fetch/protected=", protected), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sch.captureExport(r, s)
+				s.kv.mark(sch, r.m, &s.ftState)
 				sch.exportFor("s")
 			}
 		})

@@ -36,10 +36,6 @@ type replica struct {
 	ctls    []*core.FT2
 	hookFns []model.Hook
 	obsFns  []model.Hook
-
-	// view is the export capture's model.View of the session being encoded,
-	// reused so a capture allocates only its blob.
-	view model.Snapshot
 }
 
 // controller returns the slot's protection controller, growing the set on

@@ -52,16 +52,16 @@ type scheduler struct {
 	kvRowBytes   int64
 	horizonShort int
 
-	sessions   map[*Session]struct{} // admitted, not yet finished
-	sessionsMu sync.Mutex
+	// halt is the parent of every session's context (admitSession):
+	// shutdown's haltAll cancels the sessions still live past its grace.
+	halt    context.Context
+	haltAll context.CancelFunc
 
-	// Migration checkpoints: one export slot per session id, marked by the
-	// owning worker at the export stride and encoded by /v1/sessions/export.
-	// A slot lives from its session's admission (claimExport: one session
-	// per id) to its settle — a live checkpoint is only useful while the
-	// generation is in flight.
+	// exports holds each exporting session's lease by id, for
+	// /v1/sessions/export, from admission (claimExport: one per id) to settle
+	// — a live checkpoint is only useful while the generation is in flight.
 	exportMu sync.Mutex
-	exports  map[string]*exportSlot
+	exports  map[string]*kvLease
 
 	// leaders are the sessions whose in-flight prefill will offer a prefix-
 	// cache entry; leadMu guards the list and every Session.followers.
@@ -86,15 +86,20 @@ func newScheduler(cfg Config, pool *pool, mx *metrics, eng *chaos.Engine) *sched
 		slots:          make(chan struct{}, cfg.MaxSessions),
 		states:         make(chan *model.DecodeState, cfg.MaxSessions),
 		kvRowBytes:     int64(2 * cfg.ModelCfg.Blocks * cfg.ModelCfg.Hidden * 4),
-		sessions:       make(map[*Session]struct{}),
-		exports:        make(map[string]*exportSlot),
+		exports:        make(map[string]*kvLease),
 		dispatcherDone: make(chan struct{}),
 	}
+	sch.halt, sch.haltAll = context.WithCancel(context.Background())
 	if cfg.PrefixCacheMB > 0 {
 		sch.prefix = prefixcache.New(int64(cfg.PrefixCacheMB) << 20)
 	}
+	return sch
+}
+
+// start runs the dispatcher and one worker per replica.
+func (sch *scheduler) start() *scheduler {
 	go sch.dispatch()
-	for i := range pool.replicas {
+	for i := range sch.pool.replicas {
 		sch.workers.Add(1)
 		go sch.worker(i)
 	}
@@ -122,11 +127,13 @@ func (sch *scheduler) admitSession(ctx context.Context, req Request, prompt []in
 		return nil, err
 	}
 	sctx, cancel := context.WithTimeout(ctx, deadline)
+	unhalt := context.AfterFunc(sch.halt, cancel)
 	s := &Session{
 		req:       req,
 		prompt:    prompt,
 		ctx:       sctx,
-		cancel:    cancel,
+		cancel:    func() { unhalt(); cancel() },
+		kv:        kvLease{protected: req.Protected},
 		out:       make([]int, 0, req.MaxTokens),
 		tokens:    make(chan int, req.MaxTokens),
 		done:      make(chan struct{}),
@@ -140,12 +147,12 @@ func (sch *scheduler) admitSession(ctx context.Context, req Request, prompt []in
 	sch.mu.RLock()
 	if sch.draining {
 		sch.mu.RUnlock()
-		cancel()
+		s.cancel()
 		return nil, ErrDraining
 	}
 	if err := sch.claimExport(s); err != nil {
 		sch.mu.RUnlock()
-		cancel()
+		s.cancel()
 		return nil, err
 	}
 	sch.inflight.Add(1)
@@ -156,13 +163,9 @@ func (sch *scheduler) admitSession(ctx context.Context, req Request, prompt []in
 		sch.mu.RUnlock()
 		sch.inflight.Done()
 		sch.dropExport(s)
-		cancel()
+		s.cancel()
 		return nil, ErrQueueFull
 	}
-
-	sch.sessionsMu.Lock()
-	sch.sessions[s] = struct{}{}
-	sch.sessionsMu.Unlock()
 	return s, nil
 }
 
@@ -356,9 +359,9 @@ func (sch *scheduler) applyChaos(r *replica, g *group) {
 			// count toward the weight-fault opt-in gate above.
 			continue
 		}
-		_, _, rows, _ := s.state.KVSlabs(0)
+		_, _, rows, _ := s.kv.st.KVSlabs(0)
 		g.views = append(g.views, chaos.SessionView{
-			ID: s.id, Step: s.state.Step(), Budget: g.rem[i], Rows: rows,
+			ID: s.id, Step: s.kv.st.Step(), Budget: g.rem[i], Rows: rows,
 		})
 		g.victims = append(g.victims, i)
 	}
@@ -382,11 +385,7 @@ func (sch *scheduler) applyChaos(r *replica, g *group) {
 		s := g.sessions[i]
 		inj := fault.NewInjector(f.Site, dtype)
 		inj.M = r.m
-		sch.rewriteRows(s, func() {
-			prev := r.m.SwapState(s.state)
-			inj.Fire()
-			r.m.SwapState(prev)
-		})
+		s.kv.rewrite(sch, r.m, inj.Fire)
 		s.suspect = true
 		sch.chaos.Record(chaos.Event{Kind: chaos.EvInject, Target: fault.TargetKVCache.String(),
 			Site: f.Site.String(), Session: s.id, Replica: r.slot, Step: f.Site.Step})
@@ -513,8 +512,8 @@ func (sch *scheduler) release(s *Session, delivered bool) {
 func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
 	defer recoverAs500(&err, "opening prefill")
 	m := r.m
-	sch.holdState(r, s, len(s.prompt)+s.req.MaxTokens)
-	prev := m.SwapState(s.state)
+	s.kv.obtain(sch, m, len(s.prompt)+s.req.MaxTokens)
+	prev := m.SwapState(s.kv.st)
 	defer m.SwapState(prev)
 	s.prefillStarted = true
 	s.startAt = time.Now()
@@ -570,18 +569,18 @@ func (sch *scheduler) finishPrefill(r *replica, g *group, i, tok int) {
 		// clear them.
 		s.ftState = f.CaptureForkState()
 	}
-	if s.export != nil && !s.finishedAfter(tok) {
+	if s.kv.exported && !s.finishedAfter(tok) {
 		// Mark the first migration checkpoint right after the first token,
 		// so a router that loses this worker early in the generation can
 		// already migrate instead of replaying the whole prefill.
-		sch.captureExport(r, s)
+		s.kv.mark(sch, m, &s.ftState)
 		s.lastExport = 1
 	}
 	// A suspect session's rows may have been computed on corrupted weights:
 	// it never inserts, and the sessions parked behind it compute their own.
 	if sch.prefix != nil && s.insert && !s.suspect {
 		snap := &model.Snapshot{}
-		prev := m.SwapState(s.state)
+		prev := m.SwapState(s.kv.st)
 		m.Checkpoint(snap)
 		m.SwapState(prev)
 		// A NaN-corrected first token wrote corrected values into the KV; a
@@ -649,13 +648,13 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 				continue
 			}
 			if s.started {
-				g.items = append(g.items, model.BatchItem{State: s.state, Tok: s.lastTok, Hooks: g.hooks[i]})
+				g.items = append(g.items, model.BatchItem{State: s.kv.st, Tok: s.lastTok, Hooks: g.hooks[i]})
 				g.idx = append(g.idx, i)
 				rowBudget--
 				decRows++
 				continue
 			}
-			pos := s.state.PrefillPos()
+			pos := s.kv.st.PrefillPos()
 			n := len(s.prompt) - pos
 			if sch.cfg.PrefillChunk > 0 && n > sch.cfg.PrefillChunk {
 				n = sch.cfg.PrefillChunk
@@ -663,7 +662,7 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 			if n > rowBudget {
 				n = rowBudget
 			}
-			g.items = append(g.items, model.BatchItem{State: s.state, Prefill: s.prompt[pos : pos+n], Hooks: g.hooks[i]})
+			g.items = append(g.items, model.BatchItem{State: s.kv.st, Prefill: s.prompt[pos : pos+n], Hooks: g.hooks[i]})
 			g.idx = append(g.idx, i)
 			rowBudget -= n
 			prefRows += n
@@ -708,18 +707,16 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 				sch.finishInGroup(r, g, i, nil)
 				continue
 			}
-			if s.export != nil {
-				// The mark covering the token just emitted is recorded
-				// before the next step can emit another (same goroutine), so
-				// a router that has seen token k can always fetch a
-				// checkpoint within one stride of k.
-				if total := s.state.Step() + 1; total-s.lastExport >= sch.cfg.ExportStride {
-					if g.ctls[i] != nil {
-						s.syncFT2(g.ctls[i])
-					}
-					sch.captureExport(r, s)
-					s.lastExport = total
+			// The mark covering the token just emitted is recorded before the
+			// next step can emit another (same goroutine), so a router that
+			// has seen token k can always fetch a checkpoint within one stride
+			// of k.
+			if total := s.kv.st.Step() + 1; s.kv.exported && total-s.lastExport >= sch.cfg.ExportStride {
+				if g.ctls[i] != nil {
+					s.syncFT2(g.ctls[i])
 				}
+				s.kv.mark(sch, m, &s.ftState)
+				s.lastExport = total
 			}
 		}
 	}
@@ -739,7 +736,7 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 				s.ftState = f.CaptureForkState()
 			}
 		}
-		sch.accountKV(s)
+		s.kv.account(sch)
 		sch.ready <- s
 	}
 	return nil
@@ -760,35 +757,6 @@ func (sch *scheduler) finishInGroup(r *replica, g *group, i int, err error) {
 	sch.settle(s, err)
 }
 
-// holdState gives s a KV state reserved to its horizon — rows positions, the
-// most its generation writes: a finished session's recycled state when the
-// pool has one, a fresh one otherwise. States are architecture-identical
-// across replicas, so any worker may reuse any state, and a recycled state
-// whose pitch covers rows allocates nothing.
-func (sch *scheduler) holdState(r *replica, s *Session, rows int) {
-	select {
-	case st := <-sch.states:
-		s.state = st
-		_, _, _, s.kvPitch = st.KVSlabs(0) // the pool's reserved bytes move with it
-	default:
-		s.state = r.m.NewDecodeState()
-	}
-	s.state.Reset() // a growth copies no stale rows, and filled starts at 0
-	s.state.Reserve(rows - sch.horizonShort)
-	sch.accountKV(s)
-}
-
-// accountKV brings the KV gauges up to date with s's state: its pitch (grown
-// since last accounted by a reservation or a row past it) against reserved,
-// its rows against filled.
-func (sch *scheduler) accountKV(s *Session) {
-	_, _, rows, pitch := s.state.KVSlabs(0)
-	rb := sch.kvRowBytes
-	sch.mx.kvReserved.Add(int64(pitch-s.kvPitch) * rb)
-	sch.mx.kvFilled.Add(int64(rows-s.kvRows) * rb)
-	s.kvPitch, s.kvRows = pitch, rows
-}
-
 // replaceReplica swaps in a freshly built replica after a panic or a
 // confirmed weight corruption poisoned the current one; if the rebuild
 // fails the old one is kept.
@@ -802,23 +770,17 @@ func (sch *scheduler) replaceReplica(r *replica) *replica {
 }
 
 // settle finishes a session: terminal result, stream close, bookkeeping,
-// slot release, state recycling.
+// state recycling, slot release.
 func (sch *scheduler) settle(s *Session, err error) {
 	if err != nil {
 		s.err = err
 	}
 	s.finalize(sch.cfg.Model)
 	s.cancel()
-	// Before the client sees the end, so it may reuse the id at once, and
-	// before the state is recycled: no encoder reads the next session's rows.
-	sch.dropExport(s)
+	sch.dropExport(s) // before the client sees the end, so it may reuse the id at once
 	close(s.tokens)
 	close(s.done)
 	sch.release(s, false) // a no-op unless s was a leader that never finished its prefill
-
-	sch.sessionsMu.Lock()
-	delete(sch.sessions, s)
-	sch.sessionsMu.Unlock()
 
 	status := 200
 	if s.err != nil {
@@ -832,18 +794,7 @@ func (sch *scheduler) settle(s *Session, err error) {
 	if s.suspect {
 		sch.mx.sdcSuspect.Add(1)
 	}
-	if st := s.state; st != nil {
-		// Recycled, the state's rows are no longer filled but its slabs stay
-		// reserved in the pool; dropped, they are neither.
-		sch.accountKV(s)
-		sch.mx.kvFilled.Add(-int64(s.kvRows) * sch.kvRowBytes)
-		select {
-		case sch.states <- st:
-		default:
-			sch.mx.kvReserved.Add(-int64(s.kvPitch) * sch.kvRowBytes)
-		}
-		s.state, s.kvPitch, s.kvRows = nil, 0, 0
-	}
+	s.kv.recycle(sch)
 	sch.inflight.Done()
 	<-sch.slots
 }
@@ -879,11 +830,7 @@ func (sch *scheduler) shutdown(ctx context.Context) error {
 		err = ctx.Err()
 		// Force the stragglers out: cancel every live session, then wait —
 		// each fails at its next step boundary.
-		sch.sessionsMu.Lock()
-		for s := range sch.sessions {
-			s.cancel()
-		}
-		sch.sessionsMu.Unlock()
+		sch.haltAll()
 		<-finished
 	}
 	sch.closeOnce.Do(func() { close(sch.ready) })

@@ -17,7 +17,6 @@ import (
 	"ft2/internal/chaos"
 	"ft2/internal/data"
 	"ft2/internal/model"
-	"ft2/internal/prefixcache"
 	"ft2/internal/tokenizer"
 )
 
@@ -86,18 +85,14 @@ func bareSchedulerOf(t testing.TB, cfg Config, reqs []Request) (*scheduler, []*S
 		t.Fatal(err)
 	}
 	n := len(reqs)
-	sch := &scheduler{cfg: cfg, pool: p, mx: newMetrics(),
-		admit: make(chan *Session, n), ready: make(chan *Session, n), slots: make(chan struct{}, n),
-		kvRowBytes: int64(2 * cfg.ModelCfg.Blocks * cfg.ModelCfg.Hidden * 4),
-		sessions:   make(map[*Session]struct{}), exports: make(map[string]*exportSlot)}
+	cfg.QueueDepth, cfg.MaxSessions = n, n
+	var eng *chaos.Engine
 	if cfg.Chaos != nil {
-		if sch.chaos, err = chaos.NewEngine(*cfg.Chaos, cfg.ModelCfg); err != nil {
+		if eng, err = chaos.NewEngine(*cfg.Chaos, cfg.ModelCfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cfg.PrefixCacheMB > 0 {
-		sch.prefix = prefixcache.New(int64(cfg.PrefixCacheMB) << 20)
-	}
+	sch := newScheduler(cfg, p, newMetrics(), eng)
 	return sch, admitBare(t, sch, reqs)
 }
 

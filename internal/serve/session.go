@@ -32,14 +32,10 @@ type Session struct {
 	lastTok int
 
 	started  bool
-	state    *model.DecodeState // owned generation state (KV slabs)
+	kv       kvLease // owned generation state (KV slabs) and its checkpoint marks
 	ftState  core.ForkState
 	admitted time.Time
 	startAt  time.Time // first slice began (queue latency endpoint)
-
-	// kvPitch and kvRows are state's pitch and filled rows as last added to
-	// the server's KV gauges (scheduler.accountKV).
-	kvPitch, kvRows int
 
 	// Chunked-prefill / prefix-cache progress. prefillStarted flips on the
 	// session's first prefill slice (cache lookup + BeginPrefill); hitRows is
@@ -72,14 +68,12 @@ type Session struct {
 	// protected, adoptFT) into its state and decodes from there. corrBase
 	// holds the correction counters the state arrived with, so server-level
 	// metrics only accumulate this process's delta while the response stays
-	// cumulative. lastExport drives the checkpoint-export stride, export is
-	// the session's checkpoint slot (nil when it exports none).
+	// cumulative. lastExport drives the checkpoint-export stride.
 	adoptSnap  *model.Snapshot
 	adoptFT    *core.ForkState
 	adoptKind  adoptKind
 	corrBase   core.ForkState
 	lastExport int
-	export     *exportSlot
 }
 
 // adoptKind distinguishes how an adopted session's state arrived, for the
