@@ -39,7 +39,8 @@ fuzz-smoke:
 
 # The race detector pass covers the packages whose code starts goroutines —
 # the campaign worker pool, the serving scheduler with its shared read-only
-# bounds store, and the cluster router — plus internal/wire. The engine
+# bounds store, and the cluster router — plus internal/wire and the prefix
+# cache, whose entries sessions borrow while other sessions insert and evict. The engine
 # (internal/model, internal/tensor) runs on its caller's goroutine
 # (TestForwardPassStartsNoGoroutine), so there is nothing in it to race.
 # race-mp repeats the pass at GOMAXPROCS=4, so batched decode, the kill storm
@@ -48,10 +49,10 @@ fuzz-smoke:
 # -count=1 there because the test cache does not key on GOMAXPROCS: without
 # it race-mp replays race's results for every package the two share.
 race:
-	$(GO) test -race -short ./internal/campaign/... ./internal/serve/... ./internal/wire/... ./internal/router/...
+	$(GO) test -race -short ./internal/campaign/... ./internal/serve/... ./internal/wire/... ./internal/router/... ./internal/prefixcache/...
 
 race-mp:
-	GOMAXPROCS=4 $(GO) test -race -short -count=1 ./internal/campaign/... ./internal/serve/... ./internal/wire/... ./internal/router/...
+	GOMAXPROCS=4 $(GO) test -race -short -count=1 ./internal/campaign/... ./internal/serve/... ./internal/wire/... ./internal/router/... ./internal/prefixcache/...
 
 # Ten minutes of mixed serving traffic (internal/serve/soak_test.go, build
 # tag soak): the goroutine count, the live heap and the reserved KV bytes,

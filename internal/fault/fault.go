@@ -380,7 +380,9 @@ func (inj *Injector) fireWeight() {
 
 // fireKV flips the planned KV-cache element of the model's active
 // generation state, translating the logical pos*Hidden+col address to the
-// head-blocked slab layout.
+// head-blocked slab layout. A state that borrows its prompt prefix from the
+// prefix cache gets a private copy of those rows first (KVSlabs), so the
+// flip never reaches the cache entry or the other sessions reading it.
 func (inj *Injector) fireKV() {
 	if inj.M == nil {
 		panic("fault: kv target needs Injector.M")

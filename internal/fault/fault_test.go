@@ -8,6 +8,7 @@ import (
 
 	"ft2/internal/model"
 	"ft2/internal/numerics"
+	"ft2/internal/prefixcache"
 	"ft2/internal/tensor"
 )
 
@@ -476,6 +477,79 @@ func TestInjectorKVFires(t *testing.T) {
 	bothNaN := math.IsNaN(float64(v[off])) && math.IsNaN(float64(inj.Corrupted))
 	if v[off] != inj.Corrupted && !bothNaN {
 		t.Errorf("slab holds %g, injector wrote %g", v[off], inj.Corrupted)
+	}
+}
+
+// A KV flip on a row a session borrows from a prefix-cache entry lands in a
+// private copy of the borrowed rows: the session reads the flipped value, the
+// entry's wire bytes do not change, and a second session borrowing the same
+// entry alongside decodes the oracle's tokens. The copy keeps the state's
+// reach but never exceeds MaxSeq, even for a state already reserved to it
+// (a recycled one, say).
+func TestInjectorKVCopiesBorrowedRows(t *testing.T) {
+	cfg := testCfg(t)
+	m := model.MustNew(cfg, 7, numerics.FP16)
+	prompt := []int{4, 5, 6, 7, 8, 9}
+	const n = 6
+	oracle := slices.Clone(m.Generate(prompt, n))
+	entry := &model.Snapshot{}
+	m.Prefill(prompt)
+	m.Checkpoint(entry)
+	cache := prefixcache.New(1 << 30)
+	if !cache.Insert(prompt, entry, nil, true) {
+		t.Fatal("the entry was not admitted")
+	}
+	entryWire := model.AppendSnapshot(nil, entry)
+
+	// Two sessions borrow every prompt row but the last.
+	states, toks := make([]*model.DecodeState, 2), make([]int, 2)
+	for i := range states {
+		ref := cache.Lookup(prompt, false)
+		if ref == nil || ref.Rows() != len(prompt)-1 {
+			t.Fatalf("session %d missed the entry", i)
+		}
+		defer ref.Release()
+		states[i] = m.NewDecodeState()
+		if i == 0 {
+			states[i].Reserve(cfg.MaxSeq)
+		}
+		m.SwapState(states[i])
+		m.BeginPrefill(len(prompt))
+		m.ResumePrefillPrefix(ref.Snapshot())
+		toks[i], _ = m.PrefillChunk(prompt[ref.Rows():])
+	}
+
+	pos, col := 1, cfg.Hidden-1
+	inj := NewInjector(Site{
+		Target: TargetKVCache, Step: 1,
+		Layer: model.LayerRef{Block: 0, Kind: model.KProj},
+		Elem:  pos*cfg.Hidden + col, Bits: []int{14},
+	}, numerics.FP16)
+	inj.M = m
+	m.SwapState(states[0])
+	inj.Fire()
+	k, _, _, pitch := states[0].KVSlabs(0)
+	if pitch != cfg.MaxSeq {
+		t.Fatalf("the copied slabs hold %d positions per head, want MaxSeq %d", pitch, cfg.MaxSeq)
+	}
+	hd := cfg.HeadDim()
+	if got := k[(col/hd*pitch+pos)*hd+col%hd]; math.Float32bits(got) != math.Float32bits(inj.Corrupted) {
+		t.Fatalf("the faulted session reads %g at the flipped element, the injector wrote %g", got, inj.Corrupted)
+	}
+
+	got := []int{toks[1]}
+	for len(got) < n {
+		for i, st := range states {
+			m.SwapState(st)
+			toks[i] = m.DecodeStep(toks[i])
+		}
+		got = append(got, toks[1])
+	}
+	if !slices.Equal(got, oracle) {
+		t.Fatalf("the session borrowing beside the faulted one decoded %v, oracle %v", got, oracle)
+	}
+	if !slices.Equal(model.AppendSnapshot(nil, entry), entryWire) {
+		t.Fatal("a KV fault on a borrowed row changed the cache entry's bytes")
 	}
 }
 

@@ -48,14 +48,27 @@ func (st *DecodeState) Step() int { return st.step }
 // started).
 func (st *DecodeState) PromptLen() int { return st.promptLen }
 
-// KVSlabs exposes one block's raw key/value slabs plus the number of
-// positions filled and the pitch, the positions per head the slabs hold. The
-// layout is head-blocked: element (head h, position p, channel c) lives at
-// (h*pitch+p)*headDim + c. Callers mutating the slabs must do so only while
-// no forward pass is running on the owning model.
+// KVSlabs exposes one block's raw key/value slabs, for mutation, plus the
+// number of positions filled and the pitch, the positions per head the slabs
+// hold. The layout is head-blocked: element (head h, position p, channel c)
+// lives at (h*pitch+p)*headDim + c. A state that borrows a prefix copies it
+// into fresh slabs of the same reach, up to MaxSeq, first (copy-on-write):
+// the borrowed rows are never written, and a View taken before still reads
+// the old slabs.
+// Callers mutating the slabs must do so only while no forward pass is
+// running on the owning model; callers that only count use KVOwn.
 func (st *DecodeState) KVSlabs(block int) (k, v []float32, rows, pitch int) {
+	if st.shared > 0 {
+		st.repitch(min(st.shared+st.pitch, st.maxSeq), 0)
+	}
 	c := &st.kv[block]
 	return c.k, c.v, c.rows, st.pitch
+}
+
+// KVOwn returns the KV rows the state's slabs hold — its filled positions
+// less the ones it borrows — and their pitch: the state's KV memory.
+func (st *DecodeState) KVOwn() (rows, pitch int) {
+	return st.kv[0].rows - st.shared, st.pitch
 }
 
 // WeightChecksum returns a deterministic FNV-1a style hash over the raw bits

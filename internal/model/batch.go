@@ -70,9 +70,10 @@ func (it *BatchItem) rows() int {
 // chunk overrunning its prompt, token outside the vocabulary) leaves all
 // items as they were. Duplicate States within one call are a caller bug
 // (the same KV slab would be appended twice). A state whose slabs the call's
-// rows would overrun grows them to MaxSeq first (DecodeState.Reserve); that,
-// and the arena growing to a pass larger than any before, are the only
-// allocations a pass makes.
+// rows would overrun grows them first — to its prompt for a prefill chunk,
+// to MaxSeq for a decode row (DecodeState.Reserve); that, and the arena
+// growing to a pass larger than any before, are the only allocations a pass
+// makes.
 func (m *Model) ForwardBatch(items []BatchItem, dst []int) []int {
 	if len(items) == 0 {
 		panic("model: ForwardBatch with no items")
@@ -132,8 +133,14 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 			st.step++
 			pos = st.pos()
 		}
-		if pos+r > st.pitch {
-			st.repitch(st.maxSeq) // a row past the horizon: grow once, to the limit
+		if pos+r > st.shared+st.pitch {
+			// A prefill reserves its prompt's rows; a decode row past the
+			// horizon grows the slabs once, to the limit.
+			grow := st.maxSeq
+			if it.prefilling() {
+				grow = st.promptLen
+			}
+			st.repitch(grow-st.shared, st.shared)
 		}
 		sc.itemLo = append(sc.itemLo, rows)
 		sc.itemRows = append(sc.itemRows, r)
@@ -305,9 +312,9 @@ func (m *Model) attentionBatch(bIdx int, blk *block, x *tensor.Tensor, items []B
 		}
 	}
 
-	// Append each item's new K/V rows to its own head-blocked slabs,
-	// recording the pre-append row count: row r of the range attends
-	// causally to positions [0, base+r].
+	// Append each item's new K/V rows to its own head-blocked slabs (past
+	// any borrowed prefix), recording the pre-append row count: row r of the
+	// range attends causally to positions [0, base+r].
 	sc.itemBase = sc.itemBase[:0]
 	for i := range items {
 		st := items[i].State
@@ -318,7 +325,7 @@ func (m *Model) attentionBatch(bIdx int, blk *block, x *tensor.Tensor, items []B
 		for r := 0; r < rows; r++ {
 			krow, vrow := k.Row(lo+r), v.Row(lo+r)
 			for h := 0; h < cfg.Heads; h++ {
-				off := (h*st.pitch + base + r) * d
+				off := (h*st.pitch + base + r - st.shared) * d
 				copy(cache.k[off:off+d], krow[h*d:(h+1)*d])
 				copy(cache.v[off:off+d], vrow[h*d:(h+1)*d])
 			}
@@ -335,9 +342,13 @@ func (m *Model) attentionBatch(bIdx int, blk *block, x *tensor.Tensor, items []B
 }
 
 // attnUnits runs every (item × head) unit of block bIdx's attention
-// reduction: the unit reads its session's own K/V slab and q rows, scores
-// into the arena's one MaxSeq-row scratch, and accumulates into its item's
-// rows of its head's columns of ctxOut, which the caller zeroed.
+// reduction: the unit reads its session's K/V — borrowed runs, then its own
+// slab — and q rows, scores into the arena's one MaxSeq-row scratch, and
+// accumulates into its item's rows of its head's columns of ctxOut, which
+// the caller zeroed. The stride kernels run once per contiguous run of
+// positions; that is the one-run result bit for bit, since each position's
+// score is its own dot and the context accumulates position by position in
+// order.
 func (m *Model) attnUnits(items []BatchItem, bIdx int, q, ctxOut *tensor.Tensor) {
 	cfg := m.Cfg
 	sc := m.scratch
@@ -346,20 +357,25 @@ func (m *Model) attnUnits(items []BatchItem, bIdx int, q, ctxOut *tensor.Tensor)
 	scores := sc.attnScores
 	for i := range items {
 		st := items[i].State
-		cache := &st.kv[bIdx]
 		base, rows, rowLo := sc.itemBase[i], sc.itemRows[i], sc.itemLo[i]
 		for h := 0; h < cfg.Heads; h++ {
 			hd := h * d
-			kh := cache.k[h*st.pitch*d:]
-			vh := cache.v[h*st.pitch*d:]
 			for r := 0; r < rows; r++ {
 				qrow := q.Row(rowLo + r)[hd : hd+d]
 				limit := base + r + 1 // causal: attend to positions <= own
-				tensor.DotStride(scores, qrow, kh, d, limit, scale)
+				for lo := 0; lo < limit; {
+					kr, end := st.run(false, bIdx, h, lo, limit)
+					tensor.DotStride(scores[lo:], qrow, kr, d, end-lo, scale)
+					lo = end
+				}
 				orow := ctxOut.Row(rowLo + r)[hd : hd+d]
 				if sum := tensor.SoftmaxRow(scores[:limit]); sum > 0 {
 					tensor.ScaleSlice(scores[:limit], 1/sum)
-					tensor.AxpyStride(orow, vh, scores, d, limit)
+					for lo := 0; lo < limit; {
+						vr, end := st.run(true, bIdx, h, lo, limit)
+						tensor.AxpyStride(orow, vr, scores[lo:], d, end-lo)
+						lo = end
+					}
 				}
 			}
 		}

@@ -372,7 +372,8 @@ func (m *Model) Prefill(prompt []int) int {
 // prompt of n tokens. The caller then feeds the prompt through one or more
 // PrefillChunk calls (optionally seeding a cached prefix first with
 // ResumePrefillPrefix); until the final chunk completes the state is
-// mid-prefill and DecodeStep/Checkpoint panic.
+// mid-prefill and DecodeStep/Checkpoint panic. The first chunk reserves the
+// prompt rows the state does not borrow.
 func (m *Model) BeginPrefill(n int) {
 	if n <= 0 {
 		panic("model: empty prompt")
@@ -381,19 +382,21 @@ func (m *Model) BeginPrefill(n int) {
 		panic(fmt.Sprintf("model: prompt %d exceeds max seq %d", n, m.Cfg.MaxSeq))
 	}
 	m.resetState()
-	m.st.Reserve(n)
 	m.st.promptLen = n
 }
 
 // ResumePrefillPrefix seeds a just-begun chunked prefill with a cached KV
-// prefix: the snapshot's rows are copied into the slabs and the prefill
-// cursor advances past them, so subsequent PrefillChunk calls compute only
-// the remaining suffix. The snapshot (typically a Snapshot.Prefix view from
-// the serving prefix cache) must hold KV rows for exactly the prompt's first
-// Rows() tokens — the caller guarantees the token match; this function
-// checks architecture and that at least one row is left to compute (the
-// readout needs the final row's residual stream, which snapshots don't
-// carry). A zero-row snapshot is a no-op.
+// prefix: the state borrows the snapshot's rows — reads them in place, never
+// copies or writes them — and the prefill cursor advances past them, so
+// subsequent PrefillChunk calls compute only the remaining suffix, into
+// slabs that hold only the rows past the borrowed ones. The snapshot
+// (typically a Snapshot.Prefix view from the serving prefix cache) must stay
+// immutable while the state borrows it — until Reset, Restore or KVSlabs —
+// and hold KV rows for exactly the prompt's first Rows() tokens: the caller
+// guarantees the token match; this function checks architecture and that at
+// least one row is left to compute (the readout needs the final row's
+// residual stream, which snapshots don't carry). A zero-row snapshot is a
+// no-op.
 func (m *Model) ResumePrefillPrefix(s *Snapshot) {
 	st := m.st
 	if st == nil || st.promptLen == 0 || st.prefillPos != 0 {
@@ -410,7 +413,10 @@ func (m *Model) ResumePrefillPrefix(s *Snapshot) {
 	if s.rows == 0 {
 		return
 	}
-	st.loadRows(s)
+	st.base, st.shared = s, s.rows
+	for b := range st.kv {
+		st.kv[b].rows = s.rows
+	}
 	st.prefillPos = s.rows
 }
 

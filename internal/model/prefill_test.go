@@ -1,6 +1,12 @@
 package model
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"os/exec"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ft2/internal/numerics"
@@ -78,52 +84,151 @@ func TestPrefillChunkBitIdentical(t *testing.T) {
 	}
 }
 
-// TestResumePrefillPrefixBitIdentical: seeding a prefill from a cached
-// prefix view and computing only the suffix must reproduce the cold
-// generation bit-for-bit at every prefix depth, including depth 0.
+// onEveryKernelLeg re-runs the calling test in child processes under each
+// GODEBUG that moves an amd64 host onto another kernel leg — cpu.fma=off the
+// SSE tier, cpu.avx512f=off the FMA tier's YMM sweep (see
+// TestGoldenDigestsWithoutMathFMA) — while the test itself runs the host's
+// leg; make test-386 runs the portable one. A child does not recurse.
+func onEveryKernelLeg(t *testing.T) {
+	if runtime.GOARCH != "amd64" || strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
+		return
+	}
+	name := t.Name()
+	for _, godebug := range []string{"cpu.fma=off", "cpu.avx512f=off"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^"+name+"$", "-test.count=1")
+		cmd.Env = append(os.Environ(), "GODEBUG="+godebug)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Errorf("GODEBUG=%s: %v\n%s", godebug, err, out)
+		}
+	}
+}
+
+// coldWire prefills prompt on m and decodes n-1 tokens, returning the tokens
+// and the wire bytes of the Checkpoint after the prefill and after each step.
+func coldWire(m *Model, prompt []int, n int) ([]int, [][]byte) {
+	var toks []int
+	var wires [][]byte
+	var s Snapshot
+	for tok := m.Prefill(prompt); ; tok = m.DecodeStep(tok) {
+		toks = append(toks, tok)
+		m.Checkpoint(&s)
+		wires = append(wires, AppendSnapshot(nil, &s))
+		if len(toks) == n {
+			return toks, wires
+		}
+	}
+}
+
+// TestResumePrefillPrefixBitIdentical: a state that borrows a cached prefix
+// and computes only the suffix must reproduce the cold generation bit for
+// bit — its tokens, and the View-encoded bytes of its state after the
+// prefill and after every decode step equal to a cold Prefill's Checkpoint —
+// on every kernel leg, for cache entries that are whole or read their first
+// rows through a chain of one or two Share bases, at hit depths 0, 1, mid
+// and n-1, while co-batched in one ForwardBatch with a state that borrows
+// nothing, and with a horizon declared too short, so its own slabs grow
+// mid-decode under the borrow.
 func TestResumePrefillPrefixBitIdentical(t *testing.T) {
+	onEveryKernelLeg(t)
 	for _, f := range []Family{FamilyOPT, FamilyGPTJ, FamilyLlama} {
 		t.Run(f.String(), func(t *testing.T) {
 			cfg := smallCfg(f)
 			donor := MustNew(cfg, 7, numerics.FP16)
-			prompt := []int{3, 14, 15, 9, 2, 6, 26, 5}
+			prompt := []int{3, 14, 15, 9, 2, 6, 26, 5, 35, 8}
+			other := []int{1, 30, 31, 7, 12}
 			const n = 8
-			want := donor.Generate(prompt, n)
+			want, wantWire := coldWire(donor, prompt, n)
+			wantOther, _ := coldWire(donor, other, n)
 
-			// Cache entry: the full-prompt KV captured right after prefill.
-			donor.Prefill(prompt)
-			var cached Snapshot
-			donor.Checkpoint(&cached)
-			var wantSnap Snapshot
-			donor.Prefill(prompt)
-			donor.Checkpoint(&wantSnap)
+			// Cache entries for prompt: whole, and reading rows from bases
+			// whose prompts share only those tokens (as in share_test.go).
+			shares := func(k, n int) []int {
+				p := append([]int(nil), prompt[:k]...)
+				for len(p) < n {
+					p = append(p, 40+len(p))
+				}
+				return p
+			}
+			full := coldCheckpoint(donor, prompt)
+			chains := []struct {
+				name  string
+				entry *Snapshot
+			}{
+				{"depth0", full},
+				{"depth1", full.Share(coldCheckpoint(donor, shares(4, 6)), 4)},
+				{"depth2", full.Share(coldCheckpoint(donor, shares(7, 9)).Share(coldCheckpoint(donor, shares(3, 5)), 3), 7)},
+			}
 
 			m := MustNew(cfg, 7, numerics.FP16)
-			for _, rows := range []int{0, 1, len(prompt) / 2, len(prompt) - 1} {
-				m.BeginPrefill(len(prompt))
-				m.ResumePrefillPrefix(cached.Prefix(rows))
-				if m.st.PrefillPos() != rows {
-					t.Fatalf("rows=%d: PrefillPos() = %d", rows, m.st.PrefillPos())
+			open := func(st *DecodeState, p []int, seed *Snapshot) {
+				m.SwapState(st)
+				m.BeginPrefill(len(p))
+				if seed != nil {
+					m.ResumePrefillPrefix(seed)
 				}
-				tok, done := m.PrefillChunk(prompt[rows:])
-				if !done {
-					t.Fatalf("rows=%d: suffix chunk did not complete", rows)
-				}
-				var gotSnap Snapshot
-				m.Checkpoint(&gotSnap)
-				if !kvEqual(&wantSnap, &gotSnap) {
-					t.Fatalf("rows=%d: prefix-seeded KV differs from cold prefill", rows)
-				}
-				got := append(make([]int, 0, n), tok)
-				for s := 1; s < n; s++ {
-					tok = m.DecodeStep(tok)
-					got = append(got, tok)
-				}
-				if !equalInts(want, got) {
-					t.Errorf("rows=%d: got %v, want %v", rows, got, want)
+			}
+			for _, c := range chains {
+				for _, rows := range []int{0, 1, len(prompt) / 2, len(prompt) - 1} {
+					for _, horizon := range []int{len(prompt) + n, len(prompt) + 2} {
+						name := fmt.Sprintf("%s rows=%d horizon=%d", c.name, rows, horizon)
+						st, by := m.NewDecodeState(), m.NewDecodeState()
+						open(by, other, nil)
+						open(st, prompt, c.entry.Prefix(rows))
+						st.Reserve(horizon)
+						if st.PrefillPos() != rows || st.shared != rows {
+							t.Fatalf("%s: PrefillPos() %d, borrowing %d rows", name, st.PrefillPos(), st.shared)
+						}
+						items := []BatchItem{{State: st, Prefill: prompt[rows:]}, {State: by, Prefill: other}}
+						var got, gotOther []int
+						for step := 0; step < n; step++ {
+							toks := m.ForwardBatch(items, nil)
+							got, gotOther = append(got, toks[0]), append(gotOther, toks[1])
+							var view Snapshot
+							m.View(st, &view)
+							if !bytes.Equal(AppendSnapshot(nil, &view), wantWire[step]) {
+								t.Fatalf("%s: View after step %d encodes other bytes than the cold Checkpoint", name, step)
+							}
+							items = []BatchItem{{State: st, Tok: toks[0]}, {State: by, Tok: toks[1]}}
+						}
+						if !equalInts(got, want) || !equalInts(gotOther, wantOther) {
+							t.Fatalf("%s: tokens %v and %v, want %v and %v", name, got, gotOther, want, wantOther)
+						}
+						if own, pitch := st.KVOwn(); st.shared != rows || own != len(prompt)+n-1-rows || pitch < own {
+							t.Fatalf("%s: borrowing %d rows, %d own at pitch %d", name, st.shared, own, pitch)
+						}
+					}
 				}
 			}
 		})
+	}
+}
+
+// TestBorrowingDecodeAllocFree: a state that borrows a cached prefix decodes
+// with no allocation once its own slabs hold its horizon, and holds only the
+// rows it writes.
+func TestBorrowingDecodeAllocFree(t *testing.T) {
+	cfg := smallCfg(FamilyLlama)
+	m := MustNew(cfg, 3, numerics.FP16)
+	prompt := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	hit := coldCheckpoint(m, prompt).Prefix(6)
+	const n = 8
+	st := m.NewDecodeState()
+	st.Reserve(len(prompt) + n - 6) // what the state writes past a 6-row hit
+	var tok int
+	run := func() {
+		m.SwapState(st)
+		m.BeginPrefill(len(prompt))
+		m.ResumePrefillPrefix(hit)
+		tok, _ = m.PrefillChunk(prompt[6:])
+		for s := 1; s < n; s++ {
+			tok = m.DecodeStep(tok)
+		}
+	}
+	if avg := testing.AllocsPerRun(10, run); avg != 0 {
+		t.Fatalf("a borrowing prefill and decode allocate %.1f objects/run, want 0", avg)
+	}
+	if _, pitch := st.KVOwn(); pitch != len(prompt)+n-6 {
+		t.Fatalf("own pitch %d, want the %d rows written past the borrow", pitch, len(prompt)+n-6)
 	}
 }
 

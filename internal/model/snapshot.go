@@ -13,9 +13,9 @@ import "fmt"
 // Snapshots are deep copies: they stay valid after the source model moves
 // on, and one snapshot can be restored concurrently into many worker
 // replicas (Restore only reads it). There are three exceptions, which share
-// buffers instead: Prefix and View are read-only views of a parent's buffers
-// and of a live DecodeState's KV slabs, and Share reads its first rows from a
-// base snapshot and owns only the rest.
+// buffers instead: Prefix is a read-only view of a parent's rows, View one
+// of a live DecodeState's KV slabs (and of the rows the state borrows), and
+// Share reads its first rows from a base snapshot and owns only the rest.
 type Snapshot struct {
 	// identity of the capturing model, checked on Restore
 	family                          Family
@@ -28,17 +28,16 @@ type Snapshot struct {
 	lastStreamNorm float32
 	k, v           [][]float32 // per block, stride×hidden, head-blocked at stride
 
-	// stride is the per-head row pitch of the k/v buffers — the row count of
-	// the snapshot they were captured into. A snapshot fresh from Checkpoint
-	// has stride == rows; a Prefix view shares the parent's buffers with a
-	// smaller rows, and a View the live slabs at the state's pitch, so
-	// readers must walk head h at offset h*stride*headDim and take only the
-	// first rows rows of each run.
+	// stride is the per-head row pitch of the k/v buffers. A snapshot fresh
+	// from Checkpoint has stride == rows and a Share the rows it owns; a
+	// View aliases the live slabs at the state's pitch, so readers must walk
+	// head h at offset h*stride*headDim and take only the rows filled.
 	stride int
 
-	// Rows [0,shared) are base's (Share); k/v hold rows [shared,rows), so
-	// row r of head h sits at h*stride*headDim + (r-shared)*headDim. base is
-	// immutable and may itself read from a base.
+	// Rows [0,shared) are base's (Share, Prefix, a View of a borrowing
+	// state); k/v hold rows [shared,rows), so row r of head h sits at
+	// h*stride*headDim + (r-shared)*headDim. base is immutable and may
+	// itself read from a base.
 	base   *Snapshot
 	shared int
 }
@@ -111,11 +110,11 @@ func (m *Model) Checkpoint(into *Snapshot) {
 		}
 		dk, dv := into.k[b][:span], into.v[b][:span]
 		into.k[b], into.v[b] = dk, dv
-		// Compact each head's contiguous run: slab offset h*pitch*d,
-		// snapshot offset h*rows*d.
+		// Compact each head's rows, borrowed ones first, to snapshot offset
+		// h*rows*d.
 		for h := 0; h < cfg.Heads; h++ {
-			copy(dk[h*rows*d:(h+1)*rows*d], st.kv[b].k[h*st.pitch*d:])
-			copy(dv[h*rows*d:(h+1)*rows*d], st.kv[b].v[h*st.pitch*d:])
+			st.copyRows(dk[h*rows*d:], false, b, h, 0, rows)
+			st.copyRows(dv[h*rows*d:], true, b, h, 0, rows)
 		}
 	}
 }
@@ -132,11 +131,12 @@ func (s *Snapshot) srcStride() int {
 
 // Prefix returns a read-only view of the snapshot truncated to its first rows
 // KV rows — the forkable shared-prompt prefix the serving prefix cache hands
-// to sessions. The view shares the parent's buffers (no copy; the parent must
-// stay immutable, which cache snapshots are) and carries no resume point:
-// NextStep/LastToken/promptLen are zero, so it can only seed a chunked
-// prefill via Model.ResumePrefillPrefix, never a full Restore. rows may be 0
-// (an empty view) up to the parent's Rows().
+// to sessions. The view owns no rows: it reads all of them from its parent
+// (from the parent's base when that holds them all), which must stay
+// immutable while the view lives, as cache snapshots are. It carries no
+// resume point: NextStep/LastToken/promptLen are zero, so it can only seed a
+// chunked prefill via Model.ResumePrefillPrefix, never a full Restore. rows
+// may be 0 (an empty view) up to the parent's Rows().
 func (s *Snapshot) Prefix(rows int) *Snapshot {
 	if rows < 0 || rows > s.rows {
 		panic(fmt.Sprintf("model: Snapshot.Prefix(%d) outside [0,%d]", rows, s.rows))
@@ -147,10 +147,8 @@ func (s *Snapshot) Prefix(rows int) *Snapshot {
 	return &Snapshot{
 		family: s.family, blocks: s.blocks, hidden: s.hidden,
 		maxSeq: s.maxSeq, headDim: s.headDim,
-		rows:   rows,
-		stride: s.srcStride(),
-		k:      s.k, v: s.v,
-		base: s.base, shared: s.shared,
+		rows: rows,
+		base: s, shared: rows,
 	}
 }
 
@@ -185,39 +183,40 @@ func (s *Snapshot) Share(base *Snapshot, k int) *Snapshot {
 	return &out
 }
 
-// ownRows returns head h's rows [lo,hi) of block b's k (v when v) buffer;
-// they must lie in [shared, rows).
-func (s *Snapshot) ownRows(v bool, b, h, lo, hi int) []float32 {
+// run returns the longest contiguous run of head h's rows [lo,hi) of block
+// b's k (v when v) buffers, lo < hi ≤ Rows(), and the row it ends at: rows
+// below shared come from the base chain.
+func (s *Snapshot) run(v bool, b, h, lo, hi int) ([]float32, int) {
+	for lo < s.shared {
+		s, hi = s.base, min(hi, s.shared)
+	}
 	buf := s.k[b]
 	if v {
 		buf = s.v[b]
 	}
-	d := s.headDim
-	off := h*s.srcStride()*d - s.shared*d
-	return buf[off+lo*d : off+hi*d]
+	off := (h*s.srcStride() - s.shared) * s.headDim
+	return buf[off+lo*s.headDim : off+hi*s.headDim], hi
 }
 
 // copyRows copies head h's rows [lo,hi) of block b's k (v when v) into dst,
 // the base's share first.
 func (s *Snapshot) copyRows(dst []float32, v bool, b, h, lo, hi int) {
-	if lo < s.shared {
-		n := min(hi, s.shared)
-		s.base.copyRows(dst, v, b, h, lo, n)
-		dst, lo = dst[(n-lo)*s.headDim:], n
-	}
-	if lo < hi {
-		copy(dst, s.ownRows(v, b, h, lo, hi))
+	for lo < hi {
+		r, end := s.run(v, b, h, lo, hi)
+		dst, lo = dst[copy(dst, r):], end
 	}
 }
 
 // View fills into with a read-only, no-copy view of st's generation state:
 // the bookkeeping Checkpoint would capture, with k/v aliasing st's KV slabs
-// at stride st's pitch. It encodes (AppendSnapshot) to the bytes of a
+// at stride st's pitch and its borrowed rows read from the same base (the
+// form Share gives). It encodes (AppendSnapshot) to the bytes of a
 // Checkpoint copy and restores like one. A decode step only appends rows —
 // and a step that grows the pitch copies them into new slabs, leaving the old
-// ones untouched — so the view stays valid until st is reset, restored or
-// has a row rewritten: the migration export encodes a view taken at a stride
-// boundary on another goroutine while the session decodes on. into's
+// ones untouched, as KVSlabs does when it ends a borrow — so the view stays
+// valid until st is reset, restored or has a row of its slabs rewritten: the
+// migration export encodes a view taken at a stride boundary on another
+// goroutine while the session decodes on. into's
 // per-block slice headers are reused while st's slabs stay put, and a second
 // view of the same slabs rewrites only the bookkeeping, never those headers;
 // once the slabs moved, View builds new headers. Either way a copy of an
@@ -245,12 +244,14 @@ func (m *Model) View(st *DecodeState, into *Snapshot) {
 		stride:         st.pitch,
 		lastStreamNorm: st.lastStreamNorm,
 		k:              k, v: v,
+		base: st.base, shared: st.shared,
 	}
 }
 
 // Restore loads the snapshot into the model — a handful of copies into the
-// KV slabs, which it grows to the snapshot's rows if they are shorter — and
-// returns the token to feed the next DecodeStep.
+// KV slabs, which it grows to the snapshot's rows if they are shorter; a
+// restored state borrows nothing — and returns the token to feed the next
+// DecodeStep.
 // The model must have the same architecture the snapshot was captured from;
 // registered hooks are left untouched. After Restore the model's state is
 // bit-identical to the capturing model's at Checkpoint time, so a greedy
@@ -275,13 +276,6 @@ func (m *Model) Restore(s *Snapshot) int {
 	st.promptLen = s.promptLen
 	st.prefillPos = s.promptLen
 	st.lastStreamNorm = s.lastStreamNorm
-	st.loadRows(s)
-	return s.lastTok
-}
-
-// loadRows copies the snapshot's KV rows into st's slabs, which must hold
-// them, and sets st's fill counters to match.
-func (st *DecodeState) loadRows(s *Snapshot) {
 	d := s.headDim
 	for b := range st.kv {
 		for h := 0; h < st.heads; h++ {
@@ -290,4 +284,5 @@ func (st *DecodeState) loadRows(s *Snapshot) {
 		}
 		st.kv[b].rows = s.rows
 	}
+	return s.lastTok
 }

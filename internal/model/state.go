@@ -19,10 +19,19 @@ type DecodeState struct {
 	blocks, heads, headDim, maxSeq int
 
 	// pitch is the number of positions per head the KV slabs hold: element
-	// (head h, position p, channel c) of a block lives at (h*pitch+p)*headDim
-	// + c. It starts at 0, grows by Reserve or when a forward pass writes a
-	// row past it, and never shrinks, so a recycled state keeps its slabs.
+	// (head h, position p, channel c) of a block lives at
+	// (h*pitch+p-shared)*headDim + c. It starts at 0, grows by Reserve or
+	// when a forward pass writes a row past it, and never shrinks, so a
+	// recycled state keeps its slabs.
 	pitch int
+
+	// Positions [0,shared) are borrowed: read in place from base, an
+	// immutable snapshot (a prefix-cache entry's Prefix view) the state
+	// never writes, and the slabs hold only the rows from shared on.
+	// ResumePrefillPrefix sets them; Reset, Restore and KVSlabs (which
+	// copies the borrowed rows in first) drop them.
+	base   *Snapshot
+	shared int
 
 	step           int
 	promptLen      int
@@ -39,9 +48,9 @@ type DecodeState struct {
 }
 
 // NewDecodeState returns a fresh, empty generation state for m's
-// architecture. It holds no KV slabs yet: the opener that starts a
-// generation on it (BeginPrefill, Restore) reserves the rows it writes, and
-// an owner that knows the generation's horizon reserves that first.
+// architecture. It holds no KV slabs yet: a prefill's first chunk and
+// Restore reserve the rows they write, and an owner that knows the
+// generation's horizon reserves that first.
 func (m *Model) NewDecodeState() *DecodeState {
 	cfg := m.Cfg
 	return &DecodeState{
@@ -50,25 +59,26 @@ func (m *Model) NewDecodeState() *DecodeState {
 	}
 }
 
-// Reserve makes the KV slabs hold at least rows positions per head — the
-// generation's horizon, prompt plus tokens to decode — so no forward pass up
-// to it allocates. A row written past the pitch grows it straight to
-// MaxSeq instead, once. Reserving no more than the pitch is a no-op; rows
-// above MaxSeq panic.
+// Reserve makes the state hold at least rows positions per head, borrowed
+// ones included — the generation's horizon, prompt plus tokens to decode —
+// so no forward pass up to it allocates. A decode row written past them
+// grows the slabs straight to MaxSeq instead, once. Reserving no more than
+// the state holds is a no-op; rows above MaxSeq panic.
 func (st *DecodeState) Reserve(rows int) {
 	if rows > st.maxSeq {
 		panic(fmt.Sprintf("model: Reserve(%d) exceeds max seq %d", rows, st.maxSeq))
 	}
-	if rows > st.pitch {
-		st.repitch(rows)
+	if rows > st.shared+st.pitch {
+		st.repitch(rows-st.shared, st.shared)
 	}
 }
 
 // repitch moves the slabs of every block into one fresh buffer at the given
-// pitch, copying each head's filled rows. The old slabs are left as they
-// were: a View taken before the move still reads them, and no forward pass
-// writes them again.
-func (st *DecodeState) repitch(pitch int) {
+// pitch, copying each head's filled rows from position from on — the
+// borrowed ones too when from is below shared, which ends the borrow. The
+// old slabs are left as they were: a View taken before the move still reads
+// them, and no forward pass writes them again.
+func (st *DecodeState) repitch(pitch, from int) {
 	d, span := st.headDim, st.heads*pitch*st.headDim
 	buf := make([]float32, 2*len(st.kv)*span)
 	for b := range st.kv {
@@ -76,19 +86,48 @@ func (st *DecodeState) repitch(pitch int) {
 		k := buf[2*b*span : (2*b+1)*span : (2*b+1)*span]
 		v := buf[(2*b+1)*span : (2*b+2)*span : (2*b+2)*span]
 		for h := 0; h < st.heads; h++ {
-			copy(k[h*pitch*d:], c.k[h*st.pitch*d:h*st.pitch*d+c.rows*d])
-			copy(v[h*pitch*d:], c.v[h*st.pitch*d:h*st.pitch*d+c.rows*d])
+			st.copyRows(k[h*pitch*d:], false, b, h, from, c.rows)
+			st.copyRows(v[h*pitch*d:], true, b, h, from, c.rows)
 		}
 		c.k, c.v = k, v
 	}
 	st.pitch = pitch
+	if from < st.shared {
+		st.base, st.shared = nil, from
+	}
 }
 
-// Reset clears the state back to not-started, keeping the slabs and pitch.
+// run returns the longest contiguous run of head h's positions [lo,hi) of
+// block b's keys (values when v), lo < hi ≤ the rows filled, and the
+// position it ends at: a borrowed run from the base chain, or the slabs'.
+func (st *DecodeState) run(v bool, b, h, lo, hi int) ([]float32, int) {
+	if lo < st.shared {
+		return st.base.run(v, b, h, lo, min(hi, st.shared))
+	}
+	buf := st.kv[b].k
+	if v {
+		buf = st.kv[b].v
+	}
+	off := (h*st.pitch - st.shared) * st.headDim
+	return buf[off+lo*st.headDim : off+hi*st.headDim], hi
+}
+
+// copyRows copies head h's positions [lo,hi) of block b's keys (values when
+// v) into dst, borrowed ones included.
+func (st *DecodeState) copyRows(dst []float32, v bool, b, h, lo, hi int) {
+	for lo < hi {
+		r, end := st.run(v, b, h, lo, hi)
+		dst, lo = dst[copy(dst, r):], end
+	}
+}
+
+// Reset clears the state back to not-started, keeping the slabs and pitch
+// and dropping any borrowed prefix.
 func (st *DecodeState) Reset() {
 	for i := range st.kv {
 		st.kv[i].rows = 0
 	}
+	st.base, st.shared = nil, 0
 	st.step = 0
 	st.promptLen = 0
 	st.lastTok = 0

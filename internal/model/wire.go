@@ -80,25 +80,14 @@ func AppendSnapshot(dst []byte, s *Snapshot) []byte {
 	heads := s.hidden / s.headDim
 	dst = slices.Grow(dst, s.WireSize()-snapWireHeader)
 	for b := 0; b < s.blocks; b++ {
-		for h := 0; h < heads; h++ {
-			dst = s.appendRows(dst, false, b, h, 0, s.rows)
+		for _, v := range [2]bool{false, true} {
+			for h := 0; h < heads; h++ {
+				for lo := 0; lo < s.rows; { // copyRows onto the wire
+					r, end := s.run(v, b, h, lo, s.rows)
+					dst, lo = appendWireF32s(dst, r), end
+				}
+			}
 		}
-		for h := 0; h < heads; h++ {
-			dst = s.appendRows(dst, true, b, h, 0, s.rows)
-		}
-	}
-	return dst
-}
-
-// appendRows is copyRows onto the wire: head h's rows [lo,hi) of block b's k
-// (v when v), the base's share first.
-func (s *Snapshot) appendRows(dst []byte, v bool, b, h, lo, hi int) []byte {
-	if lo < s.shared {
-		n := min(hi, s.shared)
-		dst, lo = s.base.appendRows(dst, v, b, h, lo, n), n
-	}
-	if lo < hi {
-		dst = appendWireF32s(dst, s.ownRows(v, b, h, lo, hi))
 	}
 	return dst
 }

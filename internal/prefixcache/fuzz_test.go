@@ -1,6 +1,7 @@
 package prefixcache
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -30,11 +31,12 @@ func (l *livePrompt) serves(protected bool) bool {
 	return l.nanFree
 }
 
-// heldRef is a Ref the fuzz sequence has not released yet and the model
-// prompt it pins.
+// heldRef is a Ref the fuzz sequence has not released yet, the model prompt
+// it pins, and the view a session borrowing the hit would read.
 type heldRef struct {
-	ref *Ref
-	of  *livePrompt
+	ref  *Ref
+	of   *livePrompt
+	view *model.Snapshot
 }
 
 // FuzzCacheOps drives a byte-coded sequence of Insert / Lookup / Release over
@@ -56,6 +58,11 @@ type heldRef struct {
 // Depth must answer what the next Lookup's Rows will and leave no trace: the
 // counters are compared around it, and since the model's LRU order is not
 // touched, a Depth that moved an entry shows at the next eviction.
+//
+// A hit is held the way a session borrowing it holds it: the Ref and its
+// Snapshot view live on across later inserts and evictions, Stats.Held
+// counting them, and the release op first checks that the view still reads
+// the rows a cold snapshot holds; releasing twice is a no-op.
 //
 // Each op is a header byte — bits 0-1: 0,1 insert, 2 lookup, 3 release the
 // oldest held ref; bits 2-3: insert flavour (bare, trail, NaN-tainted trail,
@@ -294,19 +301,23 @@ func FuzzCacheOps(f *testing.F) {
 				l := live[i]
 				l.refs++
 				touch(l)
-				held = append(held, heldRef{ref, l})
+				held = append(held, heldRef{ref, l, ref.Snapshot()})
 
 			case 3: // release
 				if len(held) > 0 {
-					held[0].ref.Release()
-					held[0].of.refs--
+					h := held[0]
+					if !bytes.Equal(model.AppendSnapshot(nil, h.view), model.AppendSnapshot(nil, snaps[maxLen].Prefix(h.ref.Rows()))) {
+						t.Fatalf("a held %d-row view of %v reads other rows at release", h.ref.Rows(), h.of.prompt)
+					}
+					h.ref.Release()
+					h.of.refs--
 					held = held[1:]
 				}
 			}
 
 			st := c.Stats()
-			if st.Bytes != sum() || st.Entries != len(live) || st.Bytes > st.Budget {
-				t.Fatalf("stats %+v, model holds %d entries / %d bytes", st, len(live), sum())
+			if st.Bytes != sum() || st.Entries != len(live) || st.Bytes > st.Budget || st.Held != len(held) {
+				t.Fatalf("stats %+v, model holds %d entries / %d bytes / %d refs", st, len(live), sum(), len(held))
 			}
 			for _, l := range charged {
 				if l.e.bytes != own(l) {
@@ -317,11 +328,15 @@ func FuzzCacheOps(f *testing.F) {
 
 		for _, h := range held {
 			h.ref.Release()
+			h.ref.Release()
 		}
 		for _, e := range all {
 			if e.refs != 0 {
 				t.Fatalf("entry left with %d refs after every Ref was released", e.refs)
 			}
+		}
+		if held := c.Stats().Held; held != 0 {
+			t.Fatalf("Stats.Held = %d after every Ref was released", held)
 		}
 	})
 }

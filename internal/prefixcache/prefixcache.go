@@ -1,8 +1,9 @@
 // Package prefixcache implements a token-keyed radix-tree cache of prompt-
 // prefix KV snapshots for the serving layer. Production chat traffic shares
 // long system prompts; a session that finds its prompt's longest cached
-// token prefix forks the prefix KV via Snapshot.Prefix +
-// Model.ResumePrefillPrefix and prefills only the unique suffix.
+// token prefix borrows the prefix KV — reads it in place, via Snapshot.Prefix
+// + Model.ResumePrefillPrefix, for as long as the session lives — and
+// prefills only the unique suffix.
 //
 // Structure: a compressed radix tree over token sequences. Each inserted
 // prompt contributes one immutable entry — the rows-prefix Snapshot captured
@@ -29,12 +30,14 @@
 // readers (a duplicate prompt replacing it) stays charged until its last
 // reader goes. A newcomer whose own rows and its bases' do not fit the budget
 // is refused, so Bytes never exceeds Budget. Entries are refcounted while
-// sessions hold them, but eviction never blocks on holders and holders never
-// dangle: snapshots are immutable and garbage-collected, so evicting an
-// in-use entry merely detaches it from the tree — the holding session keeps
-// its view, and the bases it reads, alive through the Ref (the
-// "copy-on-evict" guarantee comes for free from immutability; no bytes are
-// ever copied or freed under a reader).
+// sessions hold them, and eviction prefers entries no session holds, but it
+// never blocks on holders and holders never dangle: snapshots are immutable
+// and garbage-collected, so evicting an in-use entry merely detaches it from
+// the tree — the holding session keeps its view, and the bases it reads,
+// alive through the Ref until it settles (no bytes are ever copied or freed
+// under a reader). So the entries alive past their eviction are at most the
+// sessions live at once, and none once they all settled; Stats.Held counts
+// the Refs outstanding.
 //
 // All methods are safe for concurrent use.
 package prefixcache
@@ -99,6 +102,7 @@ type Stats struct {
 	Hits, Misses, Insertions, Evictions int64
 	HitRows                             int64 // total KV rows served from cache
 	Entries                             int   // prompts in the tree
+	Held                                int   // Refs not yet released
 	Bytes, Budget                       int64 // Bytes: KV rows charged, each row once
 }
 
@@ -109,6 +113,7 @@ type Cache struct {
 	lru    *list.List // front = most recently used; values are *entry
 	bytes  int64
 	budget int64
+	held   int
 
 	hits, misses, insertions, evictions, hitRows int64
 }
@@ -124,8 +129,9 @@ func New(budgetBytes int64) *Cache {
 
 // Ref is a session's hold on a cache hit: a prefix view of the entry's
 // snapshot truncated to Rows tokens, plus the entry's bounds trail for
-// protected sessions. Release it once the prefix has been copied into the
-// session's KV slabs.
+// protected sessions. A session holds it while its KV state borrows the
+// view's rows — until it settles — and releases it then; while held, the
+// entry is evicted only when every other candidate is held too.
 type Ref struct {
 	c    *Cache
 	e    *entry
@@ -144,10 +150,15 @@ func (r *Ref) Snapshot() *model.Snapshot { return r.e.snap.Prefix(r.rows) }
 // covers.
 func (r *Ref) Trail() *protect.Trail { return r.e.trail }
 
-// Release drops the hold. The Ref must not be used afterwards.
+// Release drops the hold; releasing again does nothing. The Ref must not be
+// used otherwise afterwards.
 func (r *Ref) Release() {
 	r.c.mu.Lock()
-	r.e.refs--
+	if r.e != nil {
+		r.e.refs--
+		r.c.held--
+		r.e = nil
+	}
 	r.c.mu.Unlock()
 }
 
@@ -223,6 +234,7 @@ func (c *Cache) Lookup(prompt []int, protected bool) *Ref {
 		return nil
 	}
 	best.refs++
+	c.held++
 	c.lru.MoveToFront(best.elem)
 	c.hits++
 	c.hitRows += int64(rows)
@@ -454,6 +466,6 @@ func (c *Cache) Stats() Stats {
 		Hits: c.hits, Misses: c.misses,
 		Insertions: c.insertions, Evictions: c.evictions,
 		HitRows: c.hitRows,
-		Entries: c.lru.Len(), Bytes: c.bytes, Budget: c.budget,
+		Entries: c.lru.Len(), Held: c.held, Bytes: c.bytes, Budget: c.budget,
 	}
 }

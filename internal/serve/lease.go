@@ -5,6 +5,7 @@ import (
 
 	"ft2/internal/core"
 	"ft2/internal/model"
+	"ft2/internal/prefixcache"
 	"ft2/internal/wire"
 )
 
@@ -30,7 +31,8 @@ import (
 // than one stride plus the tokens it already relayed.
 type kvLease struct {
 	st          *model.DecodeState // nil before obtain and after recycle
-	pitch, rows int                // st's pitch and filled rows as last added to the gauges
+	pitch, rows int                // st's own pitch and rows as last added to the gauges
+	ref         *prefixcache.Ref   // the cache hit st borrows its first rows from, if any
 
 	// Fixed at admission: protected marks carry the fork state; exported
 	// leases are registered by session id (claimExport) and marked.
@@ -48,28 +50,30 @@ type kvLease struct {
 	blob []byte         // the encoding of mark seq, nil until fetched
 }
 
-// obtain gives the lease a KV state reserved to its horizon (rows positions,
-// the most its generation writes): a finished session's recycled state when
-// the pool has one, else a fresh one. States are architecture-identical
+// obtain gives the lease a KV state reserved to the rows its generation
+// writes (its horizon less the rows of ref, the cache hit it will borrow,
+// which the lease holds until recycle): a finished session's recycled state
+// when the pool has one, else a fresh one. States are architecture-identical
 // across replicas, so any worker may reuse any, and a recycled state whose
 // pitch covers rows allocates nothing.
-func (l *kvLease) obtain(sch *scheduler, m *model.Model, rows int) {
+func (l *kvLease) obtain(sch *scheduler, m *model.Model, rows int, ref *prefixcache.Ref) {
+	l.ref = ref
 	select {
 	case l.st = <-sch.states:
-		_, _, _, l.pitch = l.st.KVSlabs(0) // the pool's reserved bytes move with it
+		_, l.pitch = l.st.KVOwn() // the pool's reserved bytes move with it
 	default:
 		l.st = m.NewDecodeState()
 	}
-	l.st.Reset() // a growth copies no stale rows, and filled starts at 0
 	l.st.Reserve(rows - sch.horizonShort)
 	l.account(sch)
 }
 
-// account brings the KV gauges up to date with the state: its pitch (grown
-// since last accounted by a reservation or a row past it) against reserved,
-// its rows against filled.
+// account brings the KV gauges up to date with the state's own slabs: their
+// pitch (grown since last accounted by a reservation, a row past it or a
+// copy-on-write) against reserved, their rows against filled. Borrowed rows
+// are the prefix cache's bytes, not the state's.
 func (l *kvLease) account(sch *scheduler) {
-	_, _, rows, pitch := l.st.KVSlabs(0)
+	rows, pitch := l.st.KVOwn()
 	sch.mx.kvReserved.Add(int64(pitch-l.pitch) * sch.kvRowBytes)
 	sch.mx.kvFilled.Add(int64(rows-l.rows) * sch.kvRowBytes)
 	l.pitch, l.rows = pitch, rows
@@ -148,7 +152,8 @@ func (l *kvLease) spill(m *model.Model, ft *core.ForkState) ([]byte, error) {
 
 // recycle ends the lease as its session settles: it waits out the encoders
 // still reading rows and drops the mark, then takes the state's rows off the
-// filled gauge and hands it to the pool, its slabs still reserved — or, the
+// filled gauge, resets it — which ends its borrow, so the lease releases the
+// cache hit — and hands it to the pool, its slabs still reserved; or, the
 // pool full, drops it and its reserved bytes.
 func (l *kvLease) recycle(sch *scheduler) {
 	l.pin.Lock()
@@ -161,10 +166,14 @@ func (l *kvLease) recycle(sch *scheduler) {
 	}
 	l.account(sch)
 	sch.mx.kvFilled.Add(-int64(l.rows) * sch.kvRowBytes)
+	l.st.Reset()
+	if l.ref != nil {
+		l.ref.Release()
+	}
 	select {
 	case sch.states <- l.st:
 	default:
 		sch.mx.kvReserved.Add(-int64(l.pitch) * sch.kvRowBytes)
 	}
-	l.st, l.pitch, l.rows = nil, 0, 0
+	l.st, l.pitch, l.rows, l.ref = nil, 0, 0, nil
 }

@@ -8,12 +8,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"ft2/internal/chaos"
 	"ft2/internal/fault"
 	"ft2/internal/model"
+	"ft2/internal/prefixcache"
 	"ft2/internal/wire"
 )
 
@@ -23,8 +26,8 @@ import (
 // expires in the queue before it obtains a state, a client cancel
 // mid-decode — and holds the KV gauges to the state pool exactly: once every
 // session settled, and again after Shutdown, nothing is filled, the reserved
-// bytes are the pooled states' pitches, and no state sits in the pool twice
-// (every lease was recycled once).
+// bytes are the pooled states' pitches, no state sits in the pool twice
+// (every lease was recycled once) and no prefix-cache Ref is still held.
 func TestKVGaugesConserved(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.MaxSessions = 2
@@ -131,7 +134,7 @@ func TestKVGaugesConserved(t *testing.T) {
 				t.Fatalf("%s: a state sits in the pool twice", when)
 			}
 			seen[st] = true
-			_, _, _, pitch := st.KVSlabs(0)
+			_, pitch := st.KVOwn()
 			want += int64(pitch) * sch.kvRowBytes
 			pooled = append(pooled, st)
 		}
@@ -141,6 +144,9 @@ func TestKVGaugesConserved(t *testing.T) {
 		if reserved, filled := sch.mx.kvReserved.Load(), sch.mx.kvFilled.Load(); reserved != want || filled != 0 {
 			t.Fatalf("%s: gauges reserved %d filled %d; want the %d pooled states' %d and 0",
 				when, reserved, filled, len(pooled), want)
+		}
+		if held := sch.prefix.Stats().Held; held != 0 {
+			t.Fatalf("%s: %d prefix-cache Refs still held", when, held)
 		}
 		return pooled
 	}
@@ -160,4 +166,94 @@ func TestKVGaugesConserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	conserved("after Shutdown")
+}
+
+// TestEvictedBorrowedEntryCollected: a prefix-cache entry evicted while a
+// session borrows its rows lives exactly as long as the session. While the
+// session decodes, a GC does not collect it; once the session settled and
+// the server is idle, it is collected — recycle released the Ref, and Reset
+// ended the pooled state's borrow.
+func TestEvictedBorrowedEntryCollected(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.PrefixCacheMB = 1                 // 1024 rows of this model
+	cfg.StepDelay = 10 * time.Millisecond // the session outlives the evictions below
+	srv := newTestServer(t, cfg)
+	sch, ctx := srv.sch, context.Background()
+	p := sch.pool
+	r, err := newReplica(p.cfg, p.seed, p.dtype, p.ft2Opts, p.f16, p.policy, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := testPrompts(t, 1)(0)
+	promptOf := func(i, n int) []int { // base's first token, then tokens of i's own
+		out := slices.Clone(base[:1])
+		for len(out) < n {
+			out = append(out, 4+(i*7+len(out))%(p.cfg.Vocab-4))
+		}
+		return out
+	}
+	insert := func(prompt []int) *model.Snapshot {
+		r.m.Prefill(prompt)
+		snap := &model.Snapshot{}
+		r.m.Checkpoint(snap)
+		if !sch.prefix.Insert(prompt, snap, nil, true) {
+			t.Fatalf("a %d-row entry was not admitted", len(prompt))
+		}
+		return snap
+	}
+
+	borrowed := promptOf(0, 200)
+	entry := insert(borrowed)
+	collected := make(chan struct{})
+	runtime.SetFinalizer(entry, func(*model.Snapshot) { close(collected) })
+	entry = nil
+	s, err := srv.Submit(ctx, Request{PromptTokens: borrowed, MaxTokens: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-s.Tokens() // the session borrows the entry now
+
+	// Three more entries held here and a fourth past the budget: every other
+	// candidate is held, so the least recently used one — the borrowed
+	// entry — is evicted.
+	var held []*prefixcache.Ref
+	for i := 1; i <= 3; i++ {
+		insert(promptOf(i, 250))
+		held = append(held, sch.prefix.Lookup(promptOf(i, 250), false))
+	}
+	insert(promptOf(4, 250))
+	for _, ref := range held {
+		ref.Release()
+	}
+	if depth := sch.prefix.Depth(borrowed, false); depth == len(borrowed)-1 {
+		t.Fatal("the borrowed entry was not evicted")
+	}
+	runtime.GC()
+	select {
+	case <-collected:
+		select {
+		case <-s.Done(): // settled already: nothing to conclude
+		default:
+			t.Fatal("an entry a live session borrows was collected")
+		}
+	default:
+	}
+
+	res, err := s.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CachedPromptRows != len(borrowed)-1 {
+		t.Fatalf("the session resumed %d cached rows, want %d", res.CachedPromptRows, len(borrowed)-1)
+	}
+	s = nil
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("an evicted entry is still reachable after the session borrowing it settled")
 }

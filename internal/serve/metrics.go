@@ -3,7 +3,10 @@ package serve
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,7 +18,8 @@ import (
 )
 
 // metrics is the server's observability state: monotonic counters plus
-// bounded latency reservoirs, rendered in Prometheus-style text by render.
+// cumulative fixed-bucket histograms, rendered in Prometheus-style text by
+// render.
 type metrics struct {
 	start       time.Time
 	draining    atomic.Bool
@@ -73,22 +77,27 @@ type metrics struct {
 	sessSpilled  atomic.Int64
 	sessRestored atomic.Int64
 
-	tokenLat  *latencyRing // per-step latency
-	queueLat  *latencyRing // admission → first slice
-	reqLat    *latencyRing // admission → settled
-	batchSize *latencyRing // sessions advanced per step (achieved batch)
-	fusedRows *latencyRing // activation rows per fused ForwardBatch call
+	tokenLat  *histogram // per-step latency, ms
+	queueLat  *histogram // admission → first slice, ms
+	reqLat    *histogram // admission → settled, ms
+	batchSize *histogram // sessions advanced per step (achieved batch)
+	fusedRows *histogram // activation rows per fused ForwardBatch call
 }
+
+// The histograms' upper bucket bounds: milliseconds for latencies, powers of
+// two for batch shapes.
+var msBuckets = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000, math.Inf(1)}
+var sizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, math.Inf(1)}
 
 func newMetrics() *metrics {
 	return &metrics{
 		start:     time.Now(),
 		status:    make(map[int]int64),
-		tokenLat:  newLatencyRing(8192),
-		queueLat:  newLatencyRing(2048),
-		reqLat:    newLatencyRing(2048),
-		batchSize: newLatencyRing(8192),
-		fusedRows: newLatencyRing(8192),
+		tokenLat:  newHistogram(msBuckets),
+		queueLat:  newHistogram(msBuckets),
+		reqLat:    newHistogram(msBuckets),
+		batchSize: newHistogram(sizeBuckets),
+		fusedRows: newHistogram(sizeBuckets),
 	}
 }
 
@@ -119,46 +128,40 @@ func (m *metrics) addCorrections(st, base core.ForkState) {
 	m.corrMu.Unlock()
 }
 
-// latencyRing keeps the most recent cap observations (milliseconds) and
-// answers quantile queries over them — a bounded-memory p50/p99 estimate
-// that tracks current behaviour rather than lifetime history.
-type latencyRing struct {
+// histogram is a cumulative fixed-bucket distribution over every
+// observation since start, in the Prometheus form: a count per upper bound,
+// the sum and the count. Its memory is fixed, and a scrape sorts nothing.
+type histogram struct {
+	bounds []float64 // ascending, the last +Inf
 	mu     sync.Mutex
-	buf    []float64
-	next   int
-	filled int
+	counts []int64 // per bucket, not cumulative
+	sum    float64
 }
 
-func newLatencyRing(capacity int) *latencyRing {
-	return &latencyRing{buf: make([]float64, capacity)}
+func newHistogram(bounds []float64) *histogram {
+	return &histogram{bounds: bounds, counts: make([]int64, len(bounds))}
 }
 
-func (r *latencyRing) observe(ms float64) {
-	r.mu.Lock()
-	r.buf[r.next] = ms
-	r.next = (r.next + 1) % len(r.buf)
-	if r.filled < len(r.buf) {
-		r.filled++
-	}
-	r.mu.Unlock()
+func (h *histogram) observe(v float64) {
+	i := sort.SearchFloat64s(h.bounds, v) // the first bound ≥ v
+	h.mu.Lock()
+	h.counts[i]++
+	h.sum += v
+	h.mu.Unlock()
 }
 
-// quantiles returns the requested quantiles (0..1) over the retained
-// window, or nil when nothing was observed yet.
-func (r *latencyRing) quantiles(qs ...float64) []float64 {
-	r.mu.Lock()
-	vals := append([]float64(nil), r.buf[:r.filled]...)
-	r.mu.Unlock()
-	if len(vals) == 0 {
-		return nil
+// render writes the histogram as name_bucket{le=…}, name_sum and name_count,
+// from a copy: observers never wait on the writer.
+func (h *histogram) render(w io.Writer, name string) {
+	h.mu.Lock()
+	counts, sum := slices.Clone(h.counts), h.sum
+	h.mu.Unlock()
+	var n int64
+	for i, c := range counts {
+		n += c
+		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, strconv.FormatFloat(h.bounds[i], 'g', -1, 64), n)
 	}
-	sort.Float64s(vals)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		idx := int(q * float64(len(vals)-1))
-		out[i] = vals[idx]
-	}
-	return out
+	fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, sum, name, n)
 }
 
 // render writes the text-format metrics. queueDepth/active/replicas come
@@ -196,32 +199,14 @@ func (m *metrics) render(w io.Writer, modelName string, replicas, maxSessions, b
 		fmt.Fprintf(w, "ft2serve_tokens_per_sec %.2f\n", float64(tokens)/uptime)
 	}
 	fmt.Fprintf(w, "ft2serve_batched_steps_total %d\n", m.batchSteps.Load())
-	if qs := m.batchSize.quantiles(0.5, 0.99); qs != nil {
-		fmt.Fprintf(w, "ft2serve_batch_size{quantile=\"0.5\"} %.1f\n", qs[0])
-		fmt.Fprintf(w, "ft2serve_batch_size{quantile=\"0.99\"} %.1f\n", qs[1])
-	}
+	m.batchSize.render(w, "ft2serve_batch_size")
 	fmt.Fprintf(w, "ft2serve_fused_forwards_total %d\n", m.fusedForwards.Load())
 	fmt.Fprintf(w, "ft2serve_prefill_fused_rows_total %d\n", m.fusedPrefillRows.Load())
 	fmt.Fprintf(w, "ft2serve_decode_fused_rows_total %d\n", m.fusedDecodeRows.Load())
-	if qs := m.fusedRows.quantiles(0.5, 0.99); qs != nil {
-		fmt.Fprintf(w, "ft2serve_fused_rows{quantile=\"0.5\"} %.1f\n", qs[0])
-		fmt.Fprintf(w, "ft2serve_fused_rows{quantile=\"0.99\"} %.1f\n", qs[1])
-	}
-
-	for _, lr := range []struct {
-		name string
-		ring *latencyRing
-	}{
-		{"ft2serve_token_latency_ms", m.tokenLat},
-		{"ft2serve_queue_latency_ms", m.queueLat},
-		{"ft2serve_request_latency_ms", m.reqLat},
-	} {
-		name, ring := lr.name, lr.ring
-		if qs := ring.quantiles(0.5, 0.99); qs != nil {
-			fmt.Fprintf(w, "%s{quantile=\"0.5\"} %.4f\n", name, qs[0])
-			fmt.Fprintf(w, "%s{quantile=\"0.99\"} %.4f\n", name, qs[1])
-		}
-	}
+	m.fusedRows.render(w, "ft2serve_fused_rows")
+	m.tokenLat.render(w, "ft2serve_token_latency_ms")
+	m.queueLat.render(w, "ft2serve_queue_latency_ms")
+	m.reqLat.render(w, "ft2serve_request_latency_ms")
 
 	m.corrMu.Lock()
 	for k, c := range m.corrByKind {
@@ -255,6 +240,7 @@ func (m *metrics) render(w io.Writer, modelName string, replicas, maxSessions, b
 		fmt.Fprintf(w, "ft2serve_prefix_insertions_total %d\n", prefixS.Insertions)
 		fmt.Fprintf(w, "ft2serve_prefix_hit_rows_total %d\n", prefixS.HitRows)
 		fmt.Fprintf(w, "ft2serve_prefix_entries %d\n", prefixS.Entries)
+		fmt.Fprintf(w, "ft2serve_prefix_refs_held %d\n", prefixS.Held)
 		fmt.Fprintf(w, "ft2serve_prefix_bytes %d\n", prefixS.Bytes)
 		fmt.Fprintf(w, "ft2serve_prefix_budget_bytes %d\n", prefixS.Budget)
 	}

@@ -94,7 +94,7 @@ func (sch *scheduler) maybeSpill(r *replica, s *Session) {
 func (sch *scheduler) adoptGuarded(r *replica, s *Session) (err error) {
 	defer recoverAs500(&err, "in session adoption")
 	m := r.m
-	s.kv.obtain(sch, m, s.adoptSnap.Rows()+s.req.MaxTokens)
+	s.kv.obtain(sch, m, s.adoptSnap.Rows()+s.req.MaxTokens, nil)
 	prev := m.SwapState(s.kv.st)
 	m.Restore(s.adoptSnap)
 	m.SwapState(prev)

@@ -828,7 +828,7 @@ func TestRecycledStateKeepsItsSlabs(t *testing.T) {
 		t.Fatalf("second horizon %d exceeds the recycled pitch %d", shorter, pitch)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		probe.kv.obtain(sch, r.m, shorter)
+		probe.kv.obtain(sch, r.m, shorter, nil)
 		sch.states <- probe.kv.st
 	}); allocs != 0 {
 		t.Fatalf("taking a recycled state for a covered horizon allocates %.1f objects, want 0", allocs)

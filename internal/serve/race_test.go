@@ -2,10 +2,16 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"ft2/internal/core"
+	"ft2/internal/data"
 	"ft2/internal/model"
 	"ft2/internal/numerics"
 )
@@ -89,28 +95,81 @@ func TestSharedBoundsStoreConcurrent(t *testing.T) {
 // TestServerSharedLoadRace drives the full serving stack with more
 // concurrent clients than replicas under -race: the scheduler, metrics,
 // and session park/resume paths all get exercised with true concurrency,
-// and the outputs must still match the single-client run bit for bit.
+// and the outputs must still match the single-client run bit for bit. Half
+// the prompts share a system prompt, so sessions borrow prefix-cache rows,
+// and alongside the load four exporting sessions on shared prompts have
+// their checkpoints fetched over HTTP while they decode: the handler
+// goroutine encodes borrowed rows while workers decode over the same entry.
 func TestServerSharedLoadRace(t *testing.T) {
 	cfg := Config{
-		Model:       "qwen2-1.5b-sim",
-		Seed:        7,
-		Replicas:    2,
-		MaxSessions: 8,
-		SliceSteps:  2,
+		Model:         "qwen2-1.5b-sim",
+		Seed:          7,
+		Replicas:      2,
+		MaxSessions:   8,
+		SliceSteps:    2,
+		PrefixCacheMB: 8,
+		ExportStride:  2,
+		StepDelay:     time.Millisecond, // long enough sessions for the fetches to find marks
 	}
-	prompts := testPrompts(t, 4)
-	const requests, maxTokens = 8, 10
+	plain, shared := testPrompts(t, 4), data.SharedPrefixPrompts(8, 40, 0.8, 3)
+	prompts := func(i int) []int {
+		if i%2 == 1 {
+			return shared[i/2]
+		}
+		return plain(i / 2)
+	}
+	const requests, maxTokens, exporters = 12, 10, 4
 
 	run := func(clients int) [][]int {
 		srv := newTestServer(t, cfg)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		out := make([][]int, requests+exporters)
+		var wg sync.WaitGroup
+		for j := range exporters {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				id := fmt.Sprint("export-", j)
+				s, err := srv.Submit(context.Background(), Request{
+					PromptTokens: shared[4+j], MaxTokens: 3 * maxTokens, Protected: j%2 == 1, SessionID: id,
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for done := false; !done; {
+					select {
+					case <-s.Done():
+						done = true
+					default:
+						resp, err := http.Get(ts.URL + "/v1/sessions/export?id=" + id)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						io.Copy(io.Discard, resp.Body)
+						resp.Body.Close()
+					}
+				}
+				res, err := s.Wait(context.Background())
+				if err != nil {
+					t.Errorf("exporting session %s: %v", id, err)
+				}
+				out[requests+j] = res.Tokens
+			}()
+		}
 		st := srv.RunLoad(context.Background(), LoadSpec{
 			Clients: clients, Requests: requests, MaxTokens: maxTokens,
 			Protected: true, PromptFor: prompts,
 		})
+		wg.Wait()
 		if st.Failed > 0 {
 			t.Fatalf("clients=%d: %v", clients, st.Errs)
 		}
-		out := make([][]int, requests)
+		if ps := srv.PrefixStats(); ps.Hits == 0 {
+			t.Fatalf("clients=%d: no session hit the prefix cache", clients)
+		}
 		for i, r := range st.Results {
 			out[i] = r.Tokens
 		}

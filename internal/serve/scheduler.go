@@ -359,9 +359,8 @@ func (sch *scheduler) applyChaos(r *replica, g *group) {
 			// count toward the weight-fault opt-in gate above.
 			continue
 		}
-		_, _, rows, _ := s.kv.st.KVSlabs(0)
 		g.views = append(g.views, chaos.SessionView{
-			ID: s.id, Step: s.kv.st.Step(), Budget: g.rem[i], Rows: rows,
+			ID: s.id, Step: s.kv.st.Step(), Budget: g.rem[i], Rows: s.kv.st.SeqLen(),
 		})
 		g.victims = append(g.victims, i)
 	}
@@ -504,15 +503,22 @@ func (sch *scheduler) release(s *Session, delivered bool) {
 
 // openPrefill runs a session's serial admission bookkeeping on its first
 // slice, once followOrLead let it through, inside its own panic boundary:
-// obtain a KV state, open the chunked prefill, consult the prefix cache, and
-// — on a hit — fork the cached KV prefix (and the first-token bounds as of its
-// last row, when the entry carries a trail) so only the unique suffix is
-// computed. No prompt rows are computed here: the fused slice loop feeds the
-// chunks, co-batched with decode rows.
+// consult the prefix cache, obtain a KV state for the rows the session will
+// write, open the chunked prefill and — on a hit — borrow the cached KV
+// prefix (and fork the first-token bounds as of its last row, when the entry
+// carries a trail) so only the unique suffix is computed. No prompt rows are
+// computed here: the fused slice loop feeds the chunks, co-batched with
+// decode rows.
 func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
 	defer recoverAs500(&err, "opening prefill")
 	m := r.m
-	s.kv.obtain(sch, m, len(s.prompt)+s.req.MaxTokens)
+	var ref *prefixcache.Ref
+	if sch.prefix != nil {
+		if ref = sch.prefix.Lookup(s.prompt, s.req.Protected); ref != nil {
+			s.hitRows = ref.Rows()
+		}
+	}
+	s.kv.obtain(sch, m, len(s.prompt)+s.req.MaxTokens-s.hitRows, ref)
 	prev := m.SwapState(s.kv.st)
 	defer m.SwapState(prev)
 	s.prefillStarted = true
@@ -521,11 +527,10 @@ func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
 	sch.mx.promptTokens.Add(int64(len(s.prompt)))
 	m.BeginPrefill(len(s.prompt))
 	if sch.prefix != nil {
-		var trail *protect.Trail // the hit entry's: immutable, so valid past Release
-		if ref := sch.prefix.Lookup(s.prompt, s.req.Protected); ref != nil {
+		var trail *protect.Trail // the hit entry's: immutable
+		if ref != nil {
 			m.ResumePrefillPrefix(ref.Snapshot())
-			s.hitRows, trail = ref.Rows(), ref.Trail()
-			ref.Release()
+			trail = ref.Trail()
 		}
 		// Offer the finished prefill back unless the cache already covers
 		// this prompt as deeply as a lookup could use it.

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -607,8 +608,12 @@ func TestHTTPEndpoints(t *testing.T) {
 		`ft2serve_requests_total{code="400"} 1`,
 		"ft2serve_tokens_generated_total 13",
 		"ft2serve_tokens_per_sec",
-		`ft2serve_token_latency_ms{quantile="0.5"}`,
-		`ft2serve_token_latency_ms{quantile="0.99"}`,
+		`ft2serve_token_latency_ms_bucket{le="0.05"} `,
+		`ft2serve_token_latency_ms_bucket{le="+Inf"} `,
+		"ft2serve_token_latency_ms_sum ",
+		"ft2serve_token_latency_ms_count ",
+		`ft2serve_request_latency_ms_bucket{le="+Inf"} 2`,
+		"ft2serve_request_latency_ms_count 2",
 		"ft2serve_draining 0",
 	} {
 		if !strings.Contains(buf.String(), want) {
@@ -634,6 +639,22 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("healthz while draining: %v %d, want 503", err, resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestHistogramCumulative: a histogram renders, per upper bound, the
+// observations at or below it — one on a bound counts in that bound's
+// bucket — then +Inf's, the sum and the count.
+func TestHistogramCumulative(t *testing.T) {
+	h := newHistogram([]float64{1, 2.5, math.Inf(1)})
+	for _, v := range []float64{0.5, 1, 2, 7} {
+		h.observe(v)
+	}
+	var b strings.Builder
+	h.render(&b, "x")
+	want := "x_bucket{le=\"1\"} 2\nx_bucket{le=\"2.5\"} 3\nx_bucket{le=\"+Inf\"} 4\nx_sum 10.5\nx_count 4\n"
+	if b.String() != want {
+		t.Fatalf("rendered\n%s\nwant\n%s", b.String(), want)
+	}
 }
 
 // TestTokenLinesMatchEncoder: the stream table, built once per Server and

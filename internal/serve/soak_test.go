@@ -31,7 +31,9 @@ const (
 // fetched while they decode. Between load rounds, with no request in
 // flight, it samples every soakEvery the goroutine count, the live heap
 // after a GC and ft2serve_kv_reserved_bytes, and fails when any of them
-// grew past soakSlack from the first post-warm-up third to the last.
+// grew past soakSlack from the first post-warm-up third to the last — or
+// when ft2serve_prefix_refs_held, the prefix-cache hits sessions still
+// borrow, is not 0 once every session settled.
 //
 // It is not part of make ci: run it with make soak.
 func TestSoak(t *testing.T) {
@@ -109,6 +111,15 @@ func TestSoak(t *testing.T) {
 			continue
 		}
 		last = time.Now()
+		// A settled session recycles its lease before it frees its slot.
+		for deadline := time.Now().Add(10 * time.Second); srv.sch.activeSessions() > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: every session settled, slots still held", round)
+			}
+		}
+		if held := srv.sch.prefix.Stats().Held; held != 0 {
+			t.Fatalf("round %d: %d prefix-cache Refs held with no session live", round, held)
+		}
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
