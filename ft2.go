@@ -62,7 +62,7 @@ type (
 	// CampaignJournal checkpoints classified trials for resumable campaigns.
 	CampaignJournal = campaign.Journal
 	// TrialError is the typed per-trial failure a campaign records instead
-	// of aborting (panic, injector-never-fired, model error, timeout).
+	// of aborting (panic, injector-never-fired, timeout).
 	TrialError = campaign.TrialError
 	// TrialErrorKind is the failure-taxonomy discriminant of a TrialError.
 	TrialErrorKind = campaign.TrialErrorKind

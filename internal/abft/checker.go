@@ -36,15 +36,17 @@ type refSum struct {
 
 // RefSums holds the per-layer reference checksums of one weight
 // parameterization. It is immutable after capture and safe to share across
-// replicas built from the same (cfg, seed, dtype, storage) — their weights
-// are bit-identical.
+// the replicas of one weight set (model.Replica), and across models built
+// from the same (cfg, seed, dtype, storage) — their weights are
+// bit-identical.
 type RefSums struct {
 	sums map[model.LayerRef]refSum
 }
 
 // CaptureRefSums computes reference checksums for every linear layer of the
 // given kinds (all family kinds when none are given) from m's current
-// weights. Capture it at build time, before any fault can land.
+// weights, read in place (model.ReadWeight: a shared matrix stays shared).
+// Capture it at build time, before any fault can land.
 func CaptureRefSums(m *model.Model, kinds ...model.LayerKind) *RefSums {
 	covered := kindSet(m, kinds)
 	rs := &RefSums{sums: make(map[model.LayerRef]refSum)}
@@ -52,7 +54,7 @@ func CaptureRefSums(m *model.Model, kinds ...model.LayerKind) *RefSums {
 		if !covered[ref.Kind] {
 			continue
 		}
-		w := m.Weight(ref)
+		w := m.ReadWeight(ref)
 		cs := make([]float64, w.Cols)
 		for o := 0; o < w.Rows; o++ {
 			for i, v := range w.Row(o) {
@@ -106,6 +108,9 @@ func NewLinearChecker(m *model.Model, refs *RefSums, kinds ...model.LayerKind) *
 	c.repair = c.dmr.Hook()
 	return c
 }
+
+// Refs returns the reference sums the checker compares against.
+func (c *LinearChecker) Refs() *RefSums { return c.refs }
 
 // kindSet marks the given kinds, or every kind of m's family when none are
 // given.

@@ -317,8 +317,17 @@ func RunContext(ctx context.Context, spec Spec) (Result, error) {
 		}
 	}
 
+	// One weight set for the whole run: the golden pass, fork capture and
+	// every worker run on Replicas of base, and a weight-fault trial copies
+	// the one matrix it flips into its own replica.
+	base, err := model.New(spec.ModelCfg, spec.ModelSeed, spec.DType)
+	if err != nil {
+		res.Skipped = spec.Trials - res.Completed
+		return res, err
+	}
+
 	// Golden (fault-free, unprotected) generations, shared read-only.
-	golden, err := goldenOutputs(ctx, spec)
+	golden, err := goldenOutputs(ctx, spec, base)
 	if err != nil {
 		res.Skipped = spec.Trials - res.Completed
 		return res, err
@@ -327,7 +336,7 @@ func RunContext(ctx context.Context, spec Spec) (Result, error) {
 	// Golden checkpoints of the fault-free *protected* runs, shared
 	// read-only: decode-window trials restore the nearest checkpoint below
 	// their injection step instead of re-executing the whole prefix.
-	forks, err := buildForkStore(ctx, spec)
+	forks, err := buildForkStore(ctx, spec, base)
 	if err != nil {
 		res.Skipped = spec.Trials - res.Completed
 		return res, err
@@ -353,7 +362,7 @@ func RunContext(ctx context.Context, spec Spec) (Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runWorker(ctx, spec, golden, forks, trialIdx, results)
+			runWorker(ctx, spec, base, golden, forks, trialIdx, results)
 		}()
 	}
 	go func() {
@@ -487,12 +496,10 @@ func offlineMethod(m *model.Model, method arch.Method, bounds *protect.Store, mo
 	return core.NewOffline(m, opts, arch.Coverage(method, m.Cfg.Family), bounds, arch.CorrectsNaN(method))
 }
 
-// goldenOutputs computes the fault-free unprotected generation per input.
-func goldenOutputs(ctx context.Context, spec Spec) ([][]int, error) {
-	m, err := model.New(spec.ModelCfg, spec.ModelSeed, spec.DType)
-	if err != nil {
-		return nil, err
-	}
+// goldenOutputs computes the fault-free unprotected generation per input on
+// a replica of base.
+func goldenOutputs(ctx context.Context, spec Spec, base *model.Model) ([][]int, error) {
+	m := base.Replica()
 	out := make([][]int, len(spec.Dataset.Inputs))
 	for i, in := range spec.Dataset.Inputs {
 		if err := ctx.Err(); err != nil {
@@ -503,13 +510,13 @@ func goldenOutputs(ctx context.Context, spec Spec) ([][]int, error) {
 	return out, nil
 }
 
-// runWorker pulls trials from trialIdx and runs them on its own model
-// replica. A worker never sinks the pool: trial failures (including
-// panics) are retried within the spec's budget and then reported as
-// classified failures, and a replica poisoned by a panic is replaced
+// runWorker pulls trials from trialIdx and runs them on its own replica of
+// base. A worker never sinks the pool: trial failures (including panics)
+// are retried within the spec's budget and then reported as classified
+// failures, and a replica poisoned by a panic is replaced by a fresh one
 // before the next attempt. The worker stops early only on context
 // cancellation — unreached trials are counted as Skipped by the caller.
-func runWorker(ctx context.Context, spec Spec, golden [][]int, forks *forkStore, trialIdx <-chan int, results chan<- trialResult) {
+func runWorker(ctx context.Context, spec Spec, base *model.Model, golden [][]int, forks *forkStore, trialIdx <-chan int, results chan<- trialResult) {
 	var r *trialRunner
 	budget := spec.retryBudget()
 	for idx := range trialIdx {
@@ -519,13 +526,7 @@ func runWorker(ctx context.Context, spec Spec, golden [][]int, forks *forkStore,
 		var terr *TrialError
 		for attempt := 0; attempt <= budget; attempt++ {
 			if r == nil || r.dirty {
-				nr, err := newTrialRunner(spec, golden, forks)
-				if err != nil {
-					r = nil
-					terr = &TrialError{Trial: idx, Kind: TrialModelError, Attempts: attempt + 1, Err: err}
-					continue
-				}
-				r = nr
+				r = newTrialRunner(spec, base, golden, forks)
 			}
 			var o trialOutcome
 			o, terr = r.runGuarded(ctx, idx)
@@ -606,12 +607,10 @@ type trialRunner struct {
 	dirty bool
 }
 
-func newTrialRunner(spec Spec, golden [][]int, forks *forkStore) (*trialRunner, error) {
-	m, err := model.New(spec.ModelCfg, spec.ModelSeed, spec.DType)
-	if err != nil {
-		return nil, err
-	}
-	r := &trialRunner{
+// newTrialRunner builds a runner over a fresh replica of base.
+func newTrialRunner(spec Spec, base *model.Model, golden [][]int, forks *forkStore) *trialRunner {
+	m := base.Replica()
+	return &trialRunner{
 		spec:   spec,
 		golden: golden,
 		forks:  forks,
@@ -622,7 +621,6 @@ func newTrialRunner(spec Spec, golden [][]int, forks *forkStore) (*trialRunner, 
 		ctl:    spec.protection(m),
 		outBuf: make([]int, 0, spec.Dataset.GenTokens),
 	}
-	return r, nil
 }
 
 // runGuarded is the per-trial fault-isolation boundary: it converts panics
@@ -694,10 +692,12 @@ func (r *trialRunner) runWithSite(ctx context.Context, idx int, site fault.Site)
 	inputIdx := idx % len(spec.Dataset.Inputs)
 	input := spec.Dataset.Inputs[inputIdx]
 	r.inj = fault.Injector{Site: site, DType: spec.DType, M: m}
-	// A weight-target trial corrupts the shared replica persistently — for
-	// exactly the duration of its own inference. Revert restores the flipped
-	// element afterwards (no-op for transient targets), so the next trial
-	// starts from clean weights without rebuilding the replica.
+	// A weight-target trial corrupts the worker's replica persistently — for
+	// exactly the duration of its own inference, and in the replica's own
+	// copy of the flipped matrix, never the weight set the other workers
+	// read. Revert restores the flipped element afterwards (no-op for
+	// transient targets), so the next trial starts from clean weights
+	// without rebuilding the replica.
 	defer r.inj.Revert()
 
 	var cp *forkPoint

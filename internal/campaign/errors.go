@@ -16,9 +16,6 @@ const (
 	// the trial observed no fault and must not be counted (a mis-planned
 	// site would otherwise bias the SDC estimate).
 	TrialInjectorNeverFired
-	// TrialModelError: the worker could not build (or rebuild) its model
-	// replica or protection state.
-	TrialModelError
 	// TrialTimeout: the per-trial watchdog saw no token progress within
 	// Spec.TrialTimeout and aborted the inference.
 	TrialTimeout
@@ -35,8 +32,6 @@ func (k TrialErrorKind) String() string {
 		return "panic"
 	case TrialInjectorNeverFired:
 		return "injector-never-fired"
-	case TrialModelError:
-		return "model-error"
 	case TrialTimeout:
 		return "timeout"
 	case trialCanceled:

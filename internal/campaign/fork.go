@@ -104,14 +104,11 @@ func (s Spec) checkpointStride() int {
 // one fault-free generation per input under the spec's protection method on
 // a dedicated replica. Returns nil when forking cannot help (NoFork set, or
 // no decode steps to skip into).
-func buildForkStore(ctx context.Context, spec Spec) (*forkStore, error) {
+func buildForkStore(ctx context.Context, spec Spec, base *model.Model) (*forkStore, error) {
 	if spec.NoFork || spec.Dataset.GenTokens < 2 {
 		return nil, nil
 	}
-	r, err := newTrialRunner(spec, nil, nil)
-	if err != nil {
-		return nil, err
-	}
+	r := newTrialRunner(spec, base, nil, nil)
 	m := r.m
 	n := spec.Dataset.GenTokens
 	fs := &forkStore{stride: spec.checkpointStride(), inputs: make([]inputFork, len(spec.Dataset.Inputs))}

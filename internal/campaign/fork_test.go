@@ -49,25 +49,20 @@ func TestForkTrialEquivalenceForcedSites(t *testing.T) {
 				for _, stride := range []int{1, 6} {
 					spec := familySpec(t, fam, method)
 					spec.CheckpointStride = stride
-					golden, err := goldenOutputs(context.Background(), spec)
+					base := model.MustNew(spec.ModelCfg, spec.ModelSeed, spec.DType)
+					golden, err := goldenOutputs(context.Background(), spec, base)
 					if err != nil {
 						t.Fatal(err)
 					}
-					forks, err := buildForkStore(context.Background(), spec)
+					forks, err := buildForkStore(context.Background(), spec, base)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if forks == nil {
 						t.Fatal("buildForkStore returned nil with forking enabled")
 					}
-					forked, err := newTrialRunner(spec, golden, forks)
-					if err != nil {
-						t.Fatal(err)
-					}
-					scratch, err := newTrialRunner(spec, golden, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
+					forked := newTrialRunner(spec, base, golden, forks)
+					scratch := newTrialRunner(spec, base, golden, nil)
 
 					last := spec.Dataset.GenTokens - 1
 					kind := spec.ModelCfg.Family.LayerKinds()[0]
@@ -207,10 +202,11 @@ func TestForkJournalCrossover(t *testing.T) {
 func TestForkStoreMemoryBound(t *testing.T) {
 	spec := baseSpec(t, arch.MethodNone)
 	n := spec.Dataset.GenTokens
+	base := model.MustNew(spec.ModelCfg, spec.ModelSeed, spec.DType)
 	var prev int
 	for _, stride := range []int{1, 4, 8} {
 		spec.CheckpointStride = stride
-		fs, err := buildForkStore(context.Background(), spec)
+		fs, err := buildForkStore(context.Background(), spec, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,13 +249,13 @@ func TestForkStoreMemoryBound(t *testing.T) {
 func TestBuildForkStoreDisabled(t *testing.T) {
 	spec := baseSpec(t, arch.MethodNone)
 	spec.NoFork = true
-	if fs, err := buildForkStore(context.Background(), spec); err != nil || fs != nil {
+	if fs, err := buildForkStore(context.Background(), spec, nil); err != nil || fs != nil {
 		t.Errorf("NoFork: store %v, err %v; want nil, nil", fs, err)
 	}
 	spec.NoFork = false
 	spec.Dataset.GenTokens = 1
 	spec.Dataset.AnswerLo, spec.Dataset.AnswerHi = 0, 1
-	if fs, err := buildForkStore(context.Background(), spec); err != nil || fs != nil {
+	if fs, err := buildForkStore(context.Background(), spec, nil); err != nil || fs != nil {
 		t.Errorf("GenTokens=1: store %v, err %v; want nil, nil", fs, err)
 	}
 }

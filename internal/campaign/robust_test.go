@@ -212,14 +212,12 @@ func TestChaosPanicLeavesNoHooks(t *testing.T) {
 	spec.TrialHook = func(trial int) model.Hook {
 		return func(hc model.HookCtx, _ *tensor.Tensor) { panic("chaos") }
 	}
-	golden, err := goldenOutputs(context.Background(), spec)
+	base := model.MustNew(spec.ModelCfg, spec.ModelSeed, spec.DType)
+	golden, err := goldenOutputs(context.Background(), spec, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := newTrialRunner(spec, golden, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newTrialRunner(spec, base, golden, nil)
 	_, terr := r.runGuarded(context.Background(), 3)
 	if terr == nil || terr.Kind != TrialPanic {
 		t.Fatalf("want TrialPanic, got %v", terr)

@@ -77,7 +77,7 @@ func (c Config) withDefaults() Config {
 const (
 	EvInject      = "inject"       // a fault was applied
 	EvScrubDetect = "scrub-detect" // a weight scrub found checksum corruption
-	EvRebuild     = "rebuild"      // a replica was rebuilt from seed
+	EvRebuild     = "rebuild"      // a replica was replaced by a fresh one over the pristine weights
 )
 
 // Event is one journaled chaos action.

@@ -349,6 +349,15 @@ func (f *FT2) DrainCounts() ExactCounts {
 // bounds after ResumeFork.
 func (f *FT2) Bounds() *protect.Store { return f.bounds }
 
+// RefSums returns the ABFT reference sums the controller checks against, or
+// nil when its policy has no abft tier.
+func (f *FT2) RefSums() *abft.RefSums {
+	if f.chk == nil {
+		return nil
+	}
+	return f.chk.Refs()
+}
+
 // ProtectedSiteCount returns how many concrete layer instances the clamp
 // covers on this model.
 func (f *FT2) ProtectedSiteCount() int {

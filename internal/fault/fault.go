@@ -25,7 +25,9 @@ const (
 	TargetActivation Target = iota
 	// TargetWeight flips bits in one stored weight element — a persistent
 	// fault that corrupts every subsequent use of that weight until
-	// reverted or the replica is rebuilt.
+	// reverted or the replica is rebuilt. It lands in the injector's model
+	// only: the first write copies the matrix out of the shared weight set
+	// (model.Model.Weight).
 	TargetWeight
 	// TargetKVCache flips bits in one resident KV-cache element of the live
 	// generation — a semi-persistent fault that skews attention for every

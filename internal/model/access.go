@@ -1,40 +1,43 @@
 package model
 
 import (
-	"fmt"
 	"math"
 
 	"ft2/internal/tensor"
 )
 
 // Raw-state accessors for the fault-injection and chaos subsystems. They
-// expose the weight matrices and KV slabs for controlled mutation — callers
-// own the synchronization (the chaos engine only mutates at scheduler slice
+// expose the weight matrices and KV slabs — ReadWeight and KVOwn for
+// reading, Weight and KVSlabs for controlled mutation. Both mutation paths
+// are copy-on-write: a context's matrices are its weight set's, shared with
+// every replica, until Weight copies one in, and a state's borrowed KV
+// prefix is the prefix cache's until KVSlabs copies it in. Callers own the
+// synchronization (the chaos engine only mutates at scheduler slice
 // boundaries, when no kernel is running on the replica).
 
 // Weight returns the weight matrix of the referenced linear layer (out×in,
-// PyTorch layout). It panics when the layer is absent from the family or the
-// block index is out of range — weight-fault planning is programmer-controlled.
+// PyTorch layout) for writing. The first call for a matrix the context
+// still shares copies it into the context: writes reach this context only,
+// never a sibling replica nor a later Replica. It panics when the layer is
+// absent from the family or the block index is out of range — weight-fault
+// planning is programmer-controlled.
 func (m *Model) Weight(ref LayerRef) *tensor.Tensor {
-	if ref.Block < 0 || ref.Block >= len(m.blocks) {
-		panic(fmt.Sprintf("model: Weight block %d out of range", ref.Block))
-	}
 	l := m.linearByRef(ref)
-	if l.w == nil {
-		panic(fmt.Sprintf("model: layer %v not present in family %v", ref, m.Cfg.Family))
+	if l.w == m.pristine[ref.Block].linear(ref.Kind).w {
+		l.w = l.w.Clone()
 	}
 	return l.w
 }
 
+// ReadWeight is Weight for reading: it returns the context's matrix — the
+// shared one unless a write privatized it — without copying. Callers must
+// not write it.
+func (m *Model) ReadWeight(ref LayerRef) *tensor.Tensor { return m.linearByRef(ref).w }
+
 // Bias returns the bias vector of the referenced linear layer, or nil when
 // the layer (or family) has none. The returned slice is the live parameter —
 // callers must treat it as read-only.
-func (m *Model) Bias(ref LayerRef) []float32 {
-	if ref.Block < 0 || ref.Block >= len(m.blocks) {
-		panic(fmt.Sprintf("model: Bias block %d out of range", ref.Block))
-	}
-	return m.linearByRef(ref).b
-}
+func (m *Model) Bias(ref LayerRef) []float32 { return m.linearByRef(ref).b }
 
 // State returns the active generation state (nil when none is attached).
 // Fault injectors use it to reach the KV slabs of the generation currently
@@ -82,7 +85,7 @@ func (m *Model) WeightChecksum() uint64 {
 		prime64  = 1099511628211
 	)
 	sum := uint64(offset64)
-	for _, w := range m.weightTensors() {
+	for _, w := range m.weightTensors(m.blocks) {
 		for _, v := range w.Data {
 			sum ^= uint64(math.Float32bits(v))
 			sum *= prime64

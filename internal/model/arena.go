@@ -8,8 +8,9 @@ import "ft2/internal/tensor"
 // model has run; buffers never shrink, so a pass no larger than an earlier
 // one allocates nothing.
 //
-// Ownership: the arena belongs to exactly one Model, and a Model is
-// documented single-goroutine (campaigns clone one model per worker), so no
+// Ownership: the arena belongs to exactly one Model — an execution context,
+// never shared between replicas — and a Model is documented
+// single-goroutine (campaigns run one replica per worker), so no
 // synchronization is needed. Tensors handed to forward hooks alias these
 // buffers — they are valid only for the duration of the hook call, and
 // hooks that want to keep activations must copy them (every in-tree hook

@@ -162,7 +162,8 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 	}
 	x.Quantize(m.DType)
 
-	for bIdx, blk := range m.blocks {
+	for bIdx := range m.blocks {
+		blk := &m.blocks[bIdx]
 		switch cfg.Family {
 		case FamilyGPTJ:
 			normed := m.applyNormInto(sc.normed, blk.ln1, x)

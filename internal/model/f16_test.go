@@ -14,7 +14,7 @@ import (
 func TestEnableF16WeightsRoundsAndRecalibrates(t *testing.T) {
 	cfg := smallCfg(FamilyOPT)
 	m := MustNew(cfg, 42, numerics.FP16)
-	ws := m.weightTensors()
+	ws := m.weightTensors(m.blocks)
 	listed := map[*tensor.Tensor]bool{}
 	for _, w := range ws {
 		listed[w] = true
@@ -22,7 +22,7 @@ func TestEnableF16WeightsRoundsAndRecalibrates(t *testing.T) {
 	want := []*tensor.Tensor{m.embed, m.posEmb}
 	for b := 0; b < cfg.Blocks; b++ {
 		for _, kind := range cfg.Family.LayerKinds() {
-			want = append(want, m.Weight(LayerRef{Block: b, Kind: kind}))
+			want = append(want, m.ReadWeight(LayerRef{Block: b, Kind: kind}))
 		}
 	}
 	for i, w := range want {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync/atomic"
 
 	"ft2/internal/numerics"
 	"ft2/internal/tensor"
@@ -29,23 +31,53 @@ type block struct {
 }
 
 // Model is an initialized decoder-only transformer ready for greedy
-// generation.
+// generation: an execution context over a read-only weight set.
 //
 // Concurrency contract: a Model is single-owner — exactly one goroutine may
 // drive Prefill/DecodeStep/Generate/Checkpoint/Restore at a time, and hook
-// registration belongs to that owner. Weights are written only during New,
-// so any number of replicas of the same (cfg, seed, dtype) may run
-// concurrently, and read-only artifacts (Snapshots, profiled bound stores)
-// may be shared across replicas. Subsystems that juggle more generations
-// than replicas (the campaign pool, the serving scheduler) time-slice
-// sessions onto replicas with Checkpoint/Restore, which is bit-exact.
+// registration belongs to that owner. Its weight set — embedding, blocks'
+// linears and norms, final norm, teacher, stream norm and rope table — is
+// built by New and shared by every Replica of the model, which may run
+// concurrently with it and each other. The set is never written once a
+// Replica exists (EnableF16Weights panics then): the one write path, Weight,
+// is copy-on-write — the first write to a matrix copies that matrix into the
+// writing context, so a fault flipped in one replica never reaches a
+// sibling, nor any later Replica. Read-only artifacts (Snapshots, profiled
+// bound stores, ABFT reference sums) may be shared across replicas too.
+// Subsystems that juggle more generations than replicas (the campaign pool,
+// the serving scheduler) time-slice sessions onto replicas with
+// Checkpoint/Restore, which is bit-exact.
 type Model struct {
-	Cfg    Config
-	DType  numerics.DType
-	embed  *tensor.Tensor // vocab × hidden (tied LM head)
-	posEmb *tensor.Tensor // maxSeq × hidden (OPT only)
-	blocks []*block
-	lnF    norm
+	Cfg   Config
+	DType numerics.DType
+	*weightSet
+
+	// blocks is this context's view of the set's blocks: copies of their
+	// headers, whose matrices are the set's until Weight privatizes one.
+	blocks []block
+
+	// hooks are the model-level forward hooks in registration order, with
+	// their removal handles in hookIDs; Prefill/PrefillChunk/DecodeStep hand
+	// them to the forward pass as the hook list of their single item.
+	hooks      []Hook
+	hookIDs    []HookHandle
+	nextHookID HookHandle
+
+	// st is the active generation state (see DecodeState); swapped per
+	// session by the serving scheduler, lazily allocated on first Prefill.
+	st *DecodeState
+
+	// scratch is the reusable forward-pass buffer arena; see arena.go.
+	scratch *arena
+}
+
+// weightSet is a model's parameters, shared read-only by every context
+// over it (see Model).
+type weightSet struct {
+	embed    *tensor.Tensor // vocab × hidden (tied LM head)
+	posEmb   *tensor.Tensor // maxSeq × hidden (OPT only)
+	pristine []block        // the blocks as New built them; contexts copy the headers
+	lnF      norm
 
 	// teacher is a seeded random cycle over the non-special token ids
 	// implementing the TeacherWeight next-token prior (see Config), and
@@ -61,21 +93,11 @@ type Model struct {
 	// binary16 grid (see weights.go).
 	weightsF16 bool
 
-	// hooks are the model-level forward hooks in registration order, with
-	// their removal handles in hookIDs; Prefill/PrefillChunk/DecodeStep hand
-	// them to the forward pass as the hook list of their single item.
-	hooks      []Hook
-	hookIDs    []HookHandle
-	nextHookID HookHandle
-
-	// st is the active generation state (see DecodeState); swapped per
-	// session by the serving scheduler, lazily allocated on first Prefill.
-	st *DecodeState
-
-	// rope caches the rotary sin/cos factors for non-OPT families.
+	// rope holds the rotary sin/cos factors for non-OPT families.
 	rope *tensor.RopeTable
-	// scratch is the reusable forward-pass buffer arena; see arena.go.
-	scratch *arena
+
+	// shared records that a Replica of the set exists.
+	shared atomic.Bool
 }
 
 // kvCache stores one block's accumulated key/value state in two contiguous
@@ -97,7 +119,7 @@ func New(cfg Config, seed int64, dtype numerics.DType) (*Model, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	m := &Model{Cfg: cfg, DType: dtype}
+	m := &Model{Cfg: cfg, DType: dtype, weightSet: &weightSet{}}
 	h := cfg.Hidden
 
 	m.embed = tensor.New(cfg.Vocab, h)
@@ -124,36 +146,20 @@ func New(cfg Config, seed int64, dtype numerics.DType) (*Model, error) {
 		m.posEmb.RandNormal(rng, 0.02)
 	}
 
-	for b := 0; b < cfg.Blocks; b++ {
-		blk := &block{}
+	m.pristine = make([]block, cfg.Blocks)
+	for b := range m.pristine {
+		blk := &m.pristine[b]
 		blk.ln1 = newNorm(cfg, h)
 		blk.ln2 = newNorm(cfg, h)
 		for _, kind := range cfg.Family.LayerKinds() {
-			l := m.initLinear(cfg, kind, rng)
-			switch kind {
-			case KProj:
-				blk.kProj = l
-			case QProj:
-				blk.qProj = l
-			case VProj:
-				blk.vProj = l
-			case OutProj:
-				blk.outProj = l
-			case FC1:
-				blk.fc1 = l
-			case FC2:
-				blk.fc2 = l
-			case GateProj:
-				blk.gateProj = l
-			case UpProj:
-				blk.upProj = l
-			case DownProj:
-				blk.downProj = l
-			}
+			*blk.linear(kind) = m.initLinear(cfg, kind, rng)
 		}
-		m.blocks = append(m.blocks, blk)
 	}
+	m.blocks = slices.Clone(m.pristine)
 	m.lnF = newNorm(cfg, h)
+	if cfg.Family != FamilyOPT {
+		m.rope = tensor.NewRopeTable(cfg.MaxSeq, cfg.HeadDim(), 10000)
+	}
 
 	// Teacher map over ids [4, vocab): a single random cycle, so there are
 	// no fixed points (no degenerate "x x x ..." generations), no special
@@ -171,6 +177,15 @@ func New(cfg Config, seed int64, dtype numerics.DType) (*Model, error) {
 
 	m.calibrateStreamNorm()
 	return m, nil
+}
+
+// Replica returns a new execution context over m's pristine weight set —
+// the weights New built, without any write a context made since — with no
+// hooks, generation state or scratch arena of its own yet. It is safe to
+// call while m or other replicas run.
+func (m *Model) Replica() *Model {
+	m.shared.Store(true)
+	return &Model{Cfg: m.Cfg, DType: m.DType, weightSet: m.weightSet, blocks: slices.Clone(m.pristine)}
 }
 
 // MustNew is New that panics on error, for tests and examples.
@@ -262,31 +277,43 @@ func (m *Model) initLinear(cfg Config, kind LayerKind, rng *rand.Rand) linear {
 	return l
 }
 
-// linearByRef resolves a layer reference to its parameters.
-func (m *Model) linearByRef(ref LayerRef) linear {
-	blk := m.blocks[ref.Block]
-	switch ref.Kind {
+// linear returns the block's parameters of the given layer kind.
+func (blk *block) linear(kind LayerKind) *linear {
+	switch kind {
 	case KProj:
-		return blk.kProj
+		return &blk.kProj
 	case QProj:
-		return blk.qProj
+		return &blk.qProj
 	case VProj:
-		return blk.vProj
+		return &blk.vProj
 	case OutProj:
-		return blk.outProj
+		return &blk.outProj
 	case FC1:
-		return blk.fc1
+		return &blk.fc1
 	case FC2:
-		return blk.fc2
+		return &blk.fc2
 	case GateProj:
-		return blk.gateProj
+		return &blk.gateProj
 	case UpProj:
-		return blk.upProj
+		return &blk.upProj
 	case DownProj:
-		return blk.downProj
+		return &blk.downProj
 	default:
 		panic("model: unknown layer kind")
 	}
+}
+
+// linearByRef resolves a layer reference to this context's parameters,
+// panicking on a block out of range or a layer absent from the family.
+func (m *Model) linearByRef(ref LayerRef) *linear {
+	if ref.Block < 0 || ref.Block >= len(m.blocks) {
+		panic(fmt.Sprintf("model: layer %v: block out of range", ref))
+	}
+	l := m.blocks[ref.Block].linear(ref.Kind)
+	if l.w == nil {
+		panic(fmt.Sprintf("model: layer %v not present in family %v", ref, m.Cfg.Family))
+	}
+	return l
 }
 
 // RecomputeLinear re-executes a linear layer on the given input and returns
@@ -300,14 +327,7 @@ func (m *Model) RecomputeLinear(ref LayerRef, x *tensor.Tensor) *tensor.Tensor {
 // scratch tensor (reshaped as needed), so redundant-execution protections
 // can run allocation-free on the decode hot path.
 func (m *Model) RecomputeLinearInto(out *tensor.Tensor, ref LayerRef, x *tensor.Tensor) *tensor.Tensor {
-	if ref.Block < 0 || ref.Block >= len(m.blocks) {
-		panic(fmt.Sprintf("model: RecomputeLinear block %d out of range", ref.Block))
-	}
-	l := m.linearByRef(ref)
-	if l.w == nil {
-		panic(fmt.Sprintf("model: layer %v not present in family %v", ref, m.Cfg.Family))
-	}
-	return m.linearInto(out, l, x)
+	return m.linearInto(out, *m.linearByRef(ref), x)
 }
 
 // linearInto computes the layer output into dst (resliced to fit) and passes
@@ -327,15 +347,12 @@ func (m *Model) applyNormInto(dst *tensor.Tensor, n norm, x *tensor.Tensor) *ten
 	return tensor.LayerNormInto(dst, x, n.gamma, n.beta, 1e-5)
 }
 
-// ensureRuntime lazily builds the shared forward-pass machinery (scratch
-// arena, rope table) without touching generation state, so batched decode
-// over caller-owned DecodeStates can prepare a freshly built model too.
+// ensureRuntime lazily builds the context's scratch arena without touching
+// generation state, so batched decode over caller-owned DecodeStates can
+// prepare a fresh context too.
 func (m *Model) ensureRuntime() {
 	if m.scratch == nil {
 		m.scratch = newArena(m.Cfg)
-	}
-	if m.rope == nil && m.Cfg.Family != FamilyOPT {
-		m.rope = tensor.NewRopeTable(m.Cfg.MaxSeq, m.Cfg.HeadDim(), 10000)
 	}
 }
 

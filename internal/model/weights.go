@@ -20,17 +20,23 @@ import (
 // Rounding the weights changes the model: it is a different (quantized)
 // parameterization, so the sane-stream-norm teacher calibration is re-run
 // against the rounded weights and any existing generation state is detached.
-// Call it right after New, before sessions, hooks, or snapshots exist;
-// it panics if hooks are registered (the calibration probe would fire
-// them). Idempotent.
+// Call it right after New, before replicas, sessions, hooks, or snapshots
+// exist; it panics once the weight set is shared (a Replica would see its
+// weights change under it) or hooks are registered (the calibration probe
+// would fire them). Idempotent.
 func (m *Model) EnableF16Weights() {
 	if m.weightsF16 {
 		return
 	}
+	if m.shared.Load() {
+		panic("model: EnableF16Weights on a weight set shared with replicas")
+	}
 	if len(m.hooks) > 0 {
 		panic("model: EnableF16Weights after hooks were registered")
 	}
-	for _, w := range m.weightTensors() {
+	// The set, and any matrix a write already privatized: rounding is
+	// idempotent, so the matrices both list are simply rounded twice.
+	for _, w := range append(m.weightTensors(m.pristine), m.weightTensors(m.blocks)...) {
 		w.Quantize(numerics.FP16)
 	}
 	m.weightsF16 = true
@@ -40,13 +46,14 @@ func (m *Model) EnableF16Weights() {
 // WeightsF16 reports whether EnableF16Weights has run.
 func (m *Model) WeightsF16() bool { return m.weightsF16 }
 
-// weightTensors enumerates every weight matrix.
-func (m *Model) weightTensors() []*tensor.Tensor {
+// weightTensors enumerates every weight matrix of the given view of the
+// blocks (the context's, or the set's pristine ones).
+func (m *Model) weightTensors(blocks []block) []*tensor.Tensor {
 	ws := []*tensor.Tensor{m.embed}
 	if m.posEmb != nil {
 		ws = append(ws, m.posEmb)
 	}
-	for _, blk := range m.blocks {
+	for _, blk := range blocks {
 		for _, l := range []linear{
 			blk.kProj, blk.qProj, blk.vProj, blk.outProj,
 			blk.fc1, blk.fc2,

@@ -180,15 +180,12 @@ func TestEvictedBorrowedEntryCollected(t *testing.T) {
 	srv := newTestServer(t, cfg)
 	sch, ctx := srv.sch, context.Background()
 	p := sch.pool
-	r, err := newReplica(p.cfg, p.seed, p.dtype, p.ft2Opts, p.f16, p.policy, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := p.rebuild(0)
 	base := testPrompts(t, 1)(0)
 	promptOf := func(i, n int) []int { // base's first token, then tokens of i's own
 		out := slices.Clone(base[:1])
 		for len(out) < n {
-			out = append(out, 4+(i*7+len(out))%(p.cfg.Vocab-4))
+			out = append(out, 4+(i*7+len(out))%(r.m.Cfg.Vocab-4))
 		}
 		return out
 	}

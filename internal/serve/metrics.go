@@ -79,6 +79,7 @@ type metrics struct {
 
 	tokenLat  *histogram // per-step latency, ms
 	queueLat  *histogram // admission → first slice, ms
+	ttft      *histogram // admission → first token, ms
 	reqLat    *histogram // admission → settled, ms
 	batchSize *histogram // sessions advanced per step (achieved batch)
 	fusedRows *histogram // activation rows per fused ForwardBatch call
@@ -95,6 +96,7 @@ func newMetrics() *metrics {
 		status:    make(map[int]int64),
 		tokenLat:  newHistogram(msBuckets),
 		queueLat:  newHistogram(msBuckets),
+		ttft:      newHistogram(msBuckets),
 		reqLat:    newHistogram(msBuckets),
 		batchSize: newHistogram(sizeBuckets),
 		fusedRows: newHistogram(sizeBuckets),
@@ -206,6 +208,7 @@ func (m *metrics) render(w io.Writer, modelName string, replicas, maxSessions, b
 	m.fusedRows.render(w, "ft2serve_fused_rows")
 	m.tokenLat.render(w, "ft2serve_token_latency_ms")
 	m.queueLat.render(w, "ft2serve_queue_latency_ms")
+	m.ttft.render(w, "ft2serve_ttft_ms")
 	m.reqLat.render(w, "ft2serve_request_latency_ms")
 
 	m.corrMu.Lock()

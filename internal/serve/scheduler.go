@@ -413,9 +413,10 @@ func (sch *scheduler) applyChaos(r *replica, g *group) {
 // server metrics, and a replica under persistent-corruption suspicion — chaos
 // marked it tainted, or the ABFT tier recomputed a mismatch that would not
 // repair (the signature of corrupted weights rather than a transient flip)
-// — is scrubbed against its build-time weight checksum and rebuilt from
-// seed when the scrub confirms. Sessions own their KV and fork state, so
-// they survive the rebuild untouched.
+// — is scrubbed against the pool's build-time weight checksum and replaced
+// by a fresh context over the pristine weight set when the scrub confirms.
+// Sessions own their KV and fork state, so they survive the rebuild
+// untouched.
 func (sch *scheduler) postSlice(r *replica) *replica {
 	var exact core.ExactCounts
 	for _, c := range r.ctls {
@@ -568,6 +569,7 @@ func (sch *scheduler) finishPrefill(r *replica, g *group, i, tok int) {
 	s.lastTok = tok
 	s.emit(tok)
 	sch.mx.tokensTotal.Add(1)
+	sch.mx.ttft.observe(msSince(s.admitted, time.Now()))
 	if f := g.ctls[i]; f != nil {
 		// The first-token bounds are complete once the final chunk ran;
 		// clone them out of the controller so other sessions' Resets cannot
@@ -762,16 +764,11 @@ func (sch *scheduler) finishInGroup(r *replica, g *group, i int, err error) {
 	sch.settle(s, err)
 }
 
-// replaceReplica swaps in a freshly built replica after a panic or a
-// confirmed weight corruption poisoned the current one; if the rebuild
-// fails the old one is kept.
+// replaceReplica swaps in a fresh replica after a panic or a confirmed
+// weight corruption poisoned the current one.
 func (sch *scheduler) replaceReplica(r *replica) *replica {
-	if nr, err := sch.pool.rebuild(r.slot); err == nil {
-		sch.mx.rebuilds.Add(1)
-		return nr
-	}
-	r.tainted = false
-	return r
+	sch.mx.rebuilds.Add(1)
+	return sch.pool.rebuild(r.slot)
 }
 
 // settle finishes a session: terminal result, stream close, bookkeeping,

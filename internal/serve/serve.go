@@ -4,9 +4,10 @@
 //
 // Architecture (DESIGN.md §10):
 //
-//   - A replica pool holds N independent model replicas of one zoo config
-//     (weights rebuilt per replica from the same seed, so they are
-//     bit-identical), each paired with a reusable FT2 controller.
+//   - A replica pool holds N execution contexts (model.Replica) over one
+//     weight set of one zoo config, built once and shared read-only, each
+//     paired with reusable FT2 controllers; a weight fault copies the one
+//     matrix it writes into its replica.
 //   - A continuous-batching scheduler admits requests through a bounded
 //     queue and multiplexes up to MaxSessions active sessions over the
 //     replicas: each worker gathers up to BatchMax ready sessions into a
@@ -90,9 +91,9 @@ type Config struct {
 	// scheduler slice boundaries, with detection, scrubbing, and replica
 	// rebuild wired into the slice loop. Nil disables chaos entirely.
 	Chaos *chaos.Config
-	// WeightsF16 rounds every replica's weight matrices onto the binary16
-	// grid (model.EnableF16Weights), the paper's FP16 models' weights. All
-	// replicas and the Oracle share the setting, so served tokens stay
+	// WeightsF16 rounds the pool's weight matrices onto the binary16 grid
+	// (model.EnableF16Weights, once, before any replica), the paper's FP16
+	// models' weights. All replicas and the Oracle share the setting, so served tokens stay
 	// bit-identical to it either way (TestServedMatchesOracleWithF16Weights).
 	WeightsF16 bool
 	// StepDelay inserts an artificial pause before every decode step — a

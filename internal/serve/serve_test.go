@@ -614,6 +614,8 @@ func TestHTTPEndpoints(t *testing.T) {
 		"ft2serve_token_latency_ms_count ",
 		`ft2serve_request_latency_ms_bucket{le="+Inf"} 2`,
 		"ft2serve_request_latency_ms_count 2",
+		`ft2serve_ttft_ms_bucket{le="0.05"} `,
+		"ft2serve_ttft_ms_count 2",
 		"ft2serve_draining 0",
 	} {
 		if !strings.Contains(buf.String(), want) {
