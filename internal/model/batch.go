@@ -148,7 +148,8 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 		rows += r
 	}
 
-	x := sc.x.Reuse(rows, cfg.Hidden)
+	sc.carve(rows)
+	x := &sc.x
 	for i := range items {
 		it := &items[i]
 		lo, pos := sc.itemLo[i], sc.itemPos[i]
@@ -166,16 +167,16 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 		blk := &m.blocks[bIdx]
 		switch cfg.Family {
 		case FamilyGPTJ:
-			normed := m.applyNormInto(sc.normed, blk.ln1, x)
+			normed := m.applyNormInto(&sc.normed, blk.ln1, x)
 			attn := m.attentionBatch(bIdx, blk, normed, items)
 			ffn := m.mlpBatch(bIdx, blk, normed, items)
 			tensor.AddInPlace(x, attn)
 			tensor.AddInPlace(x, ffn)
 		default:
-			normed := m.applyNormInto(sc.normed, blk.ln1, x)
+			normed := m.applyNormInto(&sc.normed, blk.ln1, x)
 			attn := m.attentionBatch(bIdx, blk, normed, items)
 			tensor.AddInPlace(x, attn)
-			normed2 := m.applyNormInto(sc.normed2, blk.ln2, x)
+			normed2 := m.applyNormInto(&sc.normed2, blk.ln2, x)
 			ffn := m.mlpBatch(bIdx, blk, normed2, items)
 			tensor.AddInPlace(x, ffn)
 		}
@@ -296,9 +297,9 @@ func (m *Model) attentionBatch(bIdx int, blk *block, x *tensor.Tensor, items []B
 	d := cfg.HeadDim()
 	sc := m.scratch
 
-	k := m.applyLinearBatch(sc.k, LayerRef{bIdx, KProj}, blk.kProj, x, items)
-	q := m.applyLinearBatch(sc.q, LayerRef{bIdx, QProj}, blk.qProj, x, items)
-	v := m.applyLinearBatch(sc.v, LayerRef{bIdx, VProj}, blk.vProj, x, items)
+	k := m.applyLinearBatch(&sc.k, LayerRef{bIdx, KProj}, blk.kProj, x, items)
+	q := m.applyLinearBatch(&sc.q, LayerRef{bIdx, QProj}, blk.qProj, x, items)
+	v := m.applyLinearBatch(&sc.v, LayerRef{bIdx, VProj}, blk.vProj, x, items)
 
 	if cfg.Family != FamilyOPT {
 		for i := range items {
@@ -335,11 +336,11 @@ func (m *Model) attentionBatch(bIdx int, blk *block, x *tensor.Tensor, items []B
 		sc.itemBase = append(sc.itemBase, base)
 	}
 
-	ctxOut := sc.ctx.Reuse(x.Rows, cfg.Hidden)
+	ctxOut := &sc.ctx
 	ctxOut.Zero()
 	m.attnUnits(items, bIdx, q, ctxOut)
 	ctxOut.Quantize(m.DType)
-	return m.applyLinearBatch(sc.attn, LayerRef{bIdx, OutProj}, blk.outProj, ctxOut, items)
+	return m.applyLinearBatch(&sc.attn, LayerRef{bIdx, OutProj}, blk.outProj, ctxOut, items)
 }
 
 // attnUnits runs every (item × head) unit of block bIdx's attention
@@ -389,19 +390,19 @@ func (m *Model) mlpBatch(bIdx int, blk *block, x *tensor.Tensor, items []BatchIt
 	sc := m.scratch
 	switch m.Cfg.Family {
 	case FamilyOPT, FamilyGPTJ:
-		h := m.applyLinearBatch(sc.ffnA, LayerRef{bIdx, FC1}, blk.fc1, x, items)
+		h := m.applyLinearBatch(&sc.ffnA, LayerRef{bIdx, FC1}, blk.fc1, x, items)
 		m.Cfg.Activation.Apply(h)
 		h.Quantize(m.DType)
 		m.runBatchHooks(LayerRef{bIdx, FC1}, SiteActivationOut, nil, h, items)
-		return m.applyLinearBatch(sc.ffnOut, LayerRef{bIdx, FC2}, blk.fc2, h, items)
+		return m.applyLinearBatch(&sc.ffnOut, LayerRef{bIdx, FC2}, blk.fc2, h, items)
 	case FamilyLlama:
-		gate := m.applyLinearBatch(sc.ffnA, LayerRef{bIdx, GateProj}, blk.gateProj, x, items)
-		up := m.applyLinearBatch(sc.ffnB, LayerRef{bIdx, UpProj}, blk.upProj, x, items)
+		gate := m.applyLinearBatch(&sc.ffnA, LayerRef{bIdx, GateProj}, blk.gateProj, x, items)
+		up := m.applyLinearBatch(&sc.ffnB, LayerRef{bIdx, UpProj}, blk.upProj, x, items)
 		m.Cfg.Activation.Apply(gate)
 		tensor.MulInPlace(gate, up)
 		gate.Quantize(m.DType)
 		m.runBatchHooks(LayerRef{bIdx, GateProj}, SiteActivationOut, nil, gate, items)
-		return m.applyLinearBatch(sc.ffnOut, LayerRef{bIdx, DownProj}, blk.downProj, gate, items)
+		return m.applyLinearBatch(&sc.ffnOut, LayerRef{bIdx, DownProj}, blk.downProj, gate, items)
 	default:
 		panic("model: unknown family")
 	}

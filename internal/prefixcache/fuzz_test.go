@@ -2,18 +2,21 @@ package prefixcache
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"testing"
 
 	"ft2/internal/model"
 	"ft2/internal/numerics"
 	"ft2/internal/protect"
+	"ft2/internal/tensor"
 )
 
 // livePrompt is the naive model's view of one cached prompt.
 type livePrompt struct {
 	prompt  []int
 	trail   bool
+	flat    *protect.Trail // the trail inserted, whole
 	nanFree bool
 	refs    int
 	e       *entry // the cache's entry, to follow which one a lookup picked
@@ -64,6 +67,13 @@ type heldRef struct {
 // counting them, and the release op first checks that the view still reads
 // the rows a cold snapshot holds; releasing twice is a no-op.
 //
+// Trails carry records: row r of a prompt records what a function of its
+// first r+1 tokens observes, as a prefill's rows would, and a NaN-tainted
+// prompt's last row a NaN. At every hit, Ref.Trail folds at Rows() exactly as
+// the whole trail inserted for that prompt does, and Stats.TrailBytes is the
+// records the charged prompts hold, each once: a prompt reading rows from a
+// base with a trail holds only the records of the rows past them.
+//
 // Each op is a header byte — bits 0-1: 0,1 insert, 2 lookup, 3 release the
 // oldest held ref; bits 2-3: insert flavour (bare, trail, NaN-tainted trail,
 // serves-no-one) or bit 2 lookup protected, bit 3 Depth only; bits 4-6:
@@ -112,6 +122,9 @@ func FuzzCacheOps(f *testing.F) {
 		0x40, 0, 1, 2, 3, 0xa0, 1, 1, 0xa8, 2, 2, 0x44, 0, 1, 2, 3,
 		0x62, 0, 1, 2, 3, 1, 0x70, 3, 3, 3, 3, 3, 3, 3, 0x03, 0x70, 2, 2, 2, 2, 2, 2, 2,
 	})
+	// Trails sharing trails: a prompt with a trail, two extending it, each
+	// reading its base's records; protected lookups at every depth.
+	f.Add([]byte{0x44, 0, 1, 2, 3, 0x94, 2, 0x94, 3, 0x56, 0, 1, 2, 3, 2, 0x66, 0, 1, 2, 3, 2, 3, 0x46, 0, 1, 2, 1})
 	// A chain: each prompt extends the last by one clean token.
 	f.Add([]byte{0x20, 0, 1, 0x90, 2, 0x90, 3, 0x90, 0, 0x90, 1, 0x90, 2, 0x70, 3, 3, 3, 3, 3, 3, 3})
 
@@ -170,7 +183,8 @@ func FuzzCacheOps(f *testing.F) {
 				nu := &livePrompt{prompt: prompt, trail: flavour == 1 || flavour == 2, nanFree: flavour <= 1, live: true}
 				var trail *protect.Trail
 				if nu.trail {
-					trail = new(protect.Trail)
+					trail = trailOf(prompt, !nu.nanFree)
+					nu.flat = trailOf(prompt, !nu.nanFree)
 				}
 				want := n >= 2 && (nu.trail || nu.nanFree)
 				var base, replaced *livePrompt
@@ -295,10 +309,18 @@ func FuzzCacheOps(f *testing.F) {
 				if i < 0 || !live[i].serves(protected) || MatchLen(live[i].prompt, prompt) < want {
 					t.Fatalf("Lookup(%v, %v) returned an entry that is evicted, ineligible or too short", prompt, protected)
 				}
+				l := live[i]
 				if protected && ref.Trail() == nil {
 					t.Fatalf("protected hit without a trail")
 				}
-				l := live[i]
+				if l.trail {
+					got, gotNaN := ref.Trail().At(ref.Rows())
+					want, wantNaN := l.flat.At(ref.Rows())
+					if !sameStore(got, want) || gotNaN != wantNaN {
+						t.Fatalf("Lookup(%v, %v): the hit's trail folds at %d rows to %d NaN %v, the inserted one to %d NaN %v",
+							prompt, protected, ref.Rows(), gotNaN, got, wantNaN, want)
+					}
+				}
 				l.refs++
 				touch(l)
 				held = append(held, heldRef{ref, l, ref.Snapshot()})
@@ -319,10 +341,22 @@ func FuzzCacheOps(f *testing.F) {
 			if st.Bytes != sum() || st.Entries != len(live) || st.Bytes > st.Budget || st.Held != len(held) {
 				t.Fatalf("stats %+v, model holds %d entries / %d bytes / %d refs", st, len(live), sum(), len(held))
 			}
+			var trailBytes int64
 			for _, l := range charged {
 				if l.e.bytes != own(l) {
 					t.Fatalf("%v is charged %d bytes, model says %d", l.prompt, l.e.bytes, own(l))
 				}
+				trailBytes += int64(l.e.trail.MemoryBytes())
+				from := 0
+				if l.base != nil && l.base.trail {
+					from = l.shared
+				}
+				if want := l.flat.Share(nil, from).MemoryBytes(); l.e.trail.MemoryBytes() != want {
+					t.Fatalf("%v holds %d bytes of trail records, want those of rows ≥ %d: %d", l.prompt, l.e.trail.MemoryBytes(), from, want)
+				}
+			}
+			if st.TrailBytes != trailBytes {
+				t.Fatalf("Stats.TrailBytes = %d, charged prompts hold %d", st.TrailBytes, trailBytes)
 			}
 		}
 
@@ -338,5 +372,32 @@ func FuzzCacheOps(f *testing.F) {
 		if held := c.Stats().Held; held != 0 {
 			t.Fatalf("Stats.Held = %d after every Ref was released", held)
 		}
+	})
+}
+
+// trailOf is the trail a prefill of prompt records: row r observes two values
+// that are a function of prompt[:r+1] alone, at one of two sites the same
+// function picks, and a tainted prompt's last row carries a NaN.
+func trailOf(prompt []int, tainted bool) *protect.Trail {
+	keys := [2]protect.SiteKey{
+		{Layer: model.LayerRef{Block: 0, Kind: model.VProj}},
+		{Layer: model.LayerRef{Block: 1, Kind: model.DownProj}},
+	}
+	tr, s, h := new(protect.Trail), protect.NewStore(), 0
+	for r, tok := range prompt {
+		h = h*5 + tok + 1
+		row := []float32{float32(h%7) - 3, float32(h%11) - 5}
+		if tainted && r == len(prompt)-1 {
+			row[1] = float32(math.NaN())
+		}
+		s.ObserveRows(keys[h%2], tensor.FromSlice(1, 2, row), r, true, tr)
+	}
+	return tr
+}
+
+func sameStore(a, b *protect.Store) bool {
+	ea, eb := a.SortedEntries(), b.SortedEntries()
+	return slices.EqualFunc(ea, eb, func(x, y protect.Entry) bool {
+		return x.Key == y.Key && math.Float32bits(x.Bounds.Lo) == math.Float32bits(y.Bounds.Lo) && math.Float32bits(x.Bounds.Hi) == math.Float32bits(y.Bounds.Hi)
 	})
 }

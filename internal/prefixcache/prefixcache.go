@@ -21,8 +21,11 @@
 // Snapshot.Share of the nanFree entry sharing its longest token prefix — its
 // base — when that at least halves the rows it owns. Bare KV rows are a pure
 // function of the token prefix, so the base's rows are the newcomer's; a
-// NaN-corrected prefill's are not, and it stays whole. Sixteen prompts behind
-// one system prompt hold that prompt once.
+// NaN-corrected prefill's are not, and it stays whole. The trail follows the
+// KV: a newcomer whose base carries one reads the records of the shared rows
+// from the base's trail (protect.Trail.Share) and holds only the rest.
+// Sixteen prompts behind one system prompt hold that prompt, its rows and its
+// records, once.
 //
 // Memory is bounded by a byte budget over the KV rows entries own, each row
 // charged once, with LRU eviction. Eviction is leaf-first: an entry another
@@ -78,7 +81,7 @@ type node struct {
 // snap and trail are immutable once inserted.
 type entry struct {
 	snap    *model.Snapshot
-	trail   *protect.Trail // nil when the prefill recorded none a protected session can use
+	trail   *protect.Trail // nil when none a protected session can use; rows [0,shared) read from base.trail, if it has one
 	nanFree bool           // prefill saw no NaN corrections
 	leaf    *node          // the node at the prompt's full depth
 	bytes   int64          // the KV rows snap owns: those past base's share
@@ -104,6 +107,7 @@ type Stats struct {
 	Entries                             int   // prompts in the tree
 	Held                                int   // Refs not yet released
 	Bytes, Budget                       int64 // Bytes: KV rows charged, each row once
+	TrailBytes                          int64 // bounds-trail records charged entries hold, each once
 }
 
 // Cache is the radix prefix cache. The zero value is unusable; call New.
@@ -114,6 +118,8 @@ type Cache struct {
 	bytes  int64
 	budget int64
 	held   int
+
+	trailBytes int64
 
 	hits, misses, insertions, evictions, hitRows int64
 }
@@ -244,8 +250,9 @@ func (c *Cache) Lookup(prompt []int, protected bool) *Ref {
 // Insert adds a completed prefill's prompt and its full-prompt snapshot to
 // the cache, reporting whether it was admitted. The cache takes ownership of
 // snap and trail — they must never be mutated afterwards — and keeps snap, or
-// a Share of it when a cached prompt holds its first rows. trail is the
-// prefill's complete bounds trail from row 0, nil when it has none a
+// a Share of it when a cached prompt holds its first rows, and a compact
+// Share of trail, reading from that prompt's trail when it has one. trail is
+// the prefill's complete bounds trail from row 0, nil when it has none a
 // protected session can use; nanFree says the KV is what an unprotected
 // prefill computes (no NaN corrected). An entry with neither serves no one and
 // is refused, as is one whose every lookup a cached longer prompt already
@@ -329,10 +336,15 @@ func (c *Cache) Insert(prompt []int, snap *model.Snapshot, trail *protect.Trail,
 			return false // a longer cached prompt answers every lookup e could
 		}
 	}
+	trailBase, k := (*protect.Trail)(nil), 0
 	if base != nil {
 		e.snap, e.base, e.shared = snap.Share(base.snap, shared), base, shared
 		base.readers++
+		if base.trail != nil {
+			trailBase, k = base.trail, shared
+		}
 	}
+	e.trail = trail.Share(trailBase, k) // only the records past the base's, in a compact array
 	leaf.own = e
 	if old != nil {
 		c.detachLocked(old) // re-points old's nodes at e, the leaf's new own
@@ -346,6 +358,7 @@ func (c *Cache) Insert(prompt []int, snap *model.Snapshot, trail *protect.Trail,
 	}
 	e.elem = c.lru.PushFront(e)
 	c.bytes += bytes
+	c.trailBytes += int64(e.trail.MemoryBytes())
 	c.insertions++
 	c.evictLocked(e)
 	return true
@@ -447,6 +460,7 @@ func (c *Cache) detachLocked(e *entry) {
 func (c *Cache) unchargeLocked(e *entry) {
 	for {
 		c.bytes -= e.bytes
+		c.trailBytes -= int64(e.trail.MemoryBytes())
 		b := e.base
 		if b == nil {
 			return
@@ -455,6 +469,16 @@ func (c *Cache) unchargeLocked(e *entry) {
 			return
 		}
 		e = b
+	}
+}
+
+// Clear detaches every entry, as evicting them all would: once the sessions
+// holding Refs settle, the cache holds no rows and no trail records.
+func (c *Cache) Clear() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.lru.Len() > 0 {
+		c.detachLocked(c.lru.Back().Value.(*entry))
 	}
 }
 
@@ -467,5 +491,6 @@ func (c *Cache) Stats() Stats {
 		Insertions: c.insertions, Evictions: c.evictions,
 		HitRows: c.hitRows,
 		Entries: c.lru.Len(), Held: c.held, Bytes: c.bytes, Budget: c.budget,
+		TrailBytes: c.trailBytes,
 	}
 }

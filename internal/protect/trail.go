@@ -1,8 +1,11 @@
 package protect
 
 import (
+	"fmt"
 	"math"
+	"unsafe"
 
+	"ft2/internal/model"
 	"ft2/internal/tensor"
 )
 
@@ -15,7 +18,15 @@ import (
 // is what lets a protected session resume a cached prefix at any row. A row
 // is recorded only when it widens, so a site contributes about 2·ln(rows)
 // records. A nil *Trail records nothing and folds to nothing.
+//
+// A trail may read its first rows from another: the records of rows
+// [0, from) are base's, and recs holds only those of rows ≥ from — how a
+// cached prompt holds only the records no prompt it extends already holds.
+// A base is never written through the trails that read it, and must stay
+// immutable while they live, as prefix-cache trails are.
 type Trail struct {
+	base *Trail
+	from int
 	recs []trailRec
 	// shared marks the backing array as visible through a Clone: the next
 	// Reset starts a new one instead of overwriting records a clone holds.
@@ -25,10 +36,24 @@ type Trail struct {
 // trailRec is a widening (nan == 0: row's finite range b at site key) or a
 // NaN correction (nan > 0 corrected on row; key and b unused).
 type trailRec struct {
-	row int
-	key SiteKey
+	row int32
+	key siteCode
 	b   Bounds
-	nan int
+	nan int32
+}
+
+// siteCode is a SiteKey packed into 32 bits: block, layer kind, site.
+type siteCode uint32
+
+func codeOf(k SiteKey) siteCode {
+	if uint(k.Layer.Block) > 0xffff || uint(k.Layer.Kind) > 0xff || uint(k.Site) > 0xff {
+		panic(fmt.Sprintf("protect: site %v/%v does not fit a trail record", k.Layer, k.Site))
+	}
+	return siteCode(k.Layer.Block)<<16 | siteCode(k.Layer.Kind)<<8 | siteCode(k.Site)
+}
+
+func (c siteCode) key() SiteKey {
+	return SiteKey{Layer: model.LayerRef{Block: int(c >> 16), Kind: model.LayerKind(c >> 8 & 0xff)}, Site: model.Site(c & 0xff)}
 }
 
 // Reset empties the trail, keeping its backing array unless a Clone shares it
@@ -38,42 +63,93 @@ func (t *Trail) Reset() {
 	if t.shared {
 		t.recs, t.shared = nil, false
 	}
-	t.recs = t.recs[:0]
+	t.base, t.from, t.recs = nil, 0, t.recs[:0]
 }
 
 // At folds the records of rows [0, d) into a fresh store and NaN count.
 func (t *Trail) At(d int) (*Store, int) {
 	s, nan := NewStore(), 0
-	if t == nil {
-		return s, 0
-	}
-	for _, r := range t.recs {
-		if r.row >= d {
-			continue
-		}
+	t.each(d, func(r trailRec) {
 		if r.nan > 0 {
-			nan += r.nan
-		} else if cur, ok := s.m[r.key]; ok {
-			s.m[r.key] = cur.Widen(r.b)
-		} else {
-			s.m[r.key] = r.b
+			nan += int(r.nan)
+			return
 		}
-	}
+		k := r.key.key()
+		if cur, ok := s.m[k]; ok {
+			r.b = cur.Widen(r.b)
+		}
+		s.m[k] = r.b
+	})
 	return s, nan
 }
 
-// Prefix returns an independent trail holding the records of rows [0, d).
+// each visits the records of rows [0, d) in the order they were recorded:
+// the base's, then the trail's own.
+func (t *Trail) each(d int, fn func(trailRec)) {
+	if t == nil {
+		return
+	}
+	if t.base != nil {
+		t.base.each(min(d, t.from), fn)
+	}
+	for _, r := range t.recs {
+		if int(r.row) < d {
+			fn(r)
+		}
+	}
+}
+
+// Prefix returns a read-only view of the records of rows [0, d) that copies
+// none: it reads them from t — or from the deepest trail t reads that holds
+// them all — which must stay immutable while the view lives. Records appended
+// to the view are its own.
 func (t *Trail) Prefix(d int) *Trail {
+	for t != nil && t.base != nil && d <= t.from {
+		t = t.base
+	}
 	if t == nil {
 		return nil
 	}
-	out := &Trail{recs: make([]trailRec, 0, len(t.recs))}
-	for _, r := range t.recs {
-		if r.row < d {
+	return &Trail{base: t, from: d}
+}
+
+// Share returns a trail that reads the records of rows [0, k) from base and
+// holds t's records of the rows past them, in an array of exactly their size;
+// Share(nil, 0) is a compact copy of t. base must record t's rows [0, k)
+// exactly — as trails of the same token prefix's bare rows do — and stay
+// immutable while the result lives. t is not modified.
+func (t *Trail) Share(base *Trail, k int) *Trail {
+	if t == nil {
+		return nil
+	}
+	for base != nil && base.base != nil && k <= base.from {
+		base = base.base
+	}
+	n := 0
+	t.each(math.MaxInt, func(r trailRec) {
+		if int(r.row) >= k {
+			n++
+		}
+	})
+	out := &Trail{recs: make([]trailRec, 0, n)}
+	if base != nil {
+		out.base, out.from = base, k
+	}
+	t.each(math.MaxInt, func(r trailRec) {
+		if int(r.row) >= k {
 			out.recs = append(out.recs, r)
 		}
-	}
+	})
 	return out
+}
+
+// MemoryBytes returns the bytes of the records the trail holds itself, not
+// counting those it reads from its base.
+func (t *Trail) MemoryBytes() int {
+	if t == nil {
+		return 0
+	}
+	return cap(t.recs) * int(unsafe.Sizeof(trailRec{}))
 }
 
 // Clone returns an independent trail of the records so far without copying
@@ -86,7 +162,7 @@ func (t *Trail) Clone() *Trail {
 	if !t.shared { // written once, by the appending owner; clones of clones only read it
 		t.shared = true
 	}
-	return &Trail{recs: t.recs[:len(t.recs):len(t.recs)], shared: true}
+	return &Trail{base: t.base, from: t.from, recs: t.recs[:len(t.recs):len(t.recs)], shared: true}
 }
 
 func (t *Trail) add(r trailRec) {
@@ -159,7 +235,7 @@ func (s *Store) observeRows(k SiteKey, out *tensor.Tensor, pos int, correctNaN b
 	for r := 0; r < out.Rows; r++ {
 		b, ok, n := finiteRange(out.Row(r), correctNaN)
 		if n > 0 && correctNaN {
-			tr.add(trailRec{row: pos + r, nan: n})
+			tr.add(trailRec{row: int32(pos + r), nan: int32(n)})
 		}
 		nan += n
 		if !ok || have && b.Lo >= cur.Lo && b.Hi <= cur.Hi {
@@ -171,7 +247,7 @@ func (s *Store) observeRows(k SiteKey, out *tensor.Tensor, pos int, correctNaN b
 			cur, have = b, true
 		}
 		changed = true
-		tr.add(trailRec{row: pos + r, key: k, b: b})
+		tr.add(trailRec{row: int32(pos + r), key: codeOf(k), b: b})
 	}
 	if changed {
 		s.Set(k, cur)

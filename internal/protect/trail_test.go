@@ -2,9 +2,11 @@ package protect
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"ft2/internal/model"
 	"ft2/internal/tensor"
@@ -182,6 +184,109 @@ func FuzzObserveBareMatchesProtected(f *testing.F) {
 			if w := wantTr.recs[i]; r.row != w.row || r.key != w.key || r.nan != w.nan || !sameBounds(r.b, w.b) {
 				t.Fatalf("trail record %d: observe-only %+v, protected %+v", i, r, w)
 			}
+		}
+	})
+}
+
+// TestTrailRecordSize: a record is a row, a packed site key, its bounds and
+// a NaN count — at most 24 bytes — and the packed key unpacks to the site.
+func TestTrailRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(trailRec{}); n > 24 {
+		t.Fatalf("trailRec is %d bytes, want ≤ 24", n)
+	}
+	k := SiteKey{Layer: model.LayerRef{Block: 0xffff, Kind: model.LayerKind(model.NumLayerKinds - 1)}, Site: model.SiteActivationOut}
+	if got := codeOf(k).key(); got != k {
+		t.Fatalf("site %+v packs back to %+v", k, got)
+	}
+}
+
+// FuzzTrailShare: a trail observed from rows decoded from the input (first
+// byte: rows; second: columns; third: how many Shares to chain, 1-3, then one
+// depth byte each; then one byte per value — 0x80 a NaN, 0x7f +Inf, anything
+// else a small float — whose low bit, on a row's first value, picks one of
+// two sites) folds at every depth exactly as the same records chained through
+// Shares at the decoded depths, as a Clone of the chain, as a Prefix view of
+// it, and as a Prefix view extended by observing the rows past its depth — the
+// way a session resumes a cached prompt. A Prefix view holds no records, and a
+// Share holds only those of the rows past its depth.
+func FuzzTrailShare(f *testing.F) {
+	f.Add([]byte{6, 2, 1, 3, 1, 2, 3, 0x80, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{9, 1, 3, 2, 5, 7, 0x10, 0x81, 0x80, 0x20, 0xf0, 0x7f, 0, 3, 0x40})
+	f.Add([]byte{12, 3, 2, 12, 0, 1, 0xfe, 0x80, 0x80, 0x80, 2, 4, 6, 8, 0x81, 0x7f})
+	keys := [2]SiteKey{
+		{Layer: model.LayerRef{Block: 1, Kind: model.VProj}, Site: model.SiteLinearOut},
+		{Layer: model.LayerRef{Block: 3, Kind: model.GateProj}, Site: model.SiteActivationOut},
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 4 {
+			return
+		}
+		rows, cols, links := 1+int(b[0])%16, 1+int(b[1])%3, 1+int(b[2])%3
+		if len(b) < 3+links+1 {
+			return
+		}
+		depths := make([]int, links)
+		for i := range depths {
+			depths[i] = int(b[3+i]) % (rows + 1)
+		}
+		data := b[3+links:]
+		vals := make([]float32, rows*cols)
+		for i := range vals {
+			switch v := data[i%len(data)]; v {
+			case 0x80:
+				vals[i] = float32(math.NaN())
+			case 0x7f:
+				vals[i] = float32(math.Inf(1))
+			default:
+				vals[i] = float32(int8(v)) / 16
+			}
+		}
+		// observe records rows [from, rows) into tr, resuming store s.
+		observe := func(s *Store, tr *Trail, from int) {
+			for r := from; r < rows; r++ {
+				row := append([]float32(nil), vals[r*cols:(r+1)*cols]...)
+				s.ObserveRows(keys[data[r*cols%len(data)]&1], tensor.FromSlice(1, cols, row), r, true, tr)
+			}
+		}
+		flat := new(Trail)
+		observe(NewStore(), flat, 0)
+		same := func(what string, tr *Trail, depth func(int) int) {
+			t.Helper()
+			for d := 0; d <= rows+1; d++ {
+				got, gotNaN := tr.At(d)
+				want, wantNaN := flat.At(depth(d))
+				if !sameBits(got, want) || gotNaN != wantNaN {
+					t.Fatalf("%s: At(%d) = %d NaN %v, flat trail folds to %d NaN %v", what, d, gotNaN, got, wantNaN, want)
+				}
+			}
+		}
+		whole := func(d int) int { return d }
+
+		chain := flat.Share(nil, 0)
+		same("compact copy", chain, whole)
+		for _, k := range depths {
+			chain = flat.Share(chain, k)
+			same(fmt.Sprintf("Share at %d", k), chain, whole)
+			own := 0
+			flat.each(math.MaxInt, func(r trailRec) {
+				if int(r.row) >= k {
+					own++
+				}
+			})
+			if want := own * int(unsafe.Sizeof(trailRec{})); chain.MemoryBytes() != want {
+				t.Fatalf("Share at %d holds %d bytes of records, want the %d rows past it: %d", k, chain.MemoryBytes(), own, want)
+			}
+		}
+		same("Clone of the chain", chain.Clone(), whole)
+		for k := 0; k <= rows; k++ {
+			view := chain.Prefix(k)
+			if cap(view.recs) != 0 {
+				t.Fatalf("Prefix(%d) holds %d records", k, cap(view.recs))
+			}
+			same(fmt.Sprintf("Prefix(%d)", k), view, func(d int) int { return min(d, k) })
+			s, _ := view.At(k)
+			observe(s, view, k)
+			same(fmt.Sprintf("Prefix(%d) extended", k), view, whole)
 		}
 	})
 }

@@ -12,11 +12,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ft2/internal/serve"
 )
 
 // Config describes the cluster front-end.
@@ -92,8 +93,9 @@ type Router struct {
 	failures   atomic.Int64 // sessions that exhausted every worker
 	fetches    atomic.Int64 // checkpoint blobs fetched
 
-	latMu   sync.Mutex
-	migrLat []float64 // migration latencies, ms (bounded)
+	latMu    sync.Mutex
+	migrLat  []float64        // migration latencies, ms (bounded), for Stats
+	migrHist *serve.Histogram // every migration latency, ms, for /metrics
 
 	start  time.Time
 	stop   chan struct{}
@@ -110,10 +112,11 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("router: no workers configured")
 	}
 	rt := &Router{
-		cfg:   cfg,
-		ring:  newHashRing(cfg.Workers, cfg.Vnodes),
-		start: time.Now(),
-		stop:  make(chan struct{}),
+		cfg:      cfg,
+		ring:     newHashRing(cfg.Workers, cfg.Vnodes),
+		start:    time.Now(),
+		stop:     make(chan struct{}),
+		migrHist: serve.NewHistogram(serve.MSBuckets),
 	}
 	for _, u := range cfg.Workers {
 		rt.workers = append(rt.workers, &worker{url: strings.TrimRight(u, "/")})
@@ -247,19 +250,12 @@ func (rt *Router) Stats() Stats {
 }
 
 func (rt *Router) observeMigration(ms float64) {
+	rt.migrHist.Observe(ms)
 	rt.latMu.Lock()
 	if len(rt.migrLat) < 4096 {
 		rt.migrLat = append(rt.migrLat, ms)
 	}
 	rt.latMu.Unlock()
-}
-
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
 }
 
 // Handler returns the router's HTTP surface:
@@ -323,10 +319,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "ft2router_checkpoint_resumes_total %d\n", st.CheckpointResumes)
 	fmt.Fprintf(w, "ft2router_checkpoint_fetches_total %d\n", st.CheckpointFetches)
 	fmt.Fprintf(w, "ft2router_sessions_failed_total %d\n", st.Failures)
-	lat := append([]float64(nil), st.MigrationLatenciesM...)
-	sort.Float64s(lat)
-	fmt.Fprintf(w, "ft2router_migration_latency_ms{quantile=\"0.5\"} %.3f\n", quantile(lat, 0.5))
-	fmt.Fprintf(w, "ft2router_migration_latency_ms{quantile=\"0.99\"} %.3f\n", quantile(lat, 0.99))
+	rt.migrHist.Render(w, "ft2router_migration_latency_ms")
 	for _, wk := range rt.workers {
 		h := 0
 		if wk.healthy.Load() {

@@ -343,6 +343,11 @@ func TestMigrationCheckpointResume(t *testing.T) {
 	if len(st.MigrationLatenciesM) < 1 {
 		t.Fatal("no migration latency observed")
 	}
+	rec := httptest.NewRecorder()
+	c.rt.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if want := fmt.Sprintf("ft2router_migration_latency_ms_count %d\n", len(st.MigrationLatenciesM)); !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("metrics missing %q:\n%s", want, rec.Body.String())
+	}
 }
 
 // TestSessionIDsEscapedInExportURL puts sessions whose ids differ only in
@@ -718,7 +723,10 @@ func TestRouterMetricsAndHealth(t *testing.T) {
 	for _, want := range []string{
 		"ft2router_workers 2", "ft2router_workers_healthy 2",
 		"ft2router_sessions_total", "ft2router_migrations_total",
-		"ft2router_migration_latency_ms",
+		`ft2router_migration_latency_ms_bucket{le="0.05"} 0`,
+		`ft2router_migration_latency_ms_bucket{le="+Inf"} 0`,
+		"ft2router_migration_latency_ms_sum 0",
+		"ft2router_migration_latency_ms_count 0",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)

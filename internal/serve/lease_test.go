@@ -28,6 +28,8 @@ import (
 // session settled, and again after Shutdown, nothing is filled, the reserved
 // bytes are the pooled states' pitches, no state sits in the pool twice
 // (every lease was recycled once) and no prefix-cache Ref is still held.
+// Shutdown empties the prefix cache: no KV row and no trail record stays
+// charged.
 func TestKVGaugesConserved(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.MaxSessions = 2
@@ -150,6 +152,9 @@ func TestKVGaugesConserved(t *testing.T) {
 		}
 		return pooled
 	}
+	if ps := sch.prefix.Stats(); ps.TrailBytes == 0 {
+		t.Fatal("the cold prefill's entry holds no bounds-trail records")
+	}
 	// A settled session recycles its lease before it frees its slot.
 	for _, s := range sessions {
 		<-s.Done()
@@ -166,6 +171,9 @@ func TestKVGaugesConserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	conserved("after Shutdown")
+	if ps := sch.prefix.Stats(); ps.Entries != 0 || ps.Bytes != 0 || ps.TrailBytes != 0 {
+		t.Fatalf("after Shutdown: prefix cache holds %d entries, %d KV bytes, %d trail bytes; want 0", ps.Entries, ps.Bytes, ps.TrailBytes)
+	}
 }
 
 // TestEvictedBorrowedEntryCollected: a prefix-cache entry evicted while a

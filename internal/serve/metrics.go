@@ -77,29 +77,29 @@ type metrics struct {
 	sessSpilled  atomic.Int64
 	sessRestored atomic.Int64
 
-	tokenLat  *histogram // per-step latency, ms
-	queueLat  *histogram // admission → first slice, ms
-	ttft      *histogram // admission → first token, ms
-	reqLat    *histogram // admission → settled, ms
-	batchSize *histogram // sessions advanced per step (achieved batch)
-	fusedRows *histogram // activation rows per fused ForwardBatch call
+	tokenLat  *Histogram // per-step latency, ms
+	queueLat  *Histogram // admission → first slice, ms
+	ttft      *Histogram // admission → first token, ms
+	reqLat    *Histogram // admission → settled, ms
+	batchSize *Histogram // sessions advanced per step (achieved batch)
+	fusedRows *Histogram // activation rows per fused ForwardBatch call
 }
 
-// The histograms' upper bucket bounds: milliseconds for latencies, powers of
-// two for batch shapes.
-var msBuckets = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000, math.Inf(1)}
+// The histograms' upper bucket bounds: milliseconds for latencies (the
+// router's too), powers of two for batch shapes.
+var MSBuckets = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000, math.Inf(1)}
 var sizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, math.Inf(1)}
 
 func newMetrics() *metrics {
 	return &metrics{
 		start:     time.Now(),
 		status:    make(map[int]int64),
-		tokenLat:  newHistogram(msBuckets),
-		queueLat:  newHistogram(msBuckets),
-		ttft:      newHistogram(msBuckets),
-		reqLat:    newHistogram(msBuckets),
-		batchSize: newHistogram(sizeBuckets),
-		fusedRows: newHistogram(sizeBuckets),
+		tokenLat:  NewHistogram(MSBuckets),
+		queueLat:  NewHistogram(MSBuckets),
+		ttft:      NewHistogram(MSBuckets),
+		reqLat:    NewHistogram(MSBuckets),
+		batchSize: NewHistogram(sizeBuckets),
+		fusedRows: NewHistogram(sizeBuckets),
 	}
 }
 
@@ -130,31 +130,33 @@ func (m *metrics) addCorrections(st, base core.ForkState) {
 	m.corrMu.Unlock()
 }
 
-// histogram is a cumulative fixed-bucket distribution over every
+// Histogram is a cumulative fixed-bucket distribution over every
 // observation since start, in the Prometheus form: a count per upper bound,
 // the sum and the count. Its memory is fixed, and a scrape sorts nothing.
-type histogram struct {
+type Histogram struct {
 	bounds []float64 // ascending, the last +Inf
 	mu     sync.Mutex
 	counts []int64 // per bucket, not cumulative
 	sum    float64
 }
 
-func newHistogram(bounds []float64) *histogram {
-	return &histogram{bounds: bounds, counts: make([]int64, len(bounds))}
+// NewHistogram returns an empty histogram over bounds (ascending, the last +Inf).
+func NewHistogram(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]int64, len(bounds))}
 }
 
-func (h *histogram) observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // the first bound ≥ v
+// Observe counts v in the first bucket whose bound is ≥ v.
+func (h *Histogram) Observe(v float64) {
+	i := sort.SearchFloat64s(h.bounds, v)
 	h.mu.Lock()
 	h.counts[i]++
 	h.sum += v
 	h.mu.Unlock()
 }
 
-// render writes the histogram as name_bucket{le=…}, name_sum and name_count,
+// Render writes the histogram as name_bucket{le=…}, name_sum and name_count,
 // from a copy: observers never wait on the writer.
-func (h *histogram) render(w io.Writer, name string) {
+func (h *Histogram) Render(w io.Writer, name string) {
 	h.mu.Lock()
 	counts, sum := slices.Clone(h.counts), h.sum
 	h.mu.Unlock()
@@ -201,15 +203,15 @@ func (m *metrics) render(w io.Writer, modelName string, replicas, maxSessions, b
 		fmt.Fprintf(w, "ft2serve_tokens_per_sec %.2f\n", float64(tokens)/uptime)
 	}
 	fmt.Fprintf(w, "ft2serve_batched_steps_total %d\n", m.batchSteps.Load())
-	m.batchSize.render(w, "ft2serve_batch_size")
+	m.batchSize.Render(w, "ft2serve_batch_size")
 	fmt.Fprintf(w, "ft2serve_fused_forwards_total %d\n", m.fusedForwards.Load())
 	fmt.Fprintf(w, "ft2serve_prefill_fused_rows_total %d\n", m.fusedPrefillRows.Load())
 	fmt.Fprintf(w, "ft2serve_decode_fused_rows_total %d\n", m.fusedDecodeRows.Load())
-	m.fusedRows.render(w, "ft2serve_fused_rows")
-	m.tokenLat.render(w, "ft2serve_token_latency_ms")
-	m.queueLat.render(w, "ft2serve_queue_latency_ms")
-	m.ttft.render(w, "ft2serve_ttft_ms")
-	m.reqLat.render(w, "ft2serve_request_latency_ms")
+	m.fusedRows.Render(w, "ft2serve_fused_rows")
+	m.tokenLat.Render(w, "ft2serve_token_latency_ms")
+	m.queueLat.Render(w, "ft2serve_queue_latency_ms")
+	m.ttft.Render(w, "ft2serve_ttft_ms")
+	m.reqLat.Render(w, "ft2serve_request_latency_ms")
 
 	m.corrMu.Lock()
 	for k, c := range m.corrByKind {
@@ -245,6 +247,7 @@ func (m *metrics) render(w io.Writer, modelName string, replicas, maxSessions, b
 		fmt.Fprintf(w, "ft2serve_prefix_entries %d\n", prefixS.Entries)
 		fmt.Fprintf(w, "ft2serve_prefix_refs_held %d\n", prefixS.Held)
 		fmt.Fprintf(w, "ft2serve_prefix_bytes %d\n", prefixS.Bytes)
+		fmt.Fprintf(w, "ft2serve_prefix_trail_bytes %d\n", prefixS.TrailBytes)
 		fmt.Fprintf(w, "ft2serve_prefix_budget_bytes %d\n", prefixS.Budget)
 	}
 	fmt.Fprintf(w, "ft2serve_kv_reserved_bytes %d\n", m.kvReserved.Load())

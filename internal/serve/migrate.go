@@ -102,7 +102,7 @@ func (sch *scheduler) adoptGuarded(r *replica, s *Session) (err error) {
 	s.lastExport = s.adoptSnap.NextStep()
 	s.started, s.prefillStarted = true, true
 	s.startAt = time.Now()
-	sch.mx.queueLat.observe(msSince(s.admitted, s.startAt))
+	sch.mx.queueLat.Observe(msSince(s.admitted, s.startAt))
 	if s.adoptFT != nil {
 		// The arriving counters are cumulative across the session's whole
 		// life (the response must match the single-process oracle); corrBase

@@ -314,3 +314,23 @@ func TestPrefixMetricsExposed(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedPromptTrailHeldOnce: prompts behind one system prompt hold that
+// prompt's bounds-trail records once. The first prompt's entry holds its
+// whole trail; every later one reads the system prompt's records from it and
+// holds only those of its own rows — so sixteen entries hold less than four
+// times the first one's records, where a whole trail each would be about
+// sixteen times them — and every hit still matches the oracle.
+func TestSharedPromptTrailHeldOnce(t *testing.T) {
+	srv := newTestServer(t, prefixConfig(t))
+	spec := SharedPrefixLoad(1, 16, 4, 48, 0.75, 5, true)
+	first := spec
+	first.Requests = 1
+	runSharedPrefix(t, srv, first, "first")
+	one := srv.sch.prefix.Stats().TrailBytes
+	runSharedPrefix(t, srv, spec, "all")
+	st := srv.sch.prefix.Stats()
+	if one == 0 || st.Entries != 16 || st.TrailBytes >= 4*one {
+		t.Fatalf("the first entry holds %d trail bytes, %d entries hold %d; want < %d", one, st.Entries, st.TrailBytes, 4*one)
+	}
+}

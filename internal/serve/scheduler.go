@@ -524,7 +524,7 @@ func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
 	defer m.SwapState(prev)
 	s.prefillStarted = true
 	s.startAt = time.Now()
-	sch.mx.queueLat.observe(msSince(s.admitted, s.startAt))
+	sch.mx.queueLat.Observe(msSince(s.admitted, s.startAt))
 	sch.mx.promptTokens.Add(int64(len(s.prompt)))
 	m.BeginPrefill(len(s.prompt))
 	if sch.prefix != nil {
@@ -539,7 +539,7 @@ func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
 		s.observe = s.insert && !s.req.Protected && (s.hitRows == 0 || trail != nil)
 		if trail != nil && (s.req.Protected || s.observe) { // always, for a protected hit
 			// Seed the fork state with the first-token profile of exactly the
-			// hitRows cached rows, and carry their trail records forward: the
+			// hitRows cached rows, and read their trail records in place: the
 			// session extends both as it observes the suffix — protected, or
 			// through the observe-only hook — so the entry it inserts has a
 			// complete trail from row 0.
@@ -569,7 +569,7 @@ func (sch *scheduler) finishPrefill(r *replica, g *group, i, tok int) {
 	s.lastTok = tok
 	s.emit(tok)
 	sch.mx.tokensTotal.Add(1)
-	sch.mx.ttft.observe(msSince(s.admitted, time.Now()))
+	sch.mx.ttft.Observe(msSince(s.admitted, time.Now()))
 	if f := g.ctls[i]; f != nil {
 		// The first-token bounds are complete once the final chunk ran;
 		// clone them out of the controller so other sessions' Resets cannot
@@ -688,10 +688,10 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 			sch.mx.fusedForwards.Add(1)
 			sch.mx.fusedPrefillRows.Add(int64(prefRows))
 			sch.mx.fusedDecodeRows.Add(int64(decRows))
-			sch.mx.fusedRows.observe(float64(rows))
+			sch.mx.fusedRows.Observe(float64(rows))
 		}
-		sch.mx.tokenLat.observe(msSince(t0, time.Now()))
-		sch.mx.batchSize.observe(float64(len(g.idx)))
+		sch.mx.tokenLat.Observe(msSince(t0, time.Now()))
+		sch.mx.batchSize.Observe(float64(len(g.idx)))
 		sch.mx.batchSteps.Add(1)
 
 		for n, i := range g.idx {
@@ -789,7 +789,7 @@ func (sch *scheduler) settle(s *Session, err error) {
 		status = errStatus(s.err)
 	}
 	sch.mx.incStatus(status)
-	sch.mx.reqLat.observe(msSince(s.admitted, time.Now()))
+	sch.mx.reqLat.Observe(msSince(s.admitted, time.Now()))
 	if s.req.Protected {
 		sch.mx.addCorrections(s.ftState, s.corrBase)
 	}
@@ -837,6 +837,9 @@ func (sch *scheduler) shutdown(ctx context.Context) error {
 	}
 	sch.closeOnce.Do(func() { close(sch.ready) })
 	sch.workers.Wait()
+	if sch.prefix != nil {
+		sch.prefix.Clear() // no session will hit it again
+	}
 	return err
 }
 

@@ -493,7 +493,9 @@ func TestGracefulDrain(t *testing.T) {
 // httptest server: generate (single and streaming), models, healthz,
 // metrics.
 func TestHTTPEndpoints(t *testing.T) {
-	srv := newTestServer(t, testConfig(t))
+	cfg := testConfig(t)
+	cfg.PrefixCacheMB = 8
+	srv := newTestServer(t, cfg)
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
@@ -617,6 +619,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		`ft2serve_ttft_ms_bucket{le="0.05"} `,
 		"ft2serve_ttft_ms_count 2",
 		"ft2serve_draining 0",
+		"ft2serve_prefix_trail_bytes ",
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, buf.String())
@@ -643,16 +646,16 @@ func TestHTTPEndpoints(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestHistogramCumulative: a histogram renders, per upper bound, the
+// TestHistogramCumulative: a Histogram renders, per upper bound, the
 // observations at or below it — one on a bound counts in that bound's
 // bucket — then +Inf's, the sum and the count.
 func TestHistogramCumulative(t *testing.T) {
-	h := newHistogram([]float64{1, 2.5, math.Inf(1)})
+	h := NewHistogram([]float64{1, 2.5, math.Inf(1)})
 	for _, v := range []float64{0.5, 1, 2, 7} {
-		h.observe(v)
+		h.Observe(v)
 	}
 	var b strings.Builder
-	h.render(&b, "x")
+	h.Render(&b, "x")
 	want := "x_bucket{le=\"1\"} 2\nx_bucket{le=\"2.5\"} 3\nx_bucket{le=\"+Inf\"} 4\nx_sum 10.5\nx_count 4\n"
 	if b.String() != want {
 		t.Fatalf("rendered\n%s\nwant\n%s", b.String(), want)

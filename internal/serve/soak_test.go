@@ -30,10 +30,10 @@ const (
 // activation faults — alongside exporting sessions whose checkpoints are
 // fetched while they decode. Between load rounds, with no request in
 // flight, it samples every soakEvery the goroutine count, the live heap
-// after a GC and ft2serve_kv_reserved_bytes, and fails when any of them
-// grew past soakSlack from the first post-warm-up third to the last — or
-// when ft2serve_prefix_refs_held, the prefix-cache hits sessions still
-// borrow, is not 0 once every session settled.
+// after a GC, ft2serve_kv_reserved_bytes and ft2serve_prefix_trail_bytes,
+// and fails when any of them grew past soakSlack from the first post-warm-up
+// third to the last — or when ft2serve_prefix_refs_held, the prefix-cache
+// hits sessions still borrow, is not 0 once every session settled.
 //
 // It is not part of make ci: run it with make soak.
 func TestSoak(t *testing.T) {
@@ -93,7 +93,7 @@ func TestSoak(t *testing.T) {
 		wg.Wait()
 	}
 
-	type sample struct{ goroutines, heap, kvReserved float64 }
+	type sample struct{ goroutines, heap, kvReserved, trailBytes float64 }
 	var samples []sample
 	last := time.Now()
 	for round, start := 0, time.Now(); time.Since(start) < soakDuration; round++ {
@@ -123,9 +123,9 @@ func TestSoak(t *testing.T) {
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		s := sample{float64(runtime.NumGoroutine()), float64(ms.HeapAlloc), float64(srv.mx.kvReserved.Load())}
+		s := sample{float64(runtime.NumGoroutine()), float64(ms.HeapAlloc), float64(srv.mx.kvReserved.Load()), float64(srv.sch.prefix.Stats().TrailBytes)}
 		samples = append(samples, s)
-		t.Logf("round %d: %.0f goroutines, heap %.2f MiB, KV reserved %.0f bytes", round, s.goroutines, s.heap/(1<<20), s.kvReserved)
+		t.Logf("round %d: %.0f goroutines, heap %.2f MiB, KV reserved %.0f bytes, prefix trails %.0f bytes", round, s.goroutines, s.heap/(1<<20), s.kvReserved, s.trailBytes)
 	}
 
 	ps := srv.sch.prefix.Stats()
@@ -152,6 +152,7 @@ func TestSoak(t *testing.T) {
 		{"goroutines", func(s sample) float64 { return s.goroutines }},
 		{"live heap", func(s sample) float64 { return s.heap }},
 		{"KV reserved bytes", func(s sample) float64 { return s.kvReserved }},
+		{"prefix trail bytes", func(s sample) float64 { return s.trailBytes }},
 	} {
 		first, end := median(post[:third], m.f), median(post[len(post)-third:], m.f)
 		if end > first*(1+soakSlack) {
