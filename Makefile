@@ -28,6 +28,7 @@ fuzz-smoke:
 	$(GO) test ./internal/tensor -run XXX -fuzz FuzzSoftmaxRow -fuzztime 10s
 	$(GO) test ./internal/tensor -run XXX -fuzz FuzzStrideSweeps -fuzztime 10s
 	$(GO) test ./internal/tensor -run XXX -fuzz FuzzMatMulT -fuzztime 10s
+	$(GO) test ./internal/model -run XXX -fuzz FuzzKVRowsChain -fuzztime 10s
 	$(GO) test ./internal/prefixcache -run XXX -fuzz FuzzCacheOps -fuzztime 10s
 	$(GO) test ./internal/campaign -run XXX -fuzz FuzzJournalLoad -fuzztime 10s
 	$(GO) test ./internal/wire -run XXX -fuzz FuzzDecodeSession -fuzztime 10s

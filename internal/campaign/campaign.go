@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -763,24 +764,36 @@ func (r *trialRunner) runWithSite(ctx context.Context, idx int, site fault.Site)
 	}, nil
 }
 
+// Divergence is one input's token-level fault-free differential: its
+// protected generation against the same model's unprotected one.
+type Divergence struct {
+	FirstStep   int     // the first step whose token differs; -1 when none does
+	LogitLInf   float64 // L∞ distance between the two runs' final-step logits
+	TeacherHits int     // unprotected tokens that are the teacher's next token for the one before
+}
+
 // FaultFreeCorrectness measures, without any fault injection, the fraction
 // of inputs whose protected generation is still (semantically) correct —
-// the Figure 3 experiment. bounds are the profiled bounds to protect with;
-// method selects the coverage; mode selects the out-of-bound correction
-// target (the paper's Figure 3 applies the existing clip-to-zero range
-// restriction, which is what makes misaligned bounds destructive).
+// the Figure 3 experiment — and each input's Divergence. bounds are the
+// profiled bounds to protect with; method selects the coverage; mode
+// selects the out-of-bound correction target (the paper's Figure 3 applies
+// the existing clip-to-zero range restriction, which is what makes
+// misaligned bounds destructive).
 func FaultFreeCorrectness(cfg model.Config, seed int64, d numerics.DType,
-	ds *data.Dataset, method arch.Method, bounds *protect.Store, mode protect.ClipMode) (stats.Proportion, protect.CorrectionStats, error) {
+	ds *data.Dataset, method arch.Method, bounds *protect.Store, mode protect.ClipMode) (stats.Proportion, protect.CorrectionStats, []Divergence, error) {
 
 	m, err := model.New(cfg, seed, d)
 	if err != nil {
-		return stats.Proportion{}, protect.CorrectionStats{}, err
+		return stats.Proportion{}, protect.CorrectionStats{}, nil, err
 	}
 	var p stats.Proportion
 	var corr protect.CorrectionStats
+	divs := make([]Divergence, 0, len(ds.Inputs))
+	var logits []float32
 	for _, in := range ds.Inputs {
 		m.ClearHooks()
 		golden := m.Generate(in.Prompt, ds.GenTokens)
+		logits = append(logits[:0], m.ReadoutLogits()...)
 
 		out := golden
 		if method != arch.MethodNone {
@@ -796,10 +809,25 @@ func FaultFreeCorrectness(cfg model.Config, seed int64, d numerics.DType,
 			corr.NaN += f.Stats().NaN
 			m.ClearHooks()
 		}
+		dv := Divergence{FirstStep: -1}
+		prev := in.Prompt[len(in.Prompt)-1]
+		for s, tok := range golden {
+			if tok != out[s] && dv.FirstStep < 0 {
+				dv.FirstStep = s
+			}
+			if tok == m.Teacher(prev) {
+				dv.TeacherHits++
+			}
+			prev = tok
+		}
+		for i, v := range m.ReadoutLogits() {
+			dv.LogitLInf = max(dv.LogitLInf, math.Abs(float64(v-logits[i])))
+		}
+		divs = append(divs, dv)
 		p.Trials++
 		if ds.IsMasked(golden, out) {
 			p.Successes++
 		}
 	}
-	return p, corr, nil
+	return p, corr, divs, nil
 }

@@ -218,7 +218,7 @@ func TestFaultFreeCorrectness(t *testing.T) {
 	ds := smallDataset(t)
 
 	// Unprotected fault-free runs are 100% correct by definition.
-	p, _, err := FaultFreeCorrectness(cfg, 42, numerics.FP16, ds, arch.MethodNone, nil, protect.ClipToBound)
+	p, _, _, err := FaultFreeCorrectness(cfg, 42, numerics.FP16, ds, arch.MethodNone, nil, protect.ClipToBound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestFaultFreeCorrectness(t *testing.T) {
 	}
 
 	// FT2 (scaled first-token bounds) must stay at 100%.
-	p, _, err = FaultFreeCorrectness(cfg, 42, numerics.FP16, ds, arch.MethodFT2, nil, protect.ClipToBound)
+	p, _, _, err = FaultFreeCorrectness(cfg, 42, numerics.FP16, ds, arch.MethodFT2, nil, protect.ClipToBound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestFaultFreeCorrectness(t *testing.T) {
 	// Bounds profiled on the *target* dataset must also be safe.
 	m := model.MustNew(cfg, 42, numerics.FP16)
 	own := protect.OfflineProfile(m, ds.Prompts(), ds.GenTokens)
-	p, _, err = FaultFreeCorrectness(cfg, 42, numerics.FP16, ds, arch.MethodFT2Offline, own, protect.ClipToBound)
+	p, _, _, err = FaultFreeCorrectness(cfg, 42, numerics.FP16, ds, arch.MethodFT2Offline, own, protect.ClipToBound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestFaultFreeCorrectnessAlternativeBoundsDegrade(t *testing.T) {
 	alt := data.MbppSim(4)
 	alt.GenTokens = 16
 	altBounds := protect.OfflineProfile(m, alt.Prompts(), alt.GenTokens)
-	p, _, err := FaultFreeCorrectness(cfg, 42, numerics.FP16, target, arch.MethodFT2Offline, altBounds, protect.ClipToZero)
+	p, _, _, err := FaultFreeCorrectness(cfg, 42, numerics.FP16, target, arch.MethodFT2Offline, altBounds, protect.ClipToZero)
 	if err != nil {
 		t.Fatal(err)
 	}

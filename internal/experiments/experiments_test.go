@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"ft2/internal/data"
 	"ft2/internal/model"
+	"ft2/internal/numerics"
 	"ft2/internal/report"
 )
 
@@ -40,7 +42,7 @@ func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
 	want := []string{"table1", "table2", "fig2", "fig3", "fig4", "fig6", "fig7",
 		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-		"fig16", "ablation-clip", "ablation-coverage", "ext-dmr", "ext-pareto"}
+		"fig16", "ablation-clip", "ablation-coverage", "ext-dmr", "ext-pareto", "ext-clean"}
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d drivers, want %d", len(reg), len(want))
 	}
@@ -152,6 +154,43 @@ func TestFig3Quick(t *testing.T) {
 	if tb.Rows[0][1] != "100.000" {
 		t.Errorf("unprotected fault-free correctness must be 100%%, got %s", tb.Rows[0][1])
 	}
+}
+
+// TestCleanDifferential holds FT2 to the unprotected model on fault-free
+// inputs, the one oracle that runs with protection off: at the zoo's γ = 4
+// it changes no generation, and at γ = 0 — no teacher prior, so a clean clip
+// can tip a near-tie — it changes at least one, which shows the differential
+// sees a divergence when there is one.
+func TestCleanDifferential(t *testing.T) {
+	p := Quick()
+	changed := map[float32]int{}
+	for _, pair := range [][2]string{{"llama2-7b-sim", "squad-sim"}, {"llama2-7b-sim", "xtreme-sim"}, {"qwen2-1.5b-sim", "xtreme-sim"}} {
+		cfg, err := model.ConfigByName(pair[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := data.ByName(pair[1], p.Inputs*4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, gamma := range []float32{0, 4} {
+			c, err := runCleanCell(p, cfg, ds, numerics.FP16, gamma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.gens != len(ds.Inputs) || c.tokens != len(ds.Inputs)*ds.GenTokens {
+				t.Fatalf("%v γ=%g: %d generations of %d tokens", pair, gamma, c.gens, c.tokens)
+			}
+			changed[gamma] += c.changed
+		}
+	}
+	if changed[4] != 0 {
+		t.Errorf("FT2 changed %d fault-free generations at the zoo's γ = 4, want 0", changed[4])
+	}
+	if changed[0] == 0 {
+		t.Error("FT2 changed no fault-free generation at γ = 0: the differential sees no divergence")
+	}
+	t.Logf("generations changed: γ=0 %d, γ=4 %d", changed[0], changed[4])
 }
 
 func TestFig8Quick(t *testing.T) {

@@ -112,6 +112,7 @@ func Registry() []Driver {
 		{"ablation-coverage", "Ablation: critical-only vs all-layer protection", AblationCoverage},
 		{"ext-dmr", "Extension: FT2 vs duplication in place (0%-SDC alternative)", ExtensionDMR},
 		{"ext-pareto", "Extension: five protection policies on the SDC-vs-overhead plane", ExtensionPareto},
+		{"ext-clean", "Extension: does FT2 change a clean answer? (fault-free differential vs unprotected)", ExtensionClean},
 	}
 }
 

@@ -39,6 +39,15 @@ func (m *Model) ReadWeight(ref LayerRef) *tensor.Tensor { return m.linearByRef(r
 // callers must treat it as read-only.
 func (m *Model) Bias(ref LayerRef) []float32 { return m.linearByRef(ref).b }
 
+// Teacher returns the token the TeacherWeight prior pushes the readout
+// toward after tok (see Config.TeacherWeight).
+func (m *Model) Teacher(tok int) int { return m.teacher[tok] }
+
+// ReadoutLogits returns the logits behind the token the most recent
+// Prefill/PrefillChunk/DecodeStep emitted. The slice aliases the scratch
+// arena and is valid until the next forward call; callers must not write it.
+func (m *Model) ReadoutLogits() []float32 { return m.scratch.logits.Row(0) }
+
 // State returns the active generation state (nil when none is attached).
 // Fault injectors use it to reach the KV slabs of the generation currently
 // executing on this model.
@@ -64,14 +73,15 @@ func (st *DecodeState) KVSlabs(block int) (k, v []float32, rows, pitch int) {
 	if st.shared > 0 {
 		st.repitch(min(st.shared+st.pitch, st.maxSeq), 0)
 	}
-	c := &st.kv[block]
-	return c.k, c.v, c.rows, st.pitch
+	span := st.heads * st.pitch * st.d
+	k, v = st.buf[2*block*span:], st.buf[(2*block+1)*span:]
+	return k[:span:span], v[:span:span], st.rows, st.pitch
 }
 
 // KVOwn returns the KV rows the state's slabs hold — its filled positions
 // less the ones it borrows — and their pitch: the state's KV memory.
 func (st *DecodeState) KVOwn() (rows, pitch int) {
-	return st.kv[0].rows - st.shared, st.pitch
+	return st.own(), st.pitch
 }
 
 // WeightChecksum returns a deterministic FNV-1a style hash over the raw bits

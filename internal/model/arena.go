@@ -49,13 +49,12 @@ type arena struct {
 	selfTok [1]int
 
 	// Batch layout of the current forward pass: per-item first fused
-	// row, row count, absolute start position, pre-append KV row count for
-	// the current block, and the indices of items emitting a token this
-	// call. Reused across calls.
+	// row, row count, absolute start position (the KV rows filled before
+	// the pass), and the indices of items emitting a token this call.
+	// Reused across calls.
 	itemLo   []int
 	itemRows []int
 	itemPos  []int
-	itemBase []int
 	emitIdx  []int
 
 	// attnScores is one (row, head) attention score row, MaxSeq floats.

@@ -142,6 +142,7 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 			}
 			st.repitch(grow-st.shared, st.shared)
 		}
+		st.rows = pos + r // filled once the pass wrote them into every block
 		sc.itemLo = append(sc.itemLo, rows)
 		sc.itemRows = append(sc.itemRows, r)
 		sc.itemPos = append(sc.itemPos, pos)
@@ -314,26 +315,21 @@ func (m *Model) attentionBatch(bIdx int, blk *block, x *tensor.Tensor, items []B
 		}
 	}
 
-	// Append each item's new K/V rows to its own head-blocked slabs (past
-	// any borrowed prefix), recording the pre-append row count: row r of the
-	// range attends causally to positions [0, base+r].
-	sc.itemBase = sc.itemBase[:0]
+	// Write each item's new K/V rows into its own lanes (past any borrowed
+	// prefix): row r of the range sits at position pos+r and attends
+	// causally to positions [0, pos+r].
+	kl, vl := 2*bIdx*cfg.Heads, (2*bIdx+1)*cfg.Heads
 	for i := range items {
 		st := items[i].State
-		cache := &st.kv[bIdx]
-		base := cache.rows
-		rows := sc.itemRows[i]
-		lo := sc.itemLo[i]
-		for r := 0; r < rows; r++ {
+		lo, pos := sc.itemLo[i], sc.itemPos[i]
+		for r := range sc.itemRows[i] {
 			krow, vrow := k.Row(lo+r), v.Row(lo+r)
 			for h := 0; h < cfg.Heads; h++ {
-				off := (h*st.pitch + base + r - st.shared) * d
-				copy(cache.k[off:off+d], krow[h*d:(h+1)*d])
-				copy(cache.v[off:off+d], vrow[h*d:(h+1)*d])
+				ko, vo := st.at(kl+h, pos+r), st.at(vl+h, pos+r)
+				copy(st.buf[ko:ko+d], krow[h*d:(h+1)*d])
+				copy(st.buf[vo:vo+d], vrow[h*d:(h+1)*d])
 			}
 		}
-		cache.rows += rows
-		sc.itemBase = append(sc.itemBase, base)
 	}
 
 	ctxOut := &sc.ctx
@@ -357,16 +353,17 @@ func (m *Model) attnUnits(items []BatchItem, bIdx int, q, ctxOut *tensor.Tensor)
 	d := cfg.HeadDim()
 	scale := float32(1 / math.Sqrt(float64(d)))
 	scores := sc.attnScores
+	kl, vl := 2*bIdx*cfg.Heads, (2*bIdx+1)*cfg.Heads // head 0's key and value lanes
 	for i := range items {
 		st := items[i].State
-		base, rows, rowLo := sc.itemBase[i], sc.itemRows[i], sc.itemLo[i]
+		pos, rows, rowLo := sc.itemPos[i], sc.itemRows[i], sc.itemLo[i]
 		for h := 0; h < cfg.Heads; h++ {
 			hd := h * d
 			for r := 0; r < rows; r++ {
 				qrow := q.Row(rowLo + r)[hd : hd+d]
-				limit := base + r + 1 // causal: attend to positions <= own
+				limit := pos + r + 1 // causal: attend to positions <= own
 				for lo := 0; lo < limit; {
-					kr, end := st.run(false, bIdx, h, lo, limit)
+					kr, end := st.run(kl+h, lo, limit)
 					tensor.DotStride(scores[lo:], qrow, kr, d, end-lo, scale)
 					lo = end
 				}
@@ -374,7 +371,7 @@ func (m *Model) attnUnits(items []BatchItem, bIdx int, q, ctxOut *tensor.Tensor)
 				if sum := tensor.SoftmaxRow(scores[:limit]); sum > 0 {
 					tensor.ScaleSlice(scores[:limit], 1/sum)
 					for lo := 0; lo < limit; {
-						vr, end := st.run(true, bIdx, h, lo, limit)
+						vr, end := st.run(vl+h, lo, limit)
 						tensor.AxpyStride(orow, vr, scores[lo:], d, end-lo)
 						lo = end
 					}

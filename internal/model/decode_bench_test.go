@@ -26,10 +26,7 @@ func BenchmarkDecodeStep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.DecodeStep(tok)
-				m.st.step = 0
-				for j := range m.st.kv {
-					m.st.kv[j].rows = len(prompt)
-				}
+				m.st.step, m.st.rows = 0, len(prompt)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tokens/s")

@@ -100,17 +100,6 @@ type weightSet struct {
 	shared atomic.Bool
 }
 
-// kvCache stores one block's accumulated key/value state in two contiguous
-// slabs of Heads×pitch×HeadDim floats, pitch being its DecodeState's (see
-// Reserve). The layout is head-blocked — element (head h, position p,
-// channel c) lives at (h*pitch+p)*HeadDim+c — so the attention inner loop
-// streams one head's keys/values as a single contiguous run instead of
-// hopping between per-position heap rows.
-type kvCache struct {
-	k, v []float32
-	rows int // positions filled so far
-}
-
 // New builds a model from cfg with seeded deterministic weights and the
 // given activation dtype. The same (cfg, seed) always yields identical
 // weights regardless of GOMAXPROCS.
@@ -420,7 +409,7 @@ func (m *Model) ResumePrefillPrefix(s *Snapshot) {
 		panic("model: ResumePrefillPrefix outside a just-begun prefill")
 	}
 	cfg := m.Cfg
-	if s.family != cfg.Family || s.blocks != cfg.Blocks || s.hidden != cfg.Hidden || s.maxSeq != cfg.MaxSeq || s.headDim != cfg.HeadDim() {
+	if s.arch != cfg.arch() {
 		panic(fmt.Sprintf("model: snapshot of a %s %d×%d/%d-seq model restored into %s",
 			s.family, s.blocks, s.hidden, s.maxSeq, cfg.Name))
 	}
@@ -430,10 +419,7 @@ func (m *Model) ResumePrefillPrefix(s *Snapshot) {
 	if s.rows == 0 {
 		return
 	}
-	st.base, st.shared = s, s.rows
-	for b := range st.kv {
-		st.kv[b].rows = s.rows
-	}
+	st.rows, st.base, st.shared = s.rows, &s.kvRows, s.rows
 	st.prefillPos = s.rows
 }
 

@@ -35,14 +35,12 @@ func chunkedPrefill(m *Model, prompt []int, chunk int) int {
 
 // kvEqual compares two snapshots' KV payloads bit-for-bit.
 func kvEqual(a, b *Snapshot) bool {
-	if a.rows != b.rows || len(a.k) != len(b.k) {
+	if a.rows != b.rows || len(a.buf) != len(b.buf) {
 		return false
 	}
-	for blk := range a.k {
-		for i := range a.k[blk] {
-			if a.k[blk][i] != b.k[blk][i] || a.v[blk][i] != b.v[blk][i] {
-				return false
-			}
+	for i := range a.buf {
+		if a.buf[i] != b.buf[i] {
+			return false
 		}
 	}
 	return true

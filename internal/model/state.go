@@ -16,28 +16,22 @@ import "fmt"
 // without the copy).
 type DecodeState struct {
 	// identity of the allocating model's architecture, checked on swap
-	blocks, heads, headDim, maxSeq int
+	blocks, heads, maxSeq int
 
-	// pitch is the number of positions per head the KV slabs hold: element
-	// (head h, position p, channel c) of a block lives at
-	// (h*pitch+p-shared)*headDim + c. It starts at 0, grows by Reserve or
-	// when a forward pass writes a row past it, and never shrinks, so a
-	// recycled state keeps its slabs.
-	pitch int
-
-	// Positions [0,shared) are borrowed: read in place from base, an
-	// immutable snapshot (a prefix-cache entry's Prefix view) the state
-	// never writes, and the slabs hold only the rows from shared on.
+	// kvRows holds the KV rows filled so far, head h of block b at lanes
+	// 2b·heads+h (keys) and (2b+1)·heads+h (values). Its pitch starts at 0,
+	// grows by Reserve or when a forward pass writes a row past it, and
+	// never shrinks, so a recycled state keeps its slabs. Rows [0,shared)
+	// are borrowed: read in place from base, an immutable snapshot's rows (a
+	// prefix-cache entry's Prefix view) the state never writes.
 	// ResumePrefillPrefix sets them; Reset, Restore and KVSlabs (which
 	// copies the borrowed rows in first) drop them.
-	base   *Snapshot
-	shared int
+	kvRows
 
 	step           int
 	promptLen      int
 	lastTok        int
 	lastStreamNorm float32
-	kv             []kvCache
 
 	// prefillPos is the chunked-prefill cursor: how many prompt rows have
 	// been processed so far. A state is mid-prefill while 0 < prefillPos <
@@ -53,10 +47,7 @@ type DecodeState struct {
 // generation's horizon reserves that first.
 func (m *Model) NewDecodeState() *DecodeState {
 	cfg := m.Cfg
-	return &DecodeState{
-		blocks: cfg.Blocks, heads: cfg.Heads, headDim: cfg.HeadDim(), maxSeq: cfg.MaxSeq,
-		kv: make([]kvCache, cfg.Blocks),
-	}
+	return &DecodeState{blocks: cfg.Blocks, heads: cfg.Heads, maxSeq: cfg.MaxSeq, kvRows: cfg.arch().kv()}
 }
 
 // Reserve makes the state hold at least rows positions per head, borrowed
@@ -73,61 +64,18 @@ func (st *DecodeState) Reserve(rows int) {
 	}
 }
 
-// repitch moves the slabs of every block into one fresh buffer at the given
-// pitch, copying each head's filled rows from position from on — the
-// borrowed ones too when from is below shared, which ends the borrow. The
-// old slabs are left as they were: a View taken before the move still reads
-// them, and no forward pass writes them again.
+// repitch moves the slabs into one fresh buffer at the given pitch, copying
+// each lane's filled rows from position from on — the borrowed ones too when
+// from is 0, which ends the borrow. The old buffer is left as it was: a View
+// taken before the move still reads it, and no forward pass writes it again.
 func (st *DecodeState) repitch(pitch, from int) {
-	d, span := st.headDim, st.heads*pitch*st.headDim
-	buf := make([]float32, 2*len(st.kv)*span)
-	for b := range st.kv {
-		c := &st.kv[b]
-		k := buf[2*b*span : (2*b+1)*span : (2*b+1)*span]
-		v := buf[(2*b+1)*span : (2*b+2)*span : (2*b+2)*span]
-		for h := 0; h < st.heads; h++ {
-			st.copyRows(k[h*pitch*d:], false, b, h, from, c.rows)
-			st.copyRows(v[h*pitch*d:], true, b, h, from, c.rows)
-		}
-		c.k, c.v = k, v
-	}
-	st.pitch = pitch
-	if from < st.shared {
-		st.base, st.shared = nil, from
-	}
-}
-
-// run returns the longest contiguous run of head h's positions [lo,hi) of
-// block b's keys (values when v), lo < hi ≤ the rows filled, and the
-// position it ends at: a borrowed run from the base chain, or the slabs'.
-func (st *DecodeState) run(v bool, b, h, lo, hi int) ([]float32, int) {
-	if lo < st.shared {
-		return st.base.run(v, b, h, lo, min(hi, st.shared))
-	}
-	buf := st.kv[b].k
-	if v {
-		buf = st.kv[b].v
-	}
-	off := (h*st.pitch - st.shared) * st.headDim
-	return buf[off+lo*st.headDim : off+hi*st.headDim], hi
-}
-
-// copyRows copies head h's positions [lo,hi) of block b's keys (values when
-// v) into dst, borrowed ones included.
-func (st *DecodeState) copyRows(dst []float32, v bool, b, h, lo, hi int) {
-	for lo < hi {
-		r, end := st.run(v, b, h, lo, hi)
-		dst, lo = dst[copy(dst, r):], end
-	}
+	st.kvRows = st.carve(nil, pitch, from, st.base)
 }
 
 // Reset clears the state back to not-started, keeping the slabs and pitch
 // and dropping any borrowed prefix.
 func (st *DecodeState) Reset() {
-	for i := range st.kv {
-		st.kv[i].rows = 0
-	}
-	st.base, st.shared = nil, 0
+	st.rows, st.base, st.shared = 0, nil, 0
 	st.step = 0
 	st.promptLen = 0
 	st.lastTok = 0
@@ -179,9 +127,9 @@ func (st *DecodeState) pos() int { return st.promptLen + st.step - 1 }
 // architecture than m's.
 func (m *Model) checkCompatible(st *DecodeState) {
 	cfg := m.Cfg
-	if st.blocks != cfg.Blocks || st.heads != cfg.Heads || st.headDim != cfg.HeadDim() || st.maxSeq != cfg.MaxSeq {
+	if st.blocks != cfg.Blocks || st.heads != cfg.Heads || st.d != cfg.HeadDim() || st.maxSeq != cfg.MaxSeq {
 		panic(fmt.Sprintf("model: DecodeState of a %d-block/%d×%d-head/%d-seq model used with %s",
-			st.blocks, st.heads, st.headDim, st.maxSeq, cfg.Name))
+			st.blocks, st.heads, st.d, st.maxSeq, cfg.Name))
 	}
 }
 

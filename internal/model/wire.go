@@ -22,9 +22,9 @@ import (
 //	blocks × [ rows×hidden × u32 k bits, rows×hidden × u32 v bits ]
 //
 // KV rows are written packed at rows (head-blocked: head h's run starts at
-// h*rows*headDim), regardless of the source snapshot's stride, so encoding a
+// h*rows*headDim), regardless of the source snapshot's pitch, so encoding a
 // Prefix view compacts it and a Share'd snapshot writes its base's rows in
-// place — the decoded snapshot owns its buffers and has stride == rows.
+// place — the decoded snapshot owns its buffer and has pitch == rows.
 
 // snapWireHeader is the fixed bookkeeping prefix: 10 u32 fields.
 const snapWireHeader = 10 * 4
@@ -34,20 +34,16 @@ const snapWireHeader = 10 * 4
 // headDim). Two snapshots are restore-compatible iff their fingerprints
 // match; the wire envelope carries it so a receiver can reject a blob for
 // the wrong model family before decoding megabytes of KV payload.
-func (s *Snapshot) ArchFingerprint() uint64 {
-	return archFingerprint(s.family, s.blocks, s.hidden, s.maxSeq, s.headDim)
-}
+func (s *Snapshot) ArchFingerprint() uint64 { return s.arch.fingerprint() }
 
 // ArchFingerprint returns the configuration's snapshot-compatibility
 // fingerprint; see Snapshot.ArchFingerprint.
-func (c Config) ArchFingerprint() uint64 {
-	return archFingerprint(c.Family, c.Blocks, c.Hidden, c.MaxSeq, c.HeadDim())
-}
+func (c Config) ArchFingerprint() uint64 { return c.arch().fingerprint() }
 
-func archFingerprint(family Family, blocks, hidden, maxSeq, headDim int) uint64 {
+func (a arch) fingerprint() uint64 {
 	h := fnv.New64a()
 	var b [8]byte
-	for _, v := range [...]int{int(family), blocks, hidden, maxSeq, headDim} {
+	for _, v := range [...]int{int(a.family), a.blocks, a.hidden, a.maxSeq, a.headDim} {
 		binary.LittleEndian.PutUint64(b[:], uint64(v))
 		h.Write(b[:])
 	}
@@ -77,16 +73,11 @@ func AppendSnapshot(dst []byte, s *Snapshot) []byte {
 	if s.rows == 0 {
 		return dst
 	}
-	heads := s.hidden / s.headDim
 	dst = slices.Grow(dst, s.WireSize()-snapWireHeader)
-	for b := 0; b < s.blocks; b++ {
-		for _, v := range [2]bool{false, true} {
-			for h := 0; h < heads; h++ {
-				for lo := 0; lo < s.rows; { // copyRows onto the wire
-					r, end := s.run(v, b, h, lo, s.rows)
-					dst, lo = appendWireF32s(dst, r), end
-				}
-			}
+	for l := range s.lanes {
+		for lo := 0; lo < s.rows; { // copyRows onto the wire
+			r, end := s.run(l, lo, s.rows)
+			dst, lo = appendWireF32s(dst, r), end
 		}
 	}
 	return dst
@@ -94,7 +85,7 @@ func AppendSnapshot(dst []byte, s *Snapshot) []byte {
 
 // DecodeSnapshot parses one wire-encoded snapshot from the front of data,
 // returning the snapshot and the number of bytes consumed. The decoded
-// snapshot owns its buffers (stride == rows). Every dimension is validated
+// snapshot owns its buffer (pitch == rows). Every dimension is validated
 // before any payload-sized allocation, so hostile input cannot balloon
 // memory or panic: errors are returned, never thrown.
 func DecodeSnapshot(data []byte) (*Snapshot, int, error) {
@@ -103,18 +94,13 @@ func DecodeSnapshot(data []byte) (*Snapshot, int, error) {
 	}
 	u32 := func(i int) uint32 { return binary.LittleEndian.Uint32(data[i*4:]) }
 	s := &Snapshot{
-		family:    Family(u32(0)),
-		blocks:    int(u32(1)),
-		hidden:    int(u32(2)),
-		maxSeq:    int(u32(3)),
-		headDim:   int(u32(4)),
+		arch:      arch{Family(u32(0)), int(u32(1)), int(u32(2)), int(u32(3)), int(u32(4))},
 		nextStep:  int(u32(5)),
 		lastTok:   int(u32(6)),
 		promptLen: int(u32(7)),
-		rows:      int(u32(8)),
 	}
+	s.rows = int(u32(8))
 	s.lastStreamNorm = math.Float32frombits(u32(9))
-	s.stride = s.rows
 
 	const dimCap = 1 << 20 // generous sanity bound well above any zoo model
 	switch {
@@ -151,14 +137,10 @@ func DecodeSnapshot(data []byte) (*Snapshot, int, error) {
 	if uint64(len(data)) < need {
 		return nil, 0, fmt.Errorf("model: snapshot wire: payload truncated: have %d bytes, need %d", len(data), need)
 	}
-	s.k = make([][]float32, s.blocks)
-	s.v = make([][]float32, s.blocks)
-	off := snapWireHeader
-	for b := 0; b < s.blocks; b++ {
-		s.k[b], off = decodeWireF32s(data, off, int(span))
-		s.v[b], off = decodeWireF32s(data, off, int(span))
-	}
-	return s, off, nil
+	kv := s.arch.kv()
+	kv.rows, kv.pitch, kv.buf = s.rows, s.rows, decodeWireF32s(data[snapWireHeader:need])
+	s.kvRows = kv
+	return s, int(need), nil
 }
 
 func appendWireU32(dst []byte, v uint32) []byte {
@@ -174,11 +156,10 @@ func appendWireF32s(dst []byte, src []float32) []byte {
 	return dst
 }
 
-func decodeWireF32s(data []byte, off, n int) ([]float32, int) {
-	out := make([]float32, n)
-	win := data[off : off+4*n]
+func decodeWireF32s(win []byte) []float32 {
+	out := make([]float32, len(win)/4)
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(win[4*i:]))
 	}
-	return out, off + 4*n
+	return out
 }

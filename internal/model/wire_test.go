@@ -38,15 +38,16 @@ func TestSnapshotWirePrefixViewCompacts(t *testing.T) {
 	if n != snapWireHeader+dec.blocks*2*rows*dec.hidden*4 {
 		t.Fatalf("consumed %d bytes", n)
 	}
-	if dec.rows != rows || dec.stride != rows || dec.nextStep != 0 {
-		t.Fatalf("decoded view: rows %d stride %d nextStep %d", dec.rows, dec.stride, dec.nextStep)
+	if dec.rows != rows || dec.pitch != rows || dec.nextStep != 0 {
+		t.Fatalf("decoded view: rows %d pitch %d nextStep %d", dec.rows, dec.pitch, dec.nextStep)
 	}
 	d := full.headDim
-	stride := full.srcStride()
+	pitch, heads := full.pitch, full.hidden/d
 	for b := 0; b < full.blocks; b++ {
-		for h := 0; h < full.hidden/d; h++ {
-			want := full.k[b][h*stride*d : h*stride*d+rows*d]
-			got := dec.k[b][h*rows*d : (h+1)*rows*d]
+		for h := 0; h < heads; h++ {
+			l := 2*b*heads + h // block b's keys, head h
+			want := full.buf[l*pitch*d : l*pitch*d+rows*d]
+			got := dec.buf[l*rows*d : (l+1)*rows*d]
 			for i := range want {
 				if want[i] != got[i] {
 					t.Fatalf("block %d head %d k row mismatch at %d", b, h, i)
@@ -125,17 +126,18 @@ func TestSnapshotWireMatchesPerElementEncoder(t *testing.T) {
 	m.DecodeStep(tok)
 	snap := &Snapshot{}
 	m.Checkpoint(snap)
-	snap.k[0][1] = float32(math.NaN())
-	snap.v[0][2] = float32(math.Inf(-1))
+	heads := snap.hidden / snap.headDim
+	snap.buf[1] = float32(math.NaN())                                 // block 0's keys
+	snap.buf[heads*snap.pitch*snap.headDim+2] = float32(math.Inf(-1)) // block 0's values
 
 	prefix := []byte("hdr")
 	want := append([]byte(nil), prefix...)
 	want = append(want, AppendSnapshot(nil, snap)[:snapWireHeader]...)
-	d, stride := snap.headDim, snap.srcStride()
+	d, pitch := snap.headDim, snap.pitch
 	for b := 0; b < snap.blocks; b++ {
-		for _, kv := range [][]float32{snap.k[b], snap.v[b]} {
-			for h := 0; h < snap.hidden/d; h++ {
-				for _, f := range kv[h*stride*d : h*stride*d+snap.rows*d] {
+		for _, kv := range [][]float32{snap.buf[2*b*heads*pitch*d:], snap.buf[(2*b+1)*heads*pitch*d:]} {
+			for h := 0; h < heads; h++ {
+				for _, f := range kv[h*pitch*d : h*pitch*d+snap.rows*d] {
 					v := math.Float32bits(f)
 					want = append(want, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 				}
@@ -188,8 +190,8 @@ func TestViewEncodesLikeCheckpoint(t *testing.T) {
 		if rows == 1 {
 			pitch = 1
 		}
-		if view.Rows() != rows || view.stride != pitch {
-			t.Fatalf("view rows %d stride %d, want %d and %d", view.Rows(), view.stride, rows, pitch)
+		if view.Rows() != rows || view.pitch != pitch {
+			t.Fatalf("view rows %d pitch %d, want %d and %d", view.Rows(), view.pitch, rows, pitch)
 		}
 		if !bytes.Equal(AppendSnapshot(nil, &view), AppendSnapshot(nil, &snap)) {
 			t.Fatalf("%d rows: view encodes differently from a Checkpoint copy", rows)

@@ -254,7 +254,7 @@ func FuzzCacheOps(f *testing.F) {
 						detach(replaced) // after nu took its hold: replaced may be its base
 					}
 					if !nu.nanFree && (nu.e.base != nil || nu.e.bytes != rowBytes*int64(n)) {
-						t.Fatalf("NaN-tainted Insert(%v) shares %d rows", prompt, nu.e.shared)
+						t.Fatalf("NaN-tainted Insert(%v) shares %d rows", prompt, nu.e.snap.Shared())
 					}
 					live = slices.Insert(live, 0, nu)
 					charged = append(charged, nu)

@@ -81,16 +81,15 @@ type node struct {
 // snap and trail are immutable once inserted.
 type entry struct {
 	snap    *model.Snapshot
-	trail   *protect.Trail // nil when none a protected session can use; rows [0,shared) read from base.trail, if it has one
+	trail   *protect.Trail // nil when none a protected session can use; the shared rows' records read from base.trail, if it has one
 	nanFree bool           // prefill saw no NaN corrections
 	leaf    *node          // the node at the prompt's full depth
 	bytes   int64          // the KV rows snap owns: those past base's share
 	refs    int
 	elem    *list.Element // nil once detached from the tree
 
-	base    *entry // snap reads rows [0,shared) from base.snap; nil when whole
-	shared  int
-	readers int // charged entries whose base this is
+	base    *entry // snap reads rows [0,snap.Shared()) from base.snap; nil when whole
+	readers int    // charged entries whose base this is
 }
 
 func (e *entry) serves(kind int) bool {
@@ -267,9 +266,11 @@ func (c *Cache) Insert(prompt []int, snap *model.Snapshot, trail *protect.Trail,
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	rows := snap.Rows()
-	base, shared := c.shareBaseLocked(prompt, rows, nanFree)
-	bytes := int64(snap.MemoryBytes()) / int64(rows) * int64(rows-shared)
+	base, shared := c.shareBaseLocked(prompt, snap.Rows(), nanFree)
+	if base != nil {
+		snap = snap.Share(base.snap, shared)
+	}
+	bytes := int64(snap.MemoryBytes())
 	pinned := bytes
 	for b := base; b != nil; b = b.base {
 		pinned += b.bytes
@@ -338,7 +339,7 @@ func (c *Cache) Insert(prompt []int, snap *model.Snapshot, trail *protect.Trail,
 	}
 	trailBase, k := (*protect.Trail)(nil), 0
 	if base != nil {
-		e.snap, e.base, e.shared = snap.Share(base.snap, shared), base, shared
+		e.base = base
 		base.readers++
 		if base.trail != nil {
 			trailBase, k = base.trail, shared
@@ -377,7 +378,7 @@ func (c *Cache) shareBaseLocked(prompt []int, rows int, nanFree bool) (base *ent
 	if base == nil || k < rows-k {
 		return nil, 0
 	}
-	for base.base != nil && k <= base.shared {
+	for base.base != nil && k <= base.snap.Shared() {
 		base = base.base
 	}
 	return base, k

@@ -80,8 +80,7 @@ func (l *kvLease) account(sch *scheduler) {
 }
 
 // mark records the state as it stands (KV rows and resume point, plus ft
-// when protected) as the latest mark, between steps. It allocates nothing
-// once the lease's first mark took its slab references.
+// when protected) as the latest mark, between steps. It allocates nothing.
 func (l *kvLease) mark(sch *scheduler, m *model.Model, ft *core.ForkState) {
 	l.mu.Lock()
 	m.View(l.st, &l.snap)
