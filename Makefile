@@ -72,6 +72,7 @@ test-386:
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkGenerate(Unprotected|FT2)' -benchmem .
 	$(GO) test -run XXX -bench BenchmarkDecodeStep -benchmem ./internal/model/
+	$(GO) test -run XXX -bench BenchmarkFT2StepCost -benchtime 200x ./internal/core/
 	$(GO) test -run XXX -bench 'Benchmark(AttnHead|GELU|DecodeLinears|ReLU)' ./internal/tensor/
 	$(GO) test -run XXX -bench BenchmarkStreamRelay ./internal/router/
 

@@ -767,9 +767,10 @@ func (r *trialRunner) runWithSite(ctx context.Context, idx int, site fault.Site)
 // Divergence is one input's token-level fault-free differential: its
 // protected generation against the same model's unprotected one.
 type Divergence struct {
-	FirstStep   int     // the first step whose token differs; -1 when none does
-	LogitLInf   float64 // L∞ distance between the two runs' final-step logits
-	TeacherHits int     // unprotected tokens that are the teacher's next token for the one before
+	FirstStep   int       // the first step whose token differs; -1 when none does
+	LogitLInf   float64   // L∞ distance between the two runs' final-step logits
+	TeacherHits int       // unprotected tokens that are the teacher's next token for the one before
+	Margins     []float64 // the unprotected run's top-1 − top-2 logit gap, one per step
 }
 
 // FaultFreeCorrectness measures, without any fault injection, the fraction
@@ -792,7 +793,16 @@ func FaultFreeCorrectness(cfg model.Config, seed int64, d numerics.DType,
 	var logits []float32
 	for _, in := range ds.Inputs {
 		m.ClearHooks()
-		golden := m.Generate(in.Prompt, ds.GenTokens)
+		// Generate, step by step, to read every step's logits.
+		golden := make([]int, 0, ds.GenTokens)
+		margins := make([]float64, 0, ds.GenTokens)
+		for tok := m.Prefill(in.Prompt); ; tok = m.DecodeStep(tok) {
+			golden = append(golden, tok)
+			margins = append(margins, topTwoGap(m.ReadoutLogits()))
+			if len(golden) == ds.GenTokens {
+				break
+			}
+		}
 		logits = append(logits[:0], m.ReadoutLogits()...)
 
 		out := golden
@@ -809,7 +819,7 @@ func FaultFreeCorrectness(cfg model.Config, seed int64, d numerics.DType,
 			corr.NaN += f.Stats().NaN
 			m.ClearHooks()
 		}
-		dv := Divergence{FirstStep: -1}
+		dv := Divergence{FirstStep: -1, Margins: margins}
 		prev := in.Prompt[len(in.Prompt)-1]
 		for s, tok := range golden {
 			if tok != out[s] && dv.FirstStep < 0 {
@@ -830,4 +840,17 @@ func FaultFreeCorrectness(cfg model.Config, seed int64, d numerics.DType,
 		}
 	}
 	return p, corr, divs, nil
+}
+
+// topTwoGap returns the largest logit less the second largest.
+func topTwoGap(logits []float32) float64 {
+	top, second := math.Inf(-1), math.Inf(-1)
+	for _, v := range logits {
+		if x := float64(v); x > top {
+			top, second = x, top
+		} else if x > second {
+			second = x
+		}
+	}
+	return top - second
 }

@@ -11,6 +11,7 @@ import (
 	"ft2/internal/numerics"
 	"ft2/internal/protect"
 	"ft2/internal/report"
+	"ft2/internal/stats"
 )
 
 // Fig3 measures fault-free output correctness when protecting with bounds
@@ -86,11 +87,12 @@ func Fig3(ctx context.Context, p Params) (*report.Table, error) {
 // cleanCell sums a fault-free differential over some inputs: FT2 against
 // the unprotected model, token for token.
 type cleanCell struct {
-	gens, changed, answers int     // generations, those FT2 changed, answers it changed
-	firstStep              int     // earliest differing step; -1 when none differs
-	linf                   float64 // largest final-logit L∞ distance
-	clips, tokens          int     // FT2 corrections, over this many generated tokens
-	teacherHits            int     // unprotected tokens equal to the teacher's next token
+	gens, changed, answers int       // generations, those FT2 changed, answers it changed
+	firstStep              int       // earliest differing step; -1 when none differs
+	linf                   float64   // largest final-logit L∞ distance
+	clips, tokens          int       // FT2 corrections, over this many generated tokens
+	teacherHits            int       // unprotected tokens equal to the teacher's next token
+	margins                []float64 // the unprotected runs' top-1 − top-2 logit gap per step
 }
 
 // runCleanCell runs the differential on every input of ds, with the model's
@@ -109,6 +111,7 @@ func runCleanCell(p Params, cfg model.Config, ds *data.Dataset, dt numerics.DTyp
 		}
 		c.linf = max(c.linf, d.LogitLInf)
 		c.teacherHits += d.TeacherHits
+		c.margins = append(c.margins, d.Margins...)
 	}
 	return c, nil
 }
@@ -120,18 +123,20 @@ func (c *cleanCell) add(o cleanCell) {
 	c.gens, c.changed, c.answers = c.gens+o.gens, c.changed+o.changed, c.answers+o.answers
 	c.linf = max(c.linf, o.linf)
 	c.clips, c.tokens, c.teacherHits = c.clips+o.clips, c.tokens+o.tokens, c.teacherHits+o.teacherHits
+	c.margins = append(c.margins, o.margins...)
 }
 
 func (c cleanCell) agreement() float64 { return float64(c.teacherHits) / float64(c.tokens) }
 
-// row renders the cell after its label columns.
+// row renders the cell after its label columns; the margin column is "-"
+// here, and filled in only in the all-cells rows.
 func (c cleanCell) row(labels ...interface{}) []interface{} {
 	var first interface{} = "-"
 	if c.firstStep >= 0 {
 		first = c.firstStep
 	}
 	return append(labels, fmt.Sprintf("%d/%d", c.changed, c.gens), c.answers, first, c.linf,
-		1000*float64(c.clips)/float64(c.tokens), c.agreement())
+		1000*float64(c.clips)/float64(c.tokens), c.agreement(), "-")
 }
 
 // ExtensionClean is the fault-free differential: on every model × dataset
@@ -141,12 +146,15 @@ func (c cleanCell) row(labels ...interface{}) []interface{} {
 // final logits; how often it clips a clean value; and how often the clean
 // token is the one the teacher prior pushes toward, i.e. how much of the
 // answer the prior decides. Each (dtype, γ) block ends in a row over all
-// cells, whose agreement column also names the worst cell's.
+// cells, whose agreement column also names the worst cell's and whose last
+// column gives the 5th and 50th percentile of the unprotected runs' top-1 −
+// top-2 logit margin over every step of every cell.
 func ExtensionClean(ctx context.Context, p Params) (*report.Table, error) {
 	inputs := p.Inputs * 4 // fault-free runs are cheap: 20 inputs per cell at Default()
 	t := report.NewTable(fmt.Sprintf("Extension: does FT2 change a clean answer? FT2 vs unprotected, fault-free (%d inputs per cell)", inputs),
 		"Model", "Dataset", "DType", "γ", "Generations changed", "Answers changed",
-		"First differing step", "Final-logit L∞", "Clean clips/1k tok", "Teacher agreement")
+		"First differing step", "Final-logit L∞", "Clean clips/1k tok", "Teacher agreement",
+		"Clean top-2 margin p05 / p50")
 	for _, gamma := range []float32{0, 1, 2, 4} {
 		for _, dt := range []numerics.DType{numerics.FP16, numerics.FP32} {
 			total, worst := cleanCell{firstStep: -1}, 1.0
@@ -171,7 +179,8 @@ func ExtensionClean(ctx context.Context, p Params) (*report.Table, error) {
 				worst = min(worst, c.agreement())
 			}
 			row := total.row("all cells", "-", dt, fmt.Sprint(gamma))
-			row[len(row)-1] = fmt.Sprintf("%.3f (worst cell %.3f)", total.agreement(), worst)
+			row[len(row)-2] = fmt.Sprintf("%.3f (worst cell %.3f)", total.agreement(), worst)
+			row[len(row)-1] = fmt.Sprintf("%.3f / %.3f", stats.Percentile(total.margins, 5), stats.Percentile(total.margins, 50))
 			t.AddRow(row...)
 		}
 	}

@@ -29,6 +29,9 @@ type Snapshot struct {
 	// holds the rows past its base's; a View aliases the live slabs at the
 	// state's pitch and borrowed rows; a Prefix holds none.
 	kvRows
+	// view marks kvRows.buf as a live state's slabs (View): Checkpoint never
+	// reuses it.
+	view bool
 }
 
 // arch is a model architecture as far as KV rows depend on it: two models
@@ -84,8 +87,9 @@ func (s *Snapshot) Compatible(cfg Config) error {
 }
 
 // Checkpoint copies the model's generation state into the snapshot,
-// reusing its buffer when it is large enough — so into must not hold a View,
-// whose buffer is a live state's slabs. It must be called between
+// reusing its buffer when it is large enough and not a View's — whose buffer
+// is a live state's slabs, which the compaction would overwrite under the
+// state. It must be called between
 // steps — after Prefill or a DecodeStep returned and before the next
 // DecodeStep — and captures the state "before step NextStep": a View of it
 // with the rows compacted to pitch rows, borrowed ones copied in.
@@ -94,8 +98,11 @@ func (m *Model) Checkpoint(into *Snapshot) {
 		panic("model: Checkpoint before Prefill")
 	}
 	buf := into.buf
+	if into.view {
+		buf = nil
+	}
 	m.View(m.st, into)
-	into.kvRows = into.carve(buf, into.rows, 0, nil)
+	into.kvRows, into.view = into.carve(buf, into.rows, 0, nil), false
 }
 
 // Prefix returns a read-only view of the snapshot truncated to its first rows
@@ -157,6 +164,7 @@ func (m *Model) View(st *DecodeState, into *Snapshot) {
 		promptLen:      st.promptLen,
 		lastStreamNorm: st.lastStreamNorm,
 		kvRows:         st.kvRows,
+		view:           true,
 	}
 }
 

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"bytes"
 	"testing"
 
 	"ft2/internal/numerics"
@@ -29,6 +30,54 @@ func TestPrefillDecodeStepMatchesGenerate(t *testing.T) {
 				t.Fatalf("Prefill/DecodeStep = %v, Generate = %v", got, want)
 			}
 		})
+	}
+}
+
+// TestCheckpointIntoViewLeavesStateIntact: a Snapshot last filled by View
+// holds the live state's slabs, so a Checkpoint into it must copy the rows
+// out instead of compacting them in place under the state. Decoding on after
+// the two calls must match an uncheckpointed run token for token and row for
+// row, at a pitch just above the prompt and at a wide one, and the
+// checkpoint must resume the same continuation in a replica.
+func TestCheckpointIntoViewLeavesStateIntact(t *testing.T) {
+	for _, pitch := range []int{8, 64} {
+		for _, f := range []Family{FamilyOPT, FamilyGPTJ, FamilyLlama} {
+			cfg := smallCfg(f)
+			m := MustNew(cfg, 7, numerics.FP16)
+			prompt := []int{3, 14, 15, 9, 2, 6}
+			const n = 10
+			want := m.Generate(prompt, n)
+			var wantEnd Snapshot
+			m.Checkpoint(&wantEnd)
+
+			tok := m.Prefill(prompt)
+			m.st.Reserve(pitch)
+			var s Snapshot
+			m.View(m.st, &s)
+			m.Checkpoint(&s)
+			got := []int{tok}
+			for len(got) < n {
+				tok = m.DecodeStep(tok)
+				got = append(got, tok)
+			}
+			if !equalInts(got, want) {
+				t.Fatalf("%s pitch %d: tokens after View+Checkpoint = %v, want %v", f, pitch, got, want)
+			}
+			var gotEnd Snapshot
+			m.Checkpoint(&gotEnd)
+			if !bytes.Equal(AppendSnapshot(nil, &gotEnd), AppendSnapshot(nil, &wantEnd)) {
+				t.Fatalf("%s pitch %d: final KV rows differ from the uncheckpointed run", f, pitch)
+			}
+
+			r := MustNew(cfg, 7, numerics.FP16)
+			tok = r.Restore(&s)
+			for step := 1; step < n; step++ {
+				tok = r.DecodeStep(tok)
+				if tok != want[step] {
+					t.Fatalf("%s pitch %d: restored step %d = %d, want %d", f, pitch, step, tok, want[step])
+				}
+			}
+		}
 	}
 }
 

@@ -33,8 +33,8 @@ func gelu(v float32) float32 {
 
 // SiLU applies x·sigmoid(x) in place — the Llama/Qwen gate activation.
 func SiLU(t *Tensor) {
-	// Split loop: expNeg fills the exp values, then the vector kernel finishes
-	// x/(1+e) — per-lane IEEE add/divide/convert, bit-identical to the fused
+	// Split loop: expNeg fills the exp values (the packed kernel on the FMA
+	// tier), then x/(1+e) finishes each element — bit-identical to the fused
 	// loop.
 	data := t.Data
 	var ebuf [256]float64
@@ -42,10 +42,8 @@ func SiLU(t *Tensor) {
 		chunk := data[:min(len(data), len(ebuf))]
 		e := ebuf[:len(chunk)]
 		expNeg(e, chunk)
-		if !siluFinish(chunk, e) {
-			for i, v := range chunk {
-				chunk[i] = float32(float64(v) / (1 + e[i]))
-			}
+		for i, v := range chunk {
+			chunk[i] = float32(float64(v) / (1 + e[i]))
 		}
 		data = data[len(chunk):]
 	}

@@ -2,15 +2,16 @@ package tensor
 
 import "ft2/internal/numerics"
 
-// The kernels of dot_amd64.s, two tiers (DESIGN.md §12): the SSE baseline
-// (dotVec, dotStrideVec, axpyStrideVec, scaleVec, reluVec, rangeScreenVec —
-// one body each on both tiers, no CPUID gate) and the FMA tier —
-// matMulT1Vec/matMulT4Vec, quantizeF16Vec, siluFinishVec, geluVec, and the
-// packed exp behind expSumVec/expNegVec/geluVec. On AVX-512F hosts the FMA
-// tier's m=1 sweep takes four columns per pass through matMulT1x4Vec512, with
-// the tier's op order unchanged. dotVecFMA has no engine caller: it is the
-// one-element definition of the FMA tier's op order, which the tests hold the
-// sweeps to bit for bit.
+// The kernels of dot_amd64.s, two tiers (DESIGN.md §12, whose kernel ledger
+// names the end-to-end cell each body wins): the SSE baseline (dotVec,
+// dotStrideVec, axpyStrideVec, reluVec, rangeScreenVec — one body each on
+// both tiers, no CPUID gate) and the FMA tier — matMulT1Vec/matMulT4Vec,
+// quantizeF16Vec, geluVec, and the packed exp behind expSumVec/expNegVec/
+// geluVec. On AVX-512F hosts the FMA tier's m=1 sweep takes four columns per
+// pass through matMulT1x4Vec512, with the tier's op order unchanged.
+// dotVecFMA has no engine caller: it is the one-element definition of the FMA
+// tier's op order, which the tests hold the sweeps to bit for bit. Scaling
+// and SiLU's finishing divide are Go loops on every tier.
 func dotVec(a, b *float32, n int) float32
 func dotVecFMA(a, b *float32, n int) float32
 func quantizeF16Vec(p *float32, n int)
@@ -19,12 +20,8 @@ func axpyStrideVec(dst, v, w *float32, d, limit int)
 func matMulT1Vec(out, a, b *float32, k, cols int)
 func matMulT1x4Vec512(out, a, b *float32, k, cols int)
 func matMulT4Vec(out *float32, ldo int, a *float32, lda int, b *float32, k, cols int)
-func scaleVec(p *float32, n int, s float32)
 func reluVec(p *float32, n int)
 func rangeScreenVec(p *float32, n int) (lo, hi float32, nan bool)
-
-//go:noescape
-func siluFinishVec(p *float32, e *float64, n int)
 
 // The packed exp (math.archExp's FMA path, four lanes wide) and the GELU
 // built on it: each stops before the first group of four that fails its
@@ -144,16 +141,6 @@ func matMulTSweep1(out, a, b []float32, k, cols int) {
 	}
 }
 
-// ScaleSlice multiplies every element of p by s in place. A uniform
-// multiply is one IEEE operation per lane, so the vector kernel is
-// bit-identical to the scalar loop on every input (NaN, ±Inf included).
-func ScaleSlice(p []float32, s float32) {
-	if len(p) == 0 {
-		return
-	}
-	scaleVec(&p[0], len(p), s)
-}
-
 // relu sets every element of p below zero to +0 in place. reluVec's MAXPS
 // keeps −0 and every NaN bit for bit, as the scalar loop does, and takes no
 // branch on the values (the loop's mispredicts about half the time on an
@@ -176,24 +163,4 @@ func RangeScreen(row []float32) (lo, hi float32, ok bool) {
 	}
 	lo, hi, nan := rangeScreenVec(&row[0], len(row))
 	return lo, hi, !nan
-}
-
-// siluFinish completes SiLU after the exp pass: p[i] =
-// float32(float64(p[i]) / (1 + e[i])). Widening, add, divide, and
-// narrowing are each single correctly-rounded IEEE operations per lane,
-// so the vector kernel matches the scalar reference bitwise. Returns
-// false when the AVX2 tier is absent.
-func siluFinish(p []float32, e []float64) bool {
-	if !hasFMA {
-		return false
-	}
-	n := len(p) &^ 3
-	if n > 0 {
-		_ = e[n-1]
-		siluFinishVec(&p[0], &e[0], n)
-	}
-	for i := n; i < len(p); i++ {
-		p[i] = float32(float64(p[i]) / (1 + e[i]))
-	}
-	return true
 }

@@ -939,53 +939,6 @@ m4hsum:
 m4done:
 	RET
 
-// func scaleVec(p *float32, n int, s float32)
-// p[i] *= s. A uniform multiply is one IEEE operation per lane, so the
-// vector loop is bit-identical to the scalar loop on every input, NaN and
-// ±Inf included.
-TEXT ·scaleVec(SB), NOSPLIT, $0-20
-	MOVQ   p+0(FP), DI
-	MOVQ   n+8(FP), CX
-	MOVSS  s+16(FP), X0
-	SHUFPS $0x00, X0, X0
-	MOVQ   CX, BX
-	SHRQ   $3, BX
-	JZ     sctail4
-
-scloop8:
-	MOVUPS (DI), X1
-	MULPS  X0, X1
-	MOVUPS X1, (DI)
-	MOVUPS 16(DI), X2
-	MULPS  X0, X2
-	MOVUPS X2, 16(DI)
-	ADDQ   $32, DI
-	DECQ   BX
-	JNZ    scloop8
-
-sctail4:
-	TESTQ $4, CX
-	JZ    sctail1
-	MOVUPS (DI), X1
-	MULPS  X0, X1
-	MOVUPS X1, (DI)
-	ADDQ   $16, DI
-
-sctail1:
-	ANDQ $3, CX
-	JZ   scdone
-
-scloop1:
-	MOVSS (DI), X1
-	MULSS X0, X1
-	MOVSS X1, (DI)
-	ADDQ  $4, DI
-	DECQ  CX
-	JNZ   scloop1
-
-scdone:
-	RET
-
 // func reluVec(p *float32, n int)
 // p[i] = 0 > p[i] ? 0 : p[i]: MAXPS with +0 in the destination and p[i] as
 // the source, which returns its source unless the destination is greater —
@@ -1131,39 +1084,6 @@ rsreduce:
 	MOVMSKPS X6, AX
 	TESTL    AX, AX
 	SETNE    nan+24(FP)
-	RET
-
-// func siluFinishVec(p *float32, e *float64, n int)
-// p[i] = float32(float64(p[i]) / (1 + e[i])) — the finishing pass of SiLU
-// after the scalar math.Exp pass filled e. Widening f32→f64 is exact, the
-// add and divide are single correctly-rounded IEEE f64 operations per lane,
-// and the f64→f32 narrowing rounds exactly like the scalar conversion, so
-// the 4-lane loop is bit-identical to the scalar reference. n must be a
-// multiple of 4 (the caller handles the tail).
-TEXT ·siluFinishVec(SB), NOSPLIT, $0-24
-	MOVQ         p+0(FP), DI
-	MOVQ         e+8(FP), SI
-	MOVQ         n+16(FP), CX
-	SHRQ         $2, CX
-	JZ           sfdone
-	MOVQ         $0x3FF0000000000000, AX
-	MOVQ         AX, X9
-	VBROADCASTSD X9, Y9
-
-sfloop4:
-	VCVTPS2PD (DI), Y0
-	VMOVUPD   (SI), Y1
-	VADDPD    Y9, Y1, Y1
-	VDIVPD    Y1, Y0, Y0
-	VCVTPD2PSY Y0, X0
-	VMOVUPS   X0, (DI)
-	ADDQ      $16, DI
-	ADDQ      $32, SI
-	DECQ      CX
-	JNZ       sfloop4
-	VZEROUPPER
-
-sfdone:
 	RET
 
 // The packed exp: math.archExp's FMA path (Shibata's SIMD method, which the

@@ -75,14 +75,6 @@ func matMulTSweep1(out, a, b []float32, k, cols int) {
 	panic("tensor: sweep kernel without FMA tier")
 }
 
-// ScaleSlice multiplies every element of p by s in place — the scalar
-// reference of the amd64 vector kernel.
-func ScaleSlice(p []float32, s float32) {
-	for i := range p {
-		p[i] *= s
-	}
-}
-
 // relu sets every element of p below zero to +0 in place — the scalar
 // reference of the amd64 vector kernel.
 func relu(p []float32) {
@@ -96,9 +88,6 @@ func relu(p []float32) {
 // RangeScreen reports "no screen": callers run their scalar sweeps. (amd64
 // builds screen a row with the SSE kernel in dot_amd64.s.)
 func RangeScreen(row []float32) (lo, hi float32, ok bool) { return 0, 0, false }
-
-// siluFinish reports false so SiLU runs its scalar finishing loop.
-func siluFinish(p []float32, e []float64) bool { return false }
 
 // The packed exp is unreachable without hasFMA: SoftmaxRow, SiLU and GELU
 // run their scalar loops.

@@ -33,8 +33,7 @@ func MatMulT(a, b *Tensor) *Tensor {
 // per-token decode step off the garbage collector; out must not alias a
 // or b. Every out element is an independent dot product of an a-row and a
 // b-row in the op order of the process's tier (dotVecFMA with hasFMA, Dot
-// without), so the 1-row, 4-row-blocked, tiled and f16-streamed forms are
-// bit-identical. It runs on the calling goroutine: the engine's parallelism
+// without), so the 1-row and 4-row-blocked forms are bit-identical. It runs on the calling goroutine: the engine's parallelism
 // is one model replica per core, not a split product (DESIGN.md §12).
 func MatMulTInto(out, a, b *Tensor) *Tensor {
 	if a.Cols != b.Cols {
@@ -48,57 +47,32 @@ func MatMulTInto(out, a, b *Tensor) *Tensor {
 		out.Zero() // empty sums; the kernels assume positive dimensions
 		return out
 	}
-	matMulTRows(out, a, b, 0, m)
+	matMulTRows(out, a, b)
 	return out
 }
 
-// matMulTRows computes rows [lo,hi) of out = a×bᵀ on the tier in effect:
-// an FMA host through the column sweeps, which take rows in groups of four
-// so each weight row is streamed once per group, and a host without FMA
-// element by element with Dot. Op order per element is the tier's either
-// way, so blocking is invisible in the results.
-func matMulTRows(out, a, b *Tensor, lo, hi int) {
-	k, n := a.Cols, b.Rows
+// matMulTRows computes out = a×bᵀ on the tier in effect: an FMA host
+// through the column sweeps, which take rows in groups of four so each
+// weight row is streamed once per group, and a host without FMA element by
+// element with Dot. Op order per element is the tier's either way, so
+// blocking is invisible in the results.
+func matMulTRows(out, a, b *Tensor) {
+	m, k, n := a.Rows, a.Cols, b.Rows
 	if hasFMA {
-		// From 8 rows on, 32 columns of b (≤ ~12-16 KiB at the zoo's
-		// widths: inside L1 with the activation rows) are streamed from the
-		// outer cache once and reused by every row group; below that the
-		// whole width is one block.
-		colBlock := n
-		if hi-lo >= 8 {
-			colBlock = 32
+		i := 0
+		for ; i+4 <= m; i += 4 {
+			matMulTSweep4(out.Data[i*n:], n, a.Data[i*k:(i+4)*k], k, b.Data, k, n)
 		}
-		matMulTTiled(out, a, b, lo, hi, colBlock)
+		for ; i < m; i++ {
+			matMulTSweep1(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b.Data, k, n)
+		}
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		orow := out.Data[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
 			orow[j] = Dot(arow, b.Data[j*k:(j+1)*k])
-		}
-	}
-}
-
-// matMulTTiled is the FMA-tier sweep over rows [lo,hi) with the columns of
-// b taken colBlock at a time — the shape the fused mixed-phase batch
-// produces (many activation rows against one weight matrix). Each output
-// element is still an independent dotVecFMA of the same two vectors, so
-// tiling changes only the traversal order, never a result bit.
-func matMulTTiled(out, a, b *Tensor, lo, hi, colBlock int) {
-	k, n := a.Cols, b.Rows
-	for j0 := 0; j0 < n; j0 += colBlock {
-		jn := n - j0
-		if jn > colBlock {
-			jn = colBlock
-		}
-		blk := b.Data[j0*k : (j0+jn)*k]
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			matMulTSweep4(out.Data[i*n+j0:], n, a.Data[i*k:(i+4)*k], k, blk, k, jn)
-		}
-		for ; i < hi; i++ {
-			matMulTSweep1(out.Data[i*n+j0:i*n+j0+jn], a.Data[i*k:(i+1)*k], blk, k, jn)
 		}
 	}
 }

@@ -86,9 +86,9 @@ func plantSpecials(r *rand.Rand, a, b []float32, k int) {
 
 // The one MatMulT traversal must produce results bit-identical to the tier's
 // one-element kernel on every tier leg, NaN payloads and zero signs included:
-// every row-count class (one row, 4-row groups plus remainders, the
-// column-tiled form from 8 rows), every k tail of the 16-float loop and every
-// column remainder of the four-column ZMM sweep, with specials planted.
+// every row-count class (one row, 4-row groups plus remainders), every k
+// tail of the 16-float loop and every column remainder of the four-column
+// ZMM sweep, with specials planted.
 func TestMatMulTPlansBitIdentical(t *testing.T) {
 	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33, 95, 96, 97, 264, 384}
 	forEachTier(t, func(t *testing.T) {

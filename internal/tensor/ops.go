@@ -39,6 +39,13 @@ func (t *Tensor) Scale(s float32) {
 	ScaleSlice(t.Data, s)
 }
 
+// ScaleSlice multiplies every element of p by s in place.
+func ScaleSlice(p []float32, s float32) {
+	for i := range p {
+		p[i] *= s
+	}
+}
+
 // SoftmaxRow is the one softmax in the tree — attention's (row, head) scores,
 // SoftmaxRows and the benchmark's tensor.softmax_ns all run it. It replaces
 // row[j] by float32(exp(float64(row[j] − max))) in place and returns their

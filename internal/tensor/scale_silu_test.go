@@ -6,32 +6,6 @@ import (
 	"testing"
 )
 
-// TestScaleSliceBitIdentity checks the uniform-multiply kernel against the
-// scalar loop, bitwise, across lengths and value classes including NaN,
-// ±Inf, ±0, and denormals, with scales of every class too.
-func TestScaleSliceBitIdentity(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	scales := []float32{0, float32(math.Copysign(0, -1)), 1, -1, 0.125,
-		3.7e-39, 2.5e38, float32(math.Inf(1)), float32(math.NaN())}
-	for _, n := range []int{0, 1, 3, 4, 7, 8, 9, 15, 16, 33, 250} {
-		for _, s := range scales {
-			xs := make([]float32, n)
-			fillPattern(r, xs)
-			want := make([]float32, n)
-			for i, v := range xs {
-				want[i] = v * s
-			}
-			ScaleSlice(xs, s)
-			for i := range xs {
-				if math.Float32bits(xs[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("n=%d s=%v i=%d: got %x want %x",
-						n, s, i, math.Float32bits(xs[i]), math.Float32bits(want[i]))
-				}
-			}
-		}
-	}
-}
-
 // reluRef is ReLU's loop before reluVec existed, kept verbatim as the
 // definition the kernel is held to.
 func reluRef(t *Tensor) {
@@ -121,10 +95,10 @@ func BenchmarkReLU(b *testing.B) {
 	}
 }
 
-// TestSiLUBitIdentity checks the split-loop SiLU (scalar exp pass + vector
-// finish) against the original fused scalar loop, bitwise, over sizes that
-// cross the chunk boundary and inputs including NaN, ±Inf, ±0, denormals,
-// and magnitudes that overflow/underflow the sigmoid.
+// TestSiLUBitIdentity checks the split-loop SiLU (exp pass, then the
+// finishing divide) against the original fused scalar loop, bitwise, over
+// sizes that cross the chunk boundary and inputs including NaN, ±Inf, ±0,
+// denormals, and magnitudes that overflow/underflow the sigmoid.
 func TestSiLUBitIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for _, n := range []int{0, 1, 3, 5, 8, 64, 255, 256, 257, 264, 1000} {
