@@ -85,9 +85,10 @@ bench-check:
 
 # Non-test Go line counts of the engine packages (plus assembly lines where a
 # package has *.s files) and their Go + asm total, then of the one file ROADMAP
-# tracks by name (the scheduler), of the experiment drivers and their CLI
-# (ROADMAP aim 2: the counts go down; cmd/ft2bench stays ≤ 600), then all of
-# cmd/ and the shell under scripts/.
+# tracks by name (the scheduler), of the cluster router (outside the total, so
+# totals stay comparable across changes), of the experiment drivers and their
+# CLI (ROADMAP aim 2: the counts go down; cmd/ft2bench stays ≤ 600), then all
+# of cmd/ and the shell under scripts/.
 loc:
 	@total=0; for p in model tensor serve prefixcache core protect abft chaos campaign; do \
 		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
@@ -95,6 +96,7 @@ loc:
 		if [ $$asm -gt 0 ]; then printf '%-11s %s + %s asm = %s\n' $$p $$n $$asm $$((n + asm)); else printf '%-11s %s\n' $$p $$n; fi; \
 	done; printf '%-11s %s\n' 'total Go+asm' $$total; \
 	printf 'internal/serve/scheduler.go %s\n' $$(wc -l < internal/serve/scheduler.go); \
+	printf 'internal/router %s\n' $$(ls internal/router/*.go | grep -v _test.go | xargs cat | wc -l); \
 	for d in internal/experiments cmd/ft2bench; do \
 		printf '%s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done; \

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -130,8 +131,7 @@ func (m oracleMemo) check(t *testing.T, run herdRun, reqs []Request, which ...in
 		if !equalTokens(res.Tokens, want.Tokens) {
 			t.Fatalf("request %d: served %v != oracle %v", i, res.Tokens, want.Tokens)
 		}
-		if got, want := res.Corrections, want.Corrections; got.OutOfBound != want.OutOfBound ||
-			got.NaN != want.NaN || got.FirstTokenNaN != want.FirstTokenNaN {
+		if got, want := res.Corrections, want.Corrections; !reflect.DeepEqual(got, want) {
 			t.Fatalf("request %d: corrections %+v != oracle %+v", i, got, want)
 		}
 	}
@@ -308,7 +308,7 @@ func TestHerdLeaderEntryUnusable(t *testing.T) {
 		}
 		inner, leader := *hook, sessions[0]
 		*hook = func(ctx model.HookCtx, out *tensor.Tensor) {
-			if !leader.started && ctx.FirstToken && ctx.Pos == 0 && ctx.Layer == (model.LayerRef{Kind: model.VProj}) {
+			if len(leader.out) == 0 && ctx.FirstToken && ctx.Pos == 0 && ctx.Layer == (model.LayerRef{Kind: model.VProj}) {
 				out.Data[0] = float32(math.NaN())
 			}
 			inner(ctx, out)
@@ -464,11 +464,11 @@ func TestChaosSuspectPrefillNeverInserted(t *testing.T) {
 	sch, sessions := bareSchedulerOf(t, cfg, reqs)
 	a, b, control := <-sch.ready, <-sch.ready, <-sch.ready
 	r, g := sch.pool.replicas[0], &group{}
-	for sch.ready <- a; !a.started; {
+	for sch.ready <- a; !pastFirstToken(a); {
 		r = sch.runSlice(r, g, <-sch.ready)
 	}
 	inserted := sch.prefix.Stats().Insertions
-	for sch.ready <- b; !b.started; { // A is on the ring: B joins its group
+	for sch.ready <- b; !pastFirstToken(b); { // A is on the ring: B joins its group
 		r = sch.runSlice(r, g, <-sch.ready)
 	}
 	if !b.suspect || sch.chaos.Counters().InjectedWeight == 0 {

@@ -124,7 +124,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.sch.submit(ctx, req, prompt)
+	return s.sch.admitSession(ctx, req, prompt, nil, nil)
 }
 
 // submitResume restores a parked session from the spill directory and
@@ -154,7 +154,7 @@ func (s *Server) submitResume(ctx context.Context, req Request) (*Session, error
 		return nil, err
 	}
 	req.Protected = fk != nil
-	return s.sch.submitAdopted(ctx, req, snap, fk, adoptSpill)
+	return s.sch.admitSession(ctx, req, nil, snap, fk)
 }
 
 // BeginDrain stops admitting new requests; in-flight and queued requests
@@ -390,7 +390,7 @@ func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err, true)
 		return
 	}
-	sess, err := s.sch.submitAdopted(r.Context(), req, snap, fk, adoptImport)
+	sess, err := s.sch.admitSession(r.Context(), req, nil, snap, fk)
 	if err != nil {
 		s.writeError(w, err, true)
 		return

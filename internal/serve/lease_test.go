@@ -120,8 +120,13 @@ func TestKVGaugesConserved(t *testing.T) {
 		t.Fatalf("abandoned session: %v, want a client-closed error", err)
 	}
 	wait(b)
-	if _, err := expired.Wait(ctx); !errors.Is(err, ErrDeadline) || expired.prefillStarted {
-		t.Fatalf("queued session: %v, prefill opened %v; want a deadline before any state", err, expired.prefillStarted)
+	if res, err := expired.Wait(ctx); !errors.Is(err, ErrDeadline) || res.GenMS != 0 || len(res.Tokens) != 0 {
+		t.Fatalf("queued session: %v, %.2f ms generating, %d tokens; want a deadline before any state", err, res.GenMS, len(res.Tokens))
+	}
+	// Every session a slice opened observed its queue latency once: those
+	// submitted but the expired one, and the import — as many as submitted.
+	if n, opened := histCount(sch.mx.queueLat), int64(len(sessions)); n != opened {
+		t.Fatalf("%d queue-latency observations, want %d: the expired session was opened", n, opened)
 	}
 
 	// conserved drains the state pool and holds the gauges to it.

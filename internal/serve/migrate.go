@@ -7,15 +7,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"time"
 
-	"ft2/internal/core"
 	"ft2/internal/model"
 )
 
 // This file is the scheduler's cluster surface: session ids for
-// /v1/sessions/export (the marks are each session's kvLease's), snapshot
-// adoption for /v1/sessions/import and spill resume, and the spill writer.
+// /v1/sessions/export (the marks are each session's kvLease's), the checks on
+// a snapshot that /v1/sessions/import and spill resume adopt (the scheduler's
+// open restores it), and the spill writer.
 
 // claimExport registers an exporting session's lease — export on, a session
 // id — under its id at admission. Two sessions with one id would share it —
@@ -71,7 +70,7 @@ func (sch *scheduler) exportFor(id string) ([]byte, int, error) {
 // this point. Failures are logged, never fail the request: parking is a
 // best-effort bonus on top of a response already produced.
 func (sch *scheduler) maybeSpill(r *replica, s *Session) {
-	if sch.cfg.SpillDir == "" || s.req.SessionID == "" || !s.started {
+	if sch.cfg.SpillDir == "" || s.req.SessionID == "" {
 		return
 	}
 	blob, err := s.kv.spill(r.m, &s.ftState)
@@ -83,45 +82,6 @@ func (sch *scheduler) maybeSpill(r *replica, s *Session) {
 		return
 	}
 	sch.mx.sessSpilled.Add(1)
-}
-
-// adoptGuarded is the adoption counterpart of openPrefill: the session's
-// first slice restores its snapshot into (recycled) state, installs the
-// fork state and the correction base, and leaves the session decode-ready.
-// The snapshot was validated at the serve boundary (DecodeSessionFor +
-// validateAdoptable), so Restore's panic paths are unreachable; the recover
-// keeps an engine surprise inside the 500 boundary regardless.
-func (sch *scheduler) adoptGuarded(r *replica, s *Session) (err error) {
-	defer recoverAs500(&err, "in session adoption")
-	m := r.m
-	s.kv.obtain(sch, m, s.adoptSnap.Rows()+s.req.MaxTokens, nil)
-	prev := m.SwapState(s.kv.st)
-	m.Restore(s.adoptSnap)
-	m.SwapState(prev)
-	s.lastTok = s.adoptSnap.LastToken()
-	s.lastExport = s.adoptSnap.NextStep()
-	s.started, s.prefillStarted = true, true
-	s.startAt = time.Now()
-	sch.mx.queueLat.Observe(msSince(s.admitted, s.startAt))
-	if s.adoptFT != nil {
-		// The arriving counters are cumulative across the session's whole
-		// life (the response must match the single-process oracle); corrBase
-		// keeps server-level metrics to this process's delta.
-		s.ftState = *s.adoptFT
-		s.corrBase = core.ForkState{
-			FirstTokenNaN: s.adoptFT.FirstTokenNaN,
-			Stats:         s.adoptFT.Stats,
-			ByKind:        s.adoptFT.ByKind,
-		}
-	}
-	switch s.adoptKind {
-	case adoptImport:
-		sch.mx.sessImported.Add(1)
-	case adoptSpill:
-		sch.mx.sessRestored.Add(1)
-	}
-	s.adoptSnap, s.adoptFT = nil, nil
-	return nil
 }
 
 // validateAdoptable rejects snapshots the scheduler could not adopt: prefix

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -164,9 +165,8 @@ func TestExportImportMigration(t *testing.T) {
 	if !equalTokens(stitched, oracleToks) {
 		t.Fatalf("migrated output diverged:\n got %v\nwant %v", stitched, oracleToks)
 	}
-	if ires.Corrections.OutOfBound != oracleCorr.OutOfBound {
-		t.Fatalf("migrated corrections %d != oracle %d (must be cumulative)",
-			ires.Corrections.OutOfBound, oracleCorr.OutOfBound)
+	if !reflect.DeepEqual(ires.Corrections, oracleCorr) {
+		t.Fatalf("migrated corrections %+v != oracle %+v (must be cumulative)", ires.Corrections, oracleCorr)
 	}
 	if got := dstSrv.mx.sessImported.Load(); got != 1 {
 		t.Fatalf("sessions_imported_total %d, want 1", got)
@@ -216,8 +216,8 @@ func TestSpillResumeAcrossRestart(t *testing.T) {
 	if !res2.Protected {
 		t.Fatal("resumed session lost its protection")
 	}
-	if res2.Corrections.OutOfBound != oracleCorr.OutOfBound {
-		t.Fatalf("resumed corrections %d != oracle %d", res2.Corrections.OutOfBound, oracleCorr.OutOfBound)
+	if !reflect.DeepEqual(res2.Corrections, oracleCorr) {
+		t.Fatalf("resumed corrections %+v != oracle %+v", res2.Corrections, oracleCorr)
 	}
 	if got := srv2.mx.sessRestored.Load(); got != 1 {
 		t.Fatalf("sessions_restored_total %d, want 1", got)
@@ -465,7 +465,7 @@ func TestExportViewMatchesCheckpoint(t *testing.T) {
 	var foreign []byte // a protected capture past 64 rows, adopted below
 	check := func() {
 		for _, s := range sessions {
-			if !s.started || s.kv.st == nil {
+			if !s.kv.st.Started() {
 				continue
 			}
 			blob, tokens, err := sch.exportFor(s.req.SessionID)
@@ -490,7 +490,7 @@ func TestExportViewMatchesCheckpoint(t *testing.T) {
 			}
 			covered[seen{s.req.Protected, snap.Rows()}] = true
 			hit = hit || s.hitRows > 0
-			adopted = adopted || s.adoptKind == adoptImport
+			adopted = adopted || s.req.SessionID == "adopted"
 			if s.req.Protected && snap.Rows() > 64 && foreign == nil {
 				foreign = blob
 			}
@@ -508,8 +508,8 @@ func TestExportViewMatchesCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sch.submitAdopted(context.Background(),
-		Request{SessionID: "adopted", MaxTokens: 6, Protected: true}, snap, fk, adoptImport)
+	s, err := sch.admitSession(context.Background(),
+		Request{SessionID: "adopted", MaxTokens: 6, Protected: true}, nil, snap, fk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,7 +686,7 @@ func TestExportPredatesChaosKVFault(t *testing.T) {
 	faults := 0
 	for marks := 0; marks < 3; {
 		r = sch.runSlice(r, g, <-sch.ready)
-		if !s.started || s.lastExport != s.kv.st.Step()+1 {
+		if !s.kv.st.Started() || s.lastExport != s.kv.st.Step()+1 {
 			continue
 		}
 		// Just marked, not yet fetched: the next slice opens with a KV fault.
@@ -746,7 +746,7 @@ func TestExportMarkSurvivesSlabGrowth(t *testing.T) {
 		marked := 0
 		for grown := false; !grown; {
 			r = sch.runSlice(r, g, <-sch.ready)
-			if !s.started {
+			if !s.kv.st.Started() {
 				continue
 			}
 			if _, _, _, pitch := s.kv.st.KVSlabs(0); pitch == sch.cfg.ModelCfg.MaxSeq {
@@ -870,7 +870,7 @@ func TestExportCaptureAllocatesOnlyTheBlob(t *testing.T) {
 		r = sch.runSlice(r, g, <-sch.ready)
 	}
 	for _, s := range sessions {
-		if !s.started || s.kv.st == nil {
+		if !s.kv.st.Started() {
 			t.Fatalf("session %s not decoding", s.req.SessionID)
 		}
 		id := s.req.SessionID

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -40,9 +41,7 @@ func runSharedPrefix(t *testing.T, srv *Server, spec LoadSpec, label string) Loa
 		if !equalTokens(res.Tokens, want) {
 			t.Fatalf("%s request %d: served %v != oracle %v", label, i, res.Tokens, want)
 		}
-		if spec.Protected && (res.Corrections.OutOfBound != corr.OutOfBound ||
-			res.Corrections.NaN != corr.NaN ||
-			res.Corrections.FirstTokenNaN != corr.FirstTokenNaN) {
+		if !reflect.DeepEqual(res.Corrections, corr) {
 			t.Fatalf("%s request %d: corrections %+v != oracle %+v", label, i, res.Corrections, corr)
 		}
 	}

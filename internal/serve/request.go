@@ -149,10 +149,10 @@ func errStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// recoverAs500 is the engine's panic boundary, deferred by every scheduler
-// entry into it (openPrefill, adoptGuarded, fusedSlice): a panic out of the
-// engine or a hook is logged with its stack and becomes a 500 for the
-// sessions involved instead of crashing the server.
+// recoverAs500 is the engine's panic boundary, deferred by both scheduler
+// entries into it (open, fusedSlice): a panic out of the engine or a hook is
+// logged with its stack and becomes a 500 for the sessions involved instead
+// of crashing the server.
 func recoverAs500(err *error, where string) {
 	if p := recover(); p != nil {
 		log.Printf("serve: panic %s: %v\n%s", where, p, debug.Stack())

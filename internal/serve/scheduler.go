@@ -23,8 +23,11 @@ import (
 // matrix streams once per step for the whole group — and puts the survivors
 // back. A long generation shares replicas with short ones, a finished
 // session frees its slot immediately, and the next queued request is
-// admitted mid-flight. Sessions own their KV state (model.DecodeState), so
-// moving between replicas costs a pointer swap, not a snapshot copy.
+// admitted mid-flight. A session's phase and next input are its
+// model.DecodeState's, which rides BatchItem.State on whichever replica
+// drives the slice; its protection state is its own core.ForkState, which a
+// slot's controller binds with ResumeFork and each exit from the group reads
+// back (group.readback).
 //
 // With the prefix cache on, a prefill that is still in flight is visible to
 // the sessions about to start the same one: they park behind it (leaders,
@@ -106,22 +109,13 @@ func (sch *scheduler) start() *scheduler {
 	return sch
 }
 
-// submit admits a request the Server validated; only its deadline is checked
-// here, in admitSession, which every entry shares. The returned session is
-// already circulating. Fails fast with ErrQueueFull or ErrDraining.
-func (sch *scheduler) submit(ctx context.Context, req Request, prompt []int) (*Session, error) {
-	return sch.admitSession(ctx, req, prompt, nil, nil, adoptNone)
-}
-
-// submitAdopted admits a session that restores a decoded snapshot (plus the
-// protected fork state, when present) instead of prefilling a prompt — the
-// entry for live-migration imports and spill-dir resumes. req.MaxTokens is
-// the number of tokens still to generate from the snapshot's resume point.
-func (sch *scheduler) submitAdopted(ctx context.Context, req Request, snap *model.Snapshot, fk *core.ForkState, kind adoptKind) (*Session, error) {
-	return sch.admitSession(ctx, req, nil, snap, fk, kind)
-}
-
-func (sch *scheduler) admitSession(ctx context.Context, req Request, prompt []int, snap *model.Snapshot, fk *core.ForkState, kind adoptKind) (*Session, error) {
+// admitSession admits a request the Server validated — a prompt to prefill,
+// or a decoded snapshot to restore (an import, or with req.Resume a spill
+// resume), with its fork state when protected, generating req.MaxTokens
+// more tokens from its resume point — and checks only its deadline. The
+// returned session is already circulating. Fails fast with ErrQueueFull or
+// ErrDraining.
+func (sch *scheduler) admitSession(ctx context.Context, req Request, prompt []int, snap *model.Snapshot, fk *core.ForkState) (*Session, error) {
 	deadline, err := req.deadline(sch.cfg.DefaultDeadline)
 	if err != nil {
 		return nil, err
@@ -140,33 +134,30 @@ func (sch *scheduler) admitSession(ctx context.Context, req Request, prompt []in
 		admitted:  time.Now(),
 		id:        sch.nextID.Add(1),
 		adoptSnap: snap,
-		adoptFT:   fk,
-		adoptKind: kind,
+	}
+	if fk != nil {
+		s.ftState, s.corrBase = *fk, *fk
 	}
 
 	sch.mu.RLock()
-	if sch.draining {
-		sch.mu.RUnlock()
-		s.cancel()
-		return nil, ErrDraining
+	defer sch.mu.RUnlock()
+	err = ErrDraining
+	if !sch.draining {
+		err = sch.claimExport(s)
 	}
-	if err := sch.claimExport(s); err != nil {
-		sch.mu.RUnlock()
-		s.cancel()
-		return nil, err
+	if err == nil {
+		sch.inflight.Add(1)
+		select {
+		case sch.admit <- s:
+			return s, nil
+		default:
+			sch.inflight.Done()
+			sch.dropExport(s)
+			err = ErrQueueFull
+		}
 	}
-	sch.inflight.Add(1)
-	select {
-	case sch.admit <- s:
-		sch.mu.RUnlock()
-	default:
-		sch.mu.RUnlock()
-		sch.inflight.Done()
-		sch.dropExport(s)
-		s.cancel()
-		return nil, ErrQueueFull
-	}
-	return s, nil
+	s.cancel()
+	return nil, err
 }
 
 // dispatch moves queued sessions into the ready ring as session slots free
@@ -216,8 +207,9 @@ func (sch *scheduler) worker(idx int) {
 }
 
 // runSlice advances one group of sessions by one scheduling slice: gather up
-// to BatchMax ready sessions, open prefills for the unstarted ones (KV state,
-// prefix-cache lookup — no prompt rows yet), then drive the whole group —
+// to BatchMax ready sessions, open the unopened ones (KV state, snapshot
+// restore or prefix-cache lookup — no prompt rows yet), bind their fork
+// states to the slot controllers, then drive the whole group —
 // mid-prefill and decoding sessions alike — through fused mixed-phase
 // ForwardBatch steps. Returns the (possibly rebuilt) replica.
 func (sch *scheduler) runSlice(r *replica, g *group, first *Session) *replica {
@@ -256,29 +248,14 @@ func (sch *scheduler) runSlice(r *replica, g *group, first *Session) *replica {
 			sch.settle(s, err)
 			continue
 		}
-		if !s.started && s.adoptSnap != nil {
-			// Adopted session (migration import / spill resume): restore the
-			// snapshot instead of prefilling. Restore is a handful of copies,
-			// so it does not consume a slice step.
-			if err := sch.adoptGuarded(r, s); err != nil {
-				sch.settle(s, err)
-				if errStatus(err) == 500 {
-					r = sch.replaceReplica(r)
-				}
-				continue
-			}
-		} else if !s.started && !s.prefillStarted {
-			// First slice: open the prefill (state, cache lookup, admission
-			// metrics). The prompt rows themselves are fed by the fused
-			// slice loop below, co-batched with the decoding sessions.
-			if sch.prefix != nil && sch.followOrLead(s) {
+		if s.startAt.IsZero() {
+			// First slice: open it; the fused loop below feeds a prompt's rows.
+			if s.adoptSnap == nil && sch.prefix != nil && sch.followOrLead(s) {
 				continue // parked: its leader's release puts it back on the ring
 			}
-			if err := sch.openPrefill(r, s); err != nil {
+			if err := sch.open(r, s); err != nil {
 				sch.settle(s, err)
-				if errStatus(err) == 500 {
-					r = sch.replaceReplica(r)
-				}
+				r = sch.replaceReplica(r) // a panic: the replica's state is suspect
 				continue
 			}
 		}
@@ -290,31 +267,20 @@ func (sch *scheduler) runSlice(r *replica, g *group, first *Session) *replica {
 		}
 		g.hooks[i] = g.hooks[i][:0]
 	}
-	if len(g.sessions) == 0 {
-		return sch.postSlice(r)
-	}
-
-	if sch.chaos != nil {
+	if sch.chaos != nil && len(g.sessions) > 0 {
 		sch.applyChaos(r, g)
 	}
 
-	// Reinstate each protected session's counters and first-token bounds on
-	// its slot's controller; the decode hooks only read the shared bounds
-	// store, so many sessions of one bounds lineage can decode in one batch.
-	// A cold protected prefill (no bounds yet) gets a fresh store instead:
-	// its hooks observe into it and the end of the slice captures it onto the
-	// session. An unprotected prefill recording its entry's trail (observe)
-	// is resumed the same way onto the slot's observe-only hook, which writes
-	// no value.
+	// Bind each protected session's fork state to its slot's controller: a
+	// prefill's hooks observe into the session's own store and trail, and
+	// decode hooks only read the store. An unprotected prefill recording its
+	// entry's trail (observe) is bound onto the slot's observe-only hook,
+	// which writes no value.
 	for i, s := range g.sessions {
 		var f *core.FT2
 		if s.req.Protected || s.observe {
 			f = r.controller(i)
-			if s.ftState.Bounds != nil {
-				f.ResumeFork(s.ftState)
-			} else {
-				f.Reset()
-			}
+			f.ResumeFork(s.ftState)
 			h := r.hookFns[i]
 			if s.observe {
 				h = r.obsFns[i]
@@ -352,7 +318,7 @@ func (sch *scheduler) applyChaos(r *replica, g *group) {
 			allChaos = false
 			continue
 		}
-		if !s.started {
+		if !s.kv.st.Started() {
 			// Mid-prefill sessions are never activation/KV victims — the
 			// first token defines the FT2 bounds and the oracle baseline, so
 			// session-scoped faults only target decoding sessions. They still
@@ -429,10 +395,7 @@ func (sch *scheduler) postSlice(r *replica) *replica {
 	}
 	suspicion := r.tainted || exact.ABFT.Uncorrectable > 0
 	r.tainted = false
-	if !suspicion {
-		return r
-	}
-	if r.scrub() {
+	if !suspicion || r.scrub() {
 		return r
 	}
 	if sch.chaos != nil {
@@ -502,59 +465,76 @@ func (sch *scheduler) release(s *Session, delivered bool) {
 	}
 }
 
-// openPrefill runs a session's serial admission bookkeeping on its first
-// slice, once followOrLead let it through, inside its own panic boundary:
-// consult the prefix cache, obtain a KV state for the rows the session will
-// write, open the chunked prefill and — on a hit — borrow the cached KV
-// prefix (and fork the first-token bounds as of its last row, when the entry
-// carries a trail) so only the unique suffix is computed. No prompt rows are
-// computed here: the fused slice loop feeds the chunks, co-batched with
-// decode rows.
-func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
-	defer recoverAs500(&err, "opening prefill")
-	m := r.m
+// open is a session's first slice's serial bookkeeping, inside its own panic
+// boundary; it leaves the session owning its KV state and — protected or
+// observing — its fork state. An adopted session restores its snapshot
+// (validated at the serve boundary) and is decode-ready at once, using no
+// slice step. A prompt consults the prefix cache and opens the chunked
+// prefill, on a hit borrowing the cached KV prefix and forking the
+// first-token bounds as of its last row; a cold one gets a fresh bounds
+// store, and a trail only if it will insert. No prompt rows are computed
+// here: the fused slice loop feeds the chunks, co-batched with decode rows.
+func (sch *scheduler) open(r *replica, s *Session) (err error) {
+	defer recoverAs500(&err, "opening session")
+	m, rows := r.m, len(s.prompt)+s.req.MaxTokens
 	var ref *prefixcache.Ref
-	if sch.prefix != nil {
+	if s.adoptSnap != nil {
+		rows = s.adoptSnap.Rows() + s.req.MaxTokens
+	} else if sch.prefix != nil {
 		if ref = sch.prefix.Lookup(s.prompt, s.req.Protected); ref != nil {
 			s.hitRows = ref.Rows()
 		}
 	}
-	s.kv.obtain(sch, m, len(s.prompt)+s.req.MaxTokens-s.hitRows, ref)
+	s.kv.obtain(sch, m, rows-s.hitRows, ref)
 	prev := m.SwapState(s.kv.st)
 	defer m.SwapState(prev)
-	s.prefillStarted = true
 	s.startAt = time.Now()
 	sch.mx.queueLat.Observe(msSince(s.admitted, s.startAt))
+	if s.adoptSnap != nil {
+		m.Restore(s.adoptSnap)
+		s.lastExport = s.adoptSnap.NextStep()
+		s.adoptSnap = nil
+		if s.req.Resume {
+			sch.mx.sessRestored.Add(1)
+		} else {
+			sch.mx.sessImported.Add(1)
+		}
+		return nil
+	}
 	sch.mx.promptTokens.Add(int64(len(s.prompt)))
 	m.BeginPrefill(len(s.prompt))
-	if sch.prefix != nil {
-		var trail *protect.Trail // the hit entry's: immutable
-		if ref != nil {
-			m.ResumePrefillPrefix(ref.Snapshot())
-			trail = ref.Trail()
-		}
-		// Offer the finished prefill back unless the cache already covers
-		// this prompt as deeply as a lookup could use it.
-		s.insert = s.hitRows < len(s.prompt)-1
-		s.observe = s.insert && !s.req.Protected && (s.hitRows == 0 || trail != nil)
-		if trail != nil && (s.req.Protected || s.observe) { // always, for a protected hit
-			// Seed the fork state with the first-token profile of exactly the
-			// hitRows cached rows, and read their trail records in place: the
-			// session extends both as it observes the suffix — protected, or
-			// through the observe-only hook — so the entry it inserts has a
-			// complete trail from row 0.
-			s.ftState.Trail = trail.Prefix(s.hitRows)
-			s.ftState.Bounds, s.ftState.FirstTokenNaN = s.ftState.Trail.At(s.hitRows)
+	var trail *protect.Trail // the hit entry's: immutable
+	if ref != nil {
+		m.ResumePrefillPrefix(ref.Snapshot())
+		trail = ref.Trail()
+	}
+	// Offer the finished prefill back unless the cache already covers this
+	// prompt as deeply as a lookup could use it.
+	s.insert = sch.prefix != nil && s.hitRows < len(s.prompt)-1
+	s.observe = s.insert && !s.req.Protected && (s.hitRows == 0 || trail != nil)
+	switch {
+	case !s.req.Protected && !s.observe:
+	case trail != nil: // always, for a protected hit
+		// The first-token profile of exactly the hitRows cached rows, and
+		// their trail records read in place: the session extends both as it
+		// observes the suffix, so the entry it inserts has a complete trail
+		// from row 0.
+		s.ftState.Trail = trail.Prefix(s.hitRows)
+		s.ftState.Bounds, s.ftState.FirstTokenNaN = s.ftState.Trail.At(s.hitRows)
+	default:
+		s.ftState.Bounds = protect.NewStore()
+		if s.insert {
+			s.ftState.Trail = new(protect.Trail)
 		}
 	}
 	return nil
 }
 
-// finishPrefill completes a session's prefill bookkeeping right after the
-// fused step that computed its final prompt chunk returned the first token:
-// emit, freeze the first-token bounds, seed the migration checkpoint, and
-// offer the full-prompt snapshot back to the prefix cache, then release the
-// sessions parked behind this prefill — after the Insert, so they hit.
+// finishPrefill ends a session's prefill right after the fused step that
+// computed its final prompt chunk emitted the first token: it offers the
+// full-prompt snapshot back to the prefix cache, with the trail the
+// session's fork state recorded, then releases the sessions parked behind
+// this prefill — after the Insert, so they hit.
 //
 // Bit-identity: chunked, cache-seeded, co-batched, and single-pass prefills
 // produce identical KV bits and first tokens (model.ForwardBatch /
@@ -562,27 +542,10 @@ func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
 // observation is associative over row partitions and the bounds trail folds
 // to exactly the restored rows — so a cache-hit session's output matches a
 // cold one and the GenerateInto oracle exactly.
-func (sch *scheduler) finishPrefill(r *replica, g *group, i, tok int) {
-	s := g.sessions[i]
-	m := r.m
-	s.started = true
-	s.lastTok = tok
-	s.emit(tok)
-	sch.mx.tokensTotal.Add(1)
+func (sch *scheduler) finishPrefill(r *replica, g *group, i int) {
+	s, m := g.sessions[i], r.m
 	sch.mx.ttft.Observe(msSince(s.admitted, time.Now()))
-	if f := g.ctls[i]; f != nil {
-		// The first-token bounds are complete once the final chunk ran;
-		// clone them out of the controller so other sessions' Resets cannot
-		// clear them.
-		s.ftState = f.CaptureForkState()
-	}
-	if s.kv.exported && !s.finishedAfter(tok) {
-		// Mark the first migration checkpoint right after the first token,
-		// so a router that loses this worker early in the generation can
-		// already migrate instead of replaying the whole prefill.
-		s.kv.mark(sch, m, &s.ftState)
-		s.lastExport = 1
-	}
+	g.readback(i) // the first-token NaN count decides what the entry serves
 	// A suspect session's rows may have been computed on corrupted weights:
 	// it never inserts, and the sessions parked behind it compute their own.
 	if sch.prefix != nil && s.insert && !s.suspect {
@@ -602,16 +565,13 @@ func (sch *scheduler) finishPrefill(r *replica, g *group, i, tok int) {
 		sch.prefix.Insert(s.prompt, snap, trail, nanFree)
 	}
 	sch.release(s, !s.suspect)
-	s.ftState.Trail = nil // the cache's now, or of no further use: decode never extends it
+	s.ftState.Trail = nil // the cache keeps its own copy, and decode never extends it
 	if s.observe {
 		// The trail was all the observe pass was for: the session decodes
 		// bare from here, in this slice too. Its hook went on last, after any
 		// chaos hook.
 		s.observe, s.ftState, g.ctls[i] = false, core.ForkState{}, nil
 		g.hooks[i] = g.hooks[i][:len(g.hooks[i])-1]
-	}
-	if s.finishedAfter(tok) {
-		sch.finishInGroup(r, g, i, nil)
 	}
 }
 
@@ -631,55 +591,47 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 
 	for {
 		// Step boundary: settle sessions whose deadline expired or whose
-		// client went away.
+		// client went away, and assemble this step's fused items under the
+		// arena's row budget: every participant with budget left contributes
+		// one decode row or one ≤PrefillChunk prompt chunk; a chunk that would
+		// overflow the budget shrinks to fit (and a session left with zero
+		// rows simply waits for the next iteration — its step budget is
+		// untouched).
+		g.idx, g.items = g.idx[:0], g.items[:0]
+		rowBudget, prefRows, decRows := m.Cfg.MaxSeq, 0, 0
 		for i, s := range g.sessions {
 			if s == nil {
 				continue
 			}
 			if cerr := s.checkCtx(); cerr != nil {
 				sch.finishInGroup(r, g, i, cerr)
-			}
-		}
-
-		// Assemble this step's fused items under the arena's row budget:
-		// every participant with budget left contributes one decode row or
-		// one ≤PrefillChunk prompt chunk; a chunk that would overflow the
-		// budget shrinks to fit (and a session left with zero rows simply
-		// waits for the next iteration — its step budget is untouched).
-		g.idx = g.idx[:0]
-		g.items = g.items[:0]
-		rowBudget := m.Cfg.MaxSeq
-		prefRows, decRows := 0, 0
-		for i, s := range g.sessions {
-			if s == nil || g.rem[i] <= 0 || rowBudget <= 0 {
 				continue
 			}
-			if s.started {
-				g.items = append(g.items, model.BatchItem{State: s.kv.st, Tok: s.lastTok, Hooks: g.hooks[i]})
-				g.idx = append(g.idx, i)
+			if g.rem[i] <= 0 || rowBudget <= 0 {
+				continue
+			}
+			it := model.BatchItem{State: s.kv.st, Hooks: g.hooks[i]}
+			if s.kv.st.Started() {
+				it.Tok = s.kv.st.LastToken()
 				rowBudget--
 				decRows++
-				continue
+			} else {
+				pos := s.kv.st.PrefillPos()
+				n := min(len(s.prompt)-pos, rowBudget)
+				if sch.cfg.PrefillChunk > 0 {
+					n = min(n, sch.cfg.PrefillChunk)
+				}
+				it.Prefill = s.prompt[pos : pos+n]
+				rowBudget -= n
+				prefRows += n
 			}
-			pos := s.kv.st.PrefillPos()
-			n := len(s.prompt) - pos
-			if sch.cfg.PrefillChunk > 0 && n > sch.cfg.PrefillChunk {
-				n = sch.cfg.PrefillChunk
-			}
-			if n > rowBudget {
-				n = rowBudget
-			}
-			g.items = append(g.items, model.BatchItem{State: s.kv.st, Prefill: s.prompt[pos : pos+n], Hooks: g.hooks[i]})
+			g.items = append(g.items, it)
 			g.idx = append(g.idx, i)
-			rowBudget -= n
-			prefRows += n
 		}
 		if len(g.idx) == 0 {
 			break
 		}
-		if sch.cfg.StepDelay > 0 {
-			time.Sleep(sch.cfg.StepDelay)
-		}
+		time.Sleep(sch.cfg.StepDelay) // 0 in service: returns at once
 
 		t0 := time.Now()
 		g.toks = m.ForwardBatch(g.items, g.toks[:0])
@@ -693,60 +645,60 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 		sch.mx.tokenLat.Observe(msSince(t0, time.Now()))
 		sch.mx.batchSize.Observe(float64(len(g.idx)))
 		sch.mx.batchSteps.Add(1)
+		sch.mx.prefillChunks.Add(int64(len(g.idx) - decRows))
+		sch.mx.prefillTokens.Add(int64(prefRows))
 
 		for n, i := range g.idx {
-			s := g.sessions[i]
-			if chunk := len(g.items[n].Prefill); chunk > 0 {
-				sch.mx.prefillChunks.Add(1)
-				sch.mx.prefillTokens.Add(int64(chunk))
-				g.rem[i]-- // the chunk consumed one of this slice's steps
-				if tok := g.toks[n]; tok >= 0 {
-					sch.finishPrefill(r, g, i, tok)
-					continue
-				}
-				continue
+			s, tok := g.sessions[i], g.toks[n]
+			g.rem[i]-- // a decode row and a prompt chunk each consume one of this slice's steps
+			if tok < 0 {
+				continue // mid-prefill: no token yet
 			}
-			s.lastTok = g.toks[n]
-			s.emit(s.lastTok)
+			// Delivery, the same for the first token and every later one:
+			// emit, count, end the prefill, finish when done, mark when due.
+			s.emit(tok)
 			sch.mx.tokensTotal.Add(1)
-			g.rem[i]--
-			if s.finishedAfter(s.lastTok) {
+			if len(g.items[n].Prefill) > 0 {
+				sch.finishPrefill(r, g, i)
+			}
+			if s.finishedAfter(tok) {
 				sch.finishInGroup(r, g, i, nil)
 				continue
 			}
 			// The mark covering the token just emitted is recorded before the
 			// next step can emit another (same goroutine), so a router that
 			// has seen token k can always fetch a checkpoint within one stride
-			// of k.
-			if total := s.kv.st.Step() + 1; s.kv.exported && total-s.lastExport >= sch.cfg.ExportStride {
-				if g.ctls[i] != nil {
-					s.syncFT2(g.ctls[i])
-				}
+			// of k — from the first token on, which a session with no mark
+			// yet marks: a router need never replay a whole prefill.
+			if total := s.kv.st.Step() + 1; s.kv.exported && (s.lastExport == 0 || total-s.lastExport >= sch.cfg.ExportStride) {
+				g.readback(i)
 				s.kv.mark(sch, m, &s.ftState)
 				s.lastExport = total
 			}
 		}
 	}
 
-	// Survivors: capture their correction counters — or, mid-prefill, the
-	// first-token bounds and trail observed so far, which the next slice
-	// resumes onto whichever controller it gets — and put them back on the
-	// ring (cap MaxSessions ≥ active sessions: never blocks).
+	// Survivors: read their counters back — the bounds and trail a prefill
+	// writes are the session's already — and put them back on the ring (cap
+	// MaxSessions ≥ active sessions: never blocks).
 	for i, s := range g.sessions {
 		if s == nil {
 			continue
 		}
-		if f := g.ctls[i]; f != nil {
-			if s.started {
-				s.syncFT2(f)
-			} else {
-				s.ftState = f.CaptureForkState()
-			}
-		}
+		g.readback(i)
 		s.kv.account(sch)
 		sch.ready <- s
 	}
 	return nil
+}
+
+// readback copies session i's controller counters into its fork state, at
+// every exit from the group: slice end, finish, mark and first token.
+func (g *group) readback(i int) {
+	if f := g.ctls[i]; f != nil {
+		st := &g.sessions[i].ftState
+		st.FirstTokenNaN, st.Stats, st.ByKind = f.FirstTokenNaNCount(), f.Stats(), f.StatsByKind()
+	}
 }
 
 // finishInGroup settles a session mid-slice and removes it from the group.
@@ -754,9 +706,7 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 // worker still holds the replica its state can be checkpointed on).
 func (sch *scheduler) finishInGroup(r *replica, g *group, i int, err error) {
 	s := g.sessions[i]
-	if g.ctls[i] != nil {
-		s.syncFT2(g.ctls[i])
-	}
+	g.readback(i)
 	g.sessions[i] = nil
 	if err == nil {
 		sch.maybeSpill(r, s)

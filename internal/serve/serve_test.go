@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -104,13 +105,35 @@ func admitBare(t testing.TB, sch *scheduler, reqs []Request) []*Session {
 	sessions := make([]*Session, len(reqs))
 	for i, req := range reqs {
 		var err error
-		if sessions[i], err = sch.submit(context.Background(), req, req.PromptTokens); err != nil {
+		if sessions[i], err = sch.admitSession(context.Background(), req, req.PromptTokens, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		sch.slots <- struct{}{}
 		sch.ready <- <-sch.admit
 	}
 	return sessions
+}
+
+// pastFirstToken reports whether a session driven by hand has emitted its
+// first token or settled: what a loop of runSlice calls waits on, which must
+// end once the session settled, its state recycled.
+func pastFirstToken(s *Session) bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return len(s.out) > 0
+	}
+}
+
+// histCount is the number of observations h holds.
+func histCount(h *Histogram) (n int64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, c := range h.counts {
+		n += c
+	}
+	return n
 }
 
 func equalTokens(a, b []int) bool {
@@ -156,9 +179,7 @@ func TestServedMatchesOracle(t *testing.T) {
 				if !equalTokens(res.Tokens, want) {
 					t.Fatalf("clients=%d protected=%v request %d: served %v != oracle %v", load[0], protected, i, res.Tokens, want)
 				}
-				if protected && (res.Corrections.OutOfBound != corr.OutOfBound ||
-					res.Corrections.NaN != corr.NaN ||
-					res.Corrections.FirstTokenNaN != corr.FirstTokenNaN) {
+				if !reflect.DeepEqual(res.Corrections, corr) {
 					t.Fatalf("clients=%d request %d: corrections %+v != oracle %+v", load[0], i, res.Corrections, corr)
 				}
 			}
@@ -428,6 +449,33 @@ func FuzzGenerateRequest(f *testing.F) {
 				prompt, req.MaxTokens, cfg.Vocab, cfg.MaxSeq, d)
 		}
 	})
+}
+
+// TestDeadlineMidPrefillReportsGenTime: a session whose deadline expires
+// after a slice opened its prefill and before its first token was scheduled,
+// so its Result splits its life at the open — queue time before, generation
+// time after — instead of reporting all of it as queue time.
+func TestDeadlineMidPrefillReportsGenTime(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.PrefillChunk, cfg.SliceSteps = 4, 1
+	const deadline = 100 * time.Millisecond
+	sch, sessions := bareSchedulerOf(t, cfg, []Request{{
+		PromptTokens: testPrompts(t, 1)(0), MaxTokens: 4, DeadlineMS: int(deadline / time.Millisecond),
+	}})
+	s := sessions[0]
+	r := sch.runSlice(sch.pool.replicas[0], &group{}, <-sch.ready) // opens it, one chunk
+	if s.startAt.IsZero() || !s.kv.st.Prefilling() {
+		t.Fatal("the first slice did not leave the session mid-prefill")
+	}
+	time.Sleep(deadline)
+	sch.runSlice(r, &group{}, <-sch.ready)
+	res, err := s.Wait(context.Background())
+	if !errors.Is(err, ErrDeadline) || len(res.Tokens) != 0 {
+		t.Fatalf("%v with %d tokens, want a deadline before the first token", err, len(res.Tokens))
+	}
+	if res.GenMS < float64(deadline/time.Millisecond)/2 || res.QueueMS >= res.GenMS {
+		t.Fatalf("queue %.2f ms, generation %.2f ms: the time since the prefill opened is not generation time", res.QueueMS, res.GenMS)
+	}
 }
 
 // TestDeadline checks a request whose deadline expires mid-generation

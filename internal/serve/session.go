@@ -15,8 +15,10 @@ import (
 // A session owns its generation state (a model.DecodeState holding its KV
 // slabs) plus its FT2 fork state, so it can advance on any replica — as an
 // item of a model.ForwardBatch call, alone or alongside other sessions —
-// with no snapshot copies and bit-identical results. A session is driven
-// by exactly one worker at a time; clients observe it through Tokens
+// with no snapshot copies and bit-identical results. Its phase is its
+// state's: opened once startAt is set, decoding once kv.st.Started(), and
+// the token it feeds next is kv.st.LastToken(). A session is driven by
+// exactly one worker at a time; clients observe it through Tokens
 // (streaming) and Wait.
 type Session struct {
 	req    Request
@@ -24,32 +26,32 @@ type Session struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	out     []int
-	tokens  chan int // cap MaxTokens: scheduler sends never block
-	done    chan struct{}
-	err     error
-	res     Result
-	lastTok int
+	out    []int
+	tokens chan int // cap MaxTokens: scheduler sends never block
+	done   chan struct{}
+	err    error
+	res    Result
 
-	started  bool
-	kv       kvLease // owned generation state (KV slabs) and its checkpoint marks
+	kv kvLease // owned generation state (KV slabs) and its checkpoint marks
+	// ftState is the session's protection state, owned from the slice that
+	// opens it when protected or observing: the bounds store and trail its
+	// slot's controller writes during prefill (ResumeFork binds them), and
+	// the counters each exit from a group reads back (group.readback).
 	ftState  core.ForkState
 	admitted time.Time
-	startAt  time.Time // first slice began (queue latency endpoint)
+	startAt  time.Time // the slice that opened it (queue latency endpoint); zero until then
 
-	// Chunked-prefill / prefix-cache progress. prefillStarted flips on the
-	// session's first prefill slice (cache lookup + BeginPrefill); hitRows is
-	// the cached-prefix depth it resumed from; insert marks that the
-	// completed prefill should be offered back to the cache, with the bounds
-	// trail ftState carries. observe marks an unprotected session that records
-	// that trail through its slot's observe-only hook: one inserting an entry
-	// whose trail is complete from row 0 (a cold prefill, or a hit on an entry
-	// that carries one). Its ftState is the trail's and nothing else's, and
-	// its FirstTokenNaN counts the NaNs the observe pass saw.
-	prefillStarted bool
-	hitRows        int
-	insert         bool
-	observe        bool
+	// Prefix-cache progress. hitRows is the cached-prefix depth the prefill
+	// resumed from; insert marks that the completed prefill should be offered
+	// back to the cache, with the bounds trail ftState carries. observe marks
+	// an unprotected session that records that trail through its slot's
+	// observe-only hook: one inserting an entry whose trail is complete from
+	// row 0 (a cold prefill, or a hit on an entry that carries one). Its
+	// ftState is the trail's and nothing else's, and its FirstTokenNaN counts
+	// the NaNs the observe pass saw.
+	hitRows int
+	insert  bool
+	observe bool
 
 	// Coalescing (scheduler.followOrLead): waited says the session has spent
 	// its one wait behind an in-flight prefill of its prefix; followers are
@@ -64,27 +66,17 @@ type Session struct {
 	suspect bool
 
 	// Adoption (migration import / spill resume): instead of prefilling a
-	// prompt, the session's first slice restores adoptSnap (and, when
-	// protected, adoptFT) into its state and decodes from there. corrBase
-	// holds the correction counters the state arrived with, so server-level
-	// metrics only accumulate this process's delta while the response stays
-	// cumulative. lastExport drives the checkpoint-export stride.
+	// prompt, the slice that opens the session restores adoptSnap into its
+	// state and decodes from there; a protected one arrives with its fork
+	// state in ftState, its counters cumulative across the session's whole
+	// life, so the response matches the single-process oracle. corrBase is
+	// that arriving state: server-level metrics accumulate only this
+	// process's delta past its counters. lastExport is the token count of
+	// the latest mark (0: none yet) and drives the checkpoint-export stride.
 	adoptSnap  *model.Snapshot
-	adoptFT    *core.ForkState
-	adoptKind  adoptKind
 	corrBase   core.ForkState
 	lastExport int
 }
-
-// adoptKind distinguishes how an adopted session's state arrived, for the
-// restored/imported metrics split.
-type adoptKind int
-
-const (
-	adoptNone   adoptKind = iota
-	adoptImport           // POST /v1/sessions/import (live migration)
-	adoptSpill            // Resume from the spill directory (durable parking)
-)
 
 // Tokens streams the generated token ids in order; the channel is closed
 // when the session finishes (successfully or not).
@@ -132,16 +124,6 @@ func (s *Session) finishedAfter(tok int) bool {
 	return len(s.out) >= s.req.MaxTokens || (s.req.StopAtEOS && tok == tokenizer.EOS)
 }
 
-// syncFT2 captures the controller's correction counters into the session's
-// fork state so they survive the slice (the bounds pointer is already ours).
-func (s *Session) syncFT2(f *core.FT2) {
-	if !s.req.Protected || !s.started {
-		return
-	}
-	s.ftState.Stats = f.Stats()
-	s.ftState.ByKind = f.StatsByKind()
-}
-
 // finalize builds the terminal Result (called by the scheduler with the
 // session off every replica).
 func (s *Session) finalize(modelName string) {
@@ -154,9 +136,9 @@ func (s *Session) finalize(modelName string) {
 		GenMS:            msSince(s.startAt, time.Now()),
 		CachedPromptRows: s.hitRows,
 	}
-	if !s.started {
-		// Never scheduled (deadline expired in the queue): no generation
-		// window to report.
+	if s.startAt.IsZero() {
+		// Never opened (it settled in the queue, or parked behind a leader):
+		// no generation window to report.
 		s.res.QueueMS = msSince(s.admitted, time.Now())
 		s.res.GenMS = 0
 	}
