@@ -35,6 +35,7 @@ fuzz-smoke:
 	$(GO) test ./internal/protect -run XXX -fuzz FuzzLoadPolicy -fuzztime 10s
 	$(GO) test ./internal/protect -run XXX -fuzz FuzzObserveBareMatchesProtected -fuzztime 10s
 	$(GO) test ./internal/protect -run XXX -fuzz FuzzTrailShare -fuzztime 10s
+	$(GO) test ./internal/protect -run XXX -fuzz FuzzBoundsStore -fuzztime 10s
 	$(GO) test ./internal/router -run XXX -fuzz FuzzRelayStream -fuzztime 10s
 	$(GO) test ./internal/serve -run XXX -fuzz FuzzGenerateRequest -fuzztime 10s
 	$(GO) test ./internal/serve -run XXX -fuzz FuzzImportRequest -fuzztime 10s

@@ -601,8 +601,9 @@ type trialRunner struct {
 	weight float64             // prefill weight, resolved once
 	plans  map[int]*fault.Plan // keyed by prompt length
 	inj    fault.Injector
-	ctl    *core.FT2 // the spec's protection; nil when it runs unprotected
-	outBuf []int     // reused per-trial output buffer, cap GenTokens
+	ctl    *core.FT2      // the spec's protection; nil when it runs unprotected
+	fork   core.ForkState // a forked trial's own copy of its checkpoint's state (arm)
+	outBuf []int          // reused per-trial output buffer, cap GenTokens
 	// dirty marks the replica as possibly poisoned (a panic escaped a
 	// trial); the worker replaces the runner before reusing it.
 	dirty bool
@@ -645,13 +646,14 @@ func (r *trialRunner) runGuarded(ctx context.Context, idx int) (o trialOutcome, 
 }
 
 // arm installs the protection hook for one run on the replica: rearmed for a
-// fresh inference, or resumed from a golden checkpoint's fork state.
+// fresh inference, or bound to r.fork, the trial's own copy of a checkpoint's.
 func (r *trialRunner) arm(fork *core.ForkState) {
 	if r.ctl == nil {
 		return
 	}
 	if fork != nil {
-		r.ctl.ResumeFork(*fork)
+		r.fork = *fork
+		r.ctl.Bind(&r.fork)
 	} else {
 		r.ctl.Reset()
 	}

@@ -14,7 +14,10 @@
 // The FT2 type is also the repository's one protection controller: the
 // adaptive tier policies (ABFT, DMR, stacked) and the offline-bounds
 // baselines are other policies compiled into the same per-layer-kind stage
-// table and run by the same hook.
+// table and run by the same hook. Its protection state — the first-token
+// bounds, their trail and the correction counters — is one ForkState that it
+// works on in place: its own after Reset, or one a caller bound (a serving
+// session's, a forked trial's).
 package core
 
 import (
@@ -72,39 +75,17 @@ type FT2 struct {
 	// correctNaN makes the clamp map NaN→0 (every method but the Ranger and
 	// MaxiMals baselines, which rely on range checks alone).
 	correctNaN bool
-	// own is the store Reset rearms: the controller's first-token store, or
-	// the offline profile. bounds is the store in force — own, or a shared
-	// read-only store a forked continuation swapped in (decode steps never
-	// write it). The learn pass observes into it; the clamp reads table.
-	own, bounds *protect.Store
-	// table is bounds already scaled, dense by (block, kind, site) and sized
-	// from the model: a clamp fire costs an index, not a lock, a map hash and
-	// a Scale. Reset, ResumeFork and every learn-pass fire — whatever swaps or
-	// widens bounds — drop tableOK, and the next clamp refills the table first.
-	table   []siteBounds
-	tableOK bool
-	// trail is where the first-token pass records which prompt rows widened
-	// which bounds (protect.Trail): the controller's own after Reset, or the
-	// one a mid-prefill fork state brought along.
-	ownTrail, trail *protect.Trail
-	ftNaN           int // NaNs corrected during the first token
-	stats           protect.CorrectionStats
-	// byKind breaks the following-token corrections down by the layer kind
-	// they fired on — the per-layer-kind protection telemetry the serving
-	// layer exports. Fixed-size array: updating it on the hook hot path
-	// never allocates.
-	byKind [model.NumLayerKinds]protect.CorrectionStats
+	// own is the state Reset rearms: its Bounds are the controller's
+	// first-token store or the offline profile, its Trail the controller's.
+	// st is the state in force — &own, or one a caller bound — which the
+	// hooks and every counter read and write in place.
+	own ForkState
+	st  *ForkState
 	// chk and dmr implement the exact-repair stages and hold their counters;
 	// nil when the policy has no such tier.
 	chk    *abft.LinearChecker
 	dmr    *protect.DMR
 	handle model.HookHandle
-}
-
-// siteBounds is one table entry; ok is false where bounds holds nothing.
-type siteBounds struct {
-	b  protect.Bounds
-	ok bool
 }
 
 // stage is what the hook does at one layer kind.
@@ -122,7 +103,7 @@ type stage struct {
 // opts.ProtectAllLayers) — without registering its hook; callers that
 // interleave it with other hooks (the campaign runner puts the fault
 // injector first) register it with Install. The controller is reusable
-// across inferences — Reset or ResumeFork rearm it.
+// across inferences — Reset or Bind rearm it.
 func New(m *model.Model, opts Options) *FT2 {
 	kinds := arch.CriticalKinds(m.Cfg.Family)
 	if opts.ProtectAllLayers {
@@ -178,9 +159,8 @@ func newFT2(m *model.Model, opts Options, own *protect.Store) *FT2 {
 	if opts.ScaleFactor < 1 {
 		panic(fmt.Sprintf("core: scale factor %g < 1 would tighten bounds", opts.ScaleFactor))
 	}
-	f := &FT2{m: m, opts: opts, own: own, bounds: own, ownTrail: new(protect.Trail)}
-	f.trail = f.ownTrail
-	f.table = make([]siteBounds, m.Cfg.Blocks*model.NumLayerKinds*len(f.stages[0].clamp))
+	f := &FT2{m: m, opts: opts, own: ForkState{Bounds: own, Trail: new(protect.Trail)}}
+	f.st = &f.own
 	return f
 }
 
@@ -250,19 +230,17 @@ func (f *FT2) ObserveHook() model.Hook { return f.observe }
 // Detach removes FT2's hook from the model.
 func (f *FT2) Detach() { f.m.RemoveHook(f.handle) }
 
-// Reset rearms the controller for a fresh full inference: per-inference
-// bounds and clamp counters clear, and the hook profiles the next first token
-// into the controller's own store again. The exact-repair counters survive —
-// they are lifetime telemetry, collected via DrainCounts.
+// Reset rearms the controller for a fresh full inference on its own state:
+// per-inference bounds and clamp counters clear, and the hook profiles the
+// next first token into the controller's own store again. The exact-repair
+// counters survive — they are lifetime telemetry, collected via DrainCounts.
 func (f *FT2) Reset() {
 	if f.learn {
-		f.own.Reset()
+		f.own.Bounds.Reset()
 	}
-	f.ownTrail.Reset()
-	f.bounds, f.trail, f.tableOK = f.own, f.ownTrail, false
-	f.ftNaN = 0
-	f.stats = protect.CorrectionStats{}
-	f.byKind = [model.NumLayerKinds]protect.CorrectionStats{}
+	f.own.Trail.Reset()
+	f.own = ForkState{Bounds: f.own.Bounds, Trail: f.own.Trail}
+	f.st = &f.own
 }
 
 // ForkState is the protection-side state the clamp carries across decode steps,
@@ -286,41 +264,34 @@ type ForkState struct {
 	ByKind [model.NumLayerKinds]protect.CorrectionStats
 }
 
-// CaptureForkState snapshots the controller's state: the bounds are deep
-// copied and the trail cloned (protect.Trail.Clone), so the capture stays
-// valid across later Resets.
+// CaptureForkState snapshots the state in force: the bounds are deep copied
+// and the trail cloned (protect.Trail.Clone), so the capture stays valid
+// across later Resets and Binds.
 func (f *FT2) CaptureForkState() ForkState {
-	return ForkState{
-		Bounds:        f.bounds.Clone(),
-		FirstTokenNaN: f.ftNaN,
-		Trail:         f.trail.Clone(),
-		Stats:         f.stats,
-		ByKind:        f.byKind,
-	}
+	st := *f.st
+	st.Bounds, st.Trail = st.Bounds.Clone(), st.Trail.Clone()
+	return st
 }
 
-// ResumeFork installs a captured state for a forked continuation. One that
-// starts at a decode step ≥ 1 reads st.Bounds without ever writing it, so one
-// captured state may back many concurrent forks; a continuation still inside
-// its prefill owns st.Bounds and st.Trail and keeps extending both.
-func (f *FT2) ResumeFork(st ForkState) {
-	f.bounds, f.trail, f.tableOK = st.Bounds, st.Trail, false
-	f.ftNaN = st.FirstTokenNaN
-	f.stats = st.Stats
-	f.byKind = st.ByKind
-}
+// Bind makes st the state the controller works on, in place, until the next
+// Bind or Reset: the hooks learn into st.Bounds and st.Trail during a prefill
+// and advance st's counters, so st is current after every step. A
+// continuation at a decode step ≥ 1 reads st.Bounds without ever writing it,
+// so one store may back many bound states at once; one still inside its
+// prefill owns st.Bounds and st.Trail and keeps extending both.
+func (f *FT2) Bind(st *ForkState) { f.st = st }
 
 // Stats returns the corrections applied since attach (following tokens
 // only; first-token NaN corrections are reported by FirstTokenNaNCount).
-func (f *FT2) Stats() protect.CorrectionStats { return f.stats }
+func (f *FT2) Stats() protect.CorrectionStats { return f.st.Stats }
 
 // StatsByKind breaks the following-token corrections down by the layer kind
 // they fired on, indexed by model.LayerKind.
-func (f *FT2) StatsByKind() [model.NumLayerKinds]protect.CorrectionStats { return f.byKind }
+func (f *FT2) StatsByKind() [model.NumLayerKinds]protect.CorrectionStats { return f.st.ByKind }
 
 // FirstTokenNaNCount returns NaNs corrected during the last inference's
 // first-token pass.
-func (f *FT2) FirstTokenNaNCount() int { return f.ftNaN }
+func (f *FT2) FirstTokenNaNCount() int { return f.st.FirstTokenNaN }
 
 // ExactCounts is the since-last-drain telemetry of the exact-repair stages.
 type ExactCounts struct {
@@ -345,9 +316,9 @@ func (f *FT2) DrainCounts() ExactCounts {
 }
 
 // Bounds exposes the raw (unscaled) bounds the hook currently consults:
-// those captured from the last inference's first token, or the fork-state
-// bounds after ResumeFork.
-func (f *FT2) Bounds() *protect.Store { return f.bounds }
+// those captured from the last inference's first token, or the bound fork
+// state's.
+func (f *FT2) Bounds() *protect.Store { return f.st.Bounds }
 
 // RefSums returns the ABFT reference sums the controller checks against, or
 // nil when its policy has no abft tier.
@@ -396,56 +367,28 @@ func (f *FT2) hook(ctx model.HookCtx, out *tensor.Tensor) {
 		return
 	}
 	if ctx.FirstToken && f.learn {
-		f.tableOK = false
 		key := protect.SiteKey{Layer: ctx.Layer, Site: ctx.Site}
-		f.ftNaN += f.bounds.ObserveRows(key, out, ctx.Pos, f.opts.FirstTokenNaNCorrection, f.trail)
+		f.st.FirstTokenNaN += f.st.Bounds.ObserveRows(key, out, ctx.Pos, f.opts.FirstTokenNaNCorrection, f.st.Trail)
 		return
 	}
-	if !f.tableOK {
-		f.fillTable()
-	}
 	var c protect.CorrectionStats
-	if e := &f.table[f.slot(ctx.Layer, ctx.Site)]; e.ok {
-		c = protect.ClampCorrect(out.Data, e.b, f.opts.Mode, f.correctNaN)
+	if b, ok := f.st.Bounds.Get(protect.SiteKey{Layer: ctx.Layer, Site: ctx.Site}); ok {
+		c = protect.ClampCorrect(out.Data, b.Scale(f.opts.ScaleFactor), f.opts.Mode, f.correctNaN)
 	} else if f.correctNaN {
 		// No bounds for the site (an offline profile that never saw it): NaN
 		// correction is all that can be done.
 		c.NaN = protect.CorrectNaNOnly(out.Data)
 	}
-	f.stats.OutOfBound += c.OutOfBound
-	f.stats.NaN += c.NaN
-	f.byKind[ctx.Layer.Kind].OutOfBound += c.OutOfBound
-	f.byKind[ctx.Layer.Kind].NaN += c.NaN
+	fs := f.st
+	fs.Stats.OutOfBound += c.OutOfBound
+	fs.Stats.NaN += c.NaN
+	fs.ByKind[ctx.Layer.Kind].OutOfBound += c.OutOfBound
+	fs.ByKind[ctx.Layer.Kind].NaN += c.NaN
 }
 
 func (f *FT2) observe(ctx model.HookCtx, out *tensor.Tensor) {
 	if !ctx.FirstToken || !f.learn || !f.stages[ctx.Layer.Kind].clamp[ctx.Site] {
 		return
 	}
-	f.tableOK = false
-	f.ftNaN += f.bounds.ObserveRowsOnly(protect.SiteKey{Layer: ctx.Layer, Site: ctx.Site}, out, ctx.Pos, f.trail)
-}
-
-// slot is the table index of a site on this model.
-func (f *FT2) slot(l model.LayerRef, site model.Site) int {
-	return (l.Block*model.NumLayerKinds+int(l.Kind))*len(f.stages[0].clamp) + int(site)
-}
-
-// fillTable rebuilds the table from the store in force, asking it only for
-// the sites the policy clamps: no key a decoded fork state carries sizes it.
-func (f *FT2) fillTable() {
-	for b := 0; b < f.m.Cfg.Blocks; b++ {
-		for k := range f.stages {
-			l := model.LayerRef{Block: b, Kind: model.LayerKind(k)}
-			for site, on := range f.stages[k].clamp {
-				var e siteBounds
-				if on {
-					e.b, e.ok = f.bounds.Get(protect.SiteKey{Layer: l, Site: model.Site(site)})
-					e.b = e.b.Scale(f.opts.ScaleFactor)
-				}
-				f.table[f.slot(l, model.Site(site))] = e
-			}
-		}
-	}
-	f.tableOK = true
+	f.st.FirstTokenNaN += f.st.Bounds.ObserveRowsOnly(protect.SiteKey{Layer: ctx.Layer, Site: ctx.Site}, out, ctx.Pos, f.st.Trail)
 }

@@ -175,6 +175,58 @@ func TestFT2CorrectsNaNDuringFirstToken(t *testing.T) {
 	}
 }
 
+// TestBindWritesInPlace: a bound state is the one the controller works on —
+// after a protected generation with a first-token NaN and out-of-bound
+// values, its counters are Stats, StatsByKind and FirstTokenNaNCount, its
+// store is Bounds and its trail folds to both — and a CaptureForkState of the
+// controller's own state survives a later Reset and Bind.
+func TestBindWritesInPlace(t *testing.T) {
+	m := testModel(t, "opt-6.7b-sim")
+	nan := float32(0)
+	nan /= nan
+	m.RegisterHook(func(ctx model.HookCtx, out *tensor.Tensor) {
+		switch {
+		case ctx.Site != model.SiteLinearOut:
+		case ctx.Step == 0 && ctx.Layer == (model.LayerRef{Block: 1, Kind: model.FC2}):
+			out.Data[3] = nan
+		case ctx.Step >= 1 && ctx.Layer == (model.LayerRef{Block: 2, Kind: model.OutProj}):
+			out.Data[0] = 48000
+		}
+	})
+	f := New(m, Defaults())
+	f.Install()
+	prompt := []int{4, 9, 14, 19}
+	bound := func(st *ForkState) {
+		t.Helper()
+		f.Bind(st)
+		tok := m.Prefill(prompt)
+		for i := 0; i < 5; i++ {
+			tok = m.DecodeStep(tok)
+		}
+		if st.Stats != f.Stats() || st.ByKind != f.StatsByKind() || st.FirstTokenNaN != f.FirstTokenNaNCount() || st.Bounds != f.Bounds() {
+			t.Fatalf("bound state %+v is not the controller's: stats %+v, NaN %d", st, f.Stats(), f.FirstTokenNaNCount())
+		}
+		if st.Stats.OutOfBound == 0 || st.FirstTokenNaN == 0 || st.Bounds.Len() == 0 {
+			t.Fatalf("the faults left no trace in the bound state: %+v", st)
+		}
+		at, atNaN := st.Trail.At(len(prompt))
+		folded := ForkState{Bounds: at, FirstTokenNaN: atNaN, Stats: st.Stats, ByKind: st.ByKind}
+		if !bytes.Equal(AppendForkState(nil, &folded), AppendForkState(nil, st)) {
+			t.Fatalf("the bound trail folds to %v NaN %d, the store is %v NaN %d", at, atNaN, st.Bounds, st.FirstTokenNaN)
+		}
+	}
+	bound(&ForkState{Bounds: protect.NewStore(), Trail: new(protect.Trail)})
+
+	f.Generate(prompt, 6)
+	capture := f.CaptureForkState()
+	want := AppendForkState(nil, &capture)
+	f.Reset()
+	bound(&ForkState{Bounds: protect.NewStore(), Trail: new(protect.Trail)})
+	if got := AppendForkState(nil, &capture); !bytes.Equal(got, want) || capture.Bounds.Len() == 0 {
+		t.Fatal("a captured state changed under a later Reset and Bind")
+	}
+}
+
 // TestObserveHookRecordsProtectedTrail: under a policy with repair tiers, the
 // observe-only hook leaves an unprotected generation's tokens as they are and
 // ends its prefill with the bounds and trail the protecting hook records from
@@ -489,7 +541,8 @@ func TestControllerMatchesHandComposedStages(t *testing.T) {
 			m2 := replica()
 			f2 := NewHybrid(m2, Defaults(), policy, nil)
 			f2.Install()
-			f2.ResumeFork(f.CaptureForkState())
+			st := f.CaptureForkState()
+			f2.Bind(&st)
 			tok := m2.Restore(&snap)
 			for len(toks) < gen {
 				tok = m2.DecodeStep(tok)

@@ -63,9 +63,10 @@ func AppendForkState(dst []byte, st *ForkState) []byte {
 
 // DecodeForkState parses one wire-encoded fork state from the front of
 // data, returning the state and the number of bytes consumed. The decoded
-// Bounds store is always non-nil. Malformed input returns an error, never a
-// panic.
-func DecodeForkState(data []byte) (ForkState, int, error) {
+// Bounds store is always non-nil, and holds no entry at or past block
+// blocks: a store is dense up to its last entry. Malformed input returns an
+// error, never a panic.
+func DecodeForkState(data []byte, blocks int) (ForkState, int, error) {
 	var st ForkState
 	const fixed = 8 + 8 + 8 + 1
 	if len(data) < fixed {
@@ -99,6 +100,9 @@ func DecodeForkState(data []byte) (ForkState, int, error) {
 		lo := math.Float32frombits(binary.LittleEndian.Uint32(data[off+6:]))
 		hi := math.Float32frombits(binary.LittleEndian.Uint32(data[off+10:]))
 		off += boundsEntryBytes
+		if block < 0 || block >= blocks { // < 0: a u32 past MaxInt32 where int is 32 bits
+			return st, 0, fmt.Errorf("core: fork-state wire: block %d of a %d-block model", block, blocks)
+		}
 		if int(kind) >= model.NumLayerKinds {
 			return st, 0, fmt.Errorf("core: fork-state wire: bad layer kind %d", kind)
 		}

@@ -61,6 +61,9 @@ func (s *Snapshot) LastToken() int { return s.lastTok }
 // Rows returns the number of KV rows the snapshot holds per block.
 func (s *Snapshot) Rows() int { return s.rows }
 
+// Blocks returns the decoder block count of the capturing model.
+func (s *Snapshot) Blocks() int { return s.blocks }
+
 // MemoryBytes returns the heap footprint of the snapshot's own KV payload:
 // Blocks × 2 × rows × Hidden float32s, less the rows a shared snapshot reads
 // from its base. The bookkeeping fields are a few dozen bytes on top.

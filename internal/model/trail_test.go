@@ -135,7 +135,7 @@ func TestTrailResumesAtEveryDepth(t *testing.T) {
 
 						m.BeginPrefill(len(prompt))
 						m.ResumePrefillPrefix(kv.Prefix(d))
-						ctl.ResumeFork(core.ForkState{Bounds: store, FirstTokenNaN: nan, Trail: cold.fork.Trail.Prefix(d)})
+						ctl.Bind(&core.ForkState{Bounds: store, FirstTokenNaN: nan, Trail: cold.fork.Trail.Prefix(d)})
 						warm := runProtected(m, ctl, prompt, d, chunk, gen)
 						if !slices.Equal(warm.toks, cold.toks) || !bytes.Equal(warm.bytes, cold.bytes) ||
 							warm.fork.Stats != cold.fork.Stats || warm.fork.ByKind != cold.fork.ByKind ||

@@ -8,9 +8,8 @@ package protect
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"ft2/internal/model"
 	"ft2/internal/numerics"
@@ -61,11 +60,21 @@ func (b Bounds) Widen(o Bounds) Bounds {
 	return out
 }
 
-// Store maps protected sites to bounds. A zero-value Store is empty and
-// ready to use through Observe/Set.
+// Store holds the bounds of protected sites in one slice indexed by site
+// slot — (block, kind, site) order, grown on Set — so the clamp's lookup is
+// an index. A zero-value Store is empty and ready to use through
+// Observe/Set. A store has no lock: only the one controller whose learn pass
+// fills it writes it, and a store shared between sessions or trials is
+// read-only from then on.
 type Store struct {
-	mu sync.RWMutex
-	m  map[SiteKey]Bounds
+	slots []slot
+	n     int // slots holding bounds
+}
+
+// slot is one site's bounds; ok is false where none were recorded.
+type slot struct {
+	b  Bounds
+	ok bool
 }
 
 // SiteKey addresses a protected site (layer instance + hook site).
@@ -74,85 +83,79 @@ type SiteKey struct {
 	Site  model.Site
 }
 
+const sitesPerKind = int(model.SiteActivationOut) + 1
+
+// slotOf is the site's index in a store.
+func slotOf(k SiteKey) int {
+	return (k.Layer.Block*model.NumLayerKinds+int(k.Layer.Kind))*sitesPerKind + int(k.Site)
+}
+
+// keyOf is slotOf's inverse.
+func keyOf(i int) SiteKey {
+	l := i / sitesPerKind
+	return SiteKey{Layer: model.LayerRef{Block: l / model.NumLayerKinds, Kind: model.LayerKind(l % model.NumLayerKinds)}, Site: model.Site(i % sitesPerKind)}
+}
+
 // NewStore returns an empty bounds store.
-func NewStore() *Store { return &Store{m: make(map[SiteKey]Bounds)} }
+func NewStore() *Store { return &Store{} }
 
 // Set stores bounds for a site.
-func (s *Store) Set(k SiteKey, b Bounds) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[SiteKey]Bounds)
+func (s *Store) Set(k SiteKey, b Bounds) { s.set(slotOf(k), b) }
+
+func (s *Store) set(i int, b Bounds) {
+	if i >= len(s.slots) {
+		s.slots = append(s.slots, make([]slot, i+1-len(s.slots))...)
 	}
-	s.m[k] = b
+	if !s.slots[i].ok {
+		s.n++
+	}
+	s.slots[i] = slot{b, true}
 }
 
 // Get returns the bounds for a site and whether they exist.
-func (s *Store) Get(k SiteKey) (Bounds, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	b, ok := s.m[k]
-	return b, ok
+func (s *Store) Get(k SiteKey) (Bounds, bool) { return s.get(slotOf(k)) }
+
+func (s *Store) get(i int) (Bounds, bool) {
+	if uint(i) >= uint(len(s.slots)) {
+		return Bounds{}, false
+	}
+	return s.slots[i].b, s.slots[i].ok
+}
+
+// widen widens slot i's bounds to cover b.
+func (s *Store) widen(i int, b Bounds) {
+	if cur, ok := s.get(i); ok {
+		b = cur.Widen(b)
+	}
+	s.set(i, b)
 }
 
 // Observe widens the stored bounds of a site to cover every finite value in
 // the tensor. NaNs are skipped (they are corrected, not learned).
 func (s *Store) Observe(k SiteKey, t *tensor.Tensor) {
-	seen, ok, _ := finiteRange(t.Data, false)
-	if !ok {
-		return // nothing finite to learn
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[SiteKey]Bounds)
-	}
-	if cur, ok := s.m[k]; ok {
-		s.m[k] = cur.Widen(seen)
-	} else {
-		s.m[k] = seen
+	if seen, ok, _ := finiteRange(t.Data, false); ok {
+		s.widen(slotOf(k), seen)
 	}
 }
 
 // Len returns the number of sites with recorded bounds.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
+func (s *Store) Len() int { return s.n }
 
-// Reset clears every recorded bound. The map's buckets are kept, so a
-// per-inference Reset/Observe cycle over a stable site set (the FT2 hot
-// path) stops touching the allocator after the first inference.
+// Reset clears every recorded bound. The slots are kept, so a per-inference
+// Reset/Observe cycle (the FT2 hot path) stops touching the allocator after
+// the first inference.
 func (s *Store) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[SiteKey]Bounds)
-		return
-	}
-	clear(s.m)
+	clear(s.slots)
+	s.n = 0
 }
 
 // Clone returns a deep copy of the store.
-func (s *Store) Clone() *Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := &Store{m: make(map[SiteKey]Bounds, len(s.m))}
-	for k, b := range s.m {
-		out.m[k] = b
-	}
-	return out
-}
+func (s *Store) Clone() *Store { return &Store{slots: slices.Clone(s.slots), n: s.n} }
 
 // MemoryBytes reports the storage footprint of the bounds when held in the
 // model's dtype (2 values per protected layer), the paper's Section 5.2.2
 // memory-overhead accounting.
-func (s *Store) MemoryBytes(d numerics.DType) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m) * 2 * d.Bits() / 8
-}
+func (s *Store) MemoryBytes(d numerics.DType) int { return s.n * 2 * d.Bits() / 8 }
 
 // Entry pairs a protected site with its recorded bounds.
 type Entry struct {
@@ -161,25 +164,15 @@ type Entry struct {
 }
 
 // SortedEntries returns every recorded bound in canonical (block, kind,
-// site) order — the deterministic traversal the wire codec needs so the
-// same store always serializes to the same bytes.
+// site) order — slot order, the deterministic traversal the wire codec needs
+// so the same store always serializes to the same bytes.
 func (s *Store) SortedEntries() []Entry {
-	s.mu.RLock()
-	out := make([]Entry, 0, len(s.m))
-	for k, b := range s.m {
-		out = append(out, Entry{k, b})
+	out := make([]Entry, 0, s.n)
+	for i, e := range s.slots {
+		if e.ok {
+			out = append(out, Entry{keyOf(i), e.b})
+		}
 	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Key, out[j].Key
-		if a.Layer.Block != b.Layer.Block {
-			return a.Layer.Block < b.Layer.Block
-		}
-		if a.Layer.Kind != b.Layer.Kind {
-			return a.Layer.Kind < b.Layer.Kind
-		}
-		return a.Site < b.Site
-	})
 	return out
 }
 

@@ -26,18 +26,18 @@ const boundsFileVersion = 1
 
 // Save writes the store as JSON, sorted for reproducible output.
 func (s *Store) Save(w io.Writer) error {
-	s.mu.RLock()
-	entries := make([]boundsEntry, 0, len(s.m))
-	for k, b := range s.m {
+	entries := make([]boundsEntry, 0, s.n)
+	for _, e := range s.SortedEntries() {
 		entries = append(entries, boundsEntry{
-			Block: k.Layer.Block,
-			Kind:  k.Layer.Kind.String(),
-			Site:  k.Site.String(),
-			Lo:    b.Lo,
-			Hi:    b.Hi,
+			Block: e.Key.Layer.Block,
+			Kind:  e.Key.Layer.Kind.String(),
+			Site:  e.Key.Site.String(),
+			Lo:    e.Bounds.Lo,
+			Hi:    e.Bounds.Hi,
 		})
 	}
-	s.mu.RUnlock()
+	// By kind and site name, not slot order: the campaign journal
+	// fingerprints these bytes.
 	sort.Slice(entries, func(i, j int) bool {
 		a, b := entries[i], entries[j]
 		if a.Block != b.Block {

@@ -1,11 +1,9 @@
 package protect
 
 import (
-	"fmt"
 	"math"
 	"unsafe"
 
-	"ft2/internal/model"
 	"ft2/internal/tensor"
 )
 
@@ -33,27 +31,13 @@ type Trail struct {
 	shared bool
 }
 
-// trailRec is a widening (nan == 0: row's finite range b at site key) or a
-// NaN correction (nan > 0 corrected on row; key and b unused).
+// trailRec is a widening (nan == 0: row's finite range b at the store slot)
+// or a NaN correction (nan > 0 corrected on row; slot and b unused).
 type trailRec struct {
-	row int32
-	key siteCode
-	b   Bounds
-	nan int32
-}
-
-// siteCode is a SiteKey packed into 32 bits: block, layer kind, site.
-type siteCode uint32
-
-func codeOf(k SiteKey) siteCode {
-	if uint(k.Layer.Block) > 0xffff || uint(k.Layer.Kind) > 0xff || uint(k.Site) > 0xff {
-		panic(fmt.Sprintf("protect: site %v/%v does not fit a trail record", k.Layer, k.Site))
-	}
-	return siteCode(k.Layer.Block)<<16 | siteCode(k.Layer.Kind)<<8 | siteCode(k.Site)
-}
-
-func (c siteCode) key() SiteKey {
-	return SiteKey{Layer: model.LayerRef{Block: int(c >> 16), Kind: model.LayerKind(c >> 8 & 0xff)}, Site: model.Site(c & 0xff)}
+	row  int32
+	slot int32
+	b    Bounds
+	nan  int32
 }
 
 // Reset empties the trail, keeping its backing array unless a Clone shares it
@@ -74,11 +58,7 @@ func (t *Trail) At(d int) (*Store, int) {
 			nan += int(r.nan)
 			return
 		}
-		k := r.key.key()
-		if cur, ok := s.m[k]; ok {
-			r.b = cur.Widen(r.b)
-		}
-		s.m[k] = r.b
+		s.widen(int(r.slot), r.b)
 	})
 	return s, nan
 }
@@ -230,7 +210,8 @@ func (s *Store) ObserveRowsOnly(k SiteKey, out *tensor.Tensor, pos int, tr *Trai
 // observeRows is both learn passes: it returns the NaNs in out, and records
 // one trail entry per row whose NaNs it corrected.
 func (s *Store) observeRows(k SiteKey, out *tensor.Tensor, pos int, correctNaN bool, tr *Trail) (nan int) {
-	cur, have := s.Get(k)
+	i := slotOf(k)
+	cur, have := s.get(i)
 	changed := false
 	for r := 0; r < out.Rows; r++ {
 		b, ok, n := finiteRange(out.Row(r), correctNaN)
@@ -247,10 +228,10 @@ func (s *Store) observeRows(k SiteKey, out *tensor.Tensor, pos int, correctNaN b
 			cur, have = b, true
 		}
 		changed = true
-		tr.add(trailRec{row: int32(pos + r), key: codeOf(k), b: b})
+		tr.add(trailRec{row: int32(pos + r), slot: int32(i), b: b})
 	}
 	if changed {
-		s.Set(k, cur)
+		s.set(i, cur)
 	}
 	return nan
 }

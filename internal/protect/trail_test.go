@@ -116,8 +116,9 @@ func TestTrailCloneSurvivesAppendAndReset(t *testing.T) {
 	}
 	grown := clone.Clone()
 	NewStore().ObserveRows(k, row(9), 5, true, clone) // appending to a clone reallocates
-	if at, _ := grown.At(100); at.m[k] != (Bounds{0, 4}) {
-		t.Fatalf("clone of a clone saw its source's append: %v", at.m[k])
+	at, _ = grown.At(100)
+	if b, _ := at.Get(k); b != (Bounds{0, 4}) {
+		t.Fatalf("clone of a clone saw its source's append: %v", b)
 	}
 }
 
@@ -181,22 +182,22 @@ func FuzzObserveBareMatchesProtected(f *testing.F) {
 			t.Fatalf("observe-only store %v (%d records), protected %v (%d records)", got, len(gotTr.recs), want, len(wantTr.recs))
 		}
 		for i, r := range gotTr.recs {
-			if w := wantTr.recs[i]; r.row != w.row || r.key != w.key || r.nan != w.nan || !sameBounds(r.b, w.b) {
+			if w := wantTr.recs[i]; r.row != w.row || r.slot != w.slot || r.nan != w.nan || !sameBounds(r.b, w.b) {
 				t.Fatalf("trail record %d: observe-only %+v, protected %+v", i, r, w)
 			}
 		}
 	})
 }
 
-// TestTrailRecordSize: a record is a row, a packed site key, its bounds and
-// a NaN count — at most 24 bytes — and the packed key unpacks to the site.
+// TestTrailRecordSize: a record is a row, a store slot, its bounds and a NaN
+// count — at most 24 bytes — and the slot maps back to the site.
 func TestTrailRecordSize(t *testing.T) {
 	if n := unsafe.Sizeof(trailRec{}); n > 24 {
 		t.Fatalf("trailRec is %d bytes, want ≤ 24", n)
 	}
 	k := SiteKey{Layer: model.LayerRef{Block: 0xffff, Kind: model.LayerKind(model.NumLayerKinds - 1)}, Site: model.SiteActivationOut}
-	if got := codeOf(k).key(); got != k {
-		t.Fatalf("site %+v packs back to %+v", k, got)
+	if got := keyOf(slotOf(k)); got != k {
+		t.Fatalf("site %+v maps back to %+v", k, got)
 	}
 }
 

@@ -317,7 +317,7 @@ func TestChaosVictimStepAllocFree(t *testing.T) {
 		if s == nil {
 			t.Fatalf("session %d settled early", i)
 		}
-		if g.ctls[i] != nil && len(g.hooks[i]) >= 2 {
+		if s.req.Protected && len(g.hooks[i]) >= 2 {
 			victims++
 		}
 	}

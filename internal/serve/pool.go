@@ -24,7 +24,7 @@ type replica struct {
 	// ctls[i] is the controller protecting the session in batch slot i, and
 	// hookFns[i] and obsFns[i] its hook and observe-only hook, bound once (a
 	// method value allocates) so assembling a slice's hook lists allocates
-	// nothing. Every controller resumes the session's own fork state at slice
+	// nothing. Every controller binds the session's own fork state at slice
 	// start, so counters stay per-session even though the controllers are
 	// replica-owned.
 	ctls    []*core.FT2

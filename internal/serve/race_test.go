@@ -57,7 +57,7 @@ func TestSharedBoundsStoreConcurrent(t *testing.T) {
 			panic(err)
 		}
 		f := core.New(m, core.Defaults())
-		f.ResumeFork(core.ForkState{Bounds: shared.Bounds})
+		f.Bind(&core.ForkState{Bounds: shared.Bounds})
 		f.Install()
 		out := make([]int, 0, maxTokens)
 		tok := m.Prefill(prompts(i))

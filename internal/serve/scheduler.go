@@ -26,8 +26,7 @@ import (
 // admitted mid-flight. A session's phase and next input are its
 // model.DecodeState's, which rides BatchItem.State on whichever replica
 // drives the slice; its protection state is its own core.ForkState, which a
-// slot's controller binds with ResumeFork and each exit from the group reads
-// back (group.readback).
+// slot's controller binds and works on in place (core.FT2.Bind).
 //
 // With the prefix cache on, a prefill that is still in flight is visible to
 // the sessions about to start the same one: they park behind it (leaders,
@@ -178,7 +177,6 @@ type group struct {
 	pending  []*Session // gathered from the ready ring
 	sessions []*Session // after admit/weed; nil = settled mid-slice
 	rem      []int      // steps left this slice (chunk or token), parallel to sessions
-	ctls     []*core.FT2
 	// hooks[i] is session i's BatchItem.Hooks for this slice, assembled once
 	// per slice in the campaign runner's order: chaos injectors first (they
 	// corrupt the raw output), the protection controller last (it sees the
@@ -242,7 +240,7 @@ func (sch *scheduler) runSlice(r *replica, g *group, first *Session) *replica {
 		runtime.Gosched()
 	}
 
-	g.sessions, g.rem, g.ctls = g.sessions[:0], g.rem[:0], g.ctls[:0]
+	g.sessions, g.rem = g.sessions[:0], g.rem[:0]
 	for _, s := range g.pending {
 		if err := s.checkCtx(); err != nil {
 			sch.settle(s, err)
@@ -272,22 +270,19 @@ func (sch *scheduler) runSlice(r *replica, g *group, first *Session) *replica {
 	}
 
 	// Bind each protected session's fork state to its slot's controller: a
-	// prefill's hooks observe into the session's own store and trail, and
-	// decode hooks only read the store. An unprotected prefill recording its
-	// entry's trail (observe) is bound onto the slot's observe-only hook,
-	// which writes no value.
+	// prefill's hooks observe into the session's own store and trail, decode
+	// hooks only read the store, and both advance the session's counters. An
+	// unprotected prefill recording its entry's trail (observe) is bound onto
+	// the slot's observe-only hook, which writes no value.
 	for i, s := range g.sessions {
-		var f *core.FT2
 		if s.req.Protected || s.observe {
-			f = r.controller(i)
-			f.ResumeFork(s.ftState)
+			r.controller(i).Bind(&s.ftState)
 			h := r.hookFns[i]
 			if s.observe {
 				h = r.obsFns[i]
 			}
 			g.hooks[i] = append(g.hooks[i], h)
 		}
-		g.ctls = append(g.ctls, f)
 	}
 
 	if err := sch.fusedSlice(r, g); err != nil {
@@ -545,7 +540,6 @@ func (sch *scheduler) open(r *replica, s *Session) (err error) {
 func (sch *scheduler) finishPrefill(r *replica, g *group, i int) {
 	s, m := g.sessions[i], r.m
 	sch.mx.ttft.Observe(msSince(s.admitted, time.Now()))
-	g.readback(i) // the first-token NaN count decides what the entry serves
 	// A suspect session's rows may have been computed on corrupted weights:
 	// it never inserts, and the sessions parked behind it compute their own.
 	if sch.prefix != nil && s.insert && !s.suspect {
@@ -570,7 +564,7 @@ func (sch *scheduler) finishPrefill(r *replica, g *group, i int) {
 		// The trail was all the observe pass was for: the session decodes
 		// bare from here, in this slice too. Its hook went on last, after any
 		// chaos hook.
-		s.observe, s.ftState, g.ctls[i] = false, core.ForkState{}, nil
+		s.observe, s.ftState = false, core.ForkState{}
 		g.hooks[i] = g.hooks[i][:len(g.hooks[i])-1]
 	}
 }
@@ -671,34 +665,22 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 			// of k — from the first token on, which a session with no mark
 			// yet marks: a router need never replay a whole prefill.
 			if total := s.kv.st.Step() + 1; s.kv.exported && (s.lastExport == 0 || total-s.lastExport >= sch.cfg.ExportStride) {
-				g.readback(i)
 				s.kv.mark(sch, m, &s.ftState)
 				s.lastExport = total
 			}
 		}
 	}
 
-	// Survivors: read their counters back — the bounds and trail a prefill
-	// writes are the session's already — and put them back on the ring (cap
-	// MaxSessions ≥ active sessions: never blocks).
-	for i, s := range g.sessions {
+	// Survivors go back on the ring (cap MaxSessions ≥ active sessions:
+	// never blocks).
+	for _, s := range g.sessions {
 		if s == nil {
 			continue
 		}
-		g.readback(i)
 		s.kv.account(sch)
 		sch.ready <- s
 	}
 	return nil
-}
-
-// readback copies session i's controller counters into its fork state, at
-// every exit from the group: slice end, finish, mark and first token.
-func (g *group) readback(i int) {
-	if f := g.ctls[i]; f != nil {
-		st := &g.sessions[i].ftState
-		st.FirstTokenNaN, st.Stats, st.ByKind = f.FirstTokenNaNCount(), f.Stats(), f.StatsByKind()
-	}
 }
 
 // finishInGroup settles a session mid-slice and removes it from the group.
@@ -706,7 +688,6 @@ func (g *group) readback(i int) {
 // worker still holds the replica its state can be checkpointed on).
 func (sch *scheduler) finishInGroup(r *replica, g *group, i int, err error) {
 	s := g.sessions[i]
-	g.readback(i)
 	g.sessions[i] = nil
 	if err == nil {
 		sch.maybeSpill(r, s)

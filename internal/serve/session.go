@@ -34,9 +34,9 @@ type Session struct {
 
 	kv kvLease // owned generation state (KV slabs) and its checkpoint marks
 	// ftState is the session's protection state, owned from the slice that
-	// opens it when protected or observing: the bounds store and trail its
-	// slot's controller writes during prefill (ResumeFork binds them), and
-	// the counters each exit from a group reads back (group.readback).
+	// opens it when protected or observing: each slice binds it to its slot's
+	// controller (core.FT2.Bind), whose hooks write its bounds store and
+	// trail during prefill and its counters at every step, in place.
 	ftState  core.ForkState
 	admitted time.Time
 	startAt  time.Time // the slice that opened it (queue latency endpoint); zero until then

@@ -165,7 +165,7 @@ func decode(data []byte, cfg *model.Config) (*model.Snapshot, *core.ForkState, e
 	}
 	var fk *core.ForkState
 	if h.HasFork {
-		st, m, err := core.DecodeForkState(payload[n:])
+		st, m, err := core.DecodeForkState(payload[n:], snap.Blocks())
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 		}

@@ -112,7 +112,7 @@ func TestRoundTripBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			f2 := core.New(m2, core.Defaults())
-			f2.ResumeFork(*fk2)
+			f2.Bind(fk2)
 			f2.Install()
 			tok = m2.Restore(snap2)
 			for i := 0; i < extra; i++ {
@@ -222,6 +222,28 @@ func TestHeaderFingerprintLie(t *testing.T) {
 	}
 }
 
+// TestForkStateBlockBound: a bounds entry at a block the snapshot's model
+// does not have is malformed — a 14-byte entry must not size the dense
+// bounds store.
+func TestForkStateBlockBound(t *testing.T) {
+	blob, cfg := encodeSession(t, "qwen2-1.5b-sim")
+	for _, block := range []uint32{uint32(cfg.Blocks), 1 << 30} {
+		if _, _, err := DecodeSession(withLastBoundsBlock(blob, block)); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("bounds entry at block %d of %d: got %v, want ErrMalformed", block, cfg.Blocks, err)
+		}
+	}
+}
+
+// withLastBoundsBlock returns a copy of blob — a session encoded with a fork
+// state holding bounds — whose last bounds entry sits at block (CRC fixed up).
+func withLastBoundsBlock(blob []byte, block uint32) []byte {
+	const entryBytes = 4 + 1 + 1 + 4 + 4
+	mut := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint32(mut[len(mut)-4-entryBytes:], block)
+	fixCRC(mut)
+	return mut
+}
+
 // TestWrongFamily rejects adopting a blob captured from a different
 // architecture before the payload is decoded.
 func TestWrongFamily(t *testing.T) {
@@ -275,6 +297,7 @@ func FuzzDecodeSession(f *testing.F) {
 	f.Add(blob[:len(blob)/2])
 	f.Add([]byte{})
 	f.Add(blob[:28])
+	f.Add(withLastBoundsBlock(blob, 1<<30))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, _, err := DecodeSession(data)
 		if err == nil {
