@@ -89,7 +89,8 @@ bench-check:
 # tracks by name (the scheduler), of the cluster router (outside the total, so
 # totals stay comparable across changes), of the experiment drivers and their
 # CLI (ROADMAP aim 2: the counts go down; cmd/ft2bench stays ≤ 600), then all
-# of cmd/ and the shell under scripts/.
+# of cmd/ and the shell under scripts/, and last every Go line outside bench/
+# (its own module), non-test and test.
 loc:
 	@total=0; for p in model tensor serve prefixcache core protect abft chaos campaign; do \
 		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
@@ -101,7 +102,10 @@ loc:
 	for d in internal/experiments cmd/ft2bench; do \
 		printf '%s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done; \
-	printf 'cmd %s\nscripts %s\n' $$(ls cmd/*/*.go | grep -v _test.go | xargs cat | wc -l) $$(cat scripts/* | wc -l)
+	printf 'cmd %s\nscripts %s\n' $$(ls cmd/*/*.go | grep -v _test.go | xargs cat | wc -l) $$(cat scripts/* | wc -l); \
+	printf 'go non-test %s\ngo test %s\n' \
+		$$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l) \
+		$$(find . -path ./bench -prune -o -name '*_test.go' -print | xargs cat | wc -l)
 
 # Performance guard: two paired gates, each printed as median ± spread of the
 # per-pair speedups — warm shared-prefix serving must beat cold, and the

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -641,5 +643,128 @@ func TestOfflineBoundsCorrectInjectedValue(t *testing.T) {
 	}
 	if f.Stats().OutOfBound == 0 {
 		t.Error("the clamp should have detected the out-of-bound value")
+	}
+}
+
+// TestProtectionLimitsPropagation follows a large fault written into block
+// 0's OUT_PROJ output at the first decode step through every later hook
+// site, as each site's max |Δ| against a golden run relative to the golden
+// run's max |v| there (a NaN counts as unbounded). Unprotected, the fault
+// deviates block 1 downstream; FT2 shrinks that deviation; DMR behind the
+// injector recomputes the layer, so no site deviates beyond 1e-3.
+func TestProtectionLimitsPropagation(t *testing.T) {
+	m := testModel(t, "opt-2.7b-sim")
+	prompt := []int{4, 5, 6, 7}
+	type siteKey struct {
+		step  int
+		layer model.LayerRef
+		site  model.Site
+	}
+	golden := map[siteKey][]float32{}
+	h := m.RegisterHook(func(ctx model.HookCtx, out *tensor.Tensor) {
+		golden[siteKey{ctx.Step, ctx.Layer, ctx.Site}] = slices.Clone(out.Data)
+	})
+	m.Generate(prompt, 6)
+	m.RemoveHook(h)
+
+	// deviations runs the faulty generation with the hooks prepare
+	// registers and returns each site's worst relative deviation.
+	deviations := func(prepare func()) map[siteKey]float64 {
+		dev := map[siteKey]float64{}
+		prepare()
+		m.RegisterHook(func(ctx model.HookCtx, out *tensor.Tensor) {
+			k := siteKey{ctx.Step, ctx.Layer, ctx.Site}
+			ref := golden[k]
+			if len(ref) != len(out.Data) {
+				t.Fatalf("site %+v: %d values, golden run %d", k, len(out.Data), len(ref))
+			}
+			var maxDiff, maxRef float64
+			for i, v := range out.Data {
+				d := math.Abs(float64(v) - float64(ref[i]))
+				if math.IsNaN(d) {
+					d = math.Inf(1)
+				}
+				maxDiff = max(maxDiff, d)
+				maxRef = max(maxRef, math.Abs(float64(ref[i])))
+			}
+			dev[k] = max(dev[k], maxDiff/(maxRef+1e-12))
+		})
+		m.Generate(prompt, 6)
+		m.ClearHooks()
+		return dev
+	}
+	inject := func() {
+		m.RegisterHook(func(ctx model.HookCtx, out *tensor.Tensor) {
+			if ctx.Layer == (model.LayerRef{Block: 0, Kind: model.OutProj}) && ctx.Step == 1 && ctx.Site == model.SiteLinearOut {
+				out.Data[0] = 30000
+			}
+		})
+	}
+	worstIn := func(dev map[siteKey]float64, block int) float64 {
+		worst := 0.0
+		for k, d := range dev {
+			if k.layer.Block == block {
+				worst = max(worst, d)
+			}
+		}
+		return worst
+	}
+
+	unprotected := deviations(inject)
+	protected := deviations(func() {
+		inject()
+		Attach(m, Defaults()) // cleared with the other hooks afterwards
+	})
+	if u, p := worstIn(unprotected, 1), worstIn(protected, 1); u <= 1e-3 || p >= u {
+		t.Errorf("block 1 deviates %g unprotected, %g under FT2: want a deviation FT2 shrinks", u, p)
+	}
+	for k, d := range deviations(func() {
+		inject()
+		m.RegisterHook(protect.NewDMR(m).Hook())
+	}) {
+		if d > 1e-3 {
+			t.Errorf("DMR left step %d %v/%v deviating %g", k.step, k.layer, k.site, d)
+		}
+	}
+}
+
+// TestLearnedBoundsValid: every store the first-token pass learns — with
+// NaN and ±Inf written into every first-token layer output, or without — and
+// every store the offline profiler builds holds only Valid bounds, the
+// property DecodeForkState demands of an imported one.
+func TestLearnedBoundsValid(t *testing.T) {
+	prompts := [][]int{{4, 9, 14, 19, 24}, {5, 6, 7}}
+	check := func(what string, s *protect.Store) {
+		t.Helper()
+		if s.Len() == 0 {
+			t.Fatalf("%s: no bounds learned", what)
+		}
+		for _, e := range s.SortedEntries() {
+			if !e.Bounds.Valid() {
+				t.Fatalf("%s: invalid bounds [%g, %g] at %v", what, e.Bounds.Lo, e.Bounds.Hi, e.Key)
+			}
+		}
+	}
+	wild := func(ctx model.HookCtx, out *tensor.Tensor) {
+		if ctx.FirstToken && len(out.Data) >= 3 {
+			out.Data[0], out.Data[1], out.Data[2] = float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))
+		}
+	}
+	for _, name := range []string{"opt-2.7b-sim", "gptj-6b-sim", "llama2-7b-sim"} {
+		m := testModel(t, name)
+		opts := Defaults()
+		opts.ProtectAllLayers = true
+		for _, faulty := range []bool{false, true} {
+			if faulty {
+				m.RegisterHook(wild)
+			}
+			f := Attach(m, opts)
+			for _, p := range prompts {
+				f.Generate(p, 8)
+				check(fmt.Sprintf("%s first token (faulty %v)", name, faulty), f.Bounds())
+			}
+			m.ClearHooks()
+		}
+		check(name+" profiler", protect.OfflineProfile(m, prompts, 8))
 	}
 }

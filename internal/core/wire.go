@@ -63,18 +63,25 @@ func AppendForkState(dst []byte, st *ForkState) []byte {
 
 // DecodeForkState parses one wire-encoded fork state from the front of
 // data, returning the state and the number of bytes consumed. The decoded
-// Bounds store is always non-nil, and holds no entry at or past block
-// blocks: a store is dense up to its last entry. Malformed input returns an
-// error, never a panic.
+// Bounds store is always non-nil, holds only Valid bounds — what crosses the
+// wire cannot switch protection off — and no entry at or past block blocks
+// (a store is dense up to its last entry); no counter is negative.
+// Malformed input returns an error, never a panic.
 func DecodeForkState(data []byte, blocks int) (ForkState, int, error) {
 	var st ForkState
 	const fixed = 8 + 8 + 8 + 1
 	if len(data) < fixed {
 		return st, 0, fmt.Errorf("core: fork-state wire truncated: %d bytes", len(data))
 	}
-	st.FirstTokenNaN = int(binary.LittleEndian.Uint64(data))
-	st.Stats.OutOfBound = int(binary.LittleEndian.Uint64(data[8:]))
-	st.Stats.NaN = int(binary.LittleEndian.Uint64(data[16:]))
+	negative := false // a counter above MaxInt, which int would read negative
+	counter := func(off int) int {
+		v := binary.LittleEndian.Uint64(data[off:])
+		negative = negative || v > math.MaxInt
+		return int(v)
+	}
+	st.FirstTokenNaN = counter(0)
+	st.Stats.OutOfBound = counter(8)
+	st.Stats.NaN = counter(16)
 	if int(data[24]) != model.NumLayerKinds {
 		return st, 0, fmt.Errorf("core: fork-state wire: %d layer kinds, this build has %d", data[24], model.NumLayerKinds)
 	}
@@ -83,9 +90,12 @@ func DecodeForkState(data []byte, blocks int) (ForkState, int, error) {
 		return st, 0, fmt.Errorf("core: fork-state wire truncated in per-kind stats")
 	}
 	for k := range st.ByKind {
-		st.ByKind[k].OutOfBound = int(binary.LittleEndian.Uint64(data[off:]))
-		st.ByKind[k].NaN = int(binary.LittleEndian.Uint64(data[off+8:]))
+		st.ByKind[k].OutOfBound = counter(off)
+		st.ByKind[k].NaN = counter(off + 8)
 		off += 16
+	}
+	if negative {
+		return st, 0, fmt.Errorf("core: fork-state wire: a counter above %d", math.MaxInt)
 	}
 	n := int(binary.LittleEndian.Uint32(data[off:]))
 	off += 4
@@ -97,22 +107,25 @@ func DecodeForkState(data []byte, blocks int) (ForkState, int, error) {
 		block := int(binary.LittleEndian.Uint32(data[off:]))
 		kind := model.LayerKind(data[off+4])
 		site := model.Site(data[off+5])
-		lo := math.Float32frombits(binary.LittleEndian.Uint32(data[off+6:]))
-		hi := math.Float32frombits(binary.LittleEndian.Uint32(data[off+10:]))
+		b := protect.Bounds{
+			Lo: math.Float32frombits(binary.LittleEndian.Uint32(data[off+6:])),
+			Hi: math.Float32frombits(binary.LittleEndian.Uint32(data[off+10:])),
+		}
 		off += boundsEntryBytes
-		if block < 0 || block >= blocks { // < 0: a u32 past MaxInt32 where int is 32 bits
+		switch {
+		case block < 0 || block >= blocks: // < 0: a u32 past MaxInt32 where int is 32 bits
 			return st, 0, fmt.Errorf("core: fork-state wire: block %d of a %d-block model", block, blocks)
-		}
-		if int(kind) >= model.NumLayerKinds {
+		case int(kind) >= model.NumLayerKinds:
 			return st, 0, fmt.Errorf("core: fork-state wire: bad layer kind %d", kind)
-		}
-		if site > model.SiteActivationOut {
+		case site > model.SiteActivationOut:
 			return st, 0, fmt.Errorf("core: fork-state wire: bad site %d", site)
+		case !b.Valid():
+			return st, 0, fmt.Errorf("core: fork-state wire: invalid bounds [%g, %g]", b.Lo, b.Hi)
 		}
 		st.Bounds.Set(protect.SiteKey{
 			Layer: model.LayerRef{Block: block, Kind: kind},
 			Site:  site,
-		}, protect.Bounds{Lo: lo, Hi: hi})
+		}, b)
 	}
 	return st, off, nil
 }

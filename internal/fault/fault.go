@@ -29,9 +29,9 @@ const (
 	// only: the first write copies the matrix out of the shared weight set
 	// (model.Model.Weight).
 	TargetWeight
-	// TargetKVCache flips bits in one resident KV-cache element of the live
-	// generation — a semi-persistent fault that skews attention for every
-	// remaining step of that session.
+	// TargetKVCache flips bits in one resident KV-cache element of one
+	// session's generation state — a semi-persistent fault that skews
+	// attention for every remaining step of that session.
 	TargetKVCache
 )
 
@@ -264,15 +264,17 @@ func (p *Plan) buildSite(step, rowInStep, offset int, rng *rand.Rand) Site {
 
 // Injector corrupts exactly one element at the planned site. After the run,
 // Fired reports whether the site was reached and Original/Corrupted record
-// the value transition (for per-site forensics). Weight and KV-cache targets
-// additionally need M — the model whose state the fault lands in; weight
-// flips persist until Revert (or a rebuild) restores the original value.
+// the value transition (for per-site forensics). Weight targets additionally
+// need M — the model whose weights the fault lands in; weight flips persist
+// until Revert (or a rebuild) restores the original value. A KV-cache target
+// flips the generation state it is given: the firing hook's (HookCtx.State)
+// or Fire's argument.
 type Injector struct {
 	Site  Site
 	DType numerics.DType
-	// M is the model the injection mutates. Required for TargetWeight and
-	// TargetKVCache; ignored for activation targets (those mutate the hook's
-	// output tensor directly).
+	// M is the model a weight injection mutates. Required for TargetWeight;
+	// ignored for activation targets (those mutate the hook's output tensor
+	// directly) and KV targets.
 	M *model.Model
 
 	Fired     bool
@@ -282,7 +284,7 @@ type Injector struct {
 }
 
 // NewInjector builds an injector for a sampled site. Callers planning weight
-// or KV-cache targets must also set M before installing the hook.
+// targets must also set M before installing the hook.
 func NewInjector(site Site, d numerics.DType) *Injector {
 	return &Injector{Site: site, DType: d}
 }
@@ -313,8 +315,8 @@ func (inj *Injector) Revert() {
 // once per inference (single-fault assumption, Section 2.3): activation
 // targets fire on the planned layer's output; weight and KV targets fire on
 // the first linear-layer hook of the planned step — the earliest moment the
-// step is known to have begun — and mutate the model / generation state
-// directly.
+// step is known to have begun — and mutate the model's weights / the firing
+// item's generation state directly.
 func (inj *Injector) Hook() model.Hook {
 	return func(ctx model.HookCtx, out *tensor.Tensor) {
 		if inj.Fired || ctx.Site != model.SiteLinearOut {
@@ -330,7 +332,7 @@ func (inj *Injector) Hook() model.Hook {
 			if ctx.Step != inj.Site.Step {
 				return
 			}
-			inj.fireKV()
+			inj.fireKV(ctx.State)
 		default:
 			if ctx.Step != inj.Site.Step || ctx.Layer != inj.Site.Layer {
 				return
@@ -351,14 +353,16 @@ func (inj *Injector) Hook() model.Hook {
 
 // Fire applies a weight or KV-cache fault immediately, outside any forward
 // pass — the chaos engine's slice-boundary application path, where the
-// mutation must land while no kernel is running. Activation targets have no
-// state to mutate outside a forward pass and must go through Hook.
-func (inj *Injector) Fire() {
+// mutation must land while no kernel is running. A KV target flips st, the
+// state of the session it lands in; a weight target flips M and ignores st.
+// Activation targets have no state to mutate outside a forward pass and must
+// go through Hook.
+func (inj *Injector) Fire(st *model.DecodeState) {
 	switch inj.Site.Target {
 	case TargetWeight:
 		inj.fireWeight()
 	case TargetKVCache:
-		inj.fireKV()
+		inj.fireKV(st)
 	default:
 		panic("fault: Fire is for weight/kv targets; activation faults fire via Hook")
 	}
@@ -380,34 +384,21 @@ func (inj *Injector) fireWeight() {
 	w.Data[inj.Site.Elem] = inj.Corrupted
 }
 
-// fireKV flips the planned KV-cache element of the model's active
-// generation state, translating the logical pos*Hidden+col address to the
-// head-blocked slab layout. A state that borrows its prompt prefix from the
-// prefix cache gets a private copy of those rows first (KVSlabs), so the
-// flip never reaches the cache entry or the other sessions reading it.
-func (inj *Injector) fireKV() {
-	if inj.M == nil {
-		panic("fault: kv target needs Injector.M")
-	}
-	st := inj.M.State()
-	if st == nil || !st.Started() {
+// fireKV flips the planned KV-cache element of st (model.DecodeState.KVCell
+// translates the logical pos*Hidden+col address to the slab layout). A
+// state that borrows its prompt prefix from the prefix cache gets a private
+// copy of those rows first, so the flip never reaches the cache entry or
+// the other sessions reading it.
+func (inj *Injector) fireKV(st *model.DecodeState) {
+	if !st.Started() {
 		panic("fault: kv target with no live generation state")
 	}
-	cfg := inj.M.Cfg
-	slabK, slabV, rows, pitch := st.KVSlabs(inj.Site.Layer.Block)
-	slab := slabK
-	if inj.Site.Layer.Kind == model.VProj {
-		slab = slabV
+	cell := st.KVCell(inj.Site.Layer.Block, inj.Site.Layer.Kind == model.VProj, inj.Site.Elem)
+	if cell == nil {
+		panic(fmt.Sprintf("fault: kv element %d beyond the resident rows at %v", inj.Site.Elem, inj.Site))
 	}
-	pos, col := inj.Site.Elem/cfg.Hidden, inj.Site.Elem%cfg.Hidden
-	if pos >= rows {
-		panic(fmt.Sprintf("fault: kv position %d beyond %d resident rows at %v",
-			pos, rows, inj.Site))
-	}
-	hd := cfg.HeadDim()
-	off := (col/hd*pitch+pos)*hd + col%hd
 	inj.Fired = true
-	inj.Original = slab[off]
+	inj.Original = *cell
 	inj.Corrupted = numerics.CorruptValue(inj.Original, inj.DType, inj.Site.Bits)
-	slab[off] = inj.Corrupted
+	*cell = inj.Corrupted
 }

@@ -462,7 +462,6 @@ func TestInjectorKVFires(t *testing.T) {
 		Elem:  pos*cfg.Hidden + col, Bits: []int{14},
 	}
 	inj := NewInjector(site, numerics.FP16)
-	inj.M = m
 	m.RegisterHook(inj.Hook())
 	m.Generate([]int{4, 5, 6, 7}, 4)
 	if !inj.Fired {
@@ -513,10 +512,9 @@ func TestInjectorKVCopiesBorrowedRows(t *testing.T) {
 		if i == 0 {
 			states[i].Reserve(cfg.MaxSeq)
 		}
-		m.SwapState(states[i])
-		m.BeginPrefill(len(prompt))
-		m.ResumePrefillPrefix(ref.Snapshot())
-		toks[i], _ = m.PrefillChunk(prompt[ref.Rows():])
+		states[i].BeginPrefill(len(prompt))
+		states[i].ResumePrefix(ref.Snapshot())
+		toks[i] = m.ForwardBatch([]model.BatchItem{{State: states[i], Prefill: prompt[ref.Rows():]}}, nil)[0]
 	}
 
 	pos, col := 1, cfg.Hidden-1
@@ -525,9 +523,7 @@ func TestInjectorKVCopiesBorrowedRows(t *testing.T) {
 		Layer: model.LayerRef{Block: 0, Kind: model.KProj},
 		Elem:  pos*cfg.Hidden + col, Bits: []int{14},
 	}, numerics.FP16)
-	inj.M = m
-	m.SwapState(states[0])
-	inj.Fire()
+	inj.Fire(states[0])
 	k, _, _, pitch := states[0].KVSlabs(0)
 	if pitch != cfg.MaxSeq {
 		t.Fatalf("the copied slabs hold %d positions per head, want MaxSeq %d", pitch, cfg.MaxSeq)
@@ -540,8 +536,7 @@ func TestInjectorKVCopiesBorrowedRows(t *testing.T) {
 	got := []int{toks[1]}
 	for len(got) < n {
 		for i, st := range states {
-			m.SwapState(st)
-			toks[i] = m.DecodeStep(toks[i])
+			toks[i] = m.ForwardBatch([]model.BatchItem{{State: st, Tok: toks[i]}}, nil)[0]
 		}
 		got = append(got, toks[1])
 	}
@@ -567,7 +562,6 @@ func TestInjectorKVTransient(t *testing.T) {
 		Elem:  1*cfg.Hidden + 3, Bits: []int{14},
 	}
 	inj := NewInjector(site, numerics.FP16)
-	inj.M = m
 	m.RegisterHook(inj.Hook())
 	m.Generate(prompt, 6)
 	m.ClearHooks()

@@ -48,17 +48,13 @@ func (m *Model) Teacher(tok int) int { return m.teacher[tok] }
 // arena and is valid until the next forward call; callers must not write it.
 func (m *Model) ReadoutLogits() []float32 { return m.scratch.logits.Row(0) }
 
-// State returns the active generation state (nil when none is attached).
-// Fault injectors use it to reach the KV slabs of the generation currently
-// executing on this model.
+// State returns the model's own generation state (nil until first used),
+// the one SwapState installs. Outside tests the repository benchmark is its
+// only caller.
 func (m *Model) State() *DecodeState { return m.st }
 
 // Step returns the generation step the state last executed (0 = prefill).
 func (st *DecodeState) Step() int { return st.step }
-
-// PromptLen returns the prompt length of the live generation (0 when not
-// started).
-func (st *DecodeState) PromptLen() int { return st.promptLen }
 
 // KVSlabs exposes one block's raw key/value slabs, for mutation, plus the
 // number of positions filled and the pitch, the positions per head the slabs
@@ -73,9 +69,24 @@ func (st *DecodeState) KVSlabs(block int) (k, v []float32, rows, pitch int) {
 	if st.shared > 0 {
 		st.repitch(min(st.shared+st.pitch, st.maxSeq), 0)
 	}
-	span := st.heads * st.pitch * st.d
+	span := st.hidden * st.pitch
 	k, v = st.buf[2*block*span:], st.buf[(2*block+1)*span:]
 	return k[:span:span], v[:span:span], st.rows, st.pitch
+}
+
+// KVCell returns, through KVSlabs, block's key (values false) or value
+// element at position-major index pos·Hidden+col, or nil when pos is not
+// filled.
+func (st *DecodeState) KVCell(block int, values bool, elem int) *float32 {
+	pos, col := elem/st.hidden, elem%st.hidden
+	if pos >= st.rows {
+		return nil
+	}
+	k, v, _, pitch := st.KVSlabs(block)
+	if values {
+		k = v
+	}
+	return &k[(col/st.headDim*pitch+pos)*st.headDim+col%st.headDim]
 }
 
 // KVOwn returns the KV rows the state's slabs hold — its filled positions

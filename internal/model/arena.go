@@ -43,8 +43,8 @@ type arena struct {
 	rowOut *tensor.Tensor
 	rowIn  *tensor.Tensor
 
-	// self is the one-item batch Prefill/PrefillChunk/DecodeStep run over
-	// the active state, selfTok its result slot; see forwardActive.
+	// self is the one-item batch forwardActive runs (Prefill, PrefillChunk,
+	// DecodeStep), selfTok its result slot.
 	self    [1]BatchItem
 	selfTok [1]int
 

@@ -163,14 +163,9 @@ func TestArenaBuffersInSlab(t *testing.T) {
 		}
 		a, b, c := m.NewDecodeState(), m.NewDecodeState(), m.NewDecodeState()
 		pa, pb, pc := prompt(9, 1), prompt(4, 2), prompt(23, 3)
-		open := func(st *DecodeState, n int) {
-			prev := m.SwapState(st)
-			m.BeginPrefill(n)
-			m.SwapState(prev)
-		}
-		open(a, len(pa))
-		open(b, len(pb))
-		open(c, len(pc))
+		a.BeginPrefill(len(pa))
+		b.BeginPrefill(len(pb))
+		c.BeginPrefill(len(pc))
 		passes := [][]BatchItem{
 			{{State: a, Prefill: pa[:5], Hooks: hooks}, {State: b, Prefill: pb, Hooks: hooks}},
 			{{State: a, Prefill: pa[5:], Hooks: hooks}, {State: b, Tok: tok(5), Hooks: hooks}},

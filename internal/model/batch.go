@@ -51,7 +51,7 @@ func (it *BatchItem) rows() int {
 // decode row, the first token for a prefill range that completes its
 // prompt, and -1 for a mid-prefill range (more chunks to come). Each item's
 // State advances exactly as DecodeStep / PrefillChunk — the one-item case
-// of this pass — advance the active state.
+// of this pass — advance the model's own state.
 //
 // Bit identity: every linear output row is an independent Dot(x-row, w-row)
 // whose FP op order does not depend on the row count, normalization and
@@ -97,7 +97,7 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 		m.checkCompatible(st)
 		if it.prefilling() {
 			if !st.Prefilling() {
-				panic("model: ForwardBatch prefill item without an open prefill")
+				panic("model: prefill chunk without an open prefill")
 			}
 			if st.prefillPos+len(it.Prefill) > st.promptLen {
 				panic(fmt.Sprintf("model: prefill chunk overruns prompt (%d+%d > %d)",
@@ -109,7 +109,7 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 			continue
 		}
 		if !st.Started() {
-			panic("model: ForwardBatch decode item before Prefill or Restore")
+			panic("model: decode step before the prefill completed or a Restore")
 		}
 		if pos := st.SeqLen(); pos >= cfg.MaxSeq {
 			panic(fmt.Sprintf("model: decode position %d exceeds max seq %d", pos, cfg.MaxSeq))

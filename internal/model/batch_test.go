@@ -181,9 +181,7 @@ func TestForwardBatchRejectsWithoutMutating(t *testing.T) {
 	prompt := []int{9, 8, 7, 6, 5}
 	open := func(m *Model, n int) *DecodeState {
 		st := m.NewDecodeState()
-		prev := m.SwapState(st)
-		m.BeginPrefill(n)
-		m.SwapState(prev)
+		st.BeginPrefill(n)
 		return st
 	}
 	build := func() (*Model, []BatchItem) {
@@ -206,6 +204,13 @@ func TestForwardBatchRejectsWithoutMutating(t *testing.T) {
 			return BatchItem{State: open(m, 3), Prefill: []int{4, 5, 6, 7}}
 		},
 		"incompatible state": func(*Model) BatchItem { return BatchItem{State: foreign, Tok: 5} },
+		// Same blocks, hidden, heads and positions, other family — the
+		// llama2-7b-sim / opt-6.7b-sim pair: a state keeps its architecture,
+		// as a Snapshot of it does.
+		"started state of another family": func(*Model) BatchItem {
+			it, _ := prefillSession(MustNew(smallCfg(FamilyOPT), 9, numerics.FP16), []int{4, 5, 6})
+			return it
+		},
 		"token out of vocab": func(m *Model) BatchItem {
 			it, _ := prefillSession(m, []int{11, 12})
 			it.Tok = cfg.Vocab

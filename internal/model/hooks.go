@@ -40,6 +40,8 @@ type HookCtx struct {
 	// chunk's rows are prompt rows Pos, Pos+1, …, which is what lets FT2 key
 	// its first-token bounds by row instead of by chunk.
 	Pos int
+	// State is the firing item's generation state, which a KV fault flips.
+	State *DecodeState
 }
 
 // Hook observes — and may mutate in place — the output tensor of a linear
@@ -99,7 +101,7 @@ func (m *Model) runBatchHooks(ref LayerRef, site Site, in, out *tensor.Tensor, i
 			continue
 		}
 		sc.rowOut.BindRowsView(out, sc.itemLo[i], sc.itemRows[i])
-		ctx := HookCtx{Layer: ref, Site: site, Step: it.State.step, FirstToken: it.State.step == 0, Pos: sc.itemPos[i]}
+		ctx := HookCtx{Layer: ref, Site: site, Step: it.State.step, FirstToken: it.State.step == 0, Pos: sc.itemPos[i], State: it.State}
 		if in != nil {
 			sc.rowIn.BindRowsView(in, sc.itemLo[i], sc.itemRows[i])
 			ctx.Input = sc.rowIn

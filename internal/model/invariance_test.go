@@ -85,8 +85,8 @@ func instantiate(m *model.Model, lanes []lane, protected []bool, reserve []int) 
 // leaveBytes is the canonical encoding of everything a finished session
 // leaves behind: its Checkpoint (step, last token, every KV row) and, when
 // protected, its FT2 bounds store and correction counters.
-func leaveBytes(m *model.Model, l *lane) []byte {
-	out := checkpointBytes(m, l)
+func leaveBytes(l *lane) []byte {
+	out := checkpointBytes(l)
 	if l.ft != nil {
 		fk := l.ft.CaptureForkState()
 		out = core.AppendForkState(out, &fk)
@@ -95,18 +95,16 @@ func leaveBytes(m *model.Model, l *lane) []byte {
 }
 
 // checkpointBytes encodes a Checkpoint copy of the lane's state.
-func checkpointBytes(m *model.Model, l *lane) []byte {
+func checkpointBytes(l *lane) []byte {
 	var snap model.Snapshot
-	prev := m.SwapState(l.st)
-	m.Checkpoint(&snap)
-	m.SwapState(prev)
+	l.st.Checkpoint(&snap)
 	return model.AppendSnapshot(nil, &snap)
 }
 
 // viewBytes encodes a View of the lane's live slabs, at their pitch.
-func viewBytes(m *model.Model, l *lane) []byte {
+func viewBytes(l *lane) []byte {
 	var view model.Snapshot
-	m.View(l.st, &view)
+	l.st.View(&view)
 	return model.AppendSnapshot(nil, &view)
 }
 
@@ -172,11 +170,11 @@ func TestForwardBatchBatchingInvariance(t *testing.T) {
 						}
 						if a[i].emitted == a[i].gen {
 							left--
-							if !bytes.Equal(leaveBytes(fused, &a[i]), leaveBytes(alone, &b[i])) {
+							if !bytes.Equal(leaveBytes(&a[i]), leaveBytes(&b[i])) {
 								t.Fatalf("seed %d step %d session %d (protected=%v, reserved %d): KV / FT2 state differs between fused and alone",
 									seed, step, i, protected[i], horizon[i])
 							}
-							if !bytes.Equal(viewBytes(fused, &a[i]), checkpointBytes(alone, &b[i])) {
+							if !bytes.Equal(viewBytes(&a[i]), checkpointBytes(&b[i])) {
 								t.Fatalf("seed %d step %d session %d (reserved %d): View encodes unlike the MaxSeq-pitch Checkpoint",
 									seed, step, i, horizon[i])
 							}

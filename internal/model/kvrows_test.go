@@ -106,7 +106,7 @@ func FuzzKVRowsChain(f *testing.F) {
 		if reserve%2 == 1 {
 			st.Reserve(min(n+reserve%9, cfg.MaxSeq))
 		}
-		m.ResumePrefillPrefix(s.Prefix(r))
+		st.ResumePrefix(s.Prefix(r))
 		var tok int
 		for pos := r; pos < n; pos += chunk {
 			tok, _ = m.PrefillChunk(prompt[pos:min(pos+chunk, n)])
@@ -129,7 +129,7 @@ func FuzzKVRowsChain(f *testing.F) {
 			t.Fatalf("borrowing %d rows: KVOwn %d rows at pitch %d, want %d rows", shared, own, pitch, n+g-shared)
 		}
 		var view Snapshot
-		m.View(st, &view)
+		st.View(&view)
 		copied := checkpoint()
 		if !bytes.Equal(wire(&view), wire(flat)) || !bytes.Equal(wire(copied), wire(flat)) || copied.MemoryBytes() != flat.MemoryBytes() {
 			t.Fatalf("borrowing %d rows of chain %v: View or Checkpoint differs from the flat snapshot", r, ks)

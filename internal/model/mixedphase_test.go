@@ -113,9 +113,7 @@ func runMixedPhase(t *testing.T, m *model.Model, sessions []*mixedSession, gen i
 // tokens open on it, ready to be fed through ForwardBatch prefill ranges.
 func openPrefillState(m *model.Model, n int) *model.DecodeState {
 	st := m.NewDecodeState()
-	prev := m.SwapState(st)
-	m.BeginPrefill(n)
-	m.SwapState(prev)
+	st.BeginPrefill(n)
 	return st
 }
 

@@ -34,8 +34,8 @@ type block struct {
 // generation: an execution context over a read-only weight set.
 //
 // Concurrency contract: a Model is single-owner — exactly one goroutine may
-// drive Prefill/DecodeStep/Generate/Checkpoint/Restore at a time, and hook
-// registration belongs to that owner. Its weight set — embedding, blocks'
+// drive its forward passes at a time, and hook registration belongs to that
+// owner. Its weight set — embedding, blocks'
 // linears and norms, final norm, teacher, stream norm and rope table — is
 // built by New and shared by every Replica of the model, which may run
 // concurrently with it and each other. The set is never written once a
@@ -44,9 +44,10 @@ type block struct {
 // writing context, so a fault flipped in one replica never reaches a
 // sibling, nor any later Replica. Read-only artifacts (Snapshots, profiled
 // bound stores, ABFT reference sums) may be shared across replicas too.
-// Subsystems that juggle more generations than replicas (the campaign pool,
-// the serving scheduler) time-slice sessions onto replicas with
-// Checkpoint/Restore, which is bit-exact.
+// A generation's state is a value: code that handles several sessions (the
+// serving scheduler) names each one's DecodeState — its own methods open,
+// checkpoint and restore it, ForwardBatch on any replica advances it — and
+// the one-item methods here act on the model's own state.
 type Model struct {
 	Cfg   Config
 	DType numerics.DType
@@ -63,8 +64,8 @@ type Model struct {
 	hookIDs    []HookHandle
 	nextHookID HookHandle
 
-	// st is the active generation state (see DecodeState); swapped per
-	// session by the serving scheduler, lazily allocated on first Prefill.
+	// st is the model's own generation state (see DecodeState), the one the
+	// one-item methods act on; lazily allocated on first use.
 	st *DecodeState
 
 	// scratch is the reusable forward-pass buffer arena; see arena.go.
@@ -345,16 +346,12 @@ func (m *Model) ensureRuntime() {
 	}
 }
 
-// resetState clears the active generation state for a fresh generation,
-// lazily building the state and scratch arena on first use. Only the fill
-// counters reset — the slabs keep their pitch — so repeated generations no
-// longer than an earlier one never touch the allocator.
-func (m *Model) resetState() {
-	m.ensureRuntime()
+// state returns the model's own generation state, building it on first use.
+func (m *Model) state() *DecodeState {
 	if m.st == nil {
 		m.st = m.NewDecodeState()
 	}
-	m.st.Reset()
+	return m.st
 }
 
 // Prefill resets the generation state and processes the whole prompt in a
@@ -374,54 +371,8 @@ func (m *Model) Prefill(prompt []int) int {
 	return tok
 }
 
-// BeginPrefill resets the generation state and opens a chunked prefill for a
-// prompt of n tokens. The caller then feeds the prompt through one or more
-// PrefillChunk calls (optionally seeding a cached prefix first with
-// ResumePrefillPrefix); until the final chunk completes the state is
-// mid-prefill and DecodeStep/Checkpoint panic. The first chunk reserves the
-// prompt rows the state does not borrow.
-func (m *Model) BeginPrefill(n int) {
-	if n <= 0 {
-		panic("model: empty prompt")
-	}
-	if n > m.Cfg.MaxSeq {
-		panic(fmt.Sprintf("model: prompt %d exceeds max seq %d", n, m.Cfg.MaxSeq))
-	}
-	m.resetState()
-	m.st.promptLen = n
-}
-
-// ResumePrefillPrefix seeds a just-begun chunked prefill with a cached KV
-// prefix: the state borrows the snapshot's rows — reads them in place, never
-// copies or writes them — and the prefill cursor advances past them, so
-// subsequent PrefillChunk calls compute only the remaining suffix, into
-// slabs that hold only the rows past the borrowed ones. The snapshot
-// (typically a Snapshot.Prefix view from the serving prefix cache) must stay
-// immutable while the state borrows it — until Reset, Restore or KVSlabs —
-// and hold KV rows for exactly the prompt's first Rows() tokens: the caller
-// guarantees the token match; this function checks architecture and that at
-// least one row is left to compute (the readout needs the final row's
-// residual stream, which snapshots don't carry). A zero-row snapshot is a
-// no-op.
-func (m *Model) ResumePrefillPrefix(s *Snapshot) {
-	st := m.st
-	if st == nil || st.promptLen == 0 || st.prefillPos != 0 {
-		panic("model: ResumePrefillPrefix outside a just-begun prefill")
-	}
-	cfg := m.Cfg
-	if s.arch != cfg.arch() {
-		panic(fmt.Sprintf("model: snapshot of a %s %d×%d/%d-seq model restored into %s",
-			s.family, s.blocks, s.hidden, s.maxSeq, cfg.Name))
-	}
-	if s.rows >= st.promptLen {
-		panic(fmt.Sprintf("model: cached prefix %d rows leaves no suffix for a %d-token prompt", s.rows, st.promptLen))
-	}
-	if s.rows == 0 {
-		return
-	}
-	st.rows, st.base, st.shared = s.rows, &s.kvRows, s.rows
-	st.prefillPos = s.rows
-}
+// BeginPrefill is DecodeState.BeginPrefill over the model's own state.
+func (m *Model) BeginPrefill(n int) { m.state().BeginPrefill(n) }
 
 // PrefillChunk advances an open prefill by the given consecutive prompt
 // tokens (the slice starting at position PrefillPos). Non-final chunks run
@@ -432,24 +383,18 @@ func (m *Model) ResumePrefillPrefix(s *Snapshot) {
 // overrun the prompt, an empty chunk, or a call without an open prefill
 // panics.
 func (m *Model) PrefillChunk(tokens []int) (tok int, done bool) {
-	st := m.st
-	if st == nil || st.promptLen == 0 || st.prefillPos >= st.promptLen {
-		panic("model: PrefillChunk without an open prefill")
-	}
 	if len(tokens) == 0 {
 		panic("model: empty prefill chunk")
 	}
-	tok = m.forwardActive(BatchItem{State: st, Prefill: tokens})
-	if tok < 0 {
-		return 0, false
-	}
-	return tok, true
+	tok = m.forwardActive(BatchItem{State: m.state(), Prefill: tokens})
+	return max(tok, 0), tok >= 0
 }
 
-// forwardActive runs the forward pass over the active state as a one-item
-// batch carrying the model-level hooks. The item lives in the scratch arena,
-// so a step allocates nothing.
+// forwardActive runs the forward pass over one state as a one-item batch
+// carrying the model-level hooks. The item lives in the scratch arena, so a
+// step allocates nothing.
 func (m *Model) forwardActive(it BatchItem) int {
+	m.ensureRuntime()
 	sc := m.scratch
 	it.Hooks = m.hooks
 	sc.self[0] = it
@@ -473,13 +418,7 @@ func (m *Model) SeqLen() int { return m.st.SeqLen() }
 // hooks observe advances by one per call; the first call after Prefill is
 // step 1.
 func (m *Model) DecodeStep(tok int) int {
-	if !m.st.Started() {
-		if m.st.Prefilling() {
-			panic("model: DecodeStep mid-prefill")
-		}
-		panic("model: DecodeStep before Prefill or Restore")
-	}
-	return m.forwardActive(BatchItem{State: m.st, Tok: tok})
+	return m.forwardActive(BatchItem{State: m.state(), Tok: tok})
 }
 
 // Generate greedily decodes n tokens after the prompt, invoking forward
@@ -495,19 +434,22 @@ func (m *Model) Generate(prompt []int, n int) []int {
 // its capacity is short). With a caller-reused dst of capacity ≥ n the
 // steady-state generation performs zero heap allocations; the returned slice
 // aliases dst and is valid until the caller's next GenerateInto with it.
-// The state's KV slabs are reserved to the generation's horizon,
-// len(prompt)+n rows, before the prefill.
 func (m *Model) GenerateInto(dst []int, prompt []int, n int) []int {
+	return m.generate(m.state(), dst, prompt, n)
+}
+
+// generate is GenerateInto over st, whose KV slabs it reserves to the
+// generation's horizon, len(prompt)+n rows, before the prefill.
+func (m *Model) generate(st *DecodeState, dst, prompt []int, n int) []int {
 	if len(prompt)+n > m.Cfg.MaxSeq {
 		panic(fmt.Sprintf("model: prompt %d + generate %d exceeds max seq %d", len(prompt), n, m.Cfg.MaxSeq))
 	}
-	dst = dst[:0]
-	m.resetState()
-	m.st.Reserve(len(prompt) + n)
-	tok := m.Prefill(prompt)
-	dst = append(dst, tok)
+	st.BeginPrefill(len(prompt))
+	st.Reserve(len(prompt) + n)
+	tok := m.forwardActive(BatchItem{State: st, Prefill: prompt})
+	dst = append(dst[:0], tok)
 	for s := 1; s < n; s++ {
-		tok = m.DecodeStep(tok)
+		tok = m.forwardActive(BatchItem{State: st, Tok: tok})
 		dst = append(dst, tok)
 	}
 	return dst

@@ -159,10 +159,9 @@ func TestResumePrefillPrefixBitIdentical(t *testing.T) {
 
 			m := MustNew(cfg, 7, numerics.FP16)
 			open := func(st *DecodeState, p []int, seed *Snapshot) {
-				m.SwapState(st)
-				m.BeginPrefill(len(p))
+				st.BeginPrefill(len(p))
 				if seed != nil {
-					m.ResumePrefillPrefix(seed)
+					st.ResumePrefix(seed)
 				}
 			}
 			for _, c := range chains {
@@ -182,7 +181,7 @@ func TestResumePrefillPrefixBitIdentical(t *testing.T) {
 							toks := m.ForwardBatch(items, nil)
 							got, gotOther = append(got, toks[0]), append(gotOther, toks[1])
 							var view Snapshot
-							m.View(st, &view)
+							st.View(&view)
 							if !bytes.Equal(AppendSnapshot(nil, &view), wantWire[step]) {
 								t.Fatalf("%s: View after step %d encodes other bytes than the cold Checkpoint", name, step)
 							}
@@ -215,8 +214,8 @@ func TestBorrowingDecodeAllocFree(t *testing.T) {
 	var tok int
 	run := func() {
 		m.SwapState(st)
-		m.BeginPrefill(len(prompt))
-		m.ResumePrefillPrefix(hit)
+		st.BeginPrefill(len(prompt))
+		st.ResumePrefix(hit)
 		tok, _ = m.PrefillChunk(prompt[6:])
 		for s := 1; s < n; s++ {
 			tok = m.DecodeStep(tok)
@@ -286,10 +285,10 @@ func TestResumePrefillPrefixRejectsMismatch(t *testing.T) {
 	m.BeginPrefill(8)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ResumePrefillPrefix into a smaller-MaxSeq model did not panic")
+			t.Fatal("ResumePrefix into a smaller-MaxSeq model's state did not panic")
 		}
 	}()
-	m.ResumePrefillPrefix(snap.Prefix(2))
+	m.st.ResumePrefix(snap.Prefix(2))
 }
 
 // TestResumePrefillPrefixRejectsShortPrompt: a prompt no longer than the
@@ -309,7 +308,7 @@ func TestResumePrefillPrefixRejectsShortPrompt(t *testing.T) {
 					t.Errorf("promptLen=%d: prefix of %d rows accepted", promptLen, snap.Rows())
 				}
 			}()
-			m.ResumePrefillPrefix(snap.Prefix(snap.Rows()))
+			m.st.ResumePrefix(snap.Prefix(snap.Rows()))
 		}()
 	}
 }
@@ -342,7 +341,7 @@ func TestMidPrefillGuards(t *testing.T) {
 	}
 	mustPanic("DecodeStep", func() { m.DecodeStep(1) })
 	mustPanic("Checkpoint", func() { m.Checkpoint(&Snapshot{}) })
-	mustPanic("ResumePrefillPrefix", func() { m.ResumePrefillPrefix(&Snapshot{}) })
+	mustPanic("ResumePrefix", func() { m.st.ResumePrefix(&Snapshot{}) })
 	mustPanic("overrun chunk", func() { m.PrefillChunk(prompt[1:]) })
 	mustPanic("empty chunk", func() { m.PrefillChunk(nil) })
 

@@ -67,7 +67,7 @@ func TestSharedSnapshotChangesNoRow(t *testing.T) {
 				}
 				for _, r := range []int{0, 1, 3, 6, 7, len(prompt) - 1} {
 					m.BeginPrefill(len(prompt))
-					m.ResumePrefillPrefix(s.Prefix(r))
+					m.st.ResumePrefix(s.Prefix(r))
 					tok, done := m.PrefillChunk(prompt[r:])
 					var got Snapshot
 					m.Checkpoint(&got)

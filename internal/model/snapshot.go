@@ -45,6 +45,11 @@ func (c Config) arch() arch {
 	return arch{c.Family, c.Blocks, c.Hidden, c.MaxSeq, c.HeadDim()}
 }
 
+// desc names a for a mismatch message.
+func (a arch) desc() string {
+	return fmt.Sprintf("%s %d-block/%d-hidden/%d-seq", a.family, a.blocks, a.hidden, a.maxSeq)
+}
+
 // kv returns an empty kvRows laid out for a.
 func (a arch) kv() kvRows {
 	return kvRows{lanes: 2 * a.blocks * (a.hidden / a.headDim), d: a.headDim}
@@ -83,30 +88,28 @@ func (s *Snapshot) Compatible(cfg Config) error {
 		return fmt.Errorf("model: empty snapshot (never captured)")
 	}
 	if s.arch != cfg.arch() {
-		return fmt.Errorf("model: snapshot of a %s %d-block/%d-hidden/%d-seq model is incompatible with %s",
-			s.family, s.blocks, s.hidden, s.maxSeq, cfg.Name)
+		return fmt.Errorf("model: snapshot of a %s model is incompatible with %s", s.desc(), cfg.Name)
 	}
 	return nil
 }
 
-// Checkpoint copies the model's generation state into the snapshot,
-// reusing its buffer when it is large enough and not a View's — whose buffer
-// is a live state's slabs, which the compaction would overwrite under the
-// state. It must be called between
-// steps — after Prefill or a DecodeStep returned and before the next
-// DecodeStep — and captures the state "before step NextStep": a View of it
-// with the rows compacted to pitch rows, borrowed ones copied in.
-func (m *Model) Checkpoint(into *Snapshot) {
-	if !m.st.Started() {
-		panic("model: Checkpoint before Prefill")
-	}
+// Checkpoint copies the state into the snapshot, reusing its buffer when it
+// is large enough and not a View's — whose buffer is a live state's slabs,
+// which the compaction would overwrite under the state. It must be called
+// between steps — after the prefill completed or a decode step returned and
+// before the next — and captures the state "before step NextStep": a View
+// of it with the rows compacted to pitch rows, borrowed ones copied in.
+func (st *DecodeState) Checkpoint(into *Snapshot) {
 	buf := into.buf
 	if into.view {
 		buf = nil
 	}
-	m.View(m.st, into)
+	st.View(into)
 	into.kvRows, into.view = into.carve(buf, into.rows, 0, nil), false
 }
+
+// Checkpoint is DecodeState.Checkpoint over the model's own state.
+func (m *Model) Checkpoint(into *Snapshot) { m.st.Checkpoint(into) }
 
 // Prefix returns a read-only view of the snapshot truncated to its first rows
 // KV rows — the forkable shared-prompt prefix the serving prefix cache hands
@@ -114,7 +117,7 @@ func (m *Model) Checkpoint(into *Snapshot) {
 // (from the deepest base holding them all), which must stay immutable while
 // the view lives, as cache snapshots are. It carries no resume point:
 // NextStep/LastToken/promptLen are zero, so it can only seed a chunked
-// prefill via Model.ResumePrefillPrefix, never a full Restore. rows may be 0
+// prefill via DecodeState.ResumePrefix, never a full Restore. rows may be 0
 // (an empty view) up to the parent's Rows().
 func (s *Snapshot) Prefix(rows int) *Snapshot {
 	if rows < 0 || rows > s.rows {
@@ -145,23 +148,21 @@ func (s *Snapshot) Share(base *Snapshot, k int) *Snapshot {
 	return &out
 }
 
-// View fills into with a read-only, no-copy view of st's generation state:
-// the bookkeeping Checkpoint would capture and a copy of st's kvRows — its
-// slabs at the state's pitch and the base it borrows from. It encodes
-// (AppendSnapshot) to the bytes of a Checkpoint copy and restores like one.
-// A decode step only appends rows, and every move of the slabs — a growth
-// of the pitch, KVSlabs ending a borrow — installs a fresh buffer and leaves
-// the old one as it was, so the view stays valid until st is reset, restored
-// or has a row of its slabs rewritten: the migration export encodes a view
-// taken at a stride boundary on another goroutine while the session decodes
-// on.
-func (m *Model) View(st *DecodeState, into *Snapshot) {
-	m.checkCompatible(st)
+// View fills into with a read-only, no-copy view of the state: the
+// bookkeeping Checkpoint would capture and a copy of its kvRows — its slabs
+// at its pitch and the base it borrows from. It encodes (AppendSnapshot) to
+// the bytes of a Checkpoint copy and restores like one. A decode step only
+// appends rows, and every move of the slabs — pitch growth, KVSlabs ending
+// a borrow — installs a fresh buffer and leaves the old one as it was, so
+// the view stays valid until the state is reset, restored or has a slab row
+// rewritten: the migration export encodes a view taken at a stride boundary
+// on another goroutine while the session decodes on.
+func (st *DecodeState) View(into *Snapshot) {
 	if !st.Started() {
-		panic("model: View before Prefill")
+		panic("model: View or Checkpoint before the prefill completed")
 	}
 	*into = Snapshot{
-		arch:           m.Cfg.arch(),
+		arch:           st.arch,
 		nextStep:       st.step + 1,
 		lastTok:        st.lastTok,
 		promptLen:      st.promptLen,
@@ -171,28 +172,22 @@ func (m *Model) View(st *DecodeState, into *Snapshot) {
 	}
 }
 
-// Restore loads the snapshot into the model — a handful of copies into the
-// KV slabs, which it grows to the snapshot's rows if they are shorter; a
-// restored state borrows nothing — and returns the token to feed the next
-// DecodeStep.
-// The model must have the same architecture the snapshot was captured from;
-// registered hooks are left untouched. After Restore the model's state is
-// bit-identical to the capturing model's at Checkpoint time, so a greedy
-// decode from here reproduces the original continuation exactly.
-func (m *Model) Restore(s *Snapshot) int {
-	cfg := m.Cfg
+// Restore loads the snapshot into the state — a handful of copies into the
+// KV slabs, grown to the snapshot's rows if shorter; a restored state
+// borrows nothing — and returns the token to feed the next decode step.
+// Architectures must match. The state is then bit-identical to the captured
+// one, so a greedy decode reproduces the original continuation exactly.
+func (st *DecodeState) Restore(s *Snapshot) int {
 	if s.rows == 0 {
 		panic("model: Restore of an empty snapshot")
 	}
 	if s.nextStep == 0 {
-		panic("model: Restore of a prefix view; use ResumePrefillPrefix")
+		panic("model: Restore of a prefix view; use ResumePrefix")
 	}
-	if s.arch != cfg.arch() {
-		panic(fmt.Sprintf("model: snapshot of a %s %d×%d/%d-seq model restored into %s",
-			s.family, s.blocks, s.hidden, s.maxSeq, cfg.Name))
+	if s.arch != st.arch {
+		panic(fmt.Sprintf("model: snapshot of a %s model restored into a %s state", s.desc(), st.desc()))
 	}
-	m.resetState()
-	st := m.st
+	st.Reset()
 	st.kvRows = s.carve(st.buf, max(st.pitch, s.rows), 0, nil)
 	st.step = s.nextStep - 1
 	st.lastTok = s.lastTok
@@ -201,3 +196,6 @@ func (m *Model) Restore(s *Snapshot) int {
 	st.lastStreamNorm = s.lastStreamNorm
 	return s.lastTok
 }
+
+// Restore is DecodeState.Restore over the model's own state.
+func (m *Model) Restore(s *Snapshot) int { return m.state().Restore(s) }

@@ -53,7 +53,7 @@ func TestCheckpointIntoViewLeavesStateIntact(t *testing.T) {
 			tok := m.Prefill(prompt)
 			m.st.Reserve(pitch)
 			var s Snapshot
-			m.View(m.st, &s)
+			m.st.View(&s)
 			m.Checkpoint(&s)
 			got := []int{tok}
 			for len(got) < n {

@@ -6,8 +6,8 @@ import "fmt"
 // KV slab caches plus the step/prompt counters and the last decoded token.
 // Extracting it from the Model lets one replica serve many concurrent
 // sessions without copying KV state around — the serving scheduler keeps a
-// DecodeState per session and passes them to ForwardBatch, swapping one in
-// (SwapState) only to checkpoint or restore it.
+// DecodeState per session, opens, checkpoints and restores it through its
+// own methods, and passes it to ForwardBatch to advance it.
 //
 // A DecodeState belongs to one generation at a time. It may move between
 // replicas of the same (config, seed, dtype) model freely — the weights are
@@ -15,8 +15,9 @@ import "fmt"
 // original continuation exactly (the same argument as Snapshot portability,
 // without the copy).
 type DecodeState struct {
-	// identity of the allocating model's architecture, checked on swap
-	blocks, heads, maxSeq int
+	// arch is the allocating model's, checked wherever the state meets a
+	// model (a forward pass) or a snapshot (ResumePrefix, Restore).
+	arch
 
 	// kvRows holds the KV rows filled so far, head h of block b at lanes
 	// 2b·heads+h (keys) and (2b+1)·heads+h (values). Its pitch starts at 0,
@@ -24,7 +25,7 @@ type DecodeState struct {
 	// never shrinks, so a recycled state keeps its slabs. Rows [0,shared)
 	// are borrowed: read in place from base, an immutable snapshot's rows (a
 	// prefix-cache entry's Prefix view) the state never writes.
-	// ResumePrefillPrefix sets them; Reset, Restore and KVSlabs (which
+	// ResumePrefix sets them; Reset, Restore and KVSlabs (which
 	// copies the borrowed rows in first) drop them.
 	kvRows
 
@@ -46,8 +47,8 @@ type DecodeState struct {
 // Restore reserve the rows they write, and an owner that knows the
 // generation's horizon reserves that first.
 func (m *Model) NewDecodeState() *DecodeState {
-	cfg := m.Cfg
-	return &DecodeState{blocks: cfg.Blocks, heads: cfg.Heads, maxSeq: cfg.MaxSeq, kvRows: cfg.arch().kv()}
+	a := m.Cfg.arch()
+	return &DecodeState{arch: a, kvRows: a.kv()}
 }
 
 // Reserve makes the state hold at least rows positions per head, borrowed
@@ -92,14 +93,9 @@ func (st *DecodeState) Started() bool {
 }
 
 // PrefillPos returns the chunked-prefill cursor: prompt rows processed so
-// far. It equals PromptLen once the prefill (chunked or single-pass)
+// far. It equals the prompt length once the prefill (chunked or single-pass)
 // completed, and is 0 for a state that never began one.
-func (st *DecodeState) PrefillPos() int {
-	if st == nil {
-		return 0
-	}
-	return st.prefillPos
-}
+func (st *DecodeState) PrefillPos() int { return st.prefillPos }
 
 // Prefilling reports whether the state is mid-way through a chunked prefill:
 // a BeginPrefill happened but the final PrefillChunk has not run yet.
@@ -126,19 +122,54 @@ func (st *DecodeState) pos() int { return st.promptLen + st.step - 1 }
 // checkCompatible panics when the state was allocated for a different
 // architecture than m's.
 func (m *Model) checkCompatible(st *DecodeState) {
-	cfg := m.Cfg
-	if st.blocks != cfg.Blocks || st.heads != cfg.Heads || st.d != cfg.HeadDim() || st.maxSeq != cfg.MaxSeq {
-		panic(fmt.Sprintf("model: DecodeState of a %d-block/%d×%d-head/%d-seq model used with %s",
-			st.blocks, st.heads, st.d, st.maxSeq, cfg.Name))
+	if st.arch != m.Cfg.arch() {
+		panic(fmt.Sprintf("model: DecodeState of a %s model used with %s", st.desc(), m.Cfg.Name))
 	}
 }
 
-// SwapState installs st as the model's active generation state and returns
-// the previously active one (nil if the model never generated). Prefill,
-// DecodeStep, Checkpoint, and Restore all operate on the active state, so a
-// scheduler multiplexing sessions over one replica swaps the session's state
-// in, runs its steps, and swaps the old state back — no KV copies. A nil st
-// detaches the current state; the next Prefill then allocates a fresh one.
+// BeginPrefill resets the state and opens a chunked prefill for a prompt of
+// n tokens, fed by prefill items (ForwardBatch, or the model's PrefillChunk)
+// after an optional ResumePrefix. Until the final chunk the state is
+// mid-prefill: decoding or checkpointing it panics. The first chunk reserves
+// the prompt rows the state does not borrow.
+func (st *DecodeState) BeginPrefill(n int) {
+	if n <= 0 {
+		panic("model: empty prompt")
+	}
+	if n > st.maxSeq {
+		panic(fmt.Sprintf("model: prompt %d exceeds max seq %d", n, st.maxSeq))
+	}
+	st.Reset()
+	st.promptLen = n
+}
+
+// ResumePrefix seeds a just-begun chunked prefill with a cached KV prefix:
+// the state borrows the snapshot's rows — reads them in place, never writes
+// them — and the prefill cursor advances past them, so the remaining chunks
+// compute only the suffix. The snapshot (typically a prefix-cache
+// Snapshot.Prefix view) must stay immutable while the state borrows it —
+// until Reset, Restore or KVSlabs — and hold the KV rows of the prompt's
+// first Rows() tokens, which the caller guarantees. At least one row must be
+// left to compute: the readout needs the final row's residual stream.
+func (st *DecodeState) ResumePrefix(s *Snapshot) {
+	if st.promptLen == 0 || st.prefillPos != 0 {
+		panic("model: ResumePrefix outside a just-begun prefill")
+	}
+	if s.arch != st.arch {
+		panic(fmt.Sprintf("model: snapshot of a %s model resumed into a %s state", s.desc(), st.desc()))
+	}
+	if s.rows >= st.promptLen {
+		panic(fmt.Sprintf("model: cached prefix %d rows leaves no suffix for a %d-token prompt", s.rows, st.promptLen))
+	}
+	if s.rows > 0 {
+		st.rows, st.base, st.shared, st.prefillPos = s.rows, &s.kvRows, s.rows, s.rows
+	}
+}
+
+// SwapState installs st (nil detaches) as the model's own generation state,
+// the one its one-item methods act on, and returns the previous one. Code
+// handling several sessions names each one's state instead: outside tests,
+// the repository benchmark is the only caller.
 func (m *Model) SwapState(st *DecodeState) *DecodeState {
 	if st != nil {
 		m.checkCompatible(st)

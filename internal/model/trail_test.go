@@ -24,7 +24,7 @@ type trailRun struct {
 }
 
 // runProtected prefills prompt[from:] in chunks of at most chunk rows on the
-// open prefill of m's active state, decodes gen tokens in all, and captures
+// open prefill of m's own state, decodes gen tokens in all, and captures
 // what the controller and the readout hold at the end.
 func runProtected(m *model.Model, ctl *core.FT2, prompt []int, from, chunk, gen int) trailRun {
 	var r trailRun
@@ -134,7 +134,7 @@ func TestTrailResumesAtEveryDepth(t *testing.T) {
 						}
 
 						m.BeginPrefill(len(prompt))
-						m.ResumePrefillPrefix(kv.Prefix(d))
+						m.State().ResumePrefix(kv.Prefix(d))
 						ctl.Bind(&core.ForkState{Bounds: store, FirstTokenNaN: nan, Trail: cold.fork.Trail.Prefix(d)})
 						warm := runProtected(m, ctl, prompt, d, chunk, gen)
 						if !slices.Equal(warm.toks, cold.toks) || !bytes.Equal(warm.bytes, cold.bytes) ||

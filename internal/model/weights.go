@@ -19,8 +19,7 @@ import (
 //
 // Rounding the weights changes the model: it is a different (quantized)
 // parameterization, so the sane-stream-norm teacher calibration is re-run
-// against the rounded weights and any existing generation state is detached.
-// Call it right after New, before replicas, sessions, hooks, or snapshots
+// against the rounded weights. Call it right after New, before replicas, sessions, hooks, or snapshots
 // exist; it panics once the weight set is shared (a Replica would see its
 // weights change under it) or hooks are registered (the calibration probe
 // would fire them). Idempotent.
@@ -71,8 +70,8 @@ func (m *Model) weightTensors(blocks []block) []*tensor.Tensor {
 // probe sequence and installs it as the teacher injection scale. The
 // teacher must be disabled during the probe (streamNorm = 0 sends forward
 // down the plain readout path); New calls this with streamNorm still zero,
-// EnableF16Weights re-runs it against the rounded weights. The probe's state
-// is detached afterwards: a serving replica never decodes with it again.
+// EnableF16Weights re-runs it against the rounded weights. The probe runs
+// on a state of its own: the model's is never touched.
 func (m *Model) calibrateStreamNorm() {
 	const firstRealToken = 4
 	m.streamNorm = 0
@@ -80,7 +79,7 @@ func (m *Model) calibrateStreamNorm() {
 	for i := range probe {
 		probe[i] = firstRealToken + (i*37)%(m.Cfg.Vocab-firstRealToken)
 	}
-	m.Generate(probe, 4)
-	m.streamNorm = m.st.lastStreamNorm
-	m.SwapState(nil)
+	st := m.NewDecodeState()
+	m.generate(st, nil, probe, 4)
+	m.streamNorm = st.lastStreamNorm
 }

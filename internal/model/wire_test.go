@@ -62,7 +62,7 @@ func TestSnapshotWirePrefixViewCompacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2.BeginPrefill(len(prompt))
-	m2.ResumePrefillPrefix(dec)
+	m2.st.ResumePrefix(dec)
 	tok2, done := m2.PrefillChunk(prompt[rows:])
 	if !done {
 		t.Fatal("prefill not done after final chunk")
@@ -179,7 +179,7 @@ func TestViewEncodesLikeCheckpoint(t *testing.T) {
 	var firstBytes []byte
 	tok := m.Prefill([]int{42})
 	for rows := 1; ; rows++ {
-		m.View(m.State(), &view)
+		m.State().View(&view)
 		m.Checkpoint(&snap)
 		if rows == 1 {
 			first, firstBytes = view, AppendSnapshot(nil, &view) // shares view's headers
@@ -211,7 +211,7 @@ func TestViewEncodesLikeCheckpoint(t *testing.T) {
 	for i := 0; i < 70; i++ {
 		tok = m2.DecodeStep(tok)
 	}
-	m2.View(m2.State(), &view)
+	m2.State().View(&view)
 	m2.Checkpoint(&snap)
 	for _, src := range []*Snapshot{&view, &snap} {
 		m3, err := New(cfg, 7, numerics.FP16)

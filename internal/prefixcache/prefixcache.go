@@ -2,7 +2,7 @@
 // prefix KV snapshots for the serving layer. Production chat traffic shares
 // long system prompts; a session that finds its prompt's longest cached
 // token prefix borrows the prefix KV — reads it in place, via Snapshot.Prefix
-// + Model.ResumePrefillPrefix, for as long as the session lives — and
+// + DecodeState.ResumePrefix, for as long as the session lives — and
 // prefills only the unique suffix.
 //
 // Structure: a compressed radix tree over token sequences. Each inserted
@@ -146,7 +146,7 @@ type Ref struct {
 // Rows returns the number of cached prompt rows the hit covers.
 func (r *Ref) Rows() int { return r.rows }
 
-// Snapshot returns the zero-copy prefix view to feed ResumePrefillPrefix.
+// Snapshot returns the zero-copy prefix view to feed DecodeState.ResumePrefix.
 func (r *Ref) Snapshot() *model.Snapshot { return r.e.snap.Prefix(r.rows) }
 
 // Trail returns the cached prefill's bounds trail (read-only; nil when the

@@ -305,7 +305,7 @@ func TestEvictionWhileHeldNeverDangles(t *testing.T) {
 
 	// The holder's view must still resume bit-identically.
 	m.BeginPrefill(len(prompt))
-	m.ResumePrefillPrefix(ref.Snapshot())
+	m.State().ResumePrefix(ref.Snapshot())
 	tok, done := m.PrefillChunk(prompt[ref.Rows():])
 	if !done {
 		t.Fatal("suffix chunk did not complete")
@@ -411,7 +411,7 @@ func TestSharedEntriesServeColdRows(t *testing.T) {
 		t.Fatalf("lookup of the resumed prompt = %v, want %d rows", ref, len(chunked))
 	}
 	m.BeginPrefill(len(resumed))
-	m.ResumePrefillPrefix(ref.Snapshot())
+	m.State().ResumePrefix(ref.Snapshot())
 	m.PrefillChunk(resumed[ref.Rows():])
 	ref.Release()
 	snap = &model.Snapshot{}

@@ -8,6 +8,7 @@ package protect
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -26,6 +27,13 @@ type Bounds struct {
 // Contains reports whether v lies inside the bounds (NaN never does).
 func (b Bounds) Contains(v float32) bool {
 	return v >= b.Lo && v <= b.Hi // NaN comparisons are false
+}
+
+// Valid reports whether both ends are finite and Lo ≤ Hi, as a learned range
+// always is. An infinite bound clamps nothing; a NaN or inverted one clamps
+// every value.
+func (b Bounds) Valid() bool {
+	return b.Lo <= b.Hi && !math.IsInf(float64(b.Lo), 0) && !math.IsInf(float64(b.Hi), 0)
 }
 
 // Scale widens the bounds by factor s ≥ 1 — the paper's bound scaling

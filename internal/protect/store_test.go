@@ -115,6 +115,16 @@ func matches(s *Store, m map[SiteKey]Bounds) bool {
 	return true
 }
 
+// allValid reports whether every bound s holds is Valid.
+func allValid(s *Store) bool {
+	for _, e := range s.SortedEntries() {
+		if !e.Bounds.Valid() {
+			return false
+		}
+	}
+	return true
+}
+
 const fuzzBlocks = 4
 
 // FuzzBoundsStore runs the operation sequence decoded from the input — Set,
@@ -124,7 +134,7 @@ const fuzzBlocks = 4
 // each Clone still holds what it was cloned with. The ObserveRows calls also
 // go to a second store that sees nothing else, with a trail — a trail records
 // only the rows that widen its own store — whose fold at a decoded depth is
-// checked after each.
+// checked after each, as is that all it learned is a Valid bound.
 func FuzzBoundsStore(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 10, 20})
 	f.Add([]byte{2, 3, 8, 1, 0x13, 2, 2, 0x80, 5, 0x7f, 0xf0, 9, 1, 0, 6, 1, 4, 0x81, 0x22})
@@ -215,6 +225,10 @@ func FuzzBoundsStore(f *testing.F) {
 				wantAt, wantNaN := to.at(d)
 				if atNaN != wantNaN || !matches(at, wantAt) || !matches(ts, to.m) {
 					t.Fatalf("trail At(%d) = %d NaN %v, want %d NaN %v; its store %v, want %v", d, atNaN, at, wantNaN, wantAt, ts, to.m)
+				}
+				// What ObserveRows learns is a valid bound, however wild the row.
+				if !allValid(ts) || !allValid(at) {
+					t.Fatalf("learned an invalid bound: store %v, trail At(%d) %v", ts, d, at)
 				}
 			case 3: // Reset
 				s.Reset()

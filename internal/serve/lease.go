@@ -15,9 +15,9 @@ import (
 // alone. Only the worker driving the session calls any but encode.
 //
 // A checkpoint is a mark until someone asks for it. At each export stride
-// the owning worker records a mark — a model.View of the session's KV slabs
-// plus its resume point and, when protected, its correction counters and
-// read-only bounds — and encodes nothing. GET /v1/sessions/export encodes
+// the owning worker records a mark — a DecodeState.View of the session's KV
+// slabs plus its resume point and, when protected, its correction counters
+// and read-only bounds — and encodes nothing. GET /v1/sessions/export encodes
 // the latest mark on the handler's goroutine. A decode step only appends KV
 // rows, so the rows a mark covers do not change while the session decodes
 // on; the two things that do rewrite them — recycle handing the state to
@@ -81,9 +81,9 @@ func (l *kvLease) account(sch *scheduler) {
 
 // mark records the state as it stands (KV rows and resume point, plus ft
 // when protected) as the latest mark, between steps. It allocates nothing.
-func (l *kvLease) mark(sch *scheduler, m *model.Model, ft *core.ForkState) {
+func (l *kvLease) mark(sch *scheduler, ft *core.ForkState) {
 	l.mu.Lock()
-	m.View(l.st, &l.snap)
+	l.st.View(&l.snap)
 	if l.protected {
 		l.fork = *ft
 		l.fork.Trail = nil
@@ -124,25 +124,23 @@ func (l *kvLease) encode(sch *scheduler) ([]byte, int, error) {
 	return blob, tokens, nil
 }
 
-// rewrite runs f — which may change KV rows the latest mark covers — with
-// the state installed on m. It encodes an unfetched mark first, so every
-// later fetch returns that blob, which predates f, and reads no row; then it
-// takes the pin exclusively, waiting out the fetches still reading.
-func (l *kvLease) rewrite(sch *scheduler, m *model.Model, f func()) {
+// rewrite runs f on the state — f may change KV rows the latest mark
+// covers. It encodes an unfetched mark first, so every later fetch returns
+// that blob, which predates f, and reads no row; then it takes the pin
+// exclusively, waiting out the fetches still reading.
+func (l *kvLease) rewrite(sch *scheduler, f func(*model.DecodeState)) {
 	l.encode(sch) // fails only on a mark of no rows, which reads none
 	l.pin.Lock()
 	defer l.pin.Unlock()
-	prev := m.SwapState(l.st)
-	f()
-	m.SwapState(prev)
+	f(l.st)
 }
 
 // spill encodes the finished state, with ft when protected, for durable
 // parking — a View of its own, not a mark: a fetch must never return a
 // finished session, which a router would resume past its end.
-func (l *kvLease) spill(m *model.Model, ft *core.ForkState) ([]byte, error) {
+func (l *kvLease) spill(ft *core.ForkState) ([]byte, error) {
 	var view model.Snapshot
-	m.View(l.st, &view)
+	l.st.View(&view)
 	if !l.protected {
 		ft = nil
 	}

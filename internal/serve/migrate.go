@@ -69,11 +69,11 @@ func (sch *scheduler) exportFor(id string) ([]byte, int, error) {
 // this process or a restarted one — picks the generation up from exactly
 // this point. Failures are logged, never fail the request: parking is a
 // best-effort bonus on top of a response already produced.
-func (sch *scheduler) maybeSpill(r *replica, s *Session) {
+func (sch *scheduler) maybeSpill(s *Session) {
 	if sch.cfg.SpillDir == "" || s.req.SessionID == "" {
 		return
 	}
-	blob, err := s.kv.spill(r.m, &s.ftState)
+	blob, err := s.kv.spill(&s.ftState)
 	if err == nil {
 		err = writeSpill(sch.cfg.SpillDir, s.req.SessionID, blob)
 	}

@@ -473,9 +473,7 @@ func TestExportViewMatchesCheckpoint(t *testing.T) {
 				t.Fatalf("session %s decoding with no checkpoint: %v", s.req.SessionID, err)
 			}
 			snap := &model.Snapshot{}
-			prev := r.m.SwapState(s.kv.st)
-			r.m.Checkpoint(snap)
-			r.m.SwapState(prev)
+			s.kv.st.Checkpoint(snap)
 			var fk *core.ForkState
 			if s.req.Protected {
 				fk = &s.ftState
@@ -659,11 +657,11 @@ func TestExportFetchDuringDecodeSettleRecycle(t *testing.T) {
 }
 
 // encodeLive encodes s's live state — with its fork state when protected —
-// from a fresh model.View of its KV slabs: the reference a fetched mark is
-// held to. The caller owns the session between steps.
-func encodeLive(r *replica, s *Session) ([]byte, error) {
+// from a fresh DecodeState.View of its KV slabs: the reference a fetched
+// mark is held to. The caller owns the session between steps.
+func encodeLive(s *Session) ([]byte, error) {
 	var view model.Snapshot
-	r.m.View(s.kv.st, &view)
+	s.kv.st.View(&view)
 	var fk *core.ForkState
 	if s.req.Protected {
 		fk = &s.ftState
@@ -691,7 +689,7 @@ func TestExportPredatesChaosKVFault(t *testing.T) {
 		}
 		// Just marked, not yet fetched: the next slice opens with a KV fault.
 		marks++
-		want, err := encodeLive(r, s)
+		want, err := encodeLive(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -763,7 +761,7 @@ func TestExportMarkSurvivesSlabGrowth(t *testing.T) {
 						protected, len(blob), tokens, len(want), marked)
 				}
 			} else if s.lastExport == s.kv.st.Step()+1 { // just marked, not yet fetched
-				if want, err = encodeLive(r, s); err != nil {
+				if want, err = encodeLive(s); err != nil {
 					t.Fatal(err)
 				}
 				marked = s.lastExport
@@ -874,7 +872,7 @@ func TestExportCaptureAllocatesOnlyTheBlob(t *testing.T) {
 			t.Fatalf("session %s not decoding", s.req.SessionID)
 		}
 		id := s.req.SessionID
-		if allocs := testing.AllocsPerRun(20, func() { s.kv.mark(sch, r.m, &s.ftState) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { s.kv.mark(sch, &s.ftState) }); allocs != 0 {
 			t.Errorf("%s capture allocates %.1f objects, want 0", id, allocs)
 		}
 		blob, _, err := sch.exportFor(id)
@@ -882,7 +880,7 @@ func TestExportCaptureAllocatesOnlyTheBlob(t *testing.T) {
 			t.Fatal(err)
 		}
 		fetch := func() {
-			s.kv.mark(sch, r.m, &s.ftState) // a new mark, so the fetch encodes again
+			s.kv.mark(sch, &s.ftState) // a new mark, so the fetch encodes again
 			if _, _, err := sch.exportFor(id); err != nil {
 				t.Fatal(err)
 			}
@@ -926,12 +924,12 @@ func BenchmarkExportCapture(b *testing.B) {
 		}
 		b.Run(fmt.Sprint("capture/protected=", protected), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s.kv.mark(sch, r.m, &s.ftState)
+				s.kv.mark(sch, &s.ftState)
 			}
 		})
 		b.Run(fmt.Sprint("fetch/protected=", protected), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s.kv.mark(sch, r.m, &s.ftState)
+				s.kv.mark(sch, &s.ftState)
 				sch.exportFor("s")
 			}
 		})

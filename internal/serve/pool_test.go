@@ -84,7 +84,7 @@ func TestReplicaWeightFlipStaysLocal(t *testing.T) {
 	scrubs := make([]bool, 0, 2*len(want))
 	for i := range want {
 		inj.Reset()
-		inj.Fire()
+		inj.Fire(nil)
 		victim.m.Generate(prompts(i), maxTokens)
 		scrubs = append(scrubs, victim.scrub())
 		inj.Revert()
@@ -115,7 +115,7 @@ func TestReplicaWeightFlipStaysLocal(t *testing.T) {
 	}
 
 	inj.Reset()
-	inj.Fire()
+	inj.Fire(nil)
 	if victim.scrub() {
 		t.Fatal("scrub passed on a flipped replica")
 	}

@@ -344,8 +344,7 @@ func (sch *scheduler) applyChaos(r *replica, g *group) {
 		i := g.victims[f.Session]
 		s := g.sessions[i]
 		inj := fault.NewInjector(f.Site, dtype)
-		inj.M = r.m
-		s.kv.rewrite(sch, r.m, inj.Fire)
+		s.kv.rewrite(sch, inj.Fire)
 		s.suspect = true
 		sch.chaos.Record(chaos.Event{Kind: chaos.EvInject, Target: fault.TargetKVCache.String(),
 			Site: f.Site.String(), Session: s.id, Replica: r.slot, Step: f.Site.Step})
@@ -354,7 +353,7 @@ func (sch *scheduler) applyChaos(r *replica, g *group) {
 	for _, site := range plan.Weight {
 		inj := fault.NewInjector(site, dtype)
 		inj.M = r.m
-		inj.Fire()
+		inj.Fire(nil)
 		r.tainted = true
 		// Weights are replica-global: every opted-in session in the group —
 		// including one whose prefill rows are computed after the flip — may
@@ -471,7 +470,7 @@ func (sch *scheduler) release(s *Session, delivered bool) {
 // here: the fused slice loop feeds the chunks, co-batched with decode rows.
 func (sch *scheduler) open(r *replica, s *Session) (err error) {
 	defer recoverAs500(&err, "opening session")
-	m, rows := r.m, len(s.prompt)+s.req.MaxTokens
+	rows := len(s.prompt) + s.req.MaxTokens
 	var ref *prefixcache.Ref
 	if s.adoptSnap != nil {
 		rows = s.adoptSnap.Rows() + s.req.MaxTokens
@@ -480,13 +479,11 @@ func (sch *scheduler) open(r *replica, s *Session) (err error) {
 			s.hitRows = ref.Rows()
 		}
 	}
-	s.kv.obtain(sch, m, rows-s.hitRows, ref)
-	prev := m.SwapState(s.kv.st)
-	defer m.SwapState(prev)
+	s.kv.obtain(sch, r.m, rows-s.hitRows, ref)
 	s.startAt = time.Now()
 	sch.mx.queueLat.Observe(msSince(s.admitted, s.startAt))
 	if s.adoptSnap != nil {
-		m.Restore(s.adoptSnap)
+		s.kv.st.Restore(s.adoptSnap)
 		s.lastExport = s.adoptSnap.NextStep()
 		s.adoptSnap = nil
 		if s.req.Resume {
@@ -497,10 +494,10 @@ func (sch *scheduler) open(r *replica, s *Session) (err error) {
 		return nil
 	}
 	sch.mx.promptTokens.Add(int64(len(s.prompt)))
-	m.BeginPrefill(len(s.prompt))
+	s.kv.st.BeginPrefill(len(s.prompt))
 	var trail *protect.Trail // the hit entry's: immutable
 	if ref != nil {
-		m.ResumePrefillPrefix(ref.Snapshot())
+		s.kv.st.ResumePrefix(ref.Snapshot())
 		trail = ref.Trail()
 	}
 	// Offer the finished prefill back unless the cache already covers this
@@ -537,16 +534,14 @@ func (sch *scheduler) open(r *replica, s *Session) (err error) {
 // observation is associative over row partitions and the bounds trail folds
 // to exactly the restored rows — so a cache-hit session's output matches a
 // cold one and the GenerateInto oracle exactly.
-func (sch *scheduler) finishPrefill(r *replica, g *group, i int) {
-	s, m := g.sessions[i], r.m
+func (sch *scheduler) finishPrefill(g *group, i int) {
+	s := g.sessions[i]
 	sch.mx.ttft.Observe(msSince(s.admitted, time.Now()))
 	// A suspect session's rows may have been computed on corrupted weights:
 	// it never inserts, and the sessions parked behind it compute their own.
 	if sch.prefix != nil && s.insert && !s.suspect {
 		snap := &model.Snapshot{}
-		prev := m.SwapState(s.kv.st)
-		m.Checkpoint(snap)
-		m.SwapState(prev)
+		s.kv.st.Checkpoint(snap)
 		// A NaN-corrected first token wrote corrected values into the KV; a
 		// bare model would not reproduce them, so such entries serve only
 		// protected sessions. An unprotected prefill's KV is always bare, and
@@ -598,7 +593,7 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 				continue
 			}
 			if cerr := s.checkCtx(); cerr != nil {
-				sch.finishInGroup(r, g, i, cerr)
+				sch.finishInGroup(g, i, cerr)
 				continue
 			}
 			if g.rem[i] <= 0 || rowBudget <= 0 {
@@ -653,10 +648,10 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 			s.emit(tok)
 			sch.mx.tokensTotal.Add(1)
 			if len(g.items[n].Prefill) > 0 {
-				sch.finishPrefill(r, g, i)
+				sch.finishPrefill(g, i)
 			}
 			if s.finishedAfter(tok) {
-				sch.finishInGroup(r, g, i, nil)
+				sch.finishInGroup(g, i, nil)
 				continue
 			}
 			// The mark covering the token just emitted is recorded before the
@@ -665,7 +660,7 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 			// of k — from the first token on, which a session with no mark
 			// yet marks: a router need never replay a whole prefill.
 			if total := s.kv.st.Step() + 1; s.kv.exported && (s.lastExport == 0 || total-s.lastExport >= sch.cfg.ExportStride) {
-				s.kv.mark(sch, m, &s.ftState)
+				s.kv.mark(sch, &s.ftState)
 				s.lastExport = total
 			}
 		}
@@ -684,13 +679,13 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 }
 
 // finishInGroup settles a session mid-slice and removes it from the group.
-// Successful finishes park the session to the spill dir first (while the
-// worker still holds the replica its state can be checkpointed on).
-func (sch *scheduler) finishInGroup(r *replica, g *group, i int, err error) {
+// Successful finishes park the session to the spill dir first, before
+// settling recycles its state.
+func (sch *scheduler) finishInGroup(g *group, i int, err error) {
 	s := g.sessions[i]
 	g.sessions[i] = nil
 	if err == nil {
-		sch.maybeSpill(r, s)
+		sch.maybeSpill(s)
 	}
 	sch.settle(s, err)
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
+	"slices"
 	"testing"
 
 	"ft2/internal/core"
@@ -244,6 +246,48 @@ func withLastBoundsBlock(blob []byte, block uint32) []byte {
 	return mut
 }
 
+// TestForkStateCannotSwitchProtectionOff: a fork state carrying a bound
+// that is not finite or is inverted, or a counter that int reads negative,
+// is malformed. Adopted, such a bound would clamp nothing (infinite) or
+// every value (NaN, inverted) on the importing worker.
+func TestForkStateCannotSwitchProtectionOff(t *testing.T) {
+	_, _, snap, fk := captureSession(t, "qwen2-1.5b-sim", 4)
+	blob, err := EncodeSession(snap, &fk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mut := range protectionOff(blob, &fk) {
+		if _, _, err := DecodeSession(mut); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: got %v, want ErrMalformed", name, err)
+		}
+	}
+}
+
+// protectionOff returns copies of blob — a session encoded with fork state
+// fk, which ends the payload — with a NaN, an infinite and an inverted bound
+// in the last bounds entry, and with a first counter of 1<<63.
+func protectionOff(blob []byte, fk *core.ForkState) map[string][]byte {
+	fork, last := len(blob)-4-fk.WireSize(), len(blob)-4-8 // the last entry's lo, then hi
+	edit := func(f func(mut []byte)) []byte {
+		mut := slices.Clone(blob)
+		f(mut)
+		fixCRC(mut)
+		return mut
+	}
+	bound := func(lo, hi float32) []byte {
+		return edit(func(mut []byte) {
+			binary.LittleEndian.PutUint32(mut[last:], math.Float32bits(lo))
+			binary.LittleEndian.PutUint32(mut[last+4:], math.Float32bits(hi))
+		})
+	}
+	return map[string][]byte{
+		"NaN bound":      bound(float32(math.NaN()), 1),
+		"infinite bound": bound(-1, float32(math.Inf(1))),
+		"inverted bound": bound(1, -1),
+		"counter 1<<63":  edit(func(mut []byte) { binary.LittleEndian.PutUint64(mut[fork:], 1<<63) }),
+	}
+}
+
 // TestWrongFamily rejects adopting a blob captured from a different
 // architecture before the payload is decoded.
 func TestWrongFamily(t *testing.T) {
@@ -287,7 +331,7 @@ func FuzzDecodeSession(f *testing.F) {
 		f.Fatal(err)
 	}
 	var view model.Snapshot // the live slabs, as a worker's export encodes them
-	m.View(m.State(), &view)
+	m.State().View(&view)
 	viewBlob, err := EncodeSession(&view, nil)
 	if err != nil {
 		f.Fatal(err)
@@ -298,12 +342,32 @@ func FuzzDecodeSession(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(blob[:28])
 	f.Add(withLastBoundsBlock(blob, 1<<30))
+	for _, mut := range protectionOff(blob, &fk) {
+		f.Add(mut)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, _, err := DecodeSession(data)
-		if err == nil {
-			if err := snap.Compatible(cfg); err == nil {
-				_ = snap.Rows()
+		snap, fk, err := DecodeSession(data)
+		if err != nil {
+			return
+		}
+		if err := snap.Compatible(cfg); err == nil {
+			_ = snap.Rows()
+		}
+		if fk == nil {
+			return
+		}
+		// An accepted fork state cannot switch protection off.
+		for _, e := range fk.Bounds.SortedEntries() {
+			if !e.Bounds.Valid() {
+				t.Fatalf("accepted bounds [%g, %g] at %v", e.Bounds.Lo, e.Bounds.Hi, e.Key)
 			}
+		}
+		counts := []int{fk.FirstTokenNaN, fk.Stats.OutOfBound, fk.Stats.NaN}
+		for _, c := range fk.ByKind {
+			counts = append(counts, c.OutOfBound, c.NaN)
+		}
+		if slices.Min(counts) < 0 {
+			t.Fatalf("accepted a negative counter: %v", counts)
 		}
 	})
 }
