@@ -16,8 +16,9 @@
 // baselines are other policies compiled into the same per-layer-kind stage
 // table and run by the same hook. Its protection state — the first-token
 // bounds, their trail and the correction counters — is one ForkState that it
-// works on in place: its own after Reset, or one a caller bound (a serving
-// session's, a forked trial's).
+// works on in place: its own after Reset, or one a caller binds to protect or,
+// for an unprotected prefill recording its trail, to observe. A serving
+// prefill's opens with OpenPrefill, and Offer takes its trail back.
 package core
 
 import (
@@ -79,8 +80,9 @@ type FT2 struct {
 	// first-token store or the offline profile, its Trail the controller's.
 	// st is the state in force — &own, or one a caller bound — which the
 	// hooks and every counter read and write in place.
-	own ForkState
-	st  *ForkState
+	own       ForkState
+	st        *ForkState
+	observing bool // st was bound by Observe
 	// chk and dmr implement the exact-repair stages and hold their counters;
 	// nil when the policy has no such tier.
 	chk    *abft.LinearChecker
@@ -212,20 +214,10 @@ func Attach(m *model.Model, opts Options) *FT2 {
 func (f *FT2) Install() { f.handle = f.m.RegisterHook(f.hook) }
 
 // Hook returns the controller's forward hook without registering it, for
-// per-session installation in batched decode (model.BatchItem.Hooks): each
-// session's controller observes and corrects only that session's rows while
-// every controller shares the same read-only bounds store.
+// per-session installation in batched decode (model.BatchItem.Hooks): one
+// hook per controller, which protects or observes the state bound to it and
+// sees only that session's rows.
 func (f *FT2) Hook() model.Hook { return f.hook }
-
-// ObserveHook returns the controller's observe-only hook, for an unprotected
-// session whose prefill will offer a prefix-cache entry: on first-token rows
-// it runs the learn pass at the policy's clamp sites — bounds and trail as the
-// protected hook records them from NaN-free rows — and nothing else. It has no
-// repair stage, corrects no NaN and clamps nothing, so every value stays the
-// unprotected one. The NaNs it saw are counted in FirstTokenNaNCount: a
-// non-zero count says the trail is not what a protected prefill of these rows
-// would have recorded.
-func (f *FT2) ObserveHook() model.Hook { return f.observe }
 
 // Detach removes FT2's hook from the model.
 func (f *FT2) Detach() { f.m.RemoveHook(f.handle) }
@@ -240,7 +232,7 @@ func (f *FT2) Reset() {
 	}
 	f.own.Trail.Reset()
 	f.own = ForkState{Bounds: f.own.Bounds, Trail: f.own.Trail}
-	f.st = &f.own
+	f.st, f.observing = &f.own, false
 }
 
 // ForkState is the protection-side state the clamp carries across decode steps,
@@ -264,6 +256,30 @@ type ForkState struct {
 	ByKind [model.NumLayerKinds]protect.CorrectionStats
 }
 
+// OpenPrefill is a prefill's first-token state as it opens: the fold of an
+// immutable cached trail's rows [0, depth), in a view the prefill extends; with
+// no trail, an empty store, and an empty trail to record into when record.
+func OpenPrefill(trail *protect.Trail, depth int, record bool) ForkState {
+	st := ForkState{Trail: trail.Prefix(depth)}
+	if trail == nil && record {
+		st.Trail = new(protect.Trail)
+	}
+	st.Bounds, st.FirstTokenNaN = st.Trail.At(depth)
+	return st
+}
+
+// Offer takes back a finished prefill's trail for its prefix-cache entry, and
+// whether the entry's KV is bare (nanFree: no NaN corrected). An unprotected
+// prefill that saw a NaN offers no trail; a protected one would have fixed it.
+func (st *ForkState) Offer(protected bool) (*protect.Trail, bool) {
+	trail, nanFree := st.Trail, st.FirstTokenNaN == 0
+	st.Trail = nil // decode never extends it
+	if !protected && !nanFree {
+		return nil, true
+	}
+	return trail, nanFree
+}
+
 // CaptureForkState snapshots the state in force: the bounds are deep copied
 // and the trail cloned (protect.Trail.Clone), so the capture stays valid
 // across later Resets and Binds.
@@ -273,13 +289,18 @@ func (f *FT2) CaptureForkState() ForkState {
 	return st
 }
 
-// Bind makes st the state the controller works on, in place, until the next
-// Bind or Reset: the hooks learn into st.Bounds and st.Trail during a prefill
-// and advance st's counters, so st is current after every step. A
+// Bind makes st the state the controller protects, in place, until the next
+// Bind, Observe or Reset: the hooks learn into st.Bounds and st.Trail during a
+// prefill and advance st's counters, so st is current after every step. A
 // continuation at a decode step ≥ 1 reads st.Bounds without ever writing it,
 // so one store may back many bound states at once; one still inside its
 // prefill owns st.Bounds and st.Trail and keeps extending both.
-func (f *FT2) Bind(st *ForkState) { f.st = st }
+func (f *FT2) Bind(st *ForkState) { f.st, f.observing = st, false }
+
+// Observe is Bind for an unprotected prefill that records its cache entry's
+// trail: the hook runs the learn pass alone on first-token rows, counting the
+// NaNs it saw and left in st.FirstTokenNaN, and changes no value.
+func (f *FT2) Observe(st *ForkState) { f.st, f.observing = st, true }
 
 // Stats returns the corrections applied since attach (following tokens
 // only; first-token NaN corrections are reported by FirstTokenNaNCount).
@@ -360,6 +381,12 @@ func (f *FT2) GenerateInto(dst []int, prompt []int, n int) []int {
 // range restriction last (it bounds whatever remains), counting as it goes.
 func (f *FT2) hook(ctx model.HookCtx, out *tensor.Tensor) {
 	st := &f.stages[ctx.Layer.Kind]
+	if f.observing {
+		if ctx.FirstToken && st.clamp[ctx.Site] {
+			f.st.FirstTokenNaN += f.st.Bounds.ObserveRowsOnly(protect.SiteKey{Layer: ctx.Layer, Site: ctx.Site}, out, ctx.Pos, f.st.Trail)
+		}
+		return
+	}
 	if st.repair != nil {
 		st.repair(ctx, out)
 	}
@@ -384,11 +411,4 @@ func (f *FT2) hook(ctx model.HookCtx, out *tensor.Tensor) {
 	fs.Stats.NaN += c.NaN
 	fs.ByKind[ctx.Layer.Kind].OutOfBound += c.OutOfBound
 	fs.ByKind[ctx.Layer.Kind].NaN += c.NaN
-}
-
-func (f *FT2) observe(ctx model.HookCtx, out *tensor.Tensor) {
-	if !ctx.FirstToken || !f.learn || !f.stages[ctx.Layer.Kind].clamp[ctx.Site] {
-		return
-	}
-	f.st.FirstTokenNaN += f.st.Bounds.ObserveRowsOnly(protect.SiteKey{Layer: ctx.Layer, Site: ctx.Site}, out, ctx.Pos, f.st.Trail)
 }

@@ -229,11 +229,12 @@ func TestBindWritesInPlace(t *testing.T) {
 	}
 }
 
-// TestObserveHookRecordsProtectedTrail: under a policy with repair tiers, the
-// observe-only hook leaves an unprotected generation's tokens as they are and
-// ends its prefill with the bounds and trail the protecting hook records from
-// the same rows; a NaN planted at a clamp site stays in place and is counted.
-func TestObserveHookRecordsProtectedTrail(t *testing.T) {
+// TestObserveRecordsProtectedTrail: under a policy with repair tiers, the
+// hook of a controller bound to observe leaves an unprotected generation's
+// tokens as they are and ends its prefill with the bounds and trail a
+// protecting one records from the same rows; a NaN planted at a clamp site
+// stays in place and is counted.
+func TestObserveRecordsProtectedTrail(t *testing.T) {
 	cfg, err := model.ConfigByName("qwen2-1.5b-sim")
 	if err != nil {
 		t.Fatal(err)
@@ -244,6 +245,11 @@ func TestObserveHookRecordsProtectedTrail(t *testing.T) {
 	prompt := []int{4, 9, 14, 19, 24, 29, 34, 39}
 	nan := float32(0)
 	nan /= nan
+	observe := func(f *FT2) model.Hook {
+		st := OpenPrefill(nil, 0, true)
+		f.Observe(&st)
+		return f.Hook()
+	}
 	run := func(hook func(*FT2) model.Hook, plantNaN bool) ([]int, *FT2) {
 		m := model.MustNew(cfg, 11, numerics.FP16)
 		if plantNaN {
@@ -262,7 +268,7 @@ func TestObserveHookRecordsProtectedTrail(t *testing.T) {
 	}
 
 	bare, _ := run(nil, false)
-	observed, obs := run((*FT2).ObserveHook, false)
+	observed, obs := run(observe, false)
 	_, prot := run((*FT2).Hook, false)
 	if !slices.Equal(observed, bare) || obs.FirstTokenNaNCount() != 0 {
 		t.Fatalf("observed generation %v (%d NaNs seen), unhooked %v", observed, obs.FirstTokenNaNCount(), bare)
@@ -277,7 +283,7 @@ func TestObserveHookRecordsProtectedTrail(t *testing.T) {
 	}
 
 	bareNaN, _ := run(nil, true)
-	observedNaN, obs := run((*FT2).ObserveHook, true)
+	observedNaN, obs := run(observe, true)
 	if !slices.Equal(observedNaN, bareNaN) || obs.FirstTokenNaNCount() == 0 {
 		t.Fatalf("with a planted NaN: observed %v (%d NaNs seen), unhooked %v", observedNaN, obs.FirstTokenNaNCount(), bareNaN)
 	}

@@ -701,6 +701,10 @@ func TestClientErrorsPassThrough(t *testing.T) {
 func TestRouterMetricsAndHealth(t *testing.T) {
 	cfg := workerConfig(t)
 	c := newTestCluster(t, 2, cfg, Config{})
+	// newTestCluster waits for one healthy worker; the gauge below wants both.
+	for deadline := time.Now().Add(5 * time.Second); c.rt.healthyCount() < 2 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
 	get := func(path string) (int, string) {
 		resp, err := http.Get(c.front.URL + path)
 		if err != nil {

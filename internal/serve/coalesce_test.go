@@ -303,9 +303,6 @@ func TestHerdLeaderEntryUnusable(t *testing.T) {
 		r := sch.pool.replicas[0]
 		r.controller(0) // the leader is alone in its group: slot 0 hooks it
 		hook := &r.hookFns[0]
-		if !leaderProtected {
-			hook = &r.obsFns[0]
-		}
 		inner, leader := *hook, sessions[0]
 		*hook = func(ctx model.HookCtx, out *tensor.Tensor) {
 			if len(leader.out) == 0 && ctx.FirstToken && ctx.Pos == 0 && ctx.Layer == (model.LayerRef{Kind: model.VProj}) {

@@ -329,9 +329,41 @@ func FuzzImportRequest(f *testing.F) {
 	}
 	f.Add([]byte(`{"session_id":"s","max_tokens_total":8,"snapshot":"RlQyVw=="}`))
 	f.Add([]byte(`{}`))
+	// The largest legitimate body: a protected session at MaxSeq-1 rows,
+	// asking for the one token that fits.
+	for rows := snap.Rows(); rows < cfg.MaxSeq-1; rows++ {
+		tok = m.DecodeStep(tok)
+	}
+	m.Checkpoint(&snap)
+	blob, err := wire.EncodeSession(&snap, &fk)
+	if err != nil {
+		f.Fatal(err)
+	}
+	body, _ := json.Marshal(ImportRequest{SessionID: "s", MaxTokensTotal: snap.NextStep() + 1, DeadlineMS: 1000, Snapshot: blob})
+	f.Add(body)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		r := httptest.NewRequest(http.MethodPost, "/v1/sessions/import", bytes.NewReader(body))
-		req, snap, fk, err := decodeImport(httptest.NewRecorder(), r, cfg)
+		var rs [3]*http.Request // one per call of allocated's
+		for i := range rs {
+			rs[i] = httptest.NewRequest(http.MethodPost, "/v1/sessions/import", bytes.NewReader(body))
+		}
+		var req Request
+		var snap *model.Snapshot
+		var fk *core.ForkState
+		var err error
+		calls := 0
+		n := allocated(func() {
+			req, snap, fk, err = decodeImport(httptest.NewRecorder(), rs[calls], cfg)
+			calls++
+		})
+		// An accepted body allocates at most 6 bytes per byte plus a per-model
+		// constant as in wire's bound: json.Decoder's buffer doubles as it
+		// reads the body (at most 4× it in all), the snapshot's base64 decodes
+		// once (¾) and its rows are copied once (¾). The MaxSeq-1-row seed
+		// reads 4.5 per byte, and no row count of a qwen2 or llama2 session
+		// more than 5.7.
+		if bound := uint64(6*len(body) + 4<<10 + cfg.Blocks<<10); err == nil && n > bound {
+			t.Fatalf("accepting a %d-byte import body allocated %d bytes, bound %d", len(body), n, bound)
+		}
 		if err != nil {
 			if st := errStatus(err); st != http.StatusBadRequest && st != http.StatusRequestEntityTooLarge {
 				t.Fatalf("rejected with %d: %v", st, err)
@@ -347,6 +379,20 @@ func FuzzImportRequest(f *testing.F) {
 			t.Fatalf("restored resume token %d (snapshot %d, vocab %d)", got, snap.LastToken(), cfg.Vocab)
 		}
 	})
+}
+
+// allocated returns the fewest bytes fn allocates over three calls (the
+// runtime's TotalAlloc): another goroutine's allocations only add to a call.
+func allocated(fn func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // TestHugeDeadlineRejected: a deadline_ms whose nanoseconds overflow

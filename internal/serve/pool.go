@@ -21,15 +21,13 @@ type replica struct {
 	// else.
 	tainted bool
 
-	// ctls[i] is the controller protecting the session in batch slot i, and
-	// hookFns[i] and obsFns[i] its hook and observe-only hook, bound once (a
-	// method value allocates) so assembling a slice's hook lists allocates
-	// nothing. Every controller binds the session's own fork state at slice
-	// start, so counters stay per-session even though the controllers are
-	// replica-owned.
+	// ctls[i] is the controller protecting or observing the session in batch
+	// slot i, and hookFns[i] its hook, bound once (a method value allocates)
+	// so assembling a slice's hook lists allocates nothing. Every controller
+	// binds the session's own fork state at slice start, so counters stay
+	// per-session even though the controllers are replica-owned.
 	ctls    []*core.FT2
 	hookFns []model.Hook
-	obsFns  []model.Hook
 }
 
 // controller returns the slot's protection controller, growing the set on
@@ -39,7 +37,6 @@ func (r *replica) controller(slot int) *core.FT2 {
 		c := core.NewHybrid(r.m, r.pool.ft2Opts, r.pool.policy, r.pool.refs)
 		r.ctls = append(r.ctls, c)
 		r.hookFns = append(r.hookFns, c.Hook())
-		r.obsFns = append(r.obsFns, c.ObserveHook())
 	}
 	return r.ctls[slot]
 }

@@ -240,6 +240,65 @@ func TestProtectedComputesBareRows(t *testing.T) {
 	}
 }
 
+// TestObservingSessionNeverClamped: an unprotected prefill that records its
+// cache entry's trail is bound to observe, which clamps nothing — neither in
+// the slice its prefill ends in nor after. With the teacher prior off, FT2
+// changes a few clean generations; each of those prompts, served unprotected
+// on a cold cache with a prefill that ends mid-slice, must answer what the
+// bare oracle answers and leave an entry that serves protected sessions (its
+// trail was recorded).
+func TestObservingSessionNeverClamped(t *testing.T) {
+	const maxTokens = 24
+	cfg := prefixConfig(t)
+	mc, err := model.ConfigByName(cfg.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc.TeacherWeight = 0
+	cfg.ModelCfg = mc
+	if cfg, err = cfg.withDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := data.ByName("tweeteval-sim", 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs []Request
+	for _, in := range ds.Inputs {
+		bare, _, err := Oracle(cfg, in.Prompt, maxTokens, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prot, _, err := Oracle(cfg, in.Prompt, maxTokens, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalTokens(bare, prot) {
+			reqs = append(reqs, Request{PromptTokens: in.Prompt, MaxTokens: maxTokens})
+		}
+	}
+	if len(reqs) < 2 {
+		t.Fatalf("FT2 changes %d of %d generations: pick another prompt set", len(reqs), len(ds.Inputs))
+	}
+	memo := oracleMemo{}
+	// At 3 steps a slice the decode runs on in later slices; at 64 the whole
+	// generation runs in the slice the prefill ends in.
+	for _, slice := range []int{3, 64} {
+		cfg.SliceSteps = slice
+		for _, req := range reqs {
+			if chunks := (len(req.PromptTokens) + cfg.PrefillChunk - 1) / cfg.PrefillChunk; chunks%cfg.SliceSteps == 0 {
+				t.Fatalf("a %d-chunk prefill ends with its %d-step slice", chunks, cfg.SliceSteps)
+			}
+			sch, sessions := bareSchedulerOf(t, cfg, []Request{req})
+			driveBare(sch, sch.pool.replicas[0])
+			memo.check(t, collect(sch, sessions), []Request{req})
+			if d := sch.prefix.Depth(req.PromptTokens, true); d != len(req.PromptTokens)-1 {
+				t.Fatalf("slice %d: a protected lookup hits %d rows of the entry, want %d: no trail recorded", cfg.SliceSteps, d, len(req.PromptTokens)-1)
+			}
+		}
+	}
+}
+
 // distinctPrefixes counts the distinct non-empty token prefixes of prompts:
 // the rows a cache holding each shared row once stores for them.
 func distinctPrefixes(prompts [][]int) int {

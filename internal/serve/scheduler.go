@@ -13,7 +13,6 @@ import (
 	"ft2/internal/fault"
 	"ft2/internal/model"
 	"ft2/internal/prefixcache"
-	"ft2/internal/protect"
 )
 
 // scheduler implements continuous batching over the replica pool: admitted
@@ -269,20 +268,20 @@ func (sch *scheduler) runSlice(r *replica, g *group, first *Session) *replica {
 		sch.applyChaos(r, g)
 	}
 
-	// Bind each protected session's fork state to its slot's controller: a
-	// prefill's hooks observe into the session's own store and trail, decode
-	// hooks only read the store, and both advance the session's counters. An
-	// unprotected prefill recording its entry's trail (observe) is bound onto
-	// the slot's observe-only hook, which writes no value.
+	// Bind each session's fork state to its slot's controller: a protected
+	// one's to protect it — prefill hooks learn into its own store and trail,
+	// decode hooks only read the store, both advance its counters — and an
+	// unprotected prefill's, which records its entry's trail, to observe.
 	for i, s := range g.sessions {
-		if s.req.Protected || s.observe {
+		switch {
+		case s.req.Protected:
 			r.controller(i).Bind(&s.ftState)
-			h := r.hookFns[i]
-			if s.observe {
-				h = r.obsFns[i]
-			}
-			g.hooks[i] = append(g.hooks[i], h)
+		case s.ftState.Trail != nil:
+			r.controller(i).Observe(&s.ftState)
+		default:
+			continue
 		}
+		g.hooks[i] = append(g.hooks[i], r.hookFns[i])
 	}
 
 	if err := sch.fusedSlice(r, g); err != nil {
@@ -461,13 +460,13 @@ func (sch *scheduler) release(s *Session, delivered bool) {
 
 // open is a session's first slice's serial bookkeeping, inside its own panic
 // boundary; it leaves the session owning its KV state and — protected or
-// observing — its fork state. An adopted session restores its snapshot
-// (validated at the serve boundary) and is decode-ready at once, using no
-// slice step. A prompt consults the prefix cache and opens the chunked
-// prefill, on a hit borrowing the cached KV prefix and forking the
-// first-token bounds as of its last row; a cold one gets a fresh bounds
-// store, and a trail only if it will insert. No prompt rows are computed
-// here: the fused slice loop feeds the chunks, co-batched with decode rows.
+// recording its entry's trail — its fork state. An adopted session restores
+// its snapshot (validated at the serve boundary) and is decode-ready at once,
+// using no slice step. A prompt consults the prefix cache and opens the
+// chunked prefill, on a hit borrowing the cached KV prefix and opening the
+// first-token state at its depth (core.OpenPrefill). No prompt rows are
+// computed here: the fused slice loop feeds the chunks, co-batched with
+// decode rows.
 func (sch *scheduler) open(r *replica, s *Session) (err error) {
 	defer recoverAs500(&err, "opening session")
 	rows := len(s.prompt) + s.req.MaxTokens
@@ -495,29 +494,18 @@ func (sch *scheduler) open(r *replica, s *Session) (err error) {
 	}
 	sch.mx.promptTokens.Add(int64(len(s.prompt)))
 	s.kv.st.BeginPrefill(len(s.prompt))
-	var trail *protect.Trail // the hit entry's: immutable
-	if ref != nil {
-		s.kv.st.ResumePrefix(ref.Snapshot())
-		trail = ref.Trail()
-	}
 	// Offer the finished prefill back unless the cache already covers this
-	// prompt as deeply as a lookup could use it.
+	// prompt as deeply as a lookup could use it; unprotected, record the
+	// entry's trail from row 0 if it can: cold, or on a hit whose entry has one.
 	s.insert = sch.prefix != nil && s.hitRows < len(s.prompt)-1
-	s.observe = s.insert && !s.req.Protected && (s.hitRows == 0 || trail != nil)
 	switch {
-	case !s.req.Protected && !s.observe:
-	case trail != nil: // always, for a protected hit
-		// The first-token profile of exactly the hitRows cached rows, and
-		// their trail records read in place: the session extends both as it
-		// observes the suffix, so the entry it inserts has a complete trail
-		// from row 0.
-		s.ftState.Trail = trail.Prefix(s.hitRows)
-		s.ftState.Bounds, s.ftState.FirstTokenNaN = s.ftState.Trail.At(s.hitRows)
-	default:
-		s.ftState.Bounds = protect.NewStore()
-		if s.insert {
-			s.ftState.Trail = new(protect.Trail)
+	case ref != nil:
+		s.kv.st.ResumePrefix(ref.Snapshot())
+		if s.req.Protected || s.insert && ref.Trail() != nil {
+			s.ftState = core.OpenPrefill(ref.Trail(), s.hitRows, true)
 		}
+	case s.req.Protected || s.insert:
+		s.ftState = core.OpenPrefill(nil, 0, s.insert)
 	}
 	return nil
 }
@@ -525,8 +513,8 @@ func (sch *scheduler) open(r *replica, s *Session) (err error) {
 // finishPrefill ends a session's prefill right after the fused step that
 // computed its final prompt chunk emitted the first token: it offers the
 // full-prompt snapshot back to the prefix cache, with the trail the
-// session's fork state recorded, then releases the sessions parked behind
-// this prefill — after the Insert, so they hit.
+// session's fork state recorded (core.ForkState.Offer), then releases the
+// sessions parked behind this prefill — after the Insert, so they hit.
 //
 // Bit-identity: chunked, cache-seeded, co-batched, and single-pass prefills
 // produce identical KV bits and first tokens (model.ForwardBatch /
@@ -534,34 +522,17 @@ func (sch *scheduler) open(r *replica, s *Session) (err error) {
 // observation is associative over row partitions and the bounds trail folds
 // to exactly the restored rows — so a cache-hit session's output matches a
 // cold one and the GenerateInto oracle exactly.
-func (sch *scheduler) finishPrefill(g *group, i int) {
-	s := g.sessions[i]
+func (sch *scheduler) finishPrefill(s *Session) {
 	sch.mx.ttft.Observe(msSince(s.admitted, time.Now()))
+	trail, nanFree := s.ftState.Offer(s.req.Protected)
 	// A suspect session's rows may have been computed on corrupted weights:
 	// it never inserts, and the sessions parked behind it compute their own.
-	if sch.prefix != nil && s.insert && !s.suspect {
+	if s.insert && !s.suspect {
 		snap := &model.Snapshot{}
 		s.kv.st.Checkpoint(snap)
-		// A NaN-corrected first token wrote corrected values into the KV; a
-		// bare model would not reproduce them, so such entries serve only
-		// protected sessions. An unprotected prefill's KV is always bare, and
-		// its trail is a protected prefill's only if the observe pass saw no
-		// NaN — a protected one would have corrected it.
-		trail, nanFree := s.ftState.Trail, s.ftState.FirstTokenNaN == 0
-		if !s.req.Protected && !nanFree {
-			trail, nanFree = nil, true
-		}
 		sch.prefix.Insert(s.prompt, snap, trail, nanFree)
 	}
 	sch.release(s, !s.suspect)
-	s.ftState.Trail = nil // the cache keeps its own copy, and decode never extends it
-	if s.observe {
-		// The trail was all the observe pass was for: the session decodes
-		// bare from here, in this slice too. Its hook went on last, after any
-		// chaos hook.
-		s.observe, s.ftState = false, core.ForkState{}
-		g.hooks[i] = g.hooks[i][:len(g.hooks[i])-1]
-	}
 }
 
 // fusedSlice is the engine loop and its fault boundary: each iteration
@@ -648,7 +619,7 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 			s.emit(tok)
 			sch.mx.tokensTotal.Add(1)
 			if len(g.items[n].Prefill) > 0 {
-				sch.finishPrefill(g, i)
+				sch.finishPrefill(s)
 			}
 			if s.finishedAfter(tok) {
 				sch.finishInGroup(g, i, nil)

@@ -33,25 +33,23 @@ type Session struct {
 	res    Result
 
 	kv kvLease // owned generation state (KV slabs) and its checkpoint marks
-	// ftState is the session's protection state, owned from the slice that
-	// opens it when protected or observing: each slice binds it to its slot's
-	// controller (core.FT2.Bind), whose hooks write its bounds store and
-	// trail during prefill and its counters at every step, in place.
+	// ftState is the session's protection state, opened with its prefill
+	// (core.OpenPrefill) when protected or recording its cache entry's trail:
+	// each slice binds it to its slot's controller, to protect
+	// (core.FT2.Bind) or to observe (core.FT2.Observe), and the hooks write
+	// its bounds store and trail during prefill and, protected, its counters
+	// at every step, in place. The prefill hands its trail back to the cache
+	// (core.ForkState.Offer); an unprotected session holds none after that,
+	// and so is hooked no more.
 	ftState  core.ForkState
 	admitted time.Time
 	startAt  time.Time // the slice that opened it (queue latency endpoint); zero until then
 
 	// Prefix-cache progress. hitRows is the cached-prefix depth the prefill
 	// resumed from; insert marks that the completed prefill should be offered
-	// back to the cache, with the bounds trail ftState carries. observe marks
-	// an unprotected session that records that trail through its slot's
-	// observe-only hook: one inserting an entry whose trail is complete from
-	// row 0 (a cold prefill, or a hit on an entry that carries one). Its
-	// ftState is the trail's and nothing else's, and its FirstTokenNaN counts
-	// the NaNs the observe pass saw.
+	// back to the cache, with the bounds trail ftState carries.
 	hitRows int
 	insert  bool
-	observe bool
 
 	// Coalescing (scheduler.followOrLead): waited says the session has spent
 	// its one wait behind an in-flight prefill of its prefix; followers are

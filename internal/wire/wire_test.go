@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -345,7 +346,23 @@ func FuzzDecodeSession(f *testing.F) {
 	for _, mut := range protectionOff(blob, &fk) {
 		f.Add(mut)
 	}
+	// The largest legitimate blob: the session decoded on to MaxSeq rows.
+	for tok, rows := snap.LastToken(), snap.Rows(); rows < cfg.MaxSeq; rows++ {
+		tok = m.DecodeStep(tok)
+	}
+	var full model.Snapshot
+	m.Checkpoint(&full)
+	fullBlob, err := EncodeSession(&full, &fk)
+	if err != nil || full.Rows() != cfg.MaxSeq {
+		f.Fatalf("a %d-row session: %v", full.Rows(), err)
+	}
+	f.Add(fullBlob)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// What a worker of cfg decodes, accepted or not, allocates at most
+		// decodeAllocBound.
+		if n, bound := allocated(func() { DecodeSessionFor(data, cfg) }), decodeAllocBound(cfg, len(data)); n > bound {
+			t.Fatalf("decoding a %d-byte blob allocated %d bytes, bound %d", len(data), n, bound)
+		}
 		snap, fk, err := DecodeSession(data)
 		if err != nil {
 			return
@@ -370,6 +387,31 @@ func FuzzDecodeSession(f *testing.F) {
 			t.Fatalf("accepted a negative counter: %v", counts)
 		}
 	})
+}
+
+// decodeAllocBound is the most that decoding an n-byte session blob for cfg
+// may allocate: 9/8 of n — the KV rows are copied once, and Go rounds an
+// object up to its size class by at most 1/8 — plus a per-model constant for
+// the fixed-size parts, the headers and a bounds store dense up to the
+// model's last block. FuzzDecodeSession's seeds hold it from a 15-row session
+// to a MaxSeq-row one; over every row count of a session, qwen2 and llama2
+// allocate at most 3843 and 4356 bytes past n·9/8.
+func decodeAllocBound(cfg model.Config, n int) uint64 {
+	return uint64(n + n/8 + 4<<10 + cfg.Blocks<<10)
+}
+
+// allocated returns the fewest bytes fn allocates over three calls (the
+// runtime's TotalAlloc): another goroutine's allocations only add to a call.
+func allocated(fn func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // captureSessionF is captureSession for fuzz seeds (testing.F lacks the
