@@ -23,22 +23,25 @@ test:
 
 # Ten seconds of each fuzz target (their seed corpora already run under plain
 # `go test`). A failing input is written to the package's testdata/.
+# -fuzzminimizetime 100x caps minimizing each new interesting input at 100
+# runs; under the default 60 s a slow target spends its ten seconds
+# minimizing and executes almost nothing.
 fuzz-smoke:
-	$(GO) test ./internal/tensor -run XXX -fuzz FuzzRangeScreen -fuzztime 10s
-	$(GO) test ./internal/tensor -run XXX -fuzz FuzzSoftmaxRow -fuzztime 10s
-	$(GO) test ./internal/tensor -run XXX -fuzz FuzzStrideSweeps -fuzztime 10s
-	$(GO) test ./internal/tensor -run XXX -fuzz FuzzMatMulT -fuzztime 10s
-	$(GO) test ./internal/model -run XXX -fuzz FuzzKVRowsChain -fuzztime 10s
-	$(GO) test ./internal/prefixcache -run XXX -fuzz FuzzCacheOps -fuzztime 10s
-	$(GO) test ./internal/campaign -run XXX -fuzz FuzzJournalLoad -fuzztime 10s
-	$(GO) test ./internal/wire -run XXX -fuzz FuzzDecodeSession -fuzztime 10s
-	$(GO) test ./internal/protect -run XXX -fuzz FuzzLoadPolicy -fuzztime 10s
-	$(GO) test ./internal/protect -run XXX -fuzz FuzzObserveBareMatchesProtected -fuzztime 10s
-	$(GO) test ./internal/protect -run XXX -fuzz FuzzTrailShare -fuzztime 10s
-	$(GO) test ./internal/protect -run XXX -fuzz FuzzBoundsStore -fuzztime 10s
-	$(GO) test ./internal/router -run XXX -fuzz FuzzRelayStream -fuzztime 10s
-	$(GO) test ./internal/serve -run XXX -fuzz FuzzGenerateRequest -fuzztime 10s
-	$(GO) test ./internal/serve -run XXX -fuzz FuzzImportRequest -fuzztime 10s
+	$(GO) test ./internal/tensor -run XXX -fuzz FuzzRangeScreen -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/tensor -run XXX -fuzz FuzzSoftmaxRow -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/tensor -run XXX -fuzz FuzzStrideSweeps -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/tensor -run XXX -fuzz FuzzMatMulT -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/model -run XXX -fuzz FuzzKVRowsChain -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/prefixcache -run XXX -fuzz FuzzCacheOps -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/campaign -run XXX -fuzz FuzzJournalLoad -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/wire -run XXX -fuzz FuzzDecodeSession -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/protect -run XXX -fuzz FuzzLoadPolicy -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/protect -run XXX -fuzz FuzzObserveBareMatchesProtected -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/protect -run XXX -fuzz FuzzTrailShare -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/protect -run XXX -fuzz FuzzBoundsStore -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/router -run XXX -fuzz FuzzRelayStream -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/serve -run XXX -fuzz FuzzGenerateRequest -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/serve -run XXX -fuzz FuzzImportRequest -fuzztime 10s -fuzzminimizetime 100x
 
 # The race detector pass covers the packages whose code starts goroutines —
 # the campaign worker pool, the serving scheduler with its shared read-only

@@ -57,7 +57,7 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	fm, err := parseFault(*faultName)
+	fm, err := numerics.ParseFaultModel(*faultName)
 	if err != nil {
 		die(err)
 	}
@@ -133,19 +133,6 @@ func main() {
 	}
 	if err != nil {
 		die(err)
-	}
-}
-
-func parseFault(s string) (numerics.FaultModel, error) {
-	switch s {
-	case "1-bit":
-		return numerics.SingleBit, nil
-	case "2-bit":
-		return numerics.DoubleBit, nil
-	case "EXP", "exp":
-		return numerics.ExponentBit, nil
-	default:
-		return 0, fmt.Errorf("unknown fault model %q", s)
 	}
 }
 

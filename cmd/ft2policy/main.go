@@ -56,16 +56,9 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	var fm numerics.FaultModel
-	switch *faultName {
-	case "1-bit":
-		fm = numerics.SingleBit
-	case "2-bit":
-		fm = numerics.DoubleBit
-	case "EXP", "exp":
-		fm = numerics.ExponentBit
-	default:
-		die(fmt.Errorf("unknown fault model %q", *faultName))
+	fm, err := numerics.ParseFaultModel(*faultName)
+	if err != nil {
+		die(err)
 	}
 
 	spec := campaign.Spec{

@@ -425,8 +425,6 @@ func (s Spec) validate() error {
 		// reject the degenerate window here instead.
 		return fmt.Errorf("campaign: window %v needs at least 2 generated tokens, dataset %s generates %d",
 			s.Window, s.Dataset.Name, s.Dataset.GenTokens)
-	case s.Targets.Weight < 0 || s.Targets.KV < 0 || s.Targets.Weight+s.Targets.KV > 1:
-		return fmt.Errorf("campaign: invalid target mix weight=%g kv=%g", s.Targets.Weight, s.Targets.KV)
 	case s.Targets.KV > 0 && s.Dataset.GenTokens < 2:
 		// fault.Plan.SampleKV would panic: the cache is only consulted from
 		// the first decode step on.
@@ -434,6 +432,9 @@ func (s Spec) validate() error {
 			s.Dataset.Name, s.Dataset.GenTokens)
 	case s.needsOfflineBounds() && s.OfflineBounds == nil:
 		return fmt.Errorf("campaign: method %v requires offline bounds", s.Method)
+	}
+	if err := s.Targets.Validate(); err != nil {
+		return fmt.Errorf("campaign: %w", err)
 	}
 	if _, err := s.Policy.Compile(s.ModelCfg.Family); err != nil {
 		return fmt.Errorf("campaign: %w", err)

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -139,5 +140,15 @@ func TestFingerprintMixedAndPolicy(t *testing.T) {
 	otherPolicy.Policy = &protect.Policy{Tiers: map[model.LayerKind]protect.Tier{model.VProj: protect.TierFT2}}
 	if otherPolicy.Fingerprint() == withPolicy.Fingerprint() {
 		t.Error("distinct policies share a fingerprint")
+	}
+}
+
+// A NaN share is not a probability: it fails validation instead of routing
+// every draw to activation.
+func TestMixedTargetsRejectNaN(t *testing.T) {
+	spec := baseSpec(t, arch.MethodNone)
+	spec.Targets = fault.TargetMix{Weight: math.NaN()}
+	if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "target mix") {
+		t.Errorf("NaN mix not rejected: %v", err)
 	}
 }

@@ -3,10 +3,13 @@
 // activation flips, persistent weight corruption, and KV-cache bit flips
 // into live batched sessions.
 //
-// The engine only *plans* and *journals*; the scheduler applies every
-// mutation at a slice boundary — the moment the replica-owning worker holds
-// the model and no kernel is running — so chaos never races decode. Two
-// invariants keep the blast radius honest:
+// The engine only *plans* and *journals*. It keeps what is specific to
+// chaos — the arrival rate, bursts, the victim draw and weight demotion —
+// and draws every fault site through fault.Space, routed by
+// fault.TargetMix.Route, the same sampler the offline campaigns use. The
+// scheduler applies the planned list at a slice boundary — the moment the
+// replica-owning worker holds the model and no kernel is running — so chaos
+// never races decode. Two invariants keep the blast radius honest:
 //
 //   - Session-scoped faults (activation, KV) land only on sessions that
 //     opted in (Request.Chaos); control sessions sharing the same batch
@@ -24,6 +27,7 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"sync"
@@ -34,7 +38,8 @@ import (
 )
 
 // Config tunes the engine. The zero value is not usable: Rate must be
-// positive; everything else has a default.
+// positive and finite, and Mix a valid split (fault.TargetMix.Validate);
+// everything else has a default.
 type Config struct {
 	// Seed drives the deterministic fault stream.
 	Seed int64
@@ -120,23 +125,10 @@ type SessionView struct {
 
 // SessionFault is a planned fault aimed at one session of the group.
 type SessionFault struct {
-	// Session indexes the views passed to PlanSlice.
+	// Session indexes the views passed to PlanSlice: the drawn victim. A
+	// weight fault lands on the replica every session of the group shares.
 	Session int
 	Site    fault.Site
-}
-
-// Plan is the faults to apply around one scheduling slice: KV and weight
-// mutations land at the boundary before the slice runs; activation faults
-// install as per-victim hooks that fire at their planned step inside it.
-type Plan struct {
-	Activation []SessionFault
-	KV         []SessionFault
-	Weight     []fault.Site
-}
-
-// Empty reports whether the plan carries no faults.
-func (p Plan) Empty() bool {
-	return len(p.Activation) == 0 && len(p.KV) == 0 && len(p.Weight) == 0
 }
 
 // Engine plans faults and journals chaos events. Safe for concurrent use by
@@ -145,41 +137,29 @@ func (p Plan) Empty() bool {
 type Engine struct {
 	mu       sync.Mutex
 	cfg      Config
-	mcfg     model.Config
+	space    fault.Space
 	rng      *rand.Rand
 	seq      int64
 	events   []Event
 	journal  *os.File
 	enc      *json.Encoder
 	counters Counters
-
-	layers      []model.LayerRef
-	layerElems  []int
-	perTokenSum int
-	weightElems []int
-	weightSum   int64
 }
 
 // NewEngine builds an engine for one model configuration, opening the JSONL
 // journal when configured.
 func NewEngine(cfg Config, mcfg model.Config) (*Engine, error) {
-	if cfg.Rate <= 0 {
-		return nil, fmt.Errorf("chaos: rate must be positive, got %g", cfg.Rate)
+	if !(cfg.Rate > 0) || math.IsInf(cfg.Rate, 1) {
+		return nil, fmt.Errorf("chaos: rate must be positive and finite, got %g", cfg.Rate)
+	}
+	if err := cfg.Mix.Validate(); err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	cfg = cfg.withDefaults()
 	e := &Engine{
-		cfg:  cfg,
-		mcfg: mcfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-	}
-	for _, ref := range mcfg.LinearLayers() {
-		w := mcfg.OutDim(ref.Kind)
-		e.layers = append(e.layers, ref)
-		e.layerElems = append(e.layerElems, w)
-		e.perTokenSum += w
-		we := w * mcfg.InDim(ref.Kind)
-		e.weightElems = append(e.weightElems, we)
-		e.weightSum += int64(we)
+		cfg:   cfg,
+		space: fault.NewSpace(mcfg, cfg.DType, cfg.Fault),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if cfg.Journal != "" {
 		f, err := os.OpenFile(cfg.Journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -209,15 +189,13 @@ func (e *Engine) Close() error {
 }
 
 // PlanSlice draws this slice's faults over the chaos-eligible sessions in
-// views. weightOK reports that *every* session in the slice group (eligible
-// or not) is a chaos victim — the precondition for replica-global weight
-// corruption; when false, weight arrivals demote to activation flips. An
-// empty views yields an empty plan: with nobody opted in there is nothing
-// to corrupt.
-func (e *Engine) PlanSlice(views []SessionView, weightOK bool) Plan {
-	var plan Plan
+// views, in arrival order. weightOK reports that *every* session in the
+// slice group (eligible or not) is a chaos victim — the precondition for
+// replica-global weight corruption. An empty views yields no faults: with
+// nobody opted in there is nothing to corrupt.
+func (e *Engine) PlanSlice(views []SessionView, weightOK bool) []SessionFault {
 	if len(views) == 0 {
-		return plan
+		return nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -225,89 +203,34 @@ func (e *Engine) PlanSlice(views []SessionView, weightOK bool) Plan {
 	if e.rng.Float64() < e.cfg.Rate-float64(arrivals) {
 		arrivals++
 	}
+	var faults []SessionFault
 	for a := 0; a < arrivals; a++ {
 		n := 1
 		if e.cfg.Burst > 1 {
 			n += e.rng.Intn(e.cfg.Burst)
 		}
 		for i := 0; i < n; i++ {
-			e.planOne(&plan, views, weightOK)
+			faults = append(faults, e.planOne(views, weightOK))
 		}
 	}
-	return plan
+	return faults
 }
 
-func (e *Engine) planOne(plan *Plan, views []SessionView, weightOK bool) {
-	u := e.rng.Float64()
+// planOne routes one fault per Mix and draws its victim and site: a flip at
+// a uniform step of the victim's slice, in its resident KV rows, or in the
+// weights at its next step. A weight arrival on a group that is not all
+// victims demotes to an activation flip, preserving the arrival rate.
+func (e *Engine) planOne(views []SessionView, weightOK bool) SessionFault {
+	target := e.cfg.Mix.Route(e.rng.Float64())
 	v := e.rng.Intn(len(views))
+	view := views[v]
 	switch {
-	case u < e.cfg.Mix.Weight:
-		if weightOK {
-			plan.Weight = append(plan.Weight, e.weightSite(views[v].Step+1))
-			return
-		}
-		// Demoted: a weight arrival on a mixed group becomes an activation
-		// flip on the drawn victim, preserving the arrival rate.
-		plan.Activation = append(plan.Activation, SessionFault{v, e.activationSite(views[v])})
-	case u < e.cfg.Mix.Weight+e.cfg.Mix.KV:
-		plan.KV = append(plan.KV, SessionFault{v, e.kvSite(views[v])})
-	default:
-		plan.Activation = append(plan.Activation, SessionFault{v, e.activationSite(views[v])})
+	case target == fault.TargetWeight && weightOK:
+		return SessionFault{v, e.space.Weight(e.rng, view.Step+1)}
+	case target == fault.TargetKVCache:
+		return SessionFault{v, e.space.KV(e.rng, view.Step, view.Rows)}
 	}
-}
-
-// activationSite plans a transient flip at a uniform step of the victim's
-// slice and a width-uniform neuron.
-func (e *Engine) activationSite(v SessionView) fault.Site {
-	site := fault.Site{
-		Target: fault.TargetActivation,
-		Step:   v.Step + 1 + e.rng.Intn(v.Budget),
-	}
-	off := e.rng.Intn(e.perTokenSum)
-	for i, w := range e.layerElems {
-		if off < w {
-			site.Layer = e.layers[i]
-			site.Elem = off
-			break
-		}
-		off -= w
-	}
-	site.Bits = e.cfg.Fault.PickBits(e.cfg.DType, e.rng)
-	return site
-}
-
-// kvSite plans a flip of one resident KV element of the victim.
-func (e *Engine) kvSite(v SessionView) fault.Site {
-	kind := model.KProj
-	if e.rng.Intn(2) == 1 {
-		kind = model.VProj
-	}
-	pos := e.rng.Intn(v.Rows)
-	col := e.rng.Intn(e.mcfg.Hidden)
-	return fault.Site{
-		Target: fault.TargetKVCache,
-		Step:   v.Step,
-		Layer:  model.LayerRef{Block: e.rng.Intn(e.mcfg.Blocks), Kind: kind},
-		Elem:   pos*e.mcfg.Hidden + col,
-		Bits:   e.cfg.Fault.PickBits(e.cfg.DType, e.rng),
-	}
-}
-
-// weightSite plans a persistent flip of one size-uniform weight element;
-// step records when the corruption lands, for the journal.
-func (e *Engine) weightSite(step int) fault.Site {
-	site := fault.Site{Target: fault.TargetWeight, Step: step}
-	w := e.rng.Int63n(e.weightSum)
-	for i, we := range e.weightElems {
-		if w < int64(we) {
-			site.Layer = e.layers[i]
-			site.Elem = int(w)
-			break
-		}
-		w -= int64(we)
-	}
-	site.Bits = e.cfg.Fault.PickBits(e.cfg.DType, e.rng)
-	return site
+	return SessionFault{v, e.space.Activation(e.rng, view.Step+1+e.rng.Intn(view.Budget))}
 }
 
 // Record journals one event, stamping its sequence number and bumping the

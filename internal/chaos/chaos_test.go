@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -29,16 +30,10 @@ func testViews() []SessionView {
 	}
 }
 
-func planString(p Plan) string {
+func planString(faults []SessionFault) string {
 	s := ""
-	for _, f := range p.Activation {
-		s += fmt.Sprintf("A%d:%s;", f.Session, f.Site)
-	}
-	for _, f := range p.KV {
-		s += fmt.Sprintf("K%d:%s;", f.Session, f.Site)
-	}
-	for _, w := range p.Weight {
-		s += fmt.Sprintf("W:%s;", w)
+	for _, f := range faults {
+		s += fmt.Sprintf("%d:%s;", f.Session, f.Site)
 	}
 	return s
 }
@@ -46,6 +41,29 @@ func planString(p Plan) string {
 func TestNewEngineRejectsZeroRate(t *testing.T) {
 	if _, err := NewEngine(Config{}, chaosCfg(t)); err == nil {
 		t.Fatal("zero rate must be rejected")
+	}
+}
+
+// A mix that is not a probability split, or a rate that is not a positive
+// finite number, fails construction instead of serving a different mix (a
+// {0.9, 0.9} mix delivered a KV share of 0.1) or injecting nothing (NaN).
+func TestNewEngineRejectsInvalidMixAndRate(t *testing.T) {
+	nan := math.NaN()
+	for _, cfg := range []Config{
+		{Rate: 1, Mix: fault.TargetMix{Weight: 0.9, KV: 0.9}},
+		{Rate: 1, Mix: fault.TargetMix{Weight: -0.2}},
+		{Rate: 1, Mix: fault.TargetMix{Weight: nan}},
+		{Rate: 1, Mix: fault.TargetMix{KV: nan}},
+		{Rate: nan},
+		{Rate: math.Inf(1)},
+		{Rate: -1},
+	} {
+		if _, err := NewEngine(cfg, chaosCfg(t)); err == nil {
+			t.Errorf("NewEngine(rate=%g mix=%+v) accepted", cfg.Rate, cfg.Mix)
+		}
+	}
+	if _, err := NewEngine(Config{Rate: 0.5, Mix: fault.TargetMix{Weight: 0.5, KV: 0.5}}, chaosCfg(t)); err != nil {
+		t.Errorf("a full split is valid: %v", err)
 	}
 }
 
@@ -82,36 +100,35 @@ func TestPlanSliceSitesInRange(t *testing.T) {
 	views := testViews()
 	sawA, sawK, sawW := 0, 0, 0
 	for i := 0; i < 200; i++ {
-		p := e.PlanSlice(views, true)
-		for _, f := range p.Activation {
-			sawA++
+		for _, f := range e.PlanSlice(views, true) {
 			v := views[f.Session]
-			if f.Site.Step <= v.Step || f.Site.Step > v.Step+v.Budget {
-				t.Fatalf("activation step %d outside slice (%d, %d]", f.Site.Step, v.Step, v.Step+v.Budget)
-			}
-			if f.Site.Elem >= mcfg.OutDim(f.Site.Layer.Kind) {
-				t.Fatalf("activation elem %d beyond layer width %d", f.Site.Elem, mcfg.OutDim(f.Site.Layer.Kind))
-			}
-			if len(f.Site.Bits) == 0 {
-				t.Fatal("no bits planned")
-			}
-		}
-		for _, f := range p.KV {
-			sawK++
-			v := views[f.Session]
-			pos, col := f.Site.Elem/mcfg.Hidden, f.Site.Elem%mcfg.Hidden
-			if pos >= v.Rows || col >= mcfg.Hidden {
-				t.Fatalf("kv (pos=%d col=%d) beyond %d resident rows", pos, col, v.Rows)
-			}
-			if k := f.Site.Layer.Kind; k != model.KProj && k != model.VProj {
-				t.Fatalf("kv fault on non-KV kind %v", k)
-			}
-		}
-		for _, w := range p.Weight {
-			sawW++
-			we := mcfg.OutDim(w.Layer.Kind) * mcfg.InDim(w.Layer.Kind)
-			if w.Elem >= we {
-				t.Fatalf("weight elem %d beyond matrix size %d", w.Elem, we)
+			switch f.Site.Target {
+			case fault.TargetActivation:
+				sawA++
+				if f.Site.Step <= v.Step || f.Site.Step > v.Step+v.Budget {
+					t.Fatalf("activation step %d outside slice (%d, %d]", f.Site.Step, v.Step, v.Step+v.Budget)
+				}
+				if f.Site.Elem >= mcfg.OutDim(f.Site.Layer.Kind) {
+					t.Fatalf("activation elem %d beyond layer width %d", f.Site.Elem, mcfg.OutDim(f.Site.Layer.Kind))
+				}
+				if len(f.Site.Bits) == 0 {
+					t.Fatal("no bits planned")
+				}
+			case fault.TargetKVCache:
+				sawK++
+				pos, col := f.Site.Elem/mcfg.Hidden, f.Site.Elem%mcfg.Hidden
+				if pos >= v.Rows || col >= mcfg.Hidden {
+					t.Fatalf("kv (pos=%d col=%d) beyond %d resident rows", pos, col, v.Rows)
+				}
+				if k := f.Site.Layer.Kind; k != model.KProj && k != model.VProj {
+					t.Fatalf("kv fault on non-KV kind %v", k)
+				}
+			case fault.TargetWeight:
+				sawW++
+				we := mcfg.OutDim(f.Site.Layer.Kind) * mcfg.InDim(f.Site.Layer.Kind)
+				if f.Site.Elem >= we {
+					t.Fatalf("weight elem %d beyond matrix size %d", f.Site.Elem, we)
+				}
 			}
 		}
 	}
@@ -128,9 +145,10 @@ func TestPlanSliceWeightDemotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		p := e.PlanSlice(testViews(), false)
-		if len(p.Weight) != 0 || len(p.KV) != 0 {
-			t.Fatalf("mixed group got non-activation faults: %+v", p)
+		for _, f := range e.PlanSlice(testViews(), false) {
+			if f.Site.Target != fault.TargetActivation {
+				t.Fatalf("mixed group got a %v fault: %+v", f.Site.Target, f)
+			}
 		}
 	}
 }
@@ -142,8 +160,8 @@ func TestPlanSliceNoVictims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := e.PlanSlice(nil, true); !p.Empty() {
-		t.Fatalf("faults with no victims: %+v", p)
+	if faults := e.PlanSlice(nil, true); len(faults) != 0 {
+		t.Fatalf("faults with no victims: %+v", faults)
 	}
 }
 
@@ -156,8 +174,7 @@ func TestPlanSliceRate(t *testing.T) {
 	total := 0
 	const slices = 2000
 	for i := 0; i < slices; i++ {
-		p := e.PlanSlice(testViews(), true)
-		total += len(p.Activation) + len(p.KV) + len(p.Weight)
+		total += len(e.PlanSlice(testViews(), true))
 	}
 	mean := float64(total) / slices
 	if mean < 1.35 || mean > 1.65 {

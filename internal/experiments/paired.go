@@ -2,8 +2,9 @@ package experiments
 
 import (
 	"math"
-	"sort"
 	"time"
+
+	"ft2/internal/stats"
 )
 
 // Paired is the cost of a relative to b, measured back to back.
@@ -47,23 +48,11 @@ func reduce(ta, tb []float64) Paired {
 		all = append(all, r)
 		byOrder[i%2] = append(byOrder[i%2], r)
 	}
-	ratio := quantile(byOrder[0], 0.5)
+	ratio := stats.Percentile(byOrder[0], 50)
 	if len(byOrder[1]) > 0 {
-		ratio = math.Sqrt(ratio * quantile(byOrder[1], 0.5))
+		ratio = math.Sqrt(ratio * stats.Percentile(byOrder[1], 50))
 	}
-	return Paired{Ratio: ratio, Spread: quantile(all, 0.75) - quantile(all, 0.25)}
-}
-
-// quantile interpolates linearly between the order statistics of xs.
-func quantile(xs []float64, q float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+	return Paired{Ratio: ratio, Spread: stats.Percentile(all, 75) - stats.Percentile(all, 25)}
 }
 
 // OverheadPct renders the ratio the way the paper quotes cost: percent over

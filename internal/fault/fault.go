@@ -1,8 +1,12 @@
 // Package fault implements the statistical fault-injection framework of the
-// paper (Section 2.3): uniform sampling of fault sites over every linear
-// layer output across an entire inference, and a forward-hook injector that
-// flips bits of the stored FP16/FP32 representation of one neuron —
-// PyTorchFI-style injection reimplemented on the Go engine.
+// paper (Section 2.3). Space is a model's fault-site geometry — every linear
+// layer's output and weights, and the KV cache — and makes every site draw;
+// the routing rule between those targets is TargetMix.Route. Plan picks an
+// offline campaign's fault step by execution-time weight over the whole
+// inference; the chaos engine picks a live session's step and draws through
+// the same Space. The Injector flips bits of the stored FP16/FP32
+// representation of one element — PyTorchFI-style injection reimplemented
+// on the Go engine.
 package fault
 
 import (
@@ -90,35 +94,133 @@ type TargetMix struct {
 // IsZero reports whether the mix is all-activation.
 func (t TargetMix) IsZero() bool { return t.Weight == 0 && t.KV == 0 }
 
-// Plan enumerates the fault-site space of one inference configuration and
-// samples sites so that fault *arrival is uniform in wall-clock time* on the
-// reference hardware: the prefill pass (which computes over the whole
-// prompt in parallel on a GPU) receives a time weight expressed in
-// decode-step equivalents, and every decode step weighs one. This matches
-// the paper's Section 4.2.2 argument that the first token generation is
-// exposed in proportion to its share of execution time (<9%, Fig. 10).
-// Within a step, the corrupted neuron is chosen uniformly over every linear
-// layer's output elements. Setting PrefillWeight equal to PromptLen
-// recovers plain neuron-uniform sampling.
+// Validate reports a mix that is not a probability split: both shares must
+// be finite and non-negative and sum to at most 1.
+func (t TargetMix) Validate() error {
+	if !(t.Weight >= 0 && t.KV >= 0 && t.Weight+t.KV <= 1) {
+		return fmt.Errorf("fault: invalid target mix weight=%g kv=%g: shares must be in [0,1] and sum to at most 1", t.Weight, t.KV)
+	}
+	return nil
+}
+
+// Route maps a uniform draw u ∈ [0,1) to the target it selects: weight
+// below Weight, KV below Weight+KV, activation above.
+func (t TargetMix) Route(u float64) Target {
+	switch {
+	case u < t.Weight:
+		return TargetWeight
+	case u < t.Weight+t.KV:
+		return TargetKVCache
+	}
+	return TargetActivation
+}
+
+// Space is the fault-site geometry of one model configuration: every linear
+// layer's output width and weight size, and the bits a fault model flips in
+// a storage format. Its draws place one fault at a step the caller chose;
+// Plan (offline campaigns) and the chaos engine (live serving) only differ
+// in how they choose that step.
+type Space struct {
+	Cfg         model.Config
+	DType       numerics.DType
+	Model       numerics.FaultModel
+	layers      []model.LayerRef
+	layerElems  []int // output width per layer (columns)
+	perTokenSum int   // Σ layer widths
+	weightElems []int // weight matrix size per layer (out×in)
+	weightSum   int64 // Σ weight sizes
+}
+
+// NewSpace enumerates the fault sites of cfg for fault model fm in format d.
+func NewSpace(cfg model.Config, d numerics.DType, fm numerics.FaultModel) Space {
+	s := Space{Cfg: cfg, DType: d, Model: fm, layers: cfg.LinearLayers()}
+	for _, ref := range s.layers {
+		w := cfg.OutDim(ref.Kind)
+		s.layerElems = append(s.layerElems, w)
+		s.perTokenSum += w
+		we := w * cfg.InDim(ref.Kind)
+		s.weightElems = append(s.weightElems, we)
+		s.weightSum += int64(we)
+	}
+	return s
+}
+
+// Activation draws a transient flip at step: a neuron uniform over one
+// row of every linear layer's output, then the fault bits.
+func (s *Space) Activation(rng *rand.Rand, step int) Site {
+	return s.activation(step, 0, rng.Intn(s.perTokenSum), rng)
+}
+
+// activation resolves a per-token element offset in row rowInStep to
+// (layer, element) and draws the fault bits.
+func (s *Space) activation(step, rowInStep, offset int, rng *rand.Rand) Site {
+	site := Site{Step: step}
+	for i, w := range s.layerElems {
+		if offset < w {
+			site.Layer = s.layers[i]
+			site.Elem = rowInStep*w + offset
+			break
+		}
+		offset -= w
+	}
+	site.Bits = s.Model.PickBits(s.DType, rng)
+	return site
+}
+
+// Weight draws a persistent flip of one weight element, uniform over every
+// weight matrix, landing at step.
+func (s *Space) Weight(rng *rand.Rand, step int) Site {
+	site := Site{Target: TargetWeight, Step: step}
+	e := rng.Int63n(s.weightSum)
+	for i, we := range s.weightElems {
+		if e < int64(we) {
+			site.Layer = s.layers[i]
+			site.Elem = int(e)
+			break
+		}
+		e -= int64(we)
+	}
+	site.Bits = s.Model.PickBits(s.DType, rng)
+	return site
+}
+
+// KV draws a flip of one KV-cache element at step: a uniform (position,
+// channel) pair among the resident rows, K or V, and a uniform block.
+func (s *Space) KV(rng *rand.Rand, step, resident int) Site {
+	pos := rng.Intn(resident)
+	col := rng.Intn(s.Cfg.Hidden)
+	kind := model.KProj
+	if rng.Intn(2) == 1 {
+		kind = model.VProj
+	}
+	return Site{
+		Target: TargetKVCache,
+		Step:   step,
+		Layer:  model.LayerRef{Block: rng.Intn(s.Cfg.Blocks), Kind: kind},
+		Elem:   pos*s.Cfg.Hidden + col,
+		Bits:   s.Model.PickBits(s.DType, rng),
+	}
+}
+
+// Plan samples the fault sites of one inference so that fault *arrival is
+// uniform in wall-clock time* on the reference hardware: the prefill pass
+// (which computes over the whole prompt in parallel on a GPU) receives a
+// time weight expressed in decode-step equivalents, and every decode step
+// weighs one. This matches the paper's Section 4.2.2 argument that the
+// first token generation is exposed in proportion to its share of execution
+// time (<9%, Fig. 10). Plan chooses the step; its Space places the fault
+// within it. Setting PrefillWeight equal to PromptLen recovers plain
+// neuron-uniform sampling.
 type Plan struct {
-	Cfg       model.Config
+	Space
 	PromptLen int
 	GenTokens int
-	DType     numerics.DType
-	Model     numerics.FaultModel
 	// PrefillWeight is the execution-time weight of the prefill pass in
 	// decode-step equivalents (from perfmodel.PrefillStepWeight).
 	PrefillWeight float64
 	// Mix routes a fraction of samples to weight / KV-cache targets; the
 	// zero value keeps the plan activation-only. Set after NewPlan.
 	Mix TargetMix
-
-	layers      []model.LayerRef
-	layerElems  []int // output width per layer (columns)
-	perTokenSum int   // Σ layer widths
-	virtualRows int   // promptLen + genTokens - 1
-	weightElems []int // weight matrix size per layer (out×in)
-	weightSum   int64 // Σ weight sizes
 }
 
 // NewPlan builds a sampling plan. prefillWeight <= 0 defaults to 1 (the
@@ -131,27 +233,16 @@ func NewPlan(cfg model.Config, promptLen, genTokens int, d numerics.DType, fm nu
 	if prefillWeight <= 0 {
 		prefillWeight = 1
 	}
-	p := &Plan{
-		Cfg: cfg, PromptLen: promptLen, GenTokens: genTokens,
-		DType: d, Model: fm, PrefillWeight: prefillWeight,
-		layers: cfg.LinearLayers(),
+	return &Plan{
+		Space:     NewSpace(cfg, d, fm),
+		PromptLen: promptLen, GenTokens: genTokens, PrefillWeight: prefillWeight,
 	}
-	for _, ref := range p.layers {
-		w := cfg.OutDim(ref.Kind)
-		p.layerElems = append(p.layerElems, w)
-		p.perTokenSum += w
-		we := cfg.OutDim(ref.Kind) * cfg.InDim(ref.Kind)
-		p.weightElems = append(p.weightElems, we)
-		p.weightSum += int64(we)
-	}
-	p.virtualRows = promptLen + genTokens - 1
-	return p
 }
 
 // TotalElements returns the number of candidate fault sites (neuron
 // invocations across the whole inference), before the bit dimension.
 func (p *Plan) TotalElements() int64 {
-	return int64(p.virtualRows) * int64(p.perTokenSum)
+	return int64(p.PromptLen+p.GenTokens-1) * int64(p.perTokenSum)
 }
 
 // FirstTokenProbability returns the probability that a sampled fault lands
@@ -167,11 +258,10 @@ func (p *Plan) FirstTokenProbability() float64 {
 // pattern.
 func (p *Plan) Sample(rng *rand.Rand) Site {
 	if !p.Mix.IsZero() {
-		u := rng.Float64()
-		switch {
-		case u < p.Mix.Weight:
+		switch p.Mix.Route(rng.Float64()) {
+		case TargetWeight:
 			return p.SampleWeight(rng)
-		case u < p.Mix.Weight+p.Mix.KV:
+		case TargetKVCache:
 			return p.SampleKV(rng)
 		}
 	}
@@ -185,54 +275,29 @@ func (p *Plan) Sample(rng *rand.Rand) Site {
 // execution-time weight (the flip lands mid-inference, including during the
 // prefill), then a uniform element over every weight matrix.
 func (p *Plan) SampleWeight(rng *rand.Rand) Site {
-	site := Site{Target: TargetWeight}
+	step := 0
 	if p.GenTokens > 1 && rng.Float64() >= p.FirstTokenProbability() {
-		site.Step = 1 + rng.Intn(p.GenTokens-1)
+		step = 1 + rng.Intn(p.GenTokens-1)
 	}
-	e := rng.Int63n(p.weightSum)
-	for i, we := range p.weightElems {
-		if e < int64(we) {
-			site.Layer = p.layers[i]
-			site.Elem = int(e)
-			break
-		}
-		e -= int64(we)
-	}
-	site.Bits = p.Model.PickBits(p.DType, rng)
-	return site
+	return p.Weight(rng, step)
 }
 
-// SampleKV draws a KV-cache corruption site: a decode step (the cache only
-// matters once it is consulted, step >= 1), a uniform block, K or V, and a
-// uniform resident (position, channel) pair among the rows filled when the
-// step begins. It panics when the plan has no decode steps.
+// SampleKV draws a KV-cache corruption site at a uniform decode step (the
+// cache only matters once it is consulted, step >= 1) among the rows filled
+// when the step begins. It panics when the plan has no decode steps.
 func (p *Plan) SampleKV(rng *rand.Rand) Site {
 	if p.GenTokens < 2 {
 		panic("fault: KV targets need at least two generated tokens")
 	}
 	step := 1 + rng.Intn(p.GenTokens-1)
-	resident := p.PromptLen + step - 1 // rows filled before step's KV append
-	pos := rng.Intn(resident)
-	col := rng.Intn(p.Cfg.Hidden)
-	kind := model.KProj
-	if rng.Intn(2) == 1 {
-		kind = model.VProj
-	}
-	return Site{
-		Target: TargetKVCache,
-		Step:   step,
-		Layer:  model.LayerRef{Block: rng.Intn(p.Cfg.Blocks), Kind: kind},
-		Elem:   pos*p.Cfg.Hidden + col,
-		Bits:   p.Model.PickBits(p.DType, rng),
-	}
+	return p.KV(rng, step, p.PromptLen+step-1) // rows filled before step's KV append
 }
 
 // SampleFirstToken draws a site restricted to the prefill pass (step 0) —
 // the Figure 11 campaign.
 func (p *Plan) SampleFirstToken(rng *rand.Rand) Site {
 	elem := int(rng.Int63n(int64(p.PromptLen) * int64(p.perTokenSum)))
-	rowInStep := elem / p.perTokenSum
-	return p.buildSite(0, rowInStep, elem%p.perTokenSum, rng)
+	return p.activation(0, elem/p.perTokenSum, elem%p.perTokenSum, rng)
 }
 
 // SampleFollowing draws a site restricted to the following-token steps
@@ -242,24 +307,7 @@ func (p *Plan) SampleFollowing(rng *rand.Rand) Site {
 	if p.GenTokens < 2 {
 		panic("fault: no following tokens to sample")
 	}
-	step := 1 + rng.Intn(p.GenTokens-1)
-	return p.buildSite(step, 0, rng.Intn(p.perTokenSum), rng)
-}
-
-// buildSite resolves a per-token element offset to (layer, element) and
-// draws the fault bits.
-func (p *Plan) buildSite(step, rowInStep, offset int, rng *rand.Rand) Site {
-	site := Site{Step: step}
-	for i, w := range p.layerElems {
-		if offset < w {
-			site.Layer = p.layers[i]
-			site.Elem = rowInStep*w + offset
-			break
-		}
-		offset -= w
-	}
-	site.Bits = p.Model.PickBits(p.DType, rng)
-	return site
+	return p.Activation(rng, 1+rng.Intn(p.GenTokens-1))
 }
 
 // Injector corrupts exactly one element at the planned site. After the run,
@@ -343,10 +391,7 @@ func (inj *Injector) Hook() model.Hook {
 				panic(fmt.Sprintf("fault: element %d out of range %d at %v",
 					inj.Site.Elem, len(out.Data), inj.Site))
 			}
-			inj.Fired = true
-			inj.Original = out.Data[inj.Site.Elem]
-			inj.Corrupted = numerics.CorruptValue(inj.Original, inj.DType, inj.Site.Bits)
-			out.Data[inj.Site.Elem] = inj.Corrupted
+			inj.flip(&out.Data[inj.Site.Elem])
 		}
 	}
 }
@@ -378,10 +423,7 @@ func (inj *Injector) fireWeight() {
 		panic(fmt.Sprintf("fault: weight element %d out of range %d at %v",
 			inj.Site.Elem, len(w.Data), inj.Site))
 	}
-	inj.Fired = true
-	inj.Original = w.Data[inj.Site.Elem]
-	inj.Corrupted = numerics.CorruptValue(inj.Original, inj.DType, inj.Site.Bits)
-	w.Data[inj.Site.Elem] = inj.Corrupted
+	inj.flip(&w.Data[inj.Site.Elem])
 }
 
 // fireKV flips the planned KV-cache element of st (model.DecodeState.KVCell
@@ -397,6 +439,11 @@ func (inj *Injector) fireKV(st *model.DecodeState) {
 	if cell == nil {
 		panic(fmt.Sprintf("fault: kv element %d beyond the resident rows at %v", inj.Site.Elem, inj.Site))
 	}
+	inj.flip(cell)
+}
+
+// flip corrupts *cell with the site's bits and records the transition.
+func (inj *Injector) flip(cell *float32) {
 	inj.Fired = true
 	inj.Original = *cell
 	inj.Corrupted = numerics.CorruptValue(inj.Original, inj.DType, inj.Site.Bits)

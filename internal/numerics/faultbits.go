@@ -76,6 +76,19 @@ func (m FaultModel) String() string {
 // AllFaultModels lists the three fault models in paper order.
 var AllFaultModels = []FaultModel{SingleBit, DoubleBit, ExponentBit}
 
+// ParseFaultModel is the inverse of String; "exp" also names ExponentBit.
+func ParseFaultModel(s string) (FaultModel, error) {
+	if s == "exp" {
+		return ExponentBit, nil
+	}
+	for _, m := range AllFaultModels {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("numerics: unknown fault model %q", s)
+}
+
 // PickBits draws the bit positions this fault model flips for the given
 // dtype, using rng. Positions are counted from the LSB (bit 0) to the sign
 // bit (bit width-1). For binary16 the exponent field is bits 10..14; for

@@ -16,6 +16,23 @@ func TestFaultModelString(t *testing.T) {
 	}
 }
 
+// ParseFaultModel inverts String for every model and rejects other names.
+func TestParseFaultModelRoundTrip(t *testing.T) {
+	for _, m := range AllFaultModels {
+		if got, err := ParseFaultModel(m.String()); err != nil || got != m {
+			t.Errorf("ParseFaultModel(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	if got, err := ParseFaultModel("exp"); err != nil || got != ExponentBit {
+		t.Errorf(`ParseFaultModel("exp") = %v, %v`, got, err)
+	}
+	for _, bad := range []string{"", "1bit", "3-bit", "FaultModel(3)"} {
+		if _, err := ParseFaultModel(bad); err == nil {
+			t.Errorf("ParseFaultModel(%q) accepted", bad)
+		}
+	}
+}
+
 func TestDTypeWidths(t *testing.T) {
 	if FP16.Bits() != 16 || FP32.Bits() != 32 {
 		t.Error("DType.Bits mismatch")

@@ -324,46 +324,33 @@ func (sch *scheduler) applyChaos(r *replica, g *group) {
 		})
 		g.victims = append(g.victims, i)
 	}
-	plan := sch.chaos.PlanSlice(g.views, allChaos)
-	if plan.Empty() {
-		return
-	}
-	dtype := sch.chaos.Config().DType
-
-	for _, f := range plan.Activation {
+	for _, f := range sch.chaos.PlanSlice(g.views, allChaos) {
 		i := g.victims[f.Session]
 		s := g.sessions[i]
-		g.hooks[i] = append(g.hooks[i], fault.NewInjector(f.Site, dtype).Hook())
-		s.suspect = true
-		sch.chaos.Record(chaos.Event{Kind: chaos.EvInject, Target: fault.TargetActivation.String(),
-			Site: f.Site.String(), Session: s.id, Replica: r.slot, Step: f.Site.Step})
-	}
-
-	for _, f := range plan.KV {
-		i := g.victims[f.Session]
-		s := g.sessions[i]
-		inj := fault.NewInjector(f.Site, dtype)
-		s.kv.rewrite(sch, inj.Fire)
-		s.suspect = true
-		sch.chaos.Record(chaos.Event{Kind: chaos.EvInject, Target: fault.TargetKVCache.String(),
-			Site: f.Site.String(), Session: s.id, Replica: r.slot, Step: f.Site.Step})
-	}
-
-	for _, site := range plan.Weight {
-		inj := fault.NewInjector(site, dtype)
-		inj.M = r.m
-		inj.Fire(nil)
-		r.tainted = true
-		// Weights are replica-global: every opted-in session in the group —
-		// including one whose prefill rows are computed after the flip — may
-		// silently diverge.
-		for _, s := range g.sessions {
-			if s.req.Chaos {
-				s.suspect = true
+		inj := fault.NewInjector(f.Site, sch.chaos.Config().DType)
+		ev := chaos.Event{Kind: chaos.EvInject, Target: f.Site.Target.String(),
+			Site: f.Site.String(), Session: s.id, Replica: r.slot, Step: f.Site.Step}
+		switch f.Site.Target {
+		case fault.TargetActivation:
+			g.hooks[i] = append(g.hooks[i], inj.Hook())
+		case fault.TargetKVCache:
+			s.kv.rewrite(sch, inj.Fire)
+		case fault.TargetWeight:
+			inj.M = r.m
+			inj.Fire(nil)
+			r.tainted = true
+			// Weights are replica-global: every opted-in session in the group —
+			// including one whose prefill rows are computed after the flip — may
+			// silently diverge.
+			for _, o := range g.sessions {
+				if o.req.Chaos {
+					o.suspect = true
+				}
 			}
+			ev.Session = 0 // the replica's fault, not the drawn victim's
 		}
-		sch.chaos.Record(chaos.Event{Kind: chaos.EvInject, Target: fault.TargetWeight.String(),
-			Site: site.String(), Replica: r.slot, Step: site.Step})
+		s.suspect = true
+		sch.chaos.Record(ev)
 	}
 }
 

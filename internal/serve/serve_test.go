@@ -416,8 +416,9 @@ func TestImportBodyLimit(t *testing.T) {
 }
 
 // FuzzGenerateRequest runs arbitrary /v1/generate bodies through the
-// handler's decoder and Submit's validation: nothing panics, and a request
-// that passes meets the engine's preconditions.
+// handler's decoder and Submit's validation: nothing panics, a request
+// that passes meets the engine's preconditions, and accepting it allocates
+// at most c × the body's length plus a per-model constant.
 func FuzzGenerateRequest(f *testing.F) {
 	for _, body := range []string{
 		`{"text":"what city hosts the museum","max_tokens":8,"protected":true}`,
@@ -425,6 +426,7 @@ func FuzzGenerateRequest(f *testing.F) {
 		`{"dataset":"squad-sim","input":3,"max_tokens":8,"stream":true}`,
 		`{"prompt_tokens":[4],"max_tokens":9223372036854775807}`,
 		`{"prompt_tokens":[4],"max_tokens":1,"deadline_ms":9223372036855}`,
+		`{"dataset":"gsm8k-sim","input":49,"max_tokens":1}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -432,14 +434,33 @@ func FuzzGenerateRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// The largest legitimate bodies: MaxSeq-1 three-digit prompt tokens, and
+	// MaxSeq-2 one-letter words of text (the most tokens per byte).
+	long := make([]int, cfg.MaxSeq-1)
+	for i := range long {
+		long[i] = cfg.Vocab - 1
+	}
+	body, _ := json.Marshal(Request{PromptTokens: long, MaxTokens: 1})
+	f.Add(body)
+	f.Add([]byte(`{"text":"` + strings.Repeat("a ", cfg.MaxSeq-2) + `","max_tokens":1}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req Request
-		r := httptest.NewRequest(http.MethodPost, "/v1/generate", bytes.NewReader(body))
-		if decodeBody(httptest.NewRecorder(), r, MaxGenerateBody, &req, "request") != nil {
-			return
+		var rs [3]*http.Request // one per call of allocated's
+		for i := range rs {
+			rs[i] = httptest.NewRequest(http.MethodPost, "/v1/generate", bytes.NewReader(body))
 		}
-		prompt, err := req.resolvePrompt(cfg)
-		d, derr := req.deadline(time.Minute)
+		var req Request
+		var prompt []int
+		var d time.Duration
+		var err, derr error
+		calls := 0
+		n := allocated(func() {
+			req = Request{} // a decode into a used slice would reuse it
+			if err = decodeBody(httptest.NewRecorder(), rs[calls], MaxGenerateBody, &req, "request"); err == nil {
+				prompt, err = req.resolvePrompt(cfg)
+				d, derr = req.deadline(time.Minute)
+			}
+			calls++
+		})
 		if err != nil || derr != nil {
 			return
 		}
@@ -447,6 +468,25 @@ func FuzzGenerateRequest(f *testing.F) {
 		if outside || req.MaxTokens < 1 || req.MaxTokens > cfg.MaxSeq-len(prompt) || d <= 0 {
 			t.Fatalf("accepted prompt %v + max_tokens %d (vocab %d, MaxSeq %d), deadline %v",
 				prompt, req.MaxTokens, cfg.Vocab, cfg.MaxSeq, d)
+		}
+		// json.Decoder's buffer doubles as it reads the body (at most 4× it
+		// in all). A text prompt is unquoted into a buffer that doubles to
+		// hold it and copied out once, at most 4 bytes per byte of the
+		// decoded text (an invalid UTF-8 byte decodes to the 3-byte U+FFFD).
+		// An accepted prompt has fewer than MaxSeq tokens, and each costs at
+		// most 64 bytes: the text's fields (strings.Fields' growing span
+		// list when the text is not ASCII), the ids and the copy behind BOS.
+		// The MaxSeq-1-token seed reads 6920 bytes (6.5 per byte), a
+		// 513-byte text of 237 words with invalid UTF-8 (testdata) 20104,
+		// and 4 KB of invalid UTF-8 in one word 13.9 per byte. A dataset
+		// request builds its synthetic corpus up to the named input, 287 KB
+		// at the largest.
+		bound := uint64(6*len(body) + 4*len(req.Text) + 4<<10 + 64*cfg.MaxSeq)
+		if req.Dataset != "" {
+			bound += 320 << 10
+		}
+		if n > bound {
+			t.Fatalf("accepting a %d-byte generate body allocated %d bytes, bound %d", len(body), n, bound)
 		}
 	})
 }
