@@ -79,14 +79,10 @@ type Spec struct {
 	// explicit site set protected via offline bounds + clip-to-bound + NaN
 	// correction — the leave-one-out configuration of Figure 6.
 	CustomCoverage map[arch.CoveragePoint]bool
-	// UseDMR replaces the method's protection with duplication in place
-	// over every linear layer (the high-overhead 0%-SDC alternative of the
-	// paper's limitations section; see protect.DMR).
-	UseDMR bool
 	// Policy, when non-nil, replaces the method's protection with the
 	// adaptive per-layer-kind policy the serving layer runs: FT2 range
 	// restriction, ABFT checksum repair, DMR, or a stacked abft+ft2 per
-	// layer kind, with FT2Opts configuring the FT2 tier. Method, UseDMR and
+	// layer kind, with FT2Opts configuring the FT2 tier. Method and
 	// CustomCoverage are ignored when set.
 	Policy *protect.Policy
 	// Targets routes a fraction of sampled faults to persistent weight
@@ -468,12 +464,6 @@ func (s Spec) protection(m *model.Model) *core.FT2 {
 		// refs nil: the replica is pristine here, so the controller captures
 		// its own ABFT reference sums at build time.
 		return core.NewHybrid(m, s.FT2Opts, s.Policy, nil)
-	case s.UseDMR:
-		dup := &protect.Policy{Tiers: make(map[model.LayerKind]protect.Tier)}
-		for _, k := range m.Cfg.Family.LayerKinds() {
-			dup.Tiers[k] = protect.TierDMR
-		}
-		return core.NewHybrid(m, s.FT2Opts, dup, nil)
 	case s.CustomCoverage != nil:
 		return core.NewOffline(m, core.Options{ScaleFactor: 1}, s.CustomCoverage, s.OfflineBounds, true)
 	case s.Method == arch.MethodNone:

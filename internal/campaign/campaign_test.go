@@ -272,7 +272,7 @@ func TestFaultFreeCorrectnessAlternativeBoundsDegrade(t *testing.T) {
 
 func TestRunDMR(t *testing.T) {
 	spec := baseSpec(t, arch.MethodNone)
-	spec.UseDMR = true
+	spec.Policy = dmrPolicy(spec.ModelCfg.Family)
 	spec.Trials = 25
 	res, err := Run(spec)
 	if err != nil {

@@ -120,7 +120,7 @@ func TestForkedCampaignBitIdentical(t *testing.T) {
 // detection counter across forks too.
 func TestForkedCampaignBitIdenticalDMR(t *testing.T) {
 	spec := baseSpec(t, arch.MethodNone)
-	spec.UseDMR = true
+	spec.Policy = dmrPolicy(spec.ModelCfg.Family)
 	spec.Trials = 20
 	forked, err := Run(spec)
 	if err != nil {

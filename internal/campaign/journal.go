@@ -23,9 +23,12 @@ import (
 // excluded.
 func (s Spec) Fingerprint() string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "model=%s mseed=%d dtype=%v fault=%v method=%v window=%v trials=%d base=%d dmr=%v gpu=%s pw=%g",
+	// dmr=false is what the removed DMR switch always wrote; DMR now comes
+	// through Policy. Kept literally so existing journals keep their
+	// fingerprints.
+	fmt.Fprintf(h, "model=%s mseed=%d dtype=%v fault=%v method=%v window=%v trials=%d base=%d dmr=false gpu=%s pw=%g",
 		s.ModelCfg.Name, s.ModelSeed, s.DType, s.Fault, s.Method, s.Window,
-		s.Trials, s.BaseSeed, s.UseDMR, s.GPU.Name, s.PrefillWeight)
+		s.Trials, s.BaseSeed, s.GPU.Name, s.PrefillWeight)
 	fmt.Fprintf(h, " ft2=%+v", s.FT2Opts)
 	// Target mix and policy are hashed only when set, so journals written
 	// before these knobs existed keep their fingerprints.

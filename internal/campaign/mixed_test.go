@@ -32,6 +32,16 @@ func optPolicy() *protect.Policy {
 	}}
 }
 
+// dmrPolicy duplicates every linear layer of the family in place (the
+// high-overhead 0%-SDC alternative of the paper's limitations section).
+func dmrPolicy(f model.Family) *protect.Policy {
+	p := &protect.Policy{Tiers: map[model.LayerKind]protect.Tier{}}
+	for _, k := range f.LayerKinds() {
+		p.Tiers[k] = protect.TierDMR
+	}
+	return p
+}
+
 // TestRunMixedTargetsDeterministicAcrossWorkers: with weight and KV targets
 // in the mix, the campaign must stay order-independent — a weight fault that
 // leaked past its own trial (a missing Revert) would make the 1-worker and

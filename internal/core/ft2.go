@@ -15,14 +15,16 @@
 // adaptive tier policies (ABFT, DMR, stacked) and the offline-bounds
 // baselines are other policies compiled into the same per-layer-kind stage
 // table and run by the same hook. Its protection state — the first-token
-// bounds, their trail and the correction counters — is one ForkState that it
-// works on in place: its own after Reset, or one a caller binds to protect or,
-// for an unprotected prefill recording its trail, to observe. A serving
-// prefill's opens with OpenPrefill, and Offer takes its trail back.
+// bounds and the correction counters — is one ForkState that it works on in
+// place: its own after Reset, or one a caller binds to protect or, for an
+// unprotected prefill recording its trail, to observe. Only a serving prefill
+// that feeds the prefix cache records a trail of how its bounds came to be: it
+// opens with OpenPrefill, and Offer takes the trail back.
 package core
 
 import (
 	"fmt"
+	"math"
 
 	"ft2/internal/abft"
 	"ft2/internal/arch"
@@ -77,7 +79,7 @@ type FT2 struct {
 	// MaxiMals baselines, which rely on range checks alone).
 	correctNaN bool
 	// own is the state Reset rearms: its Bounds are the controller's
-	// first-token store or the offline profile, its Trail the controller's.
+	// first-token store or the offline profile; it records no trail.
 	// st is the state in force — &own, or one a caller bound — which the
 	// hooks and every counter read and write in place.
 	own       ForkState
@@ -161,7 +163,7 @@ func newFT2(m *model.Model, opts Options, own *protect.Store) *FT2 {
 	if opts.ScaleFactor < 1 {
 		panic(fmt.Sprintf("core: scale factor %g < 1 would tighten bounds", opts.ScaleFactor))
 	}
-	f := &FT2{m: m, opts: opts, own: ForkState{Bounds: own, Trail: new(protect.Trail)}}
+	f := &FT2{m: m, opts: opts, own: ForkState{Bounds: own}}
 	f.st = &f.own
 	return f
 }
@@ -230,8 +232,7 @@ func (f *FT2) Reset() {
 	if f.learn {
 		f.own.Bounds.Reset()
 	}
-	f.own.Trail.Reset()
-	f.own = ForkState{Bounds: f.own.Bounds, Trail: f.own.Trail}
+	f.own = ForkState{Bounds: f.own.Bounds}
 	f.st, f.observing = &f.own, false
 }
 
@@ -244,9 +245,9 @@ type ForkState struct {
 	Bounds        *protect.Store
 	FirstTokenNaN int
 	// Trail is the row-by-row record behind Bounds and FirstTokenNaN, from
-	// prompt row 0. It lives in memory only — the wire encoding omits it — for
-	// a prefill carried across scheduling slices and for the prefix cache,
-	// which resumes later prompts from it at any depth. Nil when unknown.
+	// prompt row 0, which the prefix cache resumes later prompts from at any
+	// depth. Only a prefill OpenPrefill opened to record one has it; it lives
+	// in memory only — the wire encoding omits it. Nil everywhere else.
 	Trail *protect.Trail
 	Stats protect.CorrectionStats
 	// ByKind carries the per-layer-kind correction breakdown. Callers that
@@ -280,21 +281,21 @@ func (st *ForkState) Offer(protected bool) (*protect.Trail, bool) {
 	return trail, nanFree
 }
 
-// CaptureForkState snapshots the state in force: the bounds are deep copied
-// and the trail cloned (protect.Trail.Clone), so the capture stays valid
-// across later Resets and Binds.
+// CaptureForkState snapshots the state in force — its bounds deep copied, so
+// the capture stays valid across later Resets and Binds, and its counters. A
+// capture only ever continues at a decode step, so it carries no trail.
 func (f *FT2) CaptureForkState() ForkState {
 	st := *f.st
-	st.Bounds, st.Trail = st.Bounds.Clone(), st.Trail.Clone()
+	st.Bounds, st.Trail = st.Bounds.Clone(), nil
 	return st
 }
 
 // Bind makes st the state the controller protects, in place, until the next
-// Bind, Observe or Reset: the hooks learn into st.Bounds and st.Trail during a
-// prefill and advance st's counters, so st is current after every step. A
-// continuation at a decode step ≥ 1 reads st.Bounds without ever writing it,
-// so one store may back many bound states at once; one still inside its
-// prefill owns st.Bounds and st.Trail and keeps extending both.
+// Bind, Observe or Reset: the hooks learn into st.Bounds and st.Trail (when it
+// has one) during a prefill and advance st's counters, so st is current after
+// every step. A continuation at a decode step ≥ 1 reads st.Bounds without ever
+// writing it, so one store may back many bound states at once; one still
+// inside its prefill owns st.Bounds and st.Trail and keeps extending both.
 func (f *FT2) Bind(st *ForkState) { f.st, f.observing = st, false }
 
 // Observe is Bind for an unprotected prefill that records its cache entry's
@@ -379,34 +380,33 @@ func (f *FT2) GenerateInto(dst []int, prompt []int, n int) []int {
 
 // hook runs the kind's stages in correction order: exact repair first,
 // range restriction last (it bounds whatever remains), counting as it goes.
+// At step 0 the range stage is the learn pass instead; an observing controller
+// runs that pass alone, changing no value, and nothing on decode rows.
 func (f *FT2) hook(ctx model.HookCtx, out *tensor.Tensor) {
 	st := &f.stages[ctx.Layer.Kind]
-	if f.observing {
-		if ctx.FirstToken && st.clamp[ctx.Site] {
-			f.st.FirstTokenNaN += f.st.Bounds.ObserveRowsOnly(protect.SiteKey{Layer: ctx.Layer, Site: ctx.Site}, out, ctx.Pos, f.st.Trail)
+	if st.repair != nil && !f.observing {
+		st.repair(ctx, out)
+	}
+	if !st.clamp[ctx.Site] || f.observing && ctx.Step > 0 {
+		return
+	}
+	key, fs := protect.SiteKey{Layer: ctx.Layer, Site: ctx.Site}, f.st
+	if ctx.Step == 0 && (f.learn || f.observing) {
+		// FirstTokenNaN counts the NaNs a protected pass corrected, or those
+		// an observed one saw and left.
+		fix := f.opts.FirstTokenNaNCorrection && !f.observing
+		if nan := fs.Bounds.ObserveRows(key, out, ctx.Pos, fix, fs.Trail); fix || f.observing {
+			fs.FirstTokenNaN += nan
 		}
 		return
 	}
-	if st.repair != nil {
-		st.repair(ctx, out)
+	// A site with no bounds (an offline profile that never saw it) is clamped
+	// against an infinite range, which corrects NaNs alone.
+	b, ok := fs.Bounds.Get(key)
+	if !ok {
+		b = protect.Bounds{Lo: float32(math.Inf(-1)), Hi: float32(math.Inf(1))}
 	}
-	if !st.clamp[ctx.Site] {
-		return
-	}
-	if ctx.FirstToken && f.learn {
-		key := protect.SiteKey{Layer: ctx.Layer, Site: ctx.Site}
-		f.st.FirstTokenNaN += f.st.Bounds.ObserveRows(key, out, ctx.Pos, f.opts.FirstTokenNaNCorrection, f.st.Trail)
-		return
-	}
-	var c protect.CorrectionStats
-	if b, ok := f.st.Bounds.Get(protect.SiteKey{Layer: ctx.Layer, Site: ctx.Site}); ok {
-		c = protect.ClampCorrect(out.Data, b.Scale(f.opts.ScaleFactor), f.opts.Mode, f.correctNaN)
-	} else if f.correctNaN {
-		// No bounds for the site (an offline profile that never saw it): NaN
-		// correction is all that can be done.
-		c.NaN = protect.CorrectNaNOnly(out.Data)
-	}
-	fs := f.st
+	c := protect.ClampCorrect(out.Data, b.Scale(f.opts.ScaleFactor), f.opts.Mode, f.correctNaN)
 	fs.Stats.OutOfBound += c.OutOfBound
 	fs.Stats.NaN += c.NaN
 	fs.ByKind[ctx.Layer.Kind].OutOfBound += c.OutOfBound

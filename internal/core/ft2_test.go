@@ -245,16 +245,26 @@ func TestObserveRecordsProtectedTrail(t *testing.T) {
 	prompt := []int{4, 9, 14, 19, 24, 29, 34, 39}
 	nan := float32(0)
 	nan /= nan
-	observe := func(f *FT2) model.Hook {
-		st := OpenPrefill(nil, 0, true)
-		f.Observe(&st)
-		return f.Hook()
+	// bind opens a state that records its trail, binds it to f to observe or
+	// to protect, and keeps the trail in trail.
+	var trail *protect.Trail
+	bind := func(observe bool) func(*FT2) model.Hook {
+		return func(f *FT2) model.Hook {
+			st := OpenPrefill(nil, 0, true)
+			if observe {
+				f.Observe(&st)
+			} else {
+				f.Bind(&st)
+			}
+			trail = st.Trail
+			return f.Hook()
+		}
 	}
 	run := func(hook func(*FT2) model.Hook, plantNaN bool) ([]int, *FT2) {
 		m := model.MustNew(cfg, 11, numerics.FP16)
 		if plantNaN {
 			m.RegisterHook(func(ctx model.HookCtx, out *tensor.Tensor) {
-				if ctx.FirstToken && ctx.Layer == (model.LayerRef{Block: 1, Kind: model.VProj}) && ctx.Site == model.SiteLinearOut {
+				if ctx.Step == 0 && ctx.Layer == (model.LayerRef{Block: 1, Kind: model.VProj}) && ctx.Site == model.SiteLinearOut {
 					out.Data[5] = nan
 				}
 			})
@@ -268,12 +278,13 @@ func TestObserveRecordsProtectedTrail(t *testing.T) {
 	}
 
 	bare, _ := run(nil, false)
-	observed, obs := run(observe, false)
-	_, prot := run((*FT2).Hook, false)
+	observed, obs := run(bind(true), false)
+	ot := trail
+	_, prot := run(bind(false), false)
+	pt := trail
 	if !slices.Equal(observed, bare) || obs.FirstTokenNaNCount() != 0 {
 		t.Fatalf("observed generation %v (%d NaNs seen), unhooked %v", observed, obs.FirstTokenNaNCount(), bare)
 	}
-	ot, pt := obs.CaptureForkState().Trail, prot.CaptureForkState().Trail
 	for d := 0; d <= len(prompt); d++ {
 		os, on := ot.At(d)
 		ps, pn := pt.At(d)
@@ -283,7 +294,7 @@ func TestObserveRecordsProtectedTrail(t *testing.T) {
 	}
 
 	bareNaN, _ := run(nil, true)
-	observedNaN, obs := run(observe, true)
+	observedNaN, obs := run(bind(true), true)
 	if !slices.Equal(observedNaN, bareNaN) || obs.FirstTokenNaNCount() == 0 {
 		t.Fatalf("with a planted NaN: observed %v (%d NaNs seen), unhooked %v", observedNaN, obs.FirstTokenNaNCount(), bareNaN)
 	}
@@ -752,7 +763,7 @@ func TestLearnedBoundsValid(t *testing.T) {
 		}
 	}
 	wild := func(ctx model.HookCtx, out *tensor.Tensor) {
-		if ctx.FirstToken && len(out.Data) >= 3 {
+		if ctx.Step == 0 && len(out.Data) >= 3 {
 			out.Data[0], out.Data[1], out.Data[2] = float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))
 		}
 	}

@@ -41,7 +41,7 @@ func BenchmarkFT2StepCost(b *testing.B) {
 			const n = 97
 			dst := make([]int, 0, n)
 			f := New(m, Defaults())
-			obs := ForkState{Bounds: protect.NewStore(), Trail: new(protect.Trail)}
+			obs := ForkState{Bounds: protect.NewStore()}
 			hooked := func(h model.Hook) func() {
 				return func() {
 					id := m.RegisterHook(h)
@@ -64,7 +64,6 @@ func BenchmarkFT2StepCost(b *testing.B) {
 				},
 				func() {
 					obs.Bounds.Reset()
-					obs.Trail.Reset()
 					f.Observe(&obs)
 					f.Install()
 					dst = m.GenerateInto(dst, prompt, n)

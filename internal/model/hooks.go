@@ -31,11 +31,9 @@ type HookCtx struct {
 	// Redundant-execution protections recompute the layer output from it.
 	Input *tensor.Tensor
 	// Step is the generation step: 0 is the prefill pass that produces the
-	// first token; step s>0 processes the s-th generated token.
+	// first token, on which FT2 profiles bounds; step s>0 processes the s-th
+	// generated token, which FT2 protects.
 	Step int
-	// FirstToken is true during the prefill pass (Step == 0); FT2 profiles
-	// bounds then and protects afterwards.
-	FirstToken bool
 	// Pos is the absolute sequence position of out's first row: a prefill
 	// chunk's rows are prompt rows Pos, Pos+1, …, which is what lets FT2 key
 	// its first-token bounds by row instead of by chunk.
@@ -89,8 +87,8 @@ func (m *Model) HookCount() int { return len(m.hooks) }
 // — and therefore the same flat neuron indexing — however its session was
 // co-batched: 1 row for a decode step, C rows for a prefill chunk. Model-level
 // hooks arrive here as the hook list of the single item Prefill/PrefillChunk/
-// DecodeStep build. A prefill item's hooks run with FirstToken set, so FT2
-// observes bounds over the range instead of clamping it. The views alias
+// DecodeStep build. A prefill item's hooks run at Step 0, so FT2 observes
+// bounds over the range instead of clamping it. The views alias
 // reusable headers in the scratch arena and are only valid for the duration
 // of the hook call, like every hook tensor.
 func (m *Model) runBatchHooks(ref LayerRef, site Site, in, out *tensor.Tensor, items []BatchItem) {
@@ -101,7 +99,7 @@ func (m *Model) runBatchHooks(ref LayerRef, site Site, in, out *tensor.Tensor, i
 			continue
 		}
 		sc.rowOut.BindRowsView(out, sc.itemLo[i], sc.itemRows[i])
-		ctx := HookCtx{Layer: ref, Site: site, Step: it.State.step, FirstToken: it.State.step == 0, Pos: sc.itemPos[i], State: it.State}
+		ctx := HookCtx{Layer: ref, Site: site, Step: it.State.step, Pos: sc.itemPos[i], State: it.State}
 		if in != nil {
 			sc.rowIn.BindRowsView(in, sc.itemLo[i], sc.itemRows[i])
 			ctx.Input = sc.rowIn

@@ -174,8 +174,8 @@ func TestSnapshotHooksObserveForkedSteps(t *testing.T) {
 	steps := map[int]bool{}
 	m.RegisterHook(func(ctx HookCtx, _ *tensor.Tensor) {
 		steps[ctx.Step] = true
-		if ctx.FirstToken {
-			t.Error("forked continuation must never report FirstToken")
+		if ctx.Step == 0 {
+			t.Error("forked continuation must never report step 0")
 		}
 	})
 	defer m.ClearHooks()

@@ -19,15 +19,18 @@ import (
 type trailRun struct {
 	toks   []int
 	fork   core.ForkState
-	bytes  []byte // AppendForkState of fork
+	trail  *protect.Trail // the bound state's
+	bytes  []byte         // AppendForkState of fork
 	logits []uint32
 }
 
-// runProtected prefills prompt[from:] in chunks of at most chunk rows on the
-// open prefill of m's own state, decodes gen tokens in all, and captures
-// what the controller and the readout hold at the end.
-func runProtected(m *model.Model, ctl *core.FT2, prompt []int, from, chunk, gen int) trailRun {
-	var r trailRun
+// runProtected binds st to ctl, prefills prompt[from:] in chunks of at most
+// chunk rows on the open prefill of m's own state, decodes gen tokens in all,
+// and captures what the controller, st's trail and the readout hold at the
+// end.
+func runProtected(m *model.Model, ctl *core.FT2, st *core.ForkState, prompt []int, from, chunk, gen int) trailRun {
+	r := trailRun{trail: st.Trail}
+	ctl.Bind(st)
 	for pos := from; pos < len(prompt); {
 		n := min(chunk, len(prompt)-pos)
 		if tok, done := m.PrefillChunk(prompt[pos : pos+n]); done {
@@ -84,7 +87,7 @@ func TestTrailResumesAtEveryDepth(t *testing.T) {
 			target := model.LayerRef{Block: 0, Kind: arch.CriticalKinds(f)[0]}
 			var bad []int
 			m.RegisterHook(func(ctx model.HookCtx, out *tensor.Tensor) {
-				if !ctx.FirstToken || ctx.Layer != target || ctx.Site != model.SiteLinearOut {
+				if ctx.Step != 0 || ctx.Layer != target || ctx.Site != model.SiteLinearOut {
 					return
 				}
 				for _, row := range bad {
@@ -116,9 +119,9 @@ func TestTrailResumesAtEveryDepth(t *testing.T) {
 				}
 
 				for _, chunk := range []int{1, 7, 64, len(prompt)} {
-					ctl.Reset()
 					m.BeginPrefill(len(prompt))
-					cold := runProtected(m, ctl, prompt, 0, chunk, gen)
+					st := core.OpenPrefill(nil, 0, true)
+					cold := runProtected(m, ctl, &st, prompt, 0, chunk, gen)
 					if bad != nil && cold.fork.FirstTokenNaN == 0 {
 						t.Fatalf("trial %d: injected NaNs were not corrected", trial)
 					}
@@ -127,7 +130,7 @@ func TestTrailResumesAtEveryDepth(t *testing.T) {
 					kv := snap.Prefix(len(prompt)) // what the prefix cache would hold
 
 					for d := 1; d < len(prompt); d++ {
-						store, nan := cold.fork.Trail.At(d)
+						store, nan := cold.trail.At(d)
 						if !sameProfile(store, nan, refs[d], refNaN[d]) {
 							t.Fatalf("trial %d chunk %d: trail.At(%d) = %d NaN\n%s want %d NaN\n%s",
 								trial, chunk, d, nan, store, refNaN[d], refs[d])
@@ -135,8 +138,8 @@ func TestTrailResumesAtEveryDepth(t *testing.T) {
 
 						m.BeginPrefill(len(prompt))
 						m.State().ResumePrefix(kv.Prefix(d))
-						ctl.Bind(&core.ForkState{Bounds: store, FirstTokenNaN: nan, Trail: cold.fork.Trail.Prefix(d)})
-						warm := runProtected(m, ctl, prompt, d, chunk, gen)
+						ws := core.OpenPrefill(cold.trail, d, true)
+						warm := runProtected(m, ctl, &ws, prompt, d, chunk, gen)
 						if !slices.Equal(warm.toks, cold.toks) || !bytes.Equal(warm.bytes, cold.bytes) ||
 							warm.fork.Stats != cold.fork.Stats || warm.fork.ByKind != cold.fork.ByKind ||
 							!slices.Equal(warm.logits, cold.logits) {
@@ -144,8 +147,8 @@ func TestTrailResumesAtEveryDepth(t *testing.T) {
 								trial, chunk, d, warm.toks, cold.toks, warm.fork.Stats, cold.fork.Stats)
 						}
 						for d2 := 1; d2 <= len(prompt); d2++ {
-							ws, wn := warm.fork.Trail.At(d2)
-							cs, cn := cold.fork.Trail.At(d2)
+							ws, wn := warm.trail.At(d2)
+							cs, cn := cold.trail.At(d2)
 							if !sameProfile(ws, wn, cs, cn) {
 								t.Fatalf("trial %d chunk %d: trail of the session resumed at %d differs from the cold one at depth %d",
 									trial, chunk, d, d2)

@@ -24,11 +24,6 @@ type Bounds struct {
 	Lo, Hi float32
 }
 
-// Contains reports whether v lies inside the bounds (NaN never does).
-func (b Bounds) Contains(v float32) bool {
-	return v >= b.Lo && v <= b.Hi // NaN comparisons are false
-}
-
 // Valid reports whether both ends are finite and Lo ≤ Hi, as a learned range
 // always is. An infinite bound clamps nothing; a NaN or inverted one clamps
 // every value.

@@ -10,19 +10,6 @@ import (
 	"ft2/internal/tensor"
 )
 
-func TestBoundsContains(t *testing.T) {
-	b := Bounds{-2, 3}
-	for v, want := range map[float32]bool{
-		-2: true, 3: true, 0: true, -2.1: false, 3.1: false,
-		float32(math.NaN()):  false,
-		float32(math.Inf(1)): false,
-	} {
-		if got := b.Contains(v); got != want {
-			t.Errorf("Contains(%g) = %v, want %v", v, got, want)
-		}
-	}
-}
-
 func TestBoundsScaleWidens(t *testing.T) {
 	cases := []struct {
 		in   Bounds
@@ -199,13 +186,17 @@ func TestClampCorrectProperty(t *testing.T) {
 	}
 }
 
-func TestCorrectNaNOnly(t *testing.T) {
-	data := []float32{1, float32(math.NaN()), -2, float32(math.NaN())}
-	if n := CorrectNaNOnly(data); n != 2 {
-		t.Errorf("corrected %d NaNs, want 2", n)
+// TestClampCorrectUnboundedFixesNaNOnly: against an infinite range the fused
+// pass corrects NaNs and nothing else — what FT2 applies at a site it has no
+// bounds for.
+func TestClampCorrectUnboundedFixesNaNOnly(t *testing.T) {
+	inf := float32(math.Inf(1))
+	data := []float32{1, float32(math.NaN()), -2, float32(math.NaN()), inf, -inf}
+	if st := ClampCorrect(data, Bounds{-inf, inf}, ClipToBound, true); st != (CorrectionStats{NaN: 2}) {
+		t.Errorf("corrected %+v, want 2 NaNs", st)
 	}
-	if data[1] != 0 || data[3] != 0 || data[0] != 1 || data[2] != -2 {
-		t.Errorf("CorrectNaNOnly result %v", data)
+	if data[1] != 0 || data[3] != 0 || data[0] != 1 || data[2] != -2 || data[4] != inf || data[5] != -inf {
+		t.Errorf("unbounded ClampCorrect result %v", data)
 	}
 }
 

@@ -95,8 +95,9 @@ func sameBounds(a, b Bounds) bool {
 // NaN, ±Inf, signed zeros, denormals and ±MaxFloat32, one in three one-signed
 // so a zero can be the extremum — ClampCorrect (both modes, both correctNaN
 // values, bounds wide, exactly on the row's extrema, one ulp inside them, at
-// ±0 and infinite), CorrectNaNOnly and finiteRange leave the same row bits
-// and return the same counts and Bounds bits as the scalar references.
+// ±0 and infinite; the infinite one also against the NaN-only reference) and
+// finiteRange leave the same row bits and return the same counts and Bounds
+// bits as the scalar references.
 func TestScreenedSweepsMatchScalar(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	inf := float32(math.Inf(1))
@@ -133,8 +134,8 @@ func TestScreenedSweepsMatchScalar(t *testing.T) {
 		}
 
 		got, want := append([]float32(nil), row...), append([]float32(nil), row...)
-		if g, w := CorrectNaNOnly(got), correctNaNOnlyRef(want); g != w || !sameRow(got, want) {
-			t.Fatalf("trial %d CorrectNaNOnly of %v: got %d, want %d", trial, row, g, w)
+		if g, w := ClampCorrect(got, Bounds{-inf, inf}, ClipToBound, true), correctNaNOnlyRef(want); g != (CorrectionStats{NaN: w}) || !sameRow(got, want) {
+			t.Fatalf("trial %d unbounded ClampCorrect of %v: got %+v, want %d NaNs", trial, row, g, w)
 		}
 
 		ext, _, _ := finiteRangeRef(append([]float32(nil), row...), false)

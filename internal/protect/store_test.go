@@ -208,16 +208,16 @@ func FuzzBoundsStore(f *testing.F) {
 						o.widen(k, b)
 						to.widen(k, b)
 					}
+					want += nan // seen, and corrected only when correctNaN
 					if !correctNaN {
-						nan = 0
+						nan = 0 // no trail record for a NaN left in place
 					}
-					want += nan
 					to.rows = append(to.rows, oracleRow{pos + r, k, b, ok, nan})
 				}
 				got := s.ObserveRows(k, tensor.FromSlice(rows, cols, slices.Clone(vals)), pos, correctNaN, nil)
 				gotT := ts.ObserveRows(k, tensor.FromSlice(rows, cols, slices.Clone(vals)), pos, correctNaN, tr)
 				if got != want || gotT != want {
-					t.Fatalf("ObserveRows corrected %d and %d NaNs, want %d", got, gotT, want)
+					t.Fatalf("ObserveRows saw %d and %d NaNs, want %d", got, gotT, want)
 				}
 				pos += rows
 				d := int(next()) % (pos + 2)
@@ -233,7 +233,7 @@ func FuzzBoundsStore(f *testing.F) {
 			case 3: // Reset
 				s.Reset()
 				ts.Reset()
-				tr.Reset()
+				tr = new(Trail)
 				o, to, pos = newOracle(), newOracle(), 0
 			case 4: // Clone
 				clones = append(clones, cloned{s.Clone(), maps.Clone(o.m)})

@@ -15,7 +15,9 @@ import (
 // exactly the store and count a cold prefill of rows [0, d) ends with — which
 // is what lets a protected session resume a cached prefix at any row. A row
 // is recorded only when it widens, so a site contributes about 2·ln(rows)
-// records. A nil *Trail records nothing and folds to nothing.
+// records. A nil *Trail records nothing and folds to nothing. A trail is
+// only ever read to resume a cached prompt, so only a prefill that feeds the
+// prefix cache records one; every other prefill passes nil.
 //
 // A trail may read its first rows from another: the records of rows
 // [0, from) are base's, and recs holds only those of rows ≥ from — how a
@@ -26,9 +28,6 @@ type Trail struct {
 	base *Trail
 	from int
 	recs []trailRec
-	// shared marks the backing array as visible through a Clone: the next
-	// Reset starts a new one instead of overwriting records a clone holds.
-	shared bool
 }
 
 // trailRec is a widening (nan == 0: row's finite range b at the store slot)
@@ -38,16 +37,6 @@ type trailRec struct {
 	slot int32
 	b    Bounds
 	nan  int32
-}
-
-// Reset empties the trail, keeping its backing array unless a Clone shares it
-// — so a controller that is Reset per inference and never captured stops
-// touching the allocator.
-func (t *Trail) Reset() {
-	if t.shared {
-		t.recs, t.shared = nil, false
-	}
-	t.base, t.from, t.recs = nil, 0, t.recs[:0]
 }
 
 // At folds the records of rows [0, d) into a fresh store and NaN count.
@@ -132,19 +121,6 @@ func (t *Trail) MemoryBytes() int {
 	return cap(t.recs) * int(unsafe.Sizeof(trailRec{}))
 }
 
-// Clone returns an independent trail of the records so far without copying
-// them: records never change once appended, and the clone's capacity ends at
-// its length, so an append to either trail leaves the other's view intact.
-func (t *Trail) Clone() *Trail {
-	if t == nil {
-		return nil
-	}
-	if !t.shared { // written once, by the appending owner; clones of clones only read it
-		t.shared = true
-	}
-	return &Trail{base: t.base, from: t.from, recs: t.recs[:len(t.recs):len(t.recs)], shared: true}
-}
-
 func (t *Trail) add(r trailRec) {
 	if t != nil {
 		t.recs = append(t.recs, r)
@@ -186,30 +162,15 @@ func finiteRange(row []float32, correctNaN bool) (b Bounds, ok bool, nan int) {
 }
 
 // ObserveRows is the first-token learn pass over one hook tensor whose first
-// row is prompt row pos: each row is NaN-corrected (when correctNaN) and
-// observed in one sweep, the site's bounds widen to cover it, and every row
-// that widened them — or had NaNs corrected — is appended to tr. It returns
-// the number of NaNs corrected. The result is the bounds a single Observe of
-// the whole tensor leaves, bit for bit.
-func (s *Store) ObserveRows(k SiteKey, out *tensor.Tensor, pos int, correctNaN bool, tr *Trail) (nan int) {
-	if nan = s.observeRows(k, out, pos, correctNaN, tr); !correctNaN {
-		return 0 // skipped, not corrected
-	}
-	return nan
-}
-
-// ObserveRowsOnly is the learn pass that changes nothing: ObserveRows without
-// the correction, returning the NaNs it saw and skipped. On NaN-free rows it
-// leaves the store and tr exactly as ObserveRows(correctNaN=true) does, so an
+// row is prompt row pos: each row is observed in one sweep, its NaNs replaced
+// by 0 first when correctNaN and skipped otherwise, the site's bounds widen to
+// cover it, and every row that widened them — or had NaNs corrected — is
+// appended to tr. It returns the number of NaNs in out, corrected or not. The
+// result is the bounds a single Observe of the whole tensor leaves, bit for
+// bit; on NaN-free rows the store and tr end the same either way, so an
 // unprotected prefill that saw no NaN records the trail a protected prefill of
 // the same rows would have.
-func (s *Store) ObserveRowsOnly(k SiteKey, out *tensor.Tensor, pos int, tr *Trail) (seen int) {
-	return s.observeRows(k, out, pos, false, tr)
-}
-
-// observeRows is both learn passes: it returns the NaNs in out, and records
-// one trail entry per row whose NaNs it corrected.
-func (s *Store) observeRows(k SiteKey, out *tensor.Tensor, pos int, correctNaN bool, tr *Trail) (nan int) {
+func (s *Store) ObserveRows(k SiteKey, out *tensor.Tensor, pos int, correctNaN bool, tr *Trail) (nan int) {
 	i := slotOf(k)
 	cur, have := s.get(i)
 	changed := false

@@ -305,7 +305,7 @@ func TestHerdLeaderEntryUnusable(t *testing.T) {
 		hook := &r.hookFns[0]
 		inner, leader := *hook, sessions[0]
 		*hook = func(ctx model.HookCtx, out *tensor.Tensor) {
-			if len(leader.out) == 0 && ctx.FirstToken && ctx.Pos == 0 && ctx.Layer == (model.LayerRef{Kind: model.VProj}) {
+			if len(leader.out) == 0 && ctx.Step == 0 && ctx.Pos == 0 && ctx.Layer == (model.LayerRef{Kind: model.VProj}) {
 				out.Data[0] = float32(math.NaN())
 			}
 			inner(ctx, out)

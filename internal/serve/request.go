@@ -201,6 +201,11 @@ func (r *Request) resolvePrompt(cfg model.Config) ([]int, error) {
 	case len(r.PromptTokens) > 0:
 		prompt = r.PromptTokens
 	case r.Text != "":
+		// Count the words first: a text no prompt can hold is refused
+		// without tokenizing it.
+		if n := tokenizer.CountFields(r.Text, cfg.MaxSeq); n >= cfg.MaxSeq {
+			return nil, badRequest("text of %d or more words exceeds the model's max sequence %d", n, cfg.MaxSeq)
+		}
 		prompt = append([]int{tokenizer.BOS}, data.Vocab().Encode(r.Text)...)
 	default:
 		// The corpora are synthetic and sized on demand; cap the index at

@@ -444,24 +444,8 @@ func FuzzGenerateRequest(f *testing.F) {
 	f.Add(body)
 	f.Add([]byte(`{"text":"` + strings.Repeat("a ", cfg.MaxSeq-2) + `","max_tokens":1}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var rs [3]*http.Request // one per call of allocated's
-		for i := range rs {
-			rs[i] = httptest.NewRequest(http.MethodPost, "/v1/generate", bytes.NewReader(body))
-		}
-		var req Request
-		var prompt []int
-		var d time.Duration
-		var err, derr error
-		calls := 0
-		n := allocated(func() {
-			req = Request{} // a decode into a used slice would reuse it
-			if err = decodeBody(httptest.NewRecorder(), rs[calls], MaxGenerateBody, &req, "request"); err == nil {
-				prompt, err = req.resolvePrompt(cfg)
-				d, derr = req.deadline(time.Minute)
-			}
-			calls++
-		})
-		if err != nil || derr != nil {
+		req, prompt, d, err := resolveGenerateBody(t, cfg, body)
+		if err != nil {
 			return
 		}
 		outside := slices.ContainsFunc(prompt, func(tok int) bool { return tok < 0 || tok >= cfg.Vocab })
@@ -469,26 +453,71 @@ func FuzzGenerateRequest(f *testing.F) {
 			t.Fatalf("accepted prompt %v + max_tokens %d (vocab %d, MaxSeq %d), deadline %v",
 				prompt, req.MaxTokens, cfg.Vocab, cfg.MaxSeq, d)
 		}
-		// json.Decoder's buffer doubles as it reads the body (at most 4× it
-		// in all). A text prompt is unquoted into a buffer that doubles to
-		// hold it and copied out once, at most 4 bytes per byte of the
-		// decoded text (an invalid UTF-8 byte decodes to the 3-byte U+FFFD).
-		// An accepted prompt has fewer than MaxSeq tokens, and each costs at
-		// most 64 bytes: the text's fields (strings.Fields' growing span
-		// list when the text is not ASCII), the ids and the copy behind BOS.
-		// The MaxSeq-1-token seed reads 6920 bytes (6.5 per byte), a
-		// 513-byte text of 237 words with invalid UTF-8 (testdata) 20104,
-		// and 4 KB of invalid UTF-8 in one word 13.9 per byte. A dataset
-		// request builds its synthetic corpus up to the named input, 287 KB
-		// at the largest.
-		bound := uint64(6*len(body) + 4*len(req.Text) + 4<<10 + 64*cfg.MaxSeq)
-		if req.Dataset != "" {
-			bound += 320 << 10
-		}
-		if n > bound {
-			t.Fatalf("accepting a %d-byte generate body allocated %d bytes, bound %d", len(body), n, bound)
-		}
 	})
+}
+
+// resolveGenerateBody decodes a /v1/generate body and resolves its prompt and
+// deadline as admission does, and returns them with the first error. Every
+// body that decodes, accepted or refused, must allocate within the bound
+// below; t fails when it does not.
+func resolveGenerateBody(t *testing.T, cfg model.Config, body []byte) (Request, []int, time.Duration, error) {
+	t.Helper()
+	var rs [3]*http.Request // one per call of allocated's
+	for i := range rs {
+		rs[i] = httptest.NewRequest(http.MethodPost, "/v1/generate", bytes.NewReader(body))
+	}
+	var req Request
+	var prompt []int
+	var d time.Duration
+	var decErr, err error
+	calls := 0
+	n := allocated(func() {
+		req = Request{} // a decode into a used slice would reuse it
+		if decErr = decodeBody(httptest.NewRecorder(), rs[calls], MaxGenerateBody, &req, "request"); decErr == nil {
+			if prompt, err = req.resolvePrompt(cfg); err == nil {
+				d, err = req.deadline(time.Minute)
+			}
+		}
+		calls++
+	})
+	if decErr != nil {
+		return req, nil, 0, decErr
+	}
+	// json.Decoder's buffer doubles as it reads the body (at most 4× it in
+	// all). A text prompt is unquoted into a buffer that doubles to hold it
+	// and copied out once, at most 4 bytes per byte of the decoded text (an
+	// invalid UTF-8 byte decodes to the 3-byte U+FFFD). A text is tokenized
+	// only when it has fewer than MaxSeq words, and each costs at most 64
+	// bytes: the text's fields (strings.Fields' growing span list when the
+	// text is not ASCII), the ids and the copy behind BOS. The MaxSeq-1-token
+	// seed reads 6920 bytes (6.5 per byte), a 513-byte text of 237 words with
+	// invalid UTF-8 (testdata) 20104, and 4 KB of invalid UTF-8 in one word
+	// 13.9 per byte. A dataset request builds its synthetic corpus up to the
+	// named input, 287 KB at the largest.
+	bound := uint64(6*len(body) + 4*len(req.Text) + 4<<10 + 64*cfg.MaxSeq)
+	if req.Dataset != "" {
+		bound += 320 << 10
+	}
+	if n > bound {
+		t.Fatalf("a %d-byte generate body (error %v) allocated %d bytes, bound %d", len(body), err, n, bound)
+	}
+	return req, prompt, d, err
+}
+
+// TestRejectedTextBodyAllocationBounded: a generate body whose text holds far
+// more words than any prompt is refused with 400 before it is tokenized, so
+// it allocates within FuzzGenerateRequest's bound. Tokenizing the ~1 MB of
+// "\xb6 a " below would allocate about 67 MB.
+func TestRejectedTextBodyAllocationBounded(t *testing.T) {
+	cfg, err := model.ConfigByName("qwen2-1.5b-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"text":"` + strings.Repeat("\xb6 a ", 250_000) + `","max_tokens":1}`)
+	_, _, _, err = resolveGenerateBody(t, cfg, body)
+	if ae, ok := err.(*apiError); !ok || ae.Status != http.StatusBadRequest {
+		t.Fatalf("a %d-byte body of %d words answered %v, want 400", len(body), 500_000, err)
+	}
 }
 
 // TestDeadlineMidPrefillReportsGenTime: a session whose deadline expires
@@ -508,7 +537,13 @@ func TestDeadlineMidPrefillReportsGenTime(t *testing.T) {
 		t.Fatal("the first slice did not leave the session mid-prefill")
 	}
 	time.Sleep(deadline)
-	sch.runSlice(r, &group{}, <-sch.ready)
+	// Under load the first slice may already have settled the session past
+	// its deadline, and then nothing is put back on the ring.
+	select {
+	case next := <-sch.ready:
+		sch.runSlice(r, &group{}, next)
+	case <-s.Done():
+	}
 	res, err := s.Wait(context.Background())
 	if !errors.Is(err, ErrDeadline) || len(res.Tokens) != 0 {
 		t.Fatalf("%v with %d tokens, want a deadline before the first token", err, len(res.Tokens))

@@ -9,6 +9,7 @@ package tokenizer
 import (
 	"fmt"
 	"strings"
+	"unicode"
 )
 
 // Special token ids. The vocabulary proper starts at FirstWordID.
@@ -82,6 +83,23 @@ func (t *Tokenizer) Encode(s string) []int {
 		out = append(out, t.ID(f))
 	}
 	return out
+}
+
+// CountFields returns how many words Encode splits s into (the fields of
+// strings.Fields), counting no further than limit, so a caller can refuse a
+// text longer than it accepts without building its words.
+func CountFields(s string, limit int) int {
+	n, inWord := 0, false
+	for _, r := range s {
+		space := unicode.IsSpace(r)
+		if !space && !inWord {
+			if n++; n >= limit {
+				return n
+			}
+		}
+		inWord = !space
+	}
+	return n
 }
 
 // Decode renders token ids as a whitespace-joined string.

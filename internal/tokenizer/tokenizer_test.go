@@ -1,6 +1,8 @@
 package tokenizer
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -123,5 +125,23 @@ func TestContainsEquivalentProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCountFieldsMatchesFields: over random strings of ASCII and Unicode
+// spaces, letters and invalid UTF-8 bytes, CountFields is the number of
+// strings.Fields, capped at the limit.
+func TestCountFieldsMatchesFields(t *testing.T) {
+	parts := []string{" ", "\t", "\n", "\u00a0", "\u0085", "\u2003", "a", "bc", "é", "\xb6", "\xff\xfe"}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		var sb strings.Builder
+		for n := rng.Intn(24); n > 0; n-- {
+			sb.WriteString(parts[rng.Intn(len(parts))])
+		}
+		s, limit := sb.String(), 1+rng.Intn(12)
+		if got, want := CountFields(s, limit), min(len(strings.Fields(s)), limit); got != want {
+			t.Fatalf("CountFields(%q, %d) = %d, want %d", s, limit, got, want)
+		}
 	}
 }
