@@ -2,6 +2,7 @@ package ft2_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ft2"
@@ -219,5 +220,53 @@ func TestPublicSafeGeneration(t *testing.T) {
 	}
 	if !exhausted {
 		t.Fatal("DecodeStep never reported sequence-budget exhaustion")
+	}
+}
+
+// TestOpenEndedDecodeSizedByUse drives the open-ended public path — ft2.Prefill
+// on a 32-token prompt, then 96 ft2.DecodeStep — on each family the engine
+// benchmark rotates through. The state's slabs double as the decode passes
+// them and stop at 128 rows, not MaxSeq; a second generation on the same model
+// allocates nothing; and the tokens are GenerateInto's, whose state is
+// reserved to the horizon up front.
+func TestOpenEndedDecodeSizedByUse(t *testing.T) {
+	const promptLen, steps = 32, 96
+	for _, name := range []string{"opt-6.7b-sim", "gptj-6b-sim", "llama2-7b-sim"} {
+		cfg, err := ft2.ModelByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := ft2.NewModel(cfg, 42, ft2.FP16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prompt := make([]int, promptLen)
+		for i := range prompt {
+			prompt[i] = (7*i + 3) % cfg.Vocab
+		}
+		got := make([]int, 0, steps+1)
+		generate := func() {
+			tok, err := ft2.Prefill(m, prompt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got[:0], tok)
+			for range steps {
+				if tok, err = ft2.DecodeStep(m, tok); err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, tok)
+			}
+		}
+		generate()
+		if _, pitch := m.State().KVOwn(); pitch > promptLen+steps {
+			t.Fatalf("%s: %d rows held at pitch %d, want at most %d", name, promptLen+steps, pitch, promptLen+steps)
+		}
+		if avg := testing.AllocsPerRun(1, generate); avg != 0 {
+			t.Fatalf("%s: a second generation allocates %.0f objects, want 0", name, avg)
+		}
+		if want := m.GenerateInto(nil, prompt, steps+1); !slices.Equal(got, want) {
+			t.Fatalf("%s: open-ended tokens %v, GenerateInto %v", name, got, want)
+		}
 	}
 }

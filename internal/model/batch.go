@@ -70,10 +70,13 @@ func (it *BatchItem) rows() int {
 // chunk overrunning its prompt, token outside the vocabulary) leaves all
 // items as they were. Duplicate States within one call are a caller bug
 // (the same KV slab would be appended twice). A state whose slabs the call's
-// rows would overrun grows them first — to its prompt for a prefill chunk,
-// to MaxSeq for a decode row (DecodeState.Reserve); that, and the arena
-// growing to a pass larger than any before, are the only allocations a pass
-// makes.
+// rows would overrun grows them first, by one rule: the new reach is
+// min(MaxSeq, max(rows needed, borrowed rows + 2 × pitch)), where a prefill
+// chunk needs its whole prompt and a decode row its position + 1. A fresh
+// state (pitch 0) thus reserves exactly its prompt, and an open-ended decode
+// doubles its slabs as it goes (DecodeState.Reserve sizes them exactly up
+// front). That, and the arena growing to a pass larger than any before, are
+// the only allocations a pass makes.
 func (m *Model) ForwardBatch(items []BatchItem, dst []int) []int {
 	if len(items) == 0 {
 		panic("model: ForwardBatch with no items")
@@ -133,14 +136,14 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 			st.step++
 			pos = st.pos()
 		}
-		if pos+r > st.shared+st.pitch {
-			// A prefill reserves its prompt's rows; a decode row past the
-			// horizon grows the slabs once, to the limit.
-			grow := st.maxSeq
+		if need := pos + r; need > st.shared+st.pitch {
+			// A write past the state's reach doubles its pitch, or takes the
+			// rows the item needs (a prefill its whole prompt) when that is
+			// more, never past MaxSeq.
 			if it.prefilling() {
-				grow = st.promptLen
+				need = st.promptLen
 			}
-			st.repitch(grow-st.shared, st.shared)
+			st.repitch(min(st.maxSeq, max(need, st.shared+2*st.pitch))-st.shared, st.shared)
 		}
 		st.rows = pos + r // filled once the pass wrote them into every block
 		sc.itemLo = append(sc.itemLo, rows)

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"ft2/internal/numerics"
@@ -256,36 +257,66 @@ func TestGenerateIntoAllocFree(t *testing.T) {
 	}
 }
 
-// TestDecodeGrowsUnreservedStateOnce pins the one allocation a decode step
-// may make: a state reserved only for its prompt grows to MaxSeq at its
-// first decode step — one buffer for every block's slabs — and never again.
-func TestDecodeGrowsUnreservedStateOnce(t *testing.T) {
+// TestDecodeGrowsUnreservedStateGeometrically pins the growth of a state
+// reserved only for its prompt: decoding it to MaxSeq doubles the pitch — 4,
+// 8, 16, … MaxSeq — with one allocation per move and none on any other step,
+// so the slabs never hold more than max(prompt, 2 × rows). The pitch is
+// layout: every token, and the final Checkpoint bytes, equal those of a run
+// reserved to MaxSeq up front.
+func TestDecodeGrowsUnreservedStateGeometrically(t *testing.T) {
 	cfg := smallCfg(FamilyLlama)
 	m := MustNew(cfg, 3, numerics.FP16)
 	prompt := []int{1, 2, 3, 4}
-	const runs = 10
-	states, toks := make([]*DecodeState, runs+1), make([]int, runs+1) // AllocsPerRun runs once more to warm up
-	for i := range states {
-		states[i] = m.NewDecodeState()
-		m.SwapState(states[i])
-		toks[i] = m.Prefill(prompt)
+	ref, st := m.NewDecodeState(), m.NewDecodeState()
+	m.SwapState(ref)
+	m.BeginPrefill(len(prompt))
+	ref.Reserve(cfg.MaxSeq)
+	refTok, _ := m.PrefillChunk(prompt)
+	m.SwapState(st)
+	tok := m.Prefill(prompt)
+	if tok != refTok {
+		t.Fatalf("first token %d, reserved run %d", tok, refTok)
 	}
-	next := 0
-	step := func() {
-		m.SwapState(states[next%len(states)])
-		toks[next%len(states)] = m.DecodeStep(toks[next%len(states)])
-		next++
-	}
-	if avg := testing.AllocsPerRun(runs, step); avg != 1 {
-		t.Fatalf("first decode step past a %d-row reservation allocates %.1f objects, want 1", len(prompt), avg)
-	}
-	for _, st := range states {
-		if _, _, _, pitch := st.KVSlabs(0); pitch != cfg.MaxSeq {
-			t.Fatalf("grown pitch %d, want MaxSeq %d", pitch, cfg.MaxSeq)
+	_, pitch := st.KVOwn()
+	pitches := []int{pitch}
+	var ms runtime.MemStats
+	for st.SeqLen() < cfg.MaxSeq {
+		m.SwapState(ref)
+		refTok = m.DecodeStep(refTok)
+		m.SwapState(st)
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		tok = m.DecodeStep(tok)
+		runtime.ReadMemStats(&ms)
+		allocs := ms.Mallocs - before
+		rows, now := st.KVOwn()
+		if now != pitch {
+			if want := min(2*pitch, cfg.MaxSeq); now != want {
+				t.Fatalf("row %d: pitch %d grew to %d, want %d", rows, pitch, now, want)
+			}
+			pitch = now
+			pitches = append(pitches, pitch)
+			if allocs != 1 {
+				t.Fatalf("row %d: the growth to pitch %d made %d allocations, want 1", rows, pitch, allocs)
+			}
+		} else if allocs != 0 {
+			t.Fatalf("row %d: a step within pitch %d made %d allocations, want 0", rows, pitch, allocs)
+		}
+		if pitch > max(len(prompt), 2*rows) {
+			t.Fatalf("%d rows held at pitch %d, more than twice the rows", rows, pitch)
+		}
+		if tok != refTok {
+			t.Fatalf("row %d: token %d, reserved run %d", rows, tok, refTok)
 		}
 	}
-	if avg := testing.AllocsPerRun(3*runs, step); avg != 0 {
-		t.Fatalf("decode steps after the growth allocate %.1f objects, want 0", avg)
+	if want := []int{4, 8, 16, 32, cfg.MaxSeq}; !equalInts(pitches, want) {
+		t.Fatalf("pitches %v, want %v", pitches, want)
+	}
+	var a, b Snapshot
+	st.Checkpoint(&a)
+	ref.Checkpoint(&b)
+	if !bytes.Equal(AppendSnapshot(nil, &a), AppendSnapshot(nil, &b)) {
+		t.Fatal("the grown state's Checkpoint encodes differently from the reserved run's")
 	}
 }
 

@@ -53,9 +53,9 @@ func (m *Model) NewDecodeState() *DecodeState {
 
 // Reserve makes the state hold at least rows positions per head, borrowed
 // ones included — the generation's horizon, prompt plus tokens to decode —
-// so no forward pass up to it allocates. A decode row written past them
-// grows the slabs straight to MaxSeq instead, once. Reserving no more than
-// the state holds is a no-op; rows above MaxSeq panic.
+// so no forward pass up to it allocates. It grows the pitch to exactly
+// rows; a decode row written past them doubles it (ForwardBatch). Reserving
+// no more than the state holds is a no-op; rows above MaxSeq panic.
 func (st *DecodeState) Reserve(rows int) {
 	if rows > st.maxSeq {
 		panic(fmt.Sprintf("model: Reserve(%d) exceeds max seq %d", rows, st.maxSeq))
@@ -67,8 +67,10 @@ func (st *DecodeState) Reserve(rows int) {
 
 // repitch moves the slabs into one fresh buffer at the given pitch, copying
 // each lane's filled rows from position from on — the borrowed ones too when
-// from is 0, which ends the borrow. The old buffer is left as it was: a View
-// taken before the move still reads it, and no forward pass writes it again.
+// from is 0, which ends the borrow. Reserve, KVSlabs and a forward pass's
+// growth move the slabs through it, one allocation per move. The old buffer
+// is left as it was: a View taken before the move still reads it, and no
+// forward pass writes it again.
 func (st *DecodeState) repitch(pitch, from int) {
 	st.kvRows = st.carve(nil, pitch, from, st.base)
 }

@@ -162,10 +162,10 @@ func TestSnapshotWireMatchesPerElementEncoder(t *testing.T) {
 // TestViewEncodesLikeCheckpoint holds a View of the live state — KV slabs at
 // stride the state's pitch, no copy — to a Checkpoint copy at every row count
 // from 1 to MaxSeq: the same wire bytes, and a Restore from either continues
-// the generation identically. The prefill reserves its one row, so the view
-// is taken at pitch 1 and, past the first decode step's growth, at MaxSeq;
-// the views at MaxSeq leave the pitch-1 view, still reading the old slabs,
-// encoding as it did.
+// the generation identically. The prefill reserves its one row and each
+// decode row past the pitch doubles it, so the views are taken at pitch 1,
+// 2, 4, … MaxSeq; the first view at each pitch, still reading the slabs it
+// was taken over, encodes as it did through every later move.
 func TestViewEncodesLikeCheckpoint(t *testing.T) {
 	cfg, err := ConfigByName("qwen2-1.5b-sim")
 	if err != nil {
@@ -175,23 +175,29 @@ func TestViewEncodesLikeCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var view, snap, first Snapshot
-	var firstBytes []byte
+	var view, snap Snapshot
+	var earlier []Snapshot // the first view at each pitch, sharing its headers
+	var earlierBytes [][]byte
 	tok := m.Prefill([]int{42})
 	for rows := 1; ; rows++ {
 		m.State().View(&view)
 		m.Checkpoint(&snap)
-		if rows == 1 {
-			first, firstBytes = view, AppendSnapshot(nil, &view) // shares view's headers
-		} else if !bytes.Equal(AppendSnapshot(nil, &first), firstBytes) {
-			t.Fatalf("%d rows: a View after the slabs grew rewrote an earlier view's headers", rows)
+		pitch := 1
+		for pitch < rows {
+			pitch *= 2
 		}
-		pitch := cfg.MaxSeq
-		if rows == 1 {
-			pitch = 1
-		}
+		pitch = min(pitch, cfg.MaxSeq)
 		if view.Rows() != rows || view.pitch != pitch {
 			t.Fatalf("view rows %d pitch %d, want %d and %d", view.Rows(), view.pitch, rows, pitch)
+		}
+		if len(earlier) == 0 || earlier[len(earlier)-1].pitch != pitch {
+			earlier = append(earlier, view)
+			earlierBytes = append(earlierBytes, AppendSnapshot(nil, &view))
+		}
+		for i := range earlier {
+			if !bytes.Equal(AppendSnapshot(nil, &earlier[i]), earlierBytes[i]) {
+				t.Fatalf("%d rows: the view taken at pitch %d no longer encodes as it did", rows, earlier[i].pitch)
+			}
 		}
 		if !bytes.Equal(AppendSnapshot(nil, &view), AppendSnapshot(nil, &snap)) {
 			t.Fatalf("%d rows: view encodes differently from a Checkpoint copy", rows)

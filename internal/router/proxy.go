@@ -309,7 +309,10 @@ func (rt *Router) relayStream(s *session, wk *worker, body io.Reader, skip int) 
 			if verbatim {
 				s.w.Write(line)
 			} else {
-				json.NewEncoder(s.w).Encode(map[string]interface{}{"token": tok, "word": sl.Word})
+				json.NewEncoder(s.w).Encode(struct {
+					Token int    `json:"token"`
+					Word  string `json:"word"`
+				}{tok, sl.Word})
 			}
 		}
 		sinceFetch++

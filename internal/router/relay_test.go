@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"ft2/internal/data"
+	"ft2/internal/model"
 	"ft2/internal/serve"
 	"ft2/internal/tokenizer"
 )
@@ -213,6 +215,46 @@ func longStream(t testing.TB) ([][]byte, serve.Result) {
 	return append(lines, end.Bytes()), res
 }
 
+// maxSeqStream is a worker's stream of MaxSeq tokens, the most a session
+// holds, and its terminal line.
+func maxSeqStream(tb testing.TB) []byte {
+	cfg, err := model.ConfigByName("llama2-7b-sim")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res := serve.Result{Model: cfg.Name, Protected: true}
+	var stream bytes.Buffer
+	for i := range cfg.MaxSeq {
+		tok := 4 + i%(len(testLines)-4)
+		res.Tokens = append(res.Tokens, tok)
+		stream.Write(testLines[tok])
+	}
+	res.Text = data.Vocab().Decode(res.Tokens)
+	json.NewEncoder(&stream).Encode(map[string]interface{}{"done": true, "result": res})
+	return stream.Bytes()
+}
+
+// relayAllocPerByte bounds what relaying a worker stream allocates per byte
+// of it, past a constant; FuzzRelayStream holds it. A token line that is
+// byte for byte the worker's is forwarded as read, 5 per byte with the
+// recorder's copy; any other line is decoded and a token line re-encoded,
+// about 410 bytes each, 34 per byte of the shortest, {"token":4}.
+const relayAllocPerByte = 40
+
+// allocated returns the fewest bytes fn allocates over three calls (the
+// runtime's TotalAlloc): another goroutine's allocations only add to a call.
+func allocated(fn func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
 // TestLongTerminalLineRelays: a terminal line longer than the relay's read
 // buffer, handed over one read at a time, finishes the session with the
 // worker's result — it is not mistaken for a broken stream.
@@ -256,6 +298,7 @@ func FuzzRelayStream(f *testing.F) {
 	f.Add([]byte("\n\n{}\n"))
 	long, _ := longStream(f)
 	f.Add(bytes.Join(long, nil))
+	f.Add(maxSeqStream(f))
 	rt := &Router{cfg: Config{}.withDefaults()}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		lines := bytes.SplitAfter(in, []byte("\n"))
@@ -270,10 +313,22 @@ func FuzzRelayStream(f *testing.F) {
 			}
 			want = append(want, l...)
 		}
-		stream := lineReader(append([][]byte(nil), lines...))
-		rec := httptest.NewRecorder()
-		out, why := rt.relayStream(&session{w: rec, req: serve.Request{SessionID: "s", Stream: true}}, nil, &stream, 0)
-		got := rec.Body.Bytes()
+		var recs [3]*httptest.ResponseRecorder // one per call of allocated's
+		var streams [3]lineReader
+		for i := range recs {
+			recs[i], streams[i] = httptest.NewRecorder(), lineReader(append([][]byte(nil), lines...))
+		}
+		var out relayOutcome
+		var why string
+		calls := 0
+		n := allocated(func() {
+			out, why = rt.relayStream(&session{w: recs[calls], req: serve.Request{SessionID: "s", Stream: true}}, nil, &streams[calls], 0)
+			calls++
+		})
+		if bound := uint64(relayAllocPerByte*len(in) + 8<<10); n > bound {
+			t.Fatalf("relaying a %d-byte stream allocated %d bytes, bound %d", len(in), n, bound)
+		}
+		got := recs[0].Body.Bytes()
 		if !bytes.HasPrefix(got, want) {
 			t.Fatalf("relayed %q, want it to start with the token lines %q", got, want)
 		}

@@ -229,7 +229,13 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, what
 			Msg: fmt.Sprintf("%s body exceeds %d bytes", what, limit)}
 	}
 	if err != nil {
-		return badRequest("invalid %s body: %v", what, err)
+		// The message may quote a key or literal as long as the body.
+		const maxQuote = 200
+		msg := err.Error()
+		if len(msg) > maxQuote {
+			msg = msg[:maxQuote] + "…"
+		}
+		return badRequest("invalid %s body: %s", what, msg)
 	}
 	return nil
 }

@@ -341,6 +341,10 @@ func FuzzImportRequest(f *testing.F) {
 	}
 	body, _ := json.Marshal(ImportRequest{SessionID: "s", MaxTokensTotal: snap.NextStep() + 1, DeadlineMS: 1000, Snapshot: blob})
 	f.Add(body)
+	// The costliest rejections, each as long as the largest body: an unknown
+	// key of invalid UTF-8 and a number literal in place of a field's value.
+	f.Add([]byte(`{"` + strings.Repeat("\xb6", len(body)) + `":1}`))
+	f.Add([]byte(`{"max_tokens_total":` + strings.Repeat("9", len(body)) + `}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var rs [3]*http.Request // one per call of allocated's
 		for i := range rs {
@@ -360,9 +364,18 @@ func FuzzImportRequest(f *testing.F) {
 		// reads the body (at most 4× it in all), the snapshot's base64 decodes
 		// once (¾) and its rows are copied once (¾). The MaxSeq-1-row seed
 		// reads 4.5 per byte, and no row count of a qwen2 or llama2 session
-		// more than 5.7.
-		if bound := uint64(6*len(body) + 4<<10 + cfg.Blocks<<10); err == nil && n > bound {
-			t.Fatalf("accepting a %d-byte import body allocated %d bytes, bound %d", len(body), n, bound)
+		// more than 5.7. A rejected body may cost more inside encoding/json,
+		// which unquotes a key, case-folds it and quotes it into its unknown
+		// field error (decodeBody copies at most 200 bytes of that error): an
+		// unknown key of invalid UTF-8, each byte unquoted to the 3-byte
+		// U+FFFD, reads 37.7 per byte, a key of U+0085 25.9, and a number
+		// literal in place of a field's value 8.8.
+		bound := uint64(6*len(body) + 4<<10 + cfg.Blocks<<10)
+		if err != nil {
+			bound = uint64(40*len(body) + 4<<10 + cfg.Blocks<<10)
+		}
+		if n > bound {
+			t.Fatalf("a %d-byte import body (error %.200v) allocated %d bytes, bound %d", len(body), err, n, bound)
 		}
 		if err != nil {
 			if st := errStatus(err); st != http.StatusBadRequest && st != http.StatusRequestEntityTooLarge {
@@ -779,8 +792,9 @@ func TestExportMarkSurvivesSlabGrowth(t *testing.T) {
 			PromptTokens: prompt, MaxTokens: maxTokens, Protected: protected, SessionID: "grow",
 		}})
 		// Reserved to the prompt plus two rows: the third decode step, between
-		// the marks at tokens 1 and 5, grows the slabs to MaxSeq.
+		// the marks at tokens 1 and 5, grows the slabs past the reservation.
 		sch.horizonShort = maxTokens - 2
+		reserved := len(prompt) + 2
 		oracle, _, err := Oracle(sch.cfg, prompt, maxTokens, protected)
 		if err != nil {
 			t.Fatal(err)
@@ -788,12 +802,15 @@ func TestExportMarkSurvivesSlabGrowth(t *testing.T) {
 		r, g, s := sch.pool.replicas[0], &group{}, sessions[0]
 		var want []byte
 		marked := 0
-		for grown := false; !grown; {
+		for ran, grown := 0, false; !grown; ran++ {
+			if ran == maxTokens || len(sch.ready) == 0 {
+				t.Fatalf("protected=%v: no growth past the %d-row reservation in %d slices", protected, reserved, ran)
+			}
 			r = sch.runSlice(r, g, <-sch.ready)
 			if !s.kv.st.Started() {
 				continue
 			}
-			if _, _, _, pitch := s.kv.st.KVSlabs(0); pitch == sch.cfg.ModelCfg.MaxSeq {
+			if _, pitch := s.kv.st.KVOwn(); pitch > reserved {
 				grown = true
 				if want == nil || s.lastExport != marked {
 					t.Fatalf("protected=%v: the slabs grew at step %d, not between two marks", protected, s.kv.st.Step())

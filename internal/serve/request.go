@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"ft2/internal/data"
@@ -177,6 +178,37 @@ func (r *Request) deadline(def time.Duration) (time.Duration, error) {
 	return time.Duration(r.DeadlineMS) * time.Millisecond, nil
 }
 
+// maxDatasetInput caps a dataset request's input index at the paper's own
+// evaluation scale, so the corpora a server holds stay small.
+const maxDatasetInput = 50
+
+// corpora holds each named synthetic corpus a dataset request asked for,
+// built once, at maxDatasetInput inputs, by the first request that names it.
+// Its prompts are shared by every request and only read.
+var corpora struct {
+	sync.Mutex
+	byName map[string]*data.Dataset
+}
+
+// corpus returns the named corpus, building it on first use; an unknown
+// name is an error and builds nothing.
+func corpus(name string) (*data.Dataset, error) {
+	corpora.Lock()
+	defer corpora.Unlock()
+	if ds := corpora.byName[name]; ds != nil {
+		return ds, nil
+	}
+	ds, err := data.ByName(name, maxDatasetInput)
+	if err != nil {
+		return nil, err
+	}
+	if corpora.byName == nil {
+		corpora.byName = make(map[string]*data.Dataset)
+	}
+	corpora.byName[name] = ds
+	return ds, nil
+}
+
 // resolvePrompt validates the request against the served model and returns
 // the prompt token ids. Every condition that would panic inside the engine
 // (empty prompt, out-of-vocab token, MaxSeq overflow) is rejected here with
@@ -208,14 +240,10 @@ func (r *Request) resolvePrompt(cfg model.Config) ([]int, error) {
 		}
 		prompt = append([]int{tokenizer.BOS}, data.Vocab().Encode(r.Text)...)
 	default:
-		// The corpora are synthetic and sized on demand; cap the index at
-		// the paper's own evaluation scale so a single request cannot ask
-		// for an arbitrarily large dataset build.
-		const maxDatasetInput = 50
 		if r.Input < 0 || r.Input >= maxDatasetInput {
 			return nil, badRequest("dataset input %d out of range [0,%d)", r.Input, maxDatasetInput)
 		}
-		ds, err := data.ByName(r.Dataset, r.Input+1)
+		ds, err := corpus(r.Dataset)
 		if err != nil {
 			return nil, badRequest("%v", err)
 		}

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -492,12 +493,10 @@ func resolveGenerateBody(t *testing.T, cfg model.Config, body []byte) (Request, 
 	// text is not ASCII), the ids and the copy behind BOS. The MaxSeq-1-token
 	// seed reads 6920 bytes (6.5 per byte), a 513-byte text of 237 words with
 	// invalid UTF-8 (testdata) 20104, and 4 KB of invalid UTF-8 in one word
-	// 13.9 per byte. A dataset request builds its synthetic corpus up to the
-	// named input, 287 KB at the largest.
+	// 13.9 per byte. A dataset request reads a corpus built once, by the
+	// first request that named it, so the least of allocated's runs builds
+	// none.
 	bound := uint64(6*len(body) + 4*len(req.Text) + 4<<10 + 64*cfg.MaxSeq)
-	if req.Dataset != "" {
-		bound += 320 << 10
-	}
 	if n > bound {
 		t.Fatalf("a %d-byte generate body (error %v) allocated %d bytes, bound %d", len(body), err, n, bound)
 	}
@@ -517,6 +516,49 @@ func TestRejectedTextBodyAllocationBounded(t *testing.T) {
 	_, _, _, err = resolveGenerateBody(t, cfg, body)
 	if ae, ok := err.(*apiError); !ok || ae.Status != http.StatusBadRequest {
 		t.Fatalf("a %d-byte body of %d words answered %v, want 400", len(body), 500_000, err)
+	}
+}
+
+// TestDatasetCorpusBuiltOnce: a dataset request reads its corpus from the
+// one the server built at maxDatasetInput inputs, so resolving one at input
+// 49 allocates under 16 KB (rebuilding the corpus up to the named input
+// allocated 283–287 KB), and its prompts equal data.ByName's. Handlers
+// resolving every corpus at once get the same prompts.
+func TestDatasetCorpusBuiltOnce(t *testing.T) {
+	cfg, err := model.ConfigByName("qwen2-1.5b-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"squad-sim", "xtreme-sim", "gsm8k-sim", "chatprompts-sim", "tweeteval-sim", "mbpp-sim", "opus-sim"}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range names {
+				req := Request{Dataset: name, Input: maxDatasetInput - 1, MaxTokens: 1}
+				if _, err := req.resolvePrompt(cfg); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, name := range names {
+		for _, input := range []int{maxDatasetInput - 1, 17, 0} {
+			ds, err := data.ByName(name, input+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := Request{Dataset: name, Input: input, MaxTokens: 1}
+			var prompt []int
+			if n := allocated(func() { prompt, err = req.resolvePrompt(cfg) }); n >= 16<<10 {
+				t.Fatalf("%s input %d: resolving the prompt allocated %d bytes, want < 16 KB", name, input, n)
+			}
+			if err != nil || !slices.Equal(prompt, ds.Inputs[input].Prompt) {
+				t.Fatalf("%s input %d: prompt %v (%v), data.ByName's %v", name, input, prompt, err, ds.Inputs[input].Prompt)
+			}
+		}
 	}
 }
 
